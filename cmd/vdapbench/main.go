@@ -23,100 +23,163 @@ import (
 	"repro/internal/trace"
 )
 
-func main() {
+func main() { os.Exit(mainExit(os.Args[1:])) }
+
+// options is everything one vdapbench run reads: the flag values, plus the
+// -trace sinks run sets up before dispatching.
+type options struct {
+	exp       string
+	seed      int64
+	duration  time.Duration
+	dir       string
+	traceOut  string
+	reps      int
+	parallel  int
+	runReport string
+	shards    int
+	lanes     int
+	vehicles  string
+	records   int
+	clients   int
+	serveDur  time.Duration
+	mix       string
+	serveOut  string
+	chaosOut  string
+
+	// With -trace, instrument-aware experiments report spans and metrics
+	// here; virtual-time determinism makes the file byte-identical per seed.
+	tracer  *trace.Tracer
+	metrics *telemetry.Registry
+}
+
+// mainExit is main's body, returning the exit code instead of calling
+// os.Exit so the profile defers run on failure too: a failing -exp is
+// exactly when the -cpuprofile is wanted whole.
+func mainExit(args []string) int {
 	var (
-		exp        = flag.String("exp", "all", "experiment: "+expNames())
-		seed       = flag.Int64("seed", 42, "random seed")
-		duration   = flag.Duration("duration", 5*time.Minute, "figure-2 stream duration")
-		dir        = flag.String("dir", "", "DDI scratch directory (default: temp)")
-		traceOut   = flag.String("trace", "", "write a Chrome trace_event JSON file (supported by -exp arch and -exp sweep)")
-		reps       = flag.Int("reps", 8, "replications for -exp sweep/chaos/obs")
-		parallel   = flag.Int("parallel", runtime.GOMAXPROCS(0), "worker-pool size for -exp sweep/chaos/obs (output is byte-identical at any level)")
-		benchOut   = flag.String("benchout", "BENCH_PERF.json", "output path for the -exp perf / -exp scale report")
-		runReport  = flag.String("runreport", "", "output path for the -exp obs RUN_REPORT.json (empty: stdout tables only)")
-		shards     = flag.Int("shards", 0, "shard count for -exp scale (0 = sweep 1,2,4,8) and -exp obs (0 = default; simulation output is identical for every value)")
-		lanes      = flag.Int("lanes", 0, "commit-lane count for -exp scale (0 = sweep 1,2,4,8; simulation output is identical for every value)")
-		vehicles   = flag.String("vehicles", "", "-exp scale comma-separated fleet sizes (default 100,1000,10000)")
-		records    = flag.Int("records", 10_000_000, "-exp ddi corpus size")
-		cpuProfile = flag.String("cpuprofile", "", "write a CPU profile to this file")
-		memProfile = flag.String("memprofile", "", "write a heap profile to this file on exit")
-		clients    = flag.Int("clients", 1000, "-exp serve concurrent HTTP clients")
-		serveDur   = flag.Duration("servedur", 5*time.Second, "-exp serve wall-clock load duration")
-		mix        = flag.String("mix", "", "-exp serve endpoint mix, e.g. status=30,metrics=25,series=25,events=15,stream=5 (default: built-in mix)")
-		serveOut   = flag.String("serveout", "BENCH_SERVE.json", "output path for the -exp serve report")
-		chaosOut   = flag.String("chaosout", "BENCH_CHAOS.json", "output path for the -exp chaosserve report")
+		o          options
+		cpuProfile string
+		memProfile string
 	)
-	flag.Parse()
-	if *cpuProfile != "" {
-		f, err := os.Create(*cpuProfile)
+	fs := flag.NewFlagSet("vdapbench", flag.ExitOnError)
+	fs.StringVar(&o.exp, "exp", "all", "experiment: "+expNames())
+	fs.Int64Var(&o.seed, "seed", 42, "random seed")
+	fs.DurationVar(&o.duration, "duration", 5*time.Minute, "figure-2 stream duration")
+	fs.StringVar(&o.dir, "dir", "", "DDI scratch directory (default: temp)")
+	fs.StringVar(&o.traceOut, "trace", "", "write a Chrome trace_event JSON file (supported by -exp arch and -exp sweep)")
+	fs.IntVar(&o.reps, "reps", 8, "replications for -exp sweep/chaos/obs")
+	fs.IntVar(&o.parallel, "parallel", runtime.GOMAXPROCS(0), "worker-pool size for -exp sweep/chaos/obs (output is byte-identical at any level)")
+	fs.StringVar(&o.runReport, "runreport", "", "output path for the -exp obs RUN_REPORT.json (empty: stdout tables only)")
+	fs.IntVar(&o.shards, "shards", 0, "shard count for -exp scale (0 = sweep 1,2,4,8) and -exp obs (0 = default; simulation output is identical for every value)")
+	fs.IntVar(&o.lanes, "lanes", 0, "commit-lane count for -exp scale (0 = sweep 1,2,4,8; simulation output is identical for every value)")
+	fs.StringVar(&o.vehicles, "vehicles", "", "-exp scale comma-separated fleet sizes (default 100,1000,10000)")
+	fs.IntVar(&o.records, "records", 10_000_000, "-exp ddi corpus size")
+	fs.StringVar(&cpuProfile, "cpuprofile", "", "write a CPU profile to this file")
+	fs.StringVar(&memProfile, "memprofile", "", "write a heap profile to this file on exit")
+	fs.IntVar(&o.clients, "clients", 1000, "-exp serve concurrent HTTP clients")
+	fs.DurationVar(&o.serveDur, "servedur", 5*time.Second, "-exp serve wall-clock load duration")
+	fs.StringVar(&o.mix, "mix", "", "-exp serve endpoint mix, e.g. status=30,metrics=25,series=25,events=15,stream=5 (default: built-in mix)")
+	fs.StringVar(&o.serveOut, "serveout", "BENCH_SERVE.json", "output path for the -exp serve report")
+	fs.StringVar(&o.chaosOut, "chaosout", "BENCH_CHAOS.json", "output path for the -exp chaosserve report")
+	fs.Parse(args) // ExitOnError: a bad flag exits 2 from inside Parse
+	fail := func(err error) int {
+		fmt.Fprintln(os.Stderr, "vdapbench:", err)
+		return 1
+	}
+	if cpuProfile != "" {
+		f, err := os.Create(cpuProfile)
 		if err != nil {
-			fmt.Fprintln(os.Stderr, "vdapbench:", err)
-			os.Exit(1)
+			return fail(err)
 		}
 		defer f.Close()
 		if err := pprof.StartCPUProfile(f); err != nil {
-			fmt.Fprintln(os.Stderr, "vdapbench:", err)
-			os.Exit(1)
+			return fail(err)
 		}
 		defer pprof.StopCPUProfile()
 	}
-	serve := serveOpts{clients: *clients, duration: *serveDur, mix: *mix, out: *serveOut, chaosOut: *chaosOut}
-	if err := run(*exp, *seed, *duration, *dir, *traceOut, *benchOut, *runReport, *vehicles, *reps, *parallel, *shards, *lanes, *records, serve); err != nil {
-		fmt.Fprintln(os.Stderr, "vdapbench:", err)
-		os.Exit(1)
+	if err := run(o); err != nil {
+		return fail(err)
 	}
-	if *memProfile != "" {
-		f, err := os.Create(*memProfile)
+	if memProfile != "" {
+		f, err := os.Create(memProfile)
 		if err != nil {
-			fmt.Fprintln(os.Stderr, "vdapbench:", err)
-			os.Exit(1)
+			return fail(err)
 		}
 		defer f.Close()
 		runtime.GC()
 		if err := pprof.WriteHeapProfile(f); err != nil {
-			fmt.Fprintln(os.Stderr, "vdapbench:", err)
-			os.Exit(1)
+			return fail(err)
 		}
 	}
+	return 0
 }
 
-// experimentInfo describes one -exp value. The list below is the single
-// source of truth: the flag usage line, the -exp all order, the
-// unknown-experiment listing, and the runner table are all derived from it.
-type experimentInfo struct {
+// experiment is one -exp value. The table below is the only list of them:
+// the flag usage line, the -exp all order, the unknown-experiment listing
+// and the dispatch all walk it.
+type experiment struct {
 	name string
 	desc string
-	// all marks experiments included in -exp all. Meta-benchmarks of the
-	// platform itself (perf, scale) and file-writing runs (obs) stay out.
+	// all marks experiments included in -exp all. Wall-clock runs of the
+	// platform itself (scale, serve, chaosserve, ddi) and file-writing runs
+	// (obs) stay out.
 	all bool
+	run func(o *options) error
 }
 
-var experimentList = []experimentInfo{
-	{"table1", "service latency and energy across VCU devices (Table 1)", true},
-	{"fig2", "camera-stream processing rate over a commute (Figure 2)", true},
-	{"fig3", "offloading latency across destinations (Figure 3)", true},
-	{"dsf", "DSF scheduling-policy ablation (E4)", true},
-	{"elastic", "elastic-management objective ablation (E5)", true},
-	{"arch", "onboard vs. edge vs. cloud architecture comparison (E6)", true},
-	{"compress", "model-compression accuracy/latency sweep (E7)", true},
-	{"retrain", "compression with retraining (E8)", true},
-	{"pbeam", "pBEAM driving-behavior pipeline (E9)", true},
-	{"collab", "multi-vehicle collaboration (E10)", true},
-	{"commute", "full-commute integration run (E11)", true},
-	{"fleet", "fleet contention over shared edge sites (E12)", true},
-	{"sweep", "replicated fleet sweep with merged telemetry (E13)", true},
-	{"chaos", "fault-injection sweep, resilience off vs. on (E14)", true},
-	{"hdmap", "HD-map prefetch along the route (E2)", true},
-	{"ddicache", "DDI two-tier cache latency (E8)", true},
-	{"perf", "hot-path micro-benchmarks -> BENCH_PERF.json (E15)", false},
-	{"scale", "fleet scaling meta-benchmark -> BENCH_PERF.json (E16)", false},
-	{"obs", "flight-recorder fleet run -> RUN_REPORT.json (E17)", false},
-	{"serve", "libvdap serving tier under load -> BENCH_SERVE.json (E18)", false},
-	{"chaosserve", "paired chaos-proxy load test, resilience off vs. on -> BENCH_CHAOS.json (E19)", false},
-	{"ddi", "columnar DDI store ingest/query sweep -> BENCH_PERF.json (E20)", false},
+var experimentList = []experiment{
+	{"table1", "service latency and energy across VCU devices (Table 1)", true, func(*options) error {
+		return show(experiments.Table1Table)(experiments.RunTable1())
+	}},
+	{"fig2", "camera-stream processing rate over a commute (Figure 2)", true, func(o *options) error {
+		return show(experiments.Figure2Table)(experiments.RunFigure2(o.seed, o.duration))
+	}},
+	{"fig3", "offloading latency across destinations (Figure 3)", true, func(*options) error {
+		return show(experiments.Figure3Table)(experiments.RunFigure3())
+	}},
+	{"dsf", "DSF scheduling-policy ablation (E4)", true, func(*options) error {
+		return show(experiments.DSFTable)(experiments.RunDSFAblation(8))
+	}},
+	{"elastic", "elastic-management objective ablation (E5)", true, func(*options) error {
+		return show(experiments.ElasticTable)(experiments.RunElastic())
+	}},
+	{"arch", "onboard vs. edge vs. cloud architecture comparison (E6)", true, runArch},
+	{"compress", "model-compression accuracy/latency sweep (E7)", true, func(o *options) error {
+		return show(experiments.CompressTable)(experiments.RunCompressionSweep(o.seed))
+	}},
+	{"retrain", "compression with retraining (E8)", true, func(o *options) error {
+		return show(experiments.RetrainTable)(experiments.RunCompressionRetrain(o.seed))
+	}},
+	{"pbeam", "pBEAM driving-behavior pipeline (E9)", true, func(o *options) error {
+		return show(experiments.PBEAMTable)(experiments.RunPBEAMPipeline(o.seed, 3))
+	}},
+	{"collab", "multi-vehicle collaboration (E10)", true, func(*options) error {
+		return show(experiments.CollabTable)(experiments.RunCollaboration())
+	}},
+	{"commute", "full-commute integration run (E11)", true, func(*options) error {
+		return show(experiments.CommuteTable)(experiments.RunCommute())
+	}},
+	{"fleet", "fleet contention over shared edge sites (E12)", true, func(*options) error {
+		return show(experiments.FleetTable)(experiments.RunFleetContention())
+	}},
+	{"sweep", "replicated fleet sweep with merged telemetry (E13)", true, runSweep},
+	{"chaos", "fault-injection sweep, resilience off vs. on (E14)", true, runChaos},
+	{"hdmap", "HD-map prefetch along the route (E2)", true, func(*options) error {
+		return show(experiments.HDMapTable)(experiments.RunHDMapPrefetch())
+	}},
+	{"ddicache", "DDI two-tier cache latency (E8)", true, func(o *options) error {
+		return withScratchDir(o.dir, "vdapbench-ddi-*", func(dir string) error {
+			return show(experiments.DDITable)(experiments.RunDDIBench(dir, o.seed))
+		})
+	}},
+	{"scale", "fleet scaling sweep over shards and commit lanes (E16)", false, runScale},
+	{"obs", "flight-recorder fleet run -> RUN_REPORT.json (E17)", false, runObs},
+	{"serve", "libvdap serving tier under load -> BENCH_SERVE.json (E18)", false, runServe},
+	{"chaosserve", "paired chaos-proxy load test, resilience off vs. on -> BENCH_CHAOS.json (E19)", false, runChaosServe},
+	{"ddi", "columnar DDI store ingest/query sweep (E20)", false, runDDIStore},
 }
 
-// expNames renders the one-line flag usage: all|table1|...|obs.
+// expNames renders the one-line flag usage: all|table1|...|ddi.
 func expNames() string {
 	names := make([]string, 0, len(experimentList)+1)
 	names = append(names, "all")
@@ -137,6 +200,96 @@ func expUsage() string {
 	return b.String()
 }
 
+// run dispatches o.exp over experimentList, then writes the -trace file.
+func run(o options) error {
+	if o.traceOut != "" {
+		o.tracer = trace.New(nil)
+		o.metrics = telemetry.NewRegistry()
+	}
+	all := o.exp == "all"
+	var selected []experiment
+	for _, e := range experimentList {
+		if all && e.all || e.name == o.exp {
+			selected = append(selected, e)
+		}
+	}
+	if len(selected) == 0 {
+		return fmt.Errorf("unknown experiment %q\n%s", o.exp, expUsage())
+	}
+	for _, e := range selected {
+		if err := e.run(&o); err != nil {
+			if all {
+				return fmt.Errorf("%s: %w", e.name, err)
+			}
+			return err
+		}
+	}
+	if o.traceOut != "" {
+		out, err := o.tracer.ChromeTrace()
+		if err != nil {
+			return fmt.Errorf("render trace: %w", err)
+		}
+		if err := os.WriteFile(o.traceOut, out, 0o644); err != nil {
+			return err
+		}
+		fmt.Fprintf(os.Stderr, "vdapbench: wrote %d spans over components %v to %s\n",
+			o.tracer.SpanCount(), o.tracer.Components(), o.traceOut)
+	}
+	return nil
+}
+
+// show prints one experiment's table, passing a runner error through, so
+// a compute-rows-print-table experiment is one line:
+// show(experiments.Table1Table)(experiments.RunTable1()).
+func show[R any](table func(R) *experiments.Table) func(R, error) error {
+	return func(rows R, err error) error {
+		if err != nil {
+			return err
+		}
+		fmt.Println(table(rows))
+		return nil
+	}
+}
+
+// withScratchDir runs f in dir, or in a fresh temp directory (removed
+// afterwards) when dir is empty.
+func withScratchDir(dir, pattern string, f func(dir string) error) error {
+	if dir == "" {
+		tmp, err := os.MkdirTemp("", pattern)
+		if err != nil {
+			return err
+		}
+		defer os.RemoveAll(tmp)
+		dir = tmp
+	}
+	return f(dir)
+}
+
+// writeReport writes one experiment's JSON report file and says so on
+// stderr.
+func writeReport(path, schema string, marshal func() ([]byte, error)) error {
+	out, err := marshal()
+	if err != nil {
+		return err
+	}
+	if err := os.WriteFile(path, out, 0o644); err != nil {
+		return err
+	}
+	fmt.Fprintf(os.Stderr, "vdapbench: wrote %s (%s)\n", path, schema)
+	return nil
+}
+
+// showMerged prints a replicated sweep's merged telemetry and folds it
+// into the -trace sinks.
+func showMerged(o *options, unit string, n int, tr *trace.Tracer, m *telemetry.Registry) {
+	fmt.Printf("merged telemetry (%d %s, %d spans):\n", n, unit, tr.SpanCount())
+	fmt.Print(m.Render())
+	if o.tracer != nil {
+		o.tracer.Merge(tr)
+		o.metrics.Merge(m)
+	}
+}
+
 // parseFleetSizes turns the -vehicles flag into a fleet-size list; an
 // empty flag defers to the experiment's defaults.
 func parseFleetSizes(s string) ([]int, error) {
@@ -154,409 +307,166 @@ func parseFleetSizes(s string) ([]int, error) {
 	return out, nil
 }
 
-// serveOpts carries the -exp serve flag values.
-type serveOpts struct {
-	clients  int
-	duration time.Duration
-	mix      string
-	out      string
-	chaosOut string
+func runArch(o *options) error {
+	if o.tracer == nil {
+		return show(experiments.ArchTable)(experiments.RunArchComparison())
+	}
+	return withScratchDir("", "vdapbench-arch-ddi-*", func(ddiDir string) error {
+		return show(experiments.ArchTable)(experiments.RunArchComparisonTraced(o.tracer, o.metrics, ddiDir))
+	})
 }
 
-func run(exp string, seed int64, duration time.Duration, dir, traceOut, benchOut, runReport, vehicles string, reps, parallel, shards, lanes, records int, serve serveOpts) error {
-	// With -trace, instrument-aware experiments report spans and metrics;
-	// virtual-time determinism makes the file byte-identical per seed.
-	var tracer *trace.Tracer
-	var metrics *telemetry.Registry
-	if traceOut != "" {
-		tracer = trace.New(nil)
-		metrics = telemetry.NewRegistry()
-	}
-	runners := map[string]func() error{
-		"table1": func() error {
-			rows, err := experiments.RunTable1()
-			if err != nil {
-				return err
-			}
-			fmt.Println(experiments.Table1Table(rows))
-			return nil
-		},
-		"fig2": func() error {
-			rows, err := experiments.RunFigure2(seed, duration)
-			if err != nil {
-				return err
-			}
-			fmt.Println(experiments.Figure2Table(rows))
-			return nil
-		},
-		"fig3": func() error {
-			rows, err := experiments.RunFigure3()
-			if err != nil {
-				return err
-			}
-			fmt.Println(experiments.Figure3Table(rows))
-			return nil
-		},
-		"dsf": func() error {
-			rows, err := experiments.RunDSFAblation(8)
-			if err != nil {
-				return err
-			}
-			fmt.Println(experiments.DSFTable(rows))
-			return nil
-		},
-		"elastic": func() error {
-			rows, err := experiments.RunElastic()
-			if err != nil {
-				return err
-			}
-			fmt.Println(experiments.ElasticTable(rows))
-			return nil
-		},
-		"arch": func() error {
-			var rows []experiments.ArchRow
-			var err error
-			if tracer != nil {
-				ddiDir, mkErr := os.MkdirTemp("", "vdapbench-arch-ddi-*")
-				if mkErr != nil {
-					return mkErr
-				}
-				defer os.RemoveAll(ddiDir)
-				rows, err = experiments.RunArchComparisonTraced(tracer, metrics, ddiDir)
-			} else {
-				rows, err = experiments.RunArchComparison()
-			}
-			if err != nil {
-				return err
-			}
-			fmt.Println(experiments.ArchTable(rows))
-			return nil
-		},
-		"compress": func() error {
-			rows, err := experiments.RunCompressionSweep(seed)
-			if err != nil {
-				return err
-			}
-			fmt.Println(experiments.CompressTable(rows))
-			return nil
-		},
-		"pbeam": func() error {
-			rows, err := experiments.RunPBEAMPipeline(seed, 3)
-			if err != nil {
-				return err
-			}
-			fmt.Println(experiments.PBEAMTable(rows))
-			return nil
-		},
-		"retrain": func() error {
-			rows, err := experiments.RunCompressionRetrain(seed)
-			if err != nil {
-				return err
-			}
-			fmt.Println(experiments.RetrainTable(rows))
-			return nil
-		},
-		"collab": func() error {
-			rows, err := experiments.RunCollaboration()
-			if err != nil {
-				return err
-			}
-			fmt.Println(experiments.CollabTable(rows))
-			return nil
-		},
-		"fleet": func() error {
-			rows, err := experiments.RunFleetContention()
-			if err != nil {
-				return err
-			}
-			fmt.Println(experiments.FleetTable(rows))
-			return nil
-		},
-		"sweep": func() error {
-			res, err := experiments.RunFleetSweep(experiments.SweepConfig{
-				Replications: reps,
-				Parallel:     parallel,
-				Seed:         seed,
-			})
-			if err != nil {
-				return err
-			}
-			fmt.Println(experiments.FleetSweepTable(res))
-			fmt.Printf("merged telemetry (%d replications, %d spans):\n", len(res.Rows), res.Trace.SpanCount())
-			fmt.Print(res.Metrics.Render())
-			if tracer != nil {
-				tracer.Merge(res.Trace)
-				metrics.Merge(res.Metrics)
-			}
-			return nil
-		},
-		"chaos": func() error {
-			res, err := experiments.RunChaosSweep(experiments.ChaosConfig{
-				Replications: reps,
-				Parallel:     parallel,
-				Seed:         seed,
-			})
-			if err != nil {
-				return err
-			}
-			fmt.Println(experiments.ChaosTable(res))
-			fmt.Printf("merged telemetry (%d cells, %d spans):\n", len(res.Rows), res.Trace.SpanCount())
-			fmt.Print(res.Metrics.Render())
-			if tracer != nil {
-				tracer.Merge(res.Trace)
-				metrics.Merge(res.Metrics)
-			}
-			return nil
-		},
-		"commute": func() error {
-			rows, err := experiments.RunCommute()
-			if err != nil {
-				return err
-			}
-			fmt.Println(experiments.CommuteTable(rows))
-			return nil
-		},
-		"hdmap": func() error {
-			rows, err := experiments.RunHDMapPrefetch()
-			if err != nil {
-				return err
-			}
-			fmt.Println(experiments.HDMapTable(rows))
-			return nil
-		},
-		// perf is deliberately not part of -exp all: it is a meta-benchmark
-		// of the platform itself (E15), not a paper figure, and its wall
-		// times are machine-dependent.
-		"perf": func() error {
-			rep, err := experiments.RunPerf()
-			if err != nil {
-				return err
-			}
-			fmt.Println(experiments.PerfTable(rep))
-			out, err := rep.Marshal()
-			if err != nil {
-				return err
-			}
-			if err := os.WriteFile(benchOut, out, 0o644); err != nil {
-				return err
-			}
-			fmt.Fprintf(os.Stderr, "vdapbench: wrote %s (%s)\n", benchOut, experiments.PerfSchema)
-			return nil
-		},
-		// scale is E16: like perf it is a meta-benchmark (machine-dependent
-		// wall clock) and so excluded from -exp all. Its stdout carries only
-		// the deterministic simulation table — `make determinism` diffs it
-		// between -shards values — while wall-clock timing goes to stderr
-		// and BENCH_PERF.json.
-		"scale": func() error {
-			sizes, err := parseFleetSizes(vehicles)
-			if err != nil {
-				return err
-			}
-			cfg := experiments.ScaleConfig{Vehicles: sizes, Seed: seed}
-			if shards > 0 {
-				cfg.Shards = []int{shards}
-			}
-			if lanes > 0 {
-				cfg.Lanes = []int{lanes}
-			}
-			res, err := experiments.RunScale(cfg)
-			if err != nil {
-				return err
-			}
-			fmt.Println(experiments.ScaleTable(res))
-			fmt.Fprintln(os.Stderr, experiments.ScaleTimingTable(res))
-			fmt.Fprintln(os.Stderr, experiments.ScaleLaneTable(res))
-			if err := experiments.MergeScaleIntoPerfReport(benchOut, res); err != nil {
-				return err
-			}
-			fmt.Fprintf(os.Stderr, "vdapbench: merged %d fleet.scale and %d fleet.lanes rows into %s (%s)\n",
-				len(res.Timing), len(res.Lanes), benchOut, experiments.PerfSchema)
-			return nil
-		},
-		// obs is E17: a faulted fleet run with the observability stack on.
-		// Stdout carries only deterministic output (health table, event log,
-		// series summary) so `make determinism` can diff it across -shards
-		// and -parallel values; -runreport writes the same data as JSON.
-		"obs": func() error {
-			res, err := experiments.RunObs(experiments.ObsConfig{
-				Replications: reps,
-				Parallel:     parallel,
-				Seed:         seed,
-				Shards:       shards,
-			})
-			if err != nil {
-				return err
-			}
-			fmt.Println(experiments.ObsTable(res))
-			fmt.Printf("flight recorder (%d events, %d fault transitions planned):\n",
-				res.Events.Len(), res.FaultEvents)
-			fmt.Print(res.Events.RenderTable())
-			fmt.Println("sampled series:")
-			fmt.Print(res.Series.Render())
-			if runReport != "" {
-				rep := experiments.BuildRunReport(res)
-				out, err := rep.Marshal()
-				if err != nil {
-					return err
-				}
-				if err := os.WriteFile(runReport, out, 0o644); err != nil {
-					return err
-				}
-				fmt.Fprintf(os.Stderr, "vdapbench: wrote %s (%s)\n", runReport, experiments.RunReportSchema)
-			}
-			return nil
-		},
-		// serve is E18: the serving-tier load test. Like perf/scale it is a
-		// machine-dependent meta-benchmark, so it stays out of -exp all.
-		"serve": func() error {
-			mixEntries, err := libvdap.ParseMix(serve.mix)
-			if err != nil {
-				return err
-			}
-			cfg := experiments.DefaultServeConfig()
-			cfg.Clients = serve.clients
-			cfg.Duration = serve.duration
-			cfg.Mix = mixEntries
-			cfg.Seed = seed
-			cfg.DataDir = dir
-			rep, err := experiments.RunServe(cfg)
-			if err != nil {
-				return err
-			}
-			fmt.Println(experiments.ServeTable(rep))
-			out, err := rep.Marshal()
-			if err != nil {
-				return err
-			}
-			if err := os.WriteFile(serve.out, out, 0o644); err != nil {
-				return err
-			}
-			fmt.Fprintf(os.Stderr, "vdapbench: wrote %s (%s)\n", serve.out, experiments.ServeSchema)
-			return nil
-		},
-		// chaosserve is E19: the E18 stack behind a seeded chaos proxy, run
-		// as a paired resilience-off/on comparison. -clients 0 skips the
-		// traffic entirely and prints only the compiled chaos plan, which is
-		// byte-identical at every -parallel level — `make determinism` diffs
-		// that output across worker counts.
-		"chaosserve": func() error {
-			mixEntries, err := libvdap.ParseMix(serve.mix)
-			if err != nil {
-				return err
-			}
-			cfg := experiments.DefaultChaosServeConfig()
-			cfg.Clients = serve.clients
-			cfg.Duration = serve.duration
-			cfg.Mix = mixEntries
-			cfg.Seed = seed
-			cfg.DataDir = dir
-			cfg.Parallel = parallel
-			if serve.clients == 0 {
-				plan, err := experiments.CompileChaosPlan(cfg)
-				if err != nil {
-					return err
-				}
-				fmt.Print(plan.Describe())
-				return nil
-			}
-			rep, err := experiments.RunChaosServe(cfg)
-			if err != nil {
-				return err
-			}
-			fmt.Println(experiments.ChaosServeTable(rep))
-			out, err := rep.Marshal()
-			if err != nil {
-				return err
-			}
-			if err := os.WriteFile(serve.chaosOut, out, 0o644); err != nil {
-				return err
-			}
-			fmt.Fprintf(os.Stderr, "vdapbench: wrote %s (%s)\n", serve.chaosOut, experiments.ChaosServeSchema)
-			return nil
-		},
-		"ddicache": func() error {
-			d := dir
-			if d == "" {
-				tmp, err := os.MkdirTemp("", "vdapbench-ddi-*")
-				if err != nil {
-					return err
-				}
-				defer os.RemoveAll(tmp)
-				d = tmp
-			}
-			rows, err := experiments.RunDDIBench(d, seed)
-			if err != nil {
-				return err
-			}
-			fmt.Println(experiments.DDITable(rows))
-			return nil
-		},
-		// ddi is E20: the columnar store ingest/query sweep. Like perf and
-		// scale it is a machine-dependent meta-benchmark, so it stays out
-		// of -exp all. Stdout carries only the deterministic digest —
-		// `make determinism` diffs it between -parallel levels — while
-		// wall-clock throughput goes to stderr and BENCH_PERF.json.
-		"ddi": func() error {
-			d := dir
-			if d == "" {
-				tmp, err := os.MkdirTemp("", "vdapbench-ddistore-*")
-				if err != nil {
-					return err
-				}
-				defer os.RemoveAll(tmp)
-				d = tmp
-			}
-			res, err := experiments.RunDDIStore(experiments.DDIStoreConfig{
-				Records:  records,
-				Seed:     seed,
-				Parallel: parallel,
-				Dir:      d,
-			})
-			if err != nil {
-				return err
-			}
-			fmt.Println(experiments.DDIStoreTable(res))
-			fmt.Fprintln(os.Stderr, experiments.DDIStoreTimingTable(res))
-			if err := experiments.MergeDDIStoreIntoPerfReport(benchOut, res); err != nil {
-				return err
-			}
-			fmt.Fprintf(os.Stderr, "vdapbench: merged %d ddi rows into %s (%s)\n",
-				len(experiments.DDIStorePerfRows(res)), benchOut, experiments.PerfSchema)
-			return nil
-		},
-	}
-	runSelected := func() error {
-		if exp == "all" {
-			for _, e := range experimentList {
-				if !e.all {
-					continue
-				}
-				if err := runners[e.name](); err != nil {
-					return fmt.Errorf("%s: %w", e.name, err)
-				}
-			}
-			return nil
-		}
-		r, ok := runners[exp]
-		if !ok {
-			return fmt.Errorf("unknown experiment %q\n%s", exp, expUsage())
-		}
-		return r()
-	}
-	if err := runSelected(); err != nil {
+func runSweep(o *options) error {
+	res, err := experiments.RunFleetSweep(experiments.SweepConfig{
+		Replications: o.reps,
+		Parallel:     o.parallel,
+		Seed:         o.seed,
+	})
+	if err != nil {
 		return err
 	}
-	if traceOut != "" {
-		out, err := tracer.ChromeTrace()
+	fmt.Println(experiments.FleetSweepTable(res))
+	showMerged(o, "replications", len(res.Rows), res.Trace, res.Metrics)
+	return nil
+}
+
+func runChaos(o *options) error {
+	res, err := experiments.RunChaosSweep(experiments.ChaosConfig{
+		Replications: o.reps,
+		Parallel:     o.parallel,
+		Seed:         o.seed,
+	})
+	if err != nil {
+		return err
+	}
+	fmt.Println(experiments.ChaosTable(res))
+	showMerged(o, "cells", len(res.Rows), res.Trace, res.Metrics)
+	return nil
+}
+
+// runScale is E16. Its wall clock is machine-dependent, so it stays out of
+// -exp all. Stdout carries only the deterministic simulation table —
+// `make determinism` diffs it between -shards and -lanes values — while the
+// shard and lane timing tables go to stderr.
+func runScale(o *options) error {
+	sizes, err := parseFleetSizes(o.vehicles)
+	if err != nil {
+		return err
+	}
+	cfg := experiments.ScaleConfig{Vehicles: sizes, Seed: o.seed}
+	if o.shards > 0 {
+		cfg.Shards = []int{o.shards}
+	}
+	if o.lanes > 0 {
+		cfg.Lanes = []int{o.lanes}
+	}
+	res, err := experiments.RunScale(cfg)
+	if err != nil {
+		return err
+	}
+	fmt.Println(experiments.ScaleTable(res))
+	fmt.Fprintln(os.Stderr, experiments.ScaleTimingTable(res))
+	fmt.Fprintln(os.Stderr, experiments.ScaleLaneTable(res))
+	return nil
+}
+
+// runObs is E17: a faulted fleet run with the observability stack on.
+// Stdout carries only deterministic output (health table, event log,
+// series summary) so `make determinism` can diff it across -shards
+// and -parallel values; -runreport writes the same data as JSON.
+func runObs(o *options) error {
+	res, err := experiments.RunObs(experiments.ObsConfig{
+		Replications: o.reps,
+		Parallel:     o.parallel,
+		Seed:         o.seed,
+		Shards:       o.shards,
+	})
+	if err != nil {
+		return err
+	}
+	fmt.Println(experiments.ObsTable(res))
+	fmt.Printf("flight recorder (%d events, %d fault transitions planned):\n",
+		res.Events.Len(), res.FaultEvents)
+	fmt.Print(res.Events.RenderTable())
+	fmt.Println("sampled series:")
+	fmt.Print(res.Series.Render())
+	if o.runReport == "" {
+		return nil
+	}
+	return writeReport(o.runReport, experiments.RunReportSchema, experiments.BuildRunReport(res).Marshal)
+}
+
+// runServe is E18: the serving-tier load test. Like scale it is
+// machine-dependent, so it stays out of -exp all.
+func runServe(o *options) error {
+	mix, err := libvdap.ParseMix(o.mix)
+	if err != nil {
+		return err
+	}
+	cfg := experiments.DefaultServeConfig()
+	cfg.Clients = o.clients
+	cfg.Duration = o.serveDur
+	cfg.Mix = mix
+	cfg.Seed = o.seed
+	cfg.DataDir = o.dir
+	rep, err := experiments.RunServe(cfg)
+	if err != nil {
+		return err
+	}
+	fmt.Println(experiments.ServeTable(rep))
+	return writeReport(o.serveOut, experiments.ServeSchema, rep.Marshal)
+}
+
+// runChaosServe is E19: the E18 stack behind a seeded chaos proxy, run
+// as a paired resilience-off/on comparison. -clients 0 skips the
+// traffic entirely and prints only the compiled chaos plan, which is
+// byte-identical at every -parallel level — `make determinism` diffs
+// that output across worker counts.
+func runChaosServe(o *options) error {
+	mix, err := libvdap.ParseMix(o.mix)
+	if err != nil {
+		return err
+	}
+	cfg := experiments.DefaultChaosServeConfig()
+	cfg.Clients = o.clients
+	cfg.Duration = o.serveDur
+	cfg.Mix = mix
+	cfg.Seed = o.seed
+	cfg.DataDir = o.dir
+	cfg.Parallel = o.parallel
+	if o.clients == 0 {
+		plan, err := experiments.CompileChaosPlan(cfg)
 		if err != nil {
-			return fmt.Errorf("render trace: %w", err)
-		}
-		if err := os.WriteFile(traceOut, out, 0o644); err != nil {
 			return err
 		}
-		fmt.Fprintf(os.Stderr, "vdapbench: wrote %d spans over components %v to %s\n",
-			tracer.SpanCount(), tracer.Components(), traceOut)
+		fmt.Print(plan.Describe())
+		return nil
 	}
-	return nil
+	rep, err := experiments.RunChaosServe(cfg)
+	if err != nil {
+		return err
+	}
+	fmt.Println(experiments.ChaosServeTable(rep))
+	return writeReport(o.chaosOut, experiments.ChaosServeSchema, rep.Marshal)
+}
+
+// runDDIStore is E20: the columnar store ingest/query sweep. Like scale
+// it is machine-dependent, so it stays out of -exp all. Stdout carries
+// only the deterministic digest — `make determinism` diffs it between
+// -parallel levels — while wall-clock throughput goes to stderr.
+func runDDIStore(o *options) error {
+	return withScratchDir(o.dir, "vdapbench-ddistore-*", func(dir string) error {
+		res, err := experiments.RunDDIStore(experiments.DDIStoreConfig{
+			Records:  o.records,
+			Seed:     o.seed,
+			Parallel: o.parallel,
+			Dir:      dir,
+		})
+		if err != nil {
+			return err
+		}
+		fmt.Println(experiments.DDIStoreTable(res))
+		fmt.Fprintln(os.Stderr, experiments.DDIStoreTimingTable(res))
+		return nil
+	})
 }

@@ -2,9 +2,13 @@ package main
 
 import (
 	"bytes"
+	"compress/gzip"
 	"encoding/json"
+	"io"
 	"os"
 	"path/filepath"
+	"runtime/pprof"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -17,7 +21,7 @@ func TestRunEachExperiment(t *testing.T) {
 	for _, exp := range fast {
 		exp := exp
 		t.Run(exp, func(t *testing.T) {
-			if err := run(exp, 7, 4*time.Second, t.TempDir(), "", "", "", "", 4, 2, 0, 0, 0, serveOpts{}); err != nil {
+			if err := run(options{exp: exp, seed: 7, duration: 4 * time.Second, dir: t.TempDir(), reps: 4, parallel: 2}); err != nil {
 				t.Fatalf("run(%s): %v", exp, err)
 			}
 		})
@@ -25,32 +29,22 @@ func TestRunEachExperiment(t *testing.T) {
 }
 
 func TestRunFig2Short(t *testing.T) {
-	if err := run("fig2", 7, 4*time.Second, "", "", "", "", "", 4, 2, 0, 0, 0, serveOpts{}); err != nil {
+	if err := run(options{exp: "fig2", seed: 7, duration: 4 * time.Second}); err != nil {
 		t.Fatal(err)
 	}
 }
 
 func TestRunDDICache(t *testing.T) {
-	if err := run("ddicache", 7, time.Second, t.TempDir(), "", "", "", "", 4, 2, 0, 0, 0, serveOpts{}); err != nil {
+	if err := run(options{exp: "ddicache", seed: 7, dir: t.TempDir()}); err != nil {
 		t.Fatal(err)
 	}
 }
 
 // TestRunDDIStore smoke-tests the E20 columnar-store sweep end to end at a
-// small corpus size and checks the ddi.* rows land in the bench report.
+// small corpus size.
 func TestRunDDIStore(t *testing.T) {
-	bench := filepath.Join(t.TempDir(), "bench.json")
-	if err := run("ddi", 7, time.Second, t.TempDir(), "", bench, "", "", 4, 2, 0, 0, 50_000, serveOpts{}); err != nil {
+	if err := run(options{exp: "ddi", seed: 7, dir: t.TempDir(), parallel: 2, records: 50_000}); err != nil {
 		t.Fatal(err)
-	}
-	data, err := os.ReadFile(bench)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, name := range []string{"ddi.ingest", "ddi.scan_window", "ddi.segment_skip_ratio", "ddi.compaction"} {
-		if !strings.Contains(string(data), name) {
-			t.Fatalf("bench report missing row %q:\n%s", name, data)
-		}
 	}
 }
 
@@ -59,8 +53,7 @@ func TestRunDDIStore(t *testing.T) {
 func TestRunDDIStoreDeterministicAcrossParallel(t *testing.T) {
 	at := func(parallel int) []byte {
 		return captureStdout(t, func() error {
-			bench := filepath.Join(t.TempDir(), "bench.json")
-			return run("ddi", 42, time.Second, t.TempDir(), "", bench, "", "", 4, parallel, 0, 0, 120_000, serveOpts{})
+			return run(options{exp: "ddi", seed: 42, dir: t.TempDir(), parallel: parallel, records: 120_000})
 		})
 	}
 	serial := at(1)
@@ -102,7 +95,7 @@ func captureStdout(t *testing.T, f func() error) []byte {
 func TestRunSweepDeterministicAcrossParallel(t *testing.T) {
 	at := func(parallel int) []byte {
 		return captureStdout(t, func() error {
-			return run("sweep", 42, time.Second, "", "", "", "", "", 8, parallel, 0, 0, 0, serveOpts{})
+			return run(options{exp: "sweep", seed: 42, reps: 8, parallel: parallel})
 		})
 	}
 	serial := at(1)
@@ -121,27 +114,17 @@ func TestRunSweepDeterministicAcrossParallel(t *testing.T) {
 // the epoch-barrier fleet executor — the E16 stdout (deterministic
 // simulation table, digests included) must be byte-identical between
 // -shards 1 and -shards 4 for the same seed, and between -lanes 1 and
-// -lanes 4, and the merged BENCH_PERF.json must carry the fleet.scale
-// and fleet.lanes rows.
+// -lanes 4.
 func TestRunScaleDeterministicAcrossShards(t *testing.T) {
 	at := func(shards, lanes int) []byte {
-		bench := filepath.Join(t.TempDir(), "bench.json")
-		out := captureStdout(t, func() error {
-			return run("scale", 42, time.Second, "", "", bench, "", "64", 4, 2, shards, lanes, 0, serveOpts{})
+		return captureStdout(t, func() error {
+			return run(options{exp: "scale", seed: 42, vehicles: "64", shards: shards, lanes: lanes})
 		})
-		data, err := os.ReadFile(bench)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Contains(data, []byte("fleet.scale.v64")) {
-			t.Fatalf("bench report missing fleet.scale rows:\n%s", data)
-		}
-		if !bytes.Contains(data, []byte("fleet.lanes.v64")) {
-			t.Fatalf("bench report missing fleet.lanes rows:\n%s", data)
-		}
-		return out
 	}
 	base := at(1, 1)
+	if len(base) == 0 {
+		t.Fatal("scale produced no output")
+	}
 	for _, cell := range [][2]int{{4, 1}, {1, 4}, {4, 4}} {
 		if got := at(cell[0], cell[1]); !bytes.Equal(base, got) {
 			t.Fatalf("-shards %d -lanes %d stdout differs from -shards 1 -lanes 1:\n--- base ---\n%s\n--- got ---\n%s",
@@ -171,7 +154,7 @@ func TestRunArchTraced(t *testing.T) {
 	once := func() []byte {
 		t.Helper()
 		out := filepath.Join(t.TempDir(), "out.json")
-		if err := run("arch", 7, time.Second, "", out, "", "", "", 4, 2, 0, 0, 0, serveOpts{}); err != nil {
+		if err := run(options{exp: "arch", seed: 7, traceOut: out}); err != nil {
 			t.Fatal(err)
 		}
 		data, err := os.ReadFile(out)
@@ -209,44 +192,77 @@ func TestRunArchTraced(t *testing.T) {
 	}
 }
 
+// TestRunUnknownExperiment: an unknown -exp fails with the full listing —
+// and the retired -exp perf is now exactly that.
 func TestRunUnknownExperiment(t *testing.T) {
-	err := run("warp-drive", 1, time.Second, "", "", "", "", "", 4, 2, 0, 0, 0, serveOpts{})
-	if err == nil {
-		t.Fatal("unknown experiment accepted")
-	}
-	// The error must carry the full experiment listing from the registry.
-	for _, e := range experimentList {
-		if !strings.Contains(err.Error(), e.name) || !strings.Contains(err.Error(), e.desc) {
-			t.Fatalf("unknown-experiment error missing %q:\n%s", e.name, err)
+	for _, exp := range []string{"warp-drive", "perf", ""} {
+		err := run(options{exp: exp, seed: 1})
+		if err == nil || !strings.Contains(err.Error(), "unknown experiment") {
+			t.Fatalf("run(%q) = %v, want unknown-experiment error", exp, err)
+		}
+		if !strings.Contains(err.Error(), expUsage()) {
+			t.Fatalf("run(%q) error does not carry the experiment listing:\n%s", exp, err)
 		}
 	}
 }
 
-// TestExperimentRegistryComplete pins the registry as the single source of
-// truth: every listed experiment has a runner, every runner is listed, and
-// the flag usage line covers them all.
-func TestExperimentRegistryComplete(t *testing.T) {
-	listed := map[string]bool{}
+// TestExperimentTable checks the one experiment table structurally: names
+// and descriptions are present and unique, nothing shadows "all", every
+// entry can run, and the usage line and listing name every entry in table
+// order.
+func TestExperimentTable(t *testing.T) {
+	seen := map[string]bool{"all": true}
+	names := []string{"all"}
 	for _, e := range experimentList {
-		if e.desc == "" {
-			t.Fatalf("experiment %q has no description", e.name)
+		if e.name == "" || e.desc == "" || e.run == nil {
+			t.Fatalf("incomplete experiment entry %+v", e)
 		}
-		if listed[e.name] {
+		if seen[e.name] {
 			t.Fatalf("experiment %q listed twice", e.name)
 		}
-		listed[e.name] = true
-		if !strings.Contains(expNames(), e.name) {
-			t.Fatalf("flag usage missing %q: %s", e.name, expNames())
+		seen[e.name] = true
+		names = append(names, e.name)
+	}
+	if got := strings.Split(expNames(), "|"); !slices.Equal(got, names) {
+		t.Fatalf("flag usage %v, table %v", got, names)
+	}
+	lines := strings.Split(strings.TrimSuffix(expUsage(), "\n"), "\n")[1:]
+	if len(lines) != len(names) {
+		t.Fatalf("listing has %d entries, table %d:\n%s", len(lines), len(names), expUsage())
+	}
+	for i, e := range experimentList {
+		if f := strings.Fields(lines[i+1]); f[0] != e.name || !strings.HasSuffix(lines[i+1], e.desc) {
+			t.Fatalf("listing line %q does not describe %q", lines[i+1], e.name)
 		}
 	}
-	// Drive run() once with an impossible name purely to surface a mismatch
-	// between the registry and the runner table via the error listing; the
-	// real cross-check is structural, in run()'s construction of runners
-	// from the same map keys. Spot-check a few registry names resolve.
-	for _, name := range []string{"table1", "perf", "scale", "obs", "chaos"} {
-		if !listed[name] {
-			t.Fatalf("expected experiment %q in registry", name)
-		}
+}
+
+// TestFailingRunLeavesWholeCPUProfile: a failing -exp must still stop and
+// close the -cpuprofile (the exit code is returned, not os.Exit-ed past the
+// defers) — that is the run being diagnosed.
+func TestFailingRunLeavesWholeCPUProfile(t *testing.T) {
+	prof := filepath.Join(t.TempDir(), "cpu.pprof")
+	if code := mainExit([]string{"-exp", "warp-drive", "-cpuprofile", prof}); code != 1 {
+		t.Fatalf("exit code %d, want 1", code)
+	}
+	// A second profile can start only if the first was stopped.
+	if err := pprof.StartCPUProfile(io.Discard); err != nil {
+		t.Fatalf("profiler still running after mainExit: %v", err)
+	}
+	pprof.StopCPUProfile()
+	// A CPU profile is a gzip stream: it reads to EOF only if it was
+	// flushed whole.
+	f, err := os.Open(prof)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	gz, err := gzip.NewReader(f)
+	if err != nil {
+		t.Fatalf("profile is not a gzip stream: %v", err)
+	}
+	if body, err := io.ReadAll(gz); err != nil || len(body) == 0 {
+		t.Fatalf("profile truncated: %d bytes, %v", len(body), err)
 	}
 }
 
@@ -257,7 +273,7 @@ func TestRunObsDeterministic(t *testing.T) {
 	at := func(parallel, shards int) ([]byte, []byte) {
 		report := filepath.Join(t.TempDir(), "run_report.json")
 		out := captureStdout(t, func() error {
-			return run("obs", 42, time.Second, "", "", "", report, "", 2, parallel, shards, 0, 0, serveOpts{})
+			return run(options{exp: "obs", seed: 42, runReport: report, reps: 2, parallel: parallel, shards: shards})
 		})
 		data, err := os.ReadFile(report)
 		if err != nil {

@@ -20,8 +20,8 @@ import (
 // shapes over the read-only store through the parallel runner. Everything
 // printed on stdout is deterministic — counts, zone-map prune statistics,
 // and record checksums — so `make determinism` can diff the digest across
-// -parallel levels; wall-clock throughput goes to stderr and into
-// BENCH_PERF.json as the ddi.* rows.
+// -parallel levels; wall-clock throughput goes to stderr only (the
+// tracked DDI numbers are benchmark/'s ddi_ingest and ddi_query).
 
 // DDIStoreConfig parameterizes E20.
 type DDIStoreConfig struct {
@@ -68,7 +68,7 @@ type DDIStoreResult struct {
 	Cells      []DDIQueryCell
 	CellsAfter []DDIQueryCell
 
-	// Wall-clock measurements (stderr + BENCH_PERF.json only).
+	// Wall-clock measurements (stderr only).
 	IngestNsPerRec   float64
 	BaselineNsPerRec float64
 	ScanNsPerOp      float64
@@ -417,47 +417,6 @@ func dirBytes(dir string) int64 {
 	return total
 }
 
-// DDIStorePerfRows renders the E20 wall-clock measurements as
-// BENCH_PERF.json rows.
-func DDIStorePerfRows(res *DDIStoreResult) []PerfRow {
-	rows := []PerfRow{
-		{
-			Name:         "ddi.ingest",
-			NsPerOp:      res.IngestNsPerRec,
-			EventsPerSec: 1e9 / res.IngestNsPerRec,
-			Baseline:     PerfBaseline{NsPerOp: res.BaselineNsPerRec},
-		},
-		{
-			Name:     "ddi.scan_window",
-			NsPerOp:  res.ScanNsPerOp,
-			Baseline: PerfBaseline{NsPerOp: res.NaiveNsPerOp},
-		},
-		{
-			Name:    "ddi.segment_skip_ratio",
-			NsPerOp: res.ScanNsPerOp,
-			Ratio:   res.NarrowSkipRatio,
-		},
-		{
-			Name:         "ddi.compaction",
-			NsPerOp:      res.CompactNs / float64(res.Records),
-			EventsPerSec: 1e9 * float64(res.Records) / res.CompactNs,
-			Ratio:        float64(res.MergedAway) / float64(res.SegmentsBefore),
-		},
-	}
-	for i := range rows {
-		if rows[i].Baseline.NsPerOp > 0 && rows[i].NsPerOp > 0 {
-			rows[i].Speedup = rows[i].Baseline.NsPerOp / rows[i].NsPerOp
-		}
-	}
-	return rows
-}
-
-// MergeDDIStoreIntoPerfReport upserts the ddi.* rows into the
-// BENCH_PERF.json at path, preserving every other row.
-func MergeDDIStoreIntoPerfReport(path string, res *DDIStoreResult) error {
-	return MergePerfRows(path, DDIStorePerfRows(res))
-}
-
 // DDIStoreTable renders the deterministic E20 digest: corpus shape, zone
 // maps, and the per-query sweep. Everything here is a pure function of
 // (seed, records) — `make determinism` diffs it across -parallel levels.
@@ -482,7 +441,7 @@ func DDIStoreTable(res *DDIStoreResult) string {
 }
 
 // DDIStoreTimingTable renders the machine-dependent half of E20 —
-// wall-clock throughput — for stderr, next to the BENCH_PERF rows.
+// wall-clock throughput — for stderr.
 func DDIStoreTimingTable(res *DDIStoreResult) string {
 	t := &Table{
 		Title:   "E20: wall-clock throughput (machine-dependent)",

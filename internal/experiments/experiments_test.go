@@ -1,9 +1,7 @@
 package experiments
 
 import (
-	"encoding/json"
 	"math"
-	"os"
 	"strings"
 	"testing"
 	"time"
@@ -293,46 +291,10 @@ func TestDDIStore(t *testing.T) {
 	if res.NaiveNsPerOp <= res.ScanNsPerOp {
 		t.Errorf("planned scan (%.0f ns) not faster than naive reference (%.0f ns)", res.ScanNsPerOp, res.NaiveNsPerOp)
 	}
-	rows := DDIStorePerfRows(res)
-	if len(rows) != 4 {
-		t.Fatalf("perf rows = %d", len(rows))
-	}
 	for _, s := range []string{DDIStoreTable(res), DDIStoreTimingTable(res)} {
 		if len(s) == 0 {
 			t.Fatal("empty E20 table render")
 		}
-	}
-}
-
-// TestMergePerfRows: the shared BENCH_PERF upsert — replace by name,
-// append new names, leave everything else untouched.
-func TestMergePerfRows(t *testing.T) {
-	path := t.TempDir() + "/bench.json"
-	if err := MergePerfRows(path, []PerfRow{{Name: "a", NsPerOp: 1}, {Name: "b", NsPerOp: 2}}); err != nil {
-		t.Fatal(err)
-	}
-	if err := MergePerfRows(path, []PerfRow{{Name: "b", NsPerOp: 20}, {Name: "c", Ratio: 0.9}}); err != nil {
-		t.Fatal(err)
-	}
-	data, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var rep PerfReport
-	if err := json.Unmarshal(data, &rep); err != nil {
-		t.Fatal(err)
-	}
-	if len(rep.Rows) != 3 {
-		t.Fatalf("rows = %d, want 3", len(rep.Rows))
-	}
-	if rep.Rows[0].Name != "a" || rep.Rows[1].Name != "b" || rep.Rows[2].Name != "c" {
-		t.Fatalf("row order %v", []string{rep.Rows[0].Name, rep.Rows[1].Name, rep.Rows[2].Name})
-	}
-	if rep.Rows[1].NsPerOp != 20 {
-		t.Errorf("row b not replaced: ns/op = %v", rep.Rows[1].NsPerOp)
-	}
-	if rep.Rows[2].Ratio != 0.9 {
-		t.Errorf("ratio field lost: %v", rep.Rows[2].Ratio)
 	}
 }
 

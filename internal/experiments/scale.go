@@ -14,17 +14,18 @@ import (
 // that is byte-identical for any shard count, and a decision phase that
 // spreads across cores. This experiment measures both — a deterministic
 // per-fleet-size results table (the half `make determinism` diffs between
-// -shards 1 and -shards 4 runs), and a wall-clock throughput table whose
-// rounds/sec and speedup-vs-single-shard land in BENCH_PERF.json as
-// fleet.scale.* rows. Speedup scales with available cores: a single-core
-// runner can only demonstrate ~1.0x while proving determinism; the
-// decision phase's parallel share is what multi-core runners harvest.
+// -shards 1 and -shards 4 runs), and a wall-clock throughput table
+// (rounds/sec, speedup vs the first shard count) for stderr; the tracked
+// wall-clock numbers live in benchmark/. Speedup scales with available
+// cores: a single-core runner can only demonstrate ~1.0x while proving
+// determinism; the decision phase's parallel share is what multi-core
+// runners harvest.
 //
 // The sweep also exercises the commit phase's parallel lanes
 // (fleet.Config.CommitLanes, see fleet/domains.go): each fleet size runs
 // a lane sweep whose simulation digest must match the shard sweep's
-// exactly, with per-lane commit-phase wall clock reported as
-// fleet.lanes.* rows. The cell topology pins RSURadiusM below half the
+// exactly, with per-lane commit-phase wall clock reported beside the
+// shard table. The cell topology pins RSURadiusM below half the
 // RSU spacing so every RSU anchors its own interaction domain and the
 // lanes have real work to split.
 
@@ -331,63 +332,4 @@ func ScaleLaneTable(res *ScaleResult) string {
 		})
 	}
 	return t.String()
-}
-
-// ScalePerfRows converts the timing half into E15-schema rows for
-// BENCH_PERF.json: one fleet.scale.v<vehicles>.s<shards> row per shard
-// cell (ns/op = wall nanoseconds per round, baseline = the same-size
-// first-shard-count measurement) plus one fleet.lanes.v<vehicles>.l<lanes>
-// row per lane cell (ns/op = commit-phase nanoseconds per round,
-// events/sec = offload commits per commit-phase second, baseline = the
-// same-size first-lane-count measurement).
-func ScalePerfRows(res *ScaleResult) []PerfRow {
-	baseNs := make(map[int]float64, len(res.Config.Vehicles))
-	for _, r := range res.Timing {
-		if r.Shards == res.Config.Shards[0] {
-			baseNs[r.Vehicles] = float64(r.Elapsed.Nanoseconds()) / float64(r.Rounds)
-		}
-	}
-	rows := make([]PerfRow, 0, len(res.Timing))
-	for _, r := range res.Timing {
-		ns := float64(r.Elapsed.Nanoseconds()) / float64(r.Rounds)
-		row := PerfRow{
-			Name:         fmt.Sprintf("fleet.scale.v%d.s%d", r.Vehicles, r.Shards),
-			NsPerOp:      ns,
-			EventsPerSec: r.InvocPerSec,
-			Baseline:     PerfBaseline{NsPerOp: baseNs[r.Vehicles]},
-		}
-		if ns > 0 {
-			row.Speedup = baseNs[r.Vehicles] / ns
-		}
-		rows = append(rows, row)
-	}
-	laneBaseNs := make(map[int]float64, len(res.Config.Vehicles))
-	for _, r := range res.Lanes {
-		if r.Lanes == res.Config.Lanes[0] {
-			laneBaseNs[r.Vehicles] = float64(r.CommitWall.Nanoseconds()) / float64(r.Rounds)
-		}
-	}
-	for _, r := range res.Lanes {
-		ns := float64(r.CommitWall.Nanoseconds()) / float64(r.Rounds)
-		row := PerfRow{
-			Name:     fmt.Sprintf("fleet.lanes.v%d.l%d", r.Vehicles, r.Lanes),
-			NsPerOp:  ns,
-			Baseline: PerfBaseline{NsPerOp: laneBaseNs[r.Vehicles]},
-		}
-		if secs := r.CommitWall.Seconds(); secs > 0 {
-			row.EventsPerSec = float64(r.Offloads) / secs
-		}
-		if ns > 0 {
-			row.Speedup = laneBaseNs[r.Vehicles] / ns
-		}
-		rows = append(rows, row)
-	}
-	return rows
-}
-
-// MergeScaleIntoPerfReport upserts the E16 rows (fleet.scale.* and
-// fleet.lanes.*) into the BENCH_PERF.json at path, preserving every
-// other row (see MergePerfRows).
-func MergeScaleIntoPerfReport(path string, res *ScaleResult) error {
-	return MergePerfRows(path, ScalePerfRows(res))
 }

@@ -180,6 +180,40 @@ func TestStatusEndpoint(t *testing.T) {
 	}
 }
 
+// TestV1AliasCoversEveryRoute: the /v1 prefix is one rule in ServeHTTP, so
+// every route answers under it exactly as under /api/v1 — wildcard
+// segments and escaped paths included — and near-miss prefixes do not.
+func TestV1AliasCoversEveryRoute(t *testing.T) {
+	ts, _, _ := newTestServer(t)
+	for short, want := range map[string]int{
+		"/v1/status":            http.StatusOK,
+		"/v1/models/cbeam":      http.StatusOK,
+		"/v1/models/no%2Fmodel": http.StatusNotFound,
+		"/v1/resources":         http.StatusOK,
+		"/v1":                   http.StatusNotFound,
+		"/v1x/status":           http.StatusNotFound,
+	} {
+		resp, err := http.Get(ts.URL + short)
+		if err != nil {
+			t.Fatal(err)
+		}
+		aliased, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != want {
+			t.Fatalf("GET %s = %d, want %d", short, resp.StatusCode, want)
+		}
+		canon, err := http.Get(ts.URL + "/api" + short)
+		if err != nil {
+			t.Fatal(err)
+		}
+		body, _ := io.ReadAll(canon.Body)
+		canon.Body.Close()
+		if canon.StatusCode != want || string(body) != string(aliased) {
+			t.Fatalf("GET /api%s = %d %q, alias answered %d %q", short, canon.StatusCode, body, resp.StatusCode, aliased)
+		}
+	}
+}
+
 func TestModelEndpoints(t *testing.T) {
 	_, client, _ := newTestServer(t)
 	list, err := client.Models()

@@ -232,6 +232,9 @@ func TestGzipResponses(t *testing.T) {
 		if resp.Header.Get("Content-Encoding") != "gzip" {
 			t.Fatalf("%s not gzipped: %q", path, resp.Header.Get("Content-Encoding"))
 		}
+		if got := resp.Header.Get("Vary"); got != "Accept-Encoding" {
+			t.Fatalf("%s gzip response Vary = %q", path, got)
+		}
 		gz, err := gzip.NewReader(resp.Body)
 		if err != nil {
 			t.Fatalf("%s gzip reader: %v", path, err)
@@ -251,6 +254,11 @@ func TestGzipResponses(t *testing.T) {
 		}
 		if plain.Header.Get("Content-Encoding") == "gzip" {
 			t.Fatalf("%s gzipped without Accept-Encoding", path)
+		}
+		// The identity body of a negotiating route varies on the request
+		// header too, or a cache would replay it to gzip-accepting clients.
+		if got := plain.Header.Get("Vary"); got != "Accept-Encoding" {
+			t.Fatalf("%s identity response Vary = %q", path, got)
 		}
 		if err := json.NewDecoder(plain.Body).Decode(&decoded); err != nil {
 			t.Fatalf("%s plain decode: %v", path, err)

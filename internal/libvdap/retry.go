@@ -6,6 +6,7 @@ import (
 	"io"
 	"net/http"
 	"strconv"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -196,33 +197,23 @@ var ErrBreakerOpen = fmt.Errorf("libvdap: client circuit breaker open")
 
 // snapshotPaths are the four cached snapshot endpoints eligible for hedged
 // reads: cheap, idempotent, watermark-cached server-side, so a duplicate
-// costs one cache hit.
+// costs one cache hit. Canonical /api/v1 spelling only; hedgeEligible
+// folds the /v1 alias the way Server.ServeHTTP does.
 var snapshotPaths = map[string]bool{
 	"/api/v1/status":         true,
-	"/v1/metrics":            true,
 	"/api/v1/metrics":        true,
-	"/v1/metrics/series":     true,
 	"/api/v1/metrics/series": true,
-	"/v1/events":             true,
 	"/api/v1/events":         true,
 }
 
 // hedgeEligible reports whether a request path (query string ignored) may
 // be hedged under the installed policy.
 func hedgeEligible(path string) bool {
-	if i := indexByte(path, '?'); i >= 0 {
-		path = path[:i]
+	path, _, _ = strings.Cut(path, "?")
+	if strings.HasPrefix(path, "/v1/") {
+		path = "/api" + path
 	}
 	return snapshotPaths[path]
-}
-
-func indexByte(s string, b byte) int {
-	for i := 0; i < len(s); i++ {
-		if s[i] == b {
-			return i
-		}
-	}
-	return -1
 }
 
 // attemptResult is one HTTP round trip, body fully read.

@@ -84,8 +84,7 @@ type Server struct {
 	seriesCache  *wmCache
 	eventsCache  *wmCache
 
-	streamDeadline time.Duration
-	streams        atomic.Int64
+	streams atomic.Int64
 
 	// life is the graceful-drain state (see Shutdown); panicsTotal counts
 	// handler panics caught by the recovery middleware.
@@ -111,18 +110,17 @@ func NewServer(registry *Registry, mhep *vcu.MHEP, store *ddi.DDI, sharing *edge
 		return nil, fmt.Errorf("libvdap: nil clock")
 	}
 	s := &Server{
-		registry:       registry,
-		mhep:           mhep,
-		store:          store,
-		sharing:        sharing,
-		clock:          clock,
-		mux:            http.NewServeMux(),
-		simGate:        make(chan struct{}, DefaultMaxSimInflight),
-		statusCache:    newWMCache(0),
-		metricsCache:   newWMCache(0),
-		seriesCache:    newWMCache(0),
-		eventsCache:    newWMCache(0),
-		streamDeadline: DefaultStreamWriteDeadline,
+		registry:     registry,
+		mhep:         mhep,
+		store:        store,
+		sharing:      sharing,
+		clock:        clock,
+		mux:          http.NewServeMux(),
+		simGate:      make(chan struct{}, DefaultMaxSimInflight),
+		statusCache:  newWMCache(0),
+		metricsCache: newWMCache(0),
+		seriesCache:  newWMCache(0),
+		eventsCache:  newWMCache(0),
 	}
 	s.life.drainCh = make(chan struct{})
 	s.routes()
@@ -168,20 +166,6 @@ func (s *Server) SetMaxSimInflight(n int) {
 	}
 	s.simGate = make(chan struct{}, n)
 }
-
-// SetMaxPendingBuilds bounds the snapshot-rebuild backlog per cached
-// endpoint (DefaultMaxPendingBuilds when non-positive). Configure before
-// serving traffic.
-func (s *Server) SetMaxPendingBuilds(n int) {
-	s.statusCache = newWMCache(int32(n))
-	s.metricsCache = newWMCache(int32(n))
-	s.seriesCache = newWMCache(int32(n))
-	s.eventsCache = newWMCache(int32(n))
-}
-
-// SetStreamWriteDeadline bounds how long one /v1/stream frame write may
-// stall on a slow client (non-positive disables the deadline).
-func (s *Server) SetStreamWriteDeadline(d time.Duration) { s.streamDeadline = d }
 
 // Advance runs one simulation step under the exclusive run lock. This is
 // the ONLY safe way to advance the platform while the server is handling
@@ -245,12 +229,22 @@ func (s *Server) CacheStats() map[string]CacheStat {
 // gate (shed with 503 + Connection: close once draining) and the panic
 // recovery middleware; the health endpoints bypass the gate so probes keep
 // working through a drain.
+//
+// The whole API also answers under the short /v1 prefix: the alias is
+// folded into the canonical /api/v1 here, once, so every route below is
+// registered once.
 func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
+	if strings.HasPrefix(r.URL.Path, "/v1/") {
+		r.URL.Path = "/api" + r.URL.Path
+		if r.URL.RawPath != "" {
+			r.URL.RawPath = "/api" + r.URL.RawPath
+		}
+	}
 	switch r.URL.Path {
-	case "/v1/healthz", "/api/v1/healthz":
+	case "/api/v1/healthz":
 		s.handleHealthz(w, r)
 		return
-	case "/v1/readyz", "/api/v1/readyz":
+	case "/api/v1/readyz":
 		s.handleReadyz(w, r)
 		return
 	}
@@ -280,15 +274,10 @@ func (s *Server) routes() {
 	s.mux.HandleFunc("GET /api/v1/services", s.lockedRead(s.handleListServices))
 	s.mux.HandleFunc("POST /api/v1/services/{name}/invoke", s.locked(s.handleInvokeService))
 	s.mux.HandleFunc("GET /api/v1/metrics", gzipped(s.handleMetrics))
-	s.mux.HandleFunc("GET /v1/metrics", gzipped(s.handleMetrics))
 	s.mux.HandleFunc("GET /api/v1/trace", gzipped(s.handleTrace))
-	s.mux.HandleFunc("GET /v1/trace", gzipped(s.handleTrace))
 	s.mux.HandleFunc("GET /api/v1/metrics/series", gzipped(s.handleSeries))
-	s.mux.HandleFunc("GET /v1/metrics/series", gzipped(s.handleSeries))
 	s.mux.HandleFunc("GET /api/v1/events", s.handleEvents)
-	s.mux.HandleFunc("GET /v1/events", s.handleEvents)
 	s.mux.HandleFunc("GET /api/v1/stream", s.handleStream)
-	s.mux.HandleFunc("GET /v1/stream", s.handleStream)
 }
 
 // admit takes one admission slot, or sheds the request with 503 +
@@ -385,12 +374,14 @@ var _ http.Flusher = (*gzipWriter)(nil)
 // largest bodies of the API.
 func gzipped(h http.HandlerFunc) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
+		// Both branches vary on the request header: an intermediary must
+		// not replay the identity body to a gzip-accepting client either.
+		w.Header().Add("Vary", "Accept-Encoding")
 		if !strings.Contains(r.Header.Get("Accept-Encoding"), "gzip") {
 			h(w, r)
 			return
 		}
 		w.Header().Set("Content-Encoding", "gzip")
-		w.Header().Add("Vary", "Accept-Encoding")
 		gz := gzip.NewWriter(w)
 		defer gz.Close()
 		h(&gzipWriter{ResponseWriter: w, gz: gz}, r)
@@ -550,7 +541,7 @@ func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 //
 // A single reused timer paces the polling (no per-iteration allocation),
 // client disconnect is observed both in the poll wait and between encode
-// and flush, and each frame write runs under SetStreamWriteDeadline so a
+// and flush, and each frame write runs under DefaultStreamWriteDeadline so a
 // stalled client cannot pin the handler forever.
 func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
 	if s.series == nil && s.events == nil {
@@ -602,9 +593,7 @@ func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
 		if s.events != nil {
 			frame.Events = s.events.EventsSince(watermark, "", obs.SevDebug)
 		}
-		if s.streamDeadline > 0 {
-			rc.SetWriteDeadline(time.Now().Add(s.streamDeadline))
-		}
+		rc.SetWriteDeadline(time.Now().Add(DefaultStreamWriteDeadline))
 		if err := enc.Encode(frame); err != nil {
 			return false
 		}

@@ -19,9 +19,9 @@ func BenchmarkEngineScheduleAndRun(b *testing.B) {
 	}
 }
 
-// BenchmarkEngineEventLoop is the kernel event-loop benchmark tracked by
-// BENCH_PERF.json: batches of out-of-order schedules drained through the
-// engine, the shape every fleet experiment reduces to.
+// BenchmarkEngineEventLoop is the kernel event-loop microbenchmark:
+// batches of out-of-order schedules drained through the engine, the shape
+// every fleet experiment reduces to.
 func BenchmarkEngineEventLoop(b *testing.B) {
 	e := NewEngine(1)
 	fn := func() {}
