@@ -14,33 +14,31 @@ test:
 race:
 	$(GO) test -race ./...
 
-# verify is the tier-1 gate: everything must build, vet clean, and pass
-# under the race detector.
+# verify is the tier-1 gate: everything must build, vet clean, be
+# gofmt-clean, and pass under the race detector.
 verify:
 	$(GO) build ./...
 	$(GO) vet ./...
+	test -z "$$(gofmt -l .)"
 	$(GO) test -race ./...
 
 # determinism runs the E14 chaos sweep twice with the same seed at
-# different worker-pool sizes, the E16 scaling sweep at two shard counts
-# and at two commit-lane counts, and the E17 observability run across
-# both axes, requiring byte-identical reports every time: neither the
-# sharded replication runner, the epoch-barrier fleet executor, nor the
-# parallel commit lanes may leak scheduling order into results,
-# telemetry, fault plans, sampled series, or flight-recorder logs.
+# different worker-pool sizes, the E16 scaling sweep at two shard
+# counts, and the E17 observability run across both axes, requiring
+# byte-identical reports every time: neither the sharded replication
+# runner nor the epoch-barrier fleet executor may leak scheduling order
+# into results, telemetry, fault plans, sampled series, or
+# flight-recorder logs.
 determinism:
 	$(GO) build -o /tmp/vdapbench ./cmd/vdapbench
 	/tmp/vdapbench -exp chaos -seed 7 -reps 4 -parallel 1 > /tmp/chaos-p1.txt
 	/tmp/vdapbench -exp chaos -seed 7 -reps 4 -parallel 4 > /tmp/chaos-p4.txt
 	diff -u /tmp/chaos-p1.txt /tmp/chaos-p4.txt
 	@echo "determinism: chaos reports byte-identical across -parallel levels"
-	/tmp/vdapbench -exp scale -seed 7 -vehicles 60,120 -shards 1 -lanes 1 2>/dev/null > /tmp/scale-s1.txt
-	/tmp/vdapbench -exp scale -seed 7 -vehicles 60,120 -shards 4 -lanes 1 2>/dev/null > /tmp/scale-s4.txt
+	/tmp/vdapbench -exp scale -seed 7 -vehicles 60,120 -shards 1 2>/dev/null > /tmp/scale-s1.txt
+	/tmp/vdapbench -exp scale -seed 7 -vehicles 60,120 -shards 4 2>/dev/null > /tmp/scale-s4.txt
 	diff -u /tmp/scale-s1.txt /tmp/scale-s4.txt
 	@echo "determinism: scale reports byte-identical across -shards levels"
-	/tmp/vdapbench -exp scale -seed 7 -vehicles 60,120 -shards 4 -lanes 4 2>/dev/null > /tmp/scale-l4.txt
-	diff -u /tmp/scale-s4.txt /tmp/scale-l4.txt
-	@echo "determinism: scale reports byte-identical across -lanes levels"
 	/tmp/vdapbench -exp obs -seed 7 -reps 2 -parallel 1 -shards 1 -runreport /tmp/obs-p1.json 2>/dev/null > /tmp/obs-p1.txt
 	/tmp/vdapbench -exp obs -seed 7 -reps 2 -parallel 4 -shards 1 -runreport /tmp/obs-p4.json 2>/dev/null > /tmp/obs-p4.txt
 	diff -u /tmp/obs-p1.txt /tmp/obs-p4.txt

@@ -37,7 +37,6 @@ type options struct {
 	parallel  int
 	runReport string
 	shards    int
-	lanes     int
 	vehicles  string
 	records   int
 	clients   int
@@ -71,7 +70,6 @@ func mainExit(args []string) int {
 	fs.IntVar(&o.parallel, "parallel", runtime.GOMAXPROCS(0), "worker-pool size for -exp sweep/chaos/obs (output is byte-identical at any level)")
 	fs.StringVar(&o.runReport, "runreport", "", "output path for the -exp obs RUN_REPORT.json (empty: stdout tables only)")
 	fs.IntVar(&o.shards, "shards", 0, "shard count for -exp scale (0 = sweep 1,2,4,8) and -exp obs (0 = default; simulation output is identical for every value)")
-	fs.IntVar(&o.lanes, "lanes", 0, "commit-lane count for -exp scale (0 = sweep 1,2,4,8; simulation output is identical for every value)")
 	fs.StringVar(&o.vehicles, "vehicles", "", "-exp scale comma-separated fleet sizes (default 100,1000,10000)")
 	fs.IntVar(&o.records, "records", 10_000_000, "-exp ddi corpus size")
 	fs.StringVar(&cpuProfile, "cpuprofile", "", "write a CPU profile to this file")
@@ -172,7 +170,7 @@ var experimentList = []experiment{
 			return show(experiments.DDITable)(experiments.RunDDIBench(dir, o.seed))
 		})
 	}},
-	{"scale", "fleet scaling sweep over shards and commit lanes (E16)", false, runScale},
+	{"scale", "fleet scaling sweep over shard counts (E16)", false, runScale},
 	{"obs", "flight-recorder fleet run -> RUN_REPORT.json (E17)", false, runObs},
 	{"serve", "libvdap serving tier under load -> BENCH_SERVE.json (E18)", false, runServe},
 	{"chaosserve", "paired chaos-proxy load test, resilience off vs. on -> BENCH_CHAOS.json (E19)", false, runChaosServe},
@@ -346,8 +344,8 @@ func runChaos(o *options) error {
 
 // runScale is E16. Its wall clock is machine-dependent, so it stays out of
 // -exp all. Stdout carries only the deterministic simulation table —
-// `make determinism` diffs it between -shards and -lanes values — while the
-// shard and lane timing tables go to stderr.
+// `make determinism` diffs it between -shards values — while the shard
+// timing table goes to stderr.
 func runScale(o *options) error {
 	sizes, err := parseFleetSizes(o.vehicles)
 	if err != nil {
@@ -357,16 +355,12 @@ func runScale(o *options) error {
 	if o.shards > 0 {
 		cfg.Shards = []int{o.shards}
 	}
-	if o.lanes > 0 {
-		cfg.Lanes = []int{o.lanes}
-	}
 	res, err := experiments.RunScale(cfg)
 	if err != nil {
 		return err
 	}
 	fmt.Println(experiments.ScaleTable(res))
 	fmt.Fprintln(os.Stderr, experiments.ScaleTimingTable(res))
-	fmt.Fprintln(os.Stderr, experiments.ScaleLaneTable(res))
 	return nil
 }
 

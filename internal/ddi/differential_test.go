@@ -45,20 +45,20 @@ func buildCorpus(t *testing.T, s *DiskStore, n int, seed int64) []Record {
 func differentialQueries() []Query {
 	return []Query{
 		{}, // everything
-		{From: 10 * time.Minute, To: 11 * time.Minute},             // narrow window
-		{From: 5 * time.Minute, To: 50 * time.Minute},              // wide window
-		{From: 30 * time.Minute},                                   // open above
-		{To: 30 * time.Minute},                                     // bounded above only
-		{From: 600 * time.Second, To: 600 * time.Second},           // single instant
-		{From: 20 * time.Minute, To: 10 * time.Minute},             // inverted: empty
-		{From: 2 * time.Hour},                                      // past the data
-		{Source: SourceGPS},                                        // source only
+		{From: 10 * time.Minute, To: 11 * time.Minute},   // narrow window
+		{From: 5 * time.Minute, To: 50 * time.Minute},    // wide window
+		{From: 30 * time.Minute},                         // open above
+		{To: 30 * time.Minute},                           // bounded above only
+		{From: 600 * time.Second, To: 600 * time.Second}, // single instant
+		{From: 20 * time.Minute, To: 10 * time.Minute},   // inverted: empty
+		{From: 2 * time.Hour},                            // past the data
+		{Source: SourceGPS},                              // source only
 		{Source: SourceLiDAR, From: 10 * time.Minute, To: 40 * time.Minute},
-		{Source: SourceSocial},                                     // source never stored
-		{X: 0, Y: 0, Radius: 300},                                  // spatial only
+		{Source: SourceSocial},    // source never stored
+		{X: 0, Y: 0, Radius: 300}, // spatial only
 		{X: 250, Y: -250, Radius: 150, Source: SourceOBD, From: 5 * time.Minute, To: 45 * time.Minute},
-		{Limit: 37},                                                // limit only
-		{From: 10 * time.Minute, To: 30 * time.Minute, Limit: 11},  // window + limit
+		{Limit: 37}, // limit only
+		{From: 10 * time.Minute, To: 30 * time.Minute, Limit: 11}, // window + limit
 	}
 }
 

@@ -101,9 +101,9 @@ type planCursor struct {
 	idx  int      // current row
 	hi   int      // exclusive upper row
 
-	srcNeeded bool
-	srcIdx    uint8
-	geoNeeded bool
+	srcNeeded  bool
+	srcIdx     uint8
+	geoNeeded  bool
 	gx, gy, r2 float64
 }
 

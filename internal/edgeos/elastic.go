@@ -289,18 +289,6 @@ func (p *PreparedInvocation) Local() bool {
 	return p.done || p.best.Estimate.Dest == offload.OnboardName
 }
 
-// Dest returns the chosen destination site name for an invocation still
-// awaiting commit, "" for invocations that already finished during
-// Prepare (hang-ups and decision errors). The fleet's commit scheduler
-// keys interaction-domain assignment off it: every non-resilient commit
-// touches exactly this one shared site.
-func (p *PreparedInvocation) Dest() string {
-	if p.done {
-		return ""
-	}
-	return p.best.Estimate.Dest
-}
-
 // HungUp reports whether the decision step hung the service up (no viable
 // pipeline); the commit step will not execute anything.
 func (p *PreparedInvocation) HungUp() bool { return p.done && p.err == nil && p.res.HungUp }

@@ -19,15 +19,8 @@ import (
 // wall-clock numbers live in benchmark/. Speedup scales with available
 // cores: a single-core runner can only demonstrate ~1.0x while proving
 // determinism; the decision phase's parallel share is what multi-core
-// runners harvest.
-//
-// The sweep also exercises the commit phase's parallel lanes
-// (fleet.Config.CommitLanes, see fleet/domains.go): each fleet size runs
-// a lane sweep whose simulation digest must match the shard sweep's
-// exactly, with per-lane commit-phase wall clock reported beside the
-// shard table. The cell topology pins RSURadiusM below half the
-// RSU spacing so every RSU anchors its own interaction domain and the
-// lanes have real work to split.
+// runners harvest. The commit phase is one serial loop (see
+// fleet/sharded.go).
 
 // ScaleConfig parameterizes RunScale.
 type ScaleConfig struct {
@@ -37,11 +30,6 @@ type ScaleConfig struct {
 	// The first entry is the speedup baseline; include 1 first for the
 	// canonical single-shard reference.
 	Shards []int
-	// Lanes lists the commit-lane counts per fleet size (default
-	// 1, 2, 4, 8). The lane sweep runs at the last configured shard count;
-	// the first entry is the commit-speedup baseline. The shard sweep
-	// itself runs at Lanes[0].
-	Lanes []int
 	// Rounds is the number of epoch-barrier rounds per cell (default 4).
 	Rounds int
 	// Epoch spaces the rounds in virtual time (default 250ms).
@@ -56,9 +44,6 @@ func (c ScaleConfig) withDefaults() ScaleConfig {
 	}
 	if len(c.Shards) == 0 {
 		c.Shards = []int{1, 2, 4, 8}
-	}
-	if len(c.Lanes) == 0 {
-		c.Lanes = []int{1, 2, 4, 8}
 	}
 	if c.Rounds <= 0 {
 		c.Rounds = 4
@@ -100,41 +85,19 @@ type ScaleTimingRow struct {
 	Speedup float64
 }
 
-// ScaleLaneRow is the commit-phase half of one (vehicles, lanes) cell:
-// wall clock spent inside the commit phase (summed over rounds), the
-// offload invocations those commits carried, and the speedup over the
-// first configured lane count. Reporting only; simulation output is
-// asserted identical to the shard sweep's digest.
-type ScaleLaneRow struct {
-	Vehicles int
-	Lanes    int
-	Shards   int
-	Rounds   int
-	// CommitWall sums the commit-phase wall clock across all rounds.
-	CommitWall time.Duration
-	// Offloads counts the offload invocations the commit phase applied
-	// (domain lanes + residue) across all rounds.
-	Offloads int
-	// Speedup is baseline commit wall over this cell's commit wall, where
-	// the baseline is the first configured lane count at the same fleet
-	// size (canonically 1).
-	Speedup float64
-}
-
 // ScaleResult is the E16 report.
 type ScaleResult struct {
 	Config ScaleConfig
 	Sim    []ScaleSimRow
 	Timing []ScaleTimingRow
-	Lanes  []ScaleLaneRow
 }
 
 // scaleFleetConfig builds one sweep cell's fleet: jittered speeds
 // (consuming the seeded stream) and the default kidnapper-search service
 // over a 16-RSU corridor with disjoint coverage disks (1250 m spacing,
-// 600 m radius), so the partition yields one interaction domain per RSU
-// plus the cloud singleton and the commit lanes have work to split.
-func scaleFleetConfig(vehicles, shards, lanes int, seed int64) fleet.Config {
+// 600 m radius), so offload load spreads along the corridor instead of
+// every vehicle contending for every RSU.
+func scaleFleetConfig(vehicles, shards int, seed int64) fleet.Config {
 	return fleet.Config{
 		Vehicles:       vehicles,
 		RSUs:           16,
@@ -142,35 +105,26 @@ func scaleFleetConfig(vehicles, shards, lanes int, seed int64) fleet.Config {
 		SpeedJitterMPH: 10,
 		RNG:            sim.NewStream(seed, 0),
 		Shards:         shards,
-		CommitLanes:    lanes,
 	}
 }
 
-// scaleCellTiming is the machine-dependent half of one cell run.
-type scaleCellTiming struct {
-	elapsed    time.Duration
-	commitWall time.Duration
-	offloads   int
-}
-
-// runScaleCell runs one (vehicles, shards, lanes) cell and returns its
-// sim row (digest included) and wall-clock measurements.
-func runScaleCell(cfg ScaleConfig, vehicles, shards, lanes int) (ScaleSimRow, scaleCellTiming, error) {
-	f, err := fleet.New(scaleFleetConfig(vehicles, shards, lanes, cfg.Seed))
+// runScaleCell runs one (vehicles, shards) cell and returns its sim row
+// (digest included) and the machine-dependent wall clock of its rounds.
+func runScaleCell(cfg ScaleConfig, vehicles, shards int) (ScaleSimRow, time.Duration, error) {
+	f, err := fleet.New(scaleFleetConfig(vehicles, shards, cfg.Seed))
 	if err != nil {
-		return ScaleSimRow{}, scaleCellTiming{}, err
+		return ScaleSimRow{}, 0, err
 	}
 	f.InstrumentSharded(false)
 	h := fnv.New64a()
 	row := ScaleSimRow{Vehicles: vehicles}
-	var tm scaleCellTiming
 	var total, max time.Duration
 	var offload float64
 	start := time.Now()
 	for r := 0; r < cfg.Rounds; r++ {
 		rr, err := f.ShardedInvokeAll("kidnapper-search", time.Duration(r)*cfg.Epoch)
 		if err != nil {
-			return ScaleSimRow{}, scaleCellTiming{}, fmt.Errorf("scale: v=%d s=%d l=%d round %d: %w", vehicles, shards, lanes, r, err)
+			return ScaleSimRow{}, 0, fmt.Errorf("scale: v=%d s=%d round %d: %w", vehicles, shards, r, err)
 		}
 		fmt.Fprintf(h, "%d|%d|%d|%d|%d|%.9f|%d|%d|%d\n",
 			r, rr.Invocations, rr.HangUps, rr.Total, rr.Max, rr.OffloadShare,
@@ -182,11 +136,8 @@ func runScaleCell(cfg ScaleConfig, vehicles, shards, lanes int) (ScaleSimRow, sc
 			max = rr.Max
 		}
 		offload = rr.OffloadShare
-		st := f.LastCommitStats()
-		tm.commitWall += st.CommitWall
-		tm.offloads += st.Offloads
 	}
-	tm.elapsed = time.Since(start)
+	elapsed := time.Since(start)
 	reg, _ := f.MergedTelemetry()
 	fmt.Fprint(h, reg.Render())
 	if done := row.Invocations - row.HangUps; done > 0 {
@@ -195,25 +146,23 @@ func runScaleCell(cfg ScaleConfig, vehicles, shards, lanes int) (ScaleSimRow, sc
 	row.MaxMS = float64(max.Microseconds()) / 1000
 	row.OffloadShare = offload
 	row.Digest = fmt.Sprintf("%016x", h.Sum64())
-	return row, tm, nil
+	return row, elapsed, nil
 }
 
-// RunScale executes the E16 sweep: every fleet size at every shard count,
-// then at every commit-lane count. It fails loudly if any shard or lane
-// count changes the simulation digest — the determinism contract is
-// asserted in-process on top of the external report diff in
-// `make determinism`.
+// RunScale executes the E16 sweep: every fleet size at every shard
+// count. It fails loudly if any shard count changes the simulation digest
+// — the determinism contract is asserted in-process on top of the
+// external report diff in `make determinism`.
 func RunScale(cfg ScaleConfig) (*ScaleResult, error) {
 	cfg = cfg.withDefaults()
 	res := &ScaleResult{Config: cfg}
-	laneShards := cfg.Shards[len(cfg.Shards)-1]
 	for _, v := range cfg.Vehicles {
 		if v < 1 {
 			return nil, fmt.Errorf("scale: fleet size %d", v)
 		}
 		var baseRPS float64
 		for si, s := range cfg.Shards {
-			row, tm, err := runScaleCell(cfg, v, s, cfg.Lanes[0])
+			row, elapsed, err := runScaleCell(cfg, v, s)
 			if err != nil {
 				return nil, err
 			}
@@ -224,7 +173,7 @@ func RunScale(cfg ScaleConfig) (*ScaleResult, error) {
 					"scale: determinism violation at %d vehicles: shards=%d digest %s != shards=%d digest %s",
 					v, s, row.Digest, cfg.Shards[0], prev.Digest)
 			}
-			rps := float64(cfg.Rounds) / tm.elapsed.Seconds()
+			rps := float64(cfg.Rounds) / elapsed.Seconds()
 			if si == 0 {
 				baseRPS = rps
 			}
@@ -232,38 +181,11 @@ func RunScale(cfg ScaleConfig) (*ScaleResult, error) {
 				Vehicles:     v,
 				Shards:       s,
 				Rounds:       cfg.Rounds,
-				Elapsed:      tm.elapsed,
+				Elapsed:      elapsed,
 				RoundsPerSec: rps,
-				InvocPerSec:  float64(row.Invocations) / tm.elapsed.Seconds(),
+				InvocPerSec:  float64(row.Invocations) / elapsed.Seconds(),
 				Speedup:      rps / baseRPS,
 			})
-		}
-		var baseCommit time.Duration
-		for li, l := range cfg.Lanes {
-			row, tm, err := runScaleCell(cfg, v, laneShards, l)
-			if err != nil {
-				return nil, err
-			}
-			if prev := res.Sim[len(res.Sim)-1]; row != prev {
-				return nil, fmt.Errorf(
-					"scale: determinism violation at %d vehicles: lanes=%d digest %s != shard-sweep digest %s",
-					v, l, row.Digest, prev.Digest)
-			}
-			if li == 0 {
-				baseCommit = tm.commitWall
-			}
-			lr := ScaleLaneRow{
-				Vehicles:   v,
-				Lanes:      l,
-				Shards:     laneShards,
-				Rounds:     cfg.Rounds,
-				CommitWall: tm.commitWall,
-				Offloads:   tm.offloads,
-			}
-			if tm.commitWall > 0 {
-				lr.Speedup = float64(baseCommit) / float64(tm.commitWall)
-			}
-			res.Lanes = append(res.Lanes, lr)
 		}
 	}
 	return res, nil
@@ -306,28 +228,6 @@ func ScaleTimingTable(res *ScaleResult) string {
 			r.Elapsed.Round(time.Millisecond).String(),
 			f2(r.RoundsPerSec),
 			f2(r.InvocPerSec),
-			fmt.Sprintf("%.2fx", r.Speedup),
-		})
-	}
-	return t.String()
-}
-
-// ScaleLaneTable renders the commit-lane half (machine-dependent; keep
-// it out of determinism diffs).
-func ScaleLaneTable(res *ScaleResult) string {
-	t := &Table{
-		Title:   "E16: parallel commit lanes (commit-phase wall clock; speedup vs first lane count, scales with cores)",
-		Columns: []string{"vehicles", "lanes", "shards", "rounds", "commit wall", "ns/round", "offloads", "speedup"},
-	}
-	for _, r := range res.Lanes {
-		t.Rows = append(t.Rows, []string{
-			fmt.Sprintf("%d", r.Vehicles),
-			fmt.Sprintf("%d", r.Lanes),
-			fmt.Sprintf("%d", r.Shards),
-			fmt.Sprintf("%d", r.Rounds),
-			r.CommitWall.Round(time.Microsecond).String(),
-			fmt.Sprintf("%.0f", float64(r.CommitWall.Nanoseconds())/float64(r.Rounds)),
-			fmt.Sprintf("%d", r.Offloads),
 			fmt.Sprintf("%.2fx", r.Speedup),
 		})
 	}

@@ -5,7 +5,7 @@
 // contention the paper's edge architecture must survive.
 //
 // Concurrency: a Fleet and everything it owns (vehicles, engines, shared
-// sites, road) belong to a single goroutine. Replication harnesses run
+// sites) belong to a single goroutine. Replication harnesses run
 // one whole fleet per worker (see internal/runner) and merge telemetry
 // afterwards; two goroutines must never invoke the same fleet. The one
 // sanctioned form of intra-fleet parallelism is the epoch-barrier sharded
@@ -39,7 +39,6 @@ type Vehicle struct {
 
 // Fleet is a set of vehicles over shared infrastructure.
 type Fleet struct {
-	road     *geo.Road
 	sites    []*xedge.Site
 	vehicles []*Vehicle
 	injector *faults.Injector
@@ -49,14 +48,6 @@ type Fleet struct {
 	// across rounds.
 	shards   int
 	shardSet []*Shard
-
-	// lanes is the commit-phase worker count (Config.CommitLanes, >= 1);
-	// partition and commit are the interaction-domain partition and the
-	// commit scheduler's reusable state (domains.go), both built lazily.
-	lanes     int
-	partition *DomainPartition
-	commit    commitState
-	lastStats CommitStats
 
 	// tele holds the per-vehicle telemetry lanes installed by
 	// InstrumentSharded (nil when uninstrumented or instrumented with the
@@ -108,22 +99,16 @@ type Config struct {
 	Faults *faults.PlanConfig
 	// Shards is the lane count used by ShardedInvokeAll: vehicles are
 	// partitioned into this many contiguous index ranges, each with its
-	// own sim.Engine lane and RNG stream. Values outside [1, Vehicles]
-	// are clamped. Shard count never changes results — sharded rounds are
+	// own sim.Engine lane. Values outside [1, Vehicles] are clamped.
+	// Shard count never changes results — sharded rounds are
 	// byte-identical for any Shards value with the same seed — only how
 	// many cores the decision phase can use. Zero means 1.
 	Shards int
-	// CommitLanes is the worker count for the commit phase's parallel
-	// domain lanes (see domains.go): offload commits to disjoint
-	// interaction domains run concurrently, byte-identical to the serial
-	// commit for any value. Like Shards it only changes how many cores
-	// the phase can use. Zero or one means the serial commit.
-	CommitLanes int
 	// RSURadiusM sets the RSU coverage radius. Zero keeps the historical
 	// default — RSUs cover the whole corridor, making contention (not
-	// coverage) the variable under study, at the cost of every RSU
-	// landing in one interaction domain. Scaling experiments set a radius
-	// below half the RSU spacing so each RSU anchors its own domain.
+	// coverage) the variable under study. Scaling experiments set a radius
+	// below half the RSU spacing so each vehicle sees only the RSU whose
+	// disk it is in (plus the cloud) and load spreads along the corridor.
 	RSURadiusM float64
 }
 
@@ -170,8 +155,7 @@ func New(cfg Config) (*Fleet, error) {
 	}
 	road.PlaceStations(cfg.BaseStations, geo.BaseStation, 900, 0, "bs")
 	// By default RSUs cover the whole corridor so contention, not
-	// coverage, is the variable under study; RSURadiusM narrows the disks
-	// (one interaction domain per coverage cell, see domains.go).
+	// coverage, is the variable under study; RSURadiusM narrows the disks.
 	rsuRadius := cfg.RoadLengthM
 	if cfg.RSURadiusM > 0 {
 		rsuRadius = cfg.RSURadiusM
@@ -187,7 +171,7 @@ func New(cfg Config) (*Fleet, error) {
 	}
 	sites = append(sites, cl)
 
-	f := &Fleet{road: road, sites: sites}
+	f := &Fleet{sites: sites}
 	rng := cfg.RNG
 	if rng == nil {
 		rng = sim.NewStream(1, 0)
@@ -255,10 +239,6 @@ func New(cfg Config) (*Fleet, error) {
 	}
 	if f.shards > len(f.vehicles) {
 		f.shards = len(f.vehicles)
-	}
-	f.lanes = cfg.CommitLanes
-	if f.lanes < 1 {
-		f.lanes = 1
 	}
 	f.prepBuf = make([]*edgeos.PreparedInvocation, len(f.vehicles))
 	f.resBuf = make([]edgeos.InvocationResult, len(f.vehicles))

@@ -12,12 +12,10 @@
 //   - Commit phase: after the barrier, the remaining prepared invocations
 //     — the ones that offload — commit with Site.Submit reservations,
 //     queueing delays, and bandwidth-budget charges exactly as a
-//     sequential canonical-vehicle-order walk would. With CommitLanes > 1
-//     the phase runs as domain-partitioned parallel lanes plus a serial
-//     residue lane (see domains.go); results stay byte-identical to the
-//     serial commit. The phase always completes every prepared commit
-//     (complete-all), then non-tolerant rounds report the first error in
-//     canonical order.
+//     sequential canonical-vehicle-order walk would: one loop on the
+//     fleet's own goroutine. The phase always completes every prepared
+//     commit (complete-all), then non-tolerant rounds report the first
+//     error in canonical order.
 //
 // Determinism contract: results are byte-identical for any shard count.
 // Three properties make that hold. (1) Decisions read only epoch-start
@@ -50,20 +48,14 @@ import (
 	"repro/internal/trace"
 )
 
-// shardStreamSeed roots the per-shard RNG streams. Shard streams exist
-// for shard-local perturbation (e.g. jittered lane polling in future
-// drivers); round logic must never let a draw from them influence
-// simulation results, or shard count would stop being a free parameter —
-// the differential tests pin exactly that.
+// shardStreamSeed roots the per-shard engine seeds.
 const shardStreamSeed = 0x51A4D
 
 // Shard is one lane of the sharded executor: a contiguous range of
-// vehicle indices with its own virtual-time engine and RNG stream.
+// vehicle indices with its own virtual-time engine.
 type Shard struct {
 	// Index is the shard's position in [0, S).
 	Index int
-	// RNG is the shard's private stream (see shardStreamSeed).
-	RNG *sim.RNG
 	// Engine is the shard's virtual-time lane; decision-phase work for
 	// the shard's vehicles is scheduled and drained on it.
 	Engine *sim.Engine
@@ -89,7 +81,6 @@ func (f *Fleet) Shards() []*Shard {
 		}
 		f.shardSet = append(f.shardSet, &Shard{
 			Index:  i,
-			RNG:    sim.NewStream(shardStreamSeed, uint64(i)),
 			Engine: sim.NewEngine(shardStreamSeed + int64(i)),
 			Lo:     lo,
 			Hi:     lo + size,
@@ -239,10 +230,10 @@ func (f *Fleet) WatchTelemetry(sp *obs.Sampler) error {
 // comment at the top of this file for the phase structure and the
 // determinism contract). Like InvokeAll it reports the first vehicle
 // error in canonical order — but the whole round has already run by then
-// (the commit phase completes every prepared commit so the round is
-// reproducible for any lane count); only the returned aggregate stops at
-// the erroring vehicle. Under fault injection use
-// ShardedInvokeAllTolerant.
+// (the commit phase completes every prepared commit, so a round's side
+// effects do not depend on whether the caller tolerates errors); only the
+// returned aggregate stops at the erroring vehicle. Under fault injection
+// use ShardedInvokeAllTolerant.
 func (f *Fleet) ShardedInvokeAll(service string, now time.Duration) (RoundResult, error) {
 	return f.shardedInvokeAll(service, now, false)
 }
@@ -266,7 +257,6 @@ func (f *Fleet) shardedInvokeAll(service string, now time.Duration, tolerant boo
 	}
 
 	// Decision phase: freeze shared sites, fan shards out, barrier.
-	decisionStart := time.Now()
 	for _, s := range f.sites {
 		s.Freeze()
 	}
@@ -304,17 +294,31 @@ func (f *Fleet) shardedInvokeAll(service string, now time.Duration, tolerant boo
 		}
 	}
 
-	decisionWall := time.Since(decisionStart)
-
-	// Commit phase: apply shared-site interactions — in canonical order
-	// per site, across domain lanes plus the serial residue lane (see
-	// domains.go). Completes every prepared commit before any error
-	// reporting, so the round's side effects are identical for any
-	// (shards, lanes) combination even when a vehicle errors.
-	commitStart := time.Now()
-	f.commitPrepared(now)
-	f.lastStats.DecisionWall = decisionWall
-	f.lastStats.CommitWall = time.Since(commitStart)
+	// Commit phase: apply shared-site interactions in vehicle-index order.
+	// Completes every prepared commit before any error reporting, so the
+	// round's side effects are identical for any shard count even when a
+	// vehicle errors.
+	offloads := 0
+	for _, p := range f.prepBuf {
+		if p != nil {
+			offloads++
+		}
+	}
+	if f.flight != nil {
+		f.flight.fleet.Emit(now, "fleet", obs.SevDebug, "commit.begin",
+			obs.Int("offloads", offloads))
+	}
+	for i, p := range f.prepBuf {
+		if p == nil {
+			continue
+		}
+		f.prepBuf[i] = nil
+		f.resBuf[i], f.errBuf[i] = f.vehicles[i].Manager.CommitInvoke(p)
+	}
+	if f.flight != nil {
+		f.flight.fleet.Emit(now, "fleet", obs.SevDebug, "commit.end",
+			obs.Int("committed", offloads))
+	}
 
 	if !tolerant {
 		for i, v := range f.vehicles {

@@ -39,65 +39,140 @@ func chaosConfig(vehicles, shards int, seed int64) Config {
 	}
 }
 
-// shardedRun drives rounds epochs of the sharded executor and returns the
-// per-round results plus the merged telemetry artifacts.
-func shardedRun(t *testing.T, cfg Config, rounds int) ([]RoundResult, string, string, []byte) {
+// cellConfig builds a clean-world fleet whose RSU disks are disjoint
+// (spacing 2500 m > 2 x 1000 m), so each vehicle reaches at most one RSU
+// plus the cloud and commits spread over many sites.
+func cellConfig(vehicles, shards int, seed int64) Config {
+	return Config{
+		Vehicles:       vehicles,
+		RSUs:           8,
+		RSURadiusM:     1000,
+		SpeedJitterMPH: 10,
+		RNG:            sim.NewStream(seed, 0),
+		Shards:         shards,
+	}
+}
+
+// diffWorld is one input of the shard-count differential tests; mixed
+// gives every third vehicle the resilience policy after construction.
+type diffWorld struct {
+	name     string
+	vehicles int
+	cfg      func(vehicles, shards int, seed int64) Config
+	mixed    bool
+}
+
+// diffWorlds: the faulted resilient world, the disjoint-disk cell
+// topology, and a cell world where ladder commits (which may touch any
+// site) interleave with plain ones in the one canonical-order commit loop.
+var diffWorlds = []diffWorld{
+	{name: "chaos", vehicles: 21, cfg: chaosConfig},
+	{name: "cells", vehicles: 24, cfg: cellConfig},
+	{name: "mixed", vehicles: 30, cfg: cellConfig, mixed: true},
+}
+
+// build assembles the world's fleet at the given shard count.
+func (world diffWorld) build(t *testing.T, shards int, seed int64) *Fleet {
 	t.Helper()
-	f, err := New(cfg)
+	f, err := New(world.cfg(world.vehicles, shards, seed))
 	if err != nil {
 		t.Fatal(err)
 	}
+	if world.mixed {
+		pol := offload.DefaultPolicy()
+		for i, v := range f.Vehicles() {
+			if i%3 == 0 {
+				p := pol
+				v.Engine.SetResilience(&p)
+			}
+		}
+	}
+	return f
+}
+
+// shardedArtifacts is everything a sharded run produces that the
+// determinism contract covers.
+type shardedArtifacts struct {
+	rounds []RoundResult
+	reg    string
+	tree   string
+	chrome []byte
+	flight string
+}
+
+// shardedRun drives rounds epochs of the sharded executor with telemetry,
+// traces and the flight recorder on, and returns the per-round results
+// plus the merged artifacts.
+func shardedRun(t *testing.T, f *Fleet, rounds int) shardedArtifacts {
+	t.Helper()
 	f.InstrumentSharded(true)
-	out := make([]RoundResult, 0, rounds)
+	f.EnableFlightRecorder(4096)
+	var a shardedArtifacts
 	for r := 0; r < rounds; r++ {
 		rr, err := f.ShardedInvokeAllTolerant("kidnapper-search", time.Duration(r)*400*time.Millisecond)
 		if err != nil {
 			t.Fatal(err)
 		}
-		out = append(out, rr)
+		a.rounds = append(a.rounds, rr)
 	}
 	reg, trc := f.MergedTelemetry()
 	chrome, err := trc.ChromeTrace()
 	if err != nil {
 		t.Fatal(err)
 	}
-	return out, reg.Render(), trc.RenderTree(), chrome
+	a.reg, a.tree, a.chrome = reg.Render(), trc.RenderTree(), chrome
+	a.flight = f.MergedFlightRecorder().RenderTable()
+	return a
 }
 
-// TestShardedDifferentialAcrossShardCounts is the tentpole's determinism
-// contract: the same seeded fleet run at shards 1, 2, 4, and 7 produces
-// identical RoundResults, identical merged telemetry renders, and
-// byte-identical trace exports. 7 deliberately does not divide the
-// vehicle count.
+// TestShardedDifferentialAcrossShardCounts is the executor's determinism
+// contract: each seeded world run at shards 1, 2, 4, and 7 produces
+// identical RoundResults, identical merged telemetry renders,
+// byte-identical trace exports and an identical flight-recorder table,
+// whose only commit-phase markers are commit.begin and commit.end. 7
+// deliberately does not divide the vehicle counts.
 func TestShardedDifferentialAcrossShardCounts(t *testing.T) {
-	const vehicles, rounds, seed = 21, 6, 42
-	baseRR, baseReg, baseTree, baseChrome := shardedRun(t, chaosConfig(vehicles, 1, seed), rounds)
-	if !strings.Contains(baseReg, "edgeos.invocations") {
-		t.Fatalf("baseline registry missing invocation metrics:\n%s", baseReg)
-	}
-	var sawOffload bool
-	for _, rr := range baseRR {
-		if rr.OffloadShare > 0 {
-			sawOffload = true
-		}
-	}
-	if !sawOffload {
-		t.Fatal("no round offloaded: the commit phase was never exercised")
-	}
-	for _, shards := range []int{2, 4, 7} {
-		rr, reg, tree, chrome := shardedRun(t, chaosConfig(vehicles, shards, seed), rounds)
-		if !reflect.DeepEqual(rr, baseRR) {
-			t.Fatalf("shards=%d RoundResults diverged:\n got %+v\nwant %+v", shards, rr, baseRR)
-		}
-		if reg != baseReg {
-			t.Fatalf("shards=%d merged telemetry render diverged from shards=1", shards)
-		}
-		if tree != baseTree {
-			t.Fatalf("shards=%d trace tree diverged from shards=1", shards)
-		}
-		if !bytes.Equal(chrome, baseChrome) {
-			t.Fatalf("shards=%d Chrome trace bytes diverged from shards=1", shards)
-		}
+	const rounds, seed = 6, 42
+	for _, world := range diffWorlds {
+		t.Run(world.name, func(t *testing.T) {
+			base := shardedRun(t, world.build(t, 1, seed), rounds)
+			if !strings.Contains(base.reg, "edgeos.invocations") {
+				t.Fatalf("baseline registry missing invocation metrics:\n%s", base.reg)
+			}
+			var sawOffload bool
+			for _, rr := range base.rounds {
+				if rr.OffloadShare > 0 {
+					sawOffload = true
+				}
+			}
+			if !sawOffload {
+				t.Fatal("no round offloaded: the commit phase was never exercised")
+			}
+			if !strings.Contains(base.flight, "commit.begin") || !strings.Contains(base.flight, "commit.end") {
+				t.Fatalf("commit-phase markers missing from the flight log:\n%s", base.flight)
+			}
+			if strings.Contains(base.flight, "commit.lane.") {
+				t.Fatalf("flight log carries per-lane commit markers:\n%s", base.flight)
+			}
+			for _, shards := range []int{2, 4, 7} {
+				got := shardedRun(t, world.build(t, shards, seed), rounds)
+				if !reflect.DeepEqual(got.rounds, base.rounds) {
+					t.Fatalf("shards=%d RoundResults diverged:\n got %+v\nwant %+v", shards, got.rounds, base.rounds)
+				}
+				if got.reg != base.reg {
+					t.Fatalf("shards=%d merged telemetry render diverged from shards=1", shards)
+				}
+				if got.tree != base.tree {
+					t.Fatalf("shards=%d trace tree diverged from shards=1", shards)
+				}
+				if !bytes.Equal(got.chrome, base.chrome) {
+					t.Fatalf("shards=%d Chrome trace bytes diverged from shards=1", shards)
+				}
+				if got.flight != base.flight {
+					t.Fatalf("shards=%d flight-recorder table diverged from shards=1:\n%s\nvs\n%s", shards, got.flight, base.flight)
+				}
+			}
+		})
 	}
 }
 
@@ -152,8 +227,8 @@ func TestShardPartition(t *testing.T) {
 		if sh.Lo != next || sh.Hi <= sh.Lo {
 			t.Fatalf("shard %d range [%d,%d) not contiguous from %d", i, sh.Lo, sh.Hi, next)
 		}
-		if sh.Engine == nil || sh.RNG == nil {
-			t.Fatalf("shard %d missing lane engine or RNG", i)
+		if sh.Engine == nil {
+			t.Fatalf("shard %d missing lane engine", i)
 		}
 		next = sh.Hi
 	}
@@ -181,6 +256,63 @@ func TestShardedUnknownService(t *testing.T) {
 	} else if !strings.Contains(err.Error(), "cav-0") {
 		t.Fatalf("error does not name the first vehicle deterministically: %v", err)
 	}
+}
+
+// TestShardedNonTolerantCompletesRoundBeforeError: in a faulted world
+// without the resilience policy, a non-tolerant round still commits every
+// prepared invocation before it reports the first error in vehicle-index
+// order. Twin fleets from one seed, one driven tolerant and one not, end
+// the erroring round with the same queue on every site and the same
+// merged telemetry; only the non-tolerant aggregate stops at the erroring
+// vehicle.
+func TestShardedNonTolerantCompletesRoundBeforeError(t *testing.T) {
+	const vehicles, seed = 21, 42
+	build := func() *Fleet {
+		cfg := chaosConfig(vehicles, 3, seed)
+		cfg.Resilience = nil
+		f, err := New(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		f.InstrumentSharded(false)
+		return f
+	}
+	tol, strict := build(), build()
+	for r := 0; r < 40; r++ {
+		now := time.Duration(r) * 400 * time.Millisecond
+		want, err := tol.ShardedInvokeAllTolerant("kidnapper-search", now)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := strict.ShardedInvokeAll("kidnapper-search", now)
+		if err == nil {
+			if want.Failures != 0 || got != want {
+				t.Fatalf("round %d: twins diverged without an error: %+v vs %+v", r, got, want)
+			}
+			continue
+		}
+		// The aggregate covers exactly the vehicles before the first
+		// erroring one, none of which failed.
+		failed := got.Invocations
+		if failed >= vehicles-1 || got.Failures != 0 || want.Failures == 0 || want.Invocations != vehicles {
+			t.Fatalf("round %d: strict aggregate %+v, tolerant %+v", r, got, want)
+		}
+		if name := tol.Vehicles()[failed].Name; !strings.HasPrefix(err.Error(), name+":") {
+			t.Fatalf("round %d: error %q does not name vehicle %d (%s)", r, err, failed, name)
+		}
+		for i, s := range strict.Sites() {
+			if a, b := s.PendingWork(now), tol.Sites()[i].PendingWork(now); a != b {
+				t.Fatalf("round %d: site %s pending work %v after the strict round, %v after the tolerant one", r, s.Name(), a, b)
+			}
+		}
+		strictReg, _ := strict.MergedTelemetry()
+		tolReg, _ := tol.MergedTelemetry()
+		if strictReg.Render() != tolReg.Render() {
+			t.Fatalf("round %d: merged telemetry differs between the strict and the tolerant twin", r)
+		}
+		return
+	}
+	t.Fatal("no round errored: the faulted world never failed a commit")
 }
 
 // TestShardedFrozenSitesUnfrozen: the executor must leave sites unfrozen
@@ -285,12 +417,8 @@ func BenchmarkShardedInvokeAllRound(b *testing.B) {
 
 // obsRun drives rounds epochs with the flight recorder and a telemetry
 // sampler enabled, returning the merged event table and series render.
-func obsRun(t *testing.T, cfg Config, rounds int) (string, string) {
+func obsRun(t *testing.T, f *Fleet, rounds int) (string, string) {
 	t.Helper()
-	f, err := New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
 	f.InstrumentSharded(false)
 	f.EnableFlightRecorder(4096)
 	store := obs.NewSeriesStore(256)
@@ -317,28 +445,34 @@ func obsRun(t *testing.T, cfg Config, rounds int) (string, string) {
 }
 
 // TestFlightRecorderAndSeriesShardCountInvariant extends the differential
-// contract to the observability layer: merged flight-recorder tables and
-// sampled series renders are byte-identical for any shard count.
+// contract to the observability layer: for every world, merged
+// flight-recorder tables and sampled series renders are byte-identical
+// for any shard count.
 func TestFlightRecorderAndSeriesShardCountInvariant(t *testing.T) {
-	const vehicles, rounds, seed = 12, 6, 42
-	baseEvents, baseSeries := obsRun(t, chaosConfig(vehicles, 1, seed), rounds)
-	if !strings.Contains(baseEvents, "commit.begin") {
-		t.Fatalf("no commit-phase events recorded:\n%s", baseEvents)
-	}
-	if !strings.Contains(baseEvents, "outage.begin") {
-		t.Fatalf("no outage events recorded:\n%s", baseEvents)
-	}
-	if !strings.Contains(baseSeries, "edgeos.invocations") {
-		t.Fatalf("sampled series missing invocation counters:\n%s", baseSeries)
-	}
-	for _, shards := range []int{2, 5} {
-		events, series := obsRun(t, chaosConfig(vehicles, shards, seed), rounds)
-		if events != baseEvents {
-			t.Fatalf("shards=%d flight-recorder table diverged from shards=1:\n%s\nvs\n%s", shards, events, baseEvents)
-		}
-		if series != baseSeries {
-			t.Fatalf("shards=%d series render diverged from shards=1:\n%s\nvs\n%s", shards, series, baseSeries)
-		}
+	const rounds, seed = 6, 42
+	for _, world := range diffWorlds {
+		t.Run(world.name, func(t *testing.T) {
+			base := world.build(t, 1, seed)
+			baseEvents, baseSeries := obsRun(t, base, rounds)
+			if !strings.Contains(baseEvents, "commit.begin") {
+				t.Fatalf("no commit-phase events recorded:\n%s", baseEvents)
+			}
+			if base.Faults() != nil && !strings.Contains(baseEvents, "outage.begin") {
+				t.Fatalf("no outage events recorded:\n%s", baseEvents)
+			}
+			if !strings.Contains(baseSeries, "edgeos.invocations") {
+				t.Fatalf("sampled series missing invocation counters:\n%s", baseSeries)
+			}
+			for _, shards := range []int{2, 4, 7} {
+				events, series := obsRun(t, world.build(t, shards, seed), rounds)
+				if events != baseEvents {
+					t.Fatalf("shards=%d flight-recorder table diverged from shards=1:\n%s\nvs\n%s", shards, events, baseEvents)
+				}
+				if series != baseSeries {
+					t.Fatalf("shards=%d series render diverged from shards=1:\n%s\nvs\n%s", shards, series, baseSeries)
+				}
+			}
+		})
 	}
 }
 

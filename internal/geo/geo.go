@@ -149,63 +149,6 @@ func (r *Road) CoveringStationsInto(p Point, buf []Station) []Station {
 	return buf
 }
 
-// CoverageCells partitions stations into connected components of
-// overlapping coverage disks: two stations share a cell when their disks
-// intersect (center distance <= sum of radii), directly or transitively.
-// Zero-radius stations cover nothing and are each their own cell. The
-// returned groups hold indices into the input slice; groups are ordered by
-// smallest member index and members ascend within a group, so the
-// partition is deterministic for a deterministic input order. Fleet
-// executors use these cells as interaction domains: offload commits to
-// sites in different cells cannot contend for the same coverage area.
-func CoverageCells(stations []Station) [][]int {
-	n := len(stations)
-	parent := make([]int, n)
-	for i := range parent {
-		parent[i] = i
-	}
-	var find func(int) int
-	find = func(i int) int {
-		for parent[i] != i {
-			parent[i] = parent[parent[i]]
-			i = parent[i]
-		}
-		return i
-	}
-	for i := 0; i < n; i++ {
-		if stations[i].Radius <= 0 {
-			continue
-		}
-		for j := i + 1; j < n; j++ {
-			if stations[j].Radius <= 0 {
-				continue
-			}
-			if stations[i].Pos.Dist(stations[j].Pos) <= stations[i].Radius+stations[j].Radius {
-				ri, rj := find(i), find(j)
-				if ri != rj {
-					if rj < ri {
-						ri, rj = rj, ri
-					}
-					parent[rj] = ri
-				}
-			}
-		}
-	}
-	groupOf := make(map[int]int, n)
-	var cells [][]int
-	for i := 0; i < n; i++ {
-		root := find(i)
-		g, ok := groupOf[root]
-		if !ok {
-			g = len(cells)
-			groupOf[root] = g
-			cells = append(cells, nil)
-		}
-		cells[g] = append(cells[g], i)
-	}
-	return cells
-}
-
 // NearestStation returns the closest station of the given kind and whether
 // one exists.
 func (r *Road) NearestStation(p Point, kind StationKind) (Station, bool) {

@@ -236,44 +236,3 @@ func TestCoveringStationsIntoAllocFree(t *testing.T) {
 		t.Fatalf("CoveringStationsInto allocated %.1f per run with a reused buffer", n)
 	}
 }
-
-func TestCoverageCells(t *testing.T) {
-	stations := []Station{
-		{ID: "a", Pos: Point{X: 0}, Radius: 100},    // overlaps b
-		{ID: "b", Pos: Point{X: 150}, Radius: 100},  // overlaps a and c
-		{ID: "c", Pos: Point{X: 340}, Radius: 100},  // overlaps b (transitively a)
-		{ID: "d", Pos: Point{X: 1000}, Radius: 100}, // isolated
-		{ID: "e", Pos: Point{X: 1050}, Radius: 0},   // zero radius: own cell even inside d's disk
-	}
-	cells := CoverageCells(stations)
-	want := [][]int{{0, 1, 2}, {3}, {4}}
-	if len(cells) != len(want) {
-		t.Fatalf("cells = %v, want %v", cells, want)
-	}
-	for i := range want {
-		if len(cells[i]) != len(want[i]) {
-			t.Fatalf("cell %d = %v, want %v", i, cells[i], want[i])
-		}
-		for j := range want[i] {
-			if cells[i][j] != want[i][j] {
-				t.Fatalf("cell %d = %v, want %v", i, cells[i], want[i])
-			}
-		}
-	}
-}
-
-// TestCoverageCellsDisjointPlacement: stations placed with disks smaller
-// than half their spacing never merge — the layout the fleet scaling
-// sweep relies on for one interaction domain per RSU.
-func TestCoverageCellsDisjointPlacement(t *testing.T) {
-	r, _ := NewRoad(20000)
-	placed := r.PlaceStations(16, RSU, 300, 0, "rsu")
-	cells := CoverageCells(placed)
-	if len(cells) != 16 {
-		t.Fatalf("disjoint disks merged: %d cells from 16 stations", len(cells))
-	}
-	merged := CoverageCells(r.PlaceStations(4, RSU, 20000, 0, "wide"))
-	if len(merged) != 1 {
-		t.Fatalf("corridor-wide disks split: %d cells from 4 stations", len(merged))
-	}
-}

@@ -7,7 +7,6 @@ package xedge
 
 import (
 	"fmt"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/geo"
@@ -58,11 +57,8 @@ func (k SiteKind) String() string {
 //     panics on any mutation, turning an ownership bug into a loud,
 //     deterministic failure instead of a data race.
 //   - commit phase: mutations (Submit, SetAvailable, Preload) run after
-//     Unfreeze(), in canonical vehicle-index order per site. Serially one
-//     goroutine owns every site; under parallel commit lanes
-//     (fleet domains.go) each site is claimed by exactly one interaction
-//     domain via BeginCommitPhase, which arms a concurrent-entry guard on
-//     Submit and forbids out-of-band mutations until EndCommitPhase.
+//     Unfreeze(), on the fleet's single goroutine, in canonical
+//     vehicle-index order.
 //
 // All read paths used during the decision phase are genuinely read-only:
 // the per-class service-rate table is warmed eagerly at construction (see
@@ -76,14 +72,6 @@ type Site struct {
 	available bool
 	frozen    bool
 	faultFn   FaultFunc
-
-	// commitOwner is the interaction-domain id that owns this site during
-	// a parallel commit phase, -1 outside one (see BeginCommitPhase).
-	// committing is the Submit entry guard while owned: concurrent entry
-	// means two commit lanes reached one site — a domain-partition bug —
-	// and panics rather than racing.
-	commitOwner int
-	committing  atomic.Int32
 
 	// svcRates holds, per task class, each executor's effective
 	// throughput (GFLOPS; <= 0 when the executor cannot run the class).
@@ -112,7 +100,7 @@ func New(name string, kind SiteKind, station geo.Station, access network.Path, p
 	if len(access.Links) == 0 {
 		return nil, fmt.Errorf("xedge: site %s has no access path", name)
 	}
-	s := &Site{name: name, kind: kind, station: station, access: access, available: true, commitOwner: -1}
+	s := &Site{name: name, kind: kind, station: station, access: access, available: true}
 	for _, p := range procs {
 		exec, err := hardware.NewExecutor(p)
 		if err != nil {
@@ -229,7 +217,6 @@ func (s *Site) Station() geo.Station { return s.station }
 // untouched; bestExec consults the availability flag before any rate.
 func (s *Site) SetAvailable(up bool) {
 	s.assertUnfrozen("SetAvailable")
-	s.assertUnowned("SetAvailable")
 	s.available = up
 }
 
@@ -256,50 +243,11 @@ func (s *Site) assertUnfrozen(op string) {
 	}
 }
 
-// BeginCommitPhase marks the start of a parallel commit phase in which
-// this site belongs to the given commit lane (a fleet interaction domain,
-// owner >= 0). While owned, Submit carries a concurrent-entry guard — two
-// lanes reaching one site is a domain-partition violation and panics —
-// and out-of-band mutations (SetAvailable, SetFaultInjector, Preload)
-// panic outright: only canonical-order submissions belong inside the
-// phase. Pair with EndCommitPhase at the phase barrier.
-func (s *Site) BeginCommitPhase(owner int) {
-	s.assertUnfrozen("BeginCommitPhase")
-	if owner < 0 {
-		panic(fmt.Sprintf("xedge: BeginCommitPhase on site %s with negative owner %d", s.name, owner))
-	}
-	if s.commitOwner >= 0 {
-		panic(fmt.Sprintf("xedge: BeginCommitPhase on site %s already owned by commit lane %d", s.name, s.commitOwner))
-	}
-	s.commitOwner = owner
-}
-
-// EndCommitPhase releases commit-lane ownership at the phase barrier.
-func (s *Site) EndCommitPhase() {
-	if s.committing.Load() != 0 {
-		panic(fmt.Sprintf("xedge: EndCommitPhase on site %s with a Submit still in flight", s.name))
-	}
-	s.commitOwner = -1
-}
-
-// CommitOwner returns the owning commit lane during a parallel commit
-// phase, -1 outside one.
-func (s *Site) CommitOwner() int { return s.commitOwner }
-
-// assertUnowned panics when an out-of-band mutation is attempted during a
-// parallel commit phase; such mutations belong between phases.
-func (s *Site) assertUnowned(op string) {
-	if s.commitOwner >= 0 {
-		panic(fmt.Sprintf("xedge: %s on site %s during parallel commit phase (owned by commit lane %d; out-of-band mutations belong between phases)", op, s.name, s.commitOwner))
-	}
-}
-
 // SetFaultInjector installs fn as the site's submission-time fault hook
 // (nil removes it). When fn returns an error, Submit fails without
 // reserving an executor.
 func (s *Site) SetFaultInjector(fn FaultFunc) {
 	s.assertUnfrozen("SetFaultInjector")
-	s.assertUnowned("SetFaultInjector")
 	s.faultFn = fn
 }
 
@@ -381,16 +329,6 @@ func (s *Site) EstimateExec(now time.Duration, class hardware.Class, gflop float
 // Submit is a commit-phase mutation: calling it on a frozen site panics.
 func (s *Site) Submit(now time.Duration, class hardware.Class, gflop float64) (start, finish time.Duration, err error) {
 	s.assertUnfrozen("Submit")
-	if s.commitOwner >= 0 {
-		// Parallel commit phase: detect two lanes colliding on one site.
-		// Watermark-serialized residue commits interleave with the owning
-		// lane without overlap, so any concurrent entry is a real
-		// domain-partition violation.
-		if !s.committing.CompareAndSwap(0, 1) {
-			panic(fmt.Sprintf("xedge: concurrent Submit on site %s during parallel commit phase (owned by commit lane %d): interaction domains overlapped", s.name, s.commitOwner))
-		}
-		defer s.committing.Store(0)
-	}
 	exec, _, err := s.bestExec(now, class, gflop)
 	if err != nil {
 		return 0, 0, err
@@ -407,7 +345,6 @@ func (s *Site) Submit(now time.Duration, class hardware.Class, gflop float64) (s
 // given class and size submitted at time 0, raising queueing delay for
 // subsequent vehicles (multi-tenancy).
 func (s *Site) Preload(n int, class hardware.Class, gflop float64) error {
-	s.assertUnowned("Preload")
 	for i := 0; i < n; i++ {
 		if _, _, err := s.Submit(0, class, gflop); err != nil {
 			return err

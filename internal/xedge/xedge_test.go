@@ -369,67 +369,3 @@ func TestFreezeAssertsCommitPhaseOwnership(t *testing.T) {
 		t.Fatalf("Submit after Unfreeze: %v", err)
 	}
 }
-
-// TestCommitPhaseOwnership covers the parallel-commit ownership
-// lifecycle: Begin/End bracket the owner id, double-claims and negative
-// owners panic, and out-of-band mutations are rejected while owned.
-func TestCommitPhaseOwnership(t *testing.T) {
-	s, err := NewRSU(geo.Station{ID: "rsu-own", Kind: geo.RSU, Radius: 300})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := s.CommitOwner(); got != -1 {
-		t.Fatalf("fresh site owner = %d, want -1", got)
-	}
-	s.BeginCommitPhase(3)
-	if got := s.CommitOwner(); got != 3 {
-		t.Fatalf("owner = %d, want 3", got)
-	}
-	// Submissions remain legal (and guarded) inside the phase.
-	if _, _, err := s.Submit(0, hardware.General, 10); err != nil {
-		t.Fatalf("owned Submit failed: %v", err)
-	}
-	mustPanic := func(name string, fn func()) {
-		t.Helper()
-		defer func() {
-			if recover() == nil {
-				t.Fatalf("%s during parallel commit phase did not panic", name)
-			}
-		}()
-		fn()
-	}
-	mustPanic("SetAvailable", func() { s.SetAvailable(false) })
-	mustPanic("SetFaultInjector", func() { s.SetFaultInjector(nil) })
-	mustPanic("Preload", func() { _ = s.Preload(1, hardware.General, 1) })
-	mustPanic("double BeginCommitPhase", func() { s.BeginCommitPhase(4) })
-	s.EndCommitPhase()
-	if got := s.CommitOwner(); got != -1 {
-		t.Fatalf("owner after End = %d, want -1", got)
-	}
-	s.SetAvailable(true) // legal again between phases
-	mustPanic("negative owner", func() { s.BeginCommitPhase(-1) })
-}
-
-// TestCommitPhaseCollisionPanics: concurrent Submit entry on an owned
-// site — two commit lanes reaching one site — panics instead of racing.
-func TestCommitPhaseCollisionPanics(t *testing.T) {
-	s, err := NewRSU(geo.Station{ID: "rsu-col", Kind: geo.RSU, Radius: 300})
-	if err != nil {
-		t.Fatal(err)
-	}
-	s.BeginCommitPhase(0)
-	// Simulate a lane mid-Submit; the next entry must trip the guard.
-	if !s.committing.CompareAndSwap(0, 1) {
-		t.Fatal("could not arm the in-flight marker")
-	}
-	func() {
-		defer func() {
-			if recover() == nil {
-				t.Fatal("overlapping Submit on an owned site did not panic")
-			}
-		}()
-		_, _, _ = s.Submit(0, hardware.General, 10)
-	}()
-	s.committing.Store(0)
-	s.EndCommitPhase()
-}
