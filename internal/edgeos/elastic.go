@@ -185,21 +185,7 @@ func (m *ElasticManager) evaluate(s *Service, p Pipeline, now time.Duration) Cho
 	if p.SplitAfter >= n {
 		est = m.engine.EstimateOnboard(s.DAG, now)
 	} else {
-		// Best remote destination for this split.
-		best := offload.Estimate{Feasible: false, Reason: "no sites"}
-		for _, site := range m.engine.Sites() {
-			cand := m.engine.EstimateSite(s.DAG, site, p.SplitAfter, now)
-			if !cand.Feasible {
-				if !best.Feasible && best.Reason == "no sites" {
-					best = cand
-				}
-				continue
-			}
-			if !best.Feasible || cand.Total < best.Total {
-				best = cand
-			}
-		}
-		est = best
+		est = m.engine.EstimateBestSite(s.DAG, p.SplitAfter, now)
 	}
 	c := Choice{Pipeline: p, Estimate: est}
 	if est.Feasible {

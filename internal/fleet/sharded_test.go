@@ -7,11 +7,13 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/edgeos"
 	"repro/internal/faults"
 	"repro/internal/obs"
 	"repro/internal/offload"
 	"repro/internal/runner"
 	"repro/internal/sim"
+	"repro/internal/tasks"
 )
 
 // chaosConfig builds a fleet config that exercises every sharded-round
@@ -412,6 +414,116 @@ func BenchmarkShardedInvokeAllRound(b *testing.B) {
 		if _, err := f.ShardedInvokeAll("kidnapper-search", time.Duration(i)*time.Millisecond); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// benchTopology is the benchmark's fleet world (benchmark/fleet.go): 16 RSUs
+// with disjoint 600 m disks plus the cloud, so a vehicle estimates against
+// 17 sites of which it reaches at most two.
+func benchTopology(vehicles, shards int) Config {
+	return Config{
+		Vehicles:       vehicles,
+		RSUs:           16,
+		RSURadiusM:     600,
+		SpeedJitterMPH: 10,
+		RNG:            sim.NewStream(101, 0),
+		Shards:         shards,
+	}
+}
+
+// BenchmarkPrepareInvoke measures the decision step by itself — one
+// vehicle choosing among its four pipelines over the benchmark topology's
+// 17 sites — which is ~95 % of a fleet round.
+func BenchmarkPrepareInvoke(b *testing.B) {
+	f, err := New(benchTopology(1, 1))
+	if err != nil {
+		b.Fatal(err)
+	}
+	f.InstrumentSharded(false)
+	m := f.vehicles[0].Manager
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if p := m.PrepareInvoke("kidnapper-search", time.Duration(i)*time.Millisecond); p.Err() != nil {
+			b.Fatal(p.Err())
+		}
+	}
+}
+
+// TestPrepareInvokeAllocs pins the steady-state allocation count of the
+// decision step on the benchmark topology. It was 780 when every estimate
+// and plan re-validated and re-sorted the DAG into fresh string-keyed maps;
+// the 47 that remain are the estimates' and plans' own results (device
+// lists, assignments, choices, error reasons).
+func TestPrepareInvokeAllocs(t *testing.T) {
+	f, err := New(benchTopology(1, 1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	f.InstrumentSharded(false)
+	m := f.vehicles[0].Manager
+	now := time.Duration(0)
+	prepare := func() {
+		now += 250 * time.Millisecond
+		if p := m.PrepareInvoke("kidnapper-search", now); p.Err() != nil || p.HungUp() {
+			t.Fatalf("prepare: err %v, hung up %v", p.Err(), p.HungUp())
+		}
+	}
+	prepare() // compile the DAG and its prefixes, size the scratch
+	if n := testing.AllocsPerRun(50, prepare); n > 60 {
+		t.Errorf("steady-state PrepareInvoke: %v allocs, want at most 60", n)
+	}
+}
+
+// TestShardedSharedDAGAcrossShards registers ONE *tasks.DAG on every
+// vehicle of a 4-shard fleet, edits it after registration so that the first
+// decision phase recompiles it from all shards at once, and requires the
+// rounds of a fleet whose vehicles each own a private copy of the same
+// DAG. Run under -race: the compiled form is the only state the vehicles
+// share outside the frozen sites.
+func TestShardedSharedDAGAcrossShards(t *testing.T) {
+	edit := func(d *tasks.DAG) { d.Tasks[1].GFLOP *= 3 }
+	run := func(shared bool) []RoundResult {
+		one := tasks.ALPR()
+		var dags []*tasks.DAG
+		cfg := cellConfig(24, 4, 5)
+		cfg.Service = func() *edgeos.Service {
+			d := one
+			if !shared {
+				d = tasks.ALPR()
+			}
+			dags = append(dags, d)
+			return &edgeos.Service{Name: "kidnapper-search", Priority: edgeos.PriorityInteractive,
+				Deadline: 2 * time.Second, DAG: d, Image: []byte("a3")}
+		}
+		f, err := New(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		f.InstrumentSharded(false)
+		if shared {
+			edit(one)
+		} else {
+			for _, d := range dags {
+				edit(d)
+			}
+		}
+		var out []RoundResult
+		for r := 0; r < 6; r++ {
+			rr, err := f.ShardedInvokeAll("kidnapper-search", time.Duration(r)*400*time.Millisecond)
+			if err != nil {
+				t.Fatal(err)
+			}
+			out = append(out, rr)
+		}
+		return out
+	}
+	shared, private := run(true), run(false)
+	if !reflect.DeepEqual(shared, private) {
+		t.Fatalf("one shared DAG:\n%+v\nprivate DAGs:\n%+v", shared, private)
+	}
+	if shared[0].Invocations != 24 || shared[0].OffloadShare == 0 {
+		t.Fatalf("round 0 = %+v", shared[0])
 	}
 }
 

@@ -123,6 +123,10 @@ type Engine struct {
 	// SetResilience and ExecuteResilient in resilience.go.
 	policy   *Policy
 	breakers map[string]*Breaker
+
+	// finish is per-task scratch of EstimateSite and execute, indexed like
+	// DAG.Tasks and reused across calls (see finishScratch).
+	finish []time.Duration
 }
 
 // PathAdjuster rewrites the access path toward a destination as of
@@ -416,6 +420,12 @@ func (e *Engine) EstimateOnboard(dag *tasks.DAG, now time.Duration) Estimate {
 // with the first splitAfter topo-order tasks executed on-board first.
 // splitAfter 0 offloads everything.
 func (e *Engine) EstimateSite(dag *tasks.DAG, site *xedge.Site, splitAfter int, now time.Duration) Estimate {
+	return e.estimateSite(dag, dag.Compiled(), site, splitAfter, now)
+}
+
+// estimateSite is EstimateSite given the DAG's compiled form, so a caller
+// estimating many sites checks the DAG's content once.
+func (e *Engine) estimateSite(dag *tasks.DAG, c *tasks.Compiled, site *xedge.Site, splitAfter int, now time.Duration) Estimate {
 	est := Estimate{Dest: site.Name(), Kind: site.Kind().String(), SplitAfter: splitAfter}
 	var span *trace.Span
 	if e.tracer.Enabled() {
@@ -430,7 +440,7 @@ func (e *Engine) EstimateSite(dag *tasks.DAG, site *xedge.Site, splitAfter int, 
 			span.FinishAt(now + est.Total)
 		}()
 	}
-	order, err := dag.TopoOrder()
+	order, err := c.Order()
 	if err != nil {
 		est.Reason = err.Error()
 		return est
@@ -444,14 +454,12 @@ func (e *Engine) EstimateSite(dag *tasks.DAG, site *xedge.Site, splitAfter int, 
 		return est
 	}
 
-	local := order[:splitAfter]
 	remote := order[splitAfter:]
 	cursor := now
 
 	// Local prefix runs through the DSF.
-	if len(local) > 0 {
-		prefix := &tasks.DAG{Name: dag.Name + "-prefix", Tasks: cloneTasks(local)}
-		plan, err := e.dsf.Plan(prefix, now)
+	if splitAfter > 0 {
+		plan, err := e.dsf.Plan(c.Prefix(splitAfter), now)
 		if err != nil {
 			est.Reason = err.Error()
 			return est
@@ -463,7 +471,7 @@ func (e *Engine) EstimateSite(dag *tasks.DAG, site *xedge.Site, splitAfter int, 
 
 	// Uplink: ship the remote portion's external input — root inputs of
 	// remote tasks plus intermediate outputs crossing the cut.
-	upBytes := crossingBytes(dag, local, remote)
+	upBytes := crossingBytes(dag, c, splitAfter)
 	path := e.adjustedPath(site, now)
 	up, err := path.TransferTime(upBytes, network.Uplink)
 	if err != nil {
@@ -482,25 +490,23 @@ func (e *Engine) EstimateSite(dag *tasks.DAG, site *xedge.Site, splitAfter int, 
 
 	// Remote compute: topo-order submission estimate on site executors.
 	computeStart := cursor
-	finishOf := make(map[string]time.Duration, len(remote))
-	for _, t := range remote {
+	finish := e.finishScratch(len(order))
+	var remoteDone time.Duration
+	for _, i := range remote {
+		t := dag.Tasks[i]
 		ready := cursor
-		for _, dep := range t.Deps {
-			if f, ok := finishOf[dep]; ok && f > ready {
-				ready = f
+		for _, dep := range c.Deps(i) {
+			if c.Pos(dep) >= splitAfter && finish[dep] > ready {
+				ready = finish[dep]
 			}
 		}
-		finish, err := site.EstimateExec(ready, t.Class, t.GFLOP)
+		finish[i], err = site.EstimateExec(ready, t.Class, t.GFLOP)
 		if err != nil {
 			est.Reason = err.Error()
 			return est
 		}
-		finishOf[t.ID] = finish
-	}
-	var remoteDone time.Duration
-	for _, f := range finishOf {
-		if f > remoteDone {
-			remoteDone = f
+		if finish[i] > remoteDone {
+			remoteDone = finish[i]
 		}
 	}
 	est.Compute += remoteDone - computeStart
@@ -512,9 +518,9 @@ func (e *Engine) EstimateSite(dag *tasks.DAG, site *xedge.Site, splitAfter int, 
 
 	// Downlink: results of sink tasks return to the vehicle.
 	var downBytes float64
-	for _, t := range remote {
-		if len(dag.Successors(t.ID)) == 0 {
-			downBytes += t.OutputBytes
+	for _, i := range remote {
+		if len(c.Succs(i)) == 0 {
+			downBytes += dag.Tasks[i].OutputBytes
 		}
 	}
 	down, err := path.TransferTime(downBytes, network.Downlink)
@@ -538,49 +544,58 @@ func (e *Engine) EstimateSite(dag *tasks.DAG, site *xedge.Site, splitAfter int, 
 	return est
 }
 
-// crossingBytes sums the data that must move from vehicle to site: inputs
-// of remote root tasks that come from outside the DAG, plus outputs of
-// local tasks consumed by remote tasks.
-func crossingBytes(dag *tasks.DAG, local, remote []*tasks.Task) float64 {
-	localSet := make(map[string]bool, len(local))
-	for _, t := range local {
-		localSet[t.ID] = true
-	}
-	var total float64
-	for _, t := range remote {
-		if len(t.Deps) == 0 {
-			total += t.InputBytes
+// EstimateBestSite evaluates the split at every registered site and returns
+// the feasible estimate with the smallest total latency (the earliest
+// registered site wins ties). When no site is feasible it returns the first
+// site's infeasible estimate, or Reason "no sites" without any site.
+func (e *Engine) EstimateBestSite(dag *tasks.DAG, splitAfter int, now time.Duration) Estimate {
+	best := Estimate{Feasible: false, Reason: "no sites"}
+	c := dag.Compiled()
+	for _, site := range e.sites {
+		cand := e.estimateSite(dag, c, site, splitAfter, now)
+		if !cand.Feasible {
+			if !best.Feasible && best.Reason == "no sites" {
+				best = cand
+			}
 			continue
 		}
-		for _, dep := range t.Deps {
-			if localSet[dep] {
-				depTask, _ := dag.Get(dep)
-				total += depTask.OutputBytes
+		if !best.Feasible || cand.Total < best.Total {
+			best = cand
+		}
+	}
+	return best
+}
+
+// crossingBytes sums the data that must move from vehicle to site when the
+// first splitAfter topo-order tasks stay on-board: inputs of remote root
+// tasks that come from outside the DAG, plus outputs of local tasks
+// consumed by remote tasks.
+func crossingBytes(dag *tasks.DAG, c *tasks.Compiled, splitAfter int) float64 {
+	order, _ := c.Order()
+	var total float64
+	for _, i := range order[splitAfter:] {
+		deps := c.Deps(i)
+		if len(deps) == 0 {
+			total += dag.Tasks[i].InputBytes
+			continue
+		}
+		for _, dep := range deps {
+			if c.Pos(dep) < splitAfter {
+				total += dag.Tasks[dep].OutputBytes
 			}
 		}
 	}
 	return total
 }
 
-func cloneTasks(ts []*tasks.Task) []*tasks.Task {
-	ids := make(map[string]bool, len(ts))
-	for _, t := range ts {
-		ids[t.ID] = true
+// finishScratch returns the engine's per-task finish-time scratch sized for
+// n tasks. Entries are written before they are read (dependencies precede
+// dependents in topo order), so it is not cleared between calls.
+func (e *Engine) finishScratch(n int) []time.Duration {
+	if cap(e.finish) < n {
+		e.finish = make([]time.Duration, n)
 	}
-	out := make([]*tasks.Task, 0, len(ts))
-	for _, t := range ts {
-		cp := *t
-		// Drop dependencies outside the slice (they are satisfied inputs).
-		var deps []string
-		for _, d := range t.Deps {
-			if ids[d] {
-				deps = append(deps, d)
-			}
-		}
-		cp.Deps = deps
-		out = append(out, &cp)
-	}
-	return out
+	return e.finish[:n]
 }
 
 // Estimates evaluates on-board execution plus a full offload to every
@@ -686,13 +701,13 @@ func (e *Engine) execute(dag *tasks.DAG, est Estimate, now time.Duration) (time.
 	if site == nil {
 		return 0, fmt.Errorf("offload: unknown destination %q", est.Dest)
 	}
-	order, err := dag.TopoOrder()
+	c := dag.Compiled()
+	order, err := c.Order()
 	if err != nil {
 		return 0, err
 	}
 	if est.SplitAfter > 0 {
-		prefix := &tasks.DAG{Name: dag.Name + "-prefix", Tasks: cloneTasks(order[:est.SplitAfter])}
-		plan, err := e.dsf.Run(prefix, now)
+		plan, err := e.dsf.Run(c.Prefix(est.SplitAfter), now)
 		if err != nil {
 			return 0, err
 		}
@@ -708,34 +723,35 @@ func (e *Engine) execute(dag *tasks.DAG, est Estimate, now time.Duration) (time.
 	now += est.Uplink
 	comp := siteComponent(site.Kind())
 	ln := e.lane(site.Kind())
-	finishOf := make(map[string]time.Duration)
+	finish := e.finishScratch(len(order))
 	var last time.Duration = now
 	var downBytes float64
-	for _, t := range order[est.SplitAfter:] {
+	for _, i := range order[est.SplitAfter:] {
+		t := dag.Tasks[i]
 		ready := now
-		for _, dep := range t.Deps {
-			if f, ok := finishOf[dep]; ok && f > ready {
-				ready = f
+		for _, dep := range c.Deps(i) {
+			if c.Pos(dep) >= est.SplitAfter && finish[dep] > ready {
+				ready = finish[dep]
 			}
 		}
-		start, finish, err := site.Submit(ready, t.Class, t.GFLOP)
+		start, done, err := site.Submit(ready, t.Class, t.GFLOP)
 		if err != nil {
 			return 0, err
 		}
-		finishOf[t.ID] = finish
-		if finish > last {
-			last = finish
+		finish[i] = done
+		if done > last {
+			last = done
 		}
-		if len(dag.Successors(t.ID)) == 0 {
+		if len(c.Succs(i)) == 0 {
 			downBytes += t.OutputBytes
 		}
 		if e.tracer.Enabled() {
-			e.tracer.SpanAt(comp, comp+".task", start, finish,
+			e.tracer.SpanAt(comp, comp+".task", start, done,
 				trace.String("task", t.ID), trace.String("site", site.Name()),
 				trace.Dur("queue_wait", start-ready))
 		}
 		ln.submits.Inc()
-		ln.execMS.ObserveDuration(finish - start)
+		ln.execMS.ObserveDuration(done - start)
 		ln.queueWaitMS.ObserveDuration(start - ready)
 	}
 	if e.tracer.Enabled() {

@@ -7,7 +7,7 @@ package tasks
 
 import (
 	"fmt"
-	"sort"
+	"unsafe"
 
 	"repro/internal/hardware"
 )
@@ -53,41 +53,22 @@ func (t *Task) Validate() error {
 
 // DAG is a directed acyclic graph of tasks: an application decomposed by
 // the DSF task partitioner (paper §IV-B2).
+//
+// A DAG may be copied by value and edited in place at any time; the
+// structural queries below answer from a compiled form that is checked
+// against the DAG's content on every call (see Compiled).
 type DAG struct {
 	Name  string
 	Tasks []*Task
+
+	// compiled is the cached *Compiled, read and published atomically so a
+	// DAG shared by several goroutines compiles race-free. A plain pointer
+	// word rather than atomic.Pointer keeps the struct copyable.
+	compiled unsafe.Pointer
 }
 
 // Validate checks IDs are unique, dependencies resolve, and no cycle exists.
-func (d *DAG) Validate() error {
-	if d.Name == "" {
-		return fmt.Errorf("tasks: DAG has no name")
-	}
-	if len(d.Tasks) == 0 {
-		return fmt.Errorf("tasks: DAG %s has no tasks", d.Name)
-	}
-	byID := make(map[string]*Task, len(d.Tasks))
-	for _, t := range d.Tasks {
-		if err := t.Validate(); err != nil {
-			return fmt.Errorf("DAG %s: %w", d.Name, err)
-		}
-		if _, dup := byID[t.ID]; dup {
-			return fmt.Errorf("tasks: DAG %s has duplicate task ID %q", d.Name, t.ID)
-		}
-		byID[t.ID] = t
-	}
-	for _, t := range d.Tasks {
-		for _, dep := range t.Deps {
-			if _, ok := byID[dep]; !ok {
-				return fmt.Errorf("tasks: DAG %s task %s depends on unknown %q", d.Name, t.ID, dep)
-			}
-		}
-	}
-	if _, err := d.TopoOrder(); err != nil {
-		return err
-	}
-	return nil
-}
+func (d *DAG) Validate() error { return d.Compiled().Err() }
 
 // Get returns the task with the given ID.
 func (d *DAG) Get(id string) (*Task, bool) {
@@ -112,12 +93,15 @@ func (d *DAG) Roots() []*Task {
 
 // Successors returns the IDs of tasks that directly depend on id.
 func (d *DAG) Successors(id string) []string {
+	c := d.Compiled()
 	var out []string
-	for _, t := range d.Tasks {
-		for _, dep := range t.Deps {
-			if dep == id {
-				out = append(out, t.ID)
+	for i, t := range d.Tasks {
+		// Dependencies resolve to the first task declared with the ID.
+		if t.ID == id {
+			for _, s := range c.succs[i] {
+				out = append(out, d.Tasks[s].ID)
 			}
+			break
 		}
 	}
 	return out
@@ -126,34 +110,16 @@ func (d *DAG) Successors(id string) []string {
 // TopoOrder returns the tasks in a dependency-respecting order with stable
 // tie-breaking (declaration order). It fails on cycles.
 func (d *DAG) TopoOrder() ([]*Task, error) {
-	indeg := make(map[string]int, len(d.Tasks))
-	pos := make(map[string]int, len(d.Tasks))
-	for i, t := range d.Tasks {
-		indeg[t.ID] = len(t.Deps)
-		pos[t.ID] = i
+	c := d.Compiled()
+	if c.topoErr != nil {
+		return nil, c.topoErr
 	}
-	var ready []*Task
-	for _, t := range d.Tasks {
-		if indeg[t.ID] == 0 {
-			ready = append(ready, t)
-		}
+	if len(c.order) == 0 {
+		return nil, nil
 	}
-	var order []*Task
-	for len(ready) > 0 {
-		sort.Slice(ready, func(i, j int) bool { return pos[ready[i].ID] < pos[ready[j].ID] })
-		t := ready[0]
-		ready = ready[1:]
-		order = append(order, t)
-		for _, succID := range d.Successors(t.ID) {
-			indeg[succID]--
-			if indeg[succID] == 0 {
-				succ, _ := d.Get(succID)
-				ready = append(ready, succ)
-			}
-		}
-	}
-	if len(order) != len(d.Tasks) {
-		return nil, fmt.Errorf("tasks: DAG %s contains a cycle", d.Name)
+	order := make([]*Task, len(c.order))
+	for k, i := range c.order {
+		order[k] = d.Tasks[i]
 	}
 	return order, nil
 }
@@ -171,25 +137,8 @@ func (d *DAG) TotalGFLOP() float64 {
 // dependency chain — the lower bound on makespan with infinite devices of
 // equal speed.
 func (d *DAG) CriticalPathGFLOP() (float64, error) {
-	order, err := d.TopoOrder()
-	if err != nil {
-		return 0, err
-	}
-	acc := make(map[string]float64, len(order))
-	var best float64
-	for _, t := range order {
-		var maxDep float64
-		for _, dep := range t.Deps {
-			if acc[dep] > maxDep {
-				maxDep = acc[dep]
-			}
-		}
-		acc[t.ID] = maxDep + t.GFLOP
-		if acc[t.ID] > best {
-			best = acc[t.ID]
-		}
-	}
-	return best, nil
+	c := d.Compiled()
+	return c.critical, c.topoErr
 }
 
 // Clone returns a deep copy of the DAG (tasks and dep slices).

@@ -430,6 +430,10 @@ func (h *Histogram) merge(src *Histogram) {
 	h.samples = append(h.samples, src.samples...)
 }
 
+// sampleSlackFrom is the sample count from which Observe grows the sample
+// slice itself rather than leaving it to append.
+const sampleSlackFrom = 256
+
 // Observe adds a sample.
 func (h *Histogram) Observe(v float64) {
 	if h.count == 0 || v < h.min {
@@ -441,6 +445,15 @@ func (h *Histogram) Observe(v float64) {
 	h.count++
 	h.sum += v
 	if h.limit <= 0 || len(h.samples) < h.limit {
+		if n := len(h.samples); n == cap(h.samples) && n >= sampleSlackFrom {
+			// append would grow by a quarter and round up to a size class.
+			// A fleet keeps thousands of histograms (one set per vehicle)
+			// growing in step, so that slack is a fifth of the live heap;
+			// an eighth keeps appends amortised O(1) at half of it.
+			grown := make([]float64, n, n+n/8)
+			copy(grown, h.samples)
+			h.samples = grown
+		}
 		h.samples = append(h.samples, v)
 		return
 	}

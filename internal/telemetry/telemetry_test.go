@@ -553,3 +553,26 @@ func TestCountSum(t *testing.T) {
 		t.Fatal("nil counter touched")
 	}
 }
+
+// TestHistogramSampleSlackBounded pins the unbounded histogram's memory
+// shape: every sample kept in order, and never more than an eighth of
+// spare capacity once past the small-histogram range. A fleet holds a set
+// of these per vehicle, all growing in step.
+func TestHistogramSampleSlackBounded(t *testing.T) {
+	h := &Histogram{}
+	for i := 0; i < 20000; i++ {
+		h.Observe(float64(i%977) + 0.5)
+		n := len(h.samples)
+		if n > 2*sampleSlackFrom && cap(h.samples) > n+n/8+64 {
+			t.Fatalf("%d samples in a slice of capacity %d", n, cap(h.samples))
+		}
+	}
+	if h.Retained() != 20000 || h.Count() != 20000 {
+		t.Fatalf("retained %d of %d", h.Retained(), h.Count())
+	}
+	for i, v := range h.samples {
+		if v != float64(i%977)+0.5 {
+			t.Fatalf("sample %d = %v", i, v)
+		}
+	}
+}

@@ -19,7 +19,9 @@ type DSF struct {
 	// restrict, when non-empty for an app, is the DSF control knob that
 	// limits which devices the app may touch (resource isolation).
 	restrict map[string]map[string]bool
-	history  []*Plan
+	// scratch is the planner every built-in policy plans on (see
+	// scratchPolicy); a DSF is single-goroutine, so one suffices.
+	scratch planner
 
 	tracer  *trace.Tracer
 	metrics *telemetry.Registry
@@ -140,7 +142,13 @@ func (s *DSF) Plan(dag *tasks.DAG, now time.Duration) (*Plan, error) {
 	if len(devices) == 0 {
 		return nil, fmt.Errorf("vcu: no online devices available to app %s", dag.Name)
 	}
-	plan, err := s.policy.Plan(dag, devices, now)
+	var plan *Plan
+	var err error
+	if sp, ok := s.policy.(scratchPolicy); ok {
+		plan, err = sp.plan(&s.scratch, dag, devices, now)
+	} else {
+		plan, err = s.policy.Plan(dag, devices, now)
+	}
 	if err != nil {
 		return nil, err
 	}
@@ -248,7 +256,6 @@ func (s *DSF) Commit(dag *tasks.DAG, plan *Plan) (*Plan, error) {
 	s.m.commits.Inc()
 	s.m.makespan.ObserveDuration(committed.Makespan)
 	s.m.energy.Add(committed.EnergyJ)
-	s.history = append(s.history, committed)
 	return committed, nil
 }
 
@@ -259,11 +266,4 @@ func (s *DSF) Run(dag *tasks.DAG, now time.Duration) (*Plan, error) {
 		return nil, err
 	}
 	return s.Commit(dag, plan)
-}
-
-// History returns committed plans in commit order.
-func (s *DSF) History() []*Plan {
-	out := make([]*Plan, len(s.history))
-	copy(out, s.history)
-	return out
 }

@@ -90,8 +90,8 @@ func TestCommitReservesDeviceTime(t *testing.T) {
 	if total != 3 {
 		t.Fatalf("executors saw %d submissions, want 3", total)
 	}
-	if len(s.History()) != 1 {
-		t.Fatalf("history = %d entries", len(s.History()))
+	if len(committed.Assignments) != 3 {
+		t.Fatalf("committed plan has %d assignments, want 3", len(committed.Assignments))
 	}
 	if committed.Makespan <= 0 {
 		t.Fatal("committed makespan not positive")

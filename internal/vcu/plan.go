@@ -42,33 +42,65 @@ func (p *Plan) Assignment(taskID string) (Assignment, bool) {
 }
 
 // planner tracks tentative device occupancy while a policy builds a plan,
-// leaving the real executors untouched until Commit.
+// leaving the real executors untouched until Commit. Its state is
+// index-addressed — tasks by their position in DAG.Tasks (the compiled
+// DAG's index space), devices by their position in the device list — and
+// the backing arrays are reused from plan to plan: a DSF owns one planner.
 type planner struct {
-	now      time.Duration
-	devices  []*Device
-	byName   map[string]*Device
-	slotFree map[string][]time.Duration
-	finished map[string]Assignment // taskID -> placed assignment
+	now     time.Duration
+	dag     *tasks.DAG
+	c       *tasks.Compiled
+	devices []*Device
+
+	// slotFree[slotOff[k]:slotOff[k+1]] are the tentative free times of
+	// devices[k]'s slots.
+	slotOff  []int
+	slotFree []time.Duration
+
+	// Per task: whether it is placed, on which device, finishing when.
+	placed []bool
+	devOf  []int
+	finish []time.Duration
+
+	cands []int     // candidates' result
+	ranks []float64 // HEFT upward ranks
+	order []int     // HEFT placement order
 }
 
-func newPlanner(devices []*Device, now time.Duration) *planner {
-	p := &planner{
-		now:      now,
-		devices:  devices,
-		byName:   make(map[string]*Device, len(devices)),
-		slotFree: make(map[string][]time.Duration, len(devices)),
-		finished: make(map[string]Assignment),
+// begin validates the plan input (DAG, then devices — the order callers see
+// errors in), resets the planner for it and returns the DAG's topological
+// order as task indices.
+func (p *planner) begin(dag *tasks.DAG, devices []*Device, now time.Duration) ([]int, error) {
+	if dag == nil {
+		return nil, fmt.Errorf("vcu: nil DAG")
 	}
+	c := dag.Compiled()
+	if err := c.Err(); err != nil {
+		return nil, err
+	}
+	if len(devices) == 0 {
+		return nil, fmt.Errorf("vcu: no devices to schedule onto")
+	}
+	p.now, p.dag, p.c, p.devices = now, dag, c, devices
+	p.slotOff, p.slotFree = p.slotOff[:0], p.slotFree[:0]
 	for _, d := range devices {
-		p.byName[d.Name()] = d
-		slots := d.Processor().Slots
-		free := make([]time.Duration, slots)
-		for i := range free {
-			free[i] = d.Executor().EarliestStart(now)
+		p.slotOff = append(p.slotOff, len(p.slotFree))
+		free := d.Executor().EarliestStart(now)
+		for s := d.Processor().Slots; s > 0; s-- {
+			p.slotFree = append(p.slotFree, free)
 		}
-		p.slotFree[d.Name()] = free
 	}
-	return p
+	p.slotOff = append(p.slotOff, len(p.slotFree))
+	n := len(dag.Tasks)
+	if cap(p.placed) < n {
+		p.placed, p.devOf, p.finish = make([]bool, n), make([]int, n), make([]time.Duration, n)
+	}
+	p.placed, p.devOf, p.finish = p.placed[:n], p.devOf[:n], p.finish[:n]
+	for i := range p.placed {
+		p.placed[i] = false
+	}
+	order, _ := c.Order() // a valid DAG has one
+	return order, nil
 }
 
 // capable reports whether dev can run t at all.
@@ -86,75 +118,66 @@ func capable(dev *Device, t *tasks.Task) bool {
 	return proc.MemoryMB >= t.MemoryMB
 }
 
-// candidates returns the devices that can run t.
-func (p *planner) candidates(t *tasks.Task) []*Device {
-	var out []*Device
-	for _, d := range p.devices {
-		if capable(d, t) {
-			out = append(out, d)
+// candidates returns the indices of the devices that can run task ti. The
+// slice is the planner's scratch, valid until the next call.
+func (p *planner) candidates(ti int) []int {
+	p.cands = p.cands[:0]
+	for k, d := range p.devices {
+		if capable(d, p.dag.Tasks[ti]) {
+			p.cands = append(p.cands, k)
 		}
 	}
-	return out
+	return p.cands
 }
 
-// tryPlace computes (without committing) when t would start and finish on
-// dev, given already-placed dependencies.
-func (p *planner) tryPlace(dag *tasks.DAG, t *tasks.Task, dev *Device) (start, finish, transferWait time.Duration, err error) {
+// tryPlace computes (without committing) when task ti would start and
+// finish on device dk, given already-placed dependencies, and which of the
+// device's slots it would take.
+func (p *planner) tryPlace(ti, dk int) (start, finish, transferWait time.Duration, slot int, err error) {
+	t, dev := p.dag.Tasks[ti], p.devices[dk]
 	exec, err := dev.Processor().ExecTime(t.Class, t.GFLOP)
 	if err != nil {
-		return 0, 0, 0, err
+		return 0, 0, 0, 0, err
 	}
 	ready := p.now
-	for _, depID := range t.Deps {
-		dep, ok := p.finished[depID]
-		if !ok {
-			return 0, 0, 0, fmt.Errorf("vcu: dependency %s of %s not yet placed", depID, t.ID)
+	for j, dep := range p.c.Deps(ti) {
+		if !p.placed[dep] {
+			return 0, 0, 0, 0, fmt.Errorf("vcu: dependency %s of %s not yet placed", t.Deps[j], t.ID)
 		}
-		depTask, _ := dag.Get(depID)
-		depDev := p.byName[dep.Device]
-		arrive := dep.Finish + TransferTime(depDev, dev, depTask.OutputBytes)
+		arrive := p.finish[dep] + TransferTime(p.devices[p.devOf[dep]], dev, p.dag.Tasks[dep].OutputBytes)
 		if arrive > ready {
 			ready = arrive
 		}
 	}
-	slot := earliestSlot(p.slotFree[dev.Name()])
-	start = p.slotFree[dev.Name()][slot]
-	if ready > start {
-		transferWait = 0
-		start = ready
-	}
-	if start < p.now {
-		start = p.now
-	}
+	free := p.slotFree[p.slotOff[dk]:p.slotOff[dk+1]]
+	slot = earliestSlot(free)
+	avail := maxDuration(free[slot], p.now)
+	start = maxDuration(avail, ready)
 	// TransferWait is the portion of waiting attributable to data arrival
 	// beyond device availability.
-	if avail := p.slotFree[dev.Name()][slot]; ready > avail {
-		transferWait = ready - maxDuration(avail, p.now)
-		if transferWait < 0 {
-			transferWait = 0
-		}
+	if ready > avail {
+		transferWait = ready - avail
 	}
-	return start, start + exec, transferWait, nil
+	return start, start + exec, transferWait, slot, nil
 }
 
-// place commits t to dev inside the tentative plan.
-func (p *planner) place(dag *tasks.DAG, t *tasks.Task, dev *Device) (Assignment, error) {
-	start, finish, wait, err := p.tryPlace(dag, t, dev)
+// place commits task ti to device dk inside the tentative plan.
+func (p *planner) place(ti, dk int) (Assignment, error) {
+	start, finish, wait, slot, err := p.tryPlace(ti, dk)
 	if err != nil {
 		return Assignment{}, err
 	}
-	slot := earliestSlot(p.slotFree[dev.Name()])
-	p.slotFree[dev.Name()][slot] = finish
-	a := Assignment{
-		TaskID:       t.ID,
+	dev := p.devices[dk]
+	p.slotFree[p.slotOff[dk]+slot] = finish
+	p.placed[ti], p.devOf[ti], p.finish[ti] = true, dk, finish
+	return Assignment{
+		TaskID:       p.dag.Tasks[ti].ID,
 		Device:       dev.Name(),
 		Start:        start,
 		Finish:       finish,
 		TransferWait: wait,
 		EnergyJ:      dev.Processor().EnergyJ(finish - start),
-	}
-	p.finished[t.ID] = a
-	return a, nil
+	}, nil
 }
 
 func earliestSlot(free []time.Duration) int {

@@ -2,7 +2,6 @@ package vcu
 
 import (
 	"fmt"
-	"sort"
 	"time"
 
 	"repro/internal/tasks"
@@ -17,6 +16,13 @@ type Policy interface {
 	Plan(dag *tasks.DAG, devices []*Device, now time.Duration) (*Plan, error)
 }
 
+// scratchPolicy is implemented by the built-in policies: plan is Plan
+// building on a caller-owned planner, so a DSF reuses one planner's arrays
+// across every plan it makes.
+type scratchPolicy interface {
+	plan(p *planner, dag *tasks.DAG, devices []*Device, now time.Duration) (*Plan, error)
+}
+
 // Policies returns every built-in policy, in ablation order.
 func Policies() []Policy {
 	return []Policy{RoundRobin{}, GreedyEFT{}, HEFT{}, PowerAware{Slack: 2}}
@@ -29,22 +35,22 @@ type RoundRobin struct{}
 func (RoundRobin) Name() string { return "round-robin" }
 
 // Plan implements Policy.
-func (RoundRobin) Plan(dag *tasks.DAG, devices []*Device, now time.Duration) (*Plan, error) {
-	order, err := validatePlanInput(dag, devices)
+func (rr RoundRobin) Plan(dag *tasks.DAG, devices []*Device, now time.Duration) (*Plan, error) {
+	return rr.plan(new(planner), dag, devices, now)
+}
+
+func (RoundRobin) plan(p *planner, dag *tasks.DAG, devices []*Device, now time.Duration) (*Plan, error) {
+	order, err := p.begin(dag, devices, now)
 	if err != nil {
 		return nil, err
 	}
-	p := newPlanner(devices, now)
-	next := 0
-	var assignments []Assignment
-	for _, t := range order {
-		cands := p.candidates(t)
+	assignments := make([]Assignment, 0, len(order))
+	for next, ti := range order {
+		cands := p.candidates(ti)
 		if len(cands) == 0 {
-			return nil, &UnplaceableError{DAG: dag.Name, Task: t.ID}
+			return nil, p.unplaceable(ti)
 		}
-		dev := cands[next%len(cands)]
-		next++
-		a, err := p.place(dag, t, dev)
+		a, err := p.place(ti, cands[next%len(cands)])
 		if err != nil {
 			return nil, err
 		}
@@ -61,23 +67,18 @@ type GreedyEFT struct{}
 func (GreedyEFT) Name() string { return "greedy-eft" }
 
 // Plan implements Policy.
-func (GreedyEFT) Plan(dag *tasks.DAG, devices []*Device, now time.Duration) (*Plan, error) {
-	order, err := validatePlanInput(dag, devices)
+func (g GreedyEFT) Plan(dag *tasks.DAG, devices []*Device, now time.Duration) (*Plan, error) {
+	return g.plan(new(planner), dag, devices, now)
+}
+
+func (GreedyEFT) plan(p *planner, dag *tasks.DAG, devices []*Device, now time.Duration) (*Plan, error) {
+	order, err := p.begin(dag, devices, now)
 	if err != nil {
 		return nil, err
 	}
-	p := newPlanner(devices, now)
-	var assignments []Assignment
-	for _, t := range order {
-		dev, err := bestEFT(p, dag, t)
-		if err != nil {
-			return nil, err
-		}
-		a, err := p.place(dag, t, dev)
-		if err != nil {
-			return nil, err
-		}
-		assignments = append(assignments, a)
+	assignments, err := p.placeEFT(order)
+	if err != nil {
+		return nil, err
 	}
 	return finishPlan(dag.Name, GreedyEFT{}.Name(), now, assignments), nil
 }
@@ -91,39 +92,33 @@ type HEFT struct{}
 func (HEFT) Name() string { return "heft" }
 
 // Plan implements Policy.
-func (HEFT) Plan(dag *tasks.DAG, devices []*Device, now time.Duration) (*Plan, error) {
-	if _, err := validatePlanInput(dag, devices); err != nil {
-		return nil, err
-	}
-	ranks, err := upwardRanks(dag, devices)
+func (h HEFT) Plan(dag *tasks.DAG, devices []*Device, now time.Duration) (*Plan, error) {
+	return h.plan(new(planner), dag, devices, now)
+}
+
+func (HEFT) plan(p *planner, dag *tasks.DAG, devices []*Device, now time.Duration) (*Plan, error) {
+	topo, err := p.begin(dag, devices, now)
 	if err != nil {
 		return nil, err
 	}
-	// Order by decreasing rank; ties by declaration order for determinism.
-	pos := make(map[string]int, len(dag.Tasks))
-	for i, t := range dag.Tasks {
-		pos[t.ID] = i
+	if err := p.upwardRanks(topo); err != nil {
+		return nil, err
 	}
-	order := append([]*tasks.Task(nil), dag.Tasks...)
-	sort.SliceStable(order, func(i, j int) bool {
-		ri, rj := ranks[order[i].ID], ranks[order[j].ID]
-		if ri != rj {
-			return ri > rj
+	// Order by decreasing rank; ties by declaration order for determinism.
+	// A stable insertion sort of the declaration order: DAGs are small and
+	// it needs no closure.
+	p.order = p.order[:0]
+	for ti := range dag.Tasks {
+		at := len(p.order)
+		p.order = append(p.order, ti)
+		for ; at > 0 && p.ranks[p.order[at-1]] < p.ranks[ti]; at-- {
+			p.order[at] = p.order[at-1]
 		}
-		return pos[order[i].ID] < pos[order[j].ID]
-	})
-	p := newPlanner(devices, now)
-	var assignments []Assignment
-	for _, t := range order {
-		dev, err := bestEFT(p, dag, t)
-		if err != nil {
-			return nil, err
-		}
-		a, err := p.place(dag, t, dev)
-		if err != nil {
-			return nil, err
-		}
-		assignments = append(assignments, a)
+		p.order[at] = ti
+	}
+	assignments, err := p.placeEFT(p.order)
+	if err != nil {
+		return nil, err
 	}
 	return finishPlan(dag.Name, HEFT{}.Name(), now, assignments), nil
 }
@@ -141,6 +136,10 @@ func (PowerAware) Name() string { return "power-aware" }
 
 // Plan implements Policy.
 func (pa PowerAware) Plan(dag *tasks.DAG, devices []*Device, now time.Duration) (*Plan, error) {
+	return pa.plan(new(planner), dag, devices, now)
+}
+
+func (pa PowerAware) plan(p *planner, dag *tasks.DAG, devices []*Device, now time.Duration) (*Plan, error) {
 	slack := pa.Slack
 	if slack == 0 {
 		slack = 2
@@ -148,21 +147,20 @@ func (pa PowerAware) Plan(dag *tasks.DAG, devices []*Device, now time.Duration) 
 	if slack < 1 {
 		return nil, fmt.Errorf("vcu: power-aware slack %v must be >= 1", slack)
 	}
-	order, err := validatePlanInput(dag, devices)
+	order, err := p.begin(dag, devices, now)
 	if err != nil {
 		return nil, err
 	}
-	p := newPlanner(devices, now)
-	var assignments []Assignment
-	for _, t := range order {
-		cands := p.candidates(t)
+	assignments := make([]Assignment, 0, len(order))
+	for _, ti := range order {
+		cands := p.candidates(ti)
 		if len(cands) == 0 {
-			return nil, &UnplaceableError{DAG: dag.Name, Task: t.ID}
+			return nil, p.unplaceable(ti)
 		}
 		// First find the best achievable finish.
 		var bestFinish time.Duration = -1
-		for _, dev := range cands {
-			_, finish, _, err := p.tryPlace(dag, t, dev)
+		for _, dk := range cands {
+			_, finish, _, _, err := p.tryPlace(ti, dk)
 			if err != nil {
 				continue
 			}
@@ -171,31 +169,31 @@ func (pa PowerAware) Plan(dag *tasks.DAG, devices []*Device, now time.Duration) 
 			}
 		}
 		if bestFinish < 0 {
-			return nil, &UnplaceableError{DAG: dag.Name, Task: t.ID}
+			return nil, p.unplaceable(ti)
 		}
 		deadline := now + time.Duration(float64(bestFinish-now)*slack)
 		// Then pick minimum energy among devices meeting the deadline.
-		var chosen *Device
+		chosen := -1
 		var chosenEnergy float64
 		var chosenFinish time.Duration
-		for _, dev := range cands {
-			start, finish, _, err := p.tryPlace(dag, t, dev)
+		for _, dk := range cands {
+			start, finish, _, _, err := p.tryPlace(ti, dk)
 			if err != nil {
 				continue
 			}
 			if finish > deadline {
 				continue
 			}
-			energy := dev.Processor().EnergyJ(finish - start)
-			if chosen == nil || energy < chosenEnergy ||
+			energy := devices[dk].Processor().EnergyJ(finish - start)
+			if chosen < 0 || energy < chosenEnergy ||
 				(energy == chosenEnergy && finish < chosenFinish) {
-				chosen, chosenEnergy, chosenFinish = dev, energy, finish
+				chosen, chosenEnergy, chosenFinish = dk, energy, finish
 			}
 		}
-		if chosen == nil {
-			return nil, &UnplaceableError{DAG: dag.Name, Task: t.ID}
+		if chosen < 0 {
+			return nil, p.unplaceable(ti)
 		}
-		a, err := p.place(dag, t, chosen)
+		a, err := p.place(ti, chosen)
 		if err != nil {
 			return nil, err
 		}
@@ -215,45 +213,60 @@ func (e *UnplaceableError) Error() string {
 	return fmt.Sprintf("vcu: no capable device for task %s of DAG %s", e.Task, e.DAG)
 }
 
-func validatePlanInput(dag *tasks.DAG, devices []*Device) ([]*tasks.Task, error) {
-	if dag == nil {
-		return nil, fmt.Errorf("vcu: nil DAG")
-	}
-	if err := dag.Validate(); err != nil {
-		return nil, err
-	}
-	if len(devices) == 0 {
-		return nil, fmt.Errorf("vcu: no devices to schedule onto")
-	}
-	return dag.TopoOrder()
+func (p *planner) unplaceable(ti int) *UnplaceableError {
+	return &UnplaceableError{DAG: p.dag.Name, Task: p.dag.Tasks[ti].ID}
 }
 
-// bestEFT returns the capable device with the earliest finish for t.
-func bestEFT(p *planner, dag *tasks.DAG, t *tasks.Task) (*Device, error) {
-	cands := p.candidates(t)
-	if len(cands) == 0 {
-		return nil, &UnplaceableError{DAG: dag.Name, Task: t.ID}
+// placeEFT places the tasks in the given order, each on its earliest-finish
+// device.
+func (p *planner) placeEFT(order []int) ([]Assignment, error) {
+	assignments := make([]Assignment, 0, len(order))
+	for _, ti := range order {
+		dk, err := p.bestEFT(ti)
+		if err != nil {
+			return nil, err
+		}
+		a, err := p.place(ti, dk)
+		if err != nil {
+			return nil, err
+		}
+		assignments = append(assignments, a)
 	}
-	var best *Device
+	return assignments, nil
+}
+
+// bestEFT returns the capable device with the earliest finish for task ti.
+func (p *planner) bestEFT(ti int) (int, error) {
+	best := -1
 	var bestFinish time.Duration
-	for _, dev := range cands {
-		_, finish, _, err := p.tryPlace(dag, t, dev)
+	for _, dk := range p.candidates(ti) {
+		_, finish, _, _, err := p.tryPlace(ti, dk)
 		if err != nil {
 			continue
 		}
-		if best == nil || finish < bestFinish {
-			best, bestFinish = dev, finish
+		if best < 0 || finish < bestFinish {
+			best, bestFinish = dk, finish
 		}
 	}
-	if best == nil {
-		return nil, &UnplaceableError{DAG: dag.Name, Task: t.ID}
+	if best < 0 {
+		return 0, p.unplaceable(ti)
 	}
 	return best, nil
 }
 
-// upwardRanks computes HEFT ranks with mean execution and transfer costs.
-func upwardRanks(dag *tasks.DAG, devices []*Device) (map[string]float64, error) {
-	meanExec := func(t *tasks.Task) (float64, error) {
+// upwardRanks fills p.ranks with the HEFT ranks of every task, using mean
+// execution and transfer costs over the planner's devices.
+func (p *planner) upwardRanks(topo []int) error {
+	devices := p.devices
+	if cap(p.ranks) < len(topo) {
+		p.ranks = make([]float64, len(topo))
+	}
+	p.ranks = p.ranks[:len(topo)]
+	// Walk in reverse topological order so successors are ranked first.
+	for k := len(topo) - 1; k >= 0; k-- {
+		ti := topo[k]
+		t := p.dag.Tasks[ti]
+		// Mean execution time over the capable devices.
 		var sum float64
 		n := 0
 		for _, d := range devices {
@@ -268,48 +281,40 @@ func upwardRanks(dag *tasks.DAG, devices []*Device) (map[string]float64, error) 
 			n++
 		}
 		if n == 0 {
-			return 0, &UnplaceableError{DAG: dag.Name, Task: t.ID}
+			return p.unplaceable(ti)
 		}
-		return sum / float64(n), nil
-	}
-	meanTransfer := func(t *tasks.Task) float64 {
-		if len(devices) < 2 {
-			return 0
-		}
-		// Mean pairwise transfer of t's output across distinct devices.
-		var sum float64
-		n := 0
-		for i, a := range devices {
-			for j, b := range devices {
-				if i == j {
-					continue
+		rank := sum / float64(n)
+		if succs := p.c.Succs(ti); len(succs) > 0 {
+			transfer := meanTransfer(devices, t.OutputBytes)
+			var maxSucc float64
+			for _, s := range succs {
+				if v := transfer + p.ranks[s]; v > maxSucc {
+					maxSucc = v
 				}
-				sum += TransferTime(a, b, t.OutputBytes).Seconds()
-				n++
 			}
+			rank += maxSucc
 		}
-		return sum / float64(n)
+		p.ranks[ti] = rank
 	}
+	return nil
+}
 
-	order, err := dag.TopoOrder()
-	if err != nil {
-		return nil, err
+// meanTransfer is the mean pairwise transfer time of sizeBytes across
+// distinct devices.
+func meanTransfer(devices []*Device, sizeBytes float64) float64 {
+	if len(devices) < 2 {
+		return 0
 	}
-	ranks := make(map[string]float64, len(order))
-	// Walk in reverse topological order so successors are ranked first.
-	for i := len(order) - 1; i >= 0; i-- {
-		t := order[i]
-		w, err := meanExec(t)
-		if err != nil {
-			return nil, err
-		}
-		var maxSucc float64
-		for _, succID := range dag.Successors(t.ID) {
-			if v := meanTransfer(t) + ranks[succID]; v > maxSucc {
-				maxSucc = v
+	var sum float64
+	n := 0
+	for i, a := range devices {
+		for j, b := range devices {
+			if i == j {
+				continue
 			}
+			sum += TransferTime(a, b, sizeBytes).Seconds()
+			n++
 		}
-		ranks[t.ID] = w + maxSucc
 	}
-	return ranks, nil
+	return sum / float64(n)
 }
