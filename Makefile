@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test vet race verify determinism bench bench-check bench-serve bench-chaos microbench clean
+.PHONY: build test vet race verify determinism bench bench-check bench-pair bench-serve bench-chaos microbench clean
 
 build:
 	$(GO) build ./...
@@ -74,6 +74,16 @@ bench:
 bench-check:
 	$(GO) run ./benchmark -repeat 10 -seed 101 -out .bench_build/now.json
 	$(GO) run ./benchmark -check benchmark/baseline/set-a.json .bench_build/now.json
+
+# bench-pair measures a change the way a claimed gain must be measured:
+# `make bench-pair W=serve_snapshot PARENT=HEAD~1 [N=10]` extracts PARENT
+# into a throw-away directory, runs benchmark/run.sh for workload W at full
+# length on parent and working tree in N alternating pairs, and prints every
+# run, each side's median and quartiles per metric, and the pair win count.
+# Same-host only, like bench-check, and not wired into CI. About
+# N x 2 x 15 s plus two builds.
+bench-pair:
+	$(GO) run ./cmd/benchpair -workload "$(W)" -parent "$(PARENT)" -pairs $(or $(N),10)
 
 # bench-serve runs the E18 serving-tier load test at full scale — 1000
 # concurrent clients against a live advancing platform — and refreshes

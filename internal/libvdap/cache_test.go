@@ -218,7 +218,7 @@ func TestCacheBusySheds(t *testing.T) {
 		t.Fatalf("stats = %+v", st)
 	}
 	// The published entry serves hits normally after the shed.
-	if body, hit, err := c.get(time.Second, nil); err != nil || !hit || string(body) != "{}\n" {
-		t.Fatalf("post-shed get = %q, %v, %v", body, hit, err)
+	if e, hit, err := c.get(time.Second, nil); err != nil || !hit || string(e.body) != "{}\n" {
+		t.Fatalf("post-shed get = %+v, %v, %v", e, hit, err)
 	}
 }

@@ -210,8 +210,10 @@ func TestJSONContentTypeCharset(t *testing.T) {
 	}
 }
 
-// TestGzipResponses round-trips the bulk endpoints through gzip when the
-// client advertises support, and pins identity encoding otherwise.
+// TestGzipResponses round-trips the negotiating endpoints — the four cached
+// snapshot routes and /trace — through gzip when the client advertises
+// support, and pins identity encoding otherwise. Both forms carry an
+// explicit Content-Length: nothing negotiated is chunked.
 func TestGzipResponses(t *testing.T) {
 	ts, _, store, _, _ := newObsServer(t)
 	reg := telemetry.NewRegistry()
@@ -222,7 +224,7 @@ func TestGzipResponses(t *testing.T) {
 	srv.AttachTracer(tr)
 	store.RecordGauge("g", time.Millisecond, 1)
 
-	for _, path := range []string{"/v1/metrics", "/v1/trace", "/v1/metrics/series"} {
+	for _, path := range []string{"/v1/status", "/v1/metrics", "/v1/trace", "/v1/metrics/series", "/v1/events"} {
 		req, _ := http.NewRequest(http.MethodGet, ts.URL+path, nil)
 		req.Header.Set("Accept-Encoding", "gzip")
 		resp, err := http.DefaultTransport.RoundTrip(req)
@@ -235,6 +237,9 @@ func TestGzipResponses(t *testing.T) {
 		if got := resp.Header.Get("Vary"); got != "Accept-Encoding" {
 			t.Fatalf("%s gzip response Vary = %q", path, got)
 		}
+		if resp.ContentLength <= 0 {
+			t.Fatalf("%s gzip response Content-Length = %d", path, resp.ContentLength)
+		}
 		gz, err := gzip.NewReader(resp.Body)
 		if err != nil {
 			t.Fatalf("%s gzip reader: %v", path, err)
@@ -246,8 +251,11 @@ func TestGzipResponses(t *testing.T) {
 		gz.Close()
 		resp.Body.Close()
 
-		// Without Accept-Encoding the body must be identity-coded JSON.
+		// A client that does not accept gzip must get identity-coded JSON
+		// (an explicit header: the transport would otherwise add gzip itself
+		// and decode the reply behind the test's back).
 		plainReq, _ := http.NewRequest(http.MethodGet, ts.URL+path, nil)
+		plainReq.Header.Set("Accept-Encoding", "identity")
 		plain, err := http.DefaultTransport.RoundTrip(plainReq)
 		if err != nil {
 			t.Fatal(err)
@@ -259,6 +267,9 @@ func TestGzipResponses(t *testing.T) {
 		// header too, or a cache would replay it to gzip-accepting clients.
 		if got := plain.Header.Get("Vary"); got != "Accept-Encoding" {
 			t.Fatalf("%s identity response Vary = %q", path, got)
+		}
+		if plain.ContentLength <= 0 {
+			t.Fatalf("%s identity response Content-Length = %d", path, plain.ContentLength)
 		}
 		if err := json.NewDecoder(plain.Body).Decode(&decoded); err != nil {
 			t.Fatalf("%s plain decode: %v", path, err)

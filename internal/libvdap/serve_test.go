@@ -2,10 +2,8 @@ package libvdap
 
 import (
 	"bufio"
-	"compress/gzip"
 	"errors"
 	"fmt"
-	"io"
 	"net"
 	"net/http"
 	"net/http/httptest"
@@ -16,84 +14,6 @@ import (
 	"repro/internal/obs"
 	"repro/internal/telemetry"
 )
-
-// TestGzipWriterForwardsFlush pins the streaming contract of the gzip
-// wrapper: the wrapped writer must satisfy http.Flusher, push compressed
-// bytes through on Flush, and drop any stale Content-Length.
-func TestGzipWriterForwardsFlush(t *testing.T) {
-	rec := httptest.NewRecorder()
-	h := gzipped(func(w http.ResponseWriter, r *http.Request) {
-		f, ok := w.(http.Flusher)
-		if !ok {
-			t.Fatal("gzipped writer does not forward http.Flusher")
-		}
-		w.Header().Set("Content-Length", "5") // stale: compressed length differs
-		fmt.Fprint(w, "first")
-		f.Flush()
-		fmt.Fprint(w, " second")
-	})
-	req := httptest.NewRequest("GET", "/v1/metrics", nil)
-	req.Header.Set("Accept-Encoding", "gzip")
-	h(rec, req)
-
-	if !rec.Flushed {
-		t.Fatal("Flush did not reach the underlying writer")
-	}
-	if cl := rec.Header().Get("Content-Length"); cl != "" {
-		t.Fatalf("stale Content-Length %q survived", cl)
-	}
-	gz, err := gzip.NewReader(rec.Body)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var out strings.Builder
-	if _, err := io.Copy(&out, gz); err != nil {
-		t.Fatal(err)
-	}
-	if out.String() != "first second" {
-		t.Fatalf("body = %q", out.String())
-	}
-}
-
-// TestGzipFlushMidStream reads a gzipped streaming response over a real
-// connection frame by frame: the first flushed chunk must arrive before
-// the handler finishes.
-func TestGzipFlushMidStream(t *testing.T) {
-	release := make(chan struct{})
-	ts := httptest.NewServer(gzipped(func(w http.ResponseWriter, r *http.Request) {
-		fmt.Fprintln(w, `{"frame":1}`)
-		w.(http.Flusher).Flush()
-		<-release
-		fmt.Fprintln(w, `{"frame":2}`)
-	}))
-	defer ts.Close()
-	defer close(release)
-
-	req, _ := http.NewRequest("GET", ts.URL, nil)
-	req.Header.Set("Accept-Encoding", "gzip")
-	resp, err := http.DefaultTransport.RoundTrip(req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	gz, err := gzip.NewReader(resp.Body)
-	if err != nil {
-		t.Fatal(err)
-	}
-	line := make(chan string, 1)
-	go func() {
-		l, _ := bufio.NewReader(gz).ReadString('\n')
-		line <- l
-	}()
-	select {
-	case l := <-line:
-		if !strings.Contains(l, `"frame":1`) {
-			t.Fatalf("first flushed line = %q", l)
-		}
-	case <-time.After(5 * time.Second):
-		t.Fatal("flushed gzip frame never arrived while the handler was still running")
-	}
-}
 
 // failingWriter fails every write after the first n bytes, standing in for
 // a client that hung up mid-body.

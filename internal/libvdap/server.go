@@ -1,7 +1,6 @@
 package libvdap
 
 import (
-	"compress/gzip"
 	"encoding/json"
 	"fmt"
 	"net/http"
@@ -57,11 +56,16 @@ const DefaultStreamWriteDeadline = 10 * time.Second
 //     stream) never take the run lock. They read only internally
 //     synchronized stores (telemetry.Registry, obs.SeriesStore,
 //     obs.Recorder, trace.Tracer) plus the atomic virtual clock, and the
-//     snapshot-shaped ones are served from a response cache keyed on the
-//     virtual-time watermark: the payload is marshaled once per watermark
-//     advance, concurrent misses single-flight behind one builder, and
-//     every reader gets an immutable byte slice (old or new, never torn).
-//     Requests carrying query parameters bypass the cache.
+//     four snapshot-shaped ones are served from a response cache keyed on
+//     the virtual-time watermark. The cache entry, not the request, owns
+//     the encoding: the payload is marshaled once per watermark advance
+//     (concurrent misses single-flight behind one builder) and gzipped at
+//     most once per watermark, by the first reader whose Accept-Encoding
+//     admits gzip. Every reader gets one of the entry's two immutable byte
+//     slices (old watermark or new, never torn) written as-is with
+//     Content-Length; a hit runs no marshal and no compressor. Requests
+//     carrying query parameters bypass the cache and are encoded per
+//     request with a pooled compressor, as is /trace.
 type Server struct {
 	registry *Registry
 	mhep     *vcu.MHEP
@@ -95,6 +99,7 @@ type Server struct {
 	// AttachTelemetry).
 	cacheHits   *telemetry.Counter
 	cacheMisses *telemetry.Counter
+	gzipBuilds  *telemetry.Counter
 	rejected    *telemetry.Counter
 	writeErrs   *telemetry.Counter
 	panicsCtr   *telemetry.Counter
@@ -139,6 +144,7 @@ func (s *Server) AttachTelemetry(reg *telemetry.Registry) {
 	if reg != nil {
 		s.cacheHits = reg.CounterHandle("libvdap.cache.hits")
 		s.cacheMisses = reg.CounterHandle("libvdap.cache.misses")
+		s.gzipBuilds = reg.CounterHandle("libvdap.cache.gzip_builds")
 		s.rejected = reg.CounterHandle("libvdap.rejected")
 		s.writeErrs = reg.CounterHandle("libvdap.write_errors")
 		s.panicsCtr = reg.CounterHandle("libvdap.panics")
@@ -273,9 +279,9 @@ func (s *Server) routes() {
 	s.mux.HandleFunc("GET /api/v1/sharing/fetch", s.locked(s.handleFetch))
 	s.mux.HandleFunc("GET /api/v1/services", s.lockedRead(s.handleListServices))
 	s.mux.HandleFunc("POST /api/v1/services/{name}/invoke", s.locked(s.handleInvokeService))
-	s.mux.HandleFunc("GET /api/v1/metrics", gzipped(s.handleMetrics))
-	s.mux.HandleFunc("GET /api/v1/trace", gzipped(s.handleTrace))
-	s.mux.HandleFunc("GET /api/v1/metrics/series", gzipped(s.handleSeries))
+	s.mux.HandleFunc("GET /api/v1/metrics", s.handleMetrics)
+	s.mux.HandleFunc("GET /api/v1/trace", s.handleTrace)
+	s.mux.HandleFunc("GET /api/v1/metrics/series", s.handleSeries)
 	s.mux.HandleFunc("GET /api/v1/events", s.handleEvents)
 	s.mux.HandleFunc("GET /api/v1/stream", s.handleStream)
 }
@@ -332,60 +338,57 @@ func (s *Server) lockedRead(h http.HandlerFunc) http.HandlerFunc {
 	}
 }
 
-// gzipWriter forwards writes through a gzip stream while keeping the
-// underlying ResponseWriter's headers. It forwards Flush so streaming
-// handlers keep streaming when gzipped, and strips any stale
-// Content-Length before the first write (the compressed length differs).
-type gzipWriter struct {
-	http.ResponseWriter
-	gz          *gzip.Writer
-	wroteHeader bool
+// acceptsGzip reports whether the Accept-Encoding header lines admit a gzip
+// reply: a "gzip" token decides (refused by q=0), else "*" does, else
+// identity. Tokens match whole and case-insensitively, never by substring.
+func acceptsGzip(lines []string) bool {
+	star := false
+	for _, line := range lines {
+		for more := true; more; {
+			var token string
+			token, line, more = strings.Cut(line, ",")
+			coding, params, _ := strings.Cut(token, ";")
+			coding = strings.TrimSpace(coding)
+			isGzip := strings.EqualFold(coding, "gzip")
+			if !isGzip && coding != "*" {
+				continue
+			}
+			ok := true
+			if q, found := strings.CutPrefix(strings.ToLower(strings.TrimSpace(params)), "q="); found {
+				v, err := strconv.ParseFloat(q, 64)
+				ok = err == nil && v > 0
+			}
+			if isGzip {
+				return ok
+			}
+			star = ok
+		}
+	}
+	return star
 }
 
-func (g *gzipWriter) WriteHeader(code int) {
-	if g.wroteHeader {
+// writeEncoded writes a 200 of a negotiating route: body is already in the
+// given content coding ("" for identity). Identity replies vary on the
+// request header too, or an intermediary would replay them to gzip clients.
+func (s *Server) writeEncoded(w http.ResponseWriter, contentType, coding string, body []byte) {
+	w.Header().Set("Vary", "Accept-Encoding")
+	if coding != "" {
+		w.Header().Set("Content-Encoding", coding)
+	}
+	s.writeBody(w, http.StatusOK, contentType, body)
+}
+
+// writeNegotiated writes the 200 of an uncached negotiating route,
+// compressing per request with a pooled compressor when the client accepts
+// gzip. Negotiating here, at write time, keeps every error reply identity.
+func (s *Server) writeNegotiated(w http.ResponseWriter, r *http.Request, contentType string, body []byte) {
+	if !acceptsGzip(r.Header["Accept-Encoding"]) {
+		s.writeEncoded(w, contentType, "", body)
 		return
 	}
-	g.wroteHeader = true
-	g.Header().Del("Content-Length")
-	g.ResponseWriter.WriteHeader(code)
-}
-
-func (g *gzipWriter) Write(b []byte) (int, error) {
-	if !g.wroteHeader {
-		g.WriteHeader(http.StatusOK)
-	}
-	return g.gz.Write(b)
-}
-
-// Flush implements http.Flusher: it pushes buffered compressed bytes to
-// the client so gzipped streaming responses make progress frame by frame.
-func (g *gzipWriter) Flush() {
-	g.gz.Flush()
-	if f, ok := g.ResponseWriter.(http.Flusher); ok {
-		f.Flush()
-	}
-}
-
-var _ http.Flusher = (*gzipWriter)(nil)
-
-// gzipped wraps a handler with Accept-Encoding-negotiated gzip response
-// compression — the bulk endpoints (metrics, trace, series) serve the
-// largest bodies of the API.
-func gzipped(h http.HandlerFunc) http.HandlerFunc {
-	return func(w http.ResponseWriter, r *http.Request) {
-		// Both branches vary on the request header: an intermediary must
-		// not replay the identity body to a gzip-accepting client either.
-		w.Header().Add("Vary", "Accept-Encoding")
-		if !strings.Contains(r.Header.Get("Accept-Encoding"), "gzip") {
-			h(w, r)
-			return
-		}
-		w.Header().Set("Content-Encoding", "gzip")
-		gz := gzip.NewWriter(w)
-		defer gz.Close()
-		h(&gzipWriter{ResponseWriter: w, gz: gz}, r)
-	}
+	enc := gzipPool.Get().(*gzipEncoder)
+	defer gzipPool.Put(enc)
+	s.writeEncoded(w, contentType, "gzip", enc.encode(body))
 }
 
 // jsonBody marshals v exactly as json.Encoder.Encode would (compact JSON
@@ -400,7 +403,8 @@ func jsonBody(v any) ([]byte, error) {
 }
 
 // cached serves one watermark-keyed cacheable endpoint: requests without
-// query parameters hit the response cache; the rest marshal per request.
+// query parameters are answered with the stored bytes of the cache entry's
+// identity or gzip representation; the rest marshal and encode per request.
 func (s *Server) cached(w http.ResponseWriter, r *http.Request, c *wmCache, build func() (any, error)) {
 	if r.URL.RawQuery != "" {
 		v, err := build()
@@ -408,10 +412,12 @@ func (s *Server) cached(w http.ResponseWriter, r *http.Request, c *wmCache, buil
 			s.writeErrRes(w, http.StatusInternalServerError, err)
 			return
 		}
-		s.writeJSON(w, http.StatusOK, v)
+		if body, ok := s.marshal(w, v); ok {
+			s.writeNegotiated(w, r, jsonContentType, body)
+		}
 		return
 	}
-	body, hit, err := c.get(s.clock(), func() ([]byte, error) {
+	e, hit, err := c.get(s.clock(), func() ([]byte, error) {
 		v, err := build()
 		if err != nil {
 			return nil, err
@@ -431,7 +437,15 @@ func (s *Server) cached(w http.ResponseWriter, r *http.Request, c *wmCache, buil
 	} else {
 		s.cacheMisses.Inc()
 	}
-	s.writeBody(w, http.StatusOK, "application/json; charset=utf-8", body)
+	body, coding := e.body, ""
+	if acceptsGzip(r.Header["Accept-Encoding"]) {
+		var built bool
+		if body, built = c.gzipped(e); built {
+			s.gzipBuilds.Inc()
+		}
+		coding = "gzip"
+	}
+	s.writeEncoded(w, jsonContentType, coding, body)
 }
 
 // handleMetrics serves the telemetry snapshot. The default is the JSON
@@ -442,7 +456,7 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	if r.URL.Query().Get("format") == "text" {
-		s.writeBody(w, http.StatusOK, "text/plain; charset=utf-8", []byte(s.metrics.Render()))
+		s.writeNegotiated(w, r, "text/plain; charset=utf-8", []byte(s.metrics.Render()))
 		return
 	}
 	s.cached(w, r, s.metricsCache, func() (any, error) { return s.metrics.Snapshot(), nil })
@@ -457,7 +471,7 @@ func (s *Server) handleTrace(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	if r.URL.Query().Get("format") == "tree" {
-		s.writeBody(w, http.StatusOK, "text/plain; charset=utf-8", []byte(s.tracer.RenderTree()))
+		s.writeNegotiated(w, r, "text/plain; charset=utf-8", []byte(s.tracer.RenderTree()))
 		return
 	}
 	out, err := s.tracer.ChromeTrace()
@@ -465,7 +479,7 @@ func (s *Server) handleTrace(w http.ResponseWriter, r *http.Request) {
 		s.writeErrRes(w, http.StatusInternalServerError, err)
 		return
 	}
-	s.writeBody(w, http.StatusOK, "application/json; charset=utf-8", out)
+	s.writeNegotiated(w, r, jsonContentType, out)
 }
 
 // parseSince reads an optional virtual-time watermark in seconds; an empty
@@ -508,7 +522,7 @@ func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	if r.URL.Query().Get("format") == "table" {
-		s.writeBody(w, http.StatusOK, "text/plain; charset=utf-8", []byte(s.events.RenderTable()))
+		s.writeNegotiated(w, r, "text/plain; charset=utf-8", []byte(s.events.RenderTable()))
 		return
 	}
 	since, err := parseSince(r.URL.Query().Get("since"))
@@ -721,11 +735,15 @@ func (s *Server) handleInvokeService(w http.ResponseWriter, r *http.Request) {
 	})
 }
 
-// writeBody writes a fully-materialized response, counting write failures
-// (client hangups mid-body) in libvdap.write_errors so the serve sweep can
-// report them instead of hiding them.
+const jsonContentType = "application/json; charset=utf-8"
+
+// writeBody writes a fully-materialized response with an explicit
+// Content-Length (no chunked framing), counting write failures (client
+// hangups mid-body) in libvdap.write_errors so the serve sweep can report
+// them instead of hiding them.
 func (s *Server) writeBody(w http.ResponseWriter, status int, contentType string, body []byte) {
 	w.Header().Set("Content-Type", contentType)
+	w.Header().Set("Content-Length", strconv.Itoa(len(body)))
 	w.WriteHeader(status)
 	if _, err := w.Write(body); err != nil {
 		s.writeErrors.Add(1)
@@ -733,17 +751,23 @@ func (s *Server) writeBody(w http.ResponseWriter, status int, contentType string
 	}
 }
 
-// writeJSON marshals v up front — a marshal failure is reported as a clean
-// 500 instead of a torn body — and counts mid-body write failures.
-func (s *Server) writeJSON(w http.ResponseWriter, status int, v any) {
+// marshal encodes v up front — a marshal failure is reported as a clean 500
+// instead of a torn body, and counted with the write failures.
+func (s *Server) marshal(w http.ResponseWriter, v any) ([]byte, bool) {
 	body, err := jsonBody(v)
 	if err != nil {
 		s.writeErrors.Add(1)
 		s.writeErrs.Inc()
 		http.Error(w, `{"error":"encode response"}`, http.StatusInternalServerError)
-		return
+		return nil, false
 	}
-	s.writeBody(w, status, "application/json; charset=utf-8", body)
+	return body, true
+}
+
+func (s *Server) writeJSON(w http.ResponseWriter, status int, v any) {
+	if body, ok := s.marshal(w, v); ok {
+		s.writeBody(w, status, jsonContentType, body)
+	}
 }
 
 type apiError struct {
