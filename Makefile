@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test vet race verify determinism bench bench-check bench-pair bench-serve bench-chaos microbench clean
+.PHONY: build test vet race verify determinism bench bench-check bench-pair microbench clean
 
 build:
 	$(GO) build ./...
@@ -24,11 +24,13 @@ verify:
 
 # determinism runs the E14 chaos sweep twice with the same seed at
 # different worker-pool sizes, the E16 scaling sweep at two shard
-# counts, and the E17 observability run across both axes, requiring
-# byte-identical reports every time: neither the sharded replication
-# runner nor the epoch-barrier fleet executor may leak scheduling order
-# into results, telemetry, fault plans, sampled series, or
-# flight-recorder logs.
+# counts, the E17 observability run across both axes, and the E19
+# network-chaos plan and E20 DDI query digest at two worker counts,
+# requiring byte-identical reports every time: neither the sharded
+# replication runner nor the epoch-barrier fleet executor may leak
+# scheduling order into results, telemetry, fault plans, sampled series,
+# or flight-recorder logs. It is also CI's end-to-end run of those five
+# experiments.
 determinism:
 	$(GO) build -o /tmp/vdapbench ./cmd/vdapbench
 	/tmp/vdapbench -exp chaos -seed 7 -reps 4 -parallel 1 > /tmp/chaos-p1.txt
@@ -48,8 +50,8 @@ determinism:
 	diff -u /tmp/obs-p1.txt /tmp/obs-s4.txt
 	diff -u /tmp/obs-p1.json /tmp/obs-s4.json
 	@echo "determinism: obs series + events byte-identical across -shards levels"
-	/tmp/vdapbench -exp chaosserve -clients 0 -seed 7 -parallel 1 > /tmp/netchaos-p1.txt
-	/tmp/vdapbench -exp chaosserve -clients 0 -seed 7 -parallel 4 > /tmp/netchaos-p4.txt
+	/tmp/vdapbench -exp netchaos -seed 7 -parallel 1 > /tmp/netchaos-p1.txt
+	/tmp/vdapbench -exp netchaos -seed 7 -parallel 4 > /tmp/netchaos-p4.txt
 	diff -u /tmp/netchaos-p1.txt /tmp/netchaos-p4.txt
 	@echo "determinism: E19 chaos plan byte-identical across -parallel levels"
 	/tmp/vdapbench -exp ddi -seed 7 -records 200000 -parallel 1 2>/dev/null > /tmp/ddi-p1.txt
@@ -84,22 +86,6 @@ bench-check:
 # N x 2 x 15 s plus two builds.
 bench-pair:
 	$(GO) run ./cmd/benchpair -workload "$(W)" -parent "$(PARENT)" -pairs $(or $(N),10)
-
-# bench-serve runs the E18 serving-tier load test at full scale — 1000
-# concurrent clients against a live advancing platform — and refreshes
-# BENCH_SERVE.json (schema openvdap.bench_serve/v1): per-endpoint
-# p50/p99/p999 latency, error rates, and response-cache hit ratios.
-bench-serve:
-	$(GO) build -o /tmp/vdapbench ./cmd/vdapbench
-	/tmp/vdapbench -exp serve -clients 1000 -servedur 5s -serveout BENCH_SERVE.json
-
-# bench-chaos runs the E19 paired chaos-proxy load test — the same seeded
-# network-fault plan with client resilience off, then on — and refreshes
-# BENCH_CHAOS.json (schema openvdap.bench_chaos/v1): paired success rates,
-# retries, hedge wins, stream reconnects, and latency percentiles.
-bench-chaos:
-	$(GO) build -o /tmp/vdapbench ./cmd/vdapbench
-	/tmp/vdapbench -exp chaosserve -clients 200 -servedur 4s -seed 1 -chaosout BENCH_CHAOS.json
 
 microbench:
 	$(GO) test -bench=. -benchmem ./...

@@ -8,6 +8,7 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"os"
@@ -18,7 +19,6 @@ import (
 	"time"
 
 	"repro/internal/experiments"
-	"repro/internal/libvdap"
 	"repro/internal/telemetry"
 	"repro/internal/trace"
 )
@@ -39,11 +39,6 @@ type options struct {
 	shards    int
 	vehicles  string
 	records   int
-	clients   int
-	serveDur  time.Duration
-	mix       string
-	serveOut  string
-	chaosOut  string
 
 	// With -trace, instrument-aware experiments report spans and metrics
 	// here; virtual-time determinism makes the file byte-identical per seed.
@@ -60,7 +55,7 @@ func mainExit(args []string) int {
 		cpuProfile string
 		memProfile string
 	)
-	fs := flag.NewFlagSet("vdapbench", flag.ExitOnError)
+	fs := flag.NewFlagSet("vdapbench", flag.ContinueOnError)
 	fs.StringVar(&o.exp, "exp", "all", "experiment: "+expNames())
 	fs.Int64Var(&o.seed, "seed", 42, "random seed")
 	fs.DurationVar(&o.duration, "duration", 5*time.Minute, "figure-2 stream duration")
@@ -74,12 +69,13 @@ func mainExit(args []string) int {
 	fs.IntVar(&o.records, "records", 10_000_000, "-exp ddi corpus size")
 	fs.StringVar(&cpuProfile, "cpuprofile", "", "write a CPU profile to this file")
 	fs.StringVar(&memProfile, "memprofile", "", "write a heap profile to this file on exit")
-	fs.IntVar(&o.clients, "clients", 1000, "-exp serve concurrent HTTP clients")
-	fs.DurationVar(&o.serveDur, "servedur", 5*time.Second, "-exp serve wall-clock load duration")
-	fs.StringVar(&o.mix, "mix", "", "-exp serve endpoint mix, e.g. status=30,metrics=25,series=25,events=15,stream=5 (default: built-in mix)")
-	fs.StringVar(&o.serveOut, "serveout", "BENCH_SERVE.json", "output path for the -exp serve report")
-	fs.StringVar(&o.chaosOut, "chaosout", "BENCH_CHAOS.json", "output path for the -exp chaosserve report")
-	fs.Parse(args) // ExitOnError: a bad flag exits 2 from inside Parse
+	if err := fs.Parse(args); err != nil {
+		// Parse has already printed the error and the usage.
+		if errors.Is(err, flag.ErrHelp) {
+			return 0
+		}
+		return 2
+	}
 	fail := func(err error) int {
 		fmt.Fprintln(os.Stderr, "vdapbench:", err)
 		return 1
@@ -119,8 +115,8 @@ type experiment struct {
 	name string
 	desc string
 	// all marks experiments included in -exp all. Wall-clock runs of the
-	// platform itself (scale, serve, chaosserve, ddi) and file-writing runs
-	// (obs) stay out.
+	// platform itself (scale, ddi), file-writing runs (obs) and the netchaos
+	// plan dump stay out.
 	all bool
 	run func(o *options) error
 }
@@ -172,8 +168,7 @@ var experimentList = []experiment{
 	}},
 	{"scale", "fleet scaling sweep over shard counts (E16)", false, runScale},
 	{"obs", "flight-recorder fleet run -> RUN_REPORT.json (E17)", false, runObs},
-	{"serve", "libvdap serving tier under load -> BENCH_SERVE.json (E18)", false, runServe},
-	{"chaosserve", "paired chaos-proxy load test, resilience off vs. on -> BENCH_CHAOS.json (E19)", false, runChaosServe},
+	{"netchaos", "compiled network-chaos plan, byte-identical at any -parallel (E19)", false, runNetChaos},
 	{"ddi", "columnar DDI store ingest/query sweep (E20)", false, runDDIStore},
 }
 
@@ -390,58 +385,17 @@ func runObs(o *options) error {
 	return writeReport(o.runReport, experiments.RunReportSchema, experiments.BuildRunReport(res).Marshal)
 }
 
-// runServe is E18: the serving-tier load test. Like scale it is
-// machine-dependent, so it stays out of -exp all.
-func runServe(o *options) error {
-	mix, err := libvdap.ParseMix(o.mix)
+// runNetChaos is E19's deterministic half: the compiled network-chaos
+// plan, byte-identical at every -parallel level — `make determinism` diffs
+// this output across worker counts. The traffic half is a test
+// (core.TestChaosPairResilienceBeatsRaw).
+func runNetChaos(o *options) error {
+	plan, err := experiments.CompileChaosPlan(o.seed, o.parallel)
 	if err != nil {
 		return err
 	}
-	cfg := experiments.DefaultServeConfig()
-	cfg.Clients = o.clients
-	cfg.Duration = o.serveDur
-	cfg.Mix = mix
-	cfg.Seed = o.seed
-	cfg.DataDir = o.dir
-	rep, err := experiments.RunServe(cfg)
-	if err != nil {
-		return err
-	}
-	fmt.Println(experiments.ServeTable(rep))
-	return writeReport(o.serveOut, experiments.ServeSchema, rep.Marshal)
-}
-
-// runChaosServe is E19: the E18 stack behind a seeded chaos proxy, run
-// as a paired resilience-off/on comparison. -clients 0 skips the
-// traffic entirely and prints only the compiled chaos plan, which is
-// byte-identical at every -parallel level — `make determinism` diffs
-// that output across worker counts.
-func runChaosServe(o *options) error {
-	mix, err := libvdap.ParseMix(o.mix)
-	if err != nil {
-		return err
-	}
-	cfg := experiments.DefaultChaosServeConfig()
-	cfg.Clients = o.clients
-	cfg.Duration = o.serveDur
-	cfg.Mix = mix
-	cfg.Seed = o.seed
-	cfg.DataDir = o.dir
-	cfg.Parallel = o.parallel
-	if o.clients == 0 {
-		plan, err := experiments.CompileChaosPlan(cfg)
-		if err != nil {
-			return err
-		}
-		fmt.Print(plan.Describe())
-		return nil
-	}
-	rep, err := experiments.RunChaosServe(cfg)
-	if err != nil {
-		return err
-	}
-	fmt.Println(experiments.ChaosServeTable(rep))
-	return writeReport(o.chaosOut, experiments.ChaosServeSchema, rep.Marshal)
+	fmt.Print(plan.Describe())
+	return nil
 }
 
 // runDDIStore is E20: the columnar store ingest/query sweep. Like scale

@@ -40,25 +40,7 @@ func TestServeConcurrentWithTickLoop(t *testing.T) {
 		tickStep = 20 * time.Millisecond
 	)
 
-	stop := make(chan struct{})
-	var tickWG sync.WaitGroup
-	tickWG.Add(1)
-	go func() {
-		defer tickWG.Done()
-		ticker := time.NewTicker(2 * time.Millisecond)
-		defer ticker.Stop()
-		for {
-			select {
-			case <-stop:
-				return
-			case <-ticker.C:
-				if err := p.AdvanceTo(p.Engine().Now() + tickStep); err != nil {
-					t.Errorf("AdvanceTo: %v", err)
-					return
-				}
-			}
-		}
-	}()
+	stopTicks := startTickLoop(t, p, 2*time.Millisecond, tickStep)
 
 	paths := []string{
 		// Lock-free observability and cached snapshots.
@@ -112,8 +94,7 @@ func TestServeConcurrentWithTickLoop(t *testing.T) {
 		}(c)
 	}
 	wg.Wait()
-	close(stop)
-	tickWG.Wait()
+	stopTicks()
 
 	if got := p.Engine().Now(); got == 0 {
 		t.Fatal("tick loop never advanced virtual time")
@@ -125,5 +106,36 @@ func TestServeConcurrentWithTickLoop(t *testing.T) {
 	}
 	if total == 0 {
 		t.Fatal("response caches never consulted")
+	}
+}
+
+// startTickLoop advances p by step of virtual time every wall of wall time
+// the way vdapd's tick loop does — through AdvanceTo, the run-lock path —
+// until the returned stop is called; stop returns once the goroutine has
+// exited. An AdvanceTo error fails the test and ends the loop.
+func startTickLoop(t *testing.T, p *Platform, wall, step time.Duration) (stop func()) {
+	t.Helper()
+	done := make(chan struct{})
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		ticker := time.NewTicker(wall)
+		defer ticker.Stop()
+		for {
+			select {
+			case <-done:
+				return
+			case <-ticker.C:
+				if err := p.AdvanceTo(p.Engine().Now() + step); err != nil {
+					t.Errorf("AdvanceTo: %v", err)
+					return
+				}
+			}
+		}
+	}()
+	return func() {
+		close(done)
+		wg.Wait()
 	}
 }

@@ -44,25 +44,7 @@ func TestShutdownUnderConcurrentLoad(t *testing.T) {
 		tickStep = 20 * time.Millisecond
 	)
 
-	stop := make(chan struct{})
-	var tickWG sync.WaitGroup
-	tickWG.Add(1)
-	go func() {
-		defer tickWG.Done()
-		ticker := time.NewTicker(2 * time.Millisecond)
-		defer ticker.Stop()
-		for {
-			select {
-			case <-stop:
-				return
-			case <-ticker.C:
-				if err := p.AdvanceTo(p.Engine().Now() + tickStep); err != nil {
-					t.Errorf("AdvanceTo: %v", err)
-					return
-				}
-			}
-		}
-	}()
+	stopTicks := startTickLoop(t, p, 2*time.Millisecond, tickStep)
 
 	client := &http.Client{
 		Transport: &http.Transport{MaxIdleConnsPerHost: clients + 1},
@@ -164,8 +146,7 @@ func TestShutdownUnderConcurrentLoad(t *testing.T) {
 
 	wg.Wait()
 	streamWG.Wait()
-	close(stop)
-	tickWG.Wait()
+	stopTicks()
 
 	if streamErr != nil {
 		t.Fatalf("stream did not end cleanly: %v", streamErr)

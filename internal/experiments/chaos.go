@@ -205,3 +205,19 @@ func ChaosTable(res *ChaosResult) *Table {
 	}
 	return t
 }
+
+// CompileChaosPlan compiles E19's network fault plan, the one `-exp
+// netchaos` prints and the paired resilience test runs both of its modes
+// under: 45% of connections carry an RST byte budget and 45% a clean
+// truncation budget (independently, so ~70% carry at least one), budgets
+// small enough that such a connection dies within a handful of responses;
+// latency on a fifth, and occasional accept stalls. The plan is
+// byte-identical at any parallel level — `make determinism` diffs it.
+func CompileChaosPlan(seed int64, parallel int) (*faults.NetPlan, error) {
+	cfg := faults.DefaultNetChaos(seed, 4096)
+	cfg.ResetMinBytes = 1 << 9
+	cfg.ResetMaxBytes = 8 << 10
+	cfg.TruncateMinBytes = 1 << 9
+	cfg.TruncateMaxBytes = 6 << 10
+	return faults.CompileNetPlan(cfg, parallel)
+}

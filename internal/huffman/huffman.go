@@ -88,7 +88,10 @@ func codeLengths(freq *[256]int) [256]int {
 }
 
 // canonicalCodes assigns canonical codes from code lengths: codes of the
-// same length are consecutive, ordered by symbol value.
+// same length are consecutive, ordered by symbol value. It reports false
+// for lengths no prefix code has: one over 64 bits, or more codes of some
+// length than are left unclaimed by the shorter ones (a decoded header can
+// say anything), so every code it returns fits in its length.
 func canonicalCodes(lens *[256]int) (codes [256]uint64, ok bool) {
 	type sl struct{ sym, length int }
 	var order []sl
@@ -112,10 +115,15 @@ func canonicalCodes(lens *[256]int) (codes [256]uint64, ok bool) {
 	})
 	var code uint64
 	prevLen := 0
+	full := false // the codes handed out so far exhaust the code space
 	for _, e := range order {
+		if full {
+			return codes, false
+		}
 		code <<= uint(e.length - prevLen)
 		codes[e.sym] = code
 		code++
+		full = code == 1<<uint(e.length) // 1<<64 is 0: the wrap-around
 		prevLen = e.length
 	}
 	return codes, true

@@ -86,6 +86,9 @@ func TestDecodeCorruptInputs(t *testing.T) {
 		nil,
 		{1, 2, 3},
 		make([]byte, 8+256), // claims 0 length
+		// Three 1-bit codes: no prefix code has them (found by
+		// FuzzAppendDecode; the third code used to index past the LUT).
+		{1, 0, 0, 0, 0, 0, 0, 0, 2, 0, 1, 1, 1, 2, 1, 0xff},
 	}
 	for i, c := range cases {
 		if _, err := Decode(c); err == nil {
@@ -151,4 +154,44 @@ func BenchmarkEncode(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
+}
+
+// FuzzAppendDecode feeds AppendDecode arbitrary bytes as a block — it must
+// never panic, must leave dst untouched on error, and can never produce more
+// than one byte per payload bit (every code is at least one bit long), so
+// output and allocation are bounded by the input's length whatever the
+// header claims — and then treats the same bytes as data, which must survive
+// the encode -> decode round trip unchanged.
+func FuzzAppendDecode(f *testing.F) {
+	for _, data := range [][]byte{
+		[]byte("a"),
+		[]byte("abracadabra"),
+		bytes.Repeat([]byte{0, 0, 0, 7}, 64),
+	} {
+		enc, err := Encode(data)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(enc)
+		f.Add(enc[:len(enc)-1])
+	}
+	f.Add([]byte{})
+	f.Add(make([]byte, 8+256+16))
+
+	f.Fuzz(func(t *testing.T, in []byte) {
+		prefix := []byte("kept")
+		out, err := AppendDecode(prefix, in)
+		if !bytes.HasPrefix(out, prefix) {
+			t.Fatalf("dst prefix clobbered: %q", out)
+		}
+		if got := len(out) - len(prefix); err != nil && got != 0 {
+			t.Fatalf("failed decode still appended %d bytes", got)
+		} else if got > 8*len(in) {
+			t.Fatalf("%d input bytes decoded to %d: more than one symbol per bit", len(in), got)
+		}
+
+		if len(in) > 0 {
+			roundTrip(t, in) // Encode/Decode are AppendEncode/AppendDecode into fresh buffers
+		}
+	})
 }

@@ -11,6 +11,7 @@ import (
 	"reflect"
 	"runtime"
 	"strconv"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -87,6 +88,64 @@ func TestAcceptsGzip(t *testing.T) {
 			t.Errorf("acceptsGzip(%q) = %v, want %v", tc.lines, got, tc.want)
 		}
 	}
+}
+
+// naiveAcceptsGzip is the reference FuzzAcceptsGzip holds acceptsGzip to,
+// written the slow obvious way: flatten the header lines into one list of
+// elements, then the first element naming gzip decides by its weight, else
+// the last one naming "*" does, else identity.
+func naiveAcceptsGzip(lines []string) bool {
+	var elems []string
+	for _, line := range lines {
+		elems = append(elems, strings.Split(line, ",")...)
+	}
+	coding := func(elem string) string {
+		if i := strings.IndexByte(elem, ';'); i >= 0 {
+			elem = elem[:i]
+		}
+		return strings.TrimSpace(elem)
+	}
+	weightOK := func(elem string) bool {
+		i := strings.IndexByte(elem, ';')
+		if i < 0 {
+			return true
+		}
+		weight := strings.ToLower(strings.TrimSpace(elem[i+1:]))
+		if !strings.HasPrefix(weight, "q=") {
+			return true
+		}
+		q, err := strconv.ParseFloat(weight[2:], 64)
+		return err == nil && q > 0
+	}
+	for _, elem := range elems {
+		if strings.ToLower(coding(elem)) == "gzip" {
+			return weightOK(elem)
+		}
+	}
+	for i := len(elems) - 1; i >= 0; i-- {
+		if coding(elems[i]) == "*" {
+			return weightOK(elems[i])
+		}
+	}
+	return false
+}
+
+// FuzzAcceptsGzip: whatever a client puts in Accept-Encoding — any bytes,
+// on one header line or split over two — acceptsGzip never panics, agrees
+// with the naive reference, and reads two lines as it reads them joined by
+// a comma (a header repeated is a header continued). The seed corpus is
+// testdata/fuzz/FuzzAcceptsGzip.
+func FuzzAcceptsGzip(f *testing.F) {
+	f.Fuzz(func(t *testing.T, a, b string) {
+		for _, lines := range [][]string{{a}, {b}, {a, b}} {
+			if got, want := acceptsGzip(lines), naiveAcceptsGzip(lines); got != want {
+				t.Fatalf("acceptsGzip(%q) = %v, reference says %v", lines, got, want)
+			}
+		}
+		if split, joined := acceptsGzip([]string{a, b}), acceptsGzip([]string{a + "," + b}); split != joined {
+			t.Fatalf("acceptsGzip(%q, %q) = %v on two lines, %v joined", a, b, split, joined)
+		}
+	})
 }
 
 // TestNegotiatingErrorsAreIdentity: a negotiating route decides its coding

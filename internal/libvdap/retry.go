@@ -179,8 +179,8 @@ func (c *Client) Stats() ClientStats {
 	}
 }
 
-// CallStats itemizes one call's resilience activity — what the load
-// generator folds into its per-endpoint shed/retry columns.
+// CallStats itemizes one call's resilience activity: what it took to get
+// this one answer, where ClientStats is the running total over all calls.
 type CallStats struct {
 	Attempts    int  // round trips issued (>=1 unless the breaker fast-failed)
 	Sheds       int  // 503 responses observed across attempts
@@ -417,7 +417,7 @@ func (c *Client) call(method, path string, body, out any, cs *CallStats) error {
 }
 
 // GetPath issues a resilient GET for an arbitrary API path, discarding the
-// body — the load generator's per-request entry point.
+// body and reporting what the call took.
 func (c *Client) GetPath(path string) (CallStats, error) {
 	var cs CallStats
 	err := c.call(http.MethodGet, path, nil, nil, &cs)

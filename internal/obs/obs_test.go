@@ -321,55 +321,54 @@ func TestSamplerStartOnEngine(t *testing.T) {
 	}
 }
 
-// TestMergeAcrossCommitLanesPreservesAtSeqOrder is the regression test
-// for per-lane commit markers: events recorded on separate lane
-// recorders at the SAME virtual time must, after a canonical-order
-// Merge, come out ordered by (At, merge sequence) — i.e. lane order for
-// ties — identically on every run, no matter how the lanes were
-// scheduled while recording.
-func TestMergeAcrossCommitLanesPreservesAtSeqOrder(t *testing.T) {
+// TestMergePreservesAtSeqOrderAcrossRecorders pins the canonical merge
+// the fleet relies on for its per-vehicle recorders: events recorded on
+// separate recorders at the SAME virtual time must, after a Merge in
+// canonical (index) order, come out ordered by (At, merge sequence) —
+// i.e. recorder order for ties — identically on every run, no matter in
+// which order the shards' workers emitted them while recording.
+func TestMergePreservesAtSeqOrderAcrossRecorders(t *testing.T) {
 	const epoch = 250 * time.Millisecond
-	mkLanes := func() []*Recorder {
-		lanes := make([]*Recorder, 3)
-		for lane := range lanes {
-			lanes[lane] = NewRecorder(16)
+	mkRecorders := func() []*Recorder {
+		recs := make([]*Recorder, 3)
+		for i := range recs {
+			recs[i] = NewRecorder(16)
 		}
-		// Deliberately emit in non-canonical lane order (2, 0, 1) to model
-		// arbitrary commit-lane scheduling; each marker carries the per-lane
-		// fields the fleet's commit scheduler attaches.
-		for _, lane := range []int{2, 0, 1} {
-			lanes[lane].Emit(0, "fleet", SevDebug, "commit.lane.begin",
-				Int("lane", lane), String("domain", "cell:rsu-"+strconv.Itoa(lane)), Int("pending", lane+1))
-			lanes[lane].Emit(epoch, "fleet", SevDebug, "commit.lane.end",
-				Int("lane", lane), String("domain", "cell:rsu-"+strconv.Itoa(lane)), Int("committed", lane+1))
+		// Deliberately emit in non-canonical order (2, 0, 1) to model
+		// arbitrary shard scheduling during the parallel decision phase.
+		for _, i := range []int{2, 0, 1} {
+			recs[i].Emit(0, "offload", SevWarn, "breaker.open",
+				Int("vehicle", i), String("site", "rsu-"+strconv.Itoa(i)), Int("failures", i+1))
+			recs[i].Emit(epoch, "offload", SevInfo, "resilient.fallback",
+				Int("vehicle", i), String("from", "rsu-"+strconv.Itoa(i)), String("to", "cloud"))
 		}
-		return lanes
+		return recs
 	}
-	mergeAll := func(lanes []*Recorder) *Recorder {
+	mergeAll := func(recs []*Recorder) *Recorder {
 		merged := NewRecorder(32)
-		for _, r := range lanes { // canonical order: lane index
+		for _, r := range recs { // canonical order: recorder index
 			merged.Merge(r)
 		}
 		return merged
 	}
-	a, b := mergeAll(mkLanes()), mergeAll(mkLanes())
+	a, b := mergeAll(mkRecorders()), mergeAll(mkRecorders())
 	if ra, rb := a.RenderTable(), b.RenderTable(); ra != rb {
-		t.Fatalf("merged lane tables diverged:\n%s\nvs\n%s", ra, rb)
+		t.Fatalf("merged tables diverged:\n%s\nvs\n%s", ra, rb)
 	}
 	events := a.Events()
 	if len(events) != 6 {
 		t.Fatalf("merged %d events, want 6", len(events))
 	}
 	for i, ev := range events {
-		wantAt, wantLane := time.Duration(0), i
+		wantAt, wantRec := time.Duration(0), i
 		if i >= 3 {
-			wantAt, wantLane = epoch, i-3
+			wantAt, wantRec = epoch, i-3
 		}
 		if ev.At != wantAt {
 			t.Fatalf("event %d at %v, want %v (At must dominate)", i, ev.At, wantAt)
 		}
-		if got := ev.Fields[0].Value; got != strconv.Itoa(wantLane) {
-			t.Fatalf("event %d lane = %s, want %d (same-At ties must follow canonical merge order)", i, got, wantLane)
+		if got := ev.Fields[0].Value; got != strconv.Itoa(wantRec) {
+			t.Fatalf("event %d vehicle = %s, want %d (same-At ties must follow canonical merge order)", i, got, wantRec)
 		}
 		if i > 0 && events[i-1].At == ev.At && events[i-1].seq >= ev.seq {
 			t.Fatalf("same-At events not strictly seq-ordered at %d: %d >= %d", i, events[i-1].seq, ev.seq)
