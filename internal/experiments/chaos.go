@@ -141,12 +141,12 @@ func RunChaosSweep(cfg ChaosConfig) (*ChaosResult, error) {
 				if err != nil {
 					return chaosRep{}, err
 				}
-				f.Instrument(sh.Tracer, sh.Metrics)
+				f.InstrumentSharded(true)
 				var out chaosRep
 				out.FaultEvents = f.Faults().Plan().EventCount()
 				for round := 0; round < cfg.Rounds; round++ {
 					now := time.Duration(round) * 250 * time.Millisecond
-					rr, err := f.InvokeAllTolerant("kidnapper-search", now)
+					rr, err := f.ShardedInvokeAllTolerant("kidnapper-search", now)
 					if err != nil {
 						return chaosRep{}, err
 					}
@@ -157,6 +157,9 @@ func RunChaosSweep(cfg ChaosConfig) (*ChaosResult, error) {
 					out.Fallbacks += rr.Fallbacks
 					out.Degraded += rr.Degraded
 				}
+				mreg, mtrc := f.MergedTelemetry()
+				sh.Metrics.Merge(mreg)
+				sh.Tracer.Merge(mtrc)
 				return out, nil
 			})
 			if err != nil {

@@ -30,7 +30,7 @@ func RunFleetContention() ([]FleetRow, error) {
 		// round (all rounds at t=0: maximal simultaneous contention).
 		var last fleet.RoundResult
 		for round := 0; round < 5; round++ {
-			last, err = f.InvokeAll("kidnapper-search", 0)
+			last, err = f.ShardedInvokeAll("kidnapper-search", 0)
 			if err != nil {
 				return nil, err
 			}

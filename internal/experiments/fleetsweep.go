@@ -98,7 +98,7 @@ func RunFleetSweep(cfg SweepConfig) (*SweepResult, error) {
 		if err != nil {
 			return SweepRow{}, err
 		}
-		f.Instrument(sh.Tracer, sh.Metrics)
+		f.InstrumentSharded(true)
 		// Replication-random multi-tenant occupancy: each edge site starts
 		// with a different background queue, drawn from the shard's stream.
 		for _, s := range f.Sites() {
@@ -119,7 +119,7 @@ func RunFleetSweep(cfg SweepConfig) (*SweepResult, error) {
 		done, hangups := 0, 0
 		for round := 0; round < cfg.Rounds; round++ {
 			now := time.Duration(round) * 250 * time.Millisecond
-			rr, err := f.InvokeAll("kidnapper-search", now)
+			rr, err := f.ShardedInvokeAll("kidnapper-search", now)
 			if err != nil {
 				return SweepRow{}, err
 			}
@@ -131,6 +131,9 @@ func RunFleetSweep(cfg SweepConfig) (*SweepResult, error) {
 			done += rr.Invocations - rr.HangUps
 			hangups += rr.HangUps
 		}
+		mreg, mtrc := f.MergedTelemetry()
+		sh.Metrics.Merge(mreg)
+		sh.Tracer.Merge(mtrc)
 		row := SweepRow{
 			Replication:  sh.Index,
 			MaxMS:        float64(max) / float64(time.Millisecond),

@@ -4,14 +4,19 @@
 // vehicle's offloads raise queueing delay for everyone — the multi-tenant
 // contention the paper's edge architecture must survive.
 //
+// A fleet round runs one way: the epoch-barrier executor in sharded.go
+// (ShardedInvokeAll / ShardedInvokeAllTolerant). Every vehicle decides
+// against the shared sites as they stood at the start of the round, then
+// the offloading ones commit in vehicle-index order; Config.Shards = 1 is
+// the executor's serial case, not a different model.
+//
 // Concurrency: a Fleet and everything it owns (vehicles, engines, shared
 // sites) belong to a single goroutine. Replication harnesses run
 // one whole fleet per worker (see internal/runner) and merge telemetry
 // afterwards; two goroutines must never invoke the same fleet. The one
-// sanctioned form of intra-fleet parallelism is the epoch-barrier sharded
-// executor (ShardedInvokeAll in sharded.go), which partitions vehicles
-// into shard lanes for the read-only decision phase and returns to the
-// fleet's single goroutine for the commit phase.
+// sanctioned form of intra-fleet parallelism is the executor's own: it
+// partitions vehicles into shard lanes for the read-only decision phase
+// and returns to the fleet's single goroutine for the commit phase.
 package fleet
 
 import (
@@ -24,8 +29,6 @@ import (
 	"repro/internal/offload"
 	"repro/internal/sim"
 	"repro/internal/tasks"
-	"repro/internal/telemetry"
-	"repro/internal/trace"
 	"repro/internal/vcu"
 	"repro/internal/xedge"
 )
@@ -50,8 +53,7 @@ type Fleet struct {
 	shardSet []*Shard
 
 	// tele holds the per-vehicle telemetry lanes installed by
-	// InstrumentSharded (nil when uninstrumented or instrumented with the
-	// legacy shared-registry Instrument).
+	// InstrumentSharded (nil when uninstrumented).
 	tele *telemetryLanes
 
 	// flight holds the per-vehicle flight-recorder lanes installed by
@@ -59,8 +61,8 @@ type Fleet struct {
 	flight *flightLanes
 
 	// Per-round working buffers, preallocated at vehicle count and reused
-	// by every invokeAll / shardedInvokeAll round so the steady-state
-	// invocation loop allocates nothing per round.
+	// by every shardedInvokeAll round so the steady-state invocation loop
+	// allocates nothing per round.
 	prepBuf []*edgeos.PreparedInvocation
 	resBuf  []edgeos.InvocationResult
 	errBuf  []error
@@ -94,8 +96,8 @@ type Config struct {
 	Resilience *offload.Policy
 	// Faults, when non-nil, compiles a deterministic fault plan over the
 	// shared sites from the fleet RNG and attaches its injector: site
-	// outages, link degradation, and transient execution faults. Drive it
-	// with Fleet.Faults().AdvanceTo(now) between rounds.
+	// outages, link degradation, and transient execution faults. Every
+	// round advances it to the round's virtual time before deciding.
 	Faults *faults.PlanConfig
 	// Shards is the lane count used by ShardedInvokeAll: vehicles are
 	// partitioned into this many contiguous index ranges, each with its
@@ -260,20 +262,6 @@ func (f *Fleet) Vehicles() []*Vehicle {
 // Sites returns the shared infrastructure.
 func (f *Fleet) Sites() []*xedge.Site { return f.sites }
 
-// Instrument attaches a tracer and metrics registry to every vehicle's
-// offload engine and elastic manager (either may be nil). The instruments
-// share the fleet's single-goroutine ownership: replication harnesses give
-// each worker its own fleet, registry, and tracer, then merge.
-func (f *Fleet) Instrument(tr *trace.Tracer, reg *telemetry.Registry) {
-	for _, v := range f.vehicles {
-		v.Engine.Instrument(tr, reg)
-		v.Manager.Instrument(tr, reg)
-	}
-	if f.injector != nil {
-		f.injector.Instrument(tr, reg)
-	}
-}
-
 // RoundResult aggregates one invocation round across the fleet.
 type RoundResult struct {
 	Invocations int
@@ -284,8 +272,8 @@ type RoundResult struct {
 	// vehicle.
 	OffloadShare float64
 	// Failures counts vehicles whose invocation errored outright (only
-	// possible under fault injection; InvokeAllTolerant records these
-	// instead of aborting the round).
+	// possible under fault injection; ShardedInvokeAllTolerant records
+	// these instead of aborting the round).
 	Failures int
 	// DeadlineHits counts completed invocations that met the service
 	// deadline; Fallbacks and Degraded count resilience-ladder outcomes.
@@ -294,42 +282,9 @@ type RoundResult struct {
 	Degraded     int
 }
 
-// InvokeAll runs one invocation of the named service on every vehicle at
-// virtual time now. All vehicles contend for the same shared sites. The
-// round aborts on the first invocation error; under fault injection use
-// InvokeAllTolerant instead.
-func (f *Fleet) InvokeAll(service string, now time.Duration) (RoundResult, error) {
-	return f.invokeAll(service, now, false)
-}
-
-// InvokeAllTolerant is InvokeAll for faulted worlds: a vehicle whose
-// invocation errors (e.g. its chosen site dropped mid-submit and no
-// resilience policy is installed) is counted in Failures and the round
-// continues, so policy-on and policy-off runs stay comparable.
-func (f *Fleet) InvokeAllTolerant(service string, now time.Duration) (RoundResult, error) {
-	return f.invokeAll(service, now, true)
-}
-
-func (f *Fleet) invokeAll(service string, now time.Duration, tolerant bool) (RoundResult, error) {
-	if f.injector != nil {
-		f.injector.AdvanceTo(now)
-	}
-	for i, v := range f.vehicles {
-		res, err := v.Manager.Invoke(service, now)
-		if err != nil && !tolerant {
-			// The erroring vehicle contributes nothing to the aborted
-			// round; vehicles after it never invoke.
-			return f.aggregate(i), fmt.Errorf("%s: %w", v.Name, err)
-		}
-		f.resBuf[i], f.errBuf[i] = res, err
-	}
-	return f.aggregate(len(f.vehicles)), nil
-}
-
 // aggregate folds the first n per-vehicle outcomes in the round buffers
-// into a RoundResult, in vehicle-index order. Both executors share it, so
-// a round's aggregation is a pure function of the (result, error) vector
-// regardless of how the vector was produced.
+// into a RoundResult, in vehicle-index order: a round's aggregation is a
+// pure function of the (result, error) vector, whichever lanes filled it.
 func (f *Fleet) aggregate(n int) RoundResult {
 	var rr RoundResult
 	offloaded := 0

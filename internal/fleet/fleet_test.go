@@ -42,7 +42,7 @@ func TestInvokeAllRunsEveryVehicle(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rr, err := f.InvokeAll("kidnapper-search", 0)
+	rr, err := f.ShardedInvokeAll("kidnapper-search", 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -51,13 +51,6 @@ func TestInvokeAllRunsEveryVehicle(t *testing.T) {
 	}
 	if rr.Mean() <= 0 || rr.Max < rr.Mean() {
 		t.Fatalf("latency stats = mean %v max %v", rr.Mean(), rr.Max)
-	}
-}
-
-func TestInvokeAllUnknownService(t *testing.T) {
-	f, _ := New(Config{Vehicles: 1})
-	if _, err := f.InvokeAll("ghost", 0); err == nil {
-		t.Fatal("unknown service invoked")
 	}
 }
 
@@ -81,7 +74,7 @@ func TestContentionRaisesLatency(t *testing.T) {
 		}
 		var last time.Duration
 		for round := 0; round < 4; round++ {
-			rr, err := f.InvokeAll("heavy-detect", 0)
+			rr, err := f.ShardedInvokeAll("heavy-detect", 0)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -103,13 +96,13 @@ func TestElasticRoutesAroundContention(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	first, err := f.InvokeAll("kidnapper-search", 0)
+	first, err := f.ShardedInvokeAll("kidnapper-search", 0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	var last RoundResult
 	for round := 1; round < 6; round++ {
-		last, err = f.InvokeAll("kidnapper-search", 0)
+		last, err = f.ShardedInvokeAll("kidnapper-search", 0)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -1,4 +1,5 @@
-// Sharded fleet execution: epoch-barrier parallel invocation rounds.
+// The fleet executor: epoch-barrier invocation rounds, the only way a
+// fleet round runs.
 //
 // ShardedInvokeAll partitions the fleet's vehicles into S contiguous
 // shards and runs each round as two phases:
@@ -11,11 +12,10 @@
 //     touching only vehicle-local state.
 //   - Commit phase: after the barrier, the remaining prepared invocations
 //     — the ones that offload — commit with Site.Submit reservations,
-//     queueing delays, and bandwidth-budget charges exactly as a
-//     sequential canonical-vehicle-order walk would: one loop on the
-//     fleet's own goroutine. The phase always completes every prepared
-//     commit (complete-all), then non-tolerant rounds report the first
-//     error in canonical order.
+//     queueing delays, and bandwidth-budget charges in canonical
+//     vehicle-index order: one loop on the fleet's own goroutine. The
+//     phase always completes every prepared commit (complete-all), then
+//     non-tolerant rounds report the first error in canonical order.
 //
 // Determinism contract: results are byte-identical for any shard count.
 // Three properties make that hold. (1) Decisions read only epoch-start
@@ -29,12 +29,14 @@
 // accumulation you would get from merging per-shard registries is why
 // telemetry lanes are per-vehicle, not per-shard.
 //
-// Note the sharded executor's epoch semantics differ from the sequential
-// InvokeAll within a round: sequentially, vehicle i's decision sees
-// vehicles 0..i-1's commits; under epoch barriers every decision sees
-// epoch-start state. Both are valid contention models; experiments pick
-// one and stay with it. Sharded runs compare only against sharded runs
-// (any S against any S, same seed).
+// Contention model: within a round no vehicle sees another's commit.
+// Every decision reads epoch-start state, so vehicles that arrive
+// together all judge the edge by the queue the previous round left, and
+// feel each other's load only through the commit-phase queueing delay and
+// in the next round's estimates (the thundering-herd step in E12; see
+// DESIGN.md). S = 1 is the serial case of this model — one lane walks the
+// vehicles in index order — and TestShardedMatchesNaiveReference holds it
+// and S = 3 to a hand-written reference round.
 package fleet
 
 import (
@@ -104,10 +106,10 @@ type telemetryLanes struct {
 
 // InstrumentSharded installs one telemetry registry (and, when withTrace
 // is set, one tracer) per vehicle, plus a dedicated lane for the fault
-// injector. Use this instead of Instrument for sharded execution: a
-// single shared registry would interleave concurrent decision-phase
-// emissions in scheduler order, which is race-safe but not
-// shard-count-deterministic. Read the merged view with MergedTelemetry.
+// injector. It is the fleet's one instrumentation call: a single shared
+// registry would interleave concurrent decision-phase emissions in
+// scheduler order, which is race-safe but not shard-count-deterministic.
+// Read the merged view with MergedTelemetry.
 func (f *Fleet) InstrumentSharded(withTrace bool) {
 	lanes := &telemetryLanes{
 		vehicleRegs: make([]*telemetry.Registry, len(f.vehicles)),
@@ -228,12 +230,12 @@ func (f *Fleet) WatchTelemetry(sp *obs.Sampler) error {
 // ShardedInvokeAll runs one epoch-barrier invocation round of the named
 // service across the fleet at virtual time now (see the package-section
 // comment at the top of this file for the phase structure and the
-// determinism contract). Like InvokeAll it reports the first vehicle
-// error in canonical order — but the whole round has already run by then
-// (the commit phase completes every prepared commit, so a round's side
-// effects do not depend on whether the caller tolerates errors); only the
-// returned aggregate stops at the erroring vehicle. Under fault injection
-// use ShardedInvokeAllTolerant.
+// determinism contract). It reports the first vehicle error in canonical
+// order — but the whole round has already run by then (the commit phase
+// completes every prepared commit, so a round's side effects do not
+// depend on whether the caller tolerates errors); only the returned
+// aggregate stops at the erroring vehicle. Under fault injection use
+// ShardedInvokeAllTolerant.
 func (f *Fleet) ShardedInvokeAll(service string, now time.Duration) (RoundResult, error) {
 	return f.shardedInvokeAll(service, now, false)
 }

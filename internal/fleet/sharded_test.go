@@ -270,9 +270,7 @@ func TestShardedUnknownService(t *testing.T) {
 func TestShardedNonTolerantCompletesRoundBeforeError(t *testing.T) {
 	const vehicles, seed = 21, 42
 	build := func() *Fleet {
-		cfg := chaosConfig(vehicles, 3, seed)
-		cfg.Resilience = nil
-		f, err := New(cfg)
+		f, err := New(rawChaosConfig(vehicles, 3, seed))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -382,23 +380,6 @@ func benchFleet(b *testing.B, vehicles, shards int) *Fleet {
 		b.Fatal(err)
 	}
 	return f
-}
-
-// BenchmarkInvokeAllRound pins the sequential round's steady-state
-// allocation profile: the per-round result buffers live on the Fleet, so
-// rounds allocate only what the invocation path itself needs.
-func BenchmarkInvokeAllRound(b *testing.B) {
-	f := benchFleet(b, 50, 1)
-	if _, err := f.InvokeAll("kidnapper-search", 0); err != nil {
-		b.Fatal(err)
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := f.InvokeAll("kidnapper-search", time.Duration(i)*time.Millisecond); err != nil {
-			b.Fatal(err)
-		}
-	}
 }
 
 // BenchmarkShardedInvokeAllRound measures the epoch-barrier executor at 4

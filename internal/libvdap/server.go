@@ -978,15 +978,20 @@ func (s *Server) handleWindow(w http.ResponseWriter, r *http.Request) {
 	})
 }
 
+// parseSeconds reads a query-string time in seconds. ParseFloat accepts
+// NaN, Inf and magnitudes whose nanosecond count overflows int64 (the
+// conversion then yields math.MinInt64), so the range check is on the
+// product and written to fail for NaN.
 func parseSeconds(s string) (time.Duration, error) {
 	if s == "" {
 		return 0, nil
 	}
 	v, err := strconv.ParseFloat(s, 64)
-	if err != nil || v < 0 {
+	ns := v * float64(time.Second)
+	if err != nil || !(ns >= 0 && ns < 1<<63) {
 		return 0, fmt.Errorf("bad time %q (want non-negative seconds)", s)
 	}
-	return time.Duration(v * float64(time.Second)), nil
+	return time.Duration(ns), nil
 }
 
 func (s *Server) handleTopics(w http.ResponseWriter, r *http.Request) {
