@@ -75,11 +75,16 @@ func run(args []string) error {
 			To:     time.Duration(*to * float64(time.Second)),
 			Limit:  *limit,
 		}
-		recs := store.Select(q)
-		for _, r := range recs {
-			printRecord(r)
+		it := store.Scan(q)
+		n := 0
+		for it.Next() {
+			printRecord(*it.Record())
+			n++
 		}
-		fmt.Printf("%d record(s)\n", len(recs))
+		if err := it.Err(); err != nil {
+			return err
+		}
+		fmt.Printf("%d record(s)\n", n)
 		return nil
 	case "segments":
 		zms := store.Segments()

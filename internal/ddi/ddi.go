@@ -276,11 +276,19 @@ func (d *DDI) DownloadByID(now time.Duration, id uint64) (Record, time.Duration,
 // promoted for subsequent point lookups.
 func (d *DDI) Download(now time.Duration, q Query) ([]Record, time.Duration, error) {
 	d.downloads++
-	recs := d.store.Select(q)
+	// One pass over the store cursor: byte count, cache promotion and the
+	// result slice together.
+	it := d.store.Scan(q)
+	var recs []Record
 	var bytes float64
-	for i := range recs {
-		bytes += float64(recs[i].SizeBytes())
-		d.cache.Put(recs[i], now)
+	for it.Next() {
+		rec := *it.Record()
+		bytes += float64(rec.SizeBytes())
+		d.cache.Put(rec, now)
+		recs = append(recs, rec)
+	}
+	if err := it.Err(); err != nil {
+		return nil, 0, err
 	}
 	latency, err := d.ssd.ReadTime(bytes / 1e6)
 	if err != nil {

@@ -139,43 +139,91 @@ func TestIteratorZeroAllocs(t *testing.T) {
 
 // TestScanStableUnderConcurrentMutation: an iterator opened before a
 // seal, a delete, and more Puts still streams its snapshot unharmed —
-// cursors read only immutable columns.
+// cursors read only immutable columns. The out-of-order variant starts
+// from a memtable that already carries an order index and has the
+// concurrent Puts land late, so they insert into the index (and shift its
+// tail) while the stream reads its window copy.
 func TestScanStableUnderConcurrentMutation(t *testing.T) {
-	s := openStore(t)
-	s.SetSealPolicy(100, time.Minute)
-	for i := 0; i < 450; i++ {
-		if _, err := s.Put(rec(SourceOBD, time.Duration(i)*time.Second, float64(i))); err != nil {
-			t.Fatal(err)
-		}
-	}
-	it := s.Scan(Query{})
-	// Mutate hard while the iterator is mid-stream.
-	if err := s.Seal(); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := s.DeleteBefore(200 * time.Second); err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 300; i++ {
-		if _, err := s.Put(rec(SourceGPS, time.Hour+time.Duration(i)*time.Second, 0)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	n := 0
-	var prevAt time.Duration = -1
-	for it.Next() {
-		r := it.Record()
-		if r.At < prevAt {
-			t.Fatalf("stream out of order at record %d", n)
-		}
-		prevAt = r.At
-		n++
-	}
-	if err := it.Err(); err != nil {
-		t.Fatal(err)
-	}
-	if n != 450 {
-		t.Fatalf("snapshot streamed %d records, want 450", n)
+	// Behind the head, spread across the whole open window.
+	lateAt := func(i int) time.Duration { return time.Duration(i*449/299)*time.Second + time.Millisecond }
+	for _, tc := range []struct {
+		name string
+		at   func(i int) time.Duration // arrival i's capture time
+		late func(i int) time.Duration // concurrent Put i's capture time
+	}{
+		{
+			name: "in-order",
+			at:   func(i int) time.Duration { return time.Duration(i) * time.Second },
+			late: func(i int) time.Duration { return time.Hour + time.Duration(i)*time.Second },
+		},
+		{
+			// The stream aliases an in-order memtable; the first
+			// concurrent Put is the one that builds the index.
+			name: "goes-out-of-order",
+			at:   func(i int) time.Duration { return time.Duration(i) * time.Second },
+			late: lateAt,
+		},
+		{
+			// Pairs arrive swapped: every second row is late.
+			name: "out-of-order",
+			at:   func(i int) time.Duration { return time.Duration(i^1) * time.Second },
+			late: lateAt,
+		},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			s := openStore(t)
+			s.SetSealPolicy(100, time.Minute)
+			for i := 0; i < 450; i++ {
+				if _, err := s.Put(rec(SourceOBD, tc.at(i), float64(i))); err != nil {
+					t.Fatal(err)
+				}
+			}
+			it := s.Scan(Query{})
+			// Mutate hard while the iterator is mid-stream.
+			mutate := func() error {
+				for i := 0; i < 150; i++ {
+					if _, err := s.Put(rec(SourceGPS, tc.late(i), 0)); err != nil {
+						return err
+					}
+				}
+				if err := s.Seal(); err != nil {
+					return err
+				}
+				if _, err := s.DeleteBefore(200 * time.Second); err != nil {
+					return err
+				}
+				for i := 150; i < 300; i++ {
+					if _, err := s.Put(rec(SourceGPS, tc.late(i), 0)); err != nil {
+						return err
+					}
+				}
+				return nil
+			}
+			done := make(chan error, 1)
+			go func() { done <- mutate() }()
+			n := 0
+			var prev Record
+			for it.Next() {
+				r := it.Record()
+				if r.Source != SourceOBD {
+					t.Fatalf("record %d (%s at %v) is not part of the snapshot", n, r.Source, r.At)
+				}
+				if n > 0 && (r.At < prev.At || (r.At == prev.At && r.ID < prev.ID)) {
+					t.Fatalf("stream out of (At, ID) order at record %d", n)
+				}
+				prev = *r
+				n++
+			}
+			if err := it.Err(); err != nil {
+				t.Fatal(err)
+			}
+			if n != 450 {
+				t.Fatalf("snapshot streamed %d records, want 450", n)
+			}
+			if err := <-done; err != nil {
+				t.Fatal(err)
+			}
+		})
 	}
 }
 

@@ -89,6 +89,14 @@ func (c *segCols) rows() int { return len(c.id) }
 // payload returns row i's payload view.
 func (c *segCols) payload(i int) []byte { return c.pay[c.payOff[i]:c.payOff[i+1]] }
 
+// record materialises row i; the payload aliases the column arena.
+func (c *segCols) record(i int) Record {
+	return Record{
+		ID: c.id[i], Source: c.dict[c.src[i]], At: time.Duration(c.at[i]),
+		X: c.x[i], Y: c.y[i], Payload: c.payload(i),
+	}
+}
+
 // buildZoneMap computes the zone map over the columns.
 func (c *segCols) buildZoneMap() ZoneMap {
 	z := ZoneMap{Count: len(c.id)}

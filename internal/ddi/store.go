@@ -3,6 +3,7 @@ package ddi
 import (
 	"bufio"
 	"fmt"
+	"math"
 	"os"
 	"path/filepath"
 	"sort"
@@ -47,25 +48,32 @@ const (
 )
 
 // memtable buffers unsealed records in columnar form. Rows sit in append
-// order; IDs are assigned monotonically, so the id column is always
-// sorted and point lookups binary-search it. atSorted tracks whether
-// append order is already (At, ID) order — true for in-order ingest —
-// letting queries and seals skip the sort.
+// order and never move; IDs are assigned monotonically, so the id column
+// is always sorted and point lookups binary-search it. ord keeps the
+// (At, ID) order incrementally: nil while append order is already that
+// order (in-order ingest pays nothing and reads alias the live arrays),
+// built as the identity on the first late row, and from then on every
+// append binary-search-inserts its row index under the write lock Put
+// already holds. A read is then O(log M + rows in its window) and a seal
+// walks ord; nothing ever sorts the memtable. There is no cached sorted
+// view on purpose: every Put would invalidate it, and readers holding
+// only the read lock could not fill it.
 type memtable struct {
-	cols     segCols
-	srcIdx   map[Source]uint8
-	atSorted bool
+	cols   segCols
+	srcIdx map[Source]uint8
+	ord    []uint32 // row indexes in (At, ID) order; nil = append order
 }
 
 func newMemtable() *memtable {
 	return &memtable{
-		cols:     segCols{payOff: []uint32{0}, idSorted: true},
-		srcIdx:   make(map[Source]uint8),
-		atSorted: true,
+		cols:   segCols{payOff: []uint32{0}, idSorted: true},
+		srcIdx: make(map[Source]uint8),
 	}
 }
 
-// append adds r, copying the payload into the arena.
+// append adds r, copying the payload into the arena. A row landing
+// behind the current head costs one binary search plus a shift of ord's
+// tail — at most sealRows*4 bytes moved.
 func (m *memtable) append(r *Record) error {
 	c := &m.cols
 	idx, ok := m.srcIdx[r.Source]
@@ -77,16 +85,28 @@ func (m *memtable) append(r *Record) error {
 		c.dict = append(c.dict, r.Source)
 		m.srcIdx[r.Source] = idx
 	}
-	if n := len(c.at); n > 0 {
-		if c.at[n-1] > int64(r.At) {
-			m.atSorted = false
-		}
-		if c.id[n-1] > r.ID {
-			c.idSorted = false
+	n, at := len(c.at), int64(r.At)
+	if n > 0 && c.id[n-1] > r.ID {
+		c.idSorted = false
+	}
+	if m.ord == nil && n > 0 && (c.at[n-1] > at || (c.at[n-1] == at && c.id[n-1] > r.ID)) {
+		m.ord = make([]uint32, n)
+		for i := range m.ord {
+			m.ord[i] = uint32(i)
 		}
 	}
+	if m.ord != nil {
+		// Upper bound, so equal (At, ID) keys keep arrival order.
+		pos := sort.Search(n, func(i int) bool {
+			j := m.ord[i]
+			return c.at[j] > at || (c.at[j] == at && c.id[j] > r.ID)
+		})
+		m.ord = append(m.ord, 0)
+		copy(m.ord[pos+1:], m.ord[pos:])
+		m.ord[pos] = uint32(n)
+	}
 	c.id = append(c.id, r.ID)
-	c.at = append(c.at, int64(r.At))
+	c.at = append(c.at, at)
 	c.src = append(c.src, idx)
 	c.x = append(c.x, r.X)
 	c.y = append(c.y, r.Y)
@@ -103,63 +123,61 @@ func (m *memtable) get(id uint64) (Record, bool) {
 	if i >= len(c.id) || c.id[i] != id {
 		return Record{}, false
 	}
-	return Record{
-		ID: c.id[i], Source: c.dict[c.src[i]], At: time.Duration(c.at[i]),
-		X: c.x[i], Y: c.y[i], Payload: c.payload(i),
-	}, true
+	return c.record(i), true
 }
 
-// sortedView returns the memtable's rows ordered by (At, ID). In-order
-// ingest aliases the live arrays (appends only ever touch rows beyond
-// this view's length); out-of-order ingest materialises a sorted copy.
-func (m *memtable) sortedView() *segCols {
-	view := m.cols // value copy pins the slice lengths
-	if m.atSorted {
+// window snapshots the rows whose At lies in [from, to] (to <= 0
+// unbounded above), ordered by (At, ID). In-order ingest aliases the live
+// arrays whole (appends only ever touch rows beyond the snapshot's
+// length) and leaves the narrowing to the plan; otherwise the window is
+// binary-searched in ord and only its rows are copied out (nil when it is
+// empty), so the caller may drop the store lock and keep reading.
+func (m *memtable) window(from, to time.Duration) *segCols {
+	if m.ord == nil {
+		view := m.cols // value copy pins the slice lengths
 		return &view
 	}
-	perm := make([]int, view.rows())
-	for i := range perm {
-		perm[i] = i
+	at, ord := m.cols.at, m.ord
+	lo := sort.Search(len(ord), func(i int) bool { return at[ord[i]] >= int64(from) })
+	hi := len(ord)
+	if to > 0 {
+		hi = lo + sort.Search(len(ord)-lo, func(i int) bool { return at[ord[lo+i]] > int64(to) })
 	}
-	sort.Slice(perm, func(a, b int) bool {
-		ai, bi := perm[a], perm[b]
-		if view.at[ai] != view.at[bi] {
-			return view.at[ai] < view.at[bi]
-		}
-		return view.id[ai] < view.id[bi]
-	})
-	return permuteCols(&view, perm)
+	if lo >= hi {
+		return nil
+	}
+	return permuteCols(&m.cols, ord[lo:hi])
 }
 
-// permuteCols materialises rows of src in perm order as standalone
-// columns (fresh dictionary in first-appearance order).
-func permuteCols(src *segCols, perm []int) *segCols {
-	n := len(perm)
-	out := &segCols{
-		id: make([]uint64, 0, n), at: make([]int64, 0, n), src: make([]uint8, 0, n),
-		x: make([]float64, 0, n), y: make([]float64, 0, n),
-		payOff: make([]uint32, 1, n+1), pay: make([]byte, 0, len(src.pay)),
-	}
-	dictIdx := make(map[Source]uint8, len(src.dict))
-	out.idSorted = true
+// sorted snapshots every row in (At, ID) order.
+func (m *memtable) sorted() *segCols { return m.window(math.MinInt64, 0) }
+
+// permuteCols materialises rows perm of src, in that order, as standalone
+// columns. The dictionary is shared with src: it is append-only, so the
+// pinned prefix never changes under the copy.
+func permuteCols(src *segCols, perm []uint32) *segCols {
+	n, payBytes := len(perm), 0
 	for _, i := range perm {
-		s := src.dict[src.src[i]]
-		di, ok := dictIdx[s]
-		if !ok {
-			di = uint8(len(out.dict))
-			out.dict = append(out.dict, s)
-			dictIdx[s] = di
-		}
-		if n := len(out.id); n > 0 && out.id[n-1] > src.id[i] {
+		payBytes += int(src.payOff[i+1] - src.payOff[i])
+	}
+	out := &segCols{
+		id: make([]uint64, n), at: make([]int64, n), src: make([]uint8, n),
+		x: make([]float64, n), y: make([]float64, n),
+		payOff: make([]uint32, n+1), pay: make([]byte, 0, payBytes),
+		dict:     src.dict[:len(src.dict):len(src.dict)],
+		idSorted: true,
+	}
+	for k, i := range perm {
+		if k > 0 && out.id[k-1] > src.id[i] {
 			out.idSorted = false
 		}
-		out.id = append(out.id, src.id[i])
-		out.at = append(out.at, src.at[i])
-		out.src = append(out.src, di)
-		out.x = append(out.x, src.x[i])
-		out.y = append(out.y, src.y[i])
-		out.pay = append(out.pay, src.payload(i)...)
-		out.payOff = append(out.payOff, uint32(len(out.pay)))
+		out.id[k] = src.id[i]
+		out.at[k] = src.at[i]
+		out.src[k] = src.src[i]
+		out.x[k] = src.x[i]
+		out.y[k] = src.y[i]
+		out.pay = append(out.pay, src.payload(int(i))...)
+		out.payOff[k+1] = uint32(len(out.pay))
 	}
 	return out
 }
@@ -349,9 +367,9 @@ func (s *DiskStore) Seal() error {
 	return s.sealLocked()
 }
 
-// sealLocked seals the memtable: rows sort by (At, ID), split into At
-// partitions, and each partition becomes one immutable segment written
-// tmp+rename. Only after every partition publishes does the store adopt
+// sealLocked seals the memtable: rows are read out in (At, ID) order (the
+// order index, not a sort), split into At partitions, and each partition
+// becomes one immutable segment written tmp+rename. Only after every partition publishes does the store adopt
 // the segments, reset the memtable, and truncate the WAL — a crash
 // mid-seal leaves orphan segments that the next open dedupes by ID, and
 // an error mid-seal removes this seal's files so in-memory state stays
@@ -360,7 +378,7 @@ func (s *DiskStore) sealLocked() error {
 	if s.mem.cols.rows() == 0 {
 		return nil
 	}
-	sorted := s.mem.sortedView()
+	sorted := s.mem.sorted()
 	var sealed []*segment
 	fail := func(err error) error {
 		for _, sg := range sealed {
@@ -410,11 +428,7 @@ func (s *DiskStore) Get(id uint64) (Record, bool) {
 		}
 		if row := sg.findID(id); row >= 0 {
 			cols, _ := sg.load()
-			return Record{
-				ID: cols.id[row], Source: cols.dict[cols.src[row]],
-				At: time.Duration(cols.at[row]), X: cols.x[row], Y: cols.y[row],
-				Payload: cols.payload(row),
-			}, true
+			return cols.record(row), true
 		}
 	}
 	return Record{}, false
@@ -426,7 +440,7 @@ func (s *DiskStore) Get(id uint64) (Record, bool) {
 // the loop for plan-compilation failures.
 func (s *DiskStore) Scan(q Query) *Iterator {
 	s.mu.RLock()
-	p, err := compilePlan(q, s.segs, s.mem.sortedView())
+	p, err := compilePlan(q, s.segs, s.mem.window(q.From, q.To))
 	s.mu.RUnlock()
 	if err != nil {
 		return errIterator(err)
@@ -451,7 +465,7 @@ func (s *DiskStore) Select(q Query) []Record {
 // zone maps without touching columns.
 func (s *DiskStore) Aggregate(q Query, col Column) (Agg, PlanStats, error) {
 	s.mu.RLock()
-	p, err := compilePlan(q, s.segs, s.mem.sortedView())
+	p, err := compilePlan(q, s.segs, s.mem.window(q.From, q.To))
 	s.mu.RUnlock()
 	if err != nil {
 		return Agg{}, PlanStats{}, err
@@ -462,7 +476,7 @@ func (s *DiskStore) Aggregate(q Query, col Column) (Agg, PlanStats, error) {
 // Explain compiles q and reports what the plan would prune and scan.
 func (s *DiskStore) Explain(q Query) (PlanStats, error) {
 	s.mu.RLock()
-	p, err := compilePlan(q, s.segs, s.mem.sortedView())
+	p, err := compilePlan(q, s.segs, s.mem.window(q.From, q.To))
 	s.mu.RUnlock()
 	if err != nil {
 		return PlanStats{}, err
@@ -518,35 +532,30 @@ func (s *DiskStore) DeleteBefore(t time.Duration) (int, error) {
 		}
 	}
 	s.segs = keep
-	// Memtable: keep survivors, rewrite the WAL to the surviving rows.
-	if m := s.mem; m.cols.rows() > 0 {
-		var perm []int
-		dropped := 0
-		for i := 0; i < m.cols.rows(); i++ {
-			if m.cols.at[i] >= int64(t) {
-				perm = append(perm, i)
-			} else {
-				dropped++
-			}
+	// Memtable: re-append the survivors into a fresh memtable (append
+	// order, so ids stay sorted) and rewrite the WAL to match.
+	c := &s.mem.cols
+	dropped := 0
+	for _, at := range c.at {
+		if at < int64(t) {
+			dropped++
 		}
-		if dropped > 0 {
-			removed += dropped
-			filtered := permuteCols(&m.cols, perm)
-			nm := newMemtable()
-			nm.cols = *filtered
-			for i, src := range filtered.dict {
-				nm.srcIdx[src] = uint8(i)
+	}
+	if dropped > 0 {
+		removed += dropped
+		nm := newMemtable()
+		for i, at := range c.at {
+			if at < int64(t) {
+				continue
 			}
-			for i := 1; i < len(filtered.at); i++ {
-				if filtered.at[i] < filtered.at[i-1] {
-					nm.atSorted = false
-					break
-				}
-			}
-			s.mem = nm
-			if err := s.rewriteWALLocked(); err != nil {
+			r := c.record(i)
+			if err := nm.append(&r); err != nil {
 				return removed, err
 			}
+		}
+		s.mem = nm
+		if err := s.rewriteWALLocked(); err != nil {
+			return removed, err
 		}
 	}
 	return removed, nil
@@ -562,12 +571,8 @@ func (s *DiskStore) rewriteWALLocked() error {
 	}
 	var buf []byte
 	c := &s.mem.cols
-	var r Record
 	for i := 0; i < c.rows(); i++ {
-		r = Record{
-			ID: c.id[i], Source: c.dict[c.src[i]], At: time.Duration(c.at[i]),
-			X: c.x[i], Y: c.y[i], Payload: c.payload(i),
-		}
+		r := c.record(i)
 		buf = appendWALFrame(buf, &r)
 	}
 	tmp := s.path + ".wal.tmp"
@@ -621,8 +626,8 @@ func (s *DiskStore) Compact() (int, error) {
 				return mergedAway, err
 			}
 		}
-		view := merged.sortedView()
-		nsg, err := writeSegmentFile(s.dir, s.nextSeq, view)
+		// The merge arrives in (At, ID) order, so this is the alias path.
+		nsg, err := writeSegmentFile(s.dir, s.nextSeq, merged.sorted())
 		if err != nil {
 			return mergedAway, err
 		}

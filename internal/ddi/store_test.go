@@ -3,8 +3,11 @@ package ddi
 import (
 	"bytes"
 	"encoding/binary"
+	"hash/crc32"
+	"math"
 	"os"
 	"path/filepath"
+	"runtime"
 	"sort"
 	"strings"
 	"testing"
@@ -351,6 +354,90 @@ func TestLoadRejectsMidFileCorruption(t *testing.T) {
 	}
 }
 
+// frameBodies reads data as length-prefixed chunks (one length byte each)
+// and wraps every chunk in a valid WAL frame header, so mutated bytes
+// reach the body decoder instead of dying at the checksum.
+func frameBodies(data []byte) []byte {
+	var log []byte
+	for len(data) > 0 {
+		n := min(int(data[0]), len(data)-1)
+		body := data[1 : 1+n]
+		log = binary.LittleEndian.AppendUint32(log, uint32(n))
+		log = binary.LittleEndian.AppendUint32(log, crc32.ChecksumIEEE(body))
+		log = append(log, body...)
+		data = data[1+n:]
+	}
+	return log
+}
+
+// FuzzReplayWAL feeds arbitrary bytes to the open path as ddi.log, raw and
+// again behind valid frame headers. The store must refuse them with an
+// error or open without panicking, must not allocate beyond a bound set
+// by the log's length (a length field cannot make it reserve what the
+// file does not hold), and once open must stream exactly the frames a
+// bare replay decodes, in (At, ID) order — whatever order, IDs and
+// duplicates the log carried. The seed corpus (testdata/fuzz) is
+// writeLogFixture's log — clean, torn, mangled mid-file, reordered with a
+// late and a duplicate frame, and as bare bodies for frameBodies — plus
+// bodies whose length fields wrap int.
+func FuzzReplayWAL(f *testing.F) {
+	f.Fuzz(func(t *testing.T, data []byte) {
+		checkReplay(t, data)
+		checkReplay(t, frameBodies(data))
+	})
+}
+
+func checkReplay(t *testing.T, log []byte) {
+	dir := t.TempDir()
+	path := filepath.Join(dir, "ddi.log")
+	if err := os.WriteFile(path, log, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	var want []Record
+	_, refErr := replayWAL(path, func(r *Record) {
+		c := *r
+		c.Payload = append([]byte(nil), r.Payload...)
+		want = append(want, c)
+	})
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	s, err := OpenDiskStore(dir)
+	runtime.ReadMemStats(&after)
+	if grew, limit := after.TotalAlloc-before.TotalAlloc, uint64(64*len(log)+4<<20); grew > limit {
+		t.Fatalf("open allocated %d bytes for a %d-byte log, bound %d", grew, len(log), limit)
+	}
+	if err != nil {
+		if refErr == nil && !strings.Contains(err.Error(), "dictionary overflow") {
+			t.Fatalf("replay decoded %d frames but open refused: %v", len(want), err)
+		}
+		return
+	}
+	defer s.Close()
+	if refErr != nil {
+		t.Fatalf("open accepted a log the replay rejects: %v", refErr)
+	}
+	sortRecords(want)
+	it := s.Scan(Query{})
+	n := 0
+	for ; it.Next(); n++ {
+		if n >= len(want) {
+			t.Fatalf("scan streamed more than the %d replayed rows", len(want))
+		}
+		got, w := it.Record(), &want[n]
+		if got.ID != w.ID || got.At != w.At || got.Source != w.Source ||
+			math.Float64bits(got.X) != math.Float64bits(w.X) || math.Float64bits(got.Y) != math.Float64bits(w.Y) ||
+			!bytes.Equal(got.Payload, w.Payload) {
+			t.Fatalf("row %d: scan %+v, replay %+v", n, *got, *w)
+		}
+	}
+	if err := it.Err(); err != nil {
+		t.Fatal(err)
+	}
+	if n != len(want) {
+		t.Fatalf("scan streamed %d of the %d replayed rows", n, len(want))
+	}
+}
+
 // fullScanSelect is the naive reference implementation the segment
 // engine must match: walk a (At, ID)-sorted shadow copy of every stored
 // record, filter with Query.Matches.
@@ -370,8 +457,10 @@ func fullScanSelect(shadow []Record, q Query) []Record {
 	return out
 }
 
+// sortRecords orders rs by (At, ID); equal keys (only a hand-made WAL
+// has them) keep arrival order, as the store does.
 func sortRecords(rs []Record) {
-	sort.Slice(rs, func(i, j int) bool {
+	sort.SliceStable(rs, func(i, j int) bool {
 		if rs[i].At != rs[j].At {
 			return rs[i].At < rs[j].At
 		}

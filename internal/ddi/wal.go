@@ -65,12 +65,17 @@ func decodeWALBody(body []byte, r *Record) error {
 	if !ok {
 		return fmt.Errorf("truncated id")
 	}
+	if id == 0 {
+		return fmt.Errorf("zero id") // Put assigns from 1
+	}
 	at, ok := uv()
 	if !ok {
 		return fmt.Errorf("truncated timestamp")
 	}
+	// Lengths compare as uint64 against what is left: converted to int
+	// first, a huge one wraps negative and slips past the bound.
 	srcLen, ok := uv()
-	if !ok || pos+int(srcLen) > len(body) {
+	if !ok || srcLen > uint64(len(body)-pos) {
 		return fmt.Errorf("truncated source")
 	}
 	src := body[pos : pos+int(srcLen)]
@@ -82,7 +87,7 @@ func decodeWALBody(body []byte, r *Record) error {
 	y := math.Float64frombits(binary.LittleEndian.Uint64(body[pos+8:]))
 	pos += 16
 	payLen, ok := uv()
-	if !ok || pos+int(payLen) != len(body) {
+	if !ok || payLen != uint64(len(body)-pos) {
 		return fmt.Errorf("truncated payload")
 	}
 	r.ID = id
@@ -90,7 +95,9 @@ func decodeWALBody(body []byte, r *Record) error {
 	r.Source = Source(src)
 	r.X, r.Y = x, y
 	r.Payload = body[pos:]
-	return nil
+	// Put validated every record it framed, so one that fails here (a
+	// timestamp past int64, no source, no payload) was never written.
+	return r.Validate()
 }
 
 // replayWAL reads path and calls emit for every intact frame. It returns

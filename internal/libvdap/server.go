@@ -521,23 +521,24 @@ func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 		s.writeErrRes(w, http.StatusServiceUnavailable, fmt.Errorf("flight recorder not attached"))
 		return
 	}
-	if r.URL.Query().Get("format") == "table" {
+	qs := r.URL.Query()
+	if qs.Get("format") == "table" {
 		s.writeNegotiated(w, r, "text/plain; charset=utf-8", []byte(s.events.RenderTable()))
 		return
 	}
-	since, err := parseSince(r.URL.Query().Get("since"))
+	since, err := parseSince(qs.Get("since"))
 	if err != nil {
 		s.writeErrRes(w, http.StatusBadRequest, err)
 		return
 	}
 	minSev := obs.SevDebug
-	if sev := r.URL.Query().Get("severity"); sev != "" {
+	if sev := qs.Get("severity"); sev != "" {
 		if minSev, err = obs.ParseSeverity(sev); err != nil {
 			s.writeErrRes(w, http.StatusBadRequest, err)
 			return
 		}
 	}
-	component := r.URL.Query().Get("component")
+	component := qs.Get("component")
 	s.cached(w, r, s.eventsCache, func() (any, error) {
 		return EventsResponse{
 			Events:  s.events.EventsSince(since, component, minSev),
@@ -562,20 +563,21 @@ func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
 		s.writeErrRes(w, http.StatusServiceUnavailable, fmt.Errorf("observability not attached"))
 		return
 	}
-	watermark, err := parseSince(r.URL.Query().Get("since"))
+	qs := r.URL.Query()
+	watermark, err := parseSince(qs.Get("since"))
 	if err != nil {
 		s.writeErrRes(w, http.StatusBadRequest, err)
 		return
 	}
 	frames := 0
-	if fs := r.URL.Query().Get("frames"); fs != "" {
+	if fs := qs.Get("frames"); fs != "" {
 		if frames, err = strconv.Atoi(fs); err != nil || frames < 0 {
 			s.writeErrRes(w, http.StatusBadRequest, fmt.Errorf("bad frames %q", fs))
 			return
 		}
 	}
 	poll := 100 * time.Millisecond
-	if ps := r.URL.Query().Get("poll"); ps != "" {
+	if ps := qs.Get("poll"); ps != "" {
 		if poll, err = parseSeconds(ps); err != nil || poll <= 0 {
 			s.writeErrRes(w, http.StatusBadRequest, fmt.Errorf("bad poll %q", ps))
 			return
@@ -898,17 +900,18 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		s.writeErrRes(w, http.StatusServiceUnavailable, fmt.Errorf("DDI not attached"))
 		return
 	}
-	q := ddi.Query{Source: ddi.Source(r.URL.Query().Get("source"))}
+	qs := r.URL.Query()
+	q := ddi.Query{Source: ddi.Source(qs.Get("source"))}
 	var err error
-	if q.From, err = parseSeconds(r.URL.Query().Get("from")); err != nil {
+	if q.From, err = parseSeconds(qs.Get("from")); err != nil {
 		s.writeErrRes(w, http.StatusBadRequest, err)
 		return
 	}
-	if q.To, err = parseSeconds(r.URL.Query().Get("to")); err != nil {
+	if q.To, err = parseSeconds(qs.Get("to")); err != nil {
 		s.writeErrRes(w, http.StatusBadRequest, err)
 		return
 	}
-	if limit := r.URL.Query().Get("limit"); limit != "" {
+	if limit := qs.Get("limit"); limit != "" {
 		n, err := strconv.Atoi(limit)
 		if err != nil || n < 0 {
 			s.writeErrRes(w, http.StatusBadRequest, fmt.Errorf("bad limit %q", limit))
@@ -939,24 +942,26 @@ type WindowResponse struct {
 
 // handleWindow serves GET /api/v1/data/window: a windowed aggregate
 // (count/min/max/mean) over one column, answered by the DDI query
-// planner without materialising records — which is why it runs under the
-// read tier, unlike /data/query whose cache promotion mutates.
+// planner from zone maps and column reads — no Record is built and
+// nothing is promoted into the cache, which is why it runs under the read
+// tier, unlike /data/query whose cache promotion mutates.
 func (s *Server) handleWindow(w http.ResponseWriter, r *http.Request) {
 	if s.store == nil {
 		s.writeErrRes(w, http.StatusServiceUnavailable, fmt.Errorf("DDI not attached"))
 		return
 	}
-	q := ddi.Query{Source: ddi.Source(r.URL.Query().Get("source"))}
+	qs := r.URL.Query()
+	q := ddi.Query{Source: ddi.Source(qs.Get("source"))}
 	var err error
-	if q.From, err = parseSeconds(r.URL.Query().Get("from")); err != nil {
+	if q.From, err = parseSeconds(qs.Get("from")); err != nil {
 		s.writeErrRes(w, http.StatusBadRequest, err)
 		return
 	}
-	if q.To, err = parseSeconds(r.URL.Query().Get("to")); err != nil {
+	if q.To, err = parseSeconds(qs.Get("to")); err != nil {
 		s.writeErrRes(w, http.StatusBadRequest, err)
 		return
 	}
-	colName := r.URL.Query().Get("column")
+	colName := qs.Get("column")
 	if colName == "" {
 		colName = "at"
 	}
@@ -1033,9 +1038,10 @@ func (s *Server) handleFetch(w http.ResponseWriter, r *http.Request) {
 		s.writeErrRes(w, http.StatusServiceUnavailable, fmt.Errorf("data sharing not attached"))
 		return
 	}
-	service := r.URL.Query().Get("service")
-	topic := r.URL.Query().Get("topic")
-	since, err := parseSeconds(r.URL.Query().Get("since"))
+	qs := r.URL.Query()
+	service := qs.Get("service")
+	topic := qs.Get("topic")
+	since, err := parseSeconds(qs.Get("since"))
 	if err != nil {
 		s.writeErrRes(w, http.StatusBadRequest, err)
 		return
