@@ -37,8 +37,8 @@ determinism:
 	/tmp/vdapbench -exp chaos -seed 7 -reps 4 -parallel 4 > /tmp/chaos-p4.txt
 	diff -u /tmp/chaos-p1.txt /tmp/chaos-p4.txt
 	@echo "determinism: chaos reports byte-identical across -parallel levels"
-	/tmp/vdapbench -exp scale -seed 7 -vehicles 60,120 -shards 1 2>/dev/null > /tmp/scale-s1.txt
-	/tmp/vdapbench -exp scale -seed 7 -vehicles 60,120 -shards 4 2>/dev/null > /tmp/scale-s4.txt
+	/tmp/vdapbench -exp scale -seed 7 -vehicles 60,120 -shards 1 > /tmp/scale-s1.txt
+	/tmp/vdapbench -exp scale -seed 7 -vehicles 60,120 -shards 4 > /tmp/scale-s4.txt
 	diff -u /tmp/scale-s1.txt /tmp/scale-s4.txt
 	@echo "determinism: scale reports byte-identical across -shards levels"
 	/tmp/vdapbench -exp obs -seed 7 -reps 2 -parallel 1 -shards 1 -runreport /tmp/obs-p1.json 2>/dev/null > /tmp/obs-p1.txt
@@ -54,8 +54,8 @@ determinism:
 	/tmp/vdapbench -exp netchaos -seed 7 -parallel 4 > /tmp/netchaos-p4.txt
 	diff -u /tmp/netchaos-p1.txt /tmp/netchaos-p4.txt
 	@echo "determinism: E19 chaos plan byte-identical across -parallel levels"
-	/tmp/vdapbench -exp ddi -seed 7 -records 200000 -parallel 1 2>/dev/null > /tmp/ddi-p1.txt
-	/tmp/vdapbench -exp ddi -seed 7 -records 200000 -parallel 4 2>/dev/null > /tmp/ddi-p4.txt
+	/tmp/vdapbench -exp ddi -seed 7 -records 200000 -parallel 1 > /tmp/ddi-p1.txt
+	/tmp/vdapbench -exp ddi -seed 7 -records 200000 -parallel 4 > /tmp/ddi-p4.txt
 	diff -u /tmp/ddi-p1.txt /tmp/ddi-p4.txt
 	@echo "determinism: E20 DDI query digest byte-identical across -parallel levels"
 

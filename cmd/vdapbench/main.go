@@ -59,7 +59,7 @@ func mainExit(args []string) int {
 	fs.StringVar(&o.exp, "exp", "all", "experiment: "+expNames())
 	fs.Int64Var(&o.seed, "seed", 42, "random seed")
 	fs.DurationVar(&o.duration, "duration", 5*time.Minute, "figure-2 stream duration")
-	fs.StringVar(&o.dir, "dir", "", "DDI scratch directory (default: temp)")
+	fs.StringVar(&o.dir, "dir", "", "DDI scratch directory (default: temp; -exp ddi needs it empty)")
 	fs.StringVar(&o.traceOut, "trace", "", "write a Chrome trace_event JSON file (supported by -exp arch and -exp sweep)")
 	fs.IntVar(&o.reps, "reps", 8, "replications for -exp sweep/chaos/obs")
 	fs.IntVar(&o.parallel, "parallel", runtime.GOMAXPROCS(0), "worker-pool size for -exp sweep/chaos/obs (output is byte-identical at any level)")
@@ -114,9 +114,9 @@ func mainExit(args []string) int {
 type experiment struct {
 	name string
 	desc string
-	// all marks experiments included in -exp all. Wall-clock runs of the
-	// platform itself (scale, ddi), file-writing runs (obs) and the netchaos
-	// plan dump stay out.
+	// all marks experiments included in -exp all. The determinism digests
+	// sized by fleet or corpus (scale, ddi: minutes at their defaults),
+	// file-writing runs (obs) and the netchaos plan dump stay out.
 	all bool
 	run func(o *options) error
 }
@@ -166,10 +166,10 @@ var experimentList = []experiment{
 			return show(experiments.DDITable)(experiments.RunDDIBench(dir, o.seed))
 		})
 	}},
-	{"scale", "fleet scaling sweep over shard counts (E16)", false, runScale},
+	{"scale", "fleet scaling digest, byte-identical at any -shards (E16)", false, runScale},
 	{"obs", "flight-recorder fleet run -> RUN_REPORT.json (E17)", false, runObs},
 	{"netchaos", "compiled network-chaos plan, byte-identical at any -parallel (E19)", false, runNetChaos},
-	{"ddi", "columnar DDI store ingest/query sweep (E20)", false, runDDIStore},
+	{"ddi", "columnar DDI store query digest, byte-identical at any -parallel (E20)", false, runDDIStore},
 }
 
 // expNames renders the one-line flag usage: all|table1|...|ddi.
@@ -186,7 +186,7 @@ func expNames() string {
 func expUsage() string {
 	var b strings.Builder
 	b.WriteString("experiments:\n")
-	fmt.Fprintf(&b, "  %-10s %s\n", "all", "every paper experiment below (excludes meta-benchmarks)")
+	fmt.Fprintf(&b, "  %-10s %s\n", "all", "every paper experiment below (the determinism digests scale, obs, netchaos and ddi run by name only)")
 	for _, e := range experimentList {
 		fmt.Fprintf(&b, "  %-10s %s\n", e.name, e.desc)
 	}
@@ -208,6 +208,9 @@ func run(o options) error {
 	}
 	if len(selected) == 0 {
 		return fmt.Errorf("unknown experiment %q\n%s", o.exp, expUsage())
+	}
+	if o.shards < 0 {
+		return fmt.Errorf("bad -shards %d", o.shards)
 	}
 	for _, e := range selected {
 		if err := e.run(&o); err != nil {
@@ -337,10 +340,9 @@ func runChaos(o *options) error {
 	return nil
 }
 
-// runScale is E16. Its wall clock is machine-dependent, so it stays out of
-// -exp all. Stdout carries only the deterministic simulation table —
-// `make determinism` diffs it between -shards values — while the shard
-// timing table goes to stderr.
+// runScale is E16: the deterministic simulation table `make determinism`
+// diffs between -shards values. Its default sweep reaches 10 000 vehicles,
+// so it stays out of -exp all.
 func runScale(o *options) error {
 	sizes, err := parseFleetSizes(o.vehicles)
 	if err != nil {
@@ -355,7 +357,6 @@ func runScale(o *options) error {
 		return err
 	}
 	fmt.Println(experiments.ScaleTable(res))
-	fmt.Fprintln(os.Stderr, experiments.ScaleTimingTable(res))
 	return nil
 }
 
@@ -398,10 +399,9 @@ func runNetChaos(o *options) error {
 	return nil
 }
 
-// runDDIStore is E20: the columnar store ingest/query sweep. Like scale
-// it is machine-dependent, so it stays out of -exp all. Stdout carries
-// only the deterministic digest — `make determinism` diffs it between
-// -parallel levels — while wall-clock throughput goes to stderr.
+// runDDIStore is E20: the columnar store digest `make determinism` diffs
+// between -parallel levels. Its default corpus is 10M records, so like
+// scale it stays out of -exp all.
 func runDDIStore(o *options) error {
 	return withScratchDir(o.dir, "vdapbench-ddistore-*", func(dir string) error {
 		res, err := experiments.RunDDIStore(experiments.DDIStoreConfig{
@@ -414,7 +414,6 @@ func runDDIStore(o *options) error {
 			return err
 		}
 		fmt.Println(experiments.DDIStoreTable(res))
-		fmt.Fprintln(os.Stderr, experiments.DDIStoreTimingTable(res))
 		return nil
 	})
 }

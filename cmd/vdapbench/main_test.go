@@ -143,6 +143,16 @@ func TestParseFleetSizes(t *testing.T) {
 	}
 }
 
+// TestNegativeShardsRejected: a negative -shards is an error (exit 1), not a
+// silent fall back to the default sweep.
+func TestNegativeShardsRejected(t *testing.T) {
+	for _, exp := range []string{"scale", "obs"} {
+		if code := mainExit([]string{"-exp", exp, "-vehicles", "8", "-reps", "1", "-shards", "-2"}); code != 1 {
+			t.Errorf("-exp %s -shards -2: exit code %d, want 1", exp, code)
+		}
+	}
+}
+
 // TestRunArchTraced checks the -trace path: the arch experiment must emit
 // a valid Chrome trace covering the five component lanes, byte-identical
 // across same-seed runs.

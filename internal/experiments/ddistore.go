@@ -1,12 +1,9 @@
 package experiments
 
 import (
-	"bufio"
-	"encoding/json"
 	"fmt"
 	"hash/fnv"
 	"os"
-	"path/filepath"
 	"time"
 
 	"repro/internal/ddi"
@@ -14,14 +11,14 @@ import (
 	"repro/internal/sim"
 )
 
-// E20 — the columnar DDI store ingest/query sweep. It builds a large
-// virtual-time-partitioned corpus once (single-threaded, so the store
+// E20 — the columnar DDI store worker-count determinism digest. It builds a
+// large virtual-time-partitioned corpus once (single-threaded, so the store
 // layout is a pure function of the seed), then fans a fixed set of query
-// shapes over the read-only store through the parallel runner. Everything
-// printed on stdout is deterministic — counts, zone-map prune statistics,
-// and record checksums — so `make determinism` can diff the digest across
-// -parallel levels; wall-clock throughput goes to stderr only (the
-// tracked DDI numbers are benchmark/'s ddi_ingest and ddi_query).
+// shapes over the read-only store through the parallel runner, compacts,
+// and fans them again. Everything it reports is deterministic — counts,
+// zone-map prune statistics, and record checksums — so `make determinism`
+// can diff the digest across -parallel levels. What the store costs in wall
+// clock is benchmark/'s to measure (ddi_ingest, ddi_query).
 
 // DDIStoreConfig parameterizes E20.
 type DDIStoreConfig struct {
@@ -32,7 +29,8 @@ type DDIStoreConfig struct {
 	// Parallel is the query-sweep worker-pool size; the digest is
 	// byte-identical at any level.
 	Parallel int
-	// Dir is the store scratch directory.
+	// Dir is the store scratch directory; it must be empty, so the digest
+	// is a function of (Seed, Records) alone.
 	Dir string
 }
 
@@ -52,8 +50,7 @@ type DDIQueryCell struct {
 	Checksum string
 }
 
-// DDIStoreResult is the full E20 outcome: the deterministic digest plus
-// machine-dependent wall-clock throughput.
+// DDIStoreResult is the E20 outcome: a pure function of (seed, records).
 type DDIStoreResult struct {
 	Records     int
 	SpanVirtual time.Duration
@@ -62,19 +59,10 @@ type DDIStoreResult struct {
 	SegmentsBefore int
 	SegmentsAfter  int
 	MergedAway     int
-	StoreBytes     int64
 	// Cells is the query digest, pre-compaction; CellsAfter re-runs the
 	// same shapes post-compaction (counts and checksums must agree).
 	Cells      []DDIQueryCell
 	CellsAfter []DDIQueryCell
-
-	// Wall-clock measurements (stderr only).
-	IngestNsPerRec   float64
-	BaselineNsPerRec float64
-	ScanNsPerOp      float64
-	NaiveNsPerOp     float64
-	NarrowSkipRatio  float64
-	CompactNs        float64
 }
 
 // ddiCorpusSpacing is the virtual-time gap between consecutive records:
@@ -103,32 +91,6 @@ func ddiCorpusRecord(rng *sim.RNG, i int, payload []byte) ddi.Record {
 // ddiPayloadCap bounds one corpus payload: `{"v":9999,"s":99}` is 17
 // bytes; 24 leaves slack.
 const ddiPayloadCap = 24
-
-// ddiBatchSize is how many corpus records are pre-generated per ingest
-// batch, so record synthesis (RNG draws, payload formatting) stays out of
-// the timed store path.
-const ddiBatchSize = 1 << 16
-
-// ddiCorpusBatches streams the corpus in pre-generated batches: fill
-// synthesizes records outside any timing window, and the caller times
-// only its own consumption of each batch. Batch buffers are reused, so
-// consume must not retain records across calls.
-func ddiCorpusBatches(seed int64, records int, consume func([]ddi.Record) error) error {
-	rng := sim.NewStream(seed, 20)
-	recs := make([]ddi.Record, 0, ddiBatchSize)
-	slab := make([]byte, ddiBatchSize*ddiPayloadCap)
-	for i := 0; i < records; {
-		recs = recs[:0]
-		for j := 0; j < ddiBatchSize && i < records; j, i = j+1, i+1 {
-			buf := slab[j*ddiPayloadCap : j*ddiPayloadCap : (j+1)*ddiPayloadCap]
-			recs = append(recs, ddiCorpusRecord(rng, i, buf))
-		}
-		if err := consume(recs); err != nil {
-			return err
-		}
-	}
-	return nil
-}
 
 // ddiQueryShapes builds the digest's query cells for a corpus spanning
 // [0, span). Windows are fractions of the span so the shapes scale with
@@ -227,6 +189,12 @@ func RunDDIStore(cfg DDIStoreConfig) (*DDIStoreResult, error) {
 	if cfg.Dir == "" {
 		return nil, fmt.Errorf("ddistore: need a scratch directory")
 	}
+	// OpenDiskStore would replay whatever store is already there, and the
+	// digest would cover its records too. A missing or unreadable
+	// directory is OpenDiskStore's to create or report.
+	if entries, _ := os.ReadDir(cfg.Dir); len(entries) > 0 {
+		return nil, fmt.Errorf("ddistore: scratch directory %s is not empty", cfg.Dir)
+	}
 	s, err := ddi.OpenDiskStore(cfg.Dir)
 	if err != nil {
 		return nil, err
@@ -239,66 +207,29 @@ func RunDDIStore(cfg DDIStoreConfig) (*DDIStoreResult, error) {
 	}
 
 	// Phase 1 — ingest through the memtable + seal path. Single-threaded,
-	// so the segment layout is a pure function of the seed; records are
-	// pre-generated per batch so only Put and the seals it triggers are
-	// timed (the baseline below likewise times only its write path).
-	var ingest time.Duration
-	err = ddiCorpusBatches(cfg.Seed, cfg.Records, func(recs []ddi.Record) error {
-		start := time.Now()
-		for i := range recs {
-			if _, err := s.Put(recs[i]); err != nil {
-				return err
-			}
+	// so the segment layout is a pure function of the seed.
+	rng := sim.NewStream(cfg.Seed, 20)
+	payload := make([]byte, 0, ddiPayloadCap)
+	for i := 0; i < cfg.Records; i++ {
+		if _, err := s.Put(ddiCorpusRecord(rng, i, payload)); err != nil {
+			return nil, err
 		}
-		ingest += time.Since(start)
-		return nil
-	})
-	if err != nil {
-		return nil, err
 	}
-	start := time.Now()
 	if err := s.Seal(); err != nil {
 		return nil, err
 	}
-	ingest += time.Since(start)
-	res.IngestNsPerRec = float64(ingest) / float64(cfg.Records)
-
-	// Baseline: the seed store's append path — one JSON line per record,
-	// no columns, no zone maps — measured live over the same stream.
-	base, err := ddiBaselineIngest(cfg)
-	if err != nil {
-		return nil, err
-	}
-	res.BaselineNsPerRec = base
-
 	res.SegmentsBefore = len(s.Segments())
-	res.StoreBytes = dirBytes(cfg.Dir)
 
 	// Phase 2 — deterministic query sweep over the sealed store.
 	if res.Cells, err = ddiQuerySweep(s, res.SpanVirtual, cfg.Seed, cfg.Parallel); err != nil {
 		return nil, err
 	}
 
-	// Phase 3 — wall-clock scan timings on the canonical narrow window:
-	// the planned scan against a full-scan reference that touches every
-	// record (the seed Select's O(n) shape).
-	narrow := ddi.Query{From: res.SpanVirtual / 2, To: res.SpanVirtual/2 + res.SpanVirtual/100}
-	if res.ScanNsPerOp, res.NarrowSkipRatio, err = ddiTimePlannedScan(s, narrow); err != nil {
-		return nil, err
-	}
-	if res.NaiveNsPerOp, err = ddiTimeNaiveScan(s, narrow); err != nil {
-		return nil, err
-	}
-
-	// Phase 4 — compaction, then the same digest again: merging segments
+	// Phase 3 — compaction, then the same digest again: merging segments
 	// must not change any count or checksum.
-	start = time.Now()
-	merged, err := s.Compact()
-	if err != nil {
+	if res.MergedAway, err = s.Compact(); err != nil {
 		return nil, err
 	}
-	res.CompactNs = float64(time.Since(start))
-	res.MergedAway = merged
 	res.SegmentsAfter = len(s.Segments())
 	if res.CellsAfter, err = ddiQuerySweep(s, res.SpanVirtual, cfg.Seed, cfg.Parallel); err != nil {
 		return nil, err
@@ -313,113 +244,9 @@ func RunDDIStore(cfg DDIStoreConfig) (*DDIStoreResult, error) {
 	return res, nil
 }
 
-// ddiBaselineIngest measures the pre-columnar append path: marshal each
-// record to JSON and write it as one line, exactly the seed DiskStore's
-// hot loop. Records come pre-generated from the same stream as the live
-// measurement, and only the marshal+write path is timed, so the
-// comparison is payload-for-payload.
-func ddiBaselineIngest(cfg DDIStoreConfig) (float64, error) {
-	n := cfg.Records
-	if n > 1_000_000 {
-		n = 1_000_000 // the per-record cost is flat; no need to write 10M lines
-	}
-	path := filepath.Join(cfg.Dir, "baseline.jsonl")
-	f, err := os.Create(path)
-	if err != nil {
-		return 0, err
-	}
-	defer os.Remove(path)
-	defer f.Close()
-	w := bufio.NewWriterSize(f, 1<<20)
-	var total time.Duration
-	id := uint64(0)
-	err = ddiCorpusBatches(cfg.Seed, n, func(recs []ddi.Record) error {
-		start := time.Now()
-		for i := range recs {
-			id++
-			recs[i].ID = id
-			line, err := json.Marshal(recs[i])
-			if err != nil {
-				return err
-			}
-			if _, err := w.Write(line); err != nil {
-				return err
-			}
-			if err := w.WriteByte('\n'); err != nil {
-				return err
-			}
-		}
-		total += time.Since(start)
-		return nil
-	})
-	if err != nil {
-		return 0, err
-	}
-	if err := w.Flush(); err != nil {
-		return 0, err
-	}
-	return float64(total) / float64(n), nil
-}
-
-// ddiTimePlannedScan streams the window through the planner repeatedly
-// and returns ns per scan plus the window's segment-skip ratio.
-func ddiTimePlannedScan(s *ddi.DiskStore, q ddi.Query) (nsPerOp, skip float64, err error) {
-	stats, err := s.Explain(q)
-	if err != nil {
-		return 0, 0, err
-	}
-	const reps = 5
-	start := time.Now()
-	for r := 0; r < reps; r++ {
-		it := s.Scan(q)
-		for it.Next() {
-		}
-		if err := it.Err(); err != nil {
-			return 0, 0, err
-		}
-	}
-	return float64(time.Since(start)) / reps, stats.SkipRatio(), nil
-}
-
-// ddiTimeNaiveScan is the reference: stream every record in the store
-// and filter by hand — what a windowed Select cost before zone maps.
-func ddiTimeNaiveScan(s *ddi.DiskStore, q ddi.Query) (float64, error) {
-	start := time.Now()
-	it := s.Scan(ddi.Query{})
-	n := 0
-	for it.Next() {
-		r := it.Record()
-		if q.Matches(r) {
-			n++
-		}
-	}
-	if err := it.Err(); err != nil {
-		return 0, err
-	}
-	if n == 0 {
-		return 0, fmt.Errorf("ddistore: naive reference matched nothing")
-	}
-	return float64(time.Since(start)), nil
-}
-
-// dirBytes sums the sizes of the regular files directly inside dir.
-func dirBytes(dir string) int64 {
-	entries, err := os.ReadDir(dir)
-	if err != nil {
-		return 0
-	}
-	var total int64
-	for _, e := range entries {
-		if info, err := e.Info(); err == nil && info.Mode().IsRegular() {
-			total += info.Size()
-		}
-	}
-	return total
-}
-
-// DDIStoreTable renders the deterministic E20 digest: corpus shape, zone
-// maps, and the per-query sweep. Everything here is a pure function of
-// (seed, records) — `make determinism` diffs it across -parallel levels.
+// DDIStoreTable renders the E20 digest: corpus shape, zone maps, and the
+// per-query sweep. Everything here is a pure function of (seed, records) —
+// `make determinism` diffs it across -parallel levels.
 func DDIStoreTable(res *DDIStoreResult) string {
 	t := &Table{
 		Title: fmt.Sprintf("E20: columnar DDI store, %d records over %v (%d -> %d segments, %d merged away)",
@@ -437,33 +264,5 @@ func DDIStoreTable(res *DDIStoreResult) string {
 			c.Checksum,
 		})
 	}
-	return t.String()
-}
-
-// DDIStoreTimingTable renders the machine-dependent half of E20 —
-// wall-clock throughput — for stderr.
-func DDIStoreTimingTable(res *DDIStoreResult) string {
-	t := &Table{
-		Title:   "E20: wall-clock throughput (machine-dependent)",
-		Columns: []string{"path", "ns/op", "baseline ns/op", "speedup", "throughput"},
-	}
-	speedup := func(base, live float64) string {
-		if base <= 0 || live <= 0 {
-			return "-"
-		}
-		return fmt.Sprintf("%.1fx", base/live)
-	}
-	t.Rows = append(t.Rows,
-		[]string{"ingest (per record)", f2(res.IngestNsPerRec), f2(res.BaselineNsPerRec),
-			speedup(res.BaselineNsPerRec, res.IngestNsPerRec),
-			fmt.Sprintf("%.2fM rec/s", 1e3/res.IngestNsPerRec)},
-		[]string{"narrow-window scan", f2(res.ScanNsPerOp), f2(res.NaiveNsPerOp),
-			speedup(res.NaiveNsPerOp, res.ScanNsPerOp),
-			fmt.Sprintf("skip %.3f", res.NarrowSkipRatio)},
-		[]string{"compaction (per record)", f2(res.CompactNs / float64(res.Records)), "-", "-",
-			fmt.Sprintf("%.2fM rec/s", 1e3*float64(res.Records)/res.CompactNs)},
-		[]string{"store size", "-", "-", "-",
-			fmt.Sprintf("%.1f B/rec (%.1f MB)", float64(res.StoreBytes)/float64(res.Records), float64(res.StoreBytes)/1e6)},
-	)
 	return t.String()
 }

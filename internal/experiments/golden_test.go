@@ -9,17 +9,19 @@ import (
 
 var update = flag.Bool("update", false, "rewrite the golden tables under testdata/")
 
-// TestFleetTablesGolden pins the E12–E14 tables published in EXPERIMENTS.md
-// and README.md to committed files, at the configuration `vdapbench -exp
-// fleet|sweep|chaos` runs by default (seed 42, 8 replications). A change to
-// the fleet executor, the offload estimator or the fault planner that moves
-// a published number shows up as a golden diff; after checking the move is
-// intended, regenerate with
+// TestExperimentTablesGolden pins experiment tables to committed files. E12–E14
+// are the tables published in EXPERIMENTS.md and README.md, at the
+// configuration `vdapbench -exp fleet|sweep|chaos` runs by default (seed 42,
+// 8 replications); E16 and E20 are the two determinism digests, which `make
+// determinism` only diffs against themselves. A change to the fleet
+// executor, the offload estimator, the fault planner or the DDI store that
+// moves a published number or a digest shows up as a golden diff; after
+// checking the move is intended, regenerate with
 //
-//	go test ./internal/experiments -run TestFleetTablesGolden -update
+//	go test ./internal/experiments -run TestExperimentTablesGolden -update
 //
-// and carry the new cells into the two documents.
-func TestFleetTablesGolden(t *testing.T) {
+// and carry the new E12–E14 cells into the two documents.
+func TestExperimentTablesGolden(t *testing.T) {
 	const seed, reps = 42, 8
 	tests := []struct {
 		name   string
@@ -45,6 +47,20 @@ func TestFleetTablesGolden(t *testing.T) {
 				return "", err
 			}
 			return ChaosTable(res).String(), nil
+		}},
+		{"e16_scale", func() (string, error) {
+			res, err := RunScale(ScaleConfig{Vehicles: []int{60, 120}, Shards: []int{1, 4}, Seed: 7})
+			if err != nil {
+				return "", err
+			}
+			return ScaleTable(res), nil
+		}},
+		{"e20_ddi", func() (string, error) {
+			res, err := RunDDIStore(DDIStoreConfig{Records: 120_000, Seed: 7, Parallel: 2, Dir: t.TempDir()})
+			if err != nil {
+				return "", err
+			}
+			return DDIStoreTable(res), nil
 		}},
 	}
 	for _, tt := range tests {
