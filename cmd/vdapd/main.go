@@ -34,7 +34,7 @@ func main() {
 		tick     = flag.Duration("tick", 250*time.Millisecond, "wall-clock per virtual second")
 		traceOut = flag.String("trace", "", "write a Chrome trace_event JSON file at shutdown")
 		sample   = flag.Duration("sample", obs.DefaultSampleInterval,
-			"virtual-time metric sampling interval for /v1/metrics/series (0 disables)")
+			"virtual-time metric sampling interval for /api/v1/metrics/series (0 disables)")
 		drainTimeout = flag.Duration("drain-timeout", 10*time.Second,
 			"graceful-shutdown budget: in-flight requests and streams get this long to finish (0 closes immediately)")
 	)
@@ -123,7 +123,7 @@ func run(listen, dataDir string, speedMPH float64, seed int64, tick time.Duratio
 		if err := p.StartSampling(sample); err != nil {
 			return err
 		}
-		log.Printf("sampling metrics every %v of virtual time (GET /v1/metrics/series, /v1/events, /v1/stream)", sample)
+		log.Printf("sampling metrics every %v of virtual time (GET /api/v1/metrics/series, /api/v1/events, /api/v1/stream)", sample)
 	}
 
 	srv := &http.Server{Addr: listen, Handler: p.API(), ReadHeaderTimeout: 5 * time.Second}

@@ -54,7 +54,7 @@ type chaosModeOutcome struct {
 // runChaosMode runs one half of the pair: a fresh ticking platform behind a
 // fresh chaos proxy on a freshly compiled plan, then the fixed work. With
 // retry nil the clients are raw single-attempt GETs; otherwise each is a
-// libvdap.Client under that policy, and a /v1/stream consumer rides the
+// libvdap.Client under that policy, and a /api/v1/stream consumer rides the
 // same proxy to exercise auto-reconnect.
 func runChaosMode(t *testing.T, parallel int, retry *libvdap.RetryPolicy) chaosModeOutcome {
 	t.Helper()
@@ -89,7 +89,7 @@ func runChaosMode(t *testing.T, parallel int, retry *libvdap.RetryPolicy) chaosM
 	defer transport.CloseIdleConnections()
 	hc := &http.Client{Transport: transport, Timeout: 5 * time.Second}
 
-	paths := []string{"/api/v1/status", "/v1/metrics", "/v1/metrics/series", "/v1/events"}
+	paths := []string{"/api/v1/status", "/api/v1/metrics", "/api/v1/metrics/series", "/api/v1/events"}
 	var ok, failed, retries, retriedOK, streamReconnects atomic.Int64
 	var wg sync.WaitGroup
 

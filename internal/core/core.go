@@ -58,10 +58,6 @@ type Config struct {
 	// TraceCapacity caps retained spans (memory bound). Non-positive means
 	// trace.DefaultSpanLimit.
 	TraceCapacity int
-	// MetricsReservoir, when positive, bounds every histogram to k
-	// deterministically-sampled values (exact count/sum/min/max are kept).
-	// Zero keeps all samples.
-	MetricsReservoir int
 	// Resilience, when non-nil, installs the offload resilience policy
 	// (per-site circuit breakers, bounded retry, degradation ladder) on the
 	// offloading engine.
@@ -232,9 +228,6 @@ func New(cfg Config) (*Platform, error) {
 	api.AttachElastic(elastic)
 
 	metrics := telemetry.NewRegistry()
-	if cfg.MetricsReservoir > 0 {
-		metrics.EnableReservoir(cfg.MetricsReservoir, cfg.Seed)
-	}
 	tracer := trace.New(engine.Now)
 	tracer.SetSpanLimit(cfg.TraceCapacity)
 	dsf.Instrument(tracer, metrics)

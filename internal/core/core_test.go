@@ -445,7 +445,7 @@ func TestObservabilityWiring(t *testing.T) {
 			Points int    `json:"points"`
 		} `json:"series"`
 	}
-	resp, err := ts.Client().Get(ts.URL + "/v1/metrics/series")
+	resp, err := ts.Client().Get(ts.URL + "/api/v1/metrics/series")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -464,7 +464,7 @@ func TestObservabilityWiring(t *testing.T) {
 	}
 
 	// The stream endpoint's first frame carries the backlog.
-	resp, err = ts.Client().Get(ts.URL + "/v1/stream?frames=1")
+	resp, err = ts.Client().Get(ts.URL + "/api/v1/stream?frames=1")
 	if err != nil {
 		t.Fatal(err)
 	}

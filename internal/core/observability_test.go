@@ -30,7 +30,7 @@ func TestMetricsEndpointSubsystems(t *testing.T) {
 	}
 	ts := httptest.NewServer(p.API())
 	defer ts.Close()
-	resp, err := ts.Client().Get(ts.URL + "/v1/metrics")
+	resp, err := ts.Client().Get(ts.URL + "/api/v1/metrics")
 	if err != nil {
 		t.Fatal(err)
 	}

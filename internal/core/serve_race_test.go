@@ -45,11 +45,11 @@ func TestServeConcurrentWithTickLoop(t *testing.T) {
 	paths := []string{
 		// Lock-free observability and cached snapshots.
 		"/api/v1/status",
-		"/v1/metrics",
-		"/v1/metrics/series",
-		"/v1/events",
-		"/v1/trace",
-		"/v1/stream?frames=1",
+		"/api/v1/metrics",
+		"/api/v1/metrics/series",
+		"/api/v1/events",
+		"/api/v1/trace",
+		"/api/v1/stream?frames=1",
 		// Shared-lock simulation reads.
 		"/api/v1/resources",
 		"/api/v1/models",

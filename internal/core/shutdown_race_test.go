@@ -17,7 +17,7 @@ import (
 
 // TestShutdownUnderConcurrentLoad is the graceful-lifecycle -race test:
 // Server.Shutdown fires while the tick loop is advancing, a client fleet
-// is mid-request, and an unbounded /v1/stream consumer is attached. The
+// is mid-request, and an unbounded /api/v1/stream consumer is attached. The
 // drain contract under test: every admitted request finishes with a
 // complete response (rejected ones get a clean 503, never a dropped
 // connection), and the stream ends with a marked final frame and a clean
@@ -59,7 +59,7 @@ func TestShutdownUnderConcurrentLoad(t *testing.T) {
 	streamWG.Add(1)
 	go func() {
 		defer streamWG.Done()
-		resp, err := client.Get(ts.URL + "/v1/stream?poll=0.005")
+		resp, err := client.Get(ts.URL + "/api/v1/stream?poll=0.005")
 		if err != nil {
 			streamErr = err
 			return
@@ -91,9 +91,9 @@ func TestShutdownUnderConcurrentLoad(t *testing.T) {
 
 	paths := []string{
 		"/api/v1/status",
-		"/v1/metrics",
-		"/v1/metrics/series",
-		"/v1/events",
+		"/api/v1/metrics",
+		"/api/v1/metrics/series",
+		"/api/v1/events",
 		"/api/v1/resources",
 		"/api/v1/services",
 	}

@@ -133,33 +133,8 @@ func (c *MemCache) Get(id uint64, now time.Duration) (Record, bool) {
 	return entry.rec, true
 }
 
-// Sweep removes all expired entries at virtual time now and returns how
-// many were removed. Outcomes batch: one counter bump and one obs event
-// per sweep, not per record — a full-cache sweep must not flood the
-// flight recorder.
-func (c *MemCache) Sweep(now time.Duration) int {
-	removed := 0
-	for el := c.lru.Back(); el != nil; {
-		prev := el.Prev()
-		if entry, ok := el.Value.(*cacheEntry); ok && entry.expiresAt <= now {
-			c.lru.Remove(el)
-			delete(c.entries, entry.rec.ID)
-			removed++
-		}
-		el = prev
-	}
-	if removed > 0 {
-		c.m.expirations.Add(float64(removed))
-		if c.rec.Enabled() {
-			c.rec.Emit(now, "ddi", obs.SevDebug, "cache.sweep",
-				obs.Int("removed", removed), obs.Int("resident", c.lru.Len()))
-		}
-	}
-	return removed
-}
-
-// Len returns the number of cached entries (including not-yet-swept
-// expired ones).
+// Len returns the number of cached entries (including expired ones no Get
+// has touched yet).
 func (c *MemCache) Len() int { return c.lru.Len() }
 
 // Stats returns cumulative hits and misses.

@@ -82,21 +82,6 @@ func TestCacheLRUEviction(t *testing.T) {
 	}
 }
 
-func TestCacheSweep(t *testing.T) {
-	c, _ := NewMemCache(10, time.Minute)
-	for i := uint64(1); i <= 5; i++ {
-		c.Put(cached(i), 0)
-	}
-	c.Put(cached(6), 2*time.Minute)
-	removed := c.Sweep(90 * time.Second)
-	if removed != 5 {
-		t.Fatalf("swept %d, want 5", removed)
-	}
-	if c.Len() != 1 {
-		t.Fatalf("Len = %d after sweep", c.Len())
-	}
-}
-
 func TestCacheHitRateEmptyIsZero(t *testing.T) {
 	c, _ := NewMemCache(10, time.Minute)
 	if c.HitRate() != 0 {

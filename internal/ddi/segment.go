@@ -69,6 +69,40 @@ type segTrailer struct {
 	Blocks []segBlock `json:"blocks"`
 }
 
+// check holds the trailer — untrusted JSON — to the file it arrived in,
+// before decodeSegment sizes anything from it: each of the seven column
+// blocks exactly once and inside the file, and a row count those blocks
+// can hold (x and y take eight bytes a row, the varint columns at least
+// one), so a decode allocates in proportion to the file, never to a number
+// the file merely states. It returns what is wrong, or "".
+func (tr *segTrailer) check(fileLen int) string {
+	n := int64(tr.Zone.Count)
+	if n < 1 { // encodeSegment never seals an empty segment
+		return fmt.Sprintf("row count %d", n)
+	}
+	if len(tr.Zone.Sources) > math.MaxUint8+1 {
+		return fmt.Sprintf("%d sources overflow the one-byte dictionary index", len(tr.Zone.Sources))
+	}
+	minLen := map[string]int64{blkAt: n, blkID: n, blkSrc: 2, blkX: 8 * n, blkY: 8 * n, blkPLen: n, blkPay: 0}
+	if len(tr.Blocks) != len(minLen) {
+		return fmt.Sprintf("%d blocks, want %d", len(tr.Blocks), len(minLen))
+	}
+	for _, b := range tr.Blocks {
+		need, ok := minLen[b.Name]
+		if !ok {
+			return fmt.Sprintf("block %q: unknown or repeated", b.Name)
+		}
+		delete(minLen, b.Name)
+		if b.Len < 0 || b.Off < int64(len(segHeadMagic)) || b.Len > int64(fileLen)-b.Off {
+			return fmt.Sprintf("block %s: out of bounds", b.Name)
+		}
+		if fixed := b.Name == blkX || b.Name == blkY; b.Len < need || fixed && b.Len != need {
+			return fmt.Sprintf("block %s: %d bytes cannot hold %d rows", b.Name, b.Len, n)
+		}
+	}
+	return ""
+}
+
 // segCols holds a segment's decoded columns. Rows are sorted by (At, ID).
 // The struct is immutable once published; payloads are subslices of pay.
 type segCols struct {
@@ -369,6 +403,9 @@ func parseSegment(data []byte, path string) (*segTrailer, []byte, error) {
 	if err := json.Unmarshal(trailer, &tr); err != nil {
 		return nil, nil, fmt.Errorf("ddi: corrupt segment %s: %w", path, err)
 	}
+	if why := tr.check(len(data)); why != "" {
+		return nil, nil, fmt.Errorf("ddi: corrupt segment %s: %s", path, why)
+	}
 	return &tr, data, nil
 }
 
@@ -385,7 +422,7 @@ func readSegmentFile(path string) (*segCols, error) {
 	return decodeSegment(tr, raw, path)
 }
 
-// decodeSegment reverses encodeSegment.
+// decodeSegment reverses encodeSegment. tr has passed check against data.
 func decodeSegment(tr *segTrailer, data []byte, path string) (*segCols, error) {
 	n := tr.Zone.Count
 	cols := &segCols{
@@ -398,9 +435,6 @@ func decodeSegment(tr *segTrailer, data []byte, path string) (*segCols, error) {
 		return fmt.Errorf("ddi: corrupt segment %s: block %s: %s", path, block, why)
 	}
 	body := func(b segBlock) ([]byte, error) {
-		if b.Off < int64(len(segHeadMagic)) || b.Off+b.Len > int64(len(data)) {
-			return nil, corrupt(b.Name, "out of bounds")
-		}
 		blk := data[b.Off : b.Off+b.Len]
 		if crc32.ChecksumIEEE(blk) != b.CRC {
 			return nil, corrupt(b.Name, "checksum mismatch")
@@ -462,7 +496,7 @@ func decodeSegment(tr *segTrailer, data []byte, path string) (*segCols, error) {
 				}
 				pos += w
 				run, w := binary.Uvarint(blk[pos:])
-				if w <= 0 || run == 0 || row+int(run) > n || idx >= uint64(len(cols.dict)) {
+				if w <= 0 || run == 0 || run > uint64(n-row) || idx >= uint64(len(cols.dict)) {
 					return nil, corrupt(b.Name, "bad run")
 				}
 				pos += w
@@ -472,9 +506,6 @@ func decodeSegment(tr *segTrailer, data []byte, path string) (*segCols, error) {
 				}
 			}
 		case blkX, blkY:
-			if len(blk) != 8*n {
-				return nil, corrupt(b.Name, "bad length")
-			}
 			dst := cols.x
 			if b.Name == blkY {
 				dst = cols.y
@@ -485,6 +516,9 @@ func decodeSegment(tr *segTrailer, data []byte, path string) (*segCols, error) {
 		case blkPLen:
 			var off uint32
 			if err := readVarints(b.Name, blk, func(i int, v uint64) error {
+				if v > uint64(math.MaxUint32-off) {
+					return corrupt(b.Name, "payload offsets overflow")
+				}
 				cols.payOff[i] = off
 				off += uint32(v)
 				return nil

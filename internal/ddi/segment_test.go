@@ -1,8 +1,15 @@
 package ddi
 
 import (
+	"bytes"
+	"encoding/binary"
+	"encoding/json"
+	"hash/crc32"
+	"math"
 	"os"
 	"path/filepath"
+	"runtime"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -207,6 +214,220 @@ func TestCorruptSegmentColumnSurfacesAtScan(t *testing.T) {
 	}
 	if it.Err() == nil || !strings.Contains(it.Err().Error(), "corrupt segment") {
 		t.Fatalf("column corruption not surfaced: %v", it.Err())
+	}
+}
+
+// frameSegment wraps column bytes and a trailer in a segment frame whose
+// magics, length and checksum hold, so what is inside is judged on its
+// content: the file a hostile or buggy writer leaves, not a flipped bit.
+func frameSegment(cols, trailer []byte) []byte {
+	file := append([]byte(segHeadMagic), cols...)
+	file = append(file, trailer...)
+	file = binary.LittleEndian.AppendUint32(file, uint32(len(trailer)))
+	file = binary.LittleEndian.AppendUint32(file, crc32.ChecksumIEEE(trailer))
+	return append(file, segTailMagic...)
+}
+
+// tinySegment is a sealed three-row segment: two sources, an empty payload.
+func tinySegment(t testing.TB) []byte {
+	t.Helper()
+	file, err := encodeSegment(&segCols{
+		id: []uint64{1, 2, 3}, at: []int64{1e9, 2e9, 3e9},
+		src: []uint8{0, 1, 0}, dict: []Source{SourceOBD, SourceGPS},
+		x: []float64{1, 2, 3}, y: []float64{-1, -2, -3},
+		payOff: []uint32{0, 2, 2, 5}, pay: []byte("abcde"),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return file
+}
+
+// rewriteSegment lets edit change a segment's trailer and column bytes and
+// frames the result again.
+func rewriteSegment(t testing.TB, file []byte, edit func(tr *segTrailer, cols *[]byte)) []byte {
+	t.Helper()
+	tr, _, err := parseSegment(file, "fixture")
+	if err != nil {
+		t.Fatal(err)
+	}
+	trLen := int(binary.LittleEndian.Uint32(file[len(file)-len(segTailMagic)-8:]))
+	cols := slices.Clone(file[len(segHeadMagic) : len(file)-len(segTailMagic)-8-trLen])
+	edit(tr, &cols)
+	trailer, err := json.Marshal(tr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return frameSegment(cols, trailer)
+}
+
+// pointBlock appends body to the column bytes and points the named block
+// of the directory at it.
+func pointBlock(tr *segTrailer, cols *[]byte, name string, body []byte) {
+	for i := range tr.Blocks {
+		if b := &tr.Blocks[i]; b.Name == name {
+			b.Off, b.Len, b.CRC = int64(len(segHeadMagic)+len(*cols)), int64(len(body)), crc32.ChecksumIEEE(body)
+		}
+	}
+	*cols = append(*cols, body...)
+}
+
+// hostileSegments are files whose frame and checksums hold and whose
+// content must still be refused. The first panicked the first query that
+// touched it (makeslice: len out of range); the second allocated 7 GB and
+// was accepted as 200 million zero rows.
+func hostileSegments(t testing.TB) map[string][]byte {
+	good := tinySegment(t)
+	trailer := func(edit func(tr *segTrailer)) []byte {
+		return rewriteSegment(t, good, func(tr *segTrailer, _ *[]byte) { edit(tr) })
+	}
+	return map[string][]byte{
+		"count -1, no blocks":   frameSegment(nil, []byte(`{"zone":{"count":-1},"blocks":[]}`)),
+		"count 200M, no blocks": frameSegment(nil, []byte(`{"zone":{"count":200000000},"blocks":[]}`)),
+		"count 0":               trailer(func(tr *segTrailer) { tr.Zone.Count = 0 }),
+		"count past the blocks": trailer(func(tr *segTrailer) { tr.Zone.Count = 4 }),
+		"block missing":         trailer(func(tr *segTrailer) { tr.Blocks = tr.Blocks[:len(tr.Blocks)-1] }),
+		"block twice":           trailer(func(tr *segTrailer) { tr.Blocks[6] = tr.Blocks[0] }),
+		"unknown block":         trailer(func(tr *segTrailer) { tr.Blocks[6].Name = "idx" }),
+		"negative block length": trailer(func(tr *segTrailer) { tr.Blocks[2].Len = -1 }),
+		"block offset wraps":    trailer(func(tr *segTrailer) { tr.Blocks[2].Off, tr.Blocks[2].Len = math.MaxInt64, 2 }),
+		"block inside the head": trailer(func(tr *segTrailer) { tr.Blocks[2].Off = 0 }),
+		"257 sources":           trailer(func(tr *segTrailer) { tr.Zone.Sources = make([]Source, 257) }),
+		"payload lengths wrap uint32": rewriteSegment(t, good, func(tr *segTrailer, cols *[]byte) {
+			pointBlock(tr, cols, blkPLen, binary.AppendUvarint(binary.AppendUvarint([]byte{5}, math.MaxUint32), 0))
+		}),
+		"source run past the rows": rewriteSegment(t, good, func(tr *segTrailer, cols *[]byte) {
+			pointBlock(tr, cols, blkSrc, binary.AppendUvarint([]byte{0}, 1<<63))
+		}),
+	}
+}
+
+// TestHostileSegmentRefused: a segment that frames and checksums correctly
+// is still untrusted input. Each of hostileSegments must be refused as a
+// corrupt segment — at open when the trailer gives it away, at the first
+// scan when only a column does — without panicking and without allocating
+// what the file states instead of what it holds.
+func TestHostileSegmentRefused(t *testing.T) {
+	for name, file := range hostileSegments(t) {
+		t.Run(name, func(t *testing.T) {
+			dir := t.TempDir()
+			if err := os.WriteFile(filepath.Join(dir, segName(1)), file, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			// allocated runs the step that should refuse the file.
+			allocated := func(step func() error) (uint64, error) {
+				var before, after runtime.MemStats
+				runtime.ReadMemStats(&before)
+				err := step()
+				runtime.ReadMemStats(&after)
+				return after.TotalAlloc - before.TotalAlloc, err
+			}
+			var s *DiskStore
+			grew, err := allocated(func() (err error) {
+				s, err = OpenDiskStore(dir)
+				return err
+			})
+			if err == nil {
+				defer s.Close()
+				grew, err = allocated(func() error {
+					it := s.Scan(Query{})
+					for it.Next() {
+					}
+					return it.Err()
+				})
+			}
+			if err == nil || !strings.Contains(err.Error(), "corrupt segment") {
+				t.Fatalf("not refused as a corrupt segment: %v", err)
+			}
+			if grew > 1<<20 {
+				t.Fatalf("refusing a %d-byte file allocated %d bytes", len(file), grew)
+			}
+		})
+	}
+}
+
+// frameFuzzedSegment reads data as a two-byte trailer length, that much
+// trailer JSON and then column bytes, and frames them as a segment file. If
+// the trailer parses, each block's checksum is set to match the bytes it
+// points at — the fuzzer cannot guess a CRC — so mutated columns reach
+// their decoders instead of dying at the checksum.
+func frameFuzzedSegment(data []byte) []byte {
+	if len(data) < 2 {
+		return frameSegment(nil, nil)
+	}
+	n := min(int(binary.LittleEndian.Uint16(data)), len(data)-2)
+	trailer, cols := data[2:2+n], data[2+n:]
+	var tr segTrailer
+	if json.Unmarshal(trailer, &tr) == nil {
+		body := frameSegment(cols, nil)
+		for i := range tr.Blocks {
+			if b := &tr.Blocks[i]; b.Len >= 0 && b.Off >= 0 && b.Len <= int64(len(body))-b.Off {
+				b.CRC = crc32.ChecksumIEEE(body[b.Off : b.Off+b.Len])
+			}
+		}
+		if fixed, err := json.Marshal(&tr); err == nil {
+			trailer = fixed
+		}
+	}
+	return frameSegment(cols, trailer)
+}
+
+// FuzzDecodeSegment feeds arbitrary bytes to the segment reader, raw and
+// again behind a valid frame with matching block checksums. It must refuse
+// them as a corrupt segment or decode them, never panic, and never
+// allocate beyond a bound set by the file's length; and what it accepts
+// must survive encodeSegment and a second decode with every column equal.
+// The seed corpus (testdata/fuzz) is tinySegment and hostileSegments:
+// whole files for the first three, frameFuzzedSegment's input for the rest.
+func FuzzDecodeSegment(f *testing.F) {
+	f.Fuzz(func(t *testing.T, data []byte) {
+		checkSegment(t, data)
+		checkSegment(t, frameFuzzedSegment(data))
+	})
+}
+
+func checkSegment(t *testing.T, file []byte) {
+	decode := func(file []byte) (*segCols, error) {
+		tr, raw, err := parseSegment(file, "fuzz")
+		if err != nil {
+			return nil, err
+		}
+		return decodeSegment(tr, raw, "fuzz")
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	cols, err := decode(file)
+	runtime.ReadMemStats(&after)
+	if grew, limit := after.TotalAlloc-before.TotalAlloc, uint64(128*len(file)+1<<20); grew > limit {
+		t.Fatalf("decoding a %d-byte file allocated %d bytes, bound %d", len(file), grew, limit)
+	}
+	if err != nil {
+		if !strings.Contains(err.Error(), "corrupt segment") {
+			t.Fatalf("refused, but not as a corrupt segment: %v", err)
+		}
+		return
+	}
+	again, err := encodeSegment(cols)
+	if err != nil {
+		t.Fatalf("accepted segment does not encode: %v", err)
+	}
+	back, err := decode(again)
+	if err != nil {
+		t.Fatalf("accepted segment does not survive a round trip: %v", err)
+	}
+	bits := func(v []float64) []uint64 {
+		out := make([]uint64, len(v))
+		for i, f := range v {
+			out[i] = math.Float64bits(f)
+		}
+		return out
+	}
+	if !slices.Equal(cols.id, back.id) || !slices.Equal(cols.at, back.at) ||
+		!slices.Equal(cols.src, back.src) || !slices.Equal(cols.dict, back.dict) ||
+		!slices.Equal(bits(cols.x), bits(back.x)) || !slices.Equal(bits(cols.y), bits(back.y)) ||
+		!slices.Equal(cols.payOff, back.payOff) || !bytes.Equal(cols.pay, back.pay) ||
+		cols.idSorted != back.idSorted {
+		t.Fatalf("round trip changed the columns:\n%+v\n%+v", cols, back)
 	}
 }
 

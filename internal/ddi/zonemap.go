@@ -77,19 +77,6 @@ func (z *ZoneMap) ContainsCircle(x, y, r float64) bool {
 	return fx*fx+fy*fy <= r*r
 }
 
-// CoveredByWindow reports whether every record time lies inside the query
-// window — when true (and any source/spatial filters also pass whole),
-// aggregates can use the zone map without touching the columns.
-func (z *ZoneMap) CoveredByWindow(from, to time.Duration) bool {
-	if z.MinAt < from {
-		return false
-	}
-	if to > 0 && z.MaxAt > to {
-		return false
-	}
-	return true
-}
-
 func clampF(v, lo, hi float64) float64 {
 	if v < lo {
 		return lo

@@ -113,15 +113,6 @@ func NewElasticManager(engine *offload.Engine, objective Objective) (*ElasticMan
 	}, nil
 }
 
-// SetObjective switches the optimization goal at runtime.
-func (m *ElasticManager) SetObjective(o Objective) error {
-	if o != MinLatency && o != MinEnergy {
-		return fmt.Errorf("edgeos: unknown objective %d", o)
-	}
-	m.objective = o
-	return nil
-}
-
 // Register adds a service. Names must be unique.
 func (m *ElasticManager) Register(s *Service) error {
 	if s == nil {
@@ -437,23 +428,3 @@ func (m *ElasticManager) Invoke(name string, now time.Duration) (InvocationResul
 // Engine exposes the underlying offload engine (used by tests and the
 // platform facade to update mobility).
 func (m *ElasticManager) Engine() *offload.Engine { return m.engine }
-
-// InvokeRound runs one invocation of every Running service in strict
-// priority order — the Differentiation property: safety-critical services
-// reserve devices first, so under contention lower-priority services queue
-// behind them rather than the reverse. Stopped/compromised services are
-// skipped; hang-ups are recorded per service as usual.
-func (m *ElasticManager) InvokeRound(now time.Duration) ([]InvocationResult, error) {
-	var out []InvocationResult
-	for _, s := range m.Services() {
-		if s.state == Stopped || s.state == Compromised {
-			continue
-		}
-		res, err := m.Invoke(s.Name, now)
-		if err != nil {
-			return out, fmt.Errorf("round invoke %s: %w", s.Name, err)
-		}
-		out = append(out, res)
-	}
-	return out, nil
-}

@@ -68,10 +68,10 @@ func TestNewElasticManagerValidation(t *testing.T) {
 		t.Fatal("nil engine accepted")
 	}
 	mgr := newManager(t, 0, MinLatency)
-	if err := mgr.SetObjective(Objective(99)); err == nil {
+	if _, err := NewElasticManager(mgr.Engine(), Objective(99)); err == nil {
 		t.Fatal("bad objective accepted")
 	}
-	if err := mgr.SetObjective(MinEnergy); err != nil {
+	if _, err := NewElasticManager(mgr.Engine(), MinEnergy); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -340,66 +340,5 @@ func TestObjectiveString(t *testing.T) {
 	}
 	if Running.String() != "running" || HungUp.String() != "hung-up" || ServiceState(9).String() != "state(9)" {
 		t.Fatal("state names wrong")
-	}
-}
-
-// TestInvokeRoundDifferentiation: under contention, the safety service is
-// scheduled first each round and therefore never waits behind background
-// work on the same devices.
-func TestInvokeRoundDifferentiation(t *testing.T) {
-	mgr := newManager(t, 0, MinLatency)
-	// Force everything on-board so the services contend for the VCU.
-	// Identical workloads so latency is directly comparable: the only
-	// difference is priority, hence scheduling order.
-	safety := &Service{
-		Name: "a-safety", Priority: PrioritySafety,
-		DAG: tasks.PedestrianAlert(), Image: []byte("s"),
-		Pipelines: []Pipeline{{Name: "onboard", SplitAfter: 2}},
-	}
-	background := &Service{
-		Name: "z-background", Priority: PriorityBackground,
-		DAG: tasks.PedestrianAlert(), Image: []byte("b"),
-		Pipelines: []Pipeline{{Name: "onboard", SplitAfter: 2}},
-	}
-	if err := mgr.Register(background); err != nil {
-		t.Fatal(err)
-	}
-	if err := mgr.Register(safety); err != nil {
-		t.Fatal(err)
-	}
-	var safetyTotal, backgroundTotal time.Duration
-	for round := 0; round < 6; round++ {
-		results, err := mgr.InvokeRound(0) // same instant: maximal contention
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(results) != 2 {
-			t.Fatalf("round returned %d results", len(results))
-		}
-		if results[0].Service != "a-safety" {
-			t.Fatalf("round order = %v, safety must go first", results[0].Service)
-		}
-		safetyTotal += results[0].Latency
-		backgroundTotal += results[1].Latency
-	}
-	if safetyTotal >= backgroundTotal {
-		t.Fatalf("safety total latency %v not below background %v under contention",
-			safetyTotal, backgroundTotal)
-	}
-}
-
-func TestInvokeRoundSkipsStopped(t *testing.T) {
-	mgr := newManager(t, 0, MinLatency)
-	svc := kidnapperService()
-	if err := mgr.Register(svc); err != nil {
-		t.Fatal(err)
-	}
-	svc.state = Stopped
-	results, err := mgr.InvokeRound(0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(results) != 0 {
-		t.Fatalf("stopped service invoked in round: %v", results)
 	}
 }

@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"io"
 	"net"
-	"sort"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -212,25 +211,6 @@ func (p *NetPlan) Describe() string {
 func (p *NetPlan) Digest() string {
 	sum := sha256.Sum256([]byte(p.Describe()))
 	return hex.EncodeToString(sum[:])
-}
-
-// CountFaults tallies the plan's fault recipes by family.
-func (p *NetPlan) CountFaults() (latency, resets, truncates, stalls int) {
-	for _, c := range p.conns {
-		if c.Latency > 0 {
-			latency++
-		}
-		if c.ResetAfter > 0 {
-			resets++
-		}
-		if c.TruncateAfter > 0 {
-			truncates++
-		}
-		if c.AcceptStall > 0 {
-			stalls++
-		}
-	}
-	return
 }
 
 // ChaosProxyStats counts what a proxy actually did to live traffic. The
@@ -458,18 +438,4 @@ func (p *ChaosProxy) pumpDown(client, backend net.Conn, plan ConnPlan) {
 			return
 		}
 	}
-}
-
-// DescribeNetPlanSummary renders a one-line deterministic summary of the
-// plan (fault recipe counts by family, sorted) for experiment tables.
-func DescribeNetPlanSummary(p *NetPlan) string {
-	latency, resets, truncates, stalls := p.CountFaults()
-	parts := []string{
-		fmt.Sprintf("latency=%d", latency),
-		fmt.Sprintf("reset=%d", resets),
-		fmt.Sprintf("stall=%d", stalls),
-		fmt.Sprintf("truncate=%d", truncates),
-	}
-	sort.Strings(parts)
-	return fmt.Sprintf("conns=%d %s", p.Conns(), strings.Join(parts, " "))
 }

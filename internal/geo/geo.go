@@ -113,13 +113,6 @@ func (r *Road) PlaceStations(n int, kind StationKind, radius, offY float64, pref
 	return placed
 }
 
-// Stations returns a copy of all stations on the road.
-func (r *Road) Stations() []Station {
-	out := make([]Station, len(r.stations))
-	copy(out, r.stations)
-	return out
-}
-
 // StationsOfKind returns the stations of one kind, in X order.
 func (r *Road) StationsOfKind(kind StationKind) []Station {
 	var out []Station
@@ -149,25 +142,6 @@ func (r *Road) CoveringStationsInto(p Point, buf []Station) []Station {
 	return buf
 }
 
-// NearestStation returns the closest station of the given kind and whether
-// one exists.
-func (r *Road) NearestStation(p Point, kind StationKind) (Station, bool) {
-	best := -1
-	bestD := math.Inf(1)
-	for i, s := range r.stations {
-		if s.Kind != kind {
-			continue
-		}
-		if d := s.Pos.Dist(p); d < bestD {
-			best, bestD = i, d
-		}
-	}
-	if best < 0 {
-		return Station{}, false
-	}
-	return r.stations[best], true
-}
-
 // Mobility describes a vehicle moving along the road at constant speed,
 // wrapping at the end of the corridor (so arbitrarily long experiments work
 // on a finite road).
@@ -189,37 +163,4 @@ func (m Mobility) PositionAt(t time.Duration) Point {
 		x += m.Road.Length
 	}
 	return Point{X: x, Y: m.LaneY}
-}
-
-// DwellTime returns how long the vehicle remains inside one station's
-// coverage chord at its current speed. For a parked vehicle it returns a
-// very large duration. The chord is computed through the vehicle's lane.
-func (m Mobility) DwellTime(s Station) time.Duration {
-	dy := math.Abs(s.Pos.Y - m.LaneY)
-	if dy >= s.Radius {
-		return 0
-	}
-	chord := 2 * math.Sqrt(s.Radius*s.Radius-dy*dy)
-	if m.SpeedMS <= 0 {
-		return time.Duration(math.MaxInt64 / 2)
-	}
-	return time.Duration(chord / m.SpeedMS * float64(time.Second))
-}
-
-// HandoffRate returns the expected number of coverage handoffs per second
-// given the station spacing of the provided kind. Parked vehicles hand off
-// at rate 0.
-func (m Mobility) HandoffRate(kind StationKind) float64 {
-	if m.Road == nil || m.SpeedMS <= 0 {
-		return 0
-	}
-	stations := m.Road.StationsOfKind(kind)
-	if len(stations) == 0 {
-		return 0
-	}
-	spacing := m.Road.Length / float64(len(stations))
-	if spacing <= 0 {
-		return 0
-	}
-	return m.SpeedMS / spacing
 }

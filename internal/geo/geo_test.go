@@ -80,19 +80,6 @@ func TestCoveringStations(t *testing.T) {
 	}
 }
 
-func TestNearestStation(t *testing.T) {
-	r, _ := NewRoad(10000)
-	r.PlaceStations(5, BaseStation, 1500, 0, "bs")
-	r.PlaceStations(2, RSU, 300, 0, "rsu")
-	s, ok := r.NearestStation(Point{X: 900}, BaseStation)
-	if !ok || s.ID != "bs-0" {
-		t.Fatalf("nearest = %v, %v; want bs-0", s, ok)
-	}
-	if _, ok := r.NearestStation(Point{X: 0}, TrafficSignal); ok {
-		t.Fatal("found traffic signal on road without any")
-	}
-}
-
 func TestMobilityPositionWraps(t *testing.T) {
 	r, _ := NewRoad(1000)
 	m := Mobility{Road: r, SpeedMS: 10, StartX: 0}
@@ -114,55 +101,6 @@ func TestMobilityParked(t *testing.T) {
 		if p.X != 123 || p.Y != 4 {
 			t.Fatalf("parked vehicle moved: %v", p)
 		}
-	}
-}
-
-func TestDwellTimeScalesInverselyWithSpeed(t *testing.T) {
-	r, _ := NewRoad(10000)
-	s := Station{ID: "bs", Kind: BaseStation, Pos: Point{X: 500, Y: 0}, Radius: 1000}
-	slow := Mobility{Road: r, SpeedMS: MPH(35)}
-	fast := Mobility{Road: r, SpeedMS: MPH(70)}
-	ds, df := slow.DwellTime(s), fast.DwellTime(s)
-	if ds <= df {
-		t.Fatalf("dwell slow (%v) <= dwell fast (%v)", ds, df)
-	}
-	ratio := float64(ds) / float64(df)
-	if math.Abs(ratio-2) > 0.01 {
-		t.Fatalf("dwell ratio = %v, want ~2 (speed doubled)", ratio)
-	}
-}
-
-func TestDwellTimeOutOfLane(t *testing.T) {
-	s := Station{Pos: Point{X: 0, Y: 0}, Radius: 100}
-	m := Mobility{SpeedMS: 10, LaneY: 150}
-	if d := m.DwellTime(s); d != 0 {
-		t.Fatalf("dwell for out-of-range lane = %v, want 0", d)
-	}
-}
-
-func TestDwellTimeParkedIsHuge(t *testing.T) {
-	s := Station{Pos: Point{X: 0, Y: 0}, Radius: 100}
-	m := Mobility{SpeedMS: 0, LaneY: 0}
-	if d := m.DwellTime(s); d < 24*time.Hour {
-		t.Fatalf("parked dwell = %v, want effectively infinite", d)
-	}
-}
-
-func TestHandoffRateProportionalToSpeed(t *testing.T) {
-	r, _ := NewRoad(10000)
-	r.PlaceStations(10, BaseStation, 800, 0, "bs") // spacing 1000m
-	slow := Mobility{Road: r, SpeedMS: 10}
-	fast := Mobility{Road: r, SpeedMS: 20}
-	hs, hf := slow.HandoffRate(BaseStation), fast.HandoffRate(BaseStation)
-	if math.Abs(hs-0.01) > 1e-9 {
-		t.Fatalf("handoff rate = %v, want 0.01/s", hs)
-	}
-	if math.Abs(hf/hs-2) > 1e-9 {
-		t.Fatalf("handoff rate did not double with speed: %v vs %v", hf, hs)
-	}
-	parked := Mobility{Road: r, SpeedMS: 0}
-	if parked.HandoffRate(BaseStation) != 0 {
-		t.Fatal("parked handoff rate != 0")
 	}
 }
 

@@ -111,21 +111,6 @@ func TestExecTimeErrors(t *testing.T) {
 
 func TestPowerModel(t *testing.T) {
 	p := &Processor{Name: "x", Kind: CPU, Throughput: map[Class]float64{General: 1}, IdlePowerW: 10, MaxPowerW: 110, Slots: 1}
-	if got := p.PowerAt(0); got != 10 {
-		t.Fatalf("PowerAt(0) = %v, want 10", got)
-	}
-	if got := p.PowerAt(1); got != 110 {
-		t.Fatalf("PowerAt(1) = %v, want 110", got)
-	}
-	if got := p.PowerAt(0.5); got != 60 {
-		t.Fatalf("PowerAt(0.5) = %v, want 60", got)
-	}
-	if got := p.PowerAt(-1); got != 10 {
-		t.Fatalf("PowerAt(-1) = %v, want clamp to idle", got)
-	}
-	if got := p.PowerAt(2); got != 110 {
-		t.Fatalf("PowerAt(2) = %v, want clamp to max", got)
-	}
 	if got := p.EnergyJ(2 * time.Second); got != 220 {
 		t.Fatalf("EnergyJ(2s) = %v, want 220", got)
 	}
@@ -228,35 +213,10 @@ func TestNewExecutorValidation(t *testing.T) {
 }
 
 func TestStorageTimes(t *testing.T) {
-	s := &Storage{Name: "t", ReadMBps: 100, WriteMBps: 50, OpLatency: time.Millisecond, CapacityMB: 1000}
+	s := &Storage{Name: "t", ReadMBps: 100, OpLatency: time.Millisecond}
 	rt, err := s.ReadTime(100)
 	if err != nil || rt != time.Millisecond+time.Second {
 		t.Fatalf("ReadTime = %v, %v; want 1.001s", rt, err)
-	}
-	wt, err := s.WriteTime(100)
-	if err != nil || wt != time.Millisecond+2*time.Second {
-		t.Fatalf("WriteTime = %v, %v; want 2.001s", wt, err)
-	}
-	if s.UsedMB() != 100 {
-		t.Fatalf("UsedMB = %v, want 100", s.UsedMB())
-	}
-}
-
-func TestStorageCapacityAndFree(t *testing.T) {
-	s := &Storage{Name: "t", ReadMBps: 100, WriteMBps: 100, CapacityMB: 150}
-	if _, err := s.WriteTime(100); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := s.WriteTime(100); err == nil {
-		t.Fatal("write past capacity succeeded")
-	}
-	s.Free(60)
-	if _, err := s.WriteTime(100); err != nil {
-		t.Fatalf("write after Free failed: %v", err)
-	}
-	s.Free(1e9)
-	if s.UsedMB() != 0 {
-		t.Fatalf("UsedMB = %v after over-free, want 0", s.UsedMB())
 	}
 }
 
@@ -265,15 +225,9 @@ func TestStorageErrors(t *testing.T) {
 	if _, err := s.ReadTime(-1); err == nil {
 		t.Fatal("negative read accepted")
 	}
-	if _, err := s.WriteTime(-1); err == nil {
-		t.Fatal("negative write accepted")
-	}
 	broken := &Storage{Name: "b"}
 	if _, err := broken.ReadTime(1); err == nil {
 		t.Fatal("zero-rate read accepted")
-	}
-	if _, err := broken.WriteTime(0); err == nil {
-		t.Fatal("zero-rate write accepted")
 	}
 }
 

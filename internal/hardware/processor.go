@@ -150,19 +150,6 @@ func (p *Processor) ExecTime(c Class, gflop float64) (time.Duration, error) {
 	return time.Duration(gflop / rate * float64(time.Second)), nil
 }
 
-// PowerAt returns the power draw in watts at a utilization in [0,1]
-// (linear interpolation between idle and max, the standard first-order
-// server power model).
-func (p *Processor) PowerAt(utilization float64) float64 {
-	if utilization < 0 {
-		utilization = 0
-	}
-	if utilization > 1 {
-		utilization = 1
-	}
-	return p.IdlePowerW + (p.MaxPowerW-p.IdlePowerW)*utilization
-}
-
 // EnergyJ returns the energy in joules consumed by running flat-out for d.
 func (p *Processor) EnergyJ(d time.Duration) float64 {
 	return p.MaxPowerW * d.Seconds()

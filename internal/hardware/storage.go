@@ -5,31 +5,24 @@ import (
 	"time"
 )
 
-// Storage models the VCU's parallelism-supported SSD (paper §IV-B): a
-// device with fixed per-operation latency plus throughput-bound transfer
-// time, and a capacity budget.
+// Storage models the read side of the VCU's parallelism-supported SSD
+// (paper §IV-B): a device with fixed per-operation latency plus
+// throughput-bound transfer time.
 type Storage struct {
 	// Name identifies the device.
 	Name string
-	// ReadMBps and WriteMBps are sustained sequential rates.
-	ReadMBps  float64
-	WriteMBps float64
+	// ReadMBps is the sustained sequential read rate.
+	ReadMBps float64
 	// OpLatency is the fixed per-operation cost (queueing/flash latency).
 	OpLatency time.Duration
-	// CapacityMB is the total capacity budget.
-	CapacityMB float64
-
-	usedMB float64
 }
 
 // DefaultSSD returns the VCU SSD model: NVMe-class rates.
 func DefaultSSD() *Storage {
 	return &Storage{
-		Name:       "vcu-nvme-ssd",
-		ReadMBps:   3200,
-		WriteMBps:  1800,
-		OpLatency:  80 * time.Microsecond,
-		CapacityMB: 1 << 20, // 1 TB
+		Name:      "vcu-nvme-ssd",
+		ReadMBps:  3200,
+		OpLatency: 80 * time.Microsecond,
 	}
 }
 
@@ -43,29 +36,3 @@ func (s *Storage) ReadTime(sizeMB float64) (time.Duration, error) {
 	}
 	return s.OpLatency + time.Duration(sizeMB/s.ReadMBps*float64(time.Second)), nil
 }
-
-// WriteTime returns how long writing sizeMB takes and charges capacity.
-func (s *Storage) WriteTime(sizeMB float64) (time.Duration, error) {
-	if sizeMB < 0 {
-		return 0, fmt.Errorf("hardware: negative write size %v", sizeMB)
-	}
-	if s.WriteMBps <= 0 {
-		return 0, fmt.Errorf("hardware: storage %s has no write rate", s.Name)
-	}
-	if s.usedMB+sizeMB > s.CapacityMB {
-		return 0, fmt.Errorf("hardware: storage %s full (%v/%v MB)", s.Name, s.usedMB, s.CapacityMB)
-	}
-	s.usedMB += sizeMB
-	return s.OpLatency + time.Duration(sizeMB/s.WriteMBps*float64(time.Second)), nil
-}
-
-// Free releases sizeMB of capacity (e.g. after data migrates to the cloud).
-func (s *Storage) Free(sizeMB float64) {
-	s.usedMB -= sizeMB
-	if s.usedMB < 0 {
-		s.usedMB = 0
-	}
-}
-
-// UsedMB returns the occupied capacity.
-func (s *Storage) UsedMB() float64 { return s.usedMB }

@@ -151,13 +151,3 @@ func Decode(enc []byte) ([]byte, error) {
 	}
 	return out, nil
 }
-
-// Ratio returns compressed size over original size for data (1.0 means no
-// gain). It returns 1 for empty input.
-func Ratio(data []byte) float64 {
-	enc, err := Encode(data)
-	if err != nil {
-		return 1
-	}
-	return float64(len(enc)) / float64(len(data))
-}

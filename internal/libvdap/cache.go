@@ -127,21 +127,13 @@ func (c *wmCache) gzipped(e *cacheEntry) (gz []byte, built bool) {
 }
 
 // CacheStat is one endpoint cache's counters, exported for the serve
-// benchmark and /v1/status. A healthy cache reads hits ≫ misses ≥ gzip
+// benchmark and /api/v1/status. A healthy cache reads hits ≫ misses ≥ gzip
 // builds: one marshal per watermark, at most one compression per marshal.
 type CacheStat struct {
 	Hits       int64 `json:"hits"`
 	Misses     int64 `json:"misses"`
 	Shed       int64 `json:"shed"`
 	GzipBuilds int64 `json:"gzipBuilds"`
-}
-
-// HitRatio is hits over lookups (0 when the cache was never consulted).
-func (s CacheStat) HitRatio() float64 {
-	if total := s.Hits + s.Misses; total > 0 {
-		return float64(s.Hits) / float64(total)
-	}
-	return 0
 }
 
 func (c *wmCache) stat() CacheStat {

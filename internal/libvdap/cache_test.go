@@ -92,9 +92,9 @@ func TestCacheInvalidatesOncePerWatermark(t *testing.T) {
 func TestCachedMatchesUncachedBytes(t *testing.T) {
 	ts, srv, _, now := newCachedServer(t)
 	paths := map[string]string{
-		"/v1/events":         "/v1/events?since=",
-		"/v1/metrics/series": "/v1/metrics/series?since=",
-		"/api/v1/status":     "/api/v1/status?nocache=1",
+		"/api/v1/events":         "/api/v1/events?since=",
+		"/api/v1/metrics/series": "/api/v1/metrics/series?since=",
+		"/api/v1/status":         "/api/v1/status?nocache=1",
 	}
 	for wm := 1; wm <= 4; wm++ {
 		now.Store(int64(time.Duration(wm) * time.Second))
@@ -113,10 +113,10 @@ func TestCachedMatchesUncachedBytes(t *testing.T) {
 		// The metrics snapshot embeds the libvdap.cache.* counters
 		// themselves, so an uncached re-marshal legitimately differs; its
 		// cached body must still be byte-stable within a watermark.
-		_, _, cold := get(t, ts.URL+"/v1/metrics")
-		_, _, warm := get(t, ts.URL+"/v1/metrics")
+		_, _, cold := get(t, ts.URL+"/api/v1/metrics")
+		_, _, warm := get(t, ts.URL+"/api/v1/metrics")
 		if !bytes.Equal(cold, warm) {
-			t.Fatalf("/v1/metrics wm=%d: cached body not byte-stable:\n%s\n%s", wm, cold, warm)
+			t.Fatalf("/api/v1/metrics wm=%d: cached body not byte-stable:\n%s\n%s", wm, cold, warm)
 		}
 	}
 	// Query-string requests must not have populated the caches beyond the

@@ -222,7 +222,7 @@ func (c *Client) Events(since time.Duration, component string, minSev obs.Severi
 	return out.Events, nil
 }
 
-// StreamFrames reads up to n incremental frames from /v1/stream starting at
+// StreamFrames reads up to n incremental frames from /api/v1/stream starting at
 // the given watermark. With a RetryPolicy installed, a dropped stream is
 // re-dialed automatically, resuming from the last seen watermark so no
 // frame is re-read; it stops early on a drain-marked final frame.

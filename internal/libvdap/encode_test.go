@@ -20,10 +20,10 @@ import (
 // cachedRoutes pairs each watermark-cached route with its CacheStats key
 // and a query-carrying variant that bypasses the cache with the same value.
 var cachedRoutes = []struct{ name, path, bypass string }{
-	{"status", "/v1/status", "/v1/status?nocache=1"},
-	{"metrics", "/v1/metrics", "/v1/metrics?nocache=1"},
-	{"series", "/v1/metrics/series", "/v1/metrics/series?since="},
-	{"events", "/v1/events", "/v1/events?since="},
+	{"status", "/api/v1/status", "/api/v1/status?nocache=1"},
+	{"metrics", "/api/v1/metrics", "/api/v1/metrics?nocache=1"},
+	{"series", "/api/v1/metrics/series", "/api/v1/metrics/series?since="},
+	{"events", "/api/v1/events", "/api/v1/events?since="},
 }
 
 // serve runs one GET through ServeHTTP in process with the given
@@ -179,11 +179,11 @@ func TestNegotiatingErrorsAreIdentity(t *testing.T) {
 		path string
 		code int
 	}{
-		{"rebuild backlog shed", srv, "/v1/status", http.StatusServiceUnavailable},
-		{"bad since", srv, "/v1/metrics/series?since=yesterday", http.StatusBadRequest},
-		{"bad since", srv, "/v1/events?since=-3", http.StatusBadRequest},
-		{"not attached", bare, "/v1/metrics", http.StatusServiceUnavailable},
-		{"not attached", bare, "/v1/trace", http.StatusServiceUnavailable},
+		{"rebuild backlog shed", srv, "/api/v1/status", http.StatusServiceUnavailable},
+		{"bad since", srv, "/api/v1/metrics/series?since=yesterday", http.StatusBadRequest},
+		{"bad since", srv, "/api/v1/events?since=-3", http.StatusBadRequest},
+		{"not attached", bare, "/api/v1/metrics", http.StatusServiceUnavailable},
+		{"not attached", bare, "/api/v1/trace", http.StatusServiceUnavailable},
 	} {
 		rec := serve(tc.srv, tc.path, "gzip")
 		if rec.Code != tc.code {

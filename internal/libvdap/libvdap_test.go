@@ -180,36 +180,22 @@ func TestStatusEndpoint(t *testing.T) {
 	}
 }
 
-// TestV1AliasCoversEveryRoute: the /v1 prefix is one rule in ServeHTTP, so
-// every route answers under it exactly as under /api/v1 — wildcard
-// segments and escaped paths included — and near-miss prefixes do not.
-func TestV1AliasCoversEveryRoute(t *testing.T) {
+// TestOnlyCanonicalPrefixAnswers: /api/v1 is the one spelling of the API.
+// The short /v1 alias used to be a rewrite that server and client both had
+// to know; it is a 404 like any other unknown path.
+func TestOnlyCanonicalPrefixAnswers(t *testing.T) {
 	ts, _, _ := newTestServer(t)
-	for short, want := range map[string]int{
-		"/v1/status":            http.StatusOK,
-		"/v1/models/cbeam":      http.StatusOK,
-		"/v1/models/no%2Fmodel": http.StatusNotFound,
-		"/v1/resources":         http.StatusOK,
-		"/v1":                   http.StatusNotFound,
-		"/v1x/status":           http.StatusNotFound,
+	for path, want := range map[string]int{
+		"/api/v1/status": http.StatusOK,
+		"/v1/status":     http.StatusNotFound,
 	} {
-		resp, err := http.Get(ts.URL + short)
+		resp, err := http.Get(ts.URL + path)
 		if err != nil {
 			t.Fatal(err)
 		}
-		aliased, _ := io.ReadAll(resp.Body)
 		resp.Body.Close()
 		if resp.StatusCode != want {
-			t.Fatalf("GET %s = %d, want %d", short, resp.StatusCode, want)
-		}
-		canon, err := http.Get(ts.URL + "/api" + short)
-		if err != nil {
-			t.Fatal(err)
-		}
-		body, _ := io.ReadAll(canon.Body)
-		canon.Body.Close()
-		if canon.StatusCode != want || string(body) != string(aliased) {
-			t.Fatalf("GET /api%s = %d %q, alias answered %d %q", short, canon.StatusCode, body, resp.StatusCode, aliased)
+			t.Fatalf("GET %s = %d, want %d", path, resp.StatusCode, want)
 		}
 	}
 }
@@ -448,43 +434,41 @@ func TestMetricsAndTraceEndpoints(t *testing.T) {
 		return resp.StatusCode, string(body), resp.Header.Get("Content-Type")
 	}
 
-	for _, path := range []string{"/api/v1/metrics", "/v1/metrics"} {
-		code, body, ctype := get(path)
-		if code != http.StatusOK {
-			t.Fatalf("GET %s = %d", path, code)
-		}
-		if !strings.HasPrefix(ctype, "application/json") {
-			t.Fatalf("GET %s content-type = %q", path, ctype)
-		}
-		var snap telemetry.Snapshot
-		if err := json.Unmarshal([]byte(body), &snap); err != nil {
-			t.Fatalf("GET %s not a Snapshot: %v", path, err)
-		}
-		if snap.Counters["vcu.plans"] != 2 || snap.Histograms["offload.total_ms"].Count != 1 {
-			t.Fatalf("GET %s snapshot = %s", path, body)
-		}
+	path := "/api/v1/metrics"
+	code, body, ctype := get(path)
+	if code != http.StatusOK {
+		t.Fatalf("GET %s = %d", path, code)
 	}
-	if code, body, _ := get("/v1/metrics?format=text"); code != http.StatusOK || !strings.Contains(body, "vcu.plans") {
+	if !strings.HasPrefix(ctype, "application/json") {
+		t.Fatalf("GET %s content-type = %q", path, ctype)
+	}
+	var snap telemetry.Snapshot
+	if err := json.Unmarshal([]byte(body), &snap); err != nil {
+		t.Fatalf("GET %s not a Snapshot: %v", path, err)
+	}
+	if snap.Counters["vcu.plans"] != 2 || snap.Histograms["offload.total_ms"].Count != 1 {
+		t.Fatalf("GET %s snapshot = %s", path, body)
+	}
+	if code, body, _ := get("/api/v1/metrics?format=text"); code != http.StatusOK || !strings.Contains(body, "vcu.plans") {
 		t.Fatalf("text metrics = %d:\n%s", code, body)
 	}
 
-	for _, path := range []string{"/api/v1/trace", "/v1/trace"} {
-		code, body, ctype := get(path)
-		if code != http.StatusOK {
-			t.Fatalf("GET %s = %d", path, code)
-		}
-		if !strings.HasPrefix(ctype, "application/json") {
-			t.Fatalf("GET %s content-type = %q", path, ctype)
-		}
-		var doc map[string]any
-		if err := json.Unmarshal([]byte(body), &doc); err != nil {
-			t.Fatalf("GET %s not JSON: %v", path, err)
-		}
-		if _, ok := doc["traceEvents"]; !ok {
-			t.Fatalf("GET %s missing traceEvents: %s", path, body)
-		}
+	path = "/api/v1/trace"
+	code, body, ctype = get(path)
+	if code != http.StatusOK {
+		t.Fatalf("GET %s = %d", path, code)
 	}
-	if code, body, _ := get("/v1/trace?format=tree"); code != http.StatusOK || !strings.Contains(body, "offload.decide") {
+	if !strings.HasPrefix(ctype, "application/json") {
+		t.Fatalf("GET %s content-type = %q", path, ctype)
+	}
+	var doc map[string]any
+	if err := json.Unmarshal([]byte(body), &doc); err != nil {
+		t.Fatalf("GET %s not JSON: %v", path, err)
+	}
+	if _, ok := doc["traceEvents"]; !ok {
+		t.Fatalf("GET %s missing traceEvents: %s", path, body)
+	}
+	if code, body, _ := get("/api/v1/trace?format=tree"); code != http.StatusOK || !strings.Contains(body, "offload.decide") {
 		t.Fatalf("tree trace = %d:\n%s", code, body)
 	}
 }
@@ -496,7 +480,7 @@ func TestMetricsAndTraceDetachedReturn503(t *testing.T) {
 	}
 	ts := httptest.NewServer(srv)
 	t.Cleanup(ts.Close)
-	for _, path := range []string{"/v1/metrics", "/v1/trace"} {
+	for _, path := range []string{"/api/v1/metrics", "/api/v1/trace"} {
 		resp, err := http.Get(ts.URL + path)
 		if err != nil {
 			t.Fatal(err)

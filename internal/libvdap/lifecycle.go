@@ -44,7 +44,7 @@ func (s *Server) Draining() bool {
 }
 
 // Shutdown drains the server gracefully: new requests are shed with 503 +
-// Connection: close, in-flight handlers (including /v1/stream consumers,
+// Connection: close, in-flight handlers (including /api/v1/stream consumers,
 // which receive a Final-marked frame) run to completion, then Shutdown
 // returns nil. If ctx expires first the error reports how the drain timed
 // out; handlers keep draining in the background either way. Shutdown is
@@ -107,7 +107,7 @@ func (s *Server) Panics() int64 { return s.panicsTotal.Load() }
 
 // recoverPanic converts a handler panic into a JSON 500, counts it in
 // libvdap.panics, and files the stack into the flight recorder so a crash
-// loop is diagnosable from /v1/events. http.ErrAbortHandler passes
+// loop is diagnosable from /api/v1/events. http.ErrAbortHandler passes
 // through: it is the sanctioned way to abort a response, not a bug.
 func (s *Server) recoverPanic(w http.ResponseWriter, r *http.Request) {
 	rec := recover()

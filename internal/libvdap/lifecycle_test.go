@@ -37,7 +37,7 @@ func newLifecycleServer(t *testing.T) (*Server, *httptest.Server, *obs.Recorder,
 
 func TestHealthEndpoints(t *testing.T) {
 	srv, ts, _, _ := newLifecycleServer(t)
-	for _, path := range []string{"/v1/healthz", "/api/v1/healthz", "/v1/readyz", "/api/v1/readyz"} {
+	for _, path := range []string{"/api/v1/healthz", "/api/v1/healthz", "/api/v1/readyz", "/api/v1/readyz"} {
 		resp, err := http.Get(ts.URL + path)
 		if err != nil {
 			t.Fatal(err)
@@ -52,7 +52,7 @@ func TestHealthEndpoints(t *testing.T) {
 		t.Fatalf("Shutdown: %v", err)
 	}
 	// Liveness stays green through a drain; readiness goes red.
-	resp, err := http.Get(ts.URL + "/v1/healthz")
+	resp, err := http.Get(ts.URL + "/api/v1/healthz")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -60,7 +60,7 @@ func TestHealthEndpoints(t *testing.T) {
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("healthz = %d while draining, want 200", resp.StatusCode)
 	}
-	resp, err = http.Get(ts.URL + "/v1/readyz")
+	resp, err = http.Get(ts.URL + "/api/v1/readyz")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -103,7 +103,7 @@ func TestShutdownSendsFinalStreamFrame(t *testing.T) {
 	rec.Emit(500*time.Millisecond, "test", obs.SevInfo, "pre-drain event")
 
 	// An unbounded stream (frames=0) only ends when the server drains.
-	resp, err := http.Get(ts.URL + "/v1/stream?poll=0.005")
+	resp, err := http.Get(ts.URL + "/api/v1/stream?poll=0.005")
 	if err != nil {
 		t.Fatal(err)
 	}

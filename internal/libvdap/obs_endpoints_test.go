@@ -104,7 +104,7 @@ func TestEventsEndpointFilters(t *testing.T) {
 func TestEventsTableFormat(t *testing.T) {
 	ts, _, _, rec, _ := newObsServer(t)
 	rec.Emit(10*time.Millisecond, "fleet", obs.SevDebug, "commit.begin", obs.Int("offloads", 2))
-	resp, err := http.Get(ts.URL + "/v1/events?format=table")
+	resp, err := http.Get(ts.URL + "/api/v1/events?format=table")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -170,11 +170,11 @@ func TestObsEndpointsUnavailable(t *testing.T) {
 	ts := httptest.NewServer(srv)
 	t.Cleanup(ts.Close)
 	for _, path := range []string{
-		"/v1/metrics", "/api/v1/metrics",
-		"/v1/trace", "/api/v1/trace",
-		"/v1/metrics/series", "/api/v1/metrics/series",
-		"/v1/events", "/api/v1/events",
-		"/v1/stream", "/api/v1/stream",
+		"/api/v1/metrics", "/api/v1/metrics",
+		"/api/v1/trace", "/api/v1/trace",
+		"/api/v1/metrics/series", "/api/v1/metrics/series",
+		"/api/v1/events", "/api/v1/events",
+		"/api/v1/stream", "/api/v1/stream",
 	} {
 		resp, err := http.Get(ts.URL + path)
 		if err != nil {
@@ -198,7 +198,7 @@ func TestObsEndpointsUnavailable(t *testing.T) {
 // charset, success and error alike.
 func TestJSONContentTypeCharset(t *testing.T) {
 	ts, _, _, _, _ := newObsServer(t)
-	for _, path := range []string{"/api/v1/status", "/v1/metrics/series", "/v1/events", "/api/v1/models/ghost"} {
+	for _, path := range []string{"/api/v1/status", "/api/v1/metrics/series", "/api/v1/events", "/api/v1/models/ghost"} {
 		resp, err := http.Get(ts.URL + path)
 		if err != nil {
 			t.Fatal(err)
@@ -224,7 +224,7 @@ func TestGzipResponses(t *testing.T) {
 	srv.AttachTracer(tr)
 	store.RecordGauge("g", time.Millisecond, 1)
 
-	for _, path := range []string{"/v1/status", "/v1/metrics", "/v1/trace", "/v1/metrics/series", "/v1/events"} {
+	for _, path := range []string{"/api/v1/status", "/api/v1/metrics", "/api/v1/trace", "/api/v1/metrics/series", "/api/v1/events"} {
 		req, _ := http.NewRequest(http.MethodGet, ts.URL+path, nil)
 		req.Header.Set("Accept-Encoding", "gzip")
 		resp, err := http.DefaultTransport.RoundTrip(req)

@@ -197,8 +197,7 @@ var ErrBreakerOpen = fmt.Errorf("libvdap: client circuit breaker open")
 
 // snapshotPaths are the four cached snapshot endpoints eligible for hedged
 // reads: cheap, idempotent, watermark-cached server-side, so a duplicate
-// costs one cache hit. Canonical /api/v1 spelling only; hedgeEligible
-// folds the /v1 alias the way Server.ServeHTTP does.
+// costs one cache hit.
 var snapshotPaths = map[string]bool{
 	"/api/v1/status":         true,
 	"/api/v1/metrics":        true,
@@ -210,9 +209,6 @@ var snapshotPaths = map[string]bool{
 // be hedged under the installed policy.
 func hedgeEligible(path string) bool {
 	path, _, _ = strings.Cut(path, "?")
-	if strings.HasPrefix(path, "/v1/") {
-		path = "/api" + path
-	}
 	return snapshotPaths[path]
 }
 

@@ -192,9 +192,10 @@ func TestClientHedgedReadWins(t *testing.T) {
 func TestClientHedgeOnlySnapshotPaths(t *testing.T) {
 	for path, want := range map[string]bool{
 		"/api/v1/status":            true,
-		"/v1/metrics":               true,
-		"/v1/metrics/series":        true,
-		"/v1/events?since=3":        true,
+		"/api/v1/metrics":           true,
+		"/api/v1/metrics/series":    true,
+		"/api/v1/events?since=3":    true,
+		"/v1/status":                false,
 		"/api/v1/data/query?from=0": false,
 		"/api/v1/models":            false,
 		"/api/v1/stream":            false,

@@ -91,7 +91,7 @@ func TestStreamSlowClientDisconnect(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	fmt.Fprintf(conn, "GET /v1/stream?frames=0&poll=0.005 HTTP/1.1\r\nHost: x\r\n\r\n")
+	fmt.Fprintf(conn, "GET /api/v1/stream?frames=0&poll=0.005 HTTP/1.1\r\nHost: x\r\n\r\n")
 	br := bufio.NewReader(conn)
 	sawFrame := false
 	for i := 0; i < 64; i++ {

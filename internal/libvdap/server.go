@@ -27,7 +27,7 @@ type Clock func() time.Duration
 // simulation lock at once before further ones are shed with 503.
 const DefaultMaxSimInflight = 64
 
-// DefaultStreamWriteDeadline is how long one /v1/stream frame write may
+// DefaultStreamWriteDeadline is how long one /api/v1/stream frame write may
 // stall on a slow client before the connection is abandoned.
 const DefaultStreamWriteDeadline = 10 * time.Second
 
@@ -136,9 +136,9 @@ func NewServer(registry *Registry, mhep *vcu.MHEP, store *ddi.DDI, sharing *edge
 // by the given elastic manager.
 func (s *Server) AttachElastic(m *edgeos.ElasticManager) { s.elastic = m }
 
-// AttachTelemetry backs GET /api/v1/metrics (alias /v1/metrics) with the
-// given registry and mirrors the server's own counters (libvdap.cache.*,
-// libvdap.rejected, libvdap.write_errors) into it.
+// AttachTelemetry backs GET /api/v1/metrics with the given registry and
+// mirrors the server's own counters (libvdap.cache.*, libvdap.rejected,
+// libvdap.write_errors) into it.
 func (s *Server) AttachTelemetry(reg *telemetry.Registry) {
 	s.metrics = reg
 	if reg != nil {
@@ -151,15 +151,14 @@ func (s *Server) AttachTelemetry(reg *telemetry.Registry) {
 	}
 }
 
-// AttachTracer backs GET /api/v1/trace (alias /v1/trace) with the given
-// tracer.
+// AttachTracer backs GET /api/v1/trace with the given tracer.
 func (s *Server) AttachTracer(tr *trace.Tracer) { s.tracer = tr }
 
-// AttachSeries backs GET /v1/metrics/series (and the series half of
-// /v1/stream) with the given store.
+// AttachSeries backs GET /api/v1/metrics/series (and the series half of
+// /api/v1/stream) with the given store.
 func (s *Server) AttachSeries(store *obs.SeriesStore) { s.series = store }
 
-// AttachEvents backs GET /v1/events (and the event half of /v1/stream)
+// AttachEvents backs GET /api/v1/events (and the event half of /api/v1/stream)
 // with the given flight recorder.
 func (s *Server) AttachEvents(rec *obs.Recorder) { s.events = rec }
 
@@ -182,7 +181,7 @@ func (s *Server) Advance(step func() error) error {
 	return step()
 }
 
-// ActiveStreams reports how many /v1/stream handlers are currently live.
+// ActiveStreams reports how many /api/v1/stream handlers are currently live.
 func (s *Server) ActiveStreams() int64 { return s.streams.Load() }
 
 // ServerStats aggregates the server's self-counters.
@@ -235,17 +234,7 @@ func (s *Server) CacheStats() map[string]CacheStat {
 // gate (shed with 503 + Connection: close once draining) and the panic
 // recovery middleware; the health endpoints bypass the gate so probes keep
 // working through a drain.
-//
-// The whole API also answers under the short /v1 prefix: the alias is
-// folded into the canonical /api/v1 here, once, so every route below is
-// registered once.
 func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
-	if strings.HasPrefix(r.URL.Path, "/v1/") {
-		r.URL.Path = "/api" + r.URL.Path
-		if r.URL.RawPath != "" {
-			r.URL.RawPath = "/api" + r.URL.RawPath
-		}
-	}
 	switch r.URL.Path {
 	case "/api/v1/healthz":
 		s.handleHealthz(w, r)
@@ -507,7 +496,7 @@ func (s *Server) handleSeries(w http.ResponseWriter, r *http.Request) {
 	s.cached(w, r, s.seriesCache, func() (any, error) { return s.series.Payload(since), nil })
 }
 
-// EventsResponse is the `/v1/events` payload.
+// EventsResponse is the `/api/v1/events` payload.
 type EventsResponse struct {
 	Events  []obs.Event `json:"events"`
 	Dropped int         `json:"dropped,omitempty"`

@@ -7,7 +7,6 @@ import (
 
 	"repro/internal/geo"
 	"repro/internal/sim"
-	"repro/internal/telemetry"
 )
 
 // Figure-2 loss-model calibration constants. The model composes three
@@ -106,19 +105,6 @@ type CellularChannel struct {
 
 	sent int
 	lost int
-
-	reg *telemetry.Registry
-}
-
-// SetTelemetry mirrors per-packet outcomes and outage windows into a
-// registry under `network.cellular.*` (nil detaches).
-func (c *CellularChannel) SetTelemetry(reg *telemetry.Registry) { c.reg = reg }
-
-// count bumps a counter when a registry is attached.
-func (c *CellularChannel) count(name string) {
-	if c.reg != nil {
-		c.reg.Add(name, 1)
-	}
 }
 
 // NewCellularChannel builds a channel for a stream of the given bitrate
@@ -179,7 +165,6 @@ func (c *CellularChannel) advanceTo(t time.Duration) {
 		dur := time.Duration(c.rng.Uniform(0.75*mean, 1.25*mean))
 		c.outageUntil = c.nextHandoffAt + dur
 		c.nextHandoffAt += c.dwell
-		c.count("network.cellular.handoffs")
 	}
 }
 
@@ -194,10 +179,8 @@ func (c *CellularChannel) InOutage(t time.Duration) bool {
 // whether it arrived. Calls must have non-decreasing t.
 func (c *CellularChannel) SendPacket(t time.Duration) bool {
 	c.sent++
-	c.count("network.cellular.packets_sent")
 	if c.InOutage(t) {
 		c.lost++
-		c.count("network.cellular.packets_lost_outage")
 		return false
 	}
 	pc := CongestionLoss(c.bitrateMbps)
@@ -205,7 +188,6 @@ func (c *CellularChannel) SendPacket(t time.Duration) bool {
 	pInd := clampProb(1 - (1-pc)*(1-pf))
 	if c.rng.Bernoulli(pInd) {
 		c.lost++
-		c.count("network.cellular.packets_lost_fade")
 		return false
 	}
 	return true

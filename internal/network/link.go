@@ -153,23 +153,3 @@ func (p Path) RTT() time.Duration {
 	}
 	return total
 }
-
-// BottleneckMbps returns the minimum bandwidth along the path in direction d.
-func (p Path) BottleneckMbps(d Direction) float64 {
-	if len(p.Links) == 0 {
-		return 0
-	}
-	pick := func(l LinkSpec) float64 {
-		if d == Downlink {
-			return l.DownMbps
-		}
-		return l.UpMbps
-	}
-	minBW := pick(p.Links[0])
-	for _, l := range p.Links[1:] {
-		if bw := pick(l); bw < minBW {
-			minBW = bw
-		}
-	}
-	return minBW
-}

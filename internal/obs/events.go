@@ -240,17 +240,6 @@ func (r *Recorder) Merge(src *Recorder) {
 	r.mu.Unlock()
 }
 
-// Reset discards all retained events and the dropped count, keeping the
-// capacity.
-func (r *Recorder) Reset() {
-	if r == nil {
-		return
-	}
-	r.mu.Lock()
-	r.start, r.n, r.seq, r.dropped = 0, 0, 0, 0
-	r.mu.Unlock()
-}
-
 // RenderTable renders the ordered events as a fixed-width text table, one
 // event per line, deterministic for a deterministic event log.
 func (r *Recorder) RenderTable() string {

@@ -329,13 +329,13 @@ type SeriesPayload struct {
 	Dropped int       `json:"dropped,omitempty"`
 }
 
-// Payload is the `/v1/metrics/series` response body.
+// Payload is the `/api/v1/metrics/series` response body.
 type Payload struct {
 	WatermarkNs int64           `json:"watermarkNs"`
 	Series      []SeriesPayload `json:"series"`
 }
 
-// Frame is one `/v1/stream` chunk: everything that happened since the
+// Frame is one `/api/v1/stream` chunk: everything that happened since the
 // previous watermark.
 type Frame struct {
 	WatermarkNs int64    `json:"watermarkNs"`

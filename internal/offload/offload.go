@@ -28,8 +28,7 @@ const RadioPowerW = 2.5
 
 // DefaultLossBitrateMbps is the stream bitrate fed to the Figure-2 loss
 // model when adjusting cellular links for mobility: the paper's 3.8 Mbps
-// reference stream. Engines can override it per workload with
-// SetLossBitrate.
+// reference stream.
 const DefaultLossBitrateMbps = 3.8
 
 // OnboardName is the destination name for local execution.
@@ -89,10 +88,6 @@ type Engine struct {
 	sites []*xedge.Site
 	mob   geo.Mobility
 
-	// lossBitrateMbps is the stream bitrate assumed by the mobility loss
-	// adjustment (DefaultLossBitrateMbps unless overridden).
-	lossBitrateMbps float64
-
 	// Bandwidth budget (the paper's "limited bandwidth consumption"):
 	// when budgetBytes > 0, offloads whose uplink payload exceeds the
 	// remaining budget are infeasible, forcing on-board execution.
@@ -111,11 +106,10 @@ type Engine struct {
 	pathAdjust PathAdjuster
 
 	// pathCache memoizes the mobility-adjusted base path per site. The
-	// base depends only on (site access path, vehicle speed, loss
-	// bitrate): site access paths are immutable, and SetMobility /
-	// SetLossBitrate / SetPathAdjuster drop the cache. The time-varying
-	// fault adjuster is layered on top per call, never cached, so
-	// injected fault windows always see live conditions.
+	// base depends only on (site access path, vehicle speed): site access
+	// paths are immutable, and SetMobility / SetPathAdjuster drop the
+	// cache. The time-varying fault adjuster is layered on top per call,
+	// never cached, so injected fault windows always see live conditions.
 	pathCache map[string]network.Path
 
 	// policy, when non-nil, enables the resilient execution path:
@@ -302,28 +296,7 @@ func NewEngine(dsf *vcu.DSF, mob geo.Mobility, sites []*xedge.Site) (*Engine, er
 	if dsf == nil {
 		return nil, fmt.Errorf("offload: nil DSF")
 	}
-	return &Engine{dsf: dsf, sites: sites, mob: mob, lossBitrateMbps: DefaultLossBitrateMbps}, nil
-}
-
-// SetLossBitrate overrides the stream bitrate (Mbps) assumed by the
-// mobility loss adjustment. Non-positive restores the default. Cached
-// base paths are dropped: the loss model re-evaluates at the new bitrate.
-func (e *Engine) SetLossBitrate(mbps float64) {
-	if mbps <= 0 {
-		mbps = DefaultLossBitrateMbps
-	}
-	e.lossBitrateMbps = mbps
-	e.pathCache = nil
-}
-
-// LossBitrate returns the bitrate the mobility loss adjustment assumes.
-func (e *Engine) LossBitrate() float64 { return e.lossBitrateMbps }
-
-// AddSite registers another candidate destination.
-func (e *Engine) AddSite(s *xedge.Site) {
-	if s != nil {
-		e.sites = append(e.sites, s)
-	}
+	return &Engine{dsf: dsf, sites: sites, mob: mob}, nil
 }
 
 // Sites returns the registered destinations.
@@ -344,15 +317,11 @@ func (e *Engine) SetMobility(mob geo.Mobility) {
 // mobilityAdjustedPath raises cellular-link loss to the Figure-2 model's
 // expectation at the vehicle's current speed, shrinking effective goodput.
 func (e *Engine) mobilityAdjustedPath(p network.Path) network.Path {
-	bitrate := e.lossBitrateMbps
-	if bitrate <= 0 {
-		bitrate = DefaultLossBitrateMbps
-	}
 	adj := network.Path{Name: p.Name, Links: make([]network.LinkSpec, len(p.Links))}
 	copy(adj.Links, p.Links)
 	for i, l := range adj.Links {
 		if l.Tech == network.LTE || l.Tech == network.FiveG {
-			loss := network.ExpectedPacketLoss(e.mob.SpeedMS, bitrate)
+			loss := network.ExpectedPacketLoss(e.mob.SpeedMS, DefaultLossBitrateMbps)
 			if loss > l.BaseLoss {
 				l.BaseLoss = loss
 				if l.BaseLoss > 0.95 {

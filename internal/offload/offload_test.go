@@ -146,7 +146,6 @@ func TestCoverageGates(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	eng.AddSite(smallRSU)
 	est := eng.EstimateSite(tasks.ALPR(), smallRSU, 0, 0) // vehicle at x=0
 	if est.Feasible {
 		t.Fatal("out-of-coverage site feasible")
@@ -310,10 +309,6 @@ func TestSitesAccessors(t *testing.T) {
 	if len(eng.Sites()) != 2 {
 		t.Fatalf("Sites = %d", len(eng.Sites()))
 	}
-	eng.AddSite(nil)
-	if len(eng.Sites()) != 2 {
-		t.Fatal("nil site added")
-	}
 	eng.SetMobility(geo.Mobility{SpeedMS: 5})
 }
 
@@ -408,36 +403,6 @@ func TestFailedExecuteDoesNotBurnBudget(t *testing.T) {
 	}
 }
 
-// TestLossAdjustmentRespondsToBitrate: regression for the hardcoded
-// 3.8 Mbps reference bitrate in the mobility loss adjustment — a heavier
-// stream must see more loss (longer cellular uplink), and resetting the
-// parameter must restore the default.
-func TestLossAdjustmentRespondsToBitrate(t *testing.T) {
-	eng, _, _ := testWorld(t, geo.MPH(70))
-	if eng.LossBitrate() != DefaultLossBitrateMbps {
-		t.Fatalf("default loss bitrate = %v, want %v", eng.LossBitrate(), DefaultLossBitrateMbps)
-	}
-	lte, _ := network.LookupLink("lte")
-	p := network.Path{Name: "lte-only", Links: []network.LinkSpec{lte}}
-	baseLoss := network.WorstLoss(eng.mobilityAdjustedPath(p))
-
-	dag := tasks.ALPR()
-	base := findEst(t, eng, dag, "cloud")
-	eng.SetLossBitrate(5.8)
-	if heavierLoss := network.WorstLoss(eng.mobilityAdjustedPath(p)); heavierLoss <= baseLoss {
-		t.Fatalf("5.8 Mbps loss %v not above 3.8 Mbps loss %v", heavierLoss, baseLoss)
-	}
-	heavier := findEst(t, eng, dag, "cloud")
-	if heavier.Uplink <= base.Uplink {
-		t.Fatalf("5.8 Mbps uplink (%v) not slower than 3.8 Mbps (%v)", heavier.Uplink, base.Uplink)
-	}
-	eng.SetLossBitrate(0) // restores the default
-	reset := findEst(t, eng, dag, "cloud")
-	if reset.Uplink != base.Uplink {
-		t.Fatalf("resetting bitrate did not restore baseline: %v vs %v", reset.Uplink, base.Uplink)
-	}
-}
-
 // TestBudgetReasonNeverNegative: the budget-exhausted Reason must clamp
 // remaining bytes at zero even if spending somehow overshot the budget.
 func TestBudgetReasonNeverNegative(t *testing.T) {
@@ -492,7 +457,7 @@ func TestSiteOutageFallsBack(t *testing.T) {
 }
 
 // TestPathCacheInvalidatedOnMobilityChange: the memoized base path must
-// re-derive after SetMobility / SetLossBitrate — a speed change has to
+// re-derive after SetMobility — a speed change has to
 // degrade cellular estimates exactly as it would on a cold engine.
 func TestPathCacheInvalidatedOnMobilityChange(t *testing.T) {
 	eng, _, _ := testWorld(t, 0)
@@ -512,12 +477,6 @@ func TestPathCacheInvalidatedOnMobilityChange(t *testing.T) {
 	if fast.Uplink != want.Uplink || fast.Downlink != want.Downlink {
 		t.Fatalf("cached engine estimate %v/%v != cold engine %v/%v",
 			fast.Uplink, fast.Downlink, want.Uplink, want.Downlink)
-	}
-	// Bitrate changes must also invalidate.
-	eng.SetLossBitrate(30)
-	cold.SetLossBitrate(30)
-	if got, want := findEst(t, eng, dag, "cloud").Uplink, findEst(t, cold, dag, "cloud").Uplink; got != want {
-		t.Fatalf("uplink after SetLossBitrate: cached %v != cold %v", got, want)
 	}
 }
 

@@ -129,17 +129,6 @@ func (e *Engine) SetResilience(pol *Policy) {
 // Resilience returns the active policy (nil when disabled).
 func (e *Engine) Resilience() *Policy { return e.policy }
 
-// BreakerState reports the circuit breaker state for a destination as of
-// virtual time now. The boolean is false when no breaker exists yet (no
-// traffic, or resilience disabled).
-func (e *Engine) BreakerState(dest string, now time.Duration) (BreakerState, bool) {
-	b, ok := e.breakers[dest]
-	if !ok {
-		return BreakerClosed, false
-	}
-	return b.State(now), true
-}
-
 // breakerFor returns (creating if needed) the breaker guarding dest. New
 // breakers are hooked to the flight recorder so every open/half-open/close
 // transition leaves a structured event.

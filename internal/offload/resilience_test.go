@@ -128,8 +128,8 @@ func TestBreakerStopsHammeringFailedSite(t *testing.T) {
 	if calls != 2 {
 		t.Fatalf("site probed %d times, want exactly BreakerThreshold=2 before the breaker opened", calls)
 	}
-	if st, ok := eng.BreakerState(rsu.Name(), 10*time.Millisecond); !ok || st != BreakerOpen {
-		t.Fatalf("breaker state = %v (%v), want open", st, ok)
+	if b := eng.breakers[rsu.Name()]; b == nil || b.State(10*time.Millisecond) != BreakerOpen {
+		t.Fatalf("breaker %v is not open", b)
 	}
 	if out.FellBackTo == "" || out.Fallbacks == 0 {
 		t.Fatalf("no fallback recorded: %+v", out)

@@ -47,9 +47,6 @@ type Config struct {
 	Parallel int
 	// Seed keys every shard's RNG substream.
 	Seed int64
-	// MetricsReservoir, when positive, bounds every shard histogram to k
-	// deterministically-sampled values (see telemetry.EnableReservoir).
-	MetricsReservoir int
 	// SpanLimit caps each shard tracer's retained spans. Non-positive
 	// keeps trace.DefaultSpanLimit.
 	SpanLimit int
@@ -134,10 +131,6 @@ func Run[T any](cfg Config, job func(*Shard) (T, error)) (*Report[T], error) {
 
 // newShard builds replication i's private world from (cfg.Seed, i).
 func newShard(cfg Config, i int) *Shard {
-	reg := telemetry.NewRegistry()
-	if cfg.MetricsReservoir > 0 {
-		reg.EnableReservoir(cfg.MetricsReservoir, cfg.Seed+int64(i))
-	}
 	tr := trace.New(nil)
 	if cfg.SpanLimit > 0 {
 		tr.SetSpanLimit(cfg.SpanLimit)
@@ -145,7 +138,7 @@ func newShard(cfg Config, i int) *Shard {
 	return &Shard{
 		Index:   i,
 		RNG:     sim.NewStream(cfg.Seed, uint64(i)),
-		Metrics: reg,
+		Metrics: telemetry.NewRegistry(),
 		Tracer:  tr,
 	}
 }

@@ -126,13 +126,13 @@ func TestRunValidation(t *testing.T) {
 	}
 }
 
-// TestRunReservoirAndSpanLimits: per-shard reservoir and span caps are
-// honored and still deterministic across parallel levels.
-func TestRunReservoirAndSpanLimits(t *testing.T) {
+// TestRunSpanLimit: the per-shard span cap is honored and still
+// deterministic across parallel levels.
+func TestRunSpanLimit(t *testing.T) {
 	at := func(parallel int) string {
 		rep, err := Run(Config{
 			Replications: 4, Parallel: parallel, Seed: 7,
-			MetricsReservoir: 4, SpanLimit: 3,
+			SpanLimit: 3,
 		}, func(sh *Shard) (int, error) {
 			for i := 0; i < 50; i++ {
 				sh.Metrics.Observe("v", sh.RNG.Float64())
@@ -147,12 +147,12 @@ func TestRunReservoirAndSpanLimits(t *testing.T) {
 		if h.Count() != 200 {
 			t.Fatalf("count = %d, want 200", h.Count())
 		}
-		if h.Retained() != 16 {
-			t.Fatalf("retained = %d, want 4 shards x 4 reservoir", h.Retained())
+		if n := rep.Trace.SpanCount(); n != 3 {
+			t.Fatalf("merged report retains %d spans, want the cap of 3", n)
 		}
 		return rep.Metrics.Render() + rep.Trace.RenderTree()
 	}
 	if at(1) != at(4) {
-		t.Fatal("reservoir/span-capped run not deterministic across parallel levels")
+		t.Fatal("span-capped run not deterministic across parallel levels")
 	}
 }

@@ -1,8 +1,8 @@
 // Package sensors generates the synthetic on-board data sources OpenVDAP
-// consumes: OBD-II readings (with diagnostic trouble codes), GPS traces,
-// camera frames, and LiDAR sweeps. The generators are deterministic given a
-// seed, and their statistical behavior (drift, noise, fault injection) is
-// controllable so tests and experiments can provoke specific conditions.
+// consumes: OBD-II readings (with diagnostic trouble codes), GPS traces and
+// camera frames. The generators are deterministic given a seed, and their
+// statistical behavior (drift, noise, fault injection) is controllable so
+// tests and experiments can provoke specific conditions.
 package sensors
 
 import (
@@ -261,35 +261,4 @@ func randomPlate(rng *sim.RNG) string {
 		b[i] = byte('0' + rng.Intn(10))
 	}
 	return string(b)
-}
-
-// LiDARSweep is one rotation's point cloud (size-only model).
-type LiDARSweep struct {
-	At     time.Duration `json:"at"`
-	Points int           `json:"points"`
-	Bytes  int           `json:"bytes"`
-}
-
-// LiDAR produces sweeps at a fixed rotation rate.
-type LiDAR struct {
-	rng       *sim.RNG
-	beams     int
-	pointsPer int
-}
-
-// NewLiDAR returns a spinning lidar with the given beam count.
-func NewLiDAR(beams int, rng *sim.RNG) (*LiDAR, error) {
-	if rng == nil {
-		return nil, fmt.Errorf("sensors: nil RNG")
-	}
-	if beams <= 0 {
-		return nil, fmt.Errorf("sensors: beams must be positive, got %d", beams)
-	}
-	return &LiDAR{rng: rng, beams: beams, pointsPer: beams * 1800}, nil
-}
-
-// Sweep returns one rotation's point cloud at virtual time t.
-func (l *LiDAR) Sweep(t time.Duration) LiDARSweep {
-	pts := l.pointsPer + l.rng.Intn(l.pointsPer/10+1)
-	return LiDARSweep{At: t, Points: pts, Bytes: pts * 16} // xyz+intensity float32
 }

@@ -167,26 +167,6 @@ func TestPlateFormat(t *testing.T) {
 	}
 }
 
-func TestLiDAR(t *testing.T) {
-	l, err := NewLiDAR(32, sim.NewRNG(8))
-	if err != nil {
-		t.Fatal(err)
-	}
-	s := l.Sweep(time.Second)
-	if s.Points < 32*1800 {
-		t.Fatalf("points = %d, want >= %d", s.Points, 32*1800)
-	}
-	if s.Bytes != s.Points*16 {
-		t.Fatalf("bytes = %d, want points*16", s.Bytes)
-	}
-	if _, err := NewLiDAR(0, sim.NewRNG(1)); err == nil {
-		t.Fatal("zero beams accepted")
-	}
-	if _, err := NewLiDAR(32, nil); err == nil {
-		t.Fatal("nil RNG accepted")
-	}
-}
-
 func TestPoissonZeroMean(t *testing.T) {
 	if got := poisson(sim.NewRNG(1), 0); got != 0 {
 		t.Fatalf("poisson(0) = %d", got)

@@ -31,13 +31,6 @@ func NewStream(seed int64, stream uint64) *RNG {
 	return r
 }
 
-// Clone returns a copy that continues the same stream without perturbing
-// the original (snapshot semantics for copied consumers).
-func (r *RNG) Clone() *RNG {
-	cp := *r
-	return &cp
-}
-
 // Fork returns an independent substream derived from the current state.
 // Forked streams do not perturb the parent beyond the single draw used to
 // derive them, which keeps experiment components independent.

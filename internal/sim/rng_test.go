@@ -178,17 +178,6 @@ func TestRNGForkIndependence(t *testing.T) {
 	}
 }
 
-func TestRNGCloneContinuesSameStream(t *testing.T) {
-	a := NewRNG(7)
-	a.Uint64()
-	b := a.Clone()
-	for i := 0; i < 50; i++ {
-		if av, bv := a.Uint64(), b.Uint64(); av != bv {
-			t.Fatalf("clone diverged at draw %d: %x != %x", i, av, bv)
-		}
-	}
-}
-
 // TestNewStreamKeyedSubstreams: streams are deterministic functions of
 // (seed, index) and distinct streams diverge immediately.
 func TestNewStreamKeyedSubstreams(t *testing.T) {

@@ -17,15 +17,12 @@ package telemetry
 
 import (
 	"fmt"
-	"hash/fnv"
 	"math"
 	"sort"
 	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
-
-	"repro/internal/sim"
 )
 
 // Counter is an interned counter handle: a single lock-free float64 cell.
@@ -101,8 +98,8 @@ func (hh *HistogramHandle) ObserveDuration(d time.Duration) {
 	hh.Observe(float64(d) / float64(time.Millisecond))
 }
 
-// CountSum returns the histogram's exact sample count and total without
-// copying retained samples — the allocation-free read samplers poll every
+// CountSum returns the histogram's sample count and total without copying
+// the samples — the allocation-free read samplers poll every
 // tick. A nil handle reads as empty.
 func (hh *HistogramHandle) CountSum() (int, float64) {
 	if hh == nil {
@@ -124,11 +121,6 @@ type Registry struct {
 	counters   map[string]*Counter
 	gauges     map[string]float64
 	histograms map[string]*HistogramHandle
-
-	// reservoirK, when positive, bounds every histogram created afterwards
-	// to a deterministic reservoir of k samples (fleet-scale mode).
-	reservoirK    int
-	reservoirSeed int64
 
 	// gen increments whenever a counter or histogram is interned, letting
 	// samplers detect (cheaply, without the registry lock) that their cached
@@ -193,29 +185,11 @@ func (r *Registry) HistogramHandle(name string) *HistogramHandle {
 func (r *Registry) histogramLocked(name string) *HistogramHandle {
 	hh, ok := r.histograms[name]
 	if !ok {
-		var h *Histogram
-		if r.reservoirK > 0 {
-			h = NewReservoirHistogram(r.reservoirK, sim.NewRNG(r.reservoirSeed^int64(hashName(name))))
-		} else {
-			h = &Histogram{}
-		}
-		hh = &HistogramHandle{h: h}
+		hh = &HistogramHandle{h: &Histogram{}}
 		r.histograms[name] = hh
 		r.gen.Add(1)
 	}
 	return hh
-}
-
-// EnableReservoir switches histogram creation to bounded deterministic
-// reservoirs of k samples. Each histogram derives its own RNG from seed and
-// its name, so quantile summaries are reproducible regardless of metric
-// creation order. Histograms that already exist keep their mode. k <= 0
-// disables the mode for subsequently created histograms.
-func (r *Registry) EnableReservoir(k int, seed int64) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	r.reservoirK = k
-	r.reservoirSeed = seed
 }
 
 // Add increments a counter by name (the convenience path; hot emitters
@@ -255,13 +229,9 @@ func (r *Registry) Observe(name string, value float64) {
 
 // Merge folds src's metrics into r: counters add, gauges take src's value
 // (so merging shards in replication-index order deterministically keeps the
-// highest index's reading), and histograms combine — Count, Sum, Min, and
-// Max stay exact, while the retained samples become the union of both
-// sides' retained samples. Merging reservoir histograms may therefore
-// retain more than one reservoir's worth of samples; merged registries are
-// meant to be read, not observed into. src is only read, never mutated, and
-// may keep collecting afterwards. Merging a registry into itself is a
-// no-op.
+// highest index's reading), and histograms take the union of both sides'
+// samples. src is only read, never mutated, and may keep collecting
+// afterwards. Merging a registry into itself is a no-op.
 func (r *Registry) Merge(src *Registry) {
 	if r == nil || src == nil || r == src {
 		return
@@ -345,13 +315,6 @@ func (r *Registry) EachMetric(counterFn func(name string, c *Counter), histFn fu
 	}
 }
 
-// hashName derives a stable per-metric seed component.
-func hashName(name string) uint32 {
-	h := fnv.New32a()
-	h.Write([]byte(name))
-	return h.Sum32()
-}
-
 // ObserveDuration records a duration sample in milliseconds.
 func (r *Registry) ObserveDuration(name string, d time.Duration) {
 	r.Observe(name, float64(d)/float64(time.Millisecond))
@@ -375,12 +338,10 @@ func (r *Registry) Histogram(name string) *Histogram {
 	return hh.h.clone()
 }
 
-// Histogram stores samples — raw, or a bounded deterministic reservoir
-// (Vitter's Algorithm R) when built by NewReservoirHistogram — and answers
-// quantile queries. Count, Sum, Min, and Max are always exact; quantiles of
-// a reservoir histogram are estimates over its k retained samples.
+// Histogram keeps every sample it is given and answers quantile queries
+// over them exactly.
 //
-// The zero value is a valid unbounded histogram. Read methods never mutate
+// The zero value is a valid empty histogram. Read methods never mutate
 // state, so concurrent readers of a shared *Histogram are safe as long as
 // no Observe runs concurrently (the Registry serializes its own).
 type Histogram struct {
@@ -389,32 +350,17 @@ type Histogram struct {
 	sum     float64
 	min     float64
 	max     float64
-	limit   int      // 0 = keep every sample
-	rng     *sim.RNG // reservoir replacement source when limit > 0
-}
-
-// NewReservoirHistogram returns a histogram retaining at most k samples,
-// replacing uniformly at random from the given deterministic source.
-func NewReservoirHistogram(k int, rng *sim.RNG) *Histogram {
-	if k <= 0 || rng == nil {
-		return &Histogram{}
-	}
-	return &Histogram{limit: k, rng: rng}
 }
 
 // clone returns an independent deep copy.
 func (h *Histogram) clone() *Histogram {
 	cp := *h
 	cp.samples = append([]float64(nil), h.samples...)
-	if h.rng != nil {
-		cp.rng = h.rng.Clone()
-	}
 	return &cp
 }
 
-// merge folds src's samples into h, keeping Count/Sum/Min/Max exact and
-// appending src's retained samples in order (see Registry.Merge for the
-// reservoir caveat). src must not be observed into concurrently.
+// merge folds src into h, appending src's samples in order. src must not
+// be observed into concurrently.
 func (h *Histogram) merge(src *Histogram) {
 	if src == nil || src.count == 0 {
 		return
@@ -444,27 +390,19 @@ func (h *Histogram) Observe(v float64) {
 	}
 	h.count++
 	h.sum += v
-	if h.limit <= 0 || len(h.samples) < h.limit {
-		if n := len(h.samples); n == cap(h.samples) && n >= sampleSlackFrom {
-			// append would grow by a quarter and round up to a size class.
-			// A fleet keeps thousands of histograms (one set per vehicle)
-			// growing in step, so that slack is a fifth of the live heap;
-			// an eighth keeps appends amortised O(1) at half of it.
-			grown := make([]float64, n, n+n/8)
-			copy(grown, h.samples)
-			h.samples = grown
-		}
-		h.samples = append(h.samples, v)
-		return
+	if n := len(h.samples); n == cap(h.samples) && n >= sampleSlackFrom {
+		// append would grow by a quarter and round up to a size class.
+		// A fleet keeps thousands of histograms (one set per vehicle)
+		// growing in step, so that slack is a fifth of the live heap;
+		// an eighth keeps appends amortised O(1) at half of it.
+		grown := make([]float64, n, n+n/8)
+		copy(grown, h.samples)
+		h.samples = grown
 	}
-	// Algorithm R: the n-th sample replaces a random slot with
-	// probability k/n, keeping the reservoir uniform over all samples.
-	if j := h.rng.Intn(h.count); j < h.limit {
-		h.samples[j] = v
-	}
+	h.samples = append(h.samples, v)
 }
 
-// Count returns the number of observed samples (not just retained ones).
+// Count returns the number of observed samples.
 func (h *Histogram) Count() int { return h.count }
 
 // Sum returns the exact sample total.
@@ -477,10 +415,6 @@ func (h *Histogram) Mean() float64 {
 	}
 	return h.sum / float64(h.count)
 }
-
-// Retained returns how many samples back quantile queries (equal to Count
-// for unbounded histograms, at most the reservoir size otherwise).
-func (h *Histogram) Retained() int { return len(h.samples) }
 
 // Quantile returns the q-quantile (0 <= q <= 1) by nearest-rank; NaN with
 // no samples. It sorts a private copy, leaving sample order untouched, so
@@ -525,8 +459,9 @@ func (h *Histogram) Max() float64 {
 	return h.max
 }
 
-// HistogramSummary is a JSON-marshalable digest of one histogram. Min and
-// Max are exact; quantiles come from the retained samples.
+// HistogramSummary is a JSON-marshalable digest of one histogram. Retained
+// is how many samples back the quantiles; it equals Count while histograms
+// keep every sample.
 type HistogramSummary struct {
 	Count    int     `json:"count"`
 	Retained int     `json:"retained"`
@@ -540,7 +475,7 @@ type HistogramSummary struct {
 	Max      float64 `json:"max"`
 }
 
-// Summary digests the histogram, sorting the retained samples once. An
+// Summary digests the histogram, sorting the samples once. An
 // empty histogram summarizes to all zeros (not NaN), keeping the result
 // JSON-marshalable.
 func (h *Histogram) Summary() HistogramSummary {
@@ -564,7 +499,7 @@ func (h *Histogram) Summary() HistogramSummary {
 }
 
 // Snapshot is the full registry state, ready for json.Marshal (the
-// `/v1/metrics` payload).
+// `/api/v1/metrics` payload).
 type Snapshot struct {
 	Counters   map[string]float64          `json:"counters"`
 	Gauges     map[string]float64          `json:"gauges"`

@@ -204,58 +204,6 @@ func TestObserveRenderRace(t *testing.T) {
 	}
 }
 
-func TestReservoirBoundsMemoryKeepsExactAggregates(t *testing.T) {
-	r := NewRegistry()
-	r.EnableReservoir(64, 42)
-	const n = 10000
-	for i := 1; i <= n; i++ {
-		r.Observe("lat_ms", float64(i))
-	}
-	h := r.Histogram("lat_ms")
-	if h.Retained() != 64 {
-		t.Fatalf("retained = %d, want 64", h.Retained())
-	}
-	if h.Count() != n || h.Sum() != float64(n*(n+1)/2) {
-		t.Fatalf("exact aggregates lost: count=%d sum=%v", h.Count(), h.Sum())
-	}
-	if h.Min() != 1 || h.Max() != n {
-		t.Fatalf("min/max = %v/%v, want 1/%d", h.Min(), h.Max(), n)
-	}
-	// The reservoir is uniform: the median estimate should land well
-	// inside the bulk of the distribution.
-	p50 := h.Quantile(0.5)
-	if p50 < float64(n)*0.2 || p50 > float64(n)*0.8 {
-		t.Fatalf("reservoir p50 = %v implausible for uniform 1..%d", p50, n)
-	}
-}
-
-func TestReservoirDeterministicAcrossRuns(t *testing.T) {
-	run := func() Snapshot {
-		r := NewRegistry()
-		r.EnableReservoir(32, 7)
-		// Creation order differs between runs; per-name seeding must make
-		// that irrelevant.
-		r.Observe("b", 0)
-		for i := 0; i < 5000; i++ {
-			r.Observe("a", float64(i%997))
-			r.Observe("b", float64(i%131))
-		}
-		return r.Snapshot()
-	}
-	s1, s2 := run(), run()
-	j1, err := json.Marshal(s1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	j2, err := json.Marshal(s2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if string(j1) != string(j2) {
-		t.Fatalf("reservoir snapshots differ across identical runs:\n%s\n%s", j1, j2)
-	}
-}
-
 func TestSnapshotGolden(t *testing.T) {
 	r := NewRegistry()
 	r.Add("ddi.cache.hits", 3)
@@ -364,29 +312,6 @@ func TestRegistryMergeOrderDeterminism(t *testing.T) {
 	}
 }
 
-// TestReservoirHistogramMerge: reservoir histograms keep exact count/sum
-// and the retained union after a merge.
-func TestReservoirHistogramMerge(t *testing.T) {
-	a, b := NewRegistry(), NewRegistry()
-	a.EnableReservoir(8, 1)
-	b.EnableReservoir(8, 2)
-	for i := 0; i < 100; i++ {
-		a.Observe("lat_ms", float64(i))
-		b.Observe("lat_ms", float64(100+i))
-	}
-	a.Merge(b)
-	h := a.Histogram("lat_ms")
-	if h.Count() != 200 {
-		t.Fatalf("merged count = %d, want 200", h.Count())
-	}
-	if h.Retained() != 16 {
-		t.Fatalf("merged retained = %d, want union of both reservoirs (16)", h.Retained())
-	}
-	if h.Min() != 0 || h.Max() != 199 {
-		t.Fatalf("merged min/max = %v/%v, want 0/199", h.Min(), h.Max())
-	}
-}
-
 // TestPreResolvedHandlesInvisibleUntilUsed: components resolve handles at
 // construction, often for metrics that never fire in a given run. Those
 // must not appear in Snapshot/Render/Merge output — reports stay identical
@@ -435,46 +360,6 @@ func TestPreResolvedHandlesInvisibleUntilUsed(t *testing.T) {
 	}
 	if snap.Histograms["offload.backoff_ms"].Count != 1 {
 		t.Fatal("histogram after first observe missing")
-	}
-}
-
-// TestMergeReservoirQuantilesShardCountInvariant: the sharded-runner
-// contract with EnableReservoir active — distributing the same per-shard
-// observations over any worker count and merging in index order must yield
-// identical quantile summaries, run after run.
-func TestMergeReservoirQuantilesShardCountInvariant(t *testing.T) {
-	buildShards := func() []*Registry {
-		shards := make([]*Registry, 4)
-		for i := range shards {
-			shards[i] = NewRegistry()
-			shards[i].EnableReservoir(16, 7+int64(i)) // runner: seed + index
-			for j := 0; j < 200; j++ {
-				shards[i].Observe("offload.uplink_ms", float64(i*1000+j))
-			}
-		}
-		return shards
-	}
-	merge := func(shards []*Registry) HistogramSummary {
-		m := NewRegistry()
-		for _, s := range shards {
-			m.Merge(s)
-		}
-		return m.Histogram("offload.uplink_ms").Summary()
-	}
-	first := merge(buildShards())
-	for run := 0; run < 3; run++ {
-		if got := merge(buildShards()); got != first {
-			t.Fatalf("merged summary varies across runs:\n%+v\nvs\n%+v", got, first)
-		}
-	}
-	if first.Count != 800 || first.Retained != 64 {
-		t.Fatalf("merged count/retained = %d/%d, want 800/64", first.Count, first.Retained)
-	}
-	if first.Min != 0 || first.Max != 3199 {
-		t.Fatalf("merged min/max = %v/%v", first.Min, first.Max)
-	}
-	if math.IsNaN(first.P50) || first.P50 < first.Min || first.P50 > first.Max {
-		t.Fatalf("merged p50 out of range: %v", first.P50)
 	}
 }
 
@@ -554,8 +439,7 @@ func TestCountSum(t *testing.T) {
 	}
 }
 
-// TestHistogramSampleSlackBounded pins the unbounded histogram's memory
-// shape: every sample kept in order, and never more than an eighth of
+// TestHistogramSampleSlackBounded pins the histogram's memory shape: every sample kept in order, and never more than an eighth of
 // spare capacity once past the small-histogram range. A fleet holds a set
 // of these per vehicle, all growing in step.
 func TestHistogramSampleSlackBounded(t *testing.T) {
@@ -567,8 +451,8 @@ func TestHistogramSampleSlackBounded(t *testing.T) {
 			t.Fatalf("%d samples in a slice of capacity %d", n, cap(h.samples))
 		}
 	}
-	if h.Retained() != 20000 || h.Count() != 20000 {
-		t.Fatalf("retained %d of %d", h.Retained(), h.Count())
+	if len(h.samples) != 20000 || h.Count() != 20000 {
+		t.Fatalf("kept %d samples of %d", len(h.samples), h.Count())
 	}
 	for i, v := range h.samples {
 		if v != float64(i%977)+0.5 {

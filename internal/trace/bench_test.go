@@ -33,15 +33,14 @@ func BenchmarkDisabledSpanGuarded(b *testing.B) {
 	}
 }
 
-// BenchmarkSpanStartFinish measures an enabled root span's lifecycle. The
-// tracer is reset periodically so the span cap never engages.
+// BenchmarkSpanStartFinish measures an enabled root span's lifecycle. A
+// fresh tracer takes over periodically so the span cap never engages.
 func BenchmarkSpanStartFinish(b *testing.B) {
-	tr := New(nil)
+	var tr *Tracer
 	b.ReportAllocs()
-	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if i%65536 == 0 {
-			tr.Reset()
+			tr = New(nil)
 		}
 		s := tr.StartSpanAt("offload", "offload.execute", time.Duration(i))
 		s.FinishAt(time.Duration(i + 1))
@@ -51,12 +50,11 @@ func BenchmarkSpanStartFinish(b *testing.B) {
 // BenchmarkSpanAtLeaf measures the pre-bounded leaf-span fast path used by
 // the offload execute loop.
 func BenchmarkSpanAtLeaf(b *testing.B) {
-	tr := New(nil)
+	var tr *Tracer
 	b.ReportAllocs()
-	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if i%65536 == 0 {
-			tr.Reset()
+			tr = New(nil)
 		}
 		tr.SpanAt("network", "network.uplink", time.Duration(i), time.Duration(i+1))
 	}

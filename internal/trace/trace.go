@@ -72,7 +72,6 @@ type Tracer struct {
 	nextID  int
 	limit   int
 	dropped int
-	pool    []*Span // reclaimed by Reset, reused by newSpanLocked
 }
 
 // Enabled reports whether spans are being recorded. Hot call sites guard
@@ -155,31 +154,14 @@ func (t *Tracer) newSpanLocked(component, name string, start time.Duration, attr
 		return nil
 	}
 	t.nextID++
-	var s *Span
-	if n := len(t.pool); n > 0 {
-		s = t.pool[n-1]
-		t.pool[n-1] = nil
-		t.pool = t.pool[:n-1]
-		*s = Span{
-			tracer:    t,
-			id:        t.nextID,
-			Name:      name,
-			Component: component,
-			Start:     start,
-			End:       start,
-			Attrs:     attrs,
-			Children:  s.Children[:0],
-		}
-	} else {
-		s = &Span{
-			tracer:    t,
-			id:        t.nextID,
-			Name:      name,
-			Component: component,
-			Start:     start,
-			End:       start,
-			Attrs:     attrs,
-		}
+	s := &Span{
+		tracer:    t,
+		id:        t.nextID,
+		Name:      name,
+		Component: component,
+		Start:     start,
+		End:       start,
+		Attrs:     attrs,
 	}
 	if n := len(t.stack); n > 0 {
 		parent := t.stack[n-1]
@@ -331,34 +313,6 @@ func subtreeSize(s *Span) int {
 		n += subtreeSize(c)
 	}
 	return n
-}
-
-// Reset discards all recorded spans (the open stack included) but keeps the
-// clock and cap. The discarded span structs are reclaimed into a free pool
-// and reused by later spans, so repeated record/Reset cycles (replication
-// loops, benchmarks) amortize to zero span allocations. Span pointers
-// obtained before a Reset — including Roots() slices — must not be used
-// afterwards.
-func (t *Tracer) Reset() {
-	if t == nil {
-		return
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	var reclaim func(s *Span)
-	reclaim = func(s *Span) {
-		for _, c := range s.Children {
-			reclaim(c)
-		}
-		s.Parent = nil
-		s.Attrs = nil
-		s.Children = s.Children[:0]
-		t.pool = append(t.pool, s)
-	}
-	for _, r := range t.roots {
-		reclaim(r)
-	}
-	t.roots, t.stack, t.nextID, t.dropped = t.roots[:0], t.stack[:0], 0, 0
 }
 
 // Components returns the sorted set of component names present in the

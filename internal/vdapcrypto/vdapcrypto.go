@@ -8,10 +8,7 @@ package vdapcrypto
 import (
 	"crypto/aes"
 	"crypto/cipher"
-	"crypto/ecdsa"
-	"crypto/elliptic"
 	"crypto/hmac"
-	"crypto/rand"
 	"crypto/sha256"
 	"encoding/binary"
 	"encoding/hex"
@@ -134,47 +131,4 @@ func (s *Sealer) Open(envelope, associated []byte) ([]byte, error) {
 func Fingerprint(data []byte) string {
 	sum := sha256.Sum256(data)
 	return hex.EncodeToString(sum[:8])
-}
-
-// Signer signs V2V messages with an ECDSA P-256 key, the mechanism class
-// IEEE 1609.2 prescribes for DSRC safety messages. Each pseudonym epoch
-// can carry its own signer so signatures do not link identities.
-type Signer struct {
-	key *ecdsa.PrivateKey
-}
-
-// NewSigner generates a fresh P-256 keypair.
-func NewSigner() (*Signer, error) {
-	key, err := ecdsa.GenerateKey(elliptic.P256(), rand.Reader)
-	if err != nil {
-		return nil, fmt.Errorf("vdapcrypto: generate key: %w", err)
-	}
-	return &Signer{key: key}, nil
-}
-
-// PublicKey returns the compressed public point (33 bytes) receivers use
-// to verify.
-func (s *Signer) PublicKey() []byte {
-	return elliptic.MarshalCompressed(elliptic.P256(), s.key.PublicKey.X, s.key.PublicKey.Y)
-}
-
-// Sign returns an ASN.1 ECDSA signature over SHA-256(data).
-func (s *Signer) Sign(data []byte) ([]byte, error) {
-	digest := sha256.Sum256(data)
-	sig, err := ecdsa.SignASN1(rand.Reader, s.key, digest[:])
-	if err != nil {
-		return nil, fmt.Errorf("vdapcrypto: sign: %w", err)
-	}
-	return sig, nil
-}
-
-// VerifySignature checks sig over data against a compressed public key.
-func VerifySignature(compressedPub, data, sig []byte) bool {
-	x, y := elliptic.UnmarshalCompressed(elliptic.P256(), compressedPub)
-	if x == nil {
-		return false
-	}
-	pub := &ecdsa.PublicKey{Curve: elliptic.P256(), X: x, Y: y}
-	digest := sha256.Sum256(data)
-	return ecdsa.VerifyASN1(pub, digest[:], sig)
 }

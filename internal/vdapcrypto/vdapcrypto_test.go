@@ -169,31 +169,3 @@ func TestFingerprint(t *testing.T) {
 		t.Fatalf("fingerprint length = %d, want 16", len(a))
 	}
 }
-
-func TestSignerRoundTrip(t *testing.T) {
-	s, err := NewSigner()
-	if err != nil {
-		t.Fatal(err)
-	}
-	msg := []byte("bsm payload")
-	sig, err := s.Sign(msg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !VerifySignature(s.PublicKey(), msg, sig) {
-		t.Fatal("own signature rejected")
-	}
-	if VerifySignature(s.PublicKey(), []byte("other"), sig) {
-		t.Fatal("signature verified for different message")
-	}
-	other, _ := NewSigner()
-	if VerifySignature(other.PublicKey(), msg, sig) {
-		t.Fatal("signature verified under wrong key")
-	}
-	if VerifySignature([]byte{0x02, 0x01}, msg, sig) {
-		t.Fatal("garbage key verified")
-	}
-	if len(s.PublicKey()) != 33 {
-		t.Fatalf("compressed key length = %d", len(s.PublicKey()))
-	}
-}

@@ -145,25 +145,6 @@ func NewRSU(station geo.Station) (*Site, error) {
 	return New(station.ID, RSU, station, path, xeon, gpu)
 }
 
-// NewBaseStationEdge builds an XEdge server at a cellular tower, reached
-// over LTE.
-func NewBaseStationEdge(station geo.Station) (*Site, error) {
-	xeon, err := hardware.Lookup(hardware.DeviceEdgeXeon)
-	if err != nil {
-		return nil, err
-	}
-	gpu, err := hardware.Lookup(hardware.DeviceEdgeGPU)
-	if err != nil {
-		return nil, err
-	}
-	lte, err := network.LookupLink("lte")
-	if err != nil {
-		return nil, err
-	}
-	path := network.Path{Name: "vehicle-bs", Links: []network.LinkSpec{lte}}
-	return New(station.ID, BaseStationEdge, station, path, xeon, gpu)
-}
-
 // NewNeighborVehicle builds a peer CAV's shareable compute (one TX2-class
 // GPU) reached over DSRC. The neighbor is modeled as staying in convoy
 // range (position-independent reachability).

@@ -180,26 +180,6 @@ func TestSiteAvailability(t *testing.T) {
 	}
 }
 
-func TestNewBaseStationEdge(t *testing.T) {
-	st := geo.Station{ID: "bs-0", Kind: geo.BaseStation, Pos: geo.Point{X: 1000}, Radius: 900}
-	s, err := NewBaseStationEdge(st)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if s.Kind() != BaseStationEdge {
-		t.Fatalf("kind = %v", s.Kind())
-	}
-	if s.Access().Links[0].Tech != network.LTE {
-		t.Fatal("base-station edge not reached over LTE")
-	}
-	if s.Station().ID != "bs-0" {
-		t.Fatalf("station = %+v", s.Station())
-	}
-	if !s.Reachable(geo.Point{X: 1500}) || s.Reachable(geo.Point{X: 5000}) {
-		t.Fatal("coverage wrong")
-	}
-}
-
 // TestUnavailableSiteRejectsSubmit is the regression test for the
 // available-flag gap: Submit, EstimateExec, and Preload previously
 // succeeded against a site marked down via SetAvailable(false), because
