@@ -19,6 +19,7 @@ import (
 	"time"
 
 	"repro/internal/experiments"
+	"repro/internal/obs"
 	"repro/internal/telemetry"
 	"repro/internal/trace"
 )
@@ -41,9 +42,9 @@ type options struct {
 	records   int
 
 	// With -trace, instrument-aware experiments report spans and metrics
-	// here; virtual-time determinism makes the file byte-identical per seed.
-	tracer  *trace.Tracer
-	metrics *telemetry.Registry
+	// here (zero otherwise); virtual-time determinism makes the file
+	// byte-identical per seed.
+	sink obs.Scope
 }
 
 // mainExit is main's body, returning the exit code instead of calling
@@ -196,8 +197,7 @@ func expUsage() string {
 // run dispatches o.exp over experimentList, then writes the -trace file.
 func run(o options) error {
 	if o.traceOut != "" {
-		o.tracer = trace.New(nil)
-		o.metrics = telemetry.NewRegistry()
+		o.sink = obs.Scope{Metrics: telemetry.NewRegistry(), Tracer: trace.New()}
 	}
 	all := o.exp == "all"
 	var selected []experiment
@@ -221,7 +221,7 @@ func run(o options) error {
 		}
 	}
 	if o.traceOut != "" {
-		out, err := o.tracer.ChromeTrace()
+		out, err := o.sink.Tracer.ChromeTrace()
 		if err != nil {
 			return fmt.Errorf("render trace: %w", err)
 		}
@@ -229,7 +229,7 @@ func run(o options) error {
 			return err
 		}
 		fmt.Fprintf(os.Stderr, "vdapbench: wrote %d spans over components %v to %s\n",
-			o.tracer.SpanCount(), o.tracer.Components(), o.traceOut)
+			o.sink.Tracer.SpanCount(), o.sink.Tracer.Components(), o.traceOut)
 	}
 	return nil
 }
@@ -276,14 +276,11 @@ func writeReport(path, schema string, marshal func() ([]byte, error)) error {
 }
 
 // showMerged prints a replicated sweep's merged telemetry and folds it
-// into the -trace sinks.
-func showMerged(o *options, unit string, n int, tr *trace.Tracer, m *telemetry.Registry) {
-	fmt.Printf("merged telemetry (%d %s, %d spans):\n", n, unit, tr.SpanCount())
-	fmt.Print(m.Render())
-	if o.tracer != nil {
-		o.tracer.Merge(tr)
-		o.metrics.Merge(m)
-	}
+// into the -trace sink.
+func showMerged(o *options, unit string, n int, merged obs.Scope) {
+	fmt.Printf("merged telemetry (%d %s, %d spans):\n", n, unit, merged.Tracer.SpanCount())
+	fmt.Print(merged.Metrics.Render())
+	o.sink.Merge(merged)
 }
 
 // parseFleetSizes turns the -vehicles flag into a fleet-size list; an
@@ -304,11 +301,11 @@ func parseFleetSizes(s string) ([]int, error) {
 }
 
 func runArch(o *options) error {
-	if o.tracer == nil {
+	if o.traceOut == "" {
 		return show(experiments.ArchTable)(experiments.RunArchComparison())
 	}
 	return withScratchDir("", "vdapbench-arch-ddi-*", func(ddiDir string) error {
-		return show(experiments.ArchTable)(experiments.RunArchComparisonTraced(o.tracer, o.metrics, ddiDir))
+		return show(experiments.ArchTable)(experiments.RunArchComparisonTraced(o.sink, ddiDir))
 	})
 }
 
@@ -322,7 +319,7 @@ func runSweep(o *options) error {
 		return err
 	}
 	fmt.Println(experiments.FleetSweepTable(res))
-	showMerged(o, "replications", len(res.Rows), res.Trace, res.Metrics)
+	showMerged(o, "replications", len(res.Rows), res.Obs)
 	return nil
 }
 
@@ -336,7 +333,7 @@ func runChaos(o *options) error {
 		return err
 	}
 	fmt.Println(experiments.ChaosTable(res))
-	showMerged(o, "cells", len(res.Rows), res.Trace, res.Metrics)
+	showMerged(o, "cells", len(res.Rows), res.Obs)
 	return nil
 }
 
@@ -376,10 +373,10 @@ func runObs(o *options) error {
 	}
 	fmt.Println(experiments.ObsTable(res))
 	fmt.Printf("flight recorder (%d events, %d fault transitions planned):\n",
-		res.Events.Len(), res.FaultEvents)
-	fmt.Print(res.Events.RenderTable())
+		res.Obs.Events.Len(), res.FaultEvents)
+	fmt.Print(res.Obs.Events.RenderTable())
 	fmt.Println("sampled series:")
-	fmt.Print(res.Series.Render())
+	fmt.Print(res.Obs.Series.Render())
 	if o.runReport == "" {
 		return nil
 	}

@@ -93,11 +93,12 @@ func DefaultConfig(dataDir string) Config {
 // through AdvanceTo (which holds the API server's run lock exclusively)
 // rather than calling Engine().RunUntil directly; libvdap handlers take
 // the same lock shared or exclusive per the contract documented on
-// libvdap.Server. The purely observational stores (telemetry registry,
-// tracer, series store, flight recorder, virtual clock) are internally
-// synchronized and readable lock-free at any time. Replication harnesses
-// that need many platforms at once build one per worker and merge
-// telemetry afterwards (see internal/runner).
+// libvdap.Server. The purely observational stores (the four of the
+// platform's obs.Scope — telemetry registry, tracer, series store, flight
+// recorder — and the virtual clock) are internally synchronized and
+// readable lock-free at any time. Replication harnesses that need many
+// platforms at once build one per worker and merge telemetry afterwards
+// (see internal/runner).
 type Platform struct {
 	cfg Config
 
@@ -117,12 +118,9 @@ type Platform struct {
 	cloud    *cloud.Cloud
 	registry *libvdap.Registry
 	api      *libvdap.Server
-	metrics  *telemetry.Registry
-	tracer   *trace.Tracer
+	scope    obs.Scope
 	firewall *edgeos.Firewall
 	injector *faults.Injector
-	recorder *obs.Recorder
-	series   *obs.SeriesStore
 	sampler  *obs.Sampler
 
 	stopCollect func()
@@ -221,30 +219,24 @@ func New(cfg Config) (*Platform, error) {
 	if err := libvdap.DefaultCommonLibrary(registry); err != nil {
 		return nil, err
 	}
-	api, err := libvdap.NewServer(registry, mhep, data, sharing, engine.Now)
+
+	// One scope for the whole node: every component reports into the same
+	// four stores, and the API server serves them.
+	scope := obs.Scope{
+		Metrics: telemetry.NewRegistry(),
+		Tracer:  trace.New(),
+		Events:  obs.NewRecorder(0),
+		Series:  obs.NewSeriesStore(0),
+	}
+	scope.Tracer.SetSpanLimit(cfg.TraceCapacity)
+	dsf.Instrument(scope)
+	eng.Instrument(scope)
+	elastic.Instrument(scope)
+	data.Instrument(scope)
+	api, err := libvdap.NewServer(registry, mhep, data, sharing, elastic, scope, engine.Now)
 	if err != nil {
 		return nil, err
 	}
-	api.AttachElastic(elastic)
-
-	metrics := telemetry.NewRegistry()
-	tracer := trace.New(engine.Now)
-	tracer.SetSpanLimit(cfg.TraceCapacity)
-	dsf.Instrument(tracer, metrics)
-	eng.Instrument(tracer, metrics)
-	elastic.Instrument(tracer, metrics)
-	data.Instrument(tracer, metrics)
-	api.AttachTelemetry(metrics)
-	api.AttachTracer(tracer)
-
-	// Flight recorder and series store: the recorder must be installed
-	// before any traffic so lazily-created circuit breakers pick it up.
-	recorder := obs.NewRecorder(0)
-	series := obs.NewSeriesStore(0)
-	eng.SetRecorder(recorder)
-	data.SetRecorder(recorder)
-	api.AttachSeries(series)
-	api.AttachEvents(recorder)
 
 	if cfg.Resilience != nil {
 		pol := *cfg.Resilience
@@ -260,8 +252,7 @@ func New(cfg Config) (*Platform, error) {
 		if err != nil {
 			return nil, err
 		}
-		injector.Instrument(tracer, metrics)
-		injector.SetRecorder(recorder)
+		injector.Instrument(scope)
 		injector.Attach()
 		if err := injector.Schedule(engine); err != nil {
 			return nil, err
@@ -286,12 +277,9 @@ func New(cfg Config) (*Platform, error) {
 		cloud:    cl,
 		registry: registry,
 		api:      api,
-		metrics:  metrics,
-		tracer:   tracer,
+		scope:    scope,
 		firewall: edgeos.DefaultVehicleFirewall(),
 		injector: injector,
-		recorder: recorder,
-		series:   series,
 	}, nil
 }
 
@@ -383,13 +371,13 @@ func (p *Platform) InvokeService(name string) (edgeos.InvocationResult, error) {
 		return res, err
 	}
 	if res.HungUp {
-		p.metrics.Add("service."+name+".hangups", 1)
+		p.scope.Metrics.Add("service."+name+".hangups", 1)
 		return res, nil
 	}
-	p.metrics.Add("service."+name+".invocations", 1)
-	p.metrics.ObserveDuration("service."+name+".latency_ms", res.Latency)
-	p.metrics.Add("service."+name+".energy_j", res.EnergyJ)
-	p.metrics.Add("dest."+res.Dest+".invocations", 1)
+	p.scope.Metrics.Add("service."+name+".invocations", 1)
+	p.scope.Metrics.ObserveDuration("service."+name+".latency_ms", res.Latency)
+	p.scope.Metrics.Add("service."+name+".energy_j", res.EnergyJ)
+	p.scope.Metrics.Add("dest."+res.Dest+".invocations", 1)
 	if res.Completed > p.engine.Now() {
 		if err := p.engine.RunUntil(res.Completed); err != nil {
 			return res, err
@@ -399,11 +387,11 @@ func (p *Platform) InvokeService(name string) (edgeos.InvocationResult, error) {
 }
 
 // Metrics exposes the platform's telemetry registry.
-func (p *Platform) Metrics() *telemetry.Registry { return p.metrics }
+func (p *Platform) Metrics() *telemetry.Registry { return p.scope.Metrics }
 
 // Tracer exposes the platform's span recorder; every subsystem on the
 // request path reports into it in virtual time.
-func (p *Platform) Tracer() *trace.Tracer { return p.tracer }
+func (p *Platform) Tracer() *trace.Tracer { return p.scope.Tracer }
 
 // Firewall returns the vehicle's default-deny inbound firewall.
 func (p *Platform) Firewall() *edgeos.Firewall { return p.firewall }
@@ -412,7 +400,7 @@ func (p *Platform) Firewall() *edgeos.Firewall { return p.firewall }
 // and records the outcome in telemetry.
 func (p *Platform) AdmitFlow(f edgeos.Flow) (edgeos.Verdict, string) {
 	v, rule := p.firewall.Evaluate(f)
-	p.metrics.Add("firewall."+v.String(), 1)
+	p.scope.Metrics.Add("firewall."+v.String(), 1)
 	return v, rule
 }
 
@@ -427,7 +415,7 @@ func (p *Platform) StartCollection(interval time.Duration) error {
 		if _, err := p.data.Collect(p.engine.Now()); err != nil {
 			// Collection failures should not kill the simulation; the
 			// store surfaces them on the next explicit access.
-			p.metrics.Add("ddi.collect_errors", 1)
+			p.scope.Metrics.Add("ddi.collect_errors", 1)
 		}
 	})
 	if err != nil {
@@ -438,10 +426,10 @@ func (p *Platform) StartCollection(interval time.Duration) error {
 }
 
 // FlightRecorder returns the platform's structured event ring.
-func (p *Platform) FlightRecorder() *obs.Recorder { return p.recorder }
+func (p *Platform) FlightRecorder() *obs.Recorder { return p.scope.Events }
 
 // Series returns the platform's metric time-series store.
-func (p *Platform) Series() *obs.SeriesStore { return p.series }
+func (p *Platform) Series() *obs.SeriesStore { return p.scope.Series }
 
 // StartSampling begins snapshotting every registered metric into the
 // series store at the given virtual-time interval (non-positive means
@@ -450,8 +438,8 @@ func (p *Platform) StartSampling(interval time.Duration) error {
 	if p.stopSample != nil {
 		return fmt.Errorf("core: sampling already running")
 	}
-	sp := obs.NewSampler(p.series, interval)
-	sp.Watch(p.metrics)
+	sp := obs.NewSampler(p.scope.Series, interval)
+	sp.Watch(p.scope.Metrics)
 	stop, err := sp.Start(p.engine)
 	if err != nil {
 		return err
@@ -535,7 +523,7 @@ func (p *Platform) Report() string {
 	fmt.Fprintf(&b, "cloud archive: %d records, %d bytes\n",
 		p.cloud.Data().Count(), p.cloud.Data().Bytes())
 
-	if m := p.metrics.Render(); m != "" {
+	if m := p.scope.Metrics.Render(); m != "" {
 		b.WriteString("\n-- metrics --\n")
 		b.WriteString(m)
 	}

@@ -22,12 +22,12 @@ type MemCache struct {
 	hits   int
 	misses int
 
-	m   cacheMetrics
-	rec *obs.Recorder
+	scope obs.Scope
+	m     cacheMetrics
 }
 
 // cacheMetrics holds the cache's interned counter handles, resolved once
-// in SetTelemetry. Handles are nil-safe, so an unattached cache bumps
+// in instrument. Handles are nil-safe, so an unattached cache bumps
 // them for free — Get/Put stay off the registry lock and never re-hash a
 // metric name (the interned-handle path every hot emitter uses).
 type cacheMetrics struct {
@@ -37,9 +37,13 @@ type cacheMetrics struct {
 	expirations *telemetry.Counter
 }
 
-// SetTelemetry mirrors hit/miss/eviction outcomes into a registry under
-// `ddi.cache.*` counters (nil detaches).
-func (c *MemCache) SetTelemetry(reg *telemetry.Registry) {
+// instrument mirrors hit/miss/eviction outcomes into the scope's registry
+// under `ddi.cache.*` counters, and emits a structured event into its
+// recorder for every capacity eviction, stamped at the insertion that
+// forced it.
+func (c *MemCache) instrument(sc obs.Scope) {
+	c.scope = sc
+	reg := sc.Metrics
 	c.m = cacheMetrics{
 		hits:        reg.CounterHandle("ddi.cache.hits"),
 		misses:      reg.CounterHandle("ddi.cache.misses"),
@@ -47,10 +51,6 @@ func (c *MemCache) SetTelemetry(reg *telemetry.Registry) {
 		expirations: reg.CounterHandle("ddi.cache.expirations"),
 	}
 }
-
-// SetRecorder attaches a flight recorder: every capacity eviction emits a
-// structured event stamped at the insertion that forced it (nil detaches).
-func (c *MemCache) SetRecorder(rec *obs.Recorder) { c.rec = rec }
 
 type cacheEntry struct {
 	rec       Record
@@ -102,8 +102,8 @@ func (c *MemCache) evictOldest(now time.Duration) {
 	c.lru.Remove(back)
 	if ok {
 		delete(c.entries, entry.rec.ID)
-		if c.rec.Enabled() {
-			c.rec.Emit(now, "ddi", obs.SevDebug, "cache.evict",
+		if c.scope.Events.Enabled() {
+			c.scope.Events.Emit(now, "ddi", obs.SevDebug, "cache.evict",
 				obs.Int("id", int(entry.rec.ID)), obs.Int("resident", c.lru.Len()))
 		}
 	}

@@ -34,9 +34,8 @@ type DDI struct {
 	uploads   int
 	downloads int
 
-	tracer  *trace.Tracer
-	metrics *telemetry.Registry
-	m       ddiMetrics
+	scope obs.Scope
+	m     ddiMetrics
 }
 
 // ddiMetrics holds the DDI's interned metric handles, resolved once in
@@ -54,13 +53,14 @@ type ddiMetrics struct {
 	diskReadMS       *telemetry.HistogramHandle
 }
 
-// Instrument attaches a tracer and metrics registry (either may be nil).
-// Service-layer calls then emit `ddi` spans; the cache tiers mirror their
-// hit/miss/eviction outcomes as `ddi.cache.*` counters.
-func (d *DDI) Instrument(tr *trace.Tracer, reg *telemetry.Registry) {
-	d.tracer = tr
-	d.metrics = reg
-	d.cache.SetTelemetry(reg)
+// Instrument attaches the DDI's observability scope and hands it to the
+// cache tier. Service-layer calls then emit `ddi` spans and `ddi.*`
+// metrics; the cache mirrors its hit/miss/eviction outcomes as
+// `ddi.cache.*` counters and emits a `ddi` event per capacity eviction.
+func (d *DDI) Instrument(sc obs.Scope) {
+	d.scope = sc
+	d.cache.instrument(sc)
+	reg := sc.Metrics
 	d.m = ddiMetrics{
 		collections:      reg.CounterHandle("ddi.collections"),
 		recordsCollected: reg.CounterHandle("ddi.records_collected"),
@@ -134,10 +134,6 @@ func (d *DDI) OBD() *sensors.OBD { return d.obd }
 // Cache exposes the in-memory tier for statistics.
 func (d *DDI) Cache() *MemCache { return d.cache }
 
-// SetRecorder attaches a flight recorder to the cache tier: capacity
-// evictions emit `ddi` events (nil detaches).
-func (d *DDI) SetRecorder(rec *obs.Recorder) { d.cache.SetRecorder(rec) }
-
 // Store exposes the disk tier.
 func (d *DDI) Store() *DiskStore { return d.store }
 
@@ -145,7 +141,7 @@ func (d *DDI) Store() *DiskStore { return d.store }
 // weather, traffic, and any pending social events are sampled, stored, and
 // cached. It returns the stored records.
 func (d *DDI) Collect(now time.Duration) ([]Record, error) {
-	span := d.tracer.StartSpanAt("ddi", "ddi.collect", now)
+	span := d.scope.Tracer.StartSpanAt("ddi", "ddi.collect", now)
 	recs, err := d.collect(now)
 	if err != nil {
 		span.SetAttr(trace.String("error", err.Error()))
@@ -229,8 +225,8 @@ func (d *DDI) Upload(now time.Duration, source Source, x, y float64, payload []b
 	rec.ID = id
 	d.cache.Put(rec, now)
 	d.uploads++
-	if d.tracer.Enabled() {
-		d.tracer.SpanAt("ddi", "ddi.upload", now, now,
+	if d.scope.Tracer.Enabled() {
+		d.scope.Tracer.SpanAt("ddi", "ddi.upload", now, now,
 			trace.String("source", string(source)), trace.Int("bytes", rec.SizeBytes()))
 	}
 	d.m.uploads.Inc()
@@ -245,8 +241,8 @@ func (d *DDI) DownloadByID(now time.Duration, id uint64) (Record, time.Duration,
 	d.downloads++
 	d.m.downloads.Inc()
 	if rec, ok := d.cache.Get(id, now); ok {
-		if d.tracer.Enabled() {
-			d.tracer.SpanAt("ddi", "ddi.get", now, now+memHitLatency,
+		if d.scope.Tracer.Enabled() {
+			d.scope.Tracer.SpanAt("ddi", "ddi.get", now, now+memHitLatency,
 				trace.String("tier", "mem"))
 		}
 		d.m.readMS.ObserveDuration(memHitLatency)
@@ -261,8 +257,8 @@ func (d *DDI) DownloadByID(now time.Duration, id uint64) (Record, time.Duration,
 		return Record{}, 0, err
 	}
 	d.cache.Put(rec, now) // promote
-	if d.tracer.Enabled() {
-		d.tracer.SpanAt("ddi", "ddi.get", now, now+memHitLatency+readTime,
+	if d.scope.Tracer.Enabled() {
+		d.scope.Tracer.SpanAt("ddi", "ddi.get", now, now+memHitLatency+readTime,
 			trace.String("tier", "disk"), trace.Int("bytes", rec.SizeBytes()))
 	}
 	d.m.diskReads.Inc()
@@ -294,8 +290,8 @@ func (d *DDI) Download(now time.Duration, q Query) ([]Record, time.Duration, err
 	if err != nil {
 		return nil, 0, err
 	}
-	if d.tracer.Enabled() {
-		d.tracer.SpanAt("ddi", "ddi.query", now, now+latency,
+	if d.scope.Tracer.Enabled() {
+		d.scope.Tracer.SpanAt("ddi", "ddi.query", now, now+latency,
 			trace.Int("records", len(recs)), trace.F64("bytes", bytes))
 	}
 	d.m.downloads.Inc()
@@ -322,8 +318,8 @@ func (d *DDI) Aggregate(now time.Duration, q Query, col Column) (Agg, PlanStats,
 	if err != nil {
 		return Agg{}, PlanStats{}, 0, err
 	}
-	if d.tracer.Enabled() {
-		d.tracer.SpanAt("ddi", "ddi.aggregate", now, now+latency,
+	if d.scope.Tracer.Enabled() {
+		d.scope.Tracer.SpanAt("ddi", "ddi.aggregate", now, now+latency,
 			trace.String("column", col.String()), trace.Int("count", agg.Count),
 			trace.Int("pruned", stats.Pruned), trace.Int("rows_scanned", stats.RowsScanned))
 	}

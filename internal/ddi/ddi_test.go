@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/cloud"
 	"repro/internal/geo"
+	"repro/internal/obs"
 	"repro/internal/sensors"
 	"repro/internal/sim"
 	"repro/internal/telemetry"
@@ -253,8 +254,8 @@ func TestFaultInjectionReachesStoredData(t *testing.T) {
 func TestInstrumentWiresCacheCountersIntoRegistry(t *testing.T) {
 	d := newDDI(t)
 	reg := telemetry.NewRegistry()
-	tr := trace.New(nil)
-	d.Instrument(tr, reg)
+	tr := trace.New()
+	d.Instrument(obs.Scope{Metrics: reg, Tracer: tr})
 
 	rec, err := d.Upload(0, SourceUser, 0, 0, []byte(`{"k":"v"}`))
 	if err != nil {
@@ -302,7 +303,7 @@ func TestCacheEvictionCounter(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c.SetTelemetry(reg)
+	c.instrument(obs.Scope{Metrics: reg})
 	for id := uint64(1); id <= 4; id++ {
 		c.Put(Record{ID: id, Source: SourceUser, At: 1, Payload: []byte("x")}, 0)
 	}

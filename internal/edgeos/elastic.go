@@ -5,8 +5,8 @@ import (
 	"sort"
 	"time"
 
+	"repro/internal/obs"
 	"repro/internal/offload"
-	"repro/internal/telemetry"
 	"repro/internal/trace"
 )
 
@@ -80,8 +80,7 @@ type ElasticManager struct {
 	services  map[string]*Service
 	stats     map[string]*ElasticStats
 
-	tracer  *trace.Tracer
-	metrics *telemetry.Registry
+	scope obs.Scope
 
 	// prep is the manager's single in-flight invocation, reused across
 	// rounds so the steady-state invoke path allocates nothing for the
@@ -89,13 +88,10 @@ type ElasticManager struct {
 	prep PreparedInvocation
 }
 
-// Instrument attaches a tracer and metrics registry (either may be nil).
-// Invocations then emit `edgeos` spans wrapping the offload engine's own
-// spans, plus `edgeos.*` metrics.
-func (m *ElasticManager) Instrument(tr *trace.Tracer, reg *telemetry.Registry) {
-	m.tracer = tr
-	m.metrics = reg
-}
+// Instrument attaches the manager's observability scope: invocations then
+// emit `edgeos` spans wrapping the offload engine's own spans, plus
+// `edgeos.*` metrics.
+func (m *ElasticManager) Instrument(sc obs.Scope) { m.scope = sc }
 
 // NewElasticManager builds the module over an offload engine.
 func NewElasticManager(engine *offload.Engine, objective Objective) (*ElasticManager, error) {
@@ -190,7 +186,7 @@ func (m *ElasticManager) evaluate(s *Service, p Pipeline, now time.Duration) Cho
 // feasible options as candidates. The boolean reports whether any
 // candidate exists.
 func (m *ElasticManager) Choose(name string, now time.Duration) (Choice, []Choice, bool, error) {
-	span := m.tracer.StartSpanAt("edgeos", "edgeos.choose", now,
+	span := m.scope.Tracer.StartSpanAt("edgeos", "edgeos.choose", now,
 		trace.String("service", name))
 	defer span.FinishAt(now)
 	s, err := m.Service(name)
@@ -288,7 +284,7 @@ func (p *PreparedInvocation) Err() error { return p.err }
 func (m *ElasticManager) PrepareInvoke(name string, now time.Duration) *PreparedInvocation {
 	p := &m.prep
 	*p = PreparedInvocation{m: m, name: name, now: now}
-	p.span = m.tracer.StartSpanAt("edgeos", "edgeos.invoke", now,
+	p.span = m.scope.Tracer.StartSpanAt("edgeos", "edgeos.invoke", now,
 		trace.String("service", name))
 	s, err := m.Service(name)
 	if err != nil {
@@ -392,26 +388,27 @@ func (m *ElasticManager) CommitInvoke(p *PreparedInvocation) (InvocationResult, 
 // emitInvocationMetrics records the per-invocation metric set (shared by
 // the hang-up and completed paths; errors emit nothing, as ever).
 func (m *ElasticManager) emitInvocationMetrics(res InvocationResult) {
-	if m.metrics == nil {
+	reg := m.scope.Metrics
+	if reg == nil {
 		return
 	}
-	m.metrics.Add("edgeos.invocations", 1)
-	m.metrics.Add("edgeos.service."+res.Service+".invocations", 1)
+	reg.Add("edgeos.invocations", 1)
+	reg.Add("edgeos.service."+res.Service+".invocations", 1)
 	if res.HungUp {
-		m.metrics.Add("edgeos.hangups", 1)
+		reg.Add("edgeos.hangups", 1)
 		return
 	}
-	m.metrics.ObserveDuration("edgeos.invoke_ms", res.Latency)
-	m.metrics.Add("edgeos.pipeline."+res.Pipeline, 1)
-	m.metrics.Observe("edgeos.energy_j", res.EnergyJ)
+	reg.ObserveDuration("edgeos.invoke_ms", res.Latency)
+	reg.Add("edgeos.pipeline."+res.Pipeline, 1)
+	reg.Observe("edgeos.energy_j", res.EnergyJ)
 	if res.FellBackTo != "" {
-		m.metrics.Add("edgeos.fallbacks", 1)
+		reg.Add("edgeos.fallbacks", 1)
 	}
 	if res.Degraded {
-		m.metrics.Add("edgeos.degraded", 1)
+		reg.Add("edgeos.degraded", 1)
 	}
 	if res.DeadlineMet {
-		m.metrics.Add("edgeos.deadline_hits", 1)
+		reg.Add("edgeos.deadline_hits", 1)
 	}
 }
 

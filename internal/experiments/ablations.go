@@ -8,11 +8,10 @@ import (
 	"repro/internal/edgeos"
 	"repro/internal/geo"
 	"repro/internal/hardware"
+	"repro/internal/obs"
 	"repro/internal/offload"
 	"repro/internal/sim"
 	"repro/internal/tasks"
-	"repro/internal/telemetry"
-	"repro/internal/trace"
 	"repro/internal/vcu"
 	"repro/internal/xedge"
 )
@@ -194,21 +193,17 @@ type ArchRow struct {
 // RunArchComparison contrasts the paper's three computing architectures
 // (§III): in-vehicle only, edge-based, cloud-based, per workload and speed.
 func RunArchComparison() ([]ArchRow, error) {
-	return runArchComparison(nil, nil, "")
+	return RunArchComparisonTraced(obs.Scope{}, "")
 }
 
 // RunArchComparisonTraced is RunArchComparison with every subsystem
-// reporting into the given tracer and registry. The numbers are identical
-// to the untraced run; the trace additionally includes a DDI stage (one
+// reporting into the given scope. The numbers are identical to the untraced
+// run; with a ddiDir the trace additionally includes a DDI stage (one
 // collection round plus hot/cold reads in ddiDir) so all five component
 // lanes — vcu, offload, network, xedge/cloud, ddi — appear.
-func RunArchComparisonTraced(tr *trace.Tracer, reg *telemetry.Registry, ddiDir string) ([]ArchRow, error) {
-	return runArchComparison(tr, reg, ddiDir)
-}
-
-func runArchComparison(tr *trace.Tracer, reg *telemetry.Registry, ddiDir string) ([]ArchRow, error) {
+func RunArchComparisonTraced(sc obs.Scope, ddiDir string) ([]ArchRow, error) {
 	if ddiDir != "" {
-		if err := runArchDDIStage(tr, reg, ddiDir); err != nil {
+		if err := runArchDDIStage(sc, ddiDir); err != nil {
 			return nil, err
 		}
 	}
@@ -246,8 +241,8 @@ func runArchComparison(tr *trace.Tracer, reg *telemetry.Registry, ddiDir string)
 			if err != nil {
 				return nil, err
 			}
-			dsf.Instrument(tr, reg)
-			eng.Instrument(tr, reg)
+			dsf.Instrument(sc)
+			eng.Instrument(sc)
 			onboard := eng.EstimateOnboard(dag.Clone(), 0)
 			edge := eng.EstimateSite(dag.Clone(), rsu, 0, 0)
 			cloudEst := eng.EstimateSite(dag.Clone(), cl, 0, 0)
@@ -274,7 +269,7 @@ func runArchComparison(tr *trace.Tracer, reg *telemetry.Registry, ddiDir string)
 
 // runArchDDIStage exercises the data tier for the traced arch run: one
 // collection round, a cache-hit read, and a TTL-expired disk read.
-func runArchDDIStage(tr *trace.Tracer, reg *telemetry.Registry, dir string) error {
+func runArchDDIStage(sc obs.Scope, dir string) error {
 	road, err := geo.NewRoad(20000)
 	if err != nil {
 		return err
@@ -284,7 +279,7 @@ func runArchDDIStage(tr *trace.Tracer, reg *telemetry.Registry, dir string) erro
 		return err
 	}
 	defer d.Close()
-	d.Instrument(tr, reg)
+	d.Instrument(sc)
 	recs, err := d.Collect(time.Second)
 	if err != nil {
 		return err

@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/faults"
 	"repro/internal/fleet"
+	"repro/internal/obs"
 	"repro/internal/offload"
 	"repro/internal/runner"
 	"repro/internal/telemetry"
@@ -92,9 +93,8 @@ type ChaosRow struct {
 
 // ChaosResult is the deterministic merge of the whole sweep.
 type ChaosResult struct {
-	Rows    []ChaosRow
-	Metrics *telemetry.Registry
-	Trace   *trace.Tracer
+	Rows []ChaosRow
+	Obs  obs.Scope
 }
 
 // chaosRep is one replication's contribution to a cell.
@@ -117,7 +117,7 @@ type chaosRep struct {
 // Parallel level.
 func RunChaosSweep(cfg ChaosConfig) (*ChaosResult, error) {
 	cfg = cfg.withDefaults()
-	res := &ChaosResult{Metrics: telemetry.NewRegistry(), Trace: trace.New(nil)}
+	res := &ChaosResult{Obs: obs.Scope{Metrics: telemetry.NewRegistry(), Tracer: trace.New()}}
 	for _, intensity := range cfg.Intensities {
 		for _, resilient := range []bool{false, true} {
 			intensity, resilient := intensity, resilient
@@ -157,9 +157,7 @@ func RunChaosSweep(cfg ChaosConfig) (*ChaosResult, error) {
 					out.Fallbacks += rr.Fallbacks
 					out.Degraded += rr.Degraded
 				}
-				mreg, mtrc := f.MergedTelemetry()
-				sh.Metrics.Merge(mreg)
-				sh.Tracer.Merge(mtrc)
+				f.MergeInto(sh.Obs)
 				return out, nil
 			})
 			if err != nil {
@@ -179,8 +177,7 @@ func RunChaosSweep(cfg ChaosConfig) (*ChaosResult, error) {
 				row.HitRate = float64(row.DeadlineHits) / float64(row.Invocations)
 			}
 			res.Rows = append(res.Rows, row)
-			res.Metrics.Merge(rep.Metrics)
-			res.Trace.Merge(rep.Trace)
+			res.Obs.Merge(rep.Obs)
 		}
 	}
 	return res, nil

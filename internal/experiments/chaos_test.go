@@ -51,7 +51,7 @@ func TestChaosResilienceBeatsBaseline(t *testing.T) {
 		}
 	}
 	// The resilience machinery shows up in the merged telemetry.
-	snap := res.Metrics.Snapshot()
+	snap := res.Obs.Metrics.Snapshot()
 	if snap.Counters["faults.site_down"] == 0 {
 		t.Fatal("no outage telemetry in merged metrics")
 	}
@@ -75,11 +75,11 @@ func TestChaosDeterministicAcrossParallelism(t *testing.T) {
 	if got, want := ChaosTable(par).String(), ChaosTable(seq).String(); got != want {
 		t.Fatalf("tables diverge across parallelism:\n%s\nvs\n%s", got, want)
 	}
-	if got, want := par.Metrics.Render(), seq.Metrics.Render(); got != want {
+	if got, want := par.Obs.Metrics.Render(), seq.Obs.Metrics.Render(); got != want {
 		t.Fatal("merged metrics diverge across parallelism")
 	}
-	if par.Trace.SpanCount() != seq.Trace.SpanCount() {
-		t.Fatalf("span counts diverge: %d vs %d", par.Trace.SpanCount(), seq.Trace.SpanCount())
+	if par.Obs.Tracer.SpanCount() != seq.Obs.Tracer.SpanCount() {
+		t.Fatalf("span counts diverge: %d vs %d", par.Obs.Tracer.SpanCount(), seq.Obs.Tracer.SpanCount())
 	}
 }
 

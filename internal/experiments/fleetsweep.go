@@ -6,9 +6,8 @@ import (
 
 	"repro/internal/fleet"
 	"repro/internal/hardware"
+	"repro/internal/obs"
 	"repro/internal/runner"
-	"repro/internal/telemetry"
-	"repro/internal/trace"
 	"repro/internal/xedge"
 )
 
@@ -70,9 +69,8 @@ type SweepRow struct {
 // SweepResult is the deterministic merge of a whole sweep: per-replication
 // rows ordered by index, plus the merged telemetry and trace.
 type SweepResult struct {
-	Rows    []SweepRow
-	Metrics *telemetry.Registry
-	Trace   *trace.Tracer
+	Rows []SweepRow
+	Obs  obs.Scope
 }
 
 // RunFleetSweep runs N independent fleet-contention replications over the
@@ -109,7 +107,7 @@ func RunFleetSweep(cfg SweepConfig) (*SweepResult, error) {
 			if err := s.Preload(n, hardware.DNNInference, 300); err != nil {
 				return SweepRow{}, err
 			}
-			sh.Metrics.Add("sweep.background_tasks", float64(n))
+			sh.Obs.Metrics.Add("sweep.background_tasks", float64(n))
 		}
 		// Aggregate across every round: the replication's occupancy
 		// trajectory (background load draining while fleet rounds land on
@@ -131,9 +129,7 @@ func RunFleetSweep(cfg SweepConfig) (*SweepResult, error) {
 			done += rr.Invocations - rr.HangUps
 			hangups += rr.HangUps
 		}
-		mreg, mtrc := f.MergedTelemetry()
-		sh.Metrics.Merge(mreg)
-		sh.Tracer.Merge(mtrc)
+		f.MergeInto(sh.Obs)
 		row := SweepRow{
 			Replication:  sh.Index,
 			MaxMS:        float64(max) / float64(time.Millisecond),
@@ -148,7 +144,7 @@ func RunFleetSweep(cfg SweepConfig) (*SweepResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &SweepResult{Rows: rep.Results, Metrics: rep.Metrics, Trace: rep.Trace}, nil
+	return &SweepResult{Rows: rep.Results, Obs: rep.Obs}, nil
 }
 
 // FleetSweepTable renders E13: one row per replication plus an aggregate

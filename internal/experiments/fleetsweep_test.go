@@ -14,7 +14,7 @@ func TestFleetSweepDeterministicAcrossParallel(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		return FleetSweepTable(res).String(), res.Metrics.Render(), res.Trace.RenderTree()
+		return FleetSweepTable(res).String(), res.Obs.Metrics.Render(), res.Obs.Tracer.RenderTree()
 	}
 	table1, metrics1, trace1 := at(1)
 	for _, parallel := range []int{2, 8} {
@@ -52,10 +52,10 @@ func TestFleetSweepShardsDiffer(t *testing.T) {
 		t.Fatalf("all %d replications produced the same mean latency; shards are not independent", len(res.Rows))
 	}
 	// The merged registry aggregates every shard's executions.
-	if got := res.Metrics.Counter("offload.executions"); got != 4*8*5 {
+	if got := res.Obs.Metrics.Counter("offload.executions"); got != 4*8*5 {
 		t.Fatalf("merged offload.executions = %v, want 160 (4 reps x 8 vehicles x 5 rounds)", got)
 	}
-	if res.Trace.SpanCount() == 0 {
+	if res.Obs.Tracer.SpanCount() == 0 {
 		t.Fatal("merged trace is empty")
 	}
 }

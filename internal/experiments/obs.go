@@ -11,7 +11,6 @@ import (
 	"repro/internal/offload"
 	"repro/internal/runner"
 	"repro/internal/sim"
-	"repro/internal/telemetry"
 )
 
 // RunReportSchema versions the RUN_REPORT.json layout written by E17.
@@ -102,11 +101,10 @@ type ObsRoundHealth struct {
 
 // ObsResult is the deterministic merge of the whole experiment.
 type ObsResult struct {
-	Config  ObsConfig
-	Rounds  []ObsRoundHealth
-	Series  *obs.SeriesStore
-	Events  *obs.Recorder
-	Metrics *telemetry.Registry
+	Config ObsConfig
+	Rounds []ObsRoundHealth
+	// Obs holds the merged registry, sampled series and event log.
+	Obs obs.Scope
 	// FaultEvents is the total planned fault transitions across worlds.
 	FaultEvents int
 }
@@ -114,8 +112,7 @@ type ObsResult struct {
 // obsRep is one replication's contribution.
 type obsRep struct {
 	Rounds      []ObsRoundHealth
-	Series      *obs.SeriesStore
-	Events      *obs.Recorder
+	Obs         obs.Scope // the world's sampled series and merged event log
 	FaultEvents int
 }
 
@@ -195,10 +192,8 @@ func RunObs(cfg ObsConfig) (*ObsResult, error) {
 			h.BudgetRemaining = frac / float64(cfg.Vehicles)
 			out.Rounds = append(out.Rounds, h)
 		}
-		mreg, _ := f.MergedTelemetry()
-		sh.Metrics.Merge(mreg)
-		out.Series = store
-		out.Events = f.MergedFlightRecorder()
+		f.MergeInto(sh.Obs)
+		out.Obs = obs.Scope{Series: store, Events: f.MergedFlightRecorder()}
 		return out, nil
 	})
 	if err != nil {
@@ -206,18 +201,19 @@ func RunObs(cfg ObsConfig) (*ObsResult, error) {
 	}
 
 	res := &ObsResult{
-		Config:  cfg,
-		Rounds:  make([]ObsRoundHealth, cfg.Rounds),
-		Series:  obs.NewSeriesStore(0),
-		Events:  obs.NewRecorder(cfg.EventCapacity * cfg.Replications),
-		Metrics: rep.Metrics,
+		Config: cfg,
+		Rounds: make([]ObsRoundHealth, cfg.Rounds),
+		Obs: obs.Scope{
+			Metrics: rep.Obs.Metrics,
+			Series:  obs.NewSeriesStore(0),
+			Events:  obs.NewRecorder(cfg.EventCapacity * cfg.Replications),
+		},
 	}
 	// Merge replications in index order: counter series sum pointwise
 	// (every world ticks the same schedule), events concatenate in the
 	// canonical order.
 	for _, r := range rep.Results {
-		res.Series.Merge(r.Series)
-		res.Events.Merge(r.Events)
+		res.Obs.Merge(r.Obs)
 		res.FaultEvents += r.FaultEvents
 		for i, h := range r.Rounds {
 			agg := &res.Rounds[i]
@@ -240,9 +236,9 @@ func RunObs(cfg ObsConfig) (*ObsResult, error) {
 	// so their values aggregate over worlds instead of src-wins per world.
 	for i := range res.Rounds {
 		at := time.Duration(i+1) * cfg.Epoch
-		res.Series.RecordGauge("fleet.deadline_hit_rate", at, res.Rounds[i].HitRate)
-		res.Series.RecordGauge("fleet.queue_depth_s", at, res.Rounds[i].QueueDepthSec)
-		res.Series.RecordGauge("fleet.budget_remaining", at, res.Rounds[i].BudgetRemaining)
+		res.Obs.Series.RecordGauge("fleet.deadline_hit_rate", at, res.Rounds[i].HitRate)
+		res.Obs.Series.RecordGauge("fleet.queue_depth_s", at, res.Rounds[i].QueueDepthSec)
+		res.Obs.Series.RecordGauge("fleet.budget_remaining", at, res.Rounds[i].BudgetRemaining)
 	}
 	return res, nil
 }
@@ -317,9 +313,9 @@ func BuildRunReport(res *ObsResult) *RunReport {
 		EpochNs:      int64(res.Config.Epoch),
 		FaultEvents:  res.FaultEvents,
 		RoundHealth:  res.Rounds,
-		Series:       res.Series.Payload(-1),
-		Events:       res.Events.Events(),
-		Dropped:      res.Events.Dropped(),
+		Series:       res.Obs.Series.Payload(-1),
+		Events:       res.Obs.Events.Events(),
+		Dropped:      res.Obs.Events.Dropped(),
 	}
 }
 

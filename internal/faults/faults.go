@@ -269,15 +269,9 @@ type Injector struct {
 	plan   *Plan
 	cursor time.Duration
 
-	tracer   *trace.Tracer
-	metrics  *telemetry.Registry
-	recorder *obs.Recorder
-	m        injectorMetrics
+	scope obs.Scope
+	m     injectorMetrics
 }
-
-// SetRecorder attaches a flight recorder: every outage window entered or
-// left emits a structured event stamped at the window edge. Nil detaches.
-func (in *Injector) SetRecorder(rec *obs.Recorder) { in.recorder = rec }
 
 // injectorMetrics holds the injector's interned metric handles, resolved
 // once in Instrument. The per-site counters can all be resolved up front
@@ -307,11 +301,13 @@ func NewInjector(plan *Plan) (*Injector, error) {
 	return &Injector{plan: plan}, nil
 }
 
-// Instrument attaches a tracer and metrics registry (either may be nil).
-// Fault activity then emits `faults` spans and `faults.*` counters.
-func (in *Injector) Instrument(tr *trace.Tracer, reg *telemetry.Registry) {
-	in.tracer = tr
-	in.metrics = reg
+// Instrument attaches the injector's observability scope: fault activity
+// then emits `faults` spans and `faults.*` counters, and every outage
+// window entered or left emits a structured event stamped at the window
+// edge.
+func (in *Injector) Instrument(sc obs.Scope) {
+	in.scope = sc
+	reg := sc.Metrics
 	in.m = injectorMetrics{
 		siteDown:      reg.CounterHandle("faults.site_down"),
 		siteUp:        reg.CounterHandle("faults.site_up"),
@@ -446,12 +442,12 @@ func (in *Injector) siteDown(s *xedge.Site, w Window) {
 	if sc := in.siteCounters(s.Name()); sc != nil {
 		sc.outage.Inc()
 	}
-	if in.tracer.Enabled() {
-		in.tracer.SpanAt("faults", "faults.outage", w.From, w.To,
+	if in.scope.Tracer.Enabled() {
+		in.scope.Tracer.SpanAt("faults", "faults.outage", w.From, w.To,
 			trace.String("site", s.Name()), trace.Dur("length", w.To-w.From))
 	}
-	if in.recorder.Enabled() {
-		in.recorder.Emit(w.From, "faults", obs.SevWarn, "outage.begin",
+	if in.scope.Events.Enabled() {
+		in.scope.Events.Emit(w.From, "faults", obs.SevWarn, "outage.begin",
 			obs.String("site", s.Name()), obs.Dur("length", w.To-w.From))
 	}
 }
@@ -459,8 +455,8 @@ func (in *Injector) siteDown(s *xedge.Site, w Window) {
 func (in *Injector) siteUp(s *xedge.Site, at time.Duration) {
 	s.SetAvailable(true)
 	in.m.siteUp.Inc()
-	if in.recorder.Enabled() {
-		in.recorder.Emit(at, "faults", obs.SevInfo, "outage.end",
+	if in.scope.Events.Enabled() {
+		in.scope.Events.Emit(at, "faults", obs.SevInfo, "outage.end",
 			obs.String("site", s.Name()))
 	}
 }

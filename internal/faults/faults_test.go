@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/geo"
 	"repro/internal/hardware"
+	"repro/internal/obs"
 	"repro/internal/sim"
 	"repro/internal/telemetry"
 	"repro/internal/trace"
@@ -146,8 +147,8 @@ func TestAdvanceToTogglesAvailability(t *testing.T) {
 		t.Fatal(err)
 	}
 	reg := telemetry.NewRegistry()
-	tr := trace.New(nil)
-	inj.Instrument(tr, reg)
+	tr := trace.New()
+	inj.Instrument(obs.Scope{Metrics: reg, Tracer: tr})
 
 	w := outages[0]
 	mid := w.From + (w.To-w.From)/2
@@ -195,7 +196,7 @@ func TestSubmitFailsInsideFaultWindows(t *testing.T) {
 		t.Fatal(err)
 	}
 	reg := telemetry.NewRegistry()
-	inj.Instrument(nil, reg)
+	inj.Instrument(obs.Scope{Metrics: reg})
 	inj.Attach()
 
 	w := execWins[0]

@@ -26,6 +26,7 @@ import (
 	"repro/internal/edgeos"
 	"repro/internal/faults"
 	"repro/internal/geo"
+	"repro/internal/obs"
 	"repro/internal/offload"
 	"repro/internal/sim"
 	"repro/internal/tasks"
@@ -52,13 +53,12 @@ type Fleet struct {
 	shards   int
 	shardSet []*Shard
 
-	// tele holds the per-vehicle telemetry lanes installed by
-	// InstrumentSharded (nil when uninstrumented).
-	tele *telemetryLanes
-
-	// flight holds the per-vehicle flight-recorder lanes installed by
-	// EnableFlightRecorder (nil when disabled).
-	flight *flightLanes
+	// lanes is the fleet's observability: one private obs.Scope per emitter,
+	// in canonical merge order — lanes[0] the fleet's own (commit-phase
+	// markers), lanes[1] the fault injector's, lanes[2+i] vehicle i's (per
+	// vehicle, not per shard: determinism contract (3) in sharded.go). All
+	// zero until InstrumentSharded / EnableFlightRecorder fill them in.
+	lanes []obs.Scope
 
 	// Per-round working buffers, preallocated at vehicle count and reused
 	// by every shardedInvokeAll round so the steady-state invocation loop
@@ -242,6 +242,7 @@ func New(cfg Config) (*Fleet, error) {
 	if f.shards > len(f.vehicles) {
 		f.shards = len(f.vehicles)
 	}
+	f.lanes = make([]obs.Scope, 2+len(f.vehicles))
 	f.prepBuf = make([]*edgeos.PreparedInvocation, len(f.vehicles))
 	f.resBuf = make([]edgeos.InvocationResult, len(f.vehicles))
 	f.errBuf = make([]error, len(f.vehicles))

@@ -92,137 +92,91 @@ func (f *Fleet) Shards() []*Shard {
 	return f.shardSet
 }
 
-// telemetryLanes is the per-vehicle instrumentation behind sharded runs.
-// Lanes are per vehicle — not per shard — because merge order must be a
-// property of the fleet, not of the partition: merging in vehicle-index
-// order gives the same float accumulation order and the same trace root
-// order for every shard count.
-type telemetryLanes struct {
-	vehicleRegs []*telemetry.Registry
-	vehicleTrcs []*trace.Tracer // all nil when tracing is off
-	injReg      *telemetry.Registry
-	injTrc      *trace.Tracer
+// instrument hands every emitter its lane again, after a lane gained a
+// store.
+func (f *Fleet) instrument() {
+	if f.injector != nil {
+		f.injector.Instrument(f.lanes[1])
+	}
+	for i, v := range f.vehicles {
+		v.Engine.Instrument(f.lanes[2+i])
+		v.Manager.Instrument(f.lanes[2+i])
+	}
 }
 
-// InstrumentSharded installs one telemetry registry (and, when withTrace
-// is set, one tracer) per vehicle, plus a dedicated lane for the fault
-// injector. It is the fleet's one instrumentation call: a single shared
-// registry would interleave concurrent decision-phase emissions in
-// scheduler order, which is race-safe but not shard-count-deterministic.
-// Read the merged view with MergedTelemetry.
+// InstrumentSharded gives the injector lane and every vehicle lane a
+// telemetry registry and, when withTrace is set, a tracer. Read the merged
+// view with MergedTelemetry, or merge the lanes into a scope of your own
+// with MergeInto.
 func (f *Fleet) InstrumentSharded(withTrace bool) {
-	lanes := &telemetryLanes{
-		vehicleRegs: make([]*telemetry.Registry, len(f.vehicles)),
-		vehicleTrcs: make([]*trace.Tracer, len(f.vehicles)),
-		injReg:      telemetry.NewRegistry(),
-	}
-	if withTrace {
-		lanes.injTrc = trace.New(nil)
-	}
-	for i, v := range f.vehicles {
-		lanes.vehicleRegs[i] = telemetry.NewRegistry()
+	for i := 1; i < len(f.lanes); i++ {
+		lane := &f.lanes[i]
+		lane.Metrics, lane.Tracer = telemetry.NewRegistry(), nil
 		if withTrace {
-			lanes.vehicleTrcs[i] = trace.New(nil)
+			lane.Tracer = trace.New()
 		}
-		v.Engine.Instrument(lanes.vehicleTrcs[i], lanes.vehicleRegs[i])
-		v.Manager.Instrument(lanes.vehicleTrcs[i], lanes.vehicleRegs[i])
 	}
-	if f.injector != nil {
-		f.injector.Instrument(lanes.injTrc, lanes.injReg)
-	}
-	f.tele = lanes
+	f.instrument()
 }
 
-// MergedTelemetry merges the per-vehicle lanes into one registry and one
-// tracer, in canonical order: the injector lane first, then vehicles by
-// index. The merge order is independent of shard count, so the rendered
-// registry and exported trace bytes are too. Without InstrumentSharded it
-// returns empty instruments.
-func (f *Fleet) MergedTelemetry() (*telemetry.Registry, *trace.Tracer) {
-	reg := telemetry.NewRegistry()
-	trc := trace.New(nil)
-	if f.tele == nil {
-		return reg, trc
-	}
-	reg.Merge(f.tele.injReg)
-	trc.Merge(f.tele.injTrc)
-	for i := range f.tele.vehicleRegs {
-		reg.Merge(f.tele.vehicleRegs[i])
-		trc.Merge(f.tele.vehicleTrcs[i])
-	}
-	return reg, trc
-}
-
-// flightLanes is the per-vehicle flight-recorder set, laned exactly like
-// telemetryLanes and for the same reason: events emitted during the
-// parallel decision phase must land on per-vehicle rings so the canonical
-// merge (fleet lane, injector lane, vehicles by index) breaks
-// same-timestamp ties identically for every shard count.
-type flightLanes struct {
-	capacity int
-	fleet    *obs.Recorder // epoch-barrier phase markers
-	inj      *obs.Recorder // fault outage windows
-	vehicles []*obs.Recorder
-}
-
-// EnableFlightRecorder installs bounded per-vehicle event rings of the
-// given capacity (obs.DefaultEventCapacity when non-positive) plus a fleet
-// lane for commit-phase markers and an injector lane for outage windows.
-// Call after New (so resilience breakers created by traffic pick up their
-// transition hook) and read the merged log with MergedFlightRecorder.
+// EnableFlightRecorder gives every lane a bounded event ring of the given
+// capacity (obs.DefaultEventCapacity when non-positive): the vehicles',
+// the fleet's for commit-phase markers, the injector's for outage windows.
+// Read the merged log with MergedFlightRecorder.
 func (f *Fleet) EnableFlightRecorder(capacity int) {
-	lanes := &flightLanes{
-		capacity: capacity,
-		fleet:    obs.NewRecorder(capacity),
-		inj:      obs.NewRecorder(capacity),
-		vehicles: make([]*obs.Recorder, len(f.vehicles)),
+	for i := range f.lanes {
+		f.lanes[i].Events = obs.NewRecorder(capacity)
 	}
-	for i, v := range f.vehicles {
-		lanes.vehicles[i] = obs.NewRecorder(capacity)
-		v.Engine.SetRecorder(lanes.vehicles[i])
-	}
-	if f.injector != nil {
-		f.injector.SetRecorder(lanes.inj)
-	}
-	f.flight = lanes
+	f.instrument()
 }
 
-// MergedFlightRecorder merges the flight-recorder lanes into one ring in
-// canonical order — the fleet lane, the injector lane, then vehicles by
-// index — sized to hold every retained event, so the merged log is
-// identical for every shard count. Nil when EnableFlightRecorder was not
-// called.
+// MergeInto merges the fleet's lanes into dst in canonical order — the
+// fleet lane, the injector lane, then vehicles by index — which is
+// independent of shard count, so what dst renders or exports is too. Only
+// the stores dst holds take part.
+func (f *Fleet) MergeInto(dst obs.Scope) {
+	for _, lane := range f.lanes {
+		dst.Merge(lane)
+	}
+}
+
+// MergedTelemetry merges the lanes into one fresh registry and one fresh
+// tracer (MergeInto's order). Without InstrumentSharded it returns empty
+// instruments.
+func (f *Fleet) MergedTelemetry() (*telemetry.Registry, *trace.Tracer) {
+	dst := obs.Scope{Metrics: telemetry.NewRegistry(), Tracer: trace.New()}
+	f.MergeInto(dst)
+	return dst.Metrics, dst.Tracer
+}
+
+// MergedFlightRecorder merges the flight-recorder lanes into one ring
+// (MergeInto's order) sized to hold every retained event. Nil when
+// EnableFlightRecorder was not called.
 func (f *Fleet) MergedFlightRecorder() *obs.Recorder {
-	if f.flight == nil {
+	if f.lanes[0].Events == nil {
 		return nil
 	}
-	total := f.flight.fleet.Len() + f.flight.inj.Len()
-	for _, r := range f.flight.vehicles {
-		total += r.Len()
+	total := 0
+	for _, lane := range f.lanes {
+		total += lane.Events.Len()
 	}
 	if total == 0 {
 		total = 1
 	}
-	merged := obs.NewRecorder(total)
-	merged.Merge(f.flight.fleet)
-	merged.Merge(f.flight.inj)
-	for _, r := range f.flight.vehicles {
-		merged.Merge(r)
-	}
-	return merged
+	dst := obs.Scope{Events: obs.NewRecorder(total)}
+	f.MergeInto(dst)
+	return dst.Events
 }
 
 // WatchTelemetry registers the fleet's telemetry lanes with a sampler in
-// canonical merge order (injector lane first, then vehicles by index), so
-// sampled series accumulate cross-lane sums in a shard-count-independent
-// order. Requires InstrumentSharded.
+// canonical merge order, so sampled series accumulate cross-lane sums in a
+// shard-count-independent order. Requires InstrumentSharded.
 func (f *Fleet) WatchTelemetry(sp *obs.Sampler) error {
-	if f.tele == nil {
+	if f.lanes[1].Metrics == nil {
 		return fmt.Errorf("fleet: WatchTelemetry requires InstrumentSharded")
 	}
-	sp.Watch(f.tele.injReg)
-	for _, reg := range f.tele.vehicleRegs {
-		sp.Watch(reg)
+	for _, lane := range f.lanes {
+		sp.Watch(lane.Metrics)
 	}
 	return nil
 }
@@ -306,8 +260,8 @@ func (f *Fleet) shardedInvokeAll(service string, now time.Duration, tolerant boo
 			offloads++
 		}
 	}
-	if f.flight != nil {
-		f.flight.fleet.Emit(now, "fleet", obs.SevDebug, "commit.begin",
+	if rec := f.lanes[0].Events; rec.Enabled() {
+		rec.Emit(now, "fleet", obs.SevDebug, "commit.begin",
 			obs.Int("offloads", offloads))
 	}
 	for i, p := range f.prepBuf {
@@ -317,8 +271,8 @@ func (f *Fleet) shardedInvokeAll(service string, now time.Duration, tolerant boo
 		f.prepBuf[i] = nil
 		f.resBuf[i], f.errBuf[i] = f.vehicles[i].Manager.CommitInvoke(p)
 	}
-	if f.flight != nil {
-		f.flight.fleet.Emit(now, "fleet", obs.SevDebug, "commit.end",
+	if rec := f.lanes[0].Events; rec.Enabled() {
+		rec.Emit(now, "fleet", obs.SevDebug, "commit.end",
 			obs.Int("committed", offloads))
 	}
 

@@ -2,6 +2,7 @@ package fleet
 
 import (
 	"bytes"
+	"fmt"
 	"reflect"
 	"strings"
 	"testing"
@@ -359,7 +360,7 @@ func TestShardedRaceUnderRunner(t *testing.T) {
 			s.Invocations += rr.Invocations
 		}
 		reg, _ := f.MergedTelemetry()
-		sh.Metrics.Merge(reg)
+		sh.Obs.Metrics.Merge(reg)
 		return s, nil
 	})
 	if err != nil {
@@ -582,5 +583,65 @@ func TestMergedFlightRecorderNilWithoutEnable(t *testing.T) {
 	sp := obs.NewSampler(obs.NewSeriesStore(8), time.Second)
 	if err := f.WatchTelemetry(sp); err == nil {
 		t.Fatal("WatchTelemetry without InstrumentSharded should fail")
+	}
+}
+
+// TestLateFlightRecorderLogsBreakerTransitions: a breaker reports into the
+// recorder its engine holds when the transition fires, not the one it was
+// created under, so a recorder enabled at round k logs every breaker.*
+// event of rounds k and later — exactly what a recorder enabled before
+// round 0 adds from round k on. (A hook captured at breaker creation logged
+// none of them: every breaker here exists by round k.) The cut is by round,
+// not by timestamp: a round's retry ladder stamps events at the virtual
+// times its backoffs reach, which can pass the next round's start.
+func TestLateFlightRecorderLogsBreakerTransitions(t *testing.T) {
+	const rounds, k, epoch = 30, 10, 250 * time.Millisecond
+	breakerEvents := func(f *Fleet) []string {
+		var out []string
+		for _, ev := range f.MergedFlightRecorder().Events() {
+			if strings.HasPrefix(ev.Name, "breaker.") {
+				out = append(out, fmt.Sprint(ev.At, ev.Name, ev.Fields))
+			}
+		}
+		return out
+	}
+	// fromRoundK runs the world with the recorder enabled at round enableAt
+	// and returns the breaker events rounds k.. logged, in merged order.
+	fromRoundK := func(enableAt int) []string {
+		f, err := New(chaosConfig(16, 2, 42))
+		if err != nil {
+			t.Fatal(err)
+		}
+		earlier := map[string]int{}
+		for r := 0; r < rounds; r++ {
+			if r == enableAt {
+				f.EnableFlightRecorder(1 << 14)
+			}
+			if r == k {
+				for _, ev := range breakerEvents(f) {
+					earlier[ev]++
+				}
+			}
+			if _, err := f.ShardedInvokeAllTolerant("kidnapper-search", time.Duration(r)*epoch); err != nil {
+				t.Fatal(err)
+			}
+		}
+		var out []string
+		for _, ev := range breakerEvents(f) {
+			if earlier[ev] > 0 {
+				earlier[ev]--
+				continue
+			}
+			out = append(out, ev)
+		}
+		return out
+	}
+	early, late := fromRoundK(0), fromRoundK(k)
+	if len(early) == 0 {
+		t.Fatal("world produced no breaker transitions from round k on; the test needs a harsher fault plan")
+	}
+	if !reflect.DeepEqual(early, late) {
+		t.Fatalf("recorder enabled at round %d logged %d breaker events, enabled up front %d over the same rounds:\n%v\nvs\n%v",
+			k, len(late), len(early), late, early)
 	}
 }

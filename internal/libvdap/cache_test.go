@@ -22,19 +22,17 @@ func newCachedServer(t *testing.T) (*httptest.Server, *Server, *telemetry.Regist
 	t.Helper()
 	now := new(atomic.Int64)
 	now.Store(int64(time.Second))
-	srv, err := NewServer(nil, nil, nil, nil, func() time.Duration { return time.Duration(now.Load()) })
-	if err != nil {
-		t.Fatal(err)
-	}
 	reg := telemetry.NewRegistry()
 	reg.Add("vcu.executions", 7)
-	srv.AttachTelemetry(reg)
 	store := obs.NewSeriesStore(64)
 	store.RecordGauge("fleet.queue_depth", 100*time.Millisecond, 3)
 	rec := obs.NewRecorder(64)
 	rec.Emit(100*time.Millisecond, "fleet", obs.SevInfo, "boot")
-	srv.AttachSeries(store)
-	srv.AttachEvents(rec)
+	sc := obs.Scope{Metrics: reg, Events: rec, Series: store}
+	srv, err := NewServer(nil, nil, nil, nil, nil, sc, func() time.Duration { return time.Duration(now.Load()) })
+	if err != nil {
+		t.Fatal(err)
+	}
 	ts := httptest.NewServer(srv)
 	t.Cleanup(ts.Close)
 	return ts, srv, reg, now

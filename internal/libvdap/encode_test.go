@@ -15,6 +15,8 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"repro/internal/obs"
 )
 
 // cachedRoutes pairs each watermark-cached route with its CacheStats key
@@ -153,7 +155,7 @@ func FuzzAcceptsGzip(f *testing.F) {
 // plain JSON with Content-Length whatever the client accepts.
 func TestNegotiatingErrorsAreIdentity(t *testing.T) {
 	_, srv, _, _ := newCachedServer(t)
-	bare, err := NewServer(nil, nil, nil, nil, func() time.Duration { return 0 })
+	bare, err := NewServer(nil, nil, nil, nil, nil, obs.Scope{}, func() time.Duration { return 0 })
 	if err != nil {
 		t.Fatal(err)
 	}

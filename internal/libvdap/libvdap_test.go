@@ -13,6 +13,7 @@ import (
 	"repro/internal/edgeos"
 	"repro/internal/geo"
 	"repro/internal/models"
+	"repro/internal/obs"
 	"repro/internal/offload"
 	"repro/internal/sim"
 	"repro/internal/tasks"
@@ -141,7 +142,7 @@ func newTestServer(t *testing.T) (*httptest.Server, *Client, *edgeos.DataSharing
 		t.Fatal(err)
 	}
 	var now time.Duration = 42 * time.Second
-	srv, err := NewServer(reg, mhep, store, sharing, func() time.Duration { return now })
+	srv, err := NewServer(reg, mhep, store, sharing, nil, obs.Scope{}, func() time.Duration { return now })
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -155,7 +156,7 @@ func newTestServer(t *testing.T) (*httptest.Server, *Client, *edgeos.DataSharing
 }
 
 func TestNewServerValidation(t *testing.T) {
-	if _, err := NewServer(nil, nil, nil, nil, nil); err == nil {
+	if _, err := NewServer(nil, nil, nil, nil, nil, obs.Scope{}, nil); err == nil {
 		t.Fatal("nil clock accepted")
 	}
 }
@@ -312,7 +313,7 @@ func TestSharingEndpoints(t *testing.T) {
 }
 
 func TestDetachedGroupsReturn503(t *testing.T) {
-	srv, err := NewServer(nil, nil, nil, nil, func() time.Duration { return 0 })
+	srv, err := NewServer(nil, nil, nil, nil, nil, obs.Scope{}, func() time.Duration { return 0 })
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -330,6 +331,9 @@ func TestDetachedGroupsReturn503(t *testing.T) {
 	}
 	if _, err := client.Topics(); err == nil {
 		t.Fatal("topics succeeded without sharing")
+	}
+	if _, err := client.Services(); err == nil {
+		t.Fatal("services endpoint without EdgeOSv succeeded")
 	}
 	// Status still works.
 	if _, err := client.Status(); err != nil {
@@ -366,20 +370,13 @@ func TestServiceEndpoints(t *testing.T) {
 	}); err != nil {
 		t.Fatal(err)
 	}
-	srv, err := NewServer(reg, mhep, nil, nil, func() time.Duration { return 0 })
+	srv, err := NewServer(reg, mhep, nil, nil, elastic, obs.Scope{}, func() time.Duration { return 0 })
 	if err != nil {
 		t.Fatal(err)
 	}
-
-	// Before attaching: 503.
 	ts := httptest.NewServer(srv)
 	defer ts.Close()
 	client, _ := NewClient(ts.URL, nil)
-	if _, err := client.Services(); err == nil {
-		t.Fatal("services endpoint without EdgeOSv succeeded")
-	}
-
-	srv.AttachElastic(elastic)
 	res, err := client.Invoke("kidnapper-search")
 	if err != nil {
 		t.Fatal(err)
@@ -406,17 +403,15 @@ func TestMetricsAndTraceEndpoints(t *testing.T) {
 	reg := telemetry.NewRegistry()
 	reg.Add("vcu.plans", 2)
 	reg.Observe("offload.total_ms", 120)
-	tr := trace.New(func() time.Duration { return time.Second })
-	sp := tr.StartSpan("offload", "offload.decide")
+	tr := trace.New()
+	sp := tr.StartSpanAt("offload", "offload.decide", time.Second)
 	tr.SpanAt("network", "network.uplink", time.Second, 2*time.Second)
-	sp.Finish()
+	sp.FinishAt(time.Second)
 
-	srv, err := NewServer(nil, nil, nil, nil, func() time.Duration { return 0 })
+	srv, err := NewServer(nil, nil, nil, nil, nil, obs.Scope{Metrics: reg, Tracer: tr}, func() time.Duration { return 0 })
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv.AttachTelemetry(reg)
-	srv.AttachTracer(tr)
 	ts := httptest.NewServer(srv)
 	t.Cleanup(ts.Close)
 
@@ -474,7 +469,7 @@ func TestMetricsAndTraceEndpoints(t *testing.T) {
 }
 
 func TestMetricsAndTraceDetachedReturn503(t *testing.T) {
-	srv, err := NewServer(nil, nil, nil, nil, func() time.Duration { return 0 })
+	srv, err := NewServer(nil, nil, nil, nil, nil, obs.Scope{}, func() time.Duration { return 0 })
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -119,8 +119,8 @@ func (s *Server) recoverPanic(w http.ResponseWriter, r *http.Request) {
 	}
 	s.panicsTotal.Add(1)
 	s.panicsCtr.Inc()
-	if s.events != nil {
-		s.events.Emit(s.clock(), "libvdap", obs.SevError, "handler panic",
+	if s.scope.Events != nil {
+		s.scope.Events.Emit(s.clock(), "libvdap", obs.SevError, "handler panic",
 			obs.String("method", r.Method),
 			obs.String("path", r.URL.Path),
 			obs.String("panic", fmt.Sprint(rec)),

@@ -22,14 +22,12 @@ func newLifecycleServer(t *testing.T) (*Server, *httptest.Server, *obs.Recorder,
 	t.Helper()
 	now := new(atomic.Int64)
 	now.Store(int64(time.Second))
-	srv, err := NewServer(nil, nil, nil, nil, func() time.Duration { return time.Duration(now.Load()) })
+	rec := obs.NewRecorder(64)
+	sc := obs.Scope{Metrics: telemetry.NewRegistry(), Events: rec, Series: obs.NewSeriesStore(64)}
+	srv, err := NewServer(nil, nil, nil, nil, nil, sc, func() time.Duration { return time.Duration(now.Load()) })
 	if err != nil {
 		t.Fatal(err)
 	}
-	rec := obs.NewRecorder(64)
-	srv.AttachSeries(obs.NewSeriesStore(64))
-	srv.AttachEvents(rec)
-	srv.AttachTelemetry(telemetry.NewRegistry())
 	ts := httptest.NewServer(srv)
 	t.Cleanup(ts.Close)
 	return srv, ts, rec, now

@@ -23,14 +23,12 @@ func newObsServer(t *testing.T) (*httptest.Server, *Client, *obs.SeriesStore, *o
 	t.Helper()
 	now := new(atomic.Int64)
 	now.Store(int64(1 * time.Second))
-	srv, err := NewServer(nil, nil, nil, nil, func() time.Duration { return time.Duration(now.Load()) })
+	store := obs.NewSeriesStore(64)
+	rec := obs.NewRecorder(64)
+	srv, err := NewServer(nil, nil, nil, nil, nil, obs.Scope{Series: store, Events: rec}, func() time.Duration { return time.Duration(now.Load()) })
 	if err != nil {
 		t.Fatal(err)
 	}
-	store := obs.NewSeriesStore(64)
-	rec := obs.NewRecorder(64)
-	srv.AttachSeries(store)
-	srv.AttachEvents(rec)
 	ts := httptest.NewServer(srv)
 	t.Cleanup(ts.Close)
 	client, err := NewClient(ts.URL, nil)
@@ -163,7 +161,7 @@ func TestStreamIncrementalFrames(t *testing.T) {
 // TestObsEndpointsUnavailable pins the 503 + JSON error contract when no
 // store or recorder is attached.
 func TestObsEndpointsUnavailable(t *testing.T) {
-	srv, err := NewServer(nil, nil, nil, nil, func() time.Duration { return 0 })
+	srv, err := NewServer(nil, nil, nil, nil, nil, obs.Scope{}, func() time.Duration { return 0 })
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -215,14 +213,17 @@ func TestJSONContentTypeCharset(t *testing.T) {
 // support, and pins identity encoding otherwise. Both forms carry an
 // explicit Content-Length: nothing negotiated is chunked.
 func TestGzipResponses(t *testing.T) {
-	ts, _, store, _, _ := newObsServer(t)
 	reg := telemetry.NewRegistry()
 	reg.CounterHandle("hits").Add(7)
-	tr := trace.New(nil)
-	srv := ts.Config.Handler.(*Server)
-	srv.AttachTelemetry(reg)
-	srv.AttachTracer(tr)
+	store := obs.NewSeriesStore(64)
 	store.RecordGauge("g", time.Millisecond, 1)
+	sc := obs.Scope{Metrics: reg, Tracer: trace.New(), Events: obs.NewRecorder(64), Series: store}
+	srv, err := NewServer(nil, nil, nil, nil, nil, sc, func() time.Duration { return time.Second })
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(srv)
+	t.Cleanup(ts.Close)
 
 	for _, path := range []string{"/api/v1/status", "/api/v1/metrics", "/api/v1/trace", "/api/v1/metrics/series", "/api/v1/events"} {
 		req, _ := http.NewRequest(http.MethodGet, ts.URL+path, nil)

@@ -34,12 +34,11 @@ func (f *failingWriter) Write([]byte) (int, error) { return 0, errors.New("broke
 // TestWriteJSONCountsWriteErrors pins satellite bug 4: a mid-body write
 // failure must land in libvdap.write_errors instead of vanishing.
 func TestWriteJSONCountsWriteErrors(t *testing.T) {
-	srv, err := NewServer(nil, nil, nil, nil, func() time.Duration { return 0 })
+	reg := telemetry.NewRegistry()
+	srv, err := NewServer(nil, nil, nil, nil, nil, obs.Scope{Metrics: reg}, func() time.Duration { return 0 })
 	if err != nil {
 		t.Fatal(err)
 	}
-	reg := telemetry.NewRegistry()
-	srv.AttachTelemetry(reg)
 
 	srv.writeJSON(&failingWriter{}, http.StatusOK, map[string]string{"k": "v"})
 	if got := srv.Stats().WriteErrors; got != 1 {
@@ -58,9 +57,9 @@ func TestWriteJSONCountsWriteErrors(t *testing.T) {
 }
 
 // TestWriteErrorsWithoutTelemetry: the counter path must be nil-safe
-// before AttachTelemetry.
+// under a zero scope.
 func TestWriteErrorsWithoutTelemetry(t *testing.T) {
-	srv, err := NewServer(nil, nil, nil, nil, func() time.Duration { return 0 })
+	srv, err := NewServer(nil, nil, nil, nil, nil, obs.Scope{}, func() time.Duration { return 0 })
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -75,13 +74,12 @@ func TestWriteErrorsWithoutTelemetry(t *testing.T) {
 // polling forever.
 func TestStreamSlowClientDisconnect(t *testing.T) {
 	now := time.Second
-	srv, err := NewServer(nil, nil, nil, nil, func() time.Duration { return now })
+	store := obs.NewSeriesStore(16)
+	store.RecordGauge("g", 100*time.Millisecond, 1)
+	srv, err := NewServer(nil, nil, nil, nil, nil, obs.Scope{Series: store}, func() time.Duration { return now })
 	if err != nil {
 		t.Fatal(err)
 	}
-	store := obs.NewSeriesStore(16)
-	store.RecordGauge("g", 100*time.Millisecond, 1)
-	srv.AttachSeries(store)
 	ts := httptest.NewServer(srv)
 	defer ts.Close()
 

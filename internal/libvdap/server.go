@@ -14,7 +14,6 @@ import (
 	"repro/internal/edgeos"
 	"repro/internal/obs"
 	"repro/internal/telemetry"
-	"repro/internal/trace"
 	"repro/internal/vcu"
 )
 
@@ -72,10 +71,7 @@ type Server struct {
 	store    *ddi.DDI
 	sharing  *edgeos.DataSharing
 	elastic  *edgeos.ElasticManager
-	metrics  *telemetry.Registry
-	tracer   *trace.Tracer
-	series   *obs.SeriesStore
-	events   *obs.Recorder
+	scope    obs.Scope
 	clock    Clock
 	mux      *http.ServeMux
 
@@ -95,8 +91,8 @@ type Server struct {
 	life        lifecycle
 	panicsTotal atomic.Int64
 
-	// Telemetry mirrors of the internal stats (nil-safe before
-	// AttachTelemetry).
+	// Telemetry mirrors of the internal stats (nil, and so inert, when the
+	// scope has no registry).
 	cacheHits   *telemetry.Counter
 	cacheMisses *telemetry.Counter
 	gzipBuilds  *telemetry.Counter
@@ -109,16 +105,25 @@ type Server struct {
 }
 
 // NewServer wires the API. Any resource group may be nil; its endpoints
-// then return 503.
-func NewServer(registry *Registry, mhep *vcu.MHEP, store *ddi.DDI, sharing *edgeos.DataSharing, clock Clock) (*Server, error) {
+// then return 503. elastic backs the EdgeOSv service endpoints (list,
+// invoke). The scope's stores back the observability endpoints: Metrics
+// /metrics, Tracer /trace, Series /metrics/series, Events /events, Series
+// and Events together /stream. The server mirrors its own counters
+// (libvdap.cache.*, libvdap.rejected, libvdap.write_errors, libvdap.panics)
+// into Metrics.
+func NewServer(registry *Registry, mhep *vcu.MHEP, store *ddi.DDI, sharing *edgeos.DataSharing,
+	elastic *edgeos.ElasticManager, sc obs.Scope, clock Clock) (*Server, error) {
 	if clock == nil {
 		return nil, fmt.Errorf("libvdap: nil clock")
 	}
+	reg := sc.Metrics
 	s := &Server{
 		registry:     registry,
 		mhep:         mhep,
 		store:        store,
 		sharing:      sharing,
+		elastic:      elastic,
+		scope:        sc,
 		clock:        clock,
 		mux:          http.NewServeMux(),
 		simGate:      make(chan struct{}, DefaultMaxSimInflight),
@@ -126,41 +131,18 @@ func NewServer(registry *Registry, mhep *vcu.MHEP, store *ddi.DDI, sharing *edge
 		metricsCache: newWMCache(0),
 		seriesCache:  newWMCache(0),
 		eventsCache:  newWMCache(0),
+
+		cacheHits:   reg.CounterHandle("libvdap.cache.hits"),
+		cacheMisses: reg.CounterHandle("libvdap.cache.misses"),
+		gzipBuilds:  reg.CounterHandle("libvdap.cache.gzip_builds"),
+		rejected:    reg.CounterHandle("libvdap.rejected"),
+		writeErrs:   reg.CounterHandle("libvdap.write_errors"),
+		panicsCtr:   reg.CounterHandle("libvdap.panics"),
 	}
 	s.life.drainCh = make(chan struct{})
 	s.routes()
 	return s, nil
 }
-
-// AttachElastic adds the EdgeOSv service endpoints (list, invoke) backed
-// by the given elastic manager.
-func (s *Server) AttachElastic(m *edgeos.ElasticManager) { s.elastic = m }
-
-// AttachTelemetry backs GET /api/v1/metrics with the given registry and
-// mirrors the server's own counters (libvdap.cache.*, libvdap.rejected,
-// libvdap.write_errors) into it.
-func (s *Server) AttachTelemetry(reg *telemetry.Registry) {
-	s.metrics = reg
-	if reg != nil {
-		s.cacheHits = reg.CounterHandle("libvdap.cache.hits")
-		s.cacheMisses = reg.CounterHandle("libvdap.cache.misses")
-		s.gzipBuilds = reg.CounterHandle("libvdap.cache.gzip_builds")
-		s.rejected = reg.CounterHandle("libvdap.rejected")
-		s.writeErrs = reg.CounterHandle("libvdap.write_errors")
-		s.panicsCtr = reg.CounterHandle("libvdap.panics")
-	}
-}
-
-// AttachTracer backs GET /api/v1/trace with the given tracer.
-func (s *Server) AttachTracer(tr *trace.Tracer) { s.tracer = tr }
-
-// AttachSeries backs GET /api/v1/metrics/series (and the series half of
-// /api/v1/stream) with the given store.
-func (s *Server) AttachSeries(store *obs.SeriesStore) { s.series = store }
-
-// AttachEvents backs GET /api/v1/events (and the event half of /api/v1/stream)
-// with the given flight recorder.
-func (s *Server) AttachEvents(rec *obs.Recorder) { s.events = rec }
 
 // SetMaxSimInflight bounds how many requests may hold or wait on the run
 // lock at once (DefaultMaxSimInflight when non-positive). Configure before
@@ -440,30 +422,30 @@ func (s *Server) cached(w http.ResponseWriter, r *http.Request, c *wmCache, buil
 // handleMetrics serves the telemetry snapshot. The default is the JSON
 // Snapshot shape; ?format=text renders the sorted human-readable table.
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
-	if s.metrics == nil {
+	if s.scope.Metrics == nil {
 		s.writeErrRes(w, http.StatusServiceUnavailable, fmt.Errorf("telemetry not attached"))
 		return
 	}
 	if r.URL.Query().Get("format") == "text" {
-		s.writeNegotiated(w, r, "text/plain; charset=utf-8", []byte(s.metrics.Render()))
+		s.writeNegotiated(w, r, "text/plain; charset=utf-8", []byte(s.scope.Metrics.Render()))
 		return
 	}
-	s.cached(w, r, s.metricsCache, func() (any, error) { return s.metrics.Snapshot(), nil })
+	s.cached(w, r, s.metricsCache, func() (any, error) { return s.scope.Metrics.Snapshot(), nil })
 }
 
 // handleTrace serves the recorded span forest. The default is Chrome
 // trace_event JSON (load in chrome://tracing or Perfetto); ?format=tree
 // renders the indented text tree.
 func (s *Server) handleTrace(w http.ResponseWriter, r *http.Request) {
-	if s.tracer == nil {
+	if s.scope.Tracer == nil {
 		s.writeErrRes(w, http.StatusServiceUnavailable, fmt.Errorf("tracer not attached"))
 		return
 	}
 	if r.URL.Query().Get("format") == "tree" {
-		s.writeNegotiated(w, r, "text/plain; charset=utf-8", []byte(s.tracer.RenderTree()))
+		s.writeNegotiated(w, r, "text/plain; charset=utf-8", []byte(s.scope.Tracer.RenderTree()))
 		return
 	}
-	out, err := s.tracer.ChromeTrace()
+	out, err := s.scope.Tracer.ChromeTrace()
 	if err != nil {
 		s.writeErrRes(w, http.StatusInternalServerError, err)
 		return
@@ -484,7 +466,7 @@ func parseSince(s string) (time.Duration, error) {
 // timestamps, values, and windowed rates per metric, optionally restricted
 // to points after ?since=<seconds of virtual time>.
 func (s *Server) handleSeries(w http.ResponseWriter, r *http.Request) {
-	if s.series == nil {
+	if s.scope.Series == nil {
 		s.writeErrRes(w, http.StatusServiceUnavailable, fmt.Errorf("series store not attached"))
 		return
 	}
@@ -493,7 +475,7 @@ func (s *Server) handleSeries(w http.ResponseWriter, r *http.Request) {
 		s.writeErrRes(w, http.StatusBadRequest, err)
 		return
 	}
-	s.cached(w, r, s.seriesCache, func() (any, error) { return s.series.Payload(since), nil })
+	s.cached(w, r, s.seriesCache, func() (any, error) { return s.scope.Series.Payload(since), nil })
 }
 
 // EventsResponse is the `/api/v1/events` payload.
@@ -506,13 +488,13 @@ type EventsResponse struct {
 // ?component= and ?severity=<minimum> filters; ?format=table renders the
 // text table instead.
 func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
-	if s.events == nil {
+	if s.scope.Events == nil {
 		s.writeErrRes(w, http.StatusServiceUnavailable, fmt.Errorf("flight recorder not attached"))
 		return
 	}
 	qs := r.URL.Query()
 	if qs.Get("format") == "table" {
-		s.writeNegotiated(w, r, "text/plain; charset=utf-8", []byte(s.events.RenderTable()))
+		s.writeNegotiated(w, r, "text/plain; charset=utf-8", []byte(s.scope.Events.RenderTable()))
 		return
 	}
 	since, err := parseSince(qs.Get("since"))
@@ -530,8 +512,8 @@ func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 	component := qs.Get("component")
 	s.cached(w, r, s.eventsCache, func() (any, error) {
 		return EventsResponse{
-			Events:  s.events.EventsSince(since, component, minSev),
-			Dropped: s.events.Dropped(),
+			Events:  s.scope.Events.EventsSince(since, component, minSev),
+			Dropped: s.scope.Events.Dropped(),
 		}, nil
 	})
 }
@@ -548,7 +530,7 @@ func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 // and flush, and each frame write runs under DefaultStreamWriteDeadline so a
 // stalled client cannot pin the handler forever.
 func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
-	if s.series == nil && s.events == nil {
+	if s.scope.Series == nil && s.scope.Events == nil {
 		s.writeErrRes(w, http.StatusServiceUnavailable, fmt.Errorf("observability not attached"))
 		return
 	}
@@ -591,12 +573,12 @@ func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
 	// stop reconnecting.
 	writeFrame := func(now time.Duration, final bool) bool {
 		frame := obs.Frame{WatermarkNs: int64(now), Final: final}
-		if s.series != nil {
-			p := s.series.Payload(watermark)
+		if s.scope.Series != nil {
+			p := s.scope.Series.Payload(watermark)
 			frame.Series = &p
 		}
-		if s.events != nil {
-			frame.Events = s.events.EventsSince(watermark, "", obs.SevDebug)
+		if s.scope.Events != nil {
+			frame.Events = s.scope.Events.EventsSince(watermark, "", obs.SevDebug)
 		}
 		rc.SetWriteDeadline(time.Now().Add(DefaultStreamWriteDeadline))
 		if err := enc.Encode(frame); err != nil {

@@ -3,6 +3,7 @@ package network
 import (
 	"time"
 
+	"repro/internal/obs"
 	"repro/internal/telemetry"
 )
 
@@ -28,8 +29,10 @@ type pathCounters struct {
 	bytes     *telemetry.Counter
 }
 
-// NewMeter wraps a registry (nil registry yields an inert meter).
-func NewMeter(reg *telemetry.Registry) *Meter {
+// NewMeter meters into the scope's registry (a scope without one yields an
+// inert meter).
+func NewMeter(sc obs.Scope) *Meter {
+	reg := sc.Metrics
 	if reg == nil {
 		return nil
 	}

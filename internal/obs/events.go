@@ -1,6 +1,8 @@
 // Package obs is the platform's virtual-time observability layer: a
-// flight recorder of structured events (Recorder) and metric time-series
-// with a kernel-scheduled sampler (SeriesStore, Sampler).
+// flight recorder of structured events (Recorder), metric time-series
+// with a kernel-scheduled sampler (SeriesStore, Sampler), and Scope, the
+// one value that carries those two plus the telemetry registry and the
+// tracer to a component.
 //
 // Everything here is stamped from the simulation clock and ordered by
 // (virtual time, emission sequence), so two runs with the same seed export

@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"repro/internal/geo"
+	"repro/internal/obs"
 	"repro/internal/tasks"
 	"repro/internal/telemetry"
 	"repro/internal/vcu"
@@ -60,7 +61,7 @@ func BenchmarkDecide(b *testing.B) {
 // live telemetry — the macro hot path of every fleet experiment.
 func BenchmarkDecideExecute(b *testing.B) {
 	eng := benchWorld(b, 15)
-	eng.Instrument(nil, telemetry.NewRegistry())
+	eng.Instrument(obs.Scope{Metrics: telemetry.NewRegistry()})
 	dag := tasks.ALPR()
 	now := time.Duration(0)
 	b.ReportAllocs()

@@ -94,11 +94,9 @@ type Engine struct {
 	budgetBytes float64
 	spentBytes  float64
 
-	tracer   *trace.Tracer
-	metrics  *telemetry.Registry
-	meter    *network.Meter
-	m        engineMetrics
-	recorder *obs.Recorder
+	scope obs.Scope
+	meter *network.Meter
+	m     engineMetrics
 
 	// pathAdjust, when set, layers externally-injected link conditions
 	// (fault windows, chaos schedules) onto every access path after the
@@ -173,15 +171,16 @@ type siteLane struct {
 	queueWaitMS *telemetry.HistogramHandle
 }
 
-// Instrument attaches a tracer and metrics registry (either may be nil).
-// Estimation, decisions, and executions then emit `offload`, `network`,
-// `xedge`, and `cloud` spans plus matching metrics. The fixed-name metrics
-// resolve to interned handles here, once, so the execute loop never takes
-// the registry lock.
-func (e *Engine) Instrument(tr *trace.Tracer, reg *telemetry.Registry) {
-	e.tracer = tr
-	e.metrics = reg
-	e.meter = network.NewMeter(reg)
+// Instrument attaches the engine's observability scope. Estimation,
+// decisions, and executions then emit `offload`, `network`, `xedge`, and
+// `cloud` spans plus matching metrics, and circuit-breaker transitions and
+// resilience-ladder rungs emit flight-recorder events stamped at the
+// virtual time they happen. The fixed-name metrics resolve to interned
+// handles here, once, so the execute loop never takes the registry lock.
+func (e *Engine) Instrument(sc obs.Scope) {
+	e.scope = sc
+	e.meter = network.NewMeter(sc)
+	reg := sc.Metrics
 	lane := func(comp string) siteLane {
 		return siteLane{
 			submits:     reg.CounterHandle(comp + ".submits"),
@@ -213,26 +212,16 @@ func (e *Engine) Instrument(tr *trace.Tracer, reg *telemetry.Registry) {
 	}
 }
 
-// SetRecorder attaches a flight recorder: circuit-breaker transitions and
-// resilience-ladder rungs emit structured events stamped at the virtual
-// time they happen. Install before traffic so lazily-created breakers pick
-// up their hook; nil detaches (breakers already hooked keep emitting to the
-// old recorder until resilience is reset).
-func (e *Engine) SetRecorder(rec *obs.Recorder) { e.recorder = rec }
-
-// Recorder returns the attached flight recorder (nil when detached).
-func (e *Engine) Recorder() *obs.Recorder { return e.recorder }
-
 // dynCounter interns a dynamically-named counter (prefix + key) on first
 // use; subsequent bumps reuse the handle without rebuilding the name.
 func (e *Engine) dynCounter(prefix, key string) *telemetry.Counter {
-	if e.metrics == nil {
+	if e.scope.Metrics == nil {
 		return nil
 	}
 	name := prefix + key
 	c, ok := e.m.dynamic[name]
 	if !ok {
-		c = e.metrics.CounterHandle(name)
+		c = e.scope.Metrics.CounterHandle(name)
 		e.m.dynamic[name] = c
 	}
 	return c
@@ -359,8 +348,8 @@ func (e *Engine) adjustedPath(site *xedge.Site, now time.Duration) network.Path 
 // EstimateOnboard predicts full local execution via the DSF plan.
 func (e *Engine) EstimateOnboard(dag *tasks.DAG, now time.Duration) Estimate {
 	var span *trace.Span
-	if e.tracer.Enabled() {
-		span = e.tracer.StartSpanAt("offload", "offload.estimate", now,
+	if e.scope.Tracer.Enabled() {
+		span = e.scope.Tracer.StartSpanAt("offload", "offload.estimate", now,
 			trace.String("dag", dag.Name), trace.String("dest", OnboardName))
 	}
 	plan, err := e.dsf.Plan(dag, now)
@@ -397,8 +386,8 @@ func (e *Engine) EstimateSite(dag *tasks.DAG, site *xedge.Site, splitAfter int, 
 func (e *Engine) estimateSite(dag *tasks.DAG, c *tasks.Compiled, site *xedge.Site, splitAfter int, now time.Duration) Estimate {
 	est := Estimate{Dest: site.Name(), Kind: site.Kind().String(), SplitAfter: splitAfter}
 	var span *trace.Span
-	if e.tracer.Enabled() {
-		span = e.tracer.StartSpanAt("offload", "offload.estimate", now,
+	if e.scope.Tracer.Enabled() {
+		span = e.scope.Tracer.StartSpanAt("offload", "offload.estimate", now,
 			trace.String("dag", dag.Name), trace.String("dest", site.Name()),
 			trace.String("kind", est.Kind), trace.Int("split", splitAfter))
 		defer func() {
@@ -450,8 +439,8 @@ func (e *Engine) estimateSite(dag *tasks.DAG, c *tasks.Compiled, site *xedge.Sit
 	est.Uplink = up
 	est.BytesSent = upBytes
 	est.VehicleEnergyJ += RadioPowerW * up.Seconds()
-	if e.tracer.Enabled() {
-		e.tracer.SpanAt("network", "network.uplink", cursor, cursor+up,
+	if e.scope.Tracer.Enabled() {
+		e.scope.Tracer.SpanAt("network", "network.uplink", cursor, cursor+up,
 			trace.String("path", path.Name), trace.F64("bytes", upBytes),
 			trace.F64("loss", network.WorstLoss(path)))
 	}
@@ -479,9 +468,9 @@ func (e *Engine) estimateSite(dag *tasks.DAG, c *tasks.Compiled, site *xedge.Sit
 		}
 	}
 	est.Compute += remoteDone - computeStart
-	if e.tracer.Enabled() {
+	if e.scope.Tracer.Enabled() {
 		comp := siteComponent(site.Kind())
-		e.tracer.SpanAt(comp, comp+".exec", computeStart, remoteDone,
+		e.scope.Tracer.SpanAt(comp, comp+".exec", computeStart, remoteDone,
 			trace.String("site", site.Name()), trace.Int("tasks", len(remote)))
 	}
 
@@ -499,8 +488,8 @@ func (e *Engine) estimateSite(dag *tasks.DAG, c *tasks.Compiled, site *xedge.Sit
 	}
 	est.Downlink = down
 	est.Total = (remoteDone - now) + down
-	if e.tracer.Enabled() {
-		e.tracer.SpanAt("network", "network.downlink", remoteDone, remoteDone+down,
+	if e.scope.Tracer.Enabled() {
+		e.scope.Tracer.SpanAt("network", "network.downlink", remoteDone, remoteDone+down,
 			trace.String("path", path.Name), trace.F64("bytes", downBytes))
 	}
 	if !e.withinBudget(est.BytesSent) {
@@ -586,7 +575,7 @@ func (e *Engine) Estimates(dag *tasks.DAG, now time.Duration) ([]Estimate, error
 
 // Decide returns the best feasible estimate and the full comparison.
 func (e *Engine) Decide(dag *tasks.DAG, now time.Duration) (Estimate, []Estimate, error) {
-	span := e.tracer.StartSpanAt("offload", "offload.decide", now)
+	span := e.scope.Tracer.StartSpanAt("offload", "offload.decide", now)
 	if dag != nil {
 		span.SetAttr(trace.String("dag", dag.Name))
 	}
@@ -615,7 +604,7 @@ func (e *Engine) Decide(dag *tasks.DAG, now time.Duration) (Estimate, []Estimate
 // remote destinations reserve site executors. It returns the realized
 // completion time.
 func (e *Engine) Execute(dag *tasks.DAG, est Estimate, now time.Duration) (time.Duration, error) {
-	span := e.tracer.StartSpanAt("offload", "offload.execute", now,
+	span := e.scope.Tracer.StartSpanAt("offload", "offload.execute", now,
 		trace.String("dest", est.Dest), trace.String("kind", est.Kind))
 	if dag != nil {
 		span.SetAttr(trace.String("dag", dag.Name))
@@ -683,8 +672,8 @@ func (e *Engine) execute(dag *tasks.DAG, est Estimate, now time.Duration) (time.
 		now += plan.Makespan
 	}
 	path := e.adjustedPath(site, now)
-	if e.tracer.Enabled() {
-		e.tracer.SpanAt("network", "network.uplink", now, now+est.Uplink,
+	if e.scope.Tracer.Enabled() {
+		e.scope.Tracer.SpanAt("network", "network.uplink", now, now+est.Uplink,
 			trace.String("path", path.Name), trace.F64("bytes", est.BytesSent),
 			trace.F64("loss", network.WorstLoss(path)))
 	}
@@ -714,8 +703,8 @@ func (e *Engine) execute(dag *tasks.DAG, est Estimate, now time.Duration) (time.
 		if len(c.Succs(i)) == 0 {
 			downBytes += t.OutputBytes
 		}
-		if e.tracer.Enabled() {
-			e.tracer.SpanAt(comp, comp+".task", start, done,
+		if e.scope.Tracer.Enabled() {
+			e.scope.Tracer.SpanAt(comp, comp+".task", start, done,
 				trace.String("task", t.ID), trace.String("site", site.Name()),
 				trace.Dur("queue_wait", start-ready))
 		}
@@ -723,8 +712,8 @@ func (e *Engine) execute(dag *tasks.DAG, est Estimate, now time.Duration) (time.
 		ln.execMS.ObserveDuration(done - start)
 		ln.queueWaitMS.ObserveDuration(start - ready)
 	}
-	if e.tracer.Enabled() {
-		e.tracer.SpanAt("network", "network.downlink", last, last+est.Downlink,
+	if e.scope.Tracer.Enabled() {
+		e.scope.Tracer.SpanAt("network", "network.downlink", last, last+est.Downlink,
 			trace.String("path", path.Name), trace.F64("bytes", downBytes))
 	}
 	e.meter.RecordTransfer(path, downBytes, network.Downlink, est.Downlink)

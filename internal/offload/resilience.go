@@ -129,24 +129,26 @@ func (e *Engine) SetResilience(pol *Policy) {
 // Resilience returns the active policy (nil when disabled).
 func (e *Engine) Resilience() *Policy { return e.policy }
 
-// breakerFor returns (creating if needed) the breaker guarding dest. New
-// breakers are hooked to the flight recorder so every open/half-open/close
-// transition leaves a structured event.
+// breakerFor returns (creating if needed) the breaker guarding dest. Every
+// breaker is hooked to the flight recorder the engine's scope holds when a
+// transition fires, so each open/half-open/close leaves a structured event
+// from the moment a recorder arrives, whenever the breaker was created.
 func (e *Engine) breakerFor(dest string) *Breaker {
 	b, ok := e.breakers[dest]
 	if !ok {
 		b = NewBreaker(e.policy.BreakerThreshold, e.policy.BreakerCooldown)
-		if e.recorder.Enabled() {
-			rec, dest := e.recorder, dest
-			b.OnChange(func(from, to BreakerState, now time.Duration) {
-				sev := obs.SevInfo
-				if to == BreakerOpen {
-					sev = obs.SevWarn
-				}
-				rec.Emit(now, "offload", sev, "breaker."+to.String(),
-					obs.String("dest", dest), obs.String("from", from.String()))
-			})
-		}
+		b.OnChange(func(from, to BreakerState, now time.Duration) {
+			rec := e.scope.Events
+			if !rec.Enabled() {
+				return
+			}
+			sev := obs.SevInfo
+			if to == BreakerOpen {
+				sev = obs.SevWarn
+			}
+			rec.Emit(now, "offload", sev, "breaker."+to.String(),
+				obs.String("dest", dest), obs.String("from", from.String()))
+		})
 		e.breakers[dest] = b
 	}
 	return b
@@ -209,7 +211,7 @@ func (e *Engine) ExecuteResilient(dag *tasks.DAG, est Estimate, now, deadline ti
 		return done, out, err
 	}
 	pol := *e.policy
-	span := e.tracer.StartSpanAt("offload", "offload.resilient", now,
+	span := e.scope.Tracer.StartSpanAt("offload", "offload.resilient", now,
 		trace.String("chosen", est.Dest))
 	if dag != nil {
 		span.SetAttr(trace.String("dag", dag.Name))
@@ -235,8 +237,8 @@ func (e *Engine) ExecuteResilient(dag *tasks.DAG, est Estimate, now, deadline ti
 		out.Dest = dest
 		if dest != est.Dest {
 			out.FellBackTo = dest
-			if e.recorder.Enabled() {
-				e.recorder.Emit(t, "offload", obs.SevInfo, "resilient.fallback",
+			if e.scope.Events.Enabled() {
+				e.scope.Events.Emit(t, "offload", obs.SevInfo, "resilient.fallback",
 					obs.String("dag", dag.Name), obs.String("from", est.Dest),
 					obs.String("to", dest))
 			}
@@ -251,8 +253,8 @@ func (e *Engine) ExecuteResilient(dag *tasks.DAG, est Estimate, now, deadline ti
 		if est.Dest != OnboardName {
 			out.FellBackTo = OnboardName
 			out.Fallbacks++
-			if e.recorder.Enabled() {
-				e.recorder.Emit(t, "offload", obs.SevWarn, "resilient.onboard",
+			if e.scope.Events.Enabled() {
+				e.scope.Events.Emit(t, "offload", obs.SevWarn, "resilient.onboard",
 					obs.String("dag", dag.Name), obs.String("from", est.Dest),
 					obs.Bool("degraded", out.Degraded))
 			}
@@ -264,8 +266,8 @@ func (e *Engine) ExecuteResilient(dag *tasks.DAG, est Estimate, now, deadline ti
 	}
 	err := fmt.Errorf("offload: resilient execution exhausted for %s after %d attempts",
 		dag.Name, out.Attempts)
-	if e.recorder.Enabled() {
-		e.recorder.Emit(t, "offload", obs.SevError, "resilient.exhausted",
+	if e.scope.Events.Enabled() {
+		e.scope.Events.Emit(t, "offload", obs.SevError, "resilient.exhausted",
 			obs.String("dag", dag.Name), obs.Int("attempts", out.Attempts))
 	}
 	e.recordResilient(out, false)
@@ -312,8 +314,8 @@ func (e *Engine) onboardRung(dag *tasks.DAG, t, deadline time.Duration, pol Poli
 			runDag, ob = dd, alt
 			out.Degraded = true
 			e.m.degraded.Inc()
-			if e.recorder.Enabled() {
-				e.recorder.Emit(t, "offload", obs.SevWarn, "resilient.degraded",
+			if e.scope.Events.Enabled() {
+				e.scope.Events.Emit(t, "offload", obs.SevWarn, "resilient.degraded",
 					obs.String("dag", dag.Name), obs.F64("factor", pol.DegradeFactor))
 			}
 		}

@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"repro/internal/network"
+	"repro/internal/obs"
 	"repro/internal/tasks"
 	"repro/internal/telemetry"
 	"repro/internal/trace"
@@ -38,7 +39,7 @@ func failUntil(until time.Duration, calls *int) xedge.FaultFunc {
 func TestExecuteFailureCounters(t *testing.T) {
 	eng, rsu, _ := testWorld(t, 0)
 	reg := telemetry.NewRegistry()
-	eng.Instrument(trace.New(nil), reg)
+	eng.Instrument(obs.Scope{Metrics: reg, Tracer: trace.New()})
 	dag := tasks.ALPR()
 	est := eng.EstimateSite(dag, rsu, 0, 0)
 	if !est.Feasible {
@@ -76,7 +77,7 @@ func TestExecuteFailureCounters(t *testing.T) {
 func TestResilientRetriesPastTransientFault(t *testing.T) {
 	eng, rsu, _ := testWorld(t, 0)
 	reg := telemetry.NewRegistry()
-	eng.Instrument(trace.New(nil), reg)
+	eng.Instrument(obs.Scope{Metrics: reg, Tracer: trace.New()})
 	pol := Policy{MaxAttempts: 3, BackoffBase: 60 * time.Millisecond, BackoffFactor: 2}
 	eng.SetResilience(&pol)
 	calls := 0
@@ -113,7 +114,7 @@ func TestResilientRetriesPastTransientFault(t *testing.T) {
 func TestBreakerStopsHammeringFailedSite(t *testing.T) {
 	eng, rsu, _ := testWorld(t, 0)
 	reg := telemetry.NewRegistry()
-	eng.Instrument(trace.New(nil), reg)
+	eng.Instrument(obs.Scope{Metrics: reg, Tracer: trace.New()})
 	pol := Policy{MaxAttempts: 5, BreakerThreshold: 2, BreakerCooldown: time.Hour,
 		BackoffBase: 10 * time.Millisecond}
 	eng.SetResilience(&pol)
@@ -163,7 +164,7 @@ func TestBreakerStopsHammeringFailedSite(t *testing.T) {
 func TestResilientFallsBackOnboard(t *testing.T) {
 	eng, rsu, cl := testWorld(t, 0)
 	reg := telemetry.NewRegistry()
-	eng.Instrument(trace.New(nil), reg)
+	eng.Instrument(obs.Scope{Metrics: reg, Tracer: trace.New()})
 	pol := DefaultPolicy()
 	pol.MaxAttempts = 1
 	eng.SetResilience(&pol)
@@ -192,7 +193,7 @@ func TestResilientFallsBackOnboard(t *testing.T) {
 // completes in time, reporting Degraded.
 func TestDegradedVariantMeetsDeadline(t *testing.T) {
 	eng, rsu, cl := testWorld(t, 0)
-	eng.Instrument(trace.New(nil), telemetry.NewRegistry())
+	eng.Instrument(obs.Scope{Metrics: telemetry.NewRegistry(), Tracer: trace.New()})
 	pol := DefaultPolicy()
 	pol.MaxAttempts = 1
 	eng.SetResilience(&pol)

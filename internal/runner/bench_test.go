@@ -17,7 +17,7 @@ func BenchmarkRunParallelScaling(b *testing.B) {
 		for i := 0; i < 1_000_000; i++ {
 			sum += sh.RNG.Float64()
 		}
-		sh.Metrics.Observe("job.sum", sum)
+		sh.Obs.Metrics.Observe("job.sum", sum)
 		return sum, nil
 	}
 	for _, parallel := range []int{1, 2, 4, 8} {

@@ -5,13 +5,13 @@
 //
 // The sharding model is "share nothing, merge after": every replication
 // gets its own Shard holding an RNG substream keyed by the replication
-// index (sim.NewStream), a private telemetry.Registry, and a private
-// trace.Tracer. Jobs must build their whole world (fleet, sites, engines)
-// inside the shard and draw all randomness from the shard's RNG. Because
-// nothing is shared, jobs run race-free at any -parallel level; because
-// every per-shard input is a pure function of (seed, index) and the merge
-// happens in index order after all workers exit, the merged output is
-// byte-identical no matter how many workers ran.
+// index (sim.NewStream) and a private obs.Scope (registry + tracer) — one
+// lane per replication. Jobs must build their whole world (fleet, sites,
+// engines) inside the shard and draw all randomness from the shard's RNG.
+// Because nothing is shared, jobs run race-free at any -parallel level;
+// because every per-shard input is a pure function of (seed, index) and
+// the merge happens in index order after all workers exit, the merged
+// output is byte-identical no matter how many workers ran.
 package runner
 
 import (
@@ -20,6 +20,7 @@ import (
 	"sync"
 	"sync/atomic"
 
+	"repro/internal/obs"
 	"repro/internal/sim"
 	"repro/internal/telemetry"
 	"repro/internal/trace"
@@ -31,11 +32,9 @@ type Shard struct {
 	Index int
 	// RNG is the replication's random substream, keyed by (Seed, Index).
 	RNG *sim.RNG
-	// Metrics is the replication-private registry, merged (in index order)
-	// into the report's registry after all workers finish.
-	Metrics *telemetry.Registry
-	// Tracer is the replication-private tracer, merged likewise.
-	Tracer *trace.Tracer
+	// Obs is the replication-private lane — a registry and a tracer — merged
+	// (in index order) into the report's scope after all workers finish.
+	Obs obs.Scope
 }
 
 // Config parameterizes Run.
@@ -56,11 +55,9 @@ type Config struct {
 type Report[T any] struct {
 	// Results holds each replication's result, ordered by index.
 	Results []T
-	// Metrics is every shard registry merged in index order: counters
-	// summed, gauges last-index-wins, histograms combined.
-	Metrics *telemetry.Registry
-	// Trace is every shard trace merged in index order.
-	Trace *trace.Tracer
+	// Obs is every shard lane merged in index order: counters summed,
+	// gauges last-index-wins, histograms combined, span forests appended.
+	Obs obs.Scope
 }
 
 // Run executes cfg.Replications independent jobs over a pool of
@@ -98,7 +95,7 @@ func Run[T any](cfg Config, job func(*Shard) (T, error)) (*Report[T], error) {
 				if i >= n {
 					return
 				}
-				sh := newShard(cfg, i)
+				sh := &Shard{Index: i, RNG: sim.NewStream(cfg.Seed, uint64(i)), Obs: newLane(cfg)}
 				shards[i] = sh
 				results[i], errs[i] = job(sh)
 			}
@@ -112,33 +109,20 @@ func Run[T any](cfg Config, job func(*Shard) (T, error)) (*Report[T], error) {
 		}
 	}
 
-	rep := &Report[T]{
-		Results: results,
-		Metrics: telemetry.NewRegistry(),
-		Trace:   trace.New(nil),
-	}
-	if cfg.SpanLimit > 0 {
-		rep.Trace.SetSpanLimit(cfg.SpanLimit)
-	}
+	rep := &Report[T]{Results: results, Obs: newLane(cfg)}
 	// Merge strictly in index order: this is what makes the report
 	// independent of worker count and scheduling.
 	for _, sh := range shards {
-		rep.Metrics.Merge(sh.Metrics)
-		rep.Trace.Merge(sh.Tracer)
+		rep.Obs.Merge(sh.Obs)
 	}
 	return rep, nil
 }
 
-// newShard builds replication i's private world from (cfg.Seed, i).
-func newShard(cfg Config, i int) *Shard {
-	tr := trace.New(nil)
+// newLane returns an empty registry + tracer scope under cfg's span cap.
+func newLane(cfg Config) obs.Scope {
+	sc := obs.Scope{Metrics: telemetry.NewRegistry(), Tracer: trace.New()}
 	if cfg.SpanLimit > 0 {
-		tr.SetSpanLimit(cfg.SpanLimit)
+		sc.Tracer.SetSpanLimit(cfg.SpanLimit)
 	}
-	return &Shard{
-		Index:   i,
-		RNG:     sim.NewStream(cfg.Seed, uint64(i)),
-		Metrics: telemetry.NewRegistry(),
-		Tracer:  tr,
-	}
+	return sc
 }

@@ -14,12 +14,12 @@ func sweepOnce(t *testing.T, parallel int) *Report[float64] {
 	rep, err := Run(Config{Replications: 8, Parallel: parallel, Seed: 42},
 		func(sh *Shard) (float64, error) {
 			v := sh.RNG.Float64()
-			sh.Metrics.Add("job.runs", 1)
-			sh.Metrics.Add(fmt.Sprintf("job.shard.%d", sh.Index), 1)
-			sh.Metrics.Set("job.last_index", float64(sh.Index))
-			sh.Metrics.Observe("job.value", v)
-			span := sh.Tracer.StartSpanAt("runner", "job", 0)
-			sh.Tracer.SpanAt("runner", "draw", 0, time.Duration(sh.Index))
+			sh.Obs.Metrics.Add("job.runs", 1)
+			sh.Obs.Metrics.Add(fmt.Sprintf("job.shard.%d", sh.Index), 1)
+			sh.Obs.Metrics.Set("job.last_index", float64(sh.Index))
+			sh.Obs.Metrics.Observe("job.value", v)
+			span := sh.Obs.Tracer.StartSpanAt("runner", "job", 0)
+			sh.Obs.Tracer.SpanAt("runner", "draw", 0, time.Duration(sh.Index))
 			span.FinishAt(time.Duration(sh.Index + 1))
 			return v, nil
 		})
@@ -41,10 +41,10 @@ func TestRunDeterministicAcrossParallelLevels(t *testing.T) {
 					parallel, i, got.Results[i], serial.Results[i])
 			}
 		}
-		if serial.Metrics.Render() != got.Metrics.Render() {
+		if serial.Obs.Metrics.Render() != got.Obs.Metrics.Render() {
 			t.Fatalf("parallel %d: merged metrics differ", parallel)
 		}
-		if serial.Trace.RenderTree() != got.Trace.RenderTree() {
+		if serial.Obs.Tracer.RenderTree() != got.Obs.Tracer.RenderTree() {
 			t.Fatalf("parallel %d: merged traces differ", parallel)
 		}
 	}
@@ -53,18 +53,18 @@ func TestRunDeterministicAcrossParallelLevels(t *testing.T) {
 // TestRunMergesInIndexOrder: gauges are last-index-wins and counters sum.
 func TestRunMergesInIndexOrder(t *testing.T) {
 	rep := sweepOnce(t, 4)
-	if got := rep.Metrics.Counter("job.runs"); got != 8 {
+	if got := rep.Obs.Metrics.Counter("job.runs"); got != 8 {
 		t.Fatalf("job.runs = %v, want 8", got)
 	}
-	if got, ok := rep.Metrics.Gauge("job.last_index"); !ok || got != 7 {
+	if got, ok := rep.Obs.Metrics.Gauge("job.last_index"); !ok || got != 7 {
 		t.Fatalf("job.last_index = %v (%v), want 7 (highest index wins)", got, ok)
 	}
-	if h := rep.Metrics.Histogram("job.value"); h == nil || h.Count() != 8 {
+	if h := rep.Obs.Metrics.Histogram("job.value"); h == nil || h.Count() != 8 {
 		t.Fatal("merged histogram missing samples")
 	}
 	// Shard traces appear in index order: the "job" root spans finish at
 	// index+1.
-	roots := rep.Trace.Roots()
+	roots := rep.Obs.Tracer.Roots()
 	if len(roots) != 8 {
 		t.Fatalf("merged roots = %d, want 8", len(roots))
 	}
@@ -135,22 +135,22 @@ func TestRunSpanLimit(t *testing.T) {
 			SpanLimit: 3,
 		}, func(sh *Shard) (int, error) {
 			for i := 0; i < 50; i++ {
-				sh.Metrics.Observe("v", sh.RNG.Float64())
-				sh.Tracer.SpanAt("c", "op", 0, 1)
+				sh.Obs.Metrics.Observe("v", sh.RNG.Float64())
+				sh.Obs.Tracer.SpanAt("c", "op", 0, 1)
 			}
 			return 0, nil
 		})
 		if err != nil {
 			t.Fatal(err)
 		}
-		h := rep.Metrics.Histogram("v")
+		h := rep.Obs.Metrics.Histogram("v")
 		if h.Count() != 200 {
 			t.Fatalf("count = %d, want 200", h.Count())
 		}
-		if n := rep.Trace.SpanCount(); n != 3 {
+		if n := rep.Obs.Tracer.SpanCount(); n != 3 {
 			t.Fatalf("merged report retains %d spans, want the cap of 3", n)
 		}
-		return rep.Metrics.Render() + rep.Trace.RenderTree()
+		return rep.Obs.Metrics.Render() + rep.Obs.Tracer.RenderTree()
 	}
 	if at(1) != at(4) {
 		t.Fatal("span-capped run not deterministic across parallel levels")

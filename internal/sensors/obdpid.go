@@ -2,6 +2,7 @@ package sensors
 
 import (
 	"fmt"
+	"math"
 	"strconv"
 	"time"
 )
@@ -40,25 +41,27 @@ const (
 func Request(pid PID) []byte { return []byte{modeCurrentData, byte(pid)} }
 
 // EncodeCurrentData builds the Mode-01 response frame for a PID from a
-// reading, applying the standard scaling.
+// reading, applying the standard scaling and rounding to the nearest wire
+// step — truncating would encode a value DecodeCurrentData produced (a
+// multiple of the step, up to float error) one step low.
 func EncodeCurrentData(pid PID, r OBDReading) ([]byte, error) {
 	frame := []byte{respCurrentData, byte(pid)}
 	switch pid {
 	case PIDCoolantTemp:
 		v := clamp(r.CoolantTempC, -40, 215)
-		return append(frame, byte(v+40)), nil
+		return append(frame, byte(math.Round(v+40))), nil
 	case PIDRPM:
 		v := clamp(r.RPM, 0, maxEncodableRPM)
-		raw := uint16(v * 4)
+		raw := uint16(math.Round(v * 4))
 		return append(frame, byte(raw>>8), byte(raw)), nil
 	case PIDSpeed:
-		return append(frame, byte(clamp(r.SpeedKPH, 0, 255))), nil
+		return append(frame, byte(math.Round(clamp(r.SpeedKPH, 0, 255)))), nil
 	case PIDThrottle:
-		return append(frame, byte(clamp(r.ThrottlePct, 0, 100)*255/100)), nil
+		return append(frame, byte(math.Round(clamp(r.ThrottlePct, 0, 100)*255/100))), nil
 	case PIDFuelLevel:
-		return append(frame, byte(clamp(r.FuelPct, 0, 100)*255/100)), nil
+		return append(frame, byte(math.Round(clamp(r.FuelPct, 0, 100)*255/100))), nil
 	case PIDVoltage:
-		raw := uint16(clamp(r.BatteryV, 0, maxEncodableVoltage) * 1000)
+		raw := uint16(math.Round(clamp(r.BatteryV, 0, maxEncodableVoltage) * 1000))
 		return append(frame, byte(raw>>8), byte(raw)), nil
 	default:
 		return nil, fmt.Errorf("sensors: unsupported PID 0x%02X", byte(pid))

@@ -1,6 +1,7 @@
 package sensors
 
 import (
+	"bytes"
 	"math"
 	"testing"
 	"testing/quick"
@@ -192,4 +193,57 @@ func TestReadFramesEndToEnd(t *testing.T) {
 	if !sawDTC {
 		t.Fatal("overheat DTC never crossed the wire")
 	}
+}
+
+// readingFor returns a reading whose pid field carries v, the inverse of
+// what DecodeCurrentData reports.
+func readingFor(pid PID, v float64) OBDReading {
+	var r OBDReading
+	switch pid {
+	case PIDCoolantTemp:
+		r.CoolantTempC = v
+	case PIDRPM:
+		r.RPM = v
+	case PIDSpeed:
+		r.SpeedKPH = v
+	case PIDThrottle:
+		r.ThrottlePct = v
+	case PIDFuelLevel:
+		r.FuelPct = v
+	case PIDVoltage:
+		r.BatteryV = v
+	}
+	return r
+}
+
+// FuzzDecodeOBD feeds arbitrary bytes to both OBD decoders — what an OBD
+// reader hands the DDI is whatever the bus carried. Neither may panic; a
+// DTC frame that decodes re-encodes to the same bytes; a Mode-01 frame that
+// decodes to (pid, value) re-encodes to a frame that decodes to the same
+// pair (not the same bytes: the decoder ignores trailing padding).
+func FuzzDecodeOBD(f *testing.F) {
+	f.Fuzz(func(t *testing.T, frame []byte) {
+		if codes, err := DecodeDTCFrame(frame); err == nil {
+			again, err := EncodeDTCFrame(codes)
+			if err != nil {
+				t.Fatalf("DTC frame %x decoded to %v, which does not encode: %v", frame, codes, err)
+			}
+			if !bytes.Equal(again, frame) {
+				t.Fatalf("DTC frame %x decoded to %v, which encodes to %x", frame, codes, again)
+			}
+		}
+		pid, v, err := DecodeCurrentData(frame)
+		if err != nil {
+			return
+		}
+		again, err := EncodeCurrentData(pid, readingFor(pid, v))
+		if err != nil {
+			t.Fatalf("frame %x decoded to PID 0x%02X = %v, which does not encode: %v", frame, byte(pid), v, err)
+		}
+		pid2, v2, err := DecodeCurrentData(again)
+		if err != nil || pid2 != pid || v2 != v {
+			t.Fatalf("frame %x decoded to PID 0x%02X = %v; re-encoded as %x it decodes to PID 0x%02X = %v (%v)",
+				frame, byte(pid), v, again, byte(pid2), v2, err)
+		}
+	})
 }

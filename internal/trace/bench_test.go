@@ -40,7 +40,7 @@ func BenchmarkSpanStartFinish(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		if i%65536 == 0 {
-			tr = New(nil)
+			tr = New()
 		}
 		s := tr.StartSpanAt("offload", "offload.execute", time.Duration(i))
 		s.FinishAt(time.Duration(i + 1))
@@ -54,7 +54,7 @@ func BenchmarkSpanAtLeaf(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		if i%65536 == 0 {
-			tr = New(nil)
+			tr = New()
 		}
 		tr.SpanAt("network", "network.uplink", time.Duration(i), time.Duration(i+1))
 	}

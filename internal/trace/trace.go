@@ -63,10 +63,9 @@ type Span struct {
 // dropped (and counted), keeping fleet-scale experiments O(limit).
 const DefaultSpanLimit = 200_000
 
-// Tracer collects spans stamped from a virtual clock.
+// Tracer collects spans stamped in virtual time.
 type Tracer struct {
 	mu      sync.Mutex
-	clock   func() time.Duration
 	roots   []*Span
 	stack   []*Span
 	nextID  int
@@ -83,15 +82,9 @@ type Tracer struct {
 //	}
 func (t *Tracer) Enabled() bool { return t != nil }
 
-// New returns a tracer reading virtual time from clock (typically
-// sim.Engine.Now). A nil clock stamps zero times; explicit-time calls still
-// work.
-func New(clock func() time.Duration) *Tracer {
-	if clock == nil {
-		clock = func() time.Duration { return 0 }
-	}
-	return &Tracer{clock: clock, limit: DefaultSpanLimit}
-}
+// New returns an empty tracer. It reads no clock: every span is stamped by
+// its caller (StartSpanAt, SpanAt, FinishAt).
+func New() *Tracer { return &Tracer{limit: DefaultSpanLimit} }
 
 // SetSpanLimit changes the span cap. Non-positive restores the default.
 func (t *Tracer) SetSpanLimit(n int) {
@@ -106,17 +99,9 @@ func (t *Tracer) SetSpanLimit(n int) {
 	t.limit = n
 }
 
-// StartSpan opens a span at the current virtual time and makes it the
-// parent of spans started before it finishes.
-func (t *Tracer) StartSpan(component, name string, attrs ...Attr) *Span {
-	if t == nil {
-		return nil
-	}
-	return t.StartSpanAt(component, name, t.clock(), attrs...)
-}
-
 // StartSpanAt opens a span at an explicit virtual time (schedulers and
-// estimators time-stamp spans from computed timelines, not the live clock).
+// estimators time-stamp spans from computed timelines, not a live clock)
+// and makes it the parent of spans started before it finishes.
 func (t *Tracer) StartSpanAt(component, name string, start time.Duration, attrs ...Attr) *Span {
 	if t == nil {
 		return nil
@@ -171,14 +156,6 @@ func (t *Tracer) newSpanLocked(component, name string, start time.Duration, attr
 		t.roots = append(t.roots, s)
 	}
 	return s
-}
-
-// Finish closes the span at the current virtual time.
-func (s *Span) Finish() {
-	if s == nil {
-		return
-	}
-	s.FinishAt(s.tracer.clock())
 }
 
 // FinishAt closes the span at an explicit virtual time and pops it from the

@@ -8,16 +8,10 @@ import (
 	"time"
 )
 
-// fakeClock is a settable virtual clock.
-type fakeClock struct{ now time.Duration }
-
-func (c *fakeClock) Now() time.Duration { return c.now }
-
-func buildSample(clk *fakeClock) *Tracer {
-	tr := New(clk.Now)
-	root := tr.StartSpan("edgeos", "edgeos.invoke", String("service", "alpr"))
-	clk.now = 10 * time.Millisecond
-	child := tr.StartSpan("offload", "offload.execute")
+func buildSample() *Tracer {
+	tr := New()
+	root := tr.StartSpanAt("edgeos", "edgeos.invoke", 0, String("service", "alpr"))
+	child := tr.StartSpanAt("offload", "offload.execute", 10*time.Millisecond)
 	tr.SpanAt("network", "network.uplink", 10*time.Millisecond, 14*time.Millisecond, F64("bytes", 2048))
 	tr.SpanAt("xedge", "xedge.exec", 14*time.Millisecond, 30*time.Millisecond)
 	child.FinishAt(30 * time.Millisecond)
@@ -26,8 +20,7 @@ func buildSample(clk *fakeClock) *Tracer {
 }
 
 func TestSpanTreeStructure(t *testing.T) {
-	clk := &fakeClock{}
-	tr := buildSample(clk)
+	tr := buildSample()
 
 	roots := tr.Roots()
 	if len(roots) != 1 {
@@ -70,8 +63,8 @@ func TestSpanTreeStructure(t *testing.T) {
 }
 
 func TestRenderTreeDeterministic(t *testing.T) {
-	a := buildSample(&fakeClock{}).RenderTree()
-	b := buildSample(&fakeClock{}).RenderTree()
+	a := buildSample().RenderTree()
+	b := buildSample().RenderTree()
 	if a != b {
 		t.Fatalf("two identical builds rendered differently:\n%s\n---\n%s", a, b)
 	}
@@ -87,11 +80,11 @@ func TestRenderTreeDeterministic(t *testing.T) {
 }
 
 func TestChromeTraceValidAndDeterministic(t *testing.T) {
-	first, err := buildSample(&fakeClock{}).ChromeTrace()
+	first, err := buildSample().ChromeTrace()
 	if err != nil {
 		t.Fatal(err)
 	}
-	second, err := buildSample(&fakeClock{}).ChromeTrace()
+	second, err := buildSample().ChromeTrace()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -126,9 +119,9 @@ func TestChromeTraceValidAndDeterministic(t *testing.T) {
 
 func TestNilSafety(t *testing.T) {
 	var tr *Tracer
-	s := tr.StartSpan("x", "y")
+	s := tr.StartSpanAt("x", "y", 0)
 	s.SetAttr(String("k", "v"))
-	s.Finish()
+	s.FinishAt(0)
 	tr.SpanAt("x", "y", 0, 0)
 	if tr.RenderTree() != "" || tr.SpanCount() != 0 {
 		t.Fatal("nil tracer should be inert")
@@ -139,7 +132,7 @@ func TestNilSafety(t *testing.T) {
 }
 
 func TestSpanLimitDrops(t *testing.T) {
-	tr := New(nil)
+	tr := New()
 	tr.SetSpanLimit(3)
 	for i := 0; i < 5; i++ {
 		tr.SpanAt("c", "leaf", 0, 0)
@@ -156,9 +149,9 @@ func TestSpanLimitDrops(t *testing.T) {
 }
 
 func TestOutOfOrderFinishUnwindsStack(t *testing.T) {
-	tr := New(nil)
-	a := tr.StartSpan("c", "a")
-	b := tr.StartSpan("c", "b")
+	tr := New()
+	a := tr.StartSpanAt("c", "a", 0)
+	b := tr.StartSpanAt("c", "b", 0)
 	a.FinishAt(time.Second) // finishes before b: b must not become a's sibling's child
 	b.FinishAt(2 * time.Second)
 	leaf := tr.SpanAt("c", "later", 0, 0)
@@ -168,17 +161,16 @@ func TestOutOfOrderFinishUnwindsStack(t *testing.T) {
 }
 
 func TestConcurrentUseIsSafe(t *testing.T) {
-	clk := &fakeClock{}
-	tr := New(clk.Now)
+	tr := New()
 	var wg sync.WaitGroup
 	for g := 0; g < 8; g++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
 			for i := 0; i < 100; i++ {
-				s := tr.StartSpan("c", "op")
+				s := tr.StartSpanAt("c", "op", 0)
 				tr.SpanAt("c", "leaf", 0, time.Millisecond)
-				s.Finish()
+				s.FinishAt(time.Millisecond)
 				if i%25 == 0 {
 					_ = tr.RenderTree()
 				}
@@ -196,13 +188,13 @@ func TestConcurrentUseIsSafe(t *testing.T) {
 // touching the sources.
 func TestTracerMerge(t *testing.T) {
 	shard := func(label string) *Tracer {
-		tr := New(nil)
+		tr := New()
 		root := tr.StartSpanAt("fleet", "replication", 0, String("shard", label))
 		tr.SpanAt("offload", "decide", 1, 2)
 		root.FinishAt(3)
 		return tr
 	}
-	dst := New(nil)
+	dst := New()
 	dst.SpanAt("runner", "setup", 0, 1)
 	a, b := shard("a"), shard("b")
 	dst.Merge(a)
@@ -236,7 +228,7 @@ func TestTracerMerge(t *testing.T) {
 
 	// Deterministic render regardless of how many times the same shards
 	// are rebuilt.
-	again := New(nil)
+	again := New()
 	again.SpanAt("runner", "setup", 0, 1)
 	again.Merge(shard("a"))
 	again.Merge(shard("b"))
@@ -248,13 +240,13 @@ func TestTracerMerge(t *testing.T) {
 // TestTracerMergeRespectsCap: subtrees past the destination cap are
 // dropped and counted.
 func TestTracerMergeRespectsCap(t *testing.T) {
-	src := New(nil)
+	src := New()
 	for i := 0; i < 10; i++ {
 		s := src.StartSpanAt("c", "op", 0)
 		src.SpanAt("c", "leaf", 0, 1)
 		s.FinishAt(1)
 	}
-	dst := New(nil)
+	dst := New()
 	dst.SetSpanLimit(7)
 	dst.Merge(src)
 	if got := dst.SpanCount(); got != 7 {

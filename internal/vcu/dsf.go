@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"time"
 
+	"repro/internal/obs"
 	"repro/internal/tasks"
 	"repro/internal/telemetry"
 	"repro/internal/trace"
@@ -23,9 +24,8 @@ type DSF struct {
 	// scratchPolicy); a DSF is single-goroutine, so one suffices.
 	scratch planner
 
-	tracer  *trace.Tracer
-	metrics *telemetry.Registry
-	m       dsfMetrics
+	scope obs.Scope
+	m     dsfMetrics
 }
 
 // dsfMetrics holds the DSF's interned metric handles, resolved once in
@@ -43,11 +43,11 @@ type dsfMetrics struct {
 	deviceTasks    map[string]*telemetry.Counter // per-device, interned lazily
 }
 
-// Instrument attaches a tracer and metrics registry (either may be nil).
-// Planning and committing then emit `vcu` spans and `vcu.*` metrics.
-func (s *DSF) Instrument(tr *trace.Tracer, reg *telemetry.Registry) {
-	s.tracer = tr
-	s.metrics = reg
+// Instrument attaches the DSF's observability scope: planning and
+// committing then emit `vcu` spans and `vcu.*` metrics.
+func (s *DSF) Instrument(sc obs.Scope) {
+	s.scope = sc
+	reg := sc.Metrics
 	s.m = dsfMetrics{
 		plans:          reg.CounterHandle("vcu.plans"),
 		planMakespan:   reg.HistogramHandle("vcu.plan_makespan_ms"),
@@ -63,12 +63,12 @@ func (s *DSF) Instrument(tr *trace.Tracer, reg *telemetry.Registry) {
 
 // deviceTaskCounter interns the per-device commit counter on first use.
 func (s *DSF) deviceTaskCounter(name string) *telemetry.Counter {
-	if s.metrics == nil {
+	if s.scope.Metrics == nil {
 		return nil
 	}
 	c, ok := s.m.deviceTasks[name]
 	if !ok {
-		c = s.metrics.CounterHandle("vcu.device." + name + ".tasks")
+		c = s.scope.Metrics.CounterHandle("vcu.device." + name + ".tasks")
 		s.m.deviceTasks[name] = c
 	}
 	return c
@@ -154,8 +154,8 @@ func (s *DSF) Plan(dag *tasks.DAG, now time.Duration) (*Plan, error) {
 	}
 	s.m.plans.Inc()
 	s.m.planMakespan.ObserveDuration(plan.Makespan)
-	if s.tracer.Enabled() {
-		s.tracer.SpanAt("vcu", "vcu.plan", now, now+plan.Makespan,
+	if s.scope.Tracer.Enabled() {
+		s.scope.Tracer.SpanAt("vcu", "vcu.plan", now, now+plan.Makespan,
 			trace.String("dag", dag.Name),
 			trace.String("policy", s.policy.Name()),
 			trace.Int("tasks", len(plan.Assignments)),
@@ -181,7 +181,7 @@ func (s *DSF) Commit(dag *tasks.DAG, plan *Plan) (*Plan, error) {
 			}
 		}
 	}
-	span := s.tracer.StartSpanAt("vcu", "vcu.commit", commitStart,
+	span := s.scope.Tracer.StartSpanAt("vcu", "vcu.commit", commitStart,
 		trace.String("dag", plan.DAG), trace.String("policy", plan.Policy))
 	committedOK := false
 	defer func() {
@@ -219,8 +219,8 @@ func (s *DSF) Commit(dag *tasks.DAG, plan *Plan) (*Plan, error) {
 			return nil, fmt.Errorf("commit %s on %s: %w", t.ID, dev.Name(), err)
 		}
 		finishOf[t.ID] = finish
-		if s.tracer.Enabled() {
-			s.tracer.SpanAt("vcu", "vcu.task", start, finish,
+		if s.scope.Tracer.Enabled() {
+			s.scope.Tracer.SpanAt("vcu", "vcu.task", start, finish,
 				trace.String("task", t.ID),
 				trace.String("device", dev.Name()),
 				trace.Dur("queue_wait", start-ready))
