@@ -20,6 +20,7 @@ import (
 
 	"repro/internal/experiments"
 	"repro/internal/obs"
+	"repro/internal/runner"
 	"repro/internal/telemetry"
 	"repro/internal/trace"
 )
@@ -309,12 +310,13 @@ func runArch(o *options) error {
 	})
 }
 
+// replicated is the runner configuration -reps, -parallel and -seed ask for.
+func (o *options) replicated() runner.Config {
+	return runner.Config{Replications: o.reps, Parallel: o.parallel, Seed: o.seed}
+}
+
 func runSweep(o *options) error {
-	res, err := experiments.RunFleetSweep(experiments.SweepConfig{
-		Replications: o.reps,
-		Parallel:     o.parallel,
-		Seed:         o.seed,
-	})
+	res, err := experiments.RunFleetSweep(o.replicated())
 	if err != nil {
 		return err
 	}
@@ -324,11 +326,7 @@ func runSweep(o *options) error {
 }
 
 func runChaos(o *options) error {
-	res, err := experiments.RunChaosSweep(experiments.ChaosConfig{
-		Replications: o.reps,
-		Parallel:     o.parallel,
-		Seed:         o.seed,
-	})
+	res, err := experiments.RunChaosSweep(o.replicated())
 	if err != nil {
 		return err
 	}
@@ -362,12 +360,7 @@ func runScale(o *options) error {
 // series summary) so `make determinism` can diff it across -shards
 // and -parallel values; -runreport writes the same data as JSON.
 func runObs(o *options) error {
-	res, err := experiments.RunObs(experiments.ObsConfig{
-		Replications: o.reps,
-		Parallel:     o.parallel,
-		Seed:         o.seed,
-		Shards:       o.shards,
-	})
+	res, err := experiments.RunObs(experiments.ObsConfig{Config: o.replicated(), Shards: o.shards})
 	if err != nil {
 		return err
 	}

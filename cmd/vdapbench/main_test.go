@@ -153,6 +153,40 @@ func TestNegativeShardsRejected(t *testing.T) {
 	}
 }
 
+// TestAskedForValuesAreNotReplaced: a -duration shorter than one GOP and a
+// -reps of zero are errors that name the value (exit 1), not a silent run at
+// a default nobody asked for.
+func TestAskedForValuesAreNotReplaced(t *testing.T) {
+	for _, tt := range []struct {
+		args []string
+		want string
+	}{
+		{[]string{"-exp", "fig2", "-duration", "1s"}, "duration 1s"},
+		{[]string{"-exp", "fig2", "-duration", "0s"}, "duration 0s"},
+		{[]string{"-exp", "fig2", "-duration", "-1s"}, "duration -1s"},
+		{[]string{"-exp", "sweep", "-reps", "0"}, "at least one replication, got 0"},
+		{[]string{"-exp", "chaos", "-reps", "0"}, "at least one replication, got 0"},
+		{[]string{"-exp", "obs", "-reps", "0"}, "at least one replication, got 0"},
+	} {
+		f, err := os.Create(filepath.Join(t.TempDir(), "stderr"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		old := os.Stderr
+		os.Stderr = f
+		code := mainExit(tt.args)
+		os.Stderr = old
+		f.Close()
+		msg, err := os.ReadFile(f.Name())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if code != 1 || !strings.Contains(string(msg), tt.want) {
+			t.Errorf("%v: exit code %d, stderr %q; want 1 and %q", tt.args, code, msg, tt.want)
+		}
+	}
+}
+
 // TestRunArchTraced checks the -trace path: the arch experiment must emit
 // a valid Chrome trace covering the five component lanes, byte-identical
 // across same-seed runs.

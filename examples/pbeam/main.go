@@ -12,7 +12,6 @@ import (
 	"log"
 	"net/http/httptest"
 	"os"
-	"time"
 
 	"repro/internal/core"
 	"repro/internal/libvdap"
@@ -41,7 +40,7 @@ func run() error {
 
 	fmt.Println("== pBEAM: cloud pre-train -> compress -> edge transfer-learn ==")
 	driver := models.SyntheticDriver("alice", 4242)
-	res, err := models.BuildPBEAM(models.PBEAMConfig{}, driver, sim.NewRNG(4242))
+	res, err := models.BuildPBEAM(driver, sim.NewRNG(4242))
 	if err != nil {
 		return err
 	}
@@ -76,7 +75,6 @@ func run() error {
 		return err
 	}
 	counts := make([]int, models.NumStyles)
-	start := time.Now()
 	for i := range sample.X {
 		resp, err := client.Predict("pbeam-alice", sample.X[i])
 		if err != nil {
@@ -85,7 +83,7 @@ func run() error {
 		counts[resp.Class]++
 	}
 	names := []string{"cautious", "normal", "aggressive"}
-	fmt.Printf("\ninsurer scored %d trips over the API in %v:\n", sample.Len(), time.Since(start).Round(time.Millisecond))
+	fmt.Printf("\ninsurer scored %d trips over the API:\n", sample.Len())
 	for c, n := range counts {
 		fmt.Printf("  %-10s %3d trips (%.0f%%)\n", names[c], n, 100*float64(n)/float64(sample.Len()))
 	}

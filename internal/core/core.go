@@ -33,31 +33,12 @@ import (
 type Config struct {
 	// Seed drives every random stream; same seed, same run.
 	Seed int64
-	// RoadLengthM is the corridor length in meters.
-	RoadLengthM float64
-	// BaseStations and RSUs are placed uniformly along the road.
-	BaseStations int
-	RSUs         int
-	// RSUCoverageM and BaseStationCoverageM are coverage radii.
-	RSUCoverageM         float64
-	BaseStationCoverageM float64
 	// SpeedMPH is the vehicle's cruise speed.
 	SpeedMPH float64
 	// DataDir is where DDI persists its disk tier.
 	DataDir string
-	// Policy is the DSF scheduling policy. Nil means GreedyEFT.
-	Policy vcu.Policy
-	// Objective is the elastic-management goal. Zero means MinLatency.
-	Objective edgeos.Objective
 	// Secret is the vehicle's long-term secret (>= 16 bytes).
 	Secret []byte
-	// PseudonymRotation is the privacy epoch. Zero means 10 minutes.
-	PseudonymRotation time.Duration
-	// NeighborVehicles adds peer CAVs as offload destinations.
-	NeighborVehicles int
-	// TraceCapacity caps retained spans (memory bound). Non-positive means
-	// trace.DefaultSpanLimit.
-	TraceCapacity int
 	// Resilience, when non-nil, installs the offload resilience policy
 	// (per-site circuit breakers, bounded retry, degradation ladder) on the
 	// offloading engine.
@@ -69,19 +50,26 @@ type Config struct {
 	Faults *faults.PlanConfig
 }
 
-// DefaultConfig returns a sensible single-vehicle scenario: a 20 km
-// corridor, LTE towers every 1 km, RSUs every 2 km, 35 MPH cruise.
+// The world every platform runs in: a 20 km corridor with LTE towers every
+// 1 km and RSUs every 2 km, the DSF's greedy earliest-finish policy, elastic
+// management for minimum latency, and a ten-minute pseudonym epoch.
+const (
+	roadLengthM          = 20000
+	baseStations         = 20
+	rsus                 = 10
+	rsuCoverageM         = 400
+	baseStationCoverageM = 900
+	pseudonymRotation    = 10 * time.Minute
+)
+
+// DefaultConfig returns the single-vehicle scenario at seed 1 and a 35 MPH
+// cruise.
 func DefaultConfig(dataDir string) Config {
 	return Config{
-		Seed:                 1,
-		RoadLengthM:          20000,
-		BaseStations:         20,
-		RSUs:                 10,
-		RSUCoverageM:         400,
-		BaseStationCoverageM: 900,
-		SpeedMPH:             35,
-		DataDir:              dataDir,
-		Secret:               []byte("openvdap-vehicle-longterm-secret"),
+		Seed:     1,
+		SpeedMPH: 35,
+		DataDir:  dataDir,
+		Secret:   []byte("openvdap-vehicle-longterm-secret"),
 	}
 }
 
@@ -129,44 +117,28 @@ type Platform struct {
 
 // New assembles a platform.
 func New(cfg Config) (*Platform, error) {
-	if cfg.RoadLengthM <= 0 {
-		return nil, fmt.Errorf("core: road length must be positive")
-	}
 	if cfg.DataDir == "" {
 		return nil, fmt.Errorf("core: DataDir is required")
 	}
 	if len(cfg.Secret) < 16 {
 		return nil, fmt.Errorf("core: Secret must be at least 16 bytes")
 	}
-	if cfg.Policy == nil {
-		cfg.Policy = vcu.GreedyEFT{}
-	}
-	if cfg.Objective == 0 {
-		cfg.Objective = edgeos.MinLatency
-	}
-	if cfg.PseudonymRotation == 0 {
-		cfg.PseudonymRotation = 10 * time.Minute
-	}
 
 	engine := sim.NewEngine(cfg.Seed)
 
-	road, err := geo.NewRoad(cfg.RoadLengthM)
+	road, err := geo.NewRoad(roadLengthM)
 	if err != nil {
 		return nil, err
 	}
-	if cfg.BaseStations > 0 {
-		road.PlaceStations(cfg.BaseStations, geo.BaseStation, cfg.BaseStationCoverageM, 0, "bs")
-	}
-	if cfg.RSUs > 0 {
-		road.PlaceStations(cfg.RSUs, geo.RSU, cfg.RSUCoverageM, 0, "rsu")
-	}
+	road.PlaceStations(baseStations, geo.BaseStation, baseStationCoverageM, 0, "bs")
+	road.PlaceStations(rsus, geo.RSU, rsuCoverageM, 0, "rsu")
 	mobility := geo.Mobility{Road: road, SpeedMS: geo.MPH(cfg.SpeedMPH)}
 
 	mhep, err := vcu.DefaultVCU()
 	if err != nil {
 		return nil, err
 	}
-	dsf, err := vcu.NewDSF(mhep, cfg.Policy)
+	dsf, err := vcu.NewDSF(mhep, vcu.GreedyEFT{})
 	if err != nil {
 		return nil, err
 	}
@@ -182,19 +154,12 @@ func New(cfg Config) (*Platform, error) {
 		return nil, err
 	}
 	sites = append(sites, cl.Site())
-	for i := 0; i < cfg.NeighborVehicles; i++ {
-		n, err := xedge.NewNeighborVehicle(fmt.Sprintf("neighbor-%d", i))
-		if err != nil {
-			return nil, err
-		}
-		sites = append(sites, n)
-	}
 
 	eng, err := offload.NewEngine(dsf, mobility, sites)
 	if err != nil {
 		return nil, err
 	}
-	elastic, err := edgeos.NewElasticManager(eng, cfg.Objective)
+	elastic, err := edgeos.NewElasticManager(eng, edgeos.MinLatency)
 	if err != nil {
 		return nil, err
 	}
@@ -207,7 +172,7 @@ func New(cfg Config) (*Platform, error) {
 	if err != nil {
 		return nil, err
 	}
-	privacy, err := edgeos.NewPrivacyModule(cfg.Secret, cfg.PseudonymRotation, 100)
+	privacy, err := edgeos.NewPrivacyModule(cfg.Secret, pseudonymRotation, 100)
 	if err != nil {
 		return nil, err
 	}
@@ -228,7 +193,6 @@ func New(cfg Config) (*Platform, error) {
 		Events:  obs.NewRecorder(0),
 		Series:  obs.NewSeriesStore(0),
 	}
-	scope.Tracer.SetSpanLimit(cfg.TraceCapacity)
 	dsf.Instrument(scope)
 	eng.Instrument(scope)
 	elastic.Instrument(scope)

@@ -33,9 +33,7 @@ func TestNewValidation(t *testing.T) {
 	if _, err := New(cfg); err == nil {
 		t.Fatal("short secret accepted")
 	}
-	cfg = DefaultConfig("")
-	cfg.RoadLengthM = 100
-	if _, err := New(cfg); err == nil {
+	if _, err := New(DefaultConfig("")); err == nil {
 		t.Fatal("empty data dir accepted")
 	}
 }
@@ -49,7 +47,7 @@ func TestPlatformWiring(t *testing.T) {
 		t.Fatal("platform component missing")
 	}
 	// RSUs + cloud are offload sites.
-	if got := len(p.Offload().Sites()); got != DefaultConfig("x").RSUs+1 {
+	if got := len(p.Offload().Sites()); got != rsus+1 {
 		t.Fatalf("sites = %d", got)
 	}
 	if len(p.Registry().List()) == 0 {

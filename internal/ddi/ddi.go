@@ -78,35 +78,26 @@ func (d *DDI) Instrument(sc obs.Scope) {
 type Options struct {
 	// Dir is the disk-store directory (required).
 	Dir string
-	// CacheCapacity bounds the in-memory tier. Zero means 4096.
-	CacheCapacity int
-	// CacheTTL is the survival time of cached entries. Zero means 5 min.
-	CacheTTL time.Duration
 	// Mobility drives the GPS collector.
 	Mobility geo.Mobility
-	// SSD models disk-tier access latency. Nil means DefaultSSD.
-	SSD *hardware.Storage
 }
+
+// The in-memory tier holds cacheCapacity entries for cacheTTL each.
+const (
+	cacheCapacity = 4096
+	cacheTTL      = 5 * time.Minute
+)
 
 // New assembles a DDI.
 func New(opts Options, rng *sim.RNG) (*DDI, error) {
 	if rng == nil {
 		return nil, fmt.Errorf("ddi: nil RNG")
 	}
-	if opts.CacheCapacity == 0 {
-		opts.CacheCapacity = 4096
-	}
-	if opts.CacheTTL == 0 {
-		opts.CacheTTL = 5 * time.Minute
-	}
-	if opts.SSD == nil {
-		opts.SSD = hardware.DefaultSSD()
-	}
 	store, err := OpenDiskStore(opts.Dir)
 	if err != nil {
 		return nil, err
 	}
-	cache, err := NewMemCache(opts.CacheCapacity, opts.CacheTTL)
+	cache, err := NewMemCache(cacheCapacity, cacheTTL)
 	if err != nil {
 		return nil, err
 	}
@@ -123,7 +114,7 @@ func New(opts Options, rng *sim.RNG) (*DDI, error) {
 		return nil, err
 	}
 	return &DDI{
-		store: store, cache: cache, ssd: opts.SSD,
+		store: store, cache: cache, ssd: hardware.DefaultSSD(),
 		obd: obd, gps: gps, feeds: feeds, rng: rng.Fork(), mob: opts.Mobility,
 	}, nil
 }

@@ -13,58 +13,25 @@ import (
 	"repro/internal/trace"
 )
 
-// ChaosConfig parameterizes RunChaosSweep (E14).
-type ChaosConfig struct {
-	// Replications is how many independent fleet worlds per cell (default 6).
-	Replications int
-	// Parallel is the worker-pool size (non-positive: GOMAXPROCS).
-	Parallel int
-	// Seed keys every replication's random substream. All cells share the
-	// seed, so a given replication index sees the identical world and fault
-	// plan with the policy on and off — the comparison is paired.
-	Seed int64
-	// Vehicles per fleet (default 6) over RSUs shared edge sites (default 2).
-	Vehicles int
-	RSUs     int
-	// Rounds of fleet-wide invocations per replication at 250 ms spacing
-	// (default 8).
-	Rounds int
-	// SpeedJitterMPH perturbs per-vehicle speeds (default 10).
-	SpeedJitterMPH float64
-	// Intensities are outage-rate multipliers; each yields a policy-off and
-	// a policy-on cell (default 0.5, 1, 2).
-	Intensities []float64
-}
+// E14's world: chaosVehicles vehicles per fleet over chaosRSUs shared edge
+// sites, chaosRounds rounds of fleet-wide invocations at 250 ms spacing,
+// speeds jittered ±chaosSpeedJitterMPH. chaosIntensities are outage-rate
+// multipliers; each yields a policy-off and a policy-on cell.
+const (
+	chaosVehicles       = 6
+	chaosRSUs           = 2
+	chaosRounds         = 8
+	chaosSpeedJitterMPH = 10
+)
 
-func (c ChaosConfig) withDefaults() ChaosConfig {
-	if c.Replications == 0 {
-		c.Replications = 6
-	}
-	if c.Vehicles == 0 {
-		c.Vehicles = 6
-	}
-	if c.RSUs == 0 {
-		c.RSUs = 2
-	}
-	if c.Rounds == 0 {
-		c.Rounds = 8
-	}
-	if c.SpeedJitterMPH == 0 {
-		c.SpeedJitterMPH = 10
-	}
-	if len(c.Intensities) == 0 {
-		c.Intensities = []float64{0.5, 1, 2}
-	}
-	return c
-}
+var chaosIntensities = []float64{0.5, 1, 2}
 
 // chaosFaults scales the base fault rates by the cell's intensity: higher
 // intensity shortens the healthy gaps between outages, degradation windows,
 // and transient execution faults.
-func chaosFaults(cfg ChaosConfig, intensity float64) *faults.PlanConfig {
-	horizon := time.Duration(cfg.Rounds)*250*time.Millisecond + 2*time.Second
+func chaosFaults(intensity float64) *faults.PlanConfig {
 	return &faults.PlanConfig{
-		Horizon:             horizon,
+		Horizon:             chaosRounds*250*time.Millisecond + 2*time.Second,
 		MeanTimeToOutage:    time.Duration(float64(2500*time.Millisecond) / intensity),
 		MeanOutage:          600 * time.Millisecond,
 		MeanTimeToDegrade:   time.Duration(float64(2*time.Second) / intensity),
@@ -111,27 +78,22 @@ type chaosRep struct {
 // RunChaosSweep is E14: fleets under injected chaos — site outages, link
 // degradation, transient execution faults — with the offload resilience
 // policy (circuit breakers + bounded retry + degradation ladder) off vs. on.
-// Cells share the seed, so each replication index runs the identical world
-// and fault plan under both policies; the hit-rate gap is attributable to
-// the policy alone. Output is byte-identical for a given seed at any
-// Parallel level.
-func RunChaosSweep(cfg ChaosConfig) (*ChaosResult, error) {
-	cfg = cfg.withDefaults()
+// Cells share cfg and so the seed: each replication index runs the identical
+// world and fault plan under both policies — the comparison is paired, and
+// the hit-rate gap is attributable to the policy alone. Output is
+// byte-identical for a given seed at any Parallel level.
+func RunChaosSweep(cfg runner.Config) (*ChaosResult, error) {
 	res := &ChaosResult{Obs: obs.Scope{Metrics: telemetry.NewRegistry(), Tracer: trace.New()}}
-	for _, intensity := range cfg.Intensities {
+	for _, intensity := range chaosIntensities {
 		for _, resilient := range []bool{false, true} {
 			intensity, resilient := intensity, resilient
-			rep, err := runner.Run(runner.Config{
-				Replications: cfg.Replications,
-				Parallel:     cfg.Parallel,
-				Seed:         cfg.Seed,
-			}, func(sh *runner.Shard) (chaosRep, error) {
+			rep, err := runner.Run(cfg, func(sh *runner.Shard) (chaosRep, error) {
 				fcfg := fleet.Config{
-					Vehicles:       cfg.Vehicles,
-					RSUs:           cfg.RSUs,
-					SpeedJitterMPH: cfg.SpeedJitterMPH,
+					Vehicles:       chaosVehicles,
+					RSUs:           chaosRSUs,
+					SpeedJitterMPH: chaosSpeedJitterMPH,
 					RNG:            sh.RNG,
-					Faults:         chaosFaults(cfg, intensity),
+					Faults:         chaosFaults(intensity),
 				}
 				if resilient {
 					pol := offload.DefaultPolicy()
@@ -144,7 +106,7 @@ func RunChaosSweep(cfg ChaosConfig) (*ChaosResult, error) {
 				f.InstrumentSharded(true)
 				var out chaosRep
 				out.FaultEvents = f.Faults().Plan().EventCount()
-				for round := 0; round < cfg.Rounds; round++ {
+				for round := 0; round < chaosRounds; round++ {
 					now := time.Duration(round) * 250 * time.Millisecond
 					rr, err := f.ShardedInvokeAllTolerant("kidnapper-search", now)
 					if err != nil {
@@ -214,10 +176,12 @@ func ChaosTable(res *ChaosResult) *Table {
 // latency on a fifth, and occasional accept stalls. The plan is
 // byte-identical at any parallel level — `make determinism` diffs it.
 func CompileChaosPlan(seed int64, parallel int) (*faults.NetPlan, error) {
-	cfg := faults.DefaultNetChaos(seed, 4096)
-	cfg.ResetMinBytes = 1 << 9
-	cfg.ResetMaxBytes = 8 << 10
-	cfg.TruncateMinBytes = 1 << 9
-	cfg.TruncateMaxBytes = 6 << 10
-	return faults.CompileNetPlan(cfg, parallel)
+	return faults.CompileNetPlan(faults.NetChaosConfig{
+		Seed:             seed,
+		Conns:            4096,
+		ResetMinBytes:    1 << 9,
+		ResetMaxBytes:    8 << 10,
+		TruncateMinBytes: 1 << 9,
+		TruncateMaxBytes: 6 << 10,
+	}, parallel)
 }

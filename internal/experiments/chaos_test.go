@@ -2,17 +2,12 @@ package experiments
 
 import (
 	"testing"
+
+	"repro/internal/runner"
 )
 
-func smallChaos(parallel int) ChaosConfig {
-	return ChaosConfig{
-		Replications: 3,
-		Parallel:     parallel,
-		Seed:         42,
-		Vehicles:     4,
-		Rounds:       6,
-		Intensities:  []float64{1, 2},
-	}
+func smallChaos(parallel int) runner.Config {
+	return runner.Config{Replications: 3, Parallel: parallel, Seed: 42}
 }
 
 // TestChaosResilienceBeatsBaseline is E14's headline claim: at every
@@ -24,8 +19,8 @@ func TestChaosResilienceBeatsBaseline(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(res.Rows) != 4 {
-		t.Fatalf("rows = %d, want 2 intensities x 2 policies", len(res.Rows))
+	if len(res.Rows) != 2*len(chaosIntensities) {
+		t.Fatalf("rows = %d, want %d intensities x 2 policies", len(res.Rows), len(chaosIntensities))
 	}
 	for i := 0; i < len(res.Rows); i += 2 {
 		off, on := res.Rows[i], res.Rows[i+1]

@@ -184,7 +184,7 @@ func RunPBEAMPipeline(seed int64, drivers int) ([]PBEAMRow, error) {
 	var rows []PBEAMRow
 	for i := 0; i < drivers; i++ {
 		driver := models.SyntheticDriver(fmt.Sprintf("driver-%d", i), seed+int64(i)*17)
-		res, err := models.BuildPBEAM(models.PBEAMConfig{}, driver, sim.NewRNG(seed+int64(i)*101))
+		res, err := models.BuildPBEAM(driver, sim.NewRNG(seed+int64(i)*101))
 		if err != nil {
 			return nil, fmt.Errorf("driver %d: %w", i, err)
 		}

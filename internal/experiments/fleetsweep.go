@@ -11,51 +11,20 @@ import (
 	"repro/internal/xedge"
 )
 
-// SweepConfig parameterizes RunFleetSweep (E13).
-type SweepConfig struct {
-	// Replications is how many independent fleet worlds to run (default 8).
-	Replications int
-	// Parallel is the worker-pool size (non-positive: GOMAXPROCS).
-	Parallel int
-	// Seed keys every replication's random substream.
-	Seed int64
-	// Vehicles per fleet (default 8) contending for RSUs shared edge sites
-	// (default 1).
-	Vehicles int
-	RSUs     int
-	// Rounds of fleet-wide invocations per replication (default 5).
-	Rounds int
-	// SpeedJitterMPH perturbs per-vehicle speeds around 35 MPH so each
-	// replication sees a different traffic mix (default 10).
-	SpeedJitterMPH float64
-	// MaxBackgroundTasks bounds the replication-random background tenant
-	// load preloaded onto each edge site (default 8, enough to push some
-	// replications past an RSU's free executor capacity): the multi-tenant
-	// occupancy each replication's fleet contends against.
-	MaxBackgroundTasks int
-}
-
-func (c SweepConfig) withDefaults() SweepConfig {
-	if c.Replications == 0 {
-		c.Replications = 8
-	}
-	if c.Vehicles == 0 {
-		c.Vehicles = 8
-	}
-	if c.RSUs == 0 {
-		c.RSUs = 1
-	}
-	if c.Rounds == 0 {
-		c.Rounds = 5
-	}
-	if c.SpeedJitterMPH == 0 {
-		c.SpeedJitterMPH = 10
-	}
-	if c.MaxBackgroundTasks == 0 {
-		c.MaxBackgroundTasks = 8
-	}
-	return c
-}
+// E13's world: sweepVehicles vehicles per fleet contend for sweepRSUs shared
+// edge sites over sweepRounds rounds of fleet-wide invocations, speeds
+// jittered ±sweepSpeedJitterMPH around 35 MPH so each replication sees a
+// different traffic mix. Each edge site starts with 1..sweepMaxBackground
+// replication-random background tenant tasks — enough to push some
+// replications past an RSU's free executor capacity: the multi-tenant
+// occupancy each replication's fleet contends against.
+const (
+	sweepVehicles       = 8
+	sweepRSUs           = 1
+	sweepRounds         = 5
+	sweepSpeedJitterMPH = 10
+	sweepMaxBackground  = 8
+)
 
 // SweepRow is one replication's steady-round measurement.
 type SweepRow struct {
@@ -76,21 +45,16 @@ type SweepResult struct {
 // RunFleetSweep runs N independent fleet-contention replications over the
 // parallel runner (E13). Each replication builds its own world — road,
 // RSU/cloud sites, vehicles — with per-vehicle speeds jittered from its
-// replication-indexed RNG stream, warms the system for cfg.Rounds
+// replication-indexed RNG stream, warms the system for sweepRounds
 // invocation rounds, and reports the steady round. Output (rows, merged
 // metrics, merged trace) is byte-identical for a given seed at any
 // Parallel level.
-func RunFleetSweep(cfg SweepConfig) (*SweepResult, error) {
-	cfg = cfg.withDefaults()
-	rep, err := runner.Run(runner.Config{
-		Replications: cfg.Replications,
-		Parallel:     cfg.Parallel,
-		Seed:         cfg.Seed,
-	}, func(sh *runner.Shard) (SweepRow, error) {
+func RunFleetSweep(cfg runner.Config) (*SweepResult, error) {
+	rep, err := runner.Run(cfg, func(sh *runner.Shard) (SweepRow, error) {
 		f, err := fleet.New(fleet.Config{
-			Vehicles:       cfg.Vehicles,
-			RSUs:           cfg.RSUs,
-			SpeedJitterMPH: cfg.SpeedJitterMPH,
+			Vehicles:       sweepVehicles,
+			RSUs:           sweepRSUs,
+			SpeedJitterMPH: sweepSpeedJitterMPH,
 			RNG:            sh.RNG,
 		})
 		if err != nil {
@@ -103,7 +67,7 @@ func RunFleetSweep(cfg SweepConfig) (*SweepResult, error) {
 			if s.Kind() != xedge.RSU {
 				continue
 			}
-			n := 1 + sh.RNG.Intn(cfg.MaxBackgroundTasks)
+			n := 1 + sh.RNG.Intn(sweepMaxBackground)
 			if err := s.Preload(n, hardware.DNNInference, 300); err != nil {
 				return SweepRow{}, err
 			}
@@ -115,7 +79,7 @@ func RunFleetSweep(cfg SweepConfig) (*SweepResult, error) {
 		var total, max time.Duration
 		var shareSum float64
 		done, hangups := 0, 0
-		for round := 0; round < cfg.Rounds; round++ {
+		for round := 0; round < sweepRounds; round++ {
 			now := time.Duration(round) * 250 * time.Millisecond
 			rr, err := f.ShardedInvokeAll("kidnapper-search", now)
 			if err != nil {
@@ -133,7 +97,7 @@ func RunFleetSweep(cfg SweepConfig) (*SweepResult, error) {
 		row := SweepRow{
 			Replication:  sh.Index,
 			MaxMS:        float64(max) / float64(time.Millisecond),
-			OffloadShare: shareSum / float64(cfg.Rounds),
+			OffloadShare: shareSum / sweepRounds,
 			HangUps:      hangups,
 		}
 		if done > 0 {

@@ -3,6 +3,8 @@ package experiments
 import (
 	"fmt"
 	"testing"
+
+	"repro/internal/runner"
 )
 
 // TestFleetSweepDeterministicAcrossParallel: the acceptance criterion for
@@ -10,7 +12,7 @@ import (
 // merged telemetry, and merged trace.
 func TestFleetSweepDeterministicAcrossParallel(t *testing.T) {
 	at := func(parallel int) (string, string, string) {
-		res, err := RunFleetSweep(SweepConfig{Replications: 8, Parallel: parallel, Seed: 42})
+		res, err := RunFleetSweep(runner.Config{Replications: 8, Parallel: parallel, Seed: 42})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -34,7 +36,7 @@ func TestFleetSweepDeterministicAcrossParallel(t *testing.T) {
 // TestFleetSweepShardsDiffer: replications must not be clones — the
 // per-replication RNG streams give each fleet a different traffic mix.
 func TestFleetSweepShardsDiffer(t *testing.T) {
-	res, err := RunFleetSweep(SweepConfig{Replications: 4, Parallel: 2, Seed: 7})
+	res, err := RunFleetSweep(runner.Config{Replications: 4, Parallel: 2, Seed: 7})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -67,7 +69,7 @@ func BenchmarkFleetSweepParallel(b *testing.B) {
 	for _, parallel := range []int{1, 2, 4, 8} {
 		b.Run(fmt.Sprintf("parallel=%d", parallel), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				if _, err := RunFleetSweep(SweepConfig{
+				if _, err := RunFleetSweep(runner.Config{
 					Replications: 8, Parallel: parallel, Seed: 42,
 				}); err != nil {
 					b.Fatal(err)

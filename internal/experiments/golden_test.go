@@ -6,6 +6,8 @@ import (
 	"path/filepath"
 	"testing"
 	"time"
+
+	"repro/internal/runner"
 )
 
 var update = flag.Bool("update", false, "rewrite the golden tables under testdata/")
@@ -61,14 +63,14 @@ func TestExperimentTablesGolden(t *testing.T) {
 			return FleetTable(rows).String(), nil
 		}},
 		{"e13_sweep", func() (string, error) {
-			res, err := RunFleetSweep(SweepConfig{Replications: reps, Parallel: 2, Seed: seed})
+			res, err := RunFleetSweep(runner.Config{Replications: reps, Parallel: 2, Seed: seed})
 			if err != nil {
 				return "", err
 			}
 			return FleetSweepTable(res).String(), nil
 		}},
 		{"e14_chaos", func() (string, error) {
-			res, err := RunChaosSweep(ChaosConfig{Replications: reps, Parallel: 2, Seed: seed})
+			res, err := RunChaosSweep(runner.Config{Replications: reps, Parallel: 2, Seed: seed})
 			if err != nil {
 				return "", err
 			}

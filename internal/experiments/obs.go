@@ -16,70 +16,28 @@ import (
 // RunReportSchema versions the RUN_REPORT.json layout written by E17.
 const RunReportSchema = "openvdap.run_report/v1"
 
-// ObsConfig parameterizes RunObs (E17).
+// ObsConfig parameterizes RunObs (E17): the replication runner's settings
+// plus Shards, the epoch-barrier lane count inside each fleet (zero means
+// 2). Output is byte-identical for any Parallel or Shards value.
 type ObsConfig struct {
-	// Replications is how many independent faulted fleet worlds (default 4).
-	Replications int
-	// Parallel is the worker-pool size (non-positive: GOMAXPROCS). Output
-	// is byte-identical at any level.
-	Parallel int
-	// Seed keys every replication's random substream.
-	Seed int64
-	// Vehicles per fleet (default 8) over RSUs shared edge sites (default 2).
-	Vehicles int
-	RSUs     int
-	// Shards is the epoch-barrier lane count inside each fleet (default 2).
-	// Output is byte-identical for any value.
+	runner.Config
 	Shards int
-	// Rounds of fleet-wide invocations per replication (default 8), spaced
-	// Epoch apart (default 400 ms).
-	Rounds int
-	Epoch  time.Duration
-	// SampleInterval is the sampler's virtual-time tick (non-positive:
-	// obs.DefaultSampleInterval).
-	SampleInterval time.Duration
-	// SpeedJitterMPH perturbs per-vehicle speeds (default 10).
-	SpeedJitterMPH float64
-	// BandwidthBudgetBytes caps each vehicle's uplink spend so the
-	// budget-remaining gauge is meaningful (default 48 MB).
-	BandwidthBudgetBytes float64
-	// EventCapacity bounds each flight-recorder lane (default 4096).
-	EventCapacity int
 }
 
-func (c ObsConfig) withDefaults() ObsConfig {
-	if c.Replications == 0 {
-		c.Replications = 4
-	}
-	if c.Vehicles == 0 {
-		c.Vehicles = 8
-	}
-	if c.RSUs == 0 {
-		c.RSUs = 2
-	}
-	if c.Shards == 0 {
-		c.Shards = 2
-	}
-	if c.Rounds == 0 {
-		c.Rounds = 8
-	}
-	if c.Epoch == 0 {
-		c.Epoch = 400 * time.Millisecond
-	}
-	if c.SampleInterval <= 0 {
-		c.SampleInterval = obs.DefaultSampleInterval
-	}
-	if c.SpeedJitterMPH == 0 {
-		c.SpeedJitterMPH = 10
-	}
-	if c.BandwidthBudgetBytes == 0 {
-		c.BandwidthBudgetBytes = 48e6
-	}
-	if c.EventCapacity == 0 {
-		c.EventCapacity = 4096
-	}
-	return c
-}
+// E17's world: obsVehicles vehicles per fleet over obsRSUs shared edge
+// sites, obsRounds rounds of fleet-wide invocations spaced obsEpoch apart,
+// speeds jittered ±obsSpeedJitterMPH. Each vehicle's uplink spend is capped
+// at obsBandwidthBudgetBytes so the budget-remaining gauge is meaningful,
+// and each flight-recorder lane holds obsEventCapacity events.
+const (
+	obsVehicles             = 8
+	obsRSUs                 = 2
+	obsRounds               = 8
+	obsEpoch                = 400 * time.Millisecond
+	obsSpeedJitterMPH       = 10
+	obsBandwidthBudgetBytes = 48e6
+	obsEventCapacity        = 4096
+)
 
 // ObsRoundHealth is one round's fleet health gauges, aggregated over all
 // replications.
@@ -101,7 +59,7 @@ type ObsRoundHealth struct {
 
 // ObsResult is the deterministic merge of the whole experiment.
 type ObsResult struct {
-	Config ObsConfig
+	Config runner.Config
 	Rounds []ObsRoundHealth
 	// Obs holds the merged registry, sampled series and event log.
 	Obs obs.Scope
@@ -123,32 +81,30 @@ type obsRep struct {
 // series and event log are byte-identical for any Shards or Parallel
 // value, which `make determinism` exploits.
 func RunObs(cfg ObsConfig) (*ObsResult, error) {
-	cfg = cfg.withDefaults()
-	rep, err := runner.Run(runner.Config{
-		Replications: cfg.Replications,
-		Parallel:     cfg.Parallel,
-		Seed:         cfg.Seed,
-	}, func(sh *runner.Shard) (obsRep, error) {
+	if cfg.Shards == 0 {
+		cfg.Shards = 2
+	}
+	rep, err := runner.Run(cfg.Config, func(sh *runner.Shard) (obsRep, error) {
 		pol := offload.DefaultPolicy()
 		f, err := fleet.New(fleet.Config{
-			Vehicles:       cfg.Vehicles,
-			RSUs:           cfg.RSUs,
+			Vehicles:       obsVehicles,
+			RSUs:           obsRSUs,
 			Shards:         cfg.Shards,
-			SpeedJitterMPH: cfg.SpeedJitterMPH,
+			SpeedJitterMPH: obsSpeedJitterMPH,
 			RNG:            sh.RNG,
-			Faults:         obsFaults(cfg),
+			Faults:         obsFaults(),
 			Resilience:     &pol,
 		})
 		if err != nil {
 			return obsRep{}, err
 		}
 		f.InstrumentSharded(false)
-		f.EnableFlightRecorder(cfg.EventCapacity)
+		f.EnableFlightRecorder(obsEventCapacity)
 		for _, v := range f.Vehicles() {
-			v.Engine.SetBandwidthBudget(cfg.BandwidthBudgetBytes)
+			v.Engine.SetBandwidthBudget(obsBandwidthBudgetBytes)
 		}
 		store := obs.NewSeriesStore(0)
-		sp := obs.NewSampler(store, cfg.SampleInterval)
+		sp := obs.NewSampler(store, obs.DefaultSampleInterval)
 		if err := f.WatchTelemetry(sp); err != nil {
 			return obsRep{}, err
 		}
@@ -161,13 +117,13 @@ func RunObs(cfg ObsConfig) (*ObsResult, error) {
 		}
 
 		out := obsRep{FaultEvents: f.Faults().Plan().EventCount()}
-		for round := 0; round < cfg.Rounds; round++ {
-			now := time.Duration(round) * cfg.Epoch
+		for round := 0; round < obsRounds; round++ {
+			now := time.Duration(round) * obsEpoch
 			rr, err := f.ShardedInvokeAllTolerant("kidnapper-search", now)
 			if err != nil {
 				return obsRep{}, err
 			}
-			end := now + cfg.Epoch
+			end := now + obsEpoch
 			if err := eng.RunUntil(end); err != nil {
 				return obsRep{}, err
 			}
@@ -187,9 +143,9 @@ func RunObs(cfg ObsConfig) (*ObsResult, error) {
 			var frac float64
 			for _, v := range f.Vehicles() {
 				remaining, _ := v.Engine.BandwidthRemaining()
-				frac += remaining / cfg.BandwidthBudgetBytes
+				frac += remaining / obsBandwidthBudgetBytes
 			}
-			h.BudgetRemaining = frac / float64(cfg.Vehicles)
+			h.BudgetRemaining = frac / obsVehicles
 			out.Rounds = append(out.Rounds, h)
 		}
 		f.MergeInto(sh.Obs)
@@ -201,12 +157,12 @@ func RunObs(cfg ObsConfig) (*ObsResult, error) {
 	}
 
 	res := &ObsResult{
-		Config: cfg,
-		Rounds: make([]ObsRoundHealth, cfg.Rounds),
+		Config: cfg.Config,
+		Rounds: make([]ObsRoundHealth, obsRounds),
 		Obs: obs.Scope{
 			Metrics: rep.Obs.Metrics,
 			Series:  obs.NewSeriesStore(0),
-			Events:  obs.NewRecorder(cfg.EventCapacity * cfg.Replications),
+			Events:  obs.NewRecorder(obsEventCapacity * cfg.Replications),
 		},
 	}
 	// Merge replications in index order: counter series sum pointwise
@@ -235,7 +191,7 @@ func RunObs(cfg ObsConfig) (*ObsResult, error) {
 	// Health gauges land in the merged store after the replication merge,
 	// so their values aggregate over worlds instead of src-wins per world.
 	for i := range res.Rounds {
-		at := time.Duration(i+1) * cfg.Epoch
+		at := time.Duration(i+1) * obsEpoch
 		res.Obs.Series.RecordGauge("fleet.deadline_hit_rate", at, res.Rounds[i].HitRate)
 		res.Obs.Series.RecordGauge("fleet.queue_depth_s", at, res.Rounds[i].QueueDepthSec)
 		res.Obs.Series.RecordGauge("fleet.budget_remaining", at, res.Rounds[i].BudgetRemaining)
@@ -246,10 +202,9 @@ func RunObs(cfg ObsConfig) (*ObsResult, error) {
 // obsFaults is the experiment's fault plan: one healthy-to-outage cycle
 // every few rounds plus link degradation and transient execution faults,
 // sized to the run's horizon.
-func obsFaults(cfg ObsConfig) *faults.PlanConfig {
-	horizon := time.Duration(cfg.Rounds)*cfg.Epoch + 2*time.Second
+func obsFaults() *faults.PlanConfig {
 	return &faults.PlanConfig{
-		Horizon:             horizon,
+		Horizon:             obsRounds*obsEpoch + 2*time.Second,
 		MeanTimeToOutage:    2500 * time.Millisecond,
 		MeanOutage:          600 * time.Millisecond,
 		MeanTimeToDegrade:   2 * time.Second,
@@ -306,11 +261,11 @@ func BuildRunReport(res *ObsResult) *RunReport {
 		Schema:       RunReportSchema,
 		Experiment:   "obs",
 		Seed:         res.Config.Seed,
-		Vehicles:     res.Config.Vehicles,
-		RSUs:         res.Config.RSUs,
-		Rounds:       res.Config.Rounds,
+		Vehicles:     obsVehicles,
+		RSUs:         obsRSUs,
+		Rounds:       obsRounds,
 		Replications: res.Config.Replications,
-		EpochNs:      int64(res.Config.Epoch),
+		EpochNs:      int64(obsEpoch),
 		FaultEvents:  res.FaultEvents,
 		RoundHealth:  res.Rounds,
 		Series:       res.Obs.Series.Payload(-1),

@@ -79,11 +79,14 @@ var paperFig2 = map[string][2]float64{ // scenario/profile -> packet, frame
 }
 
 // RunFigure2 replays the drive test: a five-minute live H.264 upload over
-// LTE at each speed and resolution, with the paper's counting rules.
-// Duration is clipped to at least one GOP.
+// LTE at each speed and resolution, with the paper's counting rules. A
+// duration shorter than one GOP has no frame to count and is an error.
 func RunFigure2(seed int64, duration time.Duration) ([]Figure2Row, error) {
-	if duration < 2*time.Second {
-		duration = 5 * time.Minute
+	profiles := []video.Profile{video.Profile720p(), video.Profile1080p()}
+	for _, prof := range profiles {
+		if duration < prof.KeyInterval {
+			return nil, fmt.Errorf("figure 2: duration %v is shorter than one %v GOP of the %s stream", duration, prof.KeyInterval, prof.Name)
+		}
 	}
 	road, err := geo.NewRoad(80000)
 	if err != nil {
@@ -98,7 +101,6 @@ func RunFigure2(seed int64, duration time.Duration) ([]Figure2Row, error) {
 		{"35mph", geo.MPH(35)},
 		{"70mph", geo.MPH(70)},
 	}
-	profiles := []video.Profile{video.Profile720p(), video.Profile1080p()}
 	lte, err := network.LookupLink("lte")
 	if err != nil {
 		return nil, err

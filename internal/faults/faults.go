@@ -47,13 +47,11 @@ type PlanConfig struct {
 
 	// MeanTimeToDegrade spaces link-degradation windows (0 disables).
 	// MeanDegrade is the expected window length (default 2s). During a
-	// window every link on the site's access path suffers LossDelta
-	// added packet loss (default 0.35, capped at 0.95 total) and its
-	// bandwidth multiplied by BandwidthFactor (default 0.25).
+	// window every link on the site's access path suffers degradeLossDelta
+	// added packet loss (capped at 0.95 total) and keeps
+	// degradeBandwidthFactor of its bandwidth.
 	MeanTimeToDegrade time.Duration
 	MeanDegrade       time.Duration
-	LossDelta         float64
-	BandwidthFactor   float64
 
 	// MeanTimeToExecFault spaces transient execution-fault windows
 	// (0 disables). MeanExecFault is the expected window length
@@ -62,11 +60,13 @@ type PlanConfig struct {
 	// window length relative to the caller's retry budget.
 	MeanTimeToExecFault time.Duration
 	MeanExecFault       time.Duration
-
-	// ExemptKinds lists site kinds never faulted (e.g. keep the cloud
-	// tier up to isolate edge-failure effects).
-	ExemptKinds []xedge.SiteKind
 }
+
+// What a degradation window does to each link of a site's access path.
+const (
+	degradeLossDelta       = 0.35
+	degradeBandwidthFactor = 0.25
+)
 
 func (c PlanConfig) withDefaults() PlanConfig {
 	if c.MeanOutage <= 0 {
@@ -74,12 +74,6 @@ func (c PlanConfig) withDefaults() PlanConfig {
 	}
 	if c.MeanDegrade <= 0 {
 		c.MeanDegrade = 2 * time.Second
-	}
-	if c.LossDelta == 0 {
-		c.LossDelta = 0.35
-	}
-	if c.BandwidthFactor <= 0 {
-		c.BandwidthFactor = 0.25
 	}
 	if c.MeanExecFault <= 0 {
 		c.MeanExecFault = 600 * time.Millisecond
@@ -161,27 +155,17 @@ func NewPlan(cfg PlanConfig, rng *sim.RNG, sites []*xedge.Site) (*Plan, error) {
 	if rng == nil {
 		return nil, fmt.Errorf("faults: nil RNG")
 	}
-	if cfg.BandwidthFactor > 1 {
-		return nil, fmt.Errorf("faults: bandwidth factor %v > 1 would improve the link", cfg.BandwidthFactor)
-	}
-	if cfg.LossDelta < 0 || cfg.LossDelta >= 1 {
-		return nil, fmt.Errorf("faults: loss delta %v outside [0,1)", cfg.LossDelta)
-	}
 	cfg = cfg.withDefaults()
-	exempt := make(map[xedge.SiteKind]bool, len(cfg.ExemptKinds))
-	for _, k := range cfg.ExemptKinds {
-		exempt[k] = true
-	}
 	p := &Plan{cfg: cfg, byName: make(map[string]*sitePlan, len(sites))}
 	for _, s := range sites {
 		if s == nil {
 			continue
 		}
-		sp := &sitePlan{site: s}
-		if !exempt[s.Kind()] {
-			sp.outages = drawWindows(rng.Fork(), cfg.Horizon, cfg.MeanTimeToOutage, cfg.MeanOutage)
-			sp.degrades = drawWindows(rng.Fork(), cfg.Horizon, cfg.MeanTimeToDegrade, cfg.MeanDegrade)
-			sp.execFaults = drawWindows(rng.Fork(), cfg.Horizon, cfg.MeanTimeToExecFault, cfg.MeanExecFault)
+		sp := &sitePlan{
+			site:       s,
+			outages:    drawWindows(rng.Fork(), cfg.Horizon, cfg.MeanTimeToOutage, cfg.MeanOutage),
+			degrades:   drawWindows(rng.Fork(), cfg.Horizon, cfg.MeanTimeToDegrade, cfg.MeanDegrade),
+			execFaults: drawWindows(rng.Fork(), cfg.Horizon, cfg.MeanTimeToExecFault, cfg.MeanExecFault),
 		}
 		p.sites = append(p.sites, sp)
 		p.byName[s.Name()] = sp
@@ -462,9 +446,9 @@ func (in *Injector) siteUp(s *xedge.Site, at time.Duration) {
 }
 
 // AdjustPath implements offload.PathAdjuster: inside a degradation
-// window the destination's access links lose LossDelta extra packets
-// (total loss capped at 0.95) and keep only BandwidthFactor of their
-// bandwidth. Outside windows the path is returned untouched.
+// window the destination's access links lose degradeLossDelta extra
+// packets (total loss capped at 0.95) and keep only degradeBandwidthFactor
+// of their bandwidth. Outside windows the path is returned untouched.
 //
 // AdjustPath never mutates injector state (the degraded-path counter is
 // atomic), so concurrent calls from the parallel decision phase of a
@@ -481,13 +465,12 @@ func (in *Injector) AdjustPath(dest string, p network.Path, now time.Duration) n
 	if !inWindowsFrom(sp.degrades, degradeCur, now) {
 		return p
 	}
-	cfg := in.plan.cfg
 	adj := network.Path{Name: p.Name, Links: make([]network.LinkSpec, len(p.Links))}
 	copy(adj.Links, p.Links)
 	for i := range adj.Links {
-		adj.Links[i].UpMbps *= cfg.BandwidthFactor
-		adj.Links[i].DownMbps *= cfg.BandwidthFactor
-		loss := adj.Links[i].BaseLoss + cfg.LossDelta
+		adj.Links[i].UpMbps *= degradeBandwidthFactor
+		adj.Links[i].DownMbps *= degradeBandwidthFactor
+		loss := adj.Links[i].BaseLoss + degradeLossDelta
 		if loss > 0.95 {
 			loss = 0.95
 		}

@@ -27,74 +27,35 @@ type NetChaosConfig struct {
 	// connections past the end wrap around (conn % Conns).
 	Conns int
 
-	// LatencyProb is the chance a connection carries head-of-line latency:
-	// the proxy holds the first response bytes for a uniform draw in
-	// [LatencyMin, LatencyMax).
-	LatencyProb float64
-	LatencyMin  time.Duration
-	LatencyMax  time.Duration
-
-	// ResetProb is the chance the connection is torn down with a TCP RST
-	// after forwarding a uniform draw in [ResetMinBytes, ResetMaxBytes) of
+	// A connection drawn for a reset is torn down with a TCP RST after
+	// forwarding a uniform draw in [ResetMinBytes, ResetMaxBytes) of
 	// response bytes — the mid-frame connection loss of a vehicular link.
-	ResetProb     float64
 	ResetMinBytes int64
 	ResetMaxBytes int64
 
-	// TruncateProb is the chance the response stream is cut with a clean
-	// FIN after a uniform draw in [TruncateMinBytes, TruncateMaxBytes) of
-	// response bytes, truncating whatever frame is in flight.
-	TruncateProb     float64
+	// A connection drawn for truncation has its response stream cut with a
+	// clean FIN after a uniform draw in [TruncateMinBytes, TruncateMaxBytes)
+	// of response bytes, truncating whatever frame is in flight.
 	TruncateMinBytes int64
 	TruncateMaxBytes int64
-
-	// AcceptStallProb is the chance the proxy sits on a freshly accepted
-	// connection for a uniform draw in (0, AcceptStallMax) before relaying
-	// any bytes — the dead-zone dial that only a client timeout escapes.
-	AcceptStallProb float64
-	AcceptStallMax  time.Duration
 }
 
-// DefaultNetChaos is the E19 chaos recipe: nearly every connection has a
-// finite byte budget before it dies (reset or truncation), so a client
-// without retries loses a steady fraction of requests, while latency and
-// accept stalls exercise hedging and per-request timeouts.
-func DefaultNetChaos(seed int64, conns int) NetChaosConfig {
-	return NetChaosConfig{
-		Seed:             seed,
-		Conns:            conns,
-		LatencyProb:      0.20,
-		LatencyMin:       10 * time.Millisecond,
-		LatencyMax:       120 * time.Millisecond,
-		ResetProb:        0.45,
-		ResetMinBytes:    2 << 10,
-		ResetMaxBytes:    48 << 10,
-		TruncateProb:     0.45,
-		TruncateMinBytes: 1 << 10,
-		TruncateMaxBytes: 32 << 10,
-		AcceptStallProb:  0.08,
-		AcceptStallMax:   time.Second,
-	}
-}
-
-func (c NetChaosConfig) withDefaults() NetChaosConfig {
-	if c.Conns <= 0 {
-		c.Conns = 256
-	}
-	if c.LatencyMax <= c.LatencyMin {
-		c.LatencyMax = c.LatencyMin + time.Millisecond
-	}
-	if c.ResetMaxBytes <= c.ResetMinBytes {
-		c.ResetMaxBytes = c.ResetMinBytes + 1
-	}
-	if c.TruncateMaxBytes <= c.TruncateMinBytes {
-		c.TruncateMaxBytes = c.TruncateMinBytes + 1
-	}
-	if c.AcceptStallMax <= 0 {
-		c.AcceptStallMax = time.Second
-	}
-	return c
-}
+// The E19 chaos recipe: nearly every connection has a finite byte budget
+// before it dies (reset or truncation, 45% each and independent), so a
+// client without retries loses a steady fraction of requests; a fifth hold
+// their first response bytes for a uniform draw in [latencyMin, latencyMax),
+// and 8% sit on a freshly accepted connection for up to acceptStallMax
+// before relaying anything — the dead-zone dial that only a client timeout
+// escapes — which exercise hedging and per-request timeouts.
+const (
+	latencyProb     = 0.20
+	latencyMin      = 10 * time.Millisecond
+	latencyMax      = 120 * time.Millisecond
+	resetProb       = 0.45
+	truncateProb    = 0.45
+	acceptStallProb = 0.08
+	acceptStallMax  = time.Second
+)
 
 // ConnPlan is one connection's compiled fault recipe. Zero byte budgets and
 // durations mean the fault family is absent on this connection.
@@ -112,23 +73,23 @@ type ConnPlan struct {
 func compileConnPlan(cfg NetChaosConfig, conn int) ConnPlan {
 	rng := sim.NewStream(cfg.Seed, uint64(conn))
 	p := ConnPlan{Conn: conn}
-	if rng.Bernoulli(cfg.LatencyProb) {
-		p.Latency = time.Duration(rng.Uniform(float64(cfg.LatencyMin), float64(cfg.LatencyMax)))
+	if rng.Bernoulli(latencyProb) {
+		p.Latency = time.Duration(rng.Uniform(float64(latencyMin), float64(latencyMax)))
 	} else {
 		rng.Float64()
 	}
-	if rng.Bernoulli(cfg.ResetProb) {
+	if rng.Bernoulli(resetProb) {
 		p.ResetAfter = int64(rng.Uniform(float64(cfg.ResetMinBytes), float64(cfg.ResetMaxBytes)))
 	} else {
 		rng.Float64()
 	}
-	if rng.Bernoulli(cfg.TruncateProb) {
+	if rng.Bernoulli(truncateProb) {
 		p.TruncateAfter = int64(rng.Uniform(float64(cfg.TruncateMinBytes), float64(cfg.TruncateMaxBytes)))
 	} else {
 		rng.Float64()
 	}
-	if rng.Bernoulli(cfg.AcceptStallProb) {
-		p.AcceptStall = time.Duration(rng.Uniform(0, float64(cfg.AcceptStallMax)))
+	if rng.Bernoulli(acceptStallProb) {
+		p.AcceptStall = time.Duration(rng.Uniform(0, float64(acceptStallMax)))
 	} else {
 		rng.Float64()
 	}
@@ -146,15 +107,15 @@ type NetPlan struct {
 // own sim.NewStream substream and lands at its own index, so the compiled
 // plan — and therefore Digest — is byte-identical at any parallelism.
 func CompileNetPlan(cfg NetChaosConfig, parallel int) (*NetPlan, error) {
-	for name, p := range map[string]float64{
-		"latency": cfg.LatencyProb, "reset": cfg.ResetProb,
-		"truncate": cfg.TruncateProb, "accept-stall": cfg.AcceptStallProb,
-	} {
-		if p < 0 || p > 1 {
-			return nil, fmt.Errorf("faults: netchaos %s probability %v outside [0,1]", name, p)
-		}
+	if cfg.Conns < 1 {
+		return nil, fmt.Errorf("faults: netchaos needs at least one connection, got %d", cfg.Conns)
 	}
-	cfg = cfg.withDefaults()
+	if cfg.ResetMaxBytes <= cfg.ResetMinBytes {
+		cfg.ResetMaxBytes = cfg.ResetMinBytes + 1
+	}
+	if cfg.TruncateMaxBytes <= cfg.TruncateMinBytes {
+		cfg.TruncateMaxBytes = cfg.TruncateMinBytes + 1
+	}
 	if parallel <= 0 {
 		parallel = 1
 	}
@@ -178,7 +139,7 @@ func CompileNetPlan(cfg NetChaosConfig, parallel int) (*NetPlan, error) {
 	return plan, nil
 }
 
-// Config returns the compiled configuration (defaults resolved).
+// Config returns the compiled configuration (empty byte ranges widened).
 func (p *NetPlan) Config() NetChaosConfig { return p.cfg }
 
 // Conns returns how many per-connection recipes were compiled.

@@ -9,8 +9,17 @@ import (
 	"time"
 )
 
+// netChaos is a recipe with byte budgets of a few KB to a few tens of KB.
+func netChaos(seed int64, conns int) NetChaosConfig {
+	return NetChaosConfig{
+		Seed: seed, Conns: conns,
+		ResetMinBytes: 2 << 10, ResetMaxBytes: 48 << 10,
+		TruncateMinBytes: 1 << 10, TruncateMaxBytes: 32 << 10,
+	}
+}
+
 func TestNetPlanDeterministicAcrossCompilations(t *testing.T) {
-	cfg := DefaultNetChaos(7, 128)
+	cfg := netChaos(7, 128)
 	a, err := CompileNetPlan(cfg, 1)
 	if err != nil {
 		t.Fatal(err)
@@ -25,7 +34,7 @@ func TestNetPlanDeterministicAcrossCompilations(t *testing.T) {
 	if a.Digest() != b.Digest() {
 		t.Fatal("same plan, different digest")
 	}
-	other, err := CompileNetPlan(DefaultNetChaos(8, 128), 1)
+	other, err := CompileNetPlan(netChaos(8, 128), 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -35,7 +44,7 @@ func TestNetPlanDeterministicAcrossCompilations(t *testing.T) {
 }
 
 func TestNetPlanDeterministicAcrossParallelism(t *testing.T) {
-	cfg := DefaultNetChaos(42, 300)
+	cfg := netChaos(42, 300)
 	want := ""
 	for _, parallel := range []int{1, 2, 4, 7} {
 		p, err := CompileNetPlan(cfg, parallel)
@@ -53,7 +62,7 @@ func TestNetPlanDeterministicAcrossParallelism(t *testing.T) {
 }
 
 func TestNetPlanCoversEveryFamily(t *testing.T) {
-	p, err := CompileNetPlan(DefaultNetChaos(1, 512), 2)
+	p, err := CompileNetPlan(netChaos(1, 512), 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -84,11 +93,9 @@ func TestNetPlanCoversEveryFamily(t *testing.T) {
 	}
 }
 
-func TestNetPlanRejectsBadProbability(t *testing.T) {
-	cfg := DefaultNetChaos(1, 8)
-	cfg.ResetProb = 1.5
-	if _, err := CompileNetPlan(cfg, 1); err == nil {
-		t.Fatal("probability 1.5 accepted")
+func TestNetPlanRejectsNoConnections(t *testing.T) {
+	if _, err := CompileNetPlan(netChaos(1, -8), 1); err == nil {
+		t.Fatal("a plan of -8 connections accepted")
 	}
 }
 
@@ -118,10 +125,7 @@ func TestChaosProxyForwardsCleanConnections(t *testing.T) {
 	backend, stop := echoBackend(t)
 	defer stop()
 	// A plan with no fault families: every connection is clean.
-	plan, err := CompileNetPlan(NetChaosConfig{Seed: 3, Conns: 4}, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
+	plan := &NetPlan{conns: make([]ConnPlan, 4)}
 	proxy, err := NewChaosProxy(backend, plan)
 	if err != nil {
 		t.Fatal(err)

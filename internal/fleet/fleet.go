@@ -72,24 +72,15 @@ type Fleet struct {
 type Config struct {
 	// Vehicles is the fleet size (>= 1).
 	Vehicles int
-	// RoadLengthM and infrastructure layout.
-	RoadLengthM  float64
-	BaseStations int
-	RSUs         int
-	// SpeedMPH applies to every vehicle.
-	SpeedMPH float64
-	// SpeedJitterMPH, when positive, perturbs each vehicle's speed by a
+	// RSUs is how many edge sites share the corridor. Zero means 4.
+	RSUs int
+	// SpeedJitterMPH, when positive, perturbs each vehicle's speedMPH by a
 	// uniform draw in [-jitter, +jitter] MPH from the fleet's RNG, so
 	// replications with different seeds explore different traffic mixes.
 	SpeedJitterMPH float64
 	// RNG drives the fleet's random draws (speed jitter). Nil falls back
 	// to a fixed-seed stream, keeping construction deterministic.
 	RNG *sim.RNG
-	// Policy is each vehicle's DSF policy. Nil means GreedyEFT.
-	Policy vcu.Policy
-	// Service is installed on every vehicle. Nil means the ALPR
-	// kidnapper-search service with a 2 s deadline.
-	Service func() *edgeos.Service
 	// Resilience, when non-nil, installs the offload resilience policy
 	// (retry + circuit breaker + degradation ladder) on every vehicle's
 	// engine.
@@ -114,51 +105,32 @@ type Config struct {
 	RSURadiusM float64
 }
 
-func (c Config) withDefaults() Config {
-	if c.RoadLengthM == 0 {
-		c.RoadLengthM = 20000
-	}
-	if c.BaseStations == 0 {
-		c.BaseStations = 20
-	}
-	if c.RSUs == 0 {
-		c.RSUs = 4
-	}
-	if c.SpeedMPH == 0 {
-		c.SpeedMPH = 35
-	}
-	if c.Policy == nil {
-		c.Policy = vcu.GreedyEFT{}
-	}
-	if c.Service == nil {
-		c.Service = func() *edgeos.Service {
-			return &edgeos.Service{
-				Name:     "kidnapper-search",
-				Priority: edgeos.PriorityInteractive,
-				Deadline: 2 * time.Second,
-				DAG:      tasks.ALPR(),
-				Image:    []byte("a3"),
-			}
-		}
-	}
-	return c
-}
+// Every fleet drives the same corridor — roadLengthM long with
+// baseStations LTE towers — at speedMPH, each vehicle under the DSF's greedy
+// earliest-finish policy with the ALPR kidnapper-search service installed.
+const (
+	roadLengthM  = 20000.0
+	baseStations = 20
+	speedMPH     = 35.0
+)
 
 // New assembles the fleet: shared road, shared RSU/cloud sites, and one
 // full vehicle stack per member, spaced evenly along the corridor.
 func New(cfg Config) (*Fleet, error) {
-	cfg = cfg.withDefaults()
 	if cfg.Vehicles < 1 {
 		return nil, fmt.Errorf("fleet: need at least one vehicle, got %d", cfg.Vehicles)
 	}
-	road, err := geo.NewRoad(cfg.RoadLengthM)
+	if cfg.RSUs == 0 {
+		cfg.RSUs = 4
+	}
+	road, err := geo.NewRoad(roadLengthM)
 	if err != nil {
 		return nil, err
 	}
-	road.PlaceStations(cfg.BaseStations, geo.BaseStation, 900, 0, "bs")
+	road.PlaceStations(baseStations, geo.BaseStation, 900, 0, "bs")
 	// By default RSUs cover the whole corridor so contention, not
 	// coverage, is the variable under study; RSURadiusM narrows the disks.
-	rsuRadius := cfg.RoadLengthM
+	rsuRadius := roadLengthM
 	if cfg.RSURadiusM > 0 {
 		rsuRadius = cfg.RSURadiusM
 	}
@@ -178,17 +150,17 @@ func New(cfg Config) (*Fleet, error) {
 	if rng == nil {
 		rng = sim.NewStream(1, 0)
 	}
-	spacing := cfg.RoadLengthM / float64(cfg.Vehicles)
+	spacing := roadLengthM / float64(cfg.Vehicles)
 	for i := 0; i < cfg.Vehicles; i++ {
 		m, err := vcu.DefaultVCU()
 		if err != nil {
 			return nil, err
 		}
-		dsf, err := vcu.NewDSF(m, cfg.Policy)
+		dsf, err := vcu.NewDSF(m, vcu.GreedyEFT{})
 		if err != nil {
 			return nil, err
 		}
-		speed := cfg.SpeedMPH
+		speed := speedMPH
 		if cfg.SpeedJitterMPH > 0 {
 			speed += rng.Uniform(-cfg.SpeedJitterMPH, cfg.SpeedJitterMPH)
 			if speed < 5 {
@@ -204,7 +176,13 @@ func New(cfg Config) (*Fleet, error) {
 		if err != nil {
 			return nil, err
 		}
-		if err := mgr.Register(cfg.Service()); err != nil {
+		if err := mgr.Register(&edgeos.Service{
+			Name:     "kidnapper-search",
+			Priority: edgeos.PriorityInteractive,
+			Deadline: 2 * time.Second,
+			DAG:      tasks.ALPR(),
+			Image:    []byte("a3"),
+		}); err != nil {
 			return nil, err
 		}
 		if cfg.Resilience != nil {

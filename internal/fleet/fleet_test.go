@@ -68,9 +68,14 @@ func TestContentionRaisesLatency(t *testing.T) {
 		}
 	}
 	run := func(n int) time.Duration {
-		f, err := New(Config{Vehicles: n, RSUs: 1, Service: heavy})
+		f, err := New(Config{Vehicles: n, RSUs: 1})
 		if err != nil {
 			t.Fatal(err)
+		}
+		for _, v := range f.Vehicles() {
+			if err := v.Manager.Register(heavy()); err != nil {
+				t.Fatal(err)
+			}
 		}
 		var last time.Duration
 		for round := 0; round < 4; round++ {

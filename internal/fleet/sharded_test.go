@@ -468,19 +468,20 @@ func TestShardedSharedDAGAcrossShards(t *testing.T) {
 	run := func(shared bool) []RoundResult {
 		one := tasks.ALPR()
 		var dags []*tasks.DAG
-		cfg := cellConfig(24, 4, 5)
-		cfg.Service = func() *edgeos.Service {
+		f, err := New(cellConfig(24, 4, 5))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, v := range f.Vehicles() {
 			d := one
 			if !shared {
 				d = tasks.ALPR()
 			}
 			dags = append(dags, d)
-			return &edgeos.Service{Name: "kidnapper-search", Priority: edgeos.PriorityInteractive,
-				Deadline: 2 * time.Second, DAG: d, Image: []byte("a3")}
-		}
-		f, err := New(cfg)
-		if err != nil {
-			t.Fatal(err)
+			if err := v.Manager.Register(&edgeos.Service{Name: "plate-search", Priority: edgeos.PriorityInteractive,
+				Deadline: 2 * time.Second, DAG: d, Image: []byte("a3")}); err != nil {
+				t.Fatal(err)
+			}
 		}
 		f.InstrumentSharded(false)
 		if shared {
@@ -492,7 +493,7 @@ func TestShardedSharedDAGAcrossShards(t *testing.T) {
 		}
 		var out []RoundResult
 		for r := 0; r < 6; r++ {
-			rr, err := f.ShardedInvokeAll("kidnapper-search", time.Duration(r)*400*time.Millisecond)
+			rr, err := f.ShardedInvokeAll("plate-search", time.Duration(r)*400*time.Millisecond)
 			if err != nil {
 				t.Fatal(err)
 			}

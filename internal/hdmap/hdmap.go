@@ -14,7 +14,7 @@ import (
 	"repro/internal/sim"
 )
 
-// Tile is one map tile covering TileLengthM of road.
+// Tile is one map tile covering tileLengthM of road.
 type Tile struct {
 	// Index is the tile number along the corridor.
 	Index int
@@ -30,55 +30,22 @@ type Tile struct {
 
 // Config parameterizes the map service.
 type Config struct {
-	// TileLengthM is the road length per tile. Zero means 500 m.
-	TileLengthM float64
-	// TileBytes is the payload per tile. Zero means 12 MB (dense urban
-	// HD-map tiles run 5–30 MB/km).
-	TileBytes float64
 	// CacheTiles bounds the on-vehicle tile cache. Zero means 16.
 	CacheTiles int
-	// Fetch is the network path to the map provider. Zero-value path
-	// means LTE+WAN.
-	Fetch network.Path
 }
 
-func (c Config) withDefaults() (Config, error) {
-	if c.TileLengthM == 0 {
-		c.TileLengthM = 500
-	}
-	if c.TileLengthM <= 0 {
-		return c, fmt.Errorf("hdmap: tile length must be positive")
-	}
-	if c.TileBytes == 0 {
-		c.TileBytes = 12e6
-	}
-	if c.TileBytes <= 0 {
-		return c, fmt.Errorf("hdmap: tile size must be positive")
-	}
-	if c.CacheTiles == 0 {
-		c.CacheTiles = 16
-	}
-	if c.CacheTiles < 2 {
-		return c, fmt.Errorf("hdmap: cache must hold at least 2 tiles")
-	}
-	if len(c.Fetch.Links) == 0 {
-		lte, err := network.LookupLink("lte")
-		if err != nil {
-			return c, err
-		}
-		wan, err := network.LookupLink("wan")
-		if err != nil {
-			return c, err
-		}
-		c.Fetch = network.Path{Name: "map-provider", Links: []network.LinkSpec{lte, wan}}
-	}
-	return c, nil
-}
+// A tile covers tileLengthM of road and carries about tileBytes (dense
+// urban HD-map tiles run 5–30 MB/km).
+const (
+	tileLengthM = 500
+	tileBytes   = 12e6
+)
 
 // Service serves map tiles to the autonomy stack.
 type Service struct {
-	cfg Config
-	rng *sim.RNG
+	cacheTiles int
+	fetch      network.Path // to the map provider: LTE, then the WAN
+	rng        *sim.RNG
 
 	cache   map[int]Tile
 	lru     []int // least-recent first
@@ -92,16 +59,31 @@ func New(cfg Config, rng *sim.RNG) (*Service, error) {
 	if rng == nil {
 		return nil, fmt.Errorf("hdmap: nil RNG")
 	}
-	cfg, err := cfg.withDefaults()
+	if cfg.CacheTiles == 0 {
+		cfg.CacheTiles = 16
+	}
+	if cfg.CacheTiles < 2 {
+		return nil, fmt.Errorf("hdmap: cache must hold at least 2 tiles")
+	}
+	lte, err := network.LookupLink("lte")
 	if err != nil {
 		return nil, err
 	}
-	return &Service{cfg: cfg, rng: rng, cache: make(map[int]Tile, cfg.CacheTiles)}, nil
+	wan, err := network.LookupLink("wan")
+	if err != nil {
+		return nil, err
+	}
+	return &Service{
+		cacheTiles: cfg.CacheTiles,
+		fetch:      network.Path{Name: "map-provider", Links: []network.LinkSpec{lte, wan}},
+		rng:        rng,
+		cache:      make(map[int]Tile, cfg.CacheTiles),
+	}, nil
 }
 
 // TileIndex returns the tile covering position x.
 func (s *Service) TileIndex(x float64) int {
-	idx := int(x / s.cfg.TileLengthM)
+	idx := int(x / tileLengthM)
 	if x < 0 {
 		idx--
 	}
@@ -115,7 +97,7 @@ func (s *Service) generate(idx int) Tile {
 	h := sim.NewRNG(int64(idx)*2654435761 + 12345)
 	return Tile{
 		Index:         idx,
-		Bytes:         s.cfg.TileBytes * h.Uniform(0.7, 1.3),
+		Bytes:         tileBytes * h.Uniform(0.7, 1.3),
 		Lanes:         2 + h.Intn(3),
 		SpeedLimitKPH: []float64{50, 70, 90, 110}[h.Intn(4)],
 		ShoulderM:     h.Uniform(0.5, 3.5),
@@ -124,7 +106,7 @@ func (s *Service) generate(idx int) Tile {
 
 // fetchTime returns the network cost of pulling one tile.
 func (s *Service) fetchTime(t Tile) (time.Duration, error) {
-	return s.cfg.Fetch.TransferTime(t.Bytes, network.Downlink)
+	return s.fetch.TransferTime(t.Bytes, network.Downlink)
 }
 
 // admit inserts a tile, evicting least-recently-used entries.
@@ -133,7 +115,7 @@ func (s *Service) admit(t Tile) {
 		s.touch(t.Index)
 		return
 	}
-	for len(s.cache) >= s.cfg.CacheTiles {
+	for len(s.cache) >= s.cacheTiles {
 		oldest := s.lru[0]
 		s.lru = s.lru[1:]
 		delete(s.cache, oldest)

@@ -21,12 +21,6 @@ func TestNewValidation(t *testing.T) {
 	if _, err := New(Config{}, nil); err == nil {
 		t.Fatal("nil RNG accepted")
 	}
-	if _, err := New(Config{TileLengthM: -1}, sim.NewRNG(1)); err == nil {
-		t.Fatal("negative tile length accepted")
-	}
-	if _, err := New(Config{TileBytes: -1}, sim.NewRNG(1)); err == nil {
-		t.Fatal("negative tile size accepted")
-	}
 	if _, err := New(Config{CacheTiles: 1}, sim.NewRNG(1)); err == nil {
 		t.Fatal("one-tile cache accepted")
 	}

@@ -15,9 +15,10 @@ type CompressOptions struct {
 	PruneFraction float64
 	// CodebookBits sets the shared-weight cluster count to 2^bits (1..8).
 	CodebookBits int
-	// KMeansIters bounds the quantization refinement. Zero means 20.
-	KMeansIters int
 }
+
+// kmeansIters bounds the quantization refinement.
+const kmeansIters = 20
 
 // Validate reports option errors.
 func (o CompressOptions) Validate() error {
@@ -26,9 +27,6 @@ func (o CompressOptions) Validate() error {
 	}
 	if o.CodebookBits < 1 || o.CodebookBits > 8 {
 		return fmt.Errorf("models: codebook bits %d outside [1, 8]", o.CodebookBits)
-	}
-	if o.KMeansIters < 0 {
-		return fmt.Errorf("models: negative k-means iterations")
 	}
 	return nil
 }
@@ -64,10 +62,6 @@ func Compress(m *MLP, opts CompressOptions) (*Compressed, error) {
 	if err := opts.Validate(); err != nil {
 		return nil, err
 	}
-	iters := opts.KMeansIters
-	if iters == 0 {
-		iters = 20
-	}
 
 	c := &Compressed{Sizes: append([]int(nil), m.Sizes...), Stats: CompressStats{CodebookBits: opts.CodebookBits}}
 	totalWeights, prunedWeights := 0, 0
@@ -99,7 +93,7 @@ func Compress(m *MLP, opts CompressOptions) (*Compressed, error) {
 
 		// 2. Weight sharing: k-means over the surviving weights.
 		k := 1 << opts.CodebookBits
-		codebook := kmeans1D(nonZero(flat), k-1, iters)
+		codebook := kmeans1D(nonZero(flat), k-1, kmeansIters)
 		// Reserve index 0 for zero; codebook entries shift by one.
 		full := make([]float64, 1, len(codebook)+1)
 		full[0] = 0
@@ -136,6 +130,42 @@ func Compress(m *MLP, opts CompressOptions) (*Compressed, error) {
 	return c, nil
 }
 
+// layerIndices holds layer l to the sizes around it — both at least 1, their
+// product the number of coded indices without wrapping, one bias per output,
+// every index inside a codebook of at most 256 values — before anything is
+// sized from them, and returns the decoded index stream. Sizes arrive from
+// outside the program (UnmarshalCompressed), so nothing about them is
+// assumed.
+func (c *Compressed) layerIndices(l int) ([]byte, error) {
+	if l >= len(c.Encoded) || l >= len(c.Codebooks) || l >= len(c.Biases) {
+		return nil, fmt.Errorf("models: compressed model missing layer %d", l)
+	}
+	in, out := c.Sizes[l], c.Sizes[l+1]
+	if in < 1 || out < 1 || in > math.MaxInt/out {
+		return nil, fmt.Errorf("models: layer %d is %d x %d", l, in, out)
+	}
+	if len(c.Biases[l]) != out {
+		return nil, fmt.Errorf("models: layer %d has %d biases, want %d", l, len(c.Biases[l]), out)
+	}
+	codebook := c.Codebooks[l]
+	if len(codebook) < 1 || len(codebook) > 256 {
+		return nil, fmt.Errorf("models: layer %d has a codebook of %d values", l, len(codebook))
+	}
+	indices, err := huffman.Decode(c.Encoded[l])
+	if err != nil {
+		return nil, fmt.Errorf("layer %d: %w", l, err)
+	}
+	if len(indices) != in*out {
+		return nil, fmt.Errorf("models: layer %d has %d indices, want %d", l, len(indices), in*out)
+	}
+	for _, idx := range indices {
+		if int(idx) >= len(codebook) {
+			return nil, fmt.Errorf("models: layer %d index %d outside codebook of %d", l, idx, len(codebook))
+		}
+	}
+	return indices, nil
+}
+
 // Decompress reconstructs a dense MLP from the compressed form. Weights
 // take their shared codebook values; pruned weights are zero.
 func (c *Compressed) Decompress() (*MLP, error) {
@@ -144,34 +174,21 @@ func (c *Compressed) Decompress() (*MLP, error) {
 	}
 	m := &MLP{Sizes: append([]int(nil), c.Sizes...)}
 	for l := 0; l < len(c.Sizes)-1; l++ {
-		in, out := c.Sizes[l], c.Sizes[l+1]
-		if l >= len(c.Encoded) || l >= len(c.Codebooks) || l >= len(c.Biases) {
-			return nil, fmt.Errorf("models: compressed model missing layer %d", l)
-		}
-		indices, err := huffman.Decode(c.Encoded[l])
+		indices, err := c.layerIndices(l)
 		if err != nil {
-			return nil, fmt.Errorf("layer %d: %w", l, err)
+			return nil, err
 		}
-		if len(indices) != in*out {
-			return nil, fmt.Errorf("models: layer %d has %d indices, want %d", l, len(indices), in*out)
-		}
+		in, out := c.Sizes[l], c.Sizes[l+1]
 		codebook := c.Codebooks[l]
 		wl := make([][]float64, out)
-		for o := 0; o < out; o++ {
+		for o := range wl {
 			row := make([]float64, in)
-			for i := 0; i < in; i++ {
-				idx := int(indices[o*in+i])
-				if idx >= len(codebook) {
-					return nil, fmt.Errorf("models: layer %d index %d outside codebook of %d", l, idx, len(codebook))
-				}
-				row[i] = codebook[idx]
+			for i := range row {
+				row[i] = codebook[indices[o*in+i]]
 			}
 			wl[o] = row
 		}
 		m.W = append(m.W, wl)
-		if len(c.Biases[l]) != out {
-			return nil, fmt.Errorf("models: layer %d has %d biases, want %d", l, len(c.Biases[l]), out)
-		}
 		m.B = append(m.B, append([]float64(nil), c.Biases[l]...))
 	}
 	return m, nil

@@ -31,7 +31,6 @@ func TestCompressOptionsValidate(t *testing.T) {
 		{PruneFraction: 0.995, CodebookBits: 4},
 		{PruneFraction: 0.5, CodebookBits: 0},
 		{PruneFraction: 0.5, CodebookBits: 9},
-		{PruneFraction: 0.5, CodebookBits: 4, KMeansIters: -1},
 	}
 	for i, o := range bad {
 		if err := o.Validate(); err == nil {

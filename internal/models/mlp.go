@@ -60,9 +60,6 @@ func NewMLP(sizes []int, rng *sim.RNG) (*MLP, error) {
 	return m, nil
 }
 
-// NumLayers returns the number of weight layers.
-func (m *MLP) NumLayers() int { return len(m.W) }
-
 // ParamCount returns the total number of weights and biases.
 func (m *MLP) ParamCount() int {
 	n := 0
@@ -167,16 +164,11 @@ func (m *MLP) Classify(x []float64) (int, error) {
 type TrainOptions struct {
 	Epochs       int
 	LearningRate float64
-	// FreezeBelow, when > 0, skips gradient updates for weight layers
-	// below the given index — the transfer-learning mode where early
-	// feature layers stay fixed and only the head adapts.
-	FreezeBelow int
-	// L2 is the weight-decay coefficient (0 disables).
-	L2 float64
-	// Mask, when non-nil, marks pruned weights (Mask[l][o][i] true) that
+	// mask, when non-nil, marks pruned weights (mask[l][o][i] true) that
 	// must stay at zero: gradient updates skip them. This is the
-	// sparsity-preserving retraining mode of Deep Compression.
-	Mask [][][]bool
+	// sparsity-preserving retraining mode of Deep Compression, which
+	// RetrainPruned sets.
+	mask [][][]bool
 }
 
 // Validate reports option errors.
@@ -186,12 +178,6 @@ func (o TrainOptions) Validate() error {
 	}
 	if o.LearningRate <= 0 {
 		return fmt.Errorf("models: learning rate must be positive, got %v", o.LearningRate)
-	}
-	if o.FreezeBelow < 0 {
-		return fmt.Errorf("models: FreezeBelow must be >= 0, got %d", o.FreezeBelow)
-	}
-	if o.L2 < 0 {
-		return fmt.Errorf("models: L2 must be >= 0, got %v", o.L2)
 	}
 	return nil
 }
@@ -239,7 +225,6 @@ func (m *MLP) step(x []float64, label int, opts TrainOptions) float64 {
 		if l > 0 {
 			nextDelta = make([]float64, len(prev))
 		}
-		frozen := l < opts.FreezeBelow
 		for o := range m.W[l] {
 			row := m.W[l][o]
 			d := delta[o]
@@ -248,23 +233,17 @@ func (m *MLP) step(x []float64, label int, opts TrainOptions) float64 {
 					nextDelta[i] += row[i] * d
 				}
 			}
-			if !frozen {
-				var rowMask []bool
-				if opts.Mask != nil && l < len(opts.Mask) && o < len(opts.Mask[l]) {
-					rowMask = opts.Mask[l][o]
-				}
-				for i := range row {
-					if rowMask != nil && i < len(rowMask) && rowMask[i] {
-						continue // pruned connection stays zero
-					}
-					grad := d * prev[i]
-					if opts.L2 > 0 {
-						grad += opts.L2 * row[i]
-					}
-					row[i] -= opts.LearningRate * grad
-				}
-				m.B[l][o] -= opts.LearningRate * d
+			var rowMask []bool
+			if opts.mask != nil && l < len(opts.mask) && o < len(opts.mask[l]) {
+				rowMask = opts.mask[l][o]
 			}
+			for i := range row {
+				if rowMask != nil && i < len(rowMask) && rowMask[i] {
+					continue // pruned connection stays zero
+				}
+				row[i] -= opts.LearningRate * (d * prev[i])
+			}
+			m.B[l][o] -= opts.LearningRate * d
 		}
 		if nextDelta != nil {
 			// Backprop through ReLU: zero where the activation was zero.

@@ -25,8 +25,8 @@ func TestMLPShapes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if m.NumLayers() != 2 {
-		t.Fatalf("NumLayers = %d", m.NumLayers())
+	if len(m.W) != 2 {
+		t.Fatalf("weight layers = %d", len(m.W))
 	}
 	wantParams := 8*16 + 16 + 16*3 + 3
 	if m.ParamCount() != wantParams {
@@ -108,8 +108,6 @@ func TestTrainOptionsValidate(t *testing.T) {
 		{},
 		{Epochs: 1},
 		{Epochs: 1, LearningRate: -1},
-		{Epochs: 1, LearningRate: 0.1, FreezeBelow: -1},
-		{Epochs: 1, LearningRate: 0.1, L2: -1},
 	}
 	for i, o := range bad {
 		if err := o.Validate(); err == nil {
@@ -138,36 +136,6 @@ func TestTrainErrors(t *testing.T) {
 	}
 }
 
-func TestFreezeBelowKeepsLayersFixed(t *testing.T) {
-	rng := sim.NewRNG(7)
-	ds, _ := GenerateDataset(300, PopulationDriver(), rng.Fork())
-	m, _ := NewMLP([]int{FeatureDim, 12, NumStyles}, rng.Fork())
-	frozenBefore := m.Clone()
-	opts := TrainOptions{Epochs: 3, LearningRate: 0.05, FreezeBelow: 1}
-	if _, err := m.Train(ds, opts, rng.Fork()); err != nil {
-		t.Fatal(err)
-	}
-	// Layer 0 must be untouched; layer 1 must have moved.
-	for o := range m.W[0] {
-		for i := range m.W[0][o] {
-			if m.W[0][o][i] != frozenBefore.W[0][o][i] {
-				t.Fatal("frozen layer 0 weight changed")
-			}
-		}
-	}
-	moved := false
-	for o := range m.W[1] {
-		for i := range m.W[1][o] {
-			if m.W[1][o][i] != frozenBefore.W[1][o][i] {
-				moved = true
-			}
-		}
-	}
-	if !moved {
-		t.Fatal("unfrozen output layer did not change")
-	}
-}
-
 func TestCloneIndependence(t *testing.T) {
 	m, _ := NewMLP([]int{4, 6, 2}, sim.NewRNG(8))
 	c := m.Clone()
@@ -189,32 +157,5 @@ func TestAccuracyErrors(t *testing.T) {
 	bad := &Dataset{X: [][]float64{{1}}, Y: []int{0}}
 	if _, err := m.Accuracy(bad); err == nil {
 		t.Fatal("wrong-dim dataset accepted")
-	}
-}
-
-func TestL2RegularizationShrinksWeights(t *testing.T) {
-	rng := sim.NewRNG(10)
-	ds, _ := GenerateDataset(500, PopulationDriver(), rng.Fork())
-	norm := func(m *MLP) float64 {
-		var s float64
-		for l := range m.W {
-			for _, row := range m.W[l] {
-				for _, w := range row {
-					s += w * w
-				}
-			}
-		}
-		return math.Sqrt(s)
-	}
-	plain, _ := NewMLP([]int{FeatureDim, 16, NumStyles}, sim.NewRNG(11))
-	reg := plain.Clone()
-	if _, err := plain.Train(ds, TrainOptions{Epochs: 15, LearningRate: 0.01}, rng.Fork()); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := reg.Train(ds, TrainOptions{Epochs: 15, LearningRate: 0.01, L2: 0.01}, rng.Fork()); err != nil {
-		t.Fatal(err)
-	}
-	if norm(reg) >= norm(plain) {
-		t.Fatalf("L2 did not shrink weights: %v >= %v", norm(reg), norm(plain))
 	}
 }

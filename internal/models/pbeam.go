@@ -6,49 +6,16 @@ import (
 	"repro/internal/sim"
 )
 
-// PBEAMConfig parameterizes the cloud→edge pipeline of Figure 9:
-// train cBEAM on population data in the cloud, compress it, ship it to the
-// vehicle, and fine-tune it on the driver's own data into pBEAM.
-type PBEAMConfig struct {
-	// Hidden lists hidden-layer widths for cBEAM. Nil means {32, 16}.
-	Hidden []int
-	// CloudSamples is the population training-set size. Zero means 3000.
-	CloudSamples int
-	// CloudEpochs is cBEAM training length. Zero means 30.
-	CloudEpochs int
-	// DriverSamples is the personal fine-tuning set size. Zero means 400.
-	DriverSamples int
-	// TransferEpochs is the fine-tune length. Zero means 15.
-	TransferEpochs int
-	// Compress controls Deep Compression. Zero value means 60% pruning
-	// with 5-bit codebooks.
-	Compress CompressOptions
-	// FreezeFeatureLayers keeps all but the output layer fixed during
-	// transfer learning.
-	FreezeFeatureLayers bool
-}
-
-func (c PBEAMConfig) withDefaults() PBEAMConfig {
-	if c.Hidden == nil {
-		c.Hidden = []int{32, 16}
-	}
-	if c.CloudSamples == 0 {
-		c.CloudSamples = 3000
-	}
-	if c.CloudEpochs == 0 {
-		c.CloudEpochs = 30
-	}
-	if c.DriverSamples == 0 {
-		c.DriverSamples = 400
-	}
-	if c.TransferEpochs == 0 {
-		c.TransferEpochs = 15
-	}
-	if c.Compress.PruneFraction == 0 && c.Compress.CodebookBits == 0 {
-		c.Compress = CompressOptions{PruneFraction: 0.6, CodebookBits: 5}
-	}
-	return c
-}
+// The cloud→edge pipeline of Figure 9: cBEAM trains for cloudEpochs on
+// cloudSamples population samples and ships 60% pruned with 5-bit
+// codebooks; the vehicle fine-tunes every layer for transferEpochs on
+// driverSamples of the driver's own data.
+const (
+	cloudSamples   = 3000
+	cloudEpochs    = 30
+	driverSamples  = 400
+	transferEpochs = 15
+)
 
 // PBEAMResult reports every stage of the pipeline.
 type PBEAMResult struct {
@@ -68,36 +35,34 @@ type PBEAMResult struct {
 	CompressStats CompressStats
 }
 
-// BuildPBEAM runs the full pipeline for one driver and reports accuracies
+// BuildPBEAM runs the full pipeline for one driver — train cBEAM on
+// population data in the cloud, compress it, ship it to the vehicle, and
+// fine-tune it on the driver's own data into pBEAM — and reports accuracies
 // at every stage. The expected shape — and what the benchmarks assert — is
 // population ≈ compressed < personalized on the driver's own data.
-func BuildPBEAM(cfg PBEAMConfig, driver DriverProfile, rng *sim.RNG) (*PBEAMResult, error) {
+func BuildPBEAM(driver DriverProfile, rng *sim.RNG) (*PBEAMResult, error) {
 	if rng == nil {
 		return nil, fmt.Errorf("models: nil RNG")
 	}
-	cfg = cfg.withDefaults()
-
 	// Cloud stage: train the common model on population data.
-	popTrain, err := GenerateDataset(cfg.CloudSamples, PopulationDriver(), rng.Fork())
+	popTrain, err := GenerateDataset(cloudSamples, PopulationDriver(), rng.Fork())
 	if err != nil {
 		return nil, fmt.Errorf("population data: %w", err)
 	}
-	popTest, err := GenerateDataset(cfg.CloudSamples/4, PopulationDriver(), rng.Fork())
+	popTest, err := GenerateDataset(cloudSamples/4, PopulationDriver(), rng.Fork())
 	if err != nil {
 		return nil, fmt.Errorf("population test data: %w", err)
 	}
-	sizes := append([]int{FeatureDim}, cfg.Hidden...)
-	sizes = append(sizes, NumStyles)
-	cbeam, err := NewMLP(sizes, rng.Fork())
+	cbeam, err := NewMLP([]int{FeatureDim, 32, 16, NumStyles}, rng.Fork())
 	if err != nil {
 		return nil, err
 	}
-	if _, err := cbeam.Train(popTrain, TrainOptions{Epochs: cfg.CloudEpochs, LearningRate: 0.01}, rng.Fork()); err != nil {
+	if _, err := cbeam.Train(popTrain, TrainOptions{Epochs: cloudEpochs, LearningRate: 0.01}, rng.Fork()); err != nil {
 		return nil, fmt.Errorf("cBEAM training: %w", err)
 	}
 
 	// Compression stage: shrink for the edge.
-	compressed, err := Compress(cbeam, cfg.Compress)
+	compressed, err := Compress(cbeam, CompressOptions{PruneFraction: 0.6, CodebookBits: 5})
 	if err != nil {
 		return nil, fmt.Errorf("compress cBEAM: %w", err)
 	}
@@ -107,7 +72,7 @@ func BuildPBEAM(cfg PBEAMConfig, driver DriverProfile, rng *sim.RNG) (*PBEAMResu
 	}
 
 	// Edge stage: fine-tune on the driver's own data (stored in DDI).
-	driverData, err := GenerateDataset(cfg.DriverSamples, driver, rng.Fork())
+	driverData, err := GenerateDataset(driverSamples, driver, rng.Fork())
 	if err != nil {
 		return nil, fmt.Errorf("driver data: %w", err)
 	}
@@ -116,11 +81,7 @@ func BuildPBEAM(cfg PBEAMConfig, driver DriverProfile, rng *sim.RNG) (*PBEAMResu
 		return nil, err
 	}
 	pbeam := shipped.Clone()
-	topts := TrainOptions{Epochs: cfg.TransferEpochs, LearningRate: 0.02}
-	if cfg.FreezeFeatureLayers {
-		topts.FreezeBelow = pbeam.NumLayers() - 1
-	}
-	if _, err := pbeam.Train(driverTrain, topts, rng.Fork()); err != nil {
+	if _, err := pbeam.Train(driverTrain, TrainOptions{Epochs: transferEpochs, LearningRate: 0.02}, rng.Fork()); err != nil {
 		return nil, fmt.Errorf("pBEAM transfer learning: %w", err)
 	}
 

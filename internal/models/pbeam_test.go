@@ -85,7 +85,7 @@ func TestSyntheticDriverDeterministic(t *testing.T) {
 // driver's own held-out data, and compression actually shrinks the model.
 func TestBuildPBEAMPipeline(t *testing.T) {
 	driver := SyntheticDriver("driver-7", 7)
-	res, err := BuildPBEAM(PBEAMConfig{}, driver, sim.NewRNG(100))
+	res, err := BuildPBEAM(driver, sim.NewRNG(100))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -105,35 +105,8 @@ func TestBuildPBEAMPipeline(t *testing.T) {
 	}
 }
 
-func TestBuildPBEAMFrozenFeatures(t *testing.T) {
-	driver := SyntheticDriver("driver-9", 9)
-	res, err := BuildPBEAM(PBEAMConfig{FreezeFeatureLayers: true}, driver, sim.NewRNG(101))
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Frozen transfer must still help on driver data.
-	if res.PBEAMDriverAccuracy <= res.CompressedDriverAccuracy {
-		t.Fatalf("frozen pBEAM (%.3f) did not beat compressed cBEAM (%.3f)",
-			res.PBEAMDriverAccuracy, res.CompressedDriverAccuracy)
-	}
-	// And the feature layers must be identical to the shipped model.
-	shipped, err := res.CompressedCBEAM.Decompress()
-	if err != nil {
-		t.Fatal(err)
-	}
-	for l := 0; l < res.PBEAM.NumLayers()-1; l++ {
-		for o := range res.PBEAM.W[l] {
-			for i := range res.PBEAM.W[l][o] {
-				if res.PBEAM.W[l][o][i] != shipped.W[l][o][i] {
-					t.Fatalf("frozen layer %d changed during transfer", l)
-				}
-			}
-		}
-	}
-}
-
 func TestBuildPBEAMNilRNG(t *testing.T) {
-	if _, err := BuildPBEAM(PBEAMConfig{}, PopulationDriver(), nil); err == nil {
+	if _, err := BuildPBEAM(PopulationDriver(), nil); err == nil {
 		t.Fatal("nil RNG accepted")
 	}
 }

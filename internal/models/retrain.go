@@ -74,7 +74,7 @@ func RetrainPruned(m *MLP, masks [][][]bool, ds *Dataset, opts TrainOptions, rng
 	if len(masks) != len(m.W) {
 		return 0, fmt.Errorf("models: mask layers %d != model layers %d", len(masks), len(m.W))
 	}
-	opts.Mask = masks
+	opts.mask = masks
 	loss, err := m.Train(ds, opts, rng)
 	if err != nil {
 		return 0, err

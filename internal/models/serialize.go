@@ -42,7 +42,8 @@ func (c *Compressed) Marshal() ([]byte, error) {
 	return buf.Bytes(), nil
 }
 
-// UnmarshalCompressed parses a shipped model.
+// UnmarshalCompressed parses a shipped model and holds every layer to its
+// sizes, so what it accepts decompresses.
 func UnmarshalCompressed(data []byte) (*Compressed, error) {
 	if len(data) == 0 {
 		return nil, fmt.Errorf("models: empty model stream")
@@ -62,11 +63,14 @@ func UnmarshalCompressed(data []byte) (*Compressed, error) {
 		Biases:    w.Biases,
 		Stats:     w.Stats,
 	}
-	// Structural sanity: decompression validates layer shapes fully; here
-	// we only reject obviously truncated streams early.
 	if len(c.Sizes) < 2 || len(c.Encoded) != len(c.Sizes)-1 {
 		return nil, fmt.Errorf("models: inconsistent model stream (%d sizes, %d layers)",
 			len(c.Sizes), len(c.Encoded))
+	}
+	for l := range c.Encoded {
+		if _, err := c.layerIndices(l); err != nil {
+			return nil, err
+		}
 	}
 	return c, nil
 }

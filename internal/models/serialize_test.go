@@ -1,7 +1,11 @@
 package models
 
 import (
+	"bytes"
+	"runtime"
 	"testing"
+
+	"repro/internal/huffman"
 )
 
 func TestCompressedMarshalRoundTrip(t *testing.T) {
@@ -63,4 +67,77 @@ func TestUnmarshalCompressedErrors(t *testing.T) {
 	if _, err := empty.Marshal(); err == nil {
 		t.Fatal("layerless model marshaled")
 	}
+}
+
+// hostileModel is a one-layer model whose sizes its coded indices cannot
+// back: the product of sizes equals the index count only by sign or by
+// wrapping.
+func hostileModel(t testing.TB, sizes []int, indices int) *Compressed {
+	t.Helper()
+	enc, err := huffman.Encode(make([]byte, indices))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return &Compressed{Sizes: sizes, Codebooks: [][]float64{{0}}, Encoded: [][]byte{enc}, Biases: [][]float64{{0}}}
+}
+
+// TestHostileSizesRefused: a shipped model with negative layer sizes, or
+// sizes whose product wraps to the index count, is refused — it used to be
+// accepted and to panic Decompress in make.
+func TestHostileSizesRefused(t *testing.T) {
+	for _, c := range []*Compressed{
+		hostileModel(t, []int{-2, -3}, 6),
+		hostileModel(t, []int{4, 1<<62 + 2}, 8),
+	} {
+		wire, err := c.Marshal()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := UnmarshalCompressed(wire); err == nil {
+			t.Errorf("sizes %v over %d bytes of indices accepted", c.Sizes, len(c.Encoded[0]))
+		}
+		if _, err := c.Decompress(); err == nil {
+			t.Errorf("sizes %v decompressed", c.Sizes)
+		}
+	}
+}
+
+// FuzzUnmarshalCompressed feeds arbitrary bytes to the model wire decoder.
+// It must refuse them or decode them, never panic, and never allocate
+// beyond a bound set by the stream's length; and what it accepts must
+// decompress, and marshal back into a stream that decodes to the same
+// bytes again. The bound's constant covers encoding/gob, which reads a
+// message in chunks of up to 10 MB whatever length its header declares. The
+// seed corpus (testdata/fuzz) is one small trained model compressed at each
+// of E7's six settings, the two hostileModel shapes, and such a header.
+func FuzzUnmarshalCompressed(f *testing.F) {
+	f.Fuzz(func(t *testing.T, data []byte) {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		c, err := UnmarshalCompressed(data)
+		if err == nil {
+			_, err = c.Decompress()
+		}
+		runtime.ReadMemStats(&after)
+		if grew, limit := after.TotalAlloc-before.TotalAlloc, uint64(256*len(data)+16<<20); grew > limit {
+			t.Fatalf("decoding a %d-byte stream allocated %d bytes, bound %d", len(data), grew, limit)
+		}
+		if c == nil {
+			return
+		}
+		if err != nil {
+			t.Fatalf("accepted stream does not decompress: %v", err)
+		}
+		wire, err := c.Marshal()
+		if err != nil {
+			t.Fatalf("accepted stream does not marshal: %v", err)
+		}
+		back, err := UnmarshalCompressed(wire)
+		if err != nil {
+			t.Fatalf("accepted stream does not survive a round trip: %v", err)
+		}
+		if again, err := back.Marshal(); err != nil || !bytes.Equal(again, wire) {
+			t.Fatalf("round trip changed the model (%v):\n%+v\n%+v", err, c, back)
+		}
+	})
 }

@@ -13,57 +13,40 @@ import (
 // Policy configures the engine's resilient execution path (paper §III,
 // §IV-C: services must keep meeting deadlines when RSUs vanish behind the
 // vehicle, links degrade at speed, and edge servers fail). Zero fields
-// take the defaults documented per knob; DefaultPolicy returns the tuned
-// baseline used by the E14 chaos sweep.
+// take the defaults documented per knob, which is what DefaultPolicy
+// returns.
 type Policy struct {
 	// MaxAttempts bounds tries per destination, first attempt included
 	// (default 3).
 	MaxAttempts int
-	// BackoffBase is the wait before the first retry (default 50ms). The
-	// wait grows by BackoffFactor per retry (default 2.0), capped at
-	// BackoffMax (default 800ms). Backoff is deterministic — no jitter —
-	// and is charged against the caller's deadline in virtual time.
-	BackoffBase   time.Duration
-	BackoffFactor float64
-	BackoffMax    time.Duration
 	// BreakerThreshold consecutive failures open a destination's circuit
 	// breaker (default 3); BreakerCooldown is the open interval before a
 	// half-open probe (default 2s). Breakers are timed on the virtual
 	// clock.
 	BreakerThreshold int
 	BreakerCooldown  time.Duration
-	// DegradeFactor, in (0, 1), enables the last rung of the graceful
-	// degradation ladder: when even on-board execution would miss the
-	// deadline, run a compressed model variant with GFLOP and I/O bytes
-	// scaled by this factor (0 disables; DefaultPolicy uses 0.5).
-	DegradeFactor float64
 }
 
+const (
+	// backoffBase is the wait before the first retry. The wait grows by
+	// backoffFactor per retry, capped at backoffMax. Backoff is
+	// deterministic — no jitter — and is charged against the caller's
+	// deadline in virtual time.
+	backoffBase   = 50 * time.Millisecond
+	backoffFactor = 2.0
+	backoffMax    = 800 * time.Millisecond
+	// degradeFactor scales GFLOP and I/O bytes of the compressed model
+	// variant that is the last rung of the graceful degradation ladder,
+	// run when even on-board execution would miss the deadline.
+	degradeFactor = 0.5
+)
+
 // DefaultPolicy returns the baseline resilience configuration.
-func DefaultPolicy() Policy {
-	return Policy{
-		MaxAttempts:      3,
-		BackoffBase:      50 * time.Millisecond,
-		BackoffFactor:    2,
-		BackoffMax:       800 * time.Millisecond,
-		BreakerThreshold: 3,
-		BreakerCooldown:  2 * time.Second,
-		DegradeFactor:    0.5,
-	}
-}
+func DefaultPolicy() Policy { return Policy{}.withDefaults() }
 
 func (p Policy) withDefaults() Policy {
 	if p.MaxAttempts <= 0 {
 		p.MaxAttempts = 3
-	}
-	if p.BackoffBase <= 0 {
-		p.BackoffBase = 50 * time.Millisecond
-	}
-	if p.BackoffFactor < 1 {
-		p.BackoffFactor = 2
-	}
-	if p.BackoffMax <= 0 {
-		p.BackoffMax = 800 * time.Millisecond
 	}
 	if p.BreakerThreshold <= 0 {
 		p.BreakerThreshold = 3
@@ -75,16 +58,13 @@ func (p Policy) withDefaults() Policy {
 }
 
 // backoff returns the deterministic wait after the attempt-th failed try.
-func (p Policy) backoff(attempt int) time.Duration {
-	d := float64(p.BackoffBase)
+func backoff(attempt int) time.Duration {
+	d := float64(backoffBase)
 	for i := 1; i < attempt; i++ {
-		d *= p.BackoffFactor
-		if d >= float64(p.BackoffMax) {
-			return p.BackoffMax
+		d *= backoffFactor
+		if d >= float64(backoffMax) {
+			return backoffMax
 		}
-	}
-	if d > float64(p.BackoffMax) {
-		d = float64(p.BackoffMax)
 	}
 	return time.Duration(d)
 }
@@ -248,7 +228,7 @@ func (e *Engine) ExecuteResilient(dag *tasks.DAG, est Estimate, now, deadline ti
 		finishSpan(done, nil)
 		return done, out, nil
 	}
-	if done, ok := e.onboardRung(dag, t, deadline, pol, &out); ok {
+	if done, ok := e.onboardRung(dag, t, deadline, &out); ok {
 		out.Dest = OnboardName
 		if est.Dest != OnboardName {
 			out.FellBackTo = OnboardName
@@ -304,19 +284,18 @@ func (e *Engine) remoteLadder(dag *tasks.DAG, est Estimate, t *time.Duration, de
 // it. It never touches shared sites — the property that lets an
 // epoch-barrier fleet complete on-board-chosen invocations inside the
 // parallel decision phase.
-func (e *Engine) onboardRung(dag *tasks.DAG, t, deadline time.Duration, pol Policy, out *Outcome) (time.Duration, bool) {
+func (e *Engine) onboardRung(dag *tasks.DAG, t, deadline time.Duration, out *Outcome) (time.Duration, bool) {
 	runDag := dag
 	ob := e.EstimateOnboard(dag, t)
-	if ob.Feasible && deadline > 0 && t+ob.Total > deadline &&
-		pol.DegradeFactor > 0 && pol.DegradeFactor < 1 {
-		dd := DegradedDAG(dag, pol.DegradeFactor)
+	if ob.Feasible && deadline > 0 && t+ob.Total > deadline {
+		dd := DegradedDAG(dag, degradeFactor)
 		if alt := e.EstimateOnboard(dd, t); alt.Feasible {
 			runDag, ob = dd, alt
 			out.Degraded = true
 			e.m.degraded.Inc()
 			if e.scope.Events.Enabled() {
 				e.scope.Events.Emit(t, "offload", obs.SevWarn, "resilient.degraded",
-					obs.String("dag", dag.Name), obs.F64("factor", pol.DegradeFactor))
+					obs.String("dag", dag.Name), obs.F64("factor", degradeFactor))
 			}
 		}
 	}
@@ -363,7 +342,7 @@ func (e *Engine) tryRemote(dag *tasks.DAG, cand Estimate, t *time.Duration, dead
 		if attempt == pol.MaxAttempts {
 			return 0, false
 		}
-		wait := pol.backoff(attempt)
+		wait := backoff(attempt)
 		*t += wait
 		out.Retries++
 		e.m.retries.Inc()

@@ -78,10 +78,10 @@ func TestResilientRetriesPastTransientFault(t *testing.T) {
 	eng, rsu, _ := testWorld(t, 0)
 	reg := telemetry.NewRegistry()
 	eng.Instrument(obs.Scope{Metrics: reg, Tracer: trace.New()})
-	pol := Policy{MaxAttempts: 3, BackoffBase: 60 * time.Millisecond, BackoffFactor: 2}
+	pol := Policy{MaxAttempts: 3}
 	eng.SetResilience(&pol)
 	calls := 0
-	rsu.SetFaultInjector(failUntil(150*time.Millisecond, &calls)) // clears before attempt 3 at t=180ms
+	rsu.SetFaultInjector(failUntil(120*time.Millisecond, &calls)) // clears before attempt 3 at t=150ms
 	dag := tasks.ALPR()
 	est := eng.EstimateSite(dag, rsu, 0, 0)
 	if !est.Feasible {
@@ -97,7 +97,7 @@ func TestResilientRetriesPastTransientFault(t *testing.T) {
 	if out.Attempts != 3 || out.Retries != 2 {
 		t.Fatalf("attempts/retries = %d/%d, want 3/2", out.Attempts, out.Retries)
 	}
-	if done <= 180*time.Millisecond {
+	if done <= 150*time.Millisecond {
 		t.Fatalf("completion %v does not include backoff waits", done)
 	}
 	if got := reg.Counter("offload.retries"); got != 2 {
@@ -115,8 +115,7 @@ func TestBreakerStopsHammeringFailedSite(t *testing.T) {
 	eng, rsu, _ := testWorld(t, 0)
 	reg := telemetry.NewRegistry()
 	eng.Instrument(obs.Scope{Metrics: reg, Tracer: trace.New()})
-	pol := Policy{MaxAttempts: 5, BreakerThreshold: 2, BreakerCooldown: time.Hour,
-		BackoffBase: 10 * time.Millisecond}
+	pol := Policy{MaxAttempts: 5, BreakerThreshold: 2, BreakerCooldown: time.Hour}
 	eng.SetResilience(&pol)
 	calls := 0
 	rsu.SetFaultInjector(alwaysFail(&calls))

@@ -46,9 +46,6 @@ type Config struct {
 	Parallel int
 	// Seed keys every shard's RNG substream.
 	Seed int64
-	// SpanLimit caps each shard tracer's retained spans. Non-positive
-	// keeps trace.DefaultSpanLimit.
-	SpanLimit int
 }
 
 // Report is the deterministic merge of all replications.
@@ -95,7 +92,7 @@ func Run[T any](cfg Config, job func(*Shard) (T, error)) (*Report[T], error) {
 				if i >= n {
 					return
 				}
-				sh := &Shard{Index: i, RNG: sim.NewStream(cfg.Seed, uint64(i)), Obs: newLane(cfg)}
+				sh := &Shard{Index: i, RNG: sim.NewStream(cfg.Seed, uint64(i)), Obs: newLane()}
 				shards[i] = sh
 				results[i], errs[i] = job(sh)
 			}
@@ -109,7 +106,7 @@ func Run[T any](cfg Config, job func(*Shard) (T, error)) (*Report[T], error) {
 		}
 	}
 
-	rep := &Report[T]{Results: results, Obs: newLane(cfg)}
+	rep := &Report[T]{Results: results, Obs: newLane()}
 	// Merge strictly in index order: this is what makes the report
 	// independent of worker count and scheduling.
 	for _, sh := range shards {
@@ -118,11 +115,7 @@ func Run[T any](cfg Config, job func(*Shard) (T, error)) (*Report[T], error) {
 	return rep, nil
 }
 
-// newLane returns an empty registry + tracer scope under cfg's span cap.
-func newLane(cfg Config) obs.Scope {
-	sc := obs.Scope{Metrics: telemetry.NewRegistry(), Tracer: trace.New()}
-	if cfg.SpanLimit > 0 {
-		sc.Tracer.SetSpanLimit(cfg.SpanLimit)
-	}
-	return sc
+// newLane returns an empty registry + tracer scope.
+func newLane() obs.Scope {
+	return obs.Scope{Metrics: telemetry.NewRegistry(), Tracer: trace.New()}
 }

@@ -13,10 +13,6 @@ type RandomDAGConfig struct {
 	// MinTasks and MaxTasks bound the DAG size. Zero means 3..12.
 	MinTasks int
 	MaxTasks int
-	// MaxGFLOP bounds per-task work. Zero means 20.
-	MaxGFLOP float64
-	// MaxBytes bounds per-task input/output sizes. Zero means 1 MB.
-	MaxBytes float64
 	// EdgeProb is the chance of a dependency between any earlier/later
 	// task pair. Zero means 0.3.
 	EdgeProb float64
@@ -28,12 +24,6 @@ func (c RandomDAGConfig) withDefaults() RandomDAGConfig {
 	}
 	if c.MaxTasks == 0 {
 		c.MaxTasks = 12
-	}
-	if c.MaxGFLOP == 0 {
-		c.MaxGFLOP = 20
-	}
-	if c.MaxBytes == 0 {
-		c.MaxBytes = 1 << 20
 	}
 	if c.EdgeProb == 0 {
 		c.EdgeProb = 0.3
@@ -65,9 +55,9 @@ func RandomDAG(name string, cfg RandomDAGConfig, rng *sim.RNG) (*DAG, error) {
 			ID:          fmt.Sprintf("t%d", i),
 			Name:        fmt.Sprintf("random task %d", i),
 			Class:       randomClasses[rng.Intn(len(randomClasses))],
-			GFLOP:       rng.Uniform(0.01, cfg.MaxGFLOP),
-			InputBytes:  rng.Uniform(64, cfg.MaxBytes),
-			OutputBytes: rng.Uniform(64, cfg.MaxBytes),
+			GFLOP:       rng.Uniform(0.01, 20),
+			InputBytes:  rng.Uniform(64, 1<<20),
+			OutputBytes: rng.Uniform(64, 1<<20),
 			MemoryMB:    rng.Uniform(1, 256),
 		}
 		// Edges only from earlier to later tasks: acyclic by construction.

@@ -17,7 +17,7 @@ import (
 	"testing"
 )
 
-var update = flag.Bool("update", false, "rewrite testdata/test_only_decls.golden")
+var update = flag.Bool("update", false, "rewrite the golden files under testdata/ and examples/testdata/")
 
 // modulePath is go.mod's module line. The three directories below hold
 // every program of the repository, so what they do not reach never runs.
@@ -386,16 +386,24 @@ func TestTestOnlyDeclarationsGolden(t *testing.T) {
 	}
 	sort.Strings(names)
 	t.Logf("%d declarations under internal/ (%d lines) are reached by tests only", len(names), lines)
-	got := strings.Join(names, "\n") + "\n"
+	checkGoldenList(t, "testdata/test_only_decls.golden", names,
+		"is reached by no program", "is gone or reached now")
+}
 
-	const golden = "testdata/test_only_decls.golden"
+// checkGoldenList compares sorted names with the reviewed file at path, one
+// name a line, and reports each name the file lacks (as "name <unlisted>
+// and is not in path") and each line it has too many ("… but <stale>");
+// -update rewrites the file instead.
+func checkGoldenList(t *testing.T, path string, names []string, unlisted, stale string) {
+	t.Helper()
+	got := strings.Join(names, "\n") + "\n"
 	if *update {
-		if err := os.WriteFile(golden, []byte(got), 0o644); err != nil {
+		if err := os.WriteFile(path, []byte(got), 0o644); err != nil {
 			t.Fatal(err)
 		}
 		return
 	}
-	want, err := os.ReadFile(golden)
+	want, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -408,11 +416,11 @@ func TestTestOnlyDeclarationsGolden(t *testing.T) {
 	}
 	for _, name := range names {
 		if !listed[name] {
-			t.Errorf("%s is reached by no program and is not in %s", name, golden)
+			t.Errorf("%s %s and is not in %s", name, unlisted, path)
 		}
 		delete(listed, name)
 	}
 	for name := range listed {
-		t.Errorf("%s is in %s but is gone or reached now; regenerate with -update", name, golden)
+		t.Errorf("%s is in %s but %s; regenerate with -update", name, path, stale)
 	}
 }
