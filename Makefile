@@ -22,17 +22,22 @@ verify:
 	test -z "$$(gofmt -l .)"
 	$(GO) test -race ./...
 
-# determinism runs the E14 chaos sweep twice with the same seed at
-# different worker-pool sizes, the E16 scaling sweep at two shard
-# counts, the E17 observability run across both axes, and the E19
+# determinism runs the E13 fleet sweep (stdout and -trace file) and the
+# E14 chaos sweep twice with the same seed at different worker-pool
+# sizes, the E16 scaling sweep at two shard counts, the E17 observability run across both axes, and the E19
 # network-chaos plan and E20 DDI query digest at two worker counts,
 # requiring byte-identical reports every time: neither the sharded
 # replication runner nor the epoch-barrier fleet executor may leak
 # scheduling order into results, telemetry, fault plans, sampled series,
-# or flight-recorder logs. It is also CI's end-to-end run of those five
+# or flight-recorder logs. It is also CI's end-to-end run of those six
 # experiments.
 determinism:
 	$(GO) build -o /tmp/vdapbench ./cmd/vdapbench
+	/tmp/vdapbench -exp sweep -seed 7 -reps 4 -parallel 1 -trace /tmp/sweep-p1.json 2>/dev/null > /tmp/sweep-p1.txt
+	/tmp/vdapbench -exp sweep -seed 7 -reps 4 -parallel 4 -trace /tmp/sweep-p4.json 2>/dev/null > /tmp/sweep-p4.txt
+	diff -u /tmp/sweep-p1.txt /tmp/sweep-p4.txt
+	cmp /tmp/sweep-p1.json /tmp/sweep-p4.json
+	@echo "determinism: sweep report and trace byte-identical across -parallel levels"
 	/tmp/vdapbench -exp chaos -seed 7 -reps 4 -parallel 1 > /tmp/chaos-p1.txt
 	/tmp/vdapbench -exp chaos -seed 7 -reps 4 -parallel 4 > /tmp/chaos-p4.txt
 	diff -u /tmp/chaos-p1.txt /tmp/chaos-p4.txt

@@ -62,7 +62,7 @@ func mainExit(args []string) int {
 	fs.Int64Var(&o.seed, "seed", 42, "random seed")
 	fs.DurationVar(&o.duration, "duration", 5*time.Minute, "figure-2 stream duration")
 	fs.StringVar(&o.dir, "dir", "", "DDI scratch directory (default: temp; -exp ddi needs it empty)")
-	fs.StringVar(&o.traceOut, "trace", "", "write a Chrome trace_event JSON file (supported by -exp arch and -exp sweep)")
+	fs.StringVar(&o.traceOut, "trace", "", "write a Chrome trace_event JSON file (spans from -exp arch, sweep and chaos)")
 	fs.IntVar(&o.reps, "reps", 8, "replications for -exp sweep/chaos/obs")
 	fs.IntVar(&o.parallel, "parallel", runtime.GOMAXPROCS(0), "worker-pool size for -exp sweep/chaos/obs (output is byte-identical at any level)")
 	fs.StringVar(&o.runReport, "runreport", "", "output path for the -exp obs RUN_REPORT.json (empty: stdout tables only)")
@@ -115,7 +115,10 @@ func mainExit(args []string) int {
 // and the dispatch all walk it.
 type experiment struct {
 	name string
-	desc string
+	// label is the experiment's heading in EXPERIMENTS.md and its golden
+	// file's prefix: E1 … E20, E7b, E7c.
+	label string
+	desc  string
 	// all marks experiments included in -exp all. The determinism digests
 	// sized by fleet or corpus (scale, ddi: minutes at their defaults),
 	// file-writing runs (obs) and the netchaos plan dump stay out.
@@ -124,54 +127,58 @@ type experiment struct {
 }
 
 var experimentList = []experiment{
-	{"table1", "service latency and energy across VCU devices (Table 1)", true, func(*options) error {
+	{"table1", "E1", "Table I: algorithm latency on a 2.4 GHz vCPU", true, func(*options) error {
 		return show(experiments.Table1Table)(experiments.RunTable1())
 	}},
-	{"fig2", "camera-stream processing rate over a commute (Figure 2)", true, func(o *options) error {
+	{"fig2", "E2", "Figure 2: packet and frame loss of live video over LTE", true, func(o *options) error {
 		return show(experiments.Figure2Table)(experiments.RunFigure2(o.seed, o.duration))
 	}},
-	{"fig3", "offloading latency across destinations (Figure 3)", true, func(*options) error {
+	{"fig3", "E3", "Figure 3: Inception-v3 on five processors", true, func(*options) error {
 		return show(experiments.Figure3Table)(experiments.RunFigure3())
 	}},
-	{"dsf", "DSF scheduling-policy ablation (E4)", true, func(*options) error {
+	{"dsf", "E4", "DSF scheduling-policy ablation", true, func(*options) error {
 		return show(experiments.DSFTable)(experiments.RunDSFAblation(8))
 	}},
-	{"elastic", "elastic-management objective ablation (E5)", true, func(*options) error {
+	{"elastic", "E5", "elastic-management pipeline selection", true, func(*options) error {
 		return show(experiments.ElasticTable)(experiments.RunElastic())
 	}},
-	{"arch", "onboard vs. edge vs. cloud architecture comparison (E6)", true, runArch},
-	{"compress", "model-compression accuracy/latency sweep (E7)", true, func(o *options) error {
+	{"arch", "E6", "onboard vs. edge vs. cloud architecture comparison", true, runArch},
+	{"compress", "E7", "Deep Compression size/accuracy sweep", true, func(o *options) error {
 		return show(experiments.CompressTable)(experiments.RunCompressionSweep(o.seed))
 	}},
-	{"retrain", "compression with retraining (E8)", true, func(o *options) error {
+	{"retrain", "E7c", "pruning with vs. without retraining", true, func(o *options) error {
 		return show(experiments.RetrainTable)(experiments.RunCompressionRetrain(o.seed))
 	}},
-	{"pbeam", "pBEAM driving-behavior pipeline (E9)", true, func(o *options) error {
+	{"pbeam", "E7b", "pBEAM driving-behavior pipeline", true, func(o *options) error {
 		return show(experiments.PBEAMTable)(experiments.RunPBEAMPipeline(o.seed, 3))
 	}},
-	{"collab", "multi-vehicle collaboration (E10)", true, func(*options) error {
+	{"collab", "E9", "multi-vehicle convoy collaboration", true, func(*options) error {
 		return show(experiments.CollabTable)(experiments.RunCollaboration())
 	}},
-	{"commute", "full-commute integration run (E11)", true, func(*options) error {
+	{"commute", "E11", "destination choice along a commute", true, func(*options) error {
 		return show(experiments.CommuteTable)(experiments.RunCommute())
 	}},
-	{"fleet", "fleet contention over shared edge sites (E12)", true, func(*options) error {
+	{"fleet", "E12", "fleet contention on one shared RSU", true, func(*options) error {
 		return show(experiments.FleetTable)(experiments.RunFleetContention())
 	}},
-	{"sweep", "replicated fleet sweep with merged telemetry (E13)", true, runSweep},
-	{"chaos", "fault-injection sweep, resilience off vs. on (E14)", true, runChaos},
-	{"hdmap", "HD-map prefetch along the route (E2)", true, func(*options) error {
+	{"sweep", "E13", "replicated fleet sweep with merged telemetry", true, func(o *options) error {
+		return showMerged(o, "replications", experiments.FleetSweepTable)(experiments.RunFleetSweep(o.replicated()))
+	}},
+	{"chaos", "E14", "fault-injection sweep, resilience off vs. on", true, func(o *options) error {
+		return showMerged(o, "cells", experiments.ChaosTable)(experiments.RunChaosSweep(o.replicated()))
+	}},
+	{"hdmap", "E10", "HD-map prefetch along the route", true, func(*options) error {
 		return show(experiments.HDMapTable)(experiments.RunHDMapPrefetch())
 	}},
-	{"ddicache", "DDI two-tier cache latency (E8)", true, func(o *options) error {
+	{"ddicache", "E8", "DDI two-tier cache latency", true, func(o *options) error {
 		return withScratchDir(o.dir, "vdapbench-ddi-*", func(dir string) error {
 			return show(experiments.DDITable)(experiments.RunDDIBench(dir, o.seed))
 		})
 	}},
-	{"scale", "fleet scaling digest, byte-identical at any -shards (E16)", false, runScale},
-	{"obs", "flight-recorder fleet run -> RUN_REPORT.json (E17)", false, runObs},
-	{"netchaos", "compiled network-chaos plan, byte-identical at any -parallel (E19)", false, runNetChaos},
-	{"ddi", "columnar DDI store query digest, byte-identical at any -parallel (E20)", false, runDDIStore},
+	{"scale", "E16", "fleet scaling digest, byte-identical at any -shards", false, runScale},
+	{"obs", "E17", "flight-recorder fleet run -> RUN_REPORT.json", false, runObs},
+	{"netchaos", "E19", "compiled network-chaos plan, byte-identical at any -parallel", false, runNetChaos},
+	{"ddi", "E20", "columnar DDI store query digest, byte-identical at any -parallel", false, runDDIStore},
 }
 
 // expNames renders the one-line flag usage: all|table1|...|ddi.
@@ -188,9 +195,9 @@ func expNames() string {
 func expUsage() string {
 	var b strings.Builder
 	b.WriteString("experiments:\n")
-	fmt.Fprintf(&b, "  %-10s %s\n", "all", "every paper experiment below (the determinism digests scale, obs, netchaos and ddi run by name only)")
+	fmt.Fprintf(&b, "  %-10s %-4s %s\n", "all", "", "every paper experiment below (the determinism digests scale, obs, netchaos and ddi run by name only)")
 	for _, e := range experimentList {
-		fmt.Fprintf(&b, "  %-10s %s\n", e.name, e.desc)
+		fmt.Fprintf(&b, "  %-10s %-4s %s\n", e.name, e.label, e.desc)
 	}
 	return b.String()
 }
@@ -276,12 +283,19 @@ func writeReport(path, schema string, marshal func() ([]byte, error)) error {
 	return nil
 }
 
-// showMerged prints a replicated sweep's merged telemetry and folds it
-// into the -trace sink.
-func showMerged(o *options, unit string, n int, merged obs.Scope) {
-	fmt.Printf("merged telemetry (%d %s, %d spans):\n", n, unit, merged.Tracer.SpanCount())
-	fmt.Print(merged.Metrics.Render())
-	o.sink.Merge(merged)
+// showMerged is show for a replicated sweep: it prints the table, then the
+// sweep's merged telemetry, which it also folds into the -trace sink.
+func showMerged[R any](o *options, unit string, table func(*runner.Report[R]) *experiments.Table) func(*runner.Report[R], error) error {
+	return func(res *runner.Report[R], err error) error {
+		if err != nil {
+			return err
+		}
+		fmt.Println(table(res))
+		fmt.Printf("merged telemetry (%d %s, %d spans):\n", len(res.Results), unit, res.Obs.Tracer.SpanCount())
+		fmt.Print(res.Obs.Metrics.Render())
+		o.sink.Merge(res.Obs)
+		return nil
+	}
 }
 
 // parseFleetSizes turns the -vehicles flag into a fleet-size list; an
@@ -315,26 +329,6 @@ func (o *options) replicated() runner.Config {
 	return runner.Config{Replications: o.reps, Parallel: o.parallel, Seed: o.seed}
 }
 
-func runSweep(o *options) error {
-	res, err := experiments.RunFleetSweep(o.replicated())
-	if err != nil {
-		return err
-	}
-	fmt.Println(experiments.FleetSweepTable(res))
-	showMerged(o, "replications", len(res.Rows), res.Obs)
-	return nil
-}
-
-func runChaos(o *options) error {
-	res, err := experiments.RunChaosSweep(o.replicated())
-	if err != nil {
-		return err
-	}
-	fmt.Println(experiments.ChaosTable(res))
-	showMerged(o, "cells", len(res.Rows), res.Obs)
-	return nil
-}
-
 // runScale is E16: the deterministic simulation table `make determinism`
 // diffs between -shards values. Its default sweep reaches 10 000 vehicles,
 // so it stays out of -exp all.
@@ -347,12 +341,7 @@ func runScale(o *options) error {
 	if o.shards > 0 {
 		cfg.Shards = []int{o.shards}
 	}
-	res, err := experiments.RunScale(cfg)
-	if err != nil {
-		return err
-	}
-	fmt.Println(experiments.ScaleTable(res))
-	return nil
+	return show(experiments.ScaleTable)(experiments.RunScale(cfg))
 }
 
 // runObs is E17: a faulted fleet run with the observability stack on.

@@ -7,6 +7,7 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"regexp"
 	"runtime/pprof"
 	"slices"
 	"strings"
@@ -187,6 +188,75 @@ func TestAskedForValuesAreNotReplaced(t *testing.T) {
 	}
 }
 
+// TestScaleSeedZeroIsSeedZero: -exp scale runs the seed it is given, zero
+// included, instead of substituting 42. At 33 vehicles the world depends on
+// the seed (most small fleet sizes do not), so the two tables differ.
+func TestScaleSeedZeroIsSeedZero(t *testing.T) {
+	at := func(seed int64) []byte {
+		return captureStdout(t, func() error {
+			return run(options{exp: "scale", seed: seed, vehicles: "33", shards: 1})
+		})
+	}
+	if zero, fortyTwo := at(0), at(42); bytes.Equal(zero, fortyTwo) {
+		t.Fatalf("-seed 0 printed the -seed 42 table:\n%s", zero)
+	}
+}
+
+// TestExperimentLabelsMatchCatalogue checks experimentList's labels against
+// the two other lists of experiments: every golden file
+// internal/experiments/testdata/eNN[b|c]_<name>.golden belongs to the entry
+// <name> labelled E<NN>[b|c], every label is an `## E… — ` heading of
+// EXPERIMENTS.md, and the only headings without an entry are E15 and E18,
+// which benchmark/ measures.
+func TestExperimentLabelsMatchCatalogue(t *testing.T) {
+	labels := map[string]string{}
+	for _, e := range experimentList {
+		labels[e.name] = e.label
+	}
+	goldens, err := filepath.Glob("../../internal/experiments/testdata/e*.golden")
+	if err != nil || len(goldens) == 0 {
+		t.Fatalf("no experiment goldens: %v", err)
+	}
+	goldenName := regexp.MustCompile(`^e0*(\d+[bc]?)_(\w+)\.golden$`)
+	for _, path := range goldens {
+		m := goldenName.FindStringSubmatch(filepath.Base(path))
+		if m == nil {
+			t.Errorf("%s: not an eNN[b|c]_<name>.golden file", path)
+			continue
+		}
+		if got, ok := labels[m[2]]; !ok || got != "E"+m[1] {
+			t.Errorf("%s: experiment %q has label %q, want E%s", filepath.Base(path), m[2], got, m[1])
+		}
+	}
+	doc, err := os.ReadFile("../../EXPERIMENTS.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	headings := map[string]bool{}
+	for _, m := range regexp.MustCompile(`(?m)^## (E\d+[bc]?) — `).FindAllStringSubmatch(string(doc), -1) {
+		headings[m[1]] = true
+	}
+	used := map[string]bool{}
+	for _, e := range experimentList {
+		if !headings[e.label] {
+			t.Errorf("experiment %q: label %q has no EXPERIMENTS.md heading", e.name, e.label)
+		}
+		if used[e.label] {
+			t.Errorf("experiment %q: label %q is used twice", e.name, e.label)
+		}
+		used[e.label] = true
+	}
+	var orphans []string
+	for h := range headings {
+		if !used[h] {
+			orphans = append(orphans, h)
+		}
+	}
+	if slices.Sort(orphans); !slices.Equal(orphans, []string{"E15", "E18"}) {
+		t.Errorf("EXPERIMENTS.md headings with no experiment: %v, want [E15 E18]", orphans)
+	}
+}
+
 // TestRunArchTraced checks the -trace path: the arch experiment must emit
 // a valid Chrome trace covering the five component lanes, byte-identical
 // across same-seed runs.
@@ -281,7 +351,7 @@ func TestExperimentTable(t *testing.T) {
 	seen := map[string]bool{"all": true}
 	names := []string{"all"}
 	for _, e := range experimentList {
-		if e.name == "" || e.desc == "" || e.run == nil {
+		if e.name == "" || e.label == "" || e.desc == "" || e.run == nil {
 			t.Fatalf("incomplete experiment entry %+v", e)
 		}
 		if seen[e.name] {

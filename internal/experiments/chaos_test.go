@@ -19,11 +19,11 @@ func TestChaosResilienceBeatsBaseline(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(res.Rows) != 2*len(chaosIntensities) {
-		t.Fatalf("rows = %d, want %d intensities x 2 policies", len(res.Rows), len(chaosIntensities))
+	if len(res.Results) != 2*len(chaosIntensities) {
+		t.Fatalf("rows = %d, want %d intensities x 2 policies", len(res.Results), len(chaosIntensities))
 	}
-	for i := 0; i < len(res.Rows); i += 2 {
-		off, on := res.Rows[i], res.Rows[i+1]
+	for i := 0; i < len(res.Results); i += 2 {
+		off, on := res.Results[i], res.Results[i+1]
 		if off.Resilience || !on.Resilience {
 			t.Fatalf("row order broken: %+v %+v", off, on)
 		}

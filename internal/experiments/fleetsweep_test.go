@@ -40,18 +40,18 @@ func TestFleetSweepShardsDiffer(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(res.Rows) != 4 {
-		t.Fatalf("rows = %d, want 4", len(res.Rows))
+	if len(res.Results) != 4 {
+		t.Fatalf("rows = %d, want 4", len(res.Results))
 	}
 	distinct := map[float64]bool{}
-	for i, r := range res.Rows {
+	for i, r := range res.Results {
 		if r.Replication != i {
 			t.Fatalf("row %d has replication %d (ordering broken)", i, r.Replication)
 		}
 		distinct[r.MeanMS] = true
 	}
 	if len(distinct) < 2 {
-		t.Fatalf("all %d replications produced the same mean latency; shards are not independent", len(res.Rows))
+		t.Fatalf("all %d replications produced the same mean latency; shards are not independent", len(res.Results))
 	}
 	// The merged registry aggregates every shard's executions.
 	if got := res.Obs.Metrics.Counter("offload.executions"); got != 4*8*5 {

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"bytes"
 	"flag"
 	"os"
 	"path/filepath"
@@ -55,33 +56,15 @@ func TestExperimentTablesGolden(t *testing.T) {
 		{"e09_collab", func() (string, error) { return rendered(CollabTable)(RunCollaboration()) }},
 		{"e10_hdmap", func() (string, error) { return rendered(HDMapTable)(RunHDMapPrefetch()) }},
 		{"e11_commute", func() (string, error) { return rendered(CommuteTable)(RunCommute()) }},
-		{"e12_fleet", func() (string, error) {
-			rows, err := RunFleetContention()
-			if err != nil {
-				return "", err
-			}
-			return FleetTable(rows).String(), nil
-		}},
+		{"e12_fleet", func() (string, error) { return rendered(FleetTable)(RunFleetContention()) }},
 		{"e13_sweep", func() (string, error) {
-			res, err := RunFleetSweep(runner.Config{Replications: reps, Parallel: 2, Seed: seed})
-			if err != nil {
-				return "", err
-			}
-			return FleetSweepTable(res).String(), nil
+			return rendered(FleetSweepTable)(RunFleetSweep(runner.Config{Replications: reps, Parallel: 2, Seed: seed}))
 		}},
 		{"e14_chaos", func() (string, error) {
-			res, err := RunChaosSweep(runner.Config{Replications: reps, Parallel: 2, Seed: seed})
-			if err != nil {
-				return "", err
-			}
-			return ChaosTable(res).String(), nil
+			return rendered(ChaosTable)(RunChaosSweep(runner.Config{Replications: reps, Parallel: 2, Seed: seed}))
 		}},
 		{"e16_scale", func() (string, error) {
-			res, err := RunScale(ScaleConfig{Vehicles: []int{60, 120}, Shards: []int{1, 4}, Seed: 7})
-			if err != nil {
-				return "", err
-			}
-			return ScaleTable(res), nil
+			return rendered(ScaleTable)(RunScale(ScaleConfig{Vehicles: []int{60, 120}, Shards: []int{1, 4}, Seed: 7}))
 		}},
 		{"e20_ddi", func() (string, error) {
 			res, err := RunDDIStore(DDIStoreConfig{Records: 120_000, Seed: 7, Parallel: 2, Dir: t.TempDir()})
@@ -112,5 +95,35 @@ func TestExperimentTablesGolden(t *testing.T) {
 				t.Errorf("%s differs from the rendered table (-update rewrites it):\n got:\n%s\nwant:\n%s", path, got, want)
 			}
 		})
+	}
+}
+
+// TestRunReportGolden pins the committed RUN_REPORT.json, E17's output, to
+// what `vdapbench -exp obs -runreport` writes at its defaults (seed 42, 8
+// replications, 2 shards). `make bench` rewrites the file; so does
+//
+//	go test ./internal/experiments -run TestRunReportGolden -update
+func TestRunReportGolden(t *testing.T) {
+	res, err := RunObs(ObsConfig{Config: runner.Config{Replications: 8, Parallel: 2, Seed: 42}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := BuildRunReport(res).Marshal()
+	if err != nil {
+		t.Fatal(err)
+	}
+	const path = "../../RUN_REPORT.json"
+	if *update {
+		if err := os.WriteFile(path, got, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	want, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, want) {
+		t.Errorf("%s differs from the E17 run report at vdapbench's defaults (-update rewrites it)", path)
 	}
 }

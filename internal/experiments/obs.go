@@ -5,10 +5,8 @@ import (
 	"fmt"
 	"time"
 
-	"repro/internal/faults"
 	"repro/internal/fleet"
 	"repro/internal/obs"
-	"repro/internal/offload"
 	"repro/internal/runner"
 	"repro/internal/sim"
 )
@@ -24,17 +22,10 @@ type ObsConfig struct {
 	Shards int
 }
 
-// E17's world: obsVehicles vehicles per fleet over obsRSUs shared edge
-// sites, obsRounds rounds of fleet-wide invocations spaced obsEpoch apart,
-// speeds jittered ±obsSpeedJitterMPH. Each vehicle's uplink spend is capped
-// at obsBandwidthBudgetBytes so the budget-remaining gauge is meaningful,
-// and each flight-recorder lane holds obsEventCapacity events.
+// Each E17 vehicle's uplink spend is capped at obsBandwidthBudgetBytes so
+// the budget-remaining gauge is meaningful, and each flight-recorder lane
+// holds obsEventCapacity events.
 const (
-	obsVehicles             = 8
-	obsRSUs                 = 2
-	obsRounds               = 8
-	obsEpoch                = 400 * time.Millisecond
-	obsSpeedJitterMPH       = 10
 	obsBandwidthBudgetBytes = 48e6
 	obsEventCapacity        = 4096
 )
@@ -67,38 +58,31 @@ type ObsResult struct {
 	FaultEvents int
 }
 
-// obsRep is one replication's contribution.
+// obsRep is one replication's contribution: per round, the fleet's
+// RoundResult, queue depth and budget-remaining gauges.
 type obsRep struct {
-	Rounds      []ObsRoundHealth
-	Obs         obs.Scope // the world's sampled series and merged event log
-	FaultEvents int
+	Rounds        []fleet.RoundResult
+	Queue, Budget []float64
+	Obs           obs.Scope // the world's sampled series and merged event log
+	FaultEvents   int
 }
 
-// RunObs is E17: a faulted, resilience-enabled fleet run with the full
-// observability stack on — per-lane metric sampling into time-series,
-// flight-recorder events from breakers, the resilience ladder, outage
-// windows and commit phases, and per-round health gauges. The merged
-// series and event log are byte-identical for any Shards or Parallel
-// value, which `make determinism` exploits.
+// RunObs is E17: an e17Obs fleet run with the full observability stack on
+// — per-lane metric sampling into time-series, flight-recorder events from
+// breakers, the resilience ladder, outage windows and commit phases, and
+// per-round health gauges. The merged series and event log are
+// byte-identical for any Shards or Parallel value, which `make
+// determinism` exploits.
 func RunObs(cfg ObsConfig) (*ObsResult, error) {
-	if cfg.Shards == 0 {
-		cfg.Shards = 2
+	s := e17Obs
+	if cfg.Shards != 0 {
+		s.shards = cfg.Shards
 	}
 	rep, err := runner.Run(cfg.Config, func(sh *runner.Shard) (obsRep, error) {
-		pol := offload.DefaultPolicy()
-		f, err := fleet.New(fleet.Config{
-			Vehicles:       obsVehicles,
-			RSUs:           obsRSUs,
-			Shards:         cfg.Shards,
-			SpeedJitterMPH: obsSpeedJitterMPH,
-			RNG:            sh.RNG,
-			Faults:         obsFaults(),
-			Resilience:     &pol,
-		})
+		f, err := s.build(sh.RNG)
 		if err != nil {
 			return obsRep{}, err
 		}
-		f.InstrumentSharded(false)
 		f.EnableFlightRecorder(obsEventCapacity)
 		for _, v := range f.Vehicles() {
 			v.Engine.SetBandwidthBudget(obsBandwidthBudgetBytes)
@@ -115,38 +99,28 @@ func RunObs(cfg ObsConfig) (*ObsResult, error) {
 		if _, err := sp.Start(eng); err != nil {
 			return obsRep{}, err
 		}
-
 		out := obsRep{FaultEvents: f.Faults().Plan().EventCount()}
-		for round := 0; round < obsRounds; round++ {
-			now := time.Duration(round) * obsEpoch
-			rr, err := f.ShardedInvokeAllTolerant("kidnapper-search", now)
-			if err != nil {
-				return obsRep{}, err
-			}
-			end := now + obsEpoch
-			if err := eng.RunUntil(end); err != nil {
-				return obsRep{}, err
-			}
-			h := ObsRoundHealth{
-				Round:        round,
-				Invocations:  rr.Invocations,
-				DeadlineHits: rr.DeadlineHits,
-				Failures:     rr.Failures,
-				Fallbacks:    rr.Fallbacks,
-				Degraded:     rr.Degraded,
+		_, _, err = s.run(f, func(_ int, now time.Duration, rr fleet.RoundResult) error {
+			if err := eng.RunUntil(now + s.spacing); err != nil {
+				return err
 			}
 			// Queue depth reads right after the commit phase (at the round's
 			// invocation time), when this round's work is still queued.
-			for _, s := range f.Sites() {
-				h.QueueDepthSec += s.PendingWork(now).Seconds()
+			var queue, budget float64
+			for _, site := range f.Sites() {
+				queue += site.PendingWork(now).Seconds()
 			}
-			var frac float64
 			for _, v := range f.Vehicles() {
 				remaining, _ := v.Engine.BandwidthRemaining()
-				frac += remaining / obsBandwidthBudgetBytes
+				budget += remaining / obsBandwidthBudgetBytes
 			}
-			h.BudgetRemaining = frac / obsVehicles
-			out.Rounds = append(out.Rounds, h)
+			out.Rounds = append(out.Rounds, rr)
+			out.Queue = append(out.Queue, queue)
+			out.Budget = append(out.Budget, budget/float64(s.vehicles))
+			return nil
+		})
+		if err != nil {
+			return obsRep{}, err
 		}
 		f.MergeInto(sh.Obs)
 		out.Obs = obs.Scope{Series: store, Events: f.MergedFlightRecorder()}
@@ -158,7 +132,6 @@ func RunObs(cfg ObsConfig) (*ObsResult, error) {
 
 	res := &ObsResult{
 		Config: cfg.Config,
-		Rounds: make([]ObsRoundHealth, obsRounds),
 		Obs: obs.Scope{
 			Metrics: rep.Obs.Metrics,
 			Series:  obs.NewSeriesStore(0),
@@ -168,68 +141,47 @@ func RunObs(cfg ObsConfig) (*ObsResult, error) {
 	// Merge replications in index order: counter series sum pointwise
 	// (every world ticks the same schedule), events concatenate in the
 	// canonical order.
+	sums := make([]fleet.RoundResult, s.rounds)
+	queue, budget := make([]float64, s.rounds), make([]float64, s.rounds)
 	for _, r := range rep.Results {
 		res.Obs.Merge(r.Obs)
 		res.FaultEvents += r.FaultEvents
-		for i, h := range r.Rounds {
-			agg := &res.Rounds[i]
-			agg.Round = i
-			agg.Invocations += h.Invocations
-			agg.DeadlineHits += h.DeadlineHits
-			agg.Failures += h.Failures
-			agg.Fallbacks += h.Fallbacks
-			agg.Degraded += h.Degraded
-			agg.QueueDepthSec += h.QueueDepthSec / float64(cfg.Replications)
-			agg.BudgetRemaining += h.BudgetRemaining / float64(cfg.Replications)
-		}
-	}
-	for i := range res.Rounds {
-		if res.Rounds[i].Invocations > 0 {
-			res.Rounds[i].HitRate = float64(res.Rounds[i].DeadlineHits) / float64(res.Rounds[i].Invocations)
+		for i := range sums {
+			addRound(&sums[i], r.Rounds[i])
+			queue[i] += r.Queue[i] / float64(cfg.Replications)
+			budget[i] += r.Budget[i] / float64(cfg.Replications)
 		}
 	}
 	// Health gauges land in the merged store after the replication merge,
 	// so their values aggregate over worlds instead of src-wins per world.
-	for i := range res.Rounds {
-		at := time.Duration(i+1) * obsEpoch
-		res.Obs.Series.RecordGauge("fleet.deadline_hit_rate", at, res.Rounds[i].HitRate)
-		res.Obs.Series.RecordGauge("fleet.queue_depth_s", at, res.Rounds[i].QueueDepthSec)
-		res.Obs.Series.RecordGauge("fleet.budget_remaining", at, res.Rounds[i].BudgetRemaining)
+	for i, rr := range sums {
+		h := ObsRoundHealth{
+			Round: i, Invocations: rr.Invocations, DeadlineHits: rr.DeadlineHits, HitRate: hitRate(rr),
+			Failures: rr.Failures, Fallbacks: rr.Fallbacks, Degraded: rr.Degraded,
+			QueueDepthSec: queue[i], BudgetRemaining: budget[i],
+		}
+		res.Rounds = append(res.Rounds, h)
+		at := time.Duration(i+1) * s.spacing
+		res.Obs.Series.RecordGauge("fleet.deadline_hit_rate", at, h.HitRate)
+		res.Obs.Series.RecordGauge("fleet.queue_depth_s", at, h.QueueDepthSec)
+		res.Obs.Series.RecordGauge("fleet.budget_remaining", at, h.BudgetRemaining)
 	}
 	return res, nil
 }
 
-// obsFaults is the experiment's fault plan: one healthy-to-outage cycle
-// every few rounds plus link degradation and transient execution faults,
-// sized to the run's horizon.
-func obsFaults() *faults.PlanConfig {
-	return &faults.PlanConfig{
-		Horizon:             obsRounds*obsEpoch + 2*time.Second,
-		MeanTimeToOutage:    2500 * time.Millisecond,
-		MeanOutage:          600 * time.Millisecond,
-		MeanTimeToDegrade:   2 * time.Second,
-		MeanDegrade:         800 * time.Millisecond,
-		MeanTimeToExecFault: 1500 * time.Millisecond,
-		MeanExecFault:       400 * time.Millisecond,
-	}
-}
-
 // ObsTable renders the per-round health gauges.
 func ObsTable(res *ObsResult) *Table {
-	t := &Table{
-		Title: "E17: flight-recorder run (per-round fleet health)",
-		Columns: []string{"Round", "Invocations", "Hit-rate", "Failures",
-			"Fallbacks", "Degraded", "Queue depth (s)", "Budget left"},
-	}
-	for _, h := range res.Rounds {
-		t.Rows = append(t.Rows, []string{
-			fmt.Sprintf("%d", h.Round), fmt.Sprintf("%d", h.Invocations),
-			f2(h.HitRate), fmt.Sprintf("%d", h.Failures),
-			fmt.Sprintf("%d", h.Fallbacks), fmt.Sprintf("%d", h.Degraded),
-			f2(h.QueueDepthSec), f2(h.BudgetRemaining),
+	return tableOf("E17: flight-recorder run (per-round fleet health)",
+		[]string{"Round", "Invocations", "Hit-rate", "Failures",
+			"Fallbacks", "Degraded", "Queue depth (s)", "Budget left"}, res.Rounds,
+		func(h ObsRoundHealth) []string {
+			return []string{
+				fmt.Sprintf("%d", h.Round), fmt.Sprintf("%d", h.Invocations),
+				f2(h.HitRate), fmt.Sprintf("%d", h.Failures),
+				fmt.Sprintf("%d", h.Fallbacks), fmt.Sprintf("%d", h.Degraded),
+				f2(h.QueueDepthSec), f2(h.BudgetRemaining),
+			}
 		})
-	}
-	return t
 }
 
 // RunReport is the schema-versioned payload written to RUN_REPORT.json:
@@ -261,11 +213,11 @@ func BuildRunReport(res *ObsResult) *RunReport {
 		Schema:       RunReportSchema,
 		Experiment:   "obs",
 		Seed:         res.Config.Seed,
-		Vehicles:     obsVehicles,
-		RSUs:         obsRSUs,
-		Rounds:       obsRounds,
+		Vehicles:     e17Obs.vehicles,
+		RSUs:         e17Obs.rsus,
+		Rounds:       e17Obs.rounds,
 		Replications: res.Config.Replications,
-		EpochNs:      int64(obsEpoch),
+		EpochNs:      int64(e17Obs.spacing),
 		FaultEvents:  res.FaultEvents,
 		RoundHealth:  res.Rounds,
 		Series:       res.Obs.Series.Payload(-1),
