@@ -107,7 +107,6 @@ type Platform struct {
 	registry *libvdap.Registry
 	api      *libvdap.Server
 	scope    obs.Scope
-	firewall *edgeos.Firewall
 	injector *faults.Injector
 	sampler  *obs.Sampler
 
@@ -172,7 +171,7 @@ func New(cfg Config) (*Platform, error) {
 	if err != nil {
 		return nil, err
 	}
-	privacy, err := edgeos.NewPrivacyModule(cfg.Secret, pseudonymRotation, 100)
+	privacy, err := edgeos.NewPrivacyModule(cfg.Secret, pseudonymRotation)
 	if err != nil {
 		return nil, err
 	}
@@ -242,7 +241,6 @@ func New(cfg Config) (*Platform, error) {
 		registry: registry,
 		api:      api,
 		scope:    scope,
-		firewall: edgeos.DefaultVehicleFirewall(),
 		injector: injector,
 	}, nil
 }
@@ -280,9 +278,6 @@ func (p *Platform) Runtime() *edgeos.ContainerRuntime { return p.runtime }
 
 // Sharing returns the data-sharing module.
 func (p *Platform) Sharing() *edgeos.DataSharing { return p.sharing }
-
-// Privacy returns the privacy module.
-func (p *Platform) Privacy() *edgeos.PrivacyModule { return p.privacy }
 
 // DDI returns the driving-data integrator.
 func (p *Platform) DDI() *ddi.DDI { return p.data }
@@ -356,17 +351,6 @@ func (p *Platform) Metrics() *telemetry.Registry { return p.scope.Metrics }
 // Tracer exposes the platform's span recorder; every subsystem on the
 // request path reports into it in virtual time.
 func (p *Platform) Tracer() *trace.Tracer { return p.scope.Tracer }
-
-// Firewall returns the vehicle's default-deny inbound firewall.
-func (p *Platform) Firewall() *edgeos.Firewall { return p.firewall }
-
-// AdmitFlow evaluates an inbound connection attempt against the firewall
-// and records the outcome in telemetry.
-func (p *Platform) AdmitFlow(f edgeos.Flow) (edgeos.Verdict, string) {
-	v, rule := p.firewall.Evaluate(f)
-	p.scope.Metrics.Add("firewall."+v.String(), 1)
-	return v, rule
-}
 
 // StartCollection begins periodic DDI collection every interval of
 // virtual time.
@@ -459,8 +443,8 @@ func (p *Platform) Report() string {
 	}
 	b.WriteString("\n-- VCU devices --\n")
 	for _, prof := range p.mhep.Profiles(now, horizon) {
-		fmt.Fprintf(&b, "%-18s %-6s util=%5.1f%% online=%v\n",
-			prof.Name, prof.Kind, prof.Utilization*100, prof.Online)
+		fmt.Fprintf(&b, "%-18s %-6s util=%5.1f%%\n",
+			prof.Name, prof.Kind, prof.Utilization*100)
 	}
 
 	b.WriteString("\n-- services --\n")
@@ -477,9 +461,6 @@ func (p *Platform) Report() string {
 			s.Name, s.Priority, s.State(), st.Invocations, st.HangUps,
 			avg.Round(time.Millisecond), st.TotalEnergyJ, st.PipelineUse)
 	}
-
-	fwAllowed, fwDenied := p.firewall.Stats()
-	fmt.Fprintf(&b, "\n-- firewall --\nallowed=%d denied=%d\n", fwAllowed, fwDenied)
 
 	ups, downs, hitRate := p.data.Stats()
 	fmt.Fprintf(&b, "\n-- DDI --\nrecords=%d uploads=%d downloads=%d cache-hit=%.2f\n",

@@ -9,7 +9,6 @@ import (
 
 	"repro/internal/edgeos"
 	"repro/internal/geo"
-	"repro/internal/network"
 	"repro/internal/tasks"
 	"repro/internal/trace"
 )
@@ -42,7 +41,7 @@ func TestPlatformWiring(t *testing.T) {
 	p := newPlatform(t)
 	if p.Engine() == nil || p.Road() == nil || p.MHEP() == nil || p.DSF() == nil ||
 		p.Offload() == nil || p.Elastic() == nil || p.Security() == nil ||
-		p.Runtime() == nil || p.Sharing() == nil || p.Privacy() == nil ||
+		p.Runtime() == nil || p.Sharing() == nil ||
 		p.DDI() == nil || p.Cloud() == nil || p.Registry() == nil || p.API() == nil {
 		t.Fatal("platform component missing")
 	}
@@ -131,9 +130,10 @@ func TestMigrateOldData(t *testing.T) {
 		t.Fatal("cloud did not receive migrated records")
 	}
 	// Identity was pseudonymized.
+	want := p.privacy.Pseudonym(p.Engine().Now())
 	for _, r := range p.Cloud().Data().Query("", 0, time.Hour) {
-		if r.Vehicle == "" || len(r.Vehicle) != 32 {
-			t.Fatalf("bad pseudonym %q", r.Vehicle)
+		if r.Vehicle != want || len(r.Vehicle) != 32 {
+			t.Fatalf("record shipped as %q, want pseudonym %q", r.Vehicle, want)
 		}
 	}
 }
@@ -276,24 +276,6 @@ func BenchmarkPlatformInvokeALPR(b *testing.B) {
 		if _, err := p.InvokeService("kidnapper-search"); err != nil {
 			b.Fatal(err)
 		}
-	}
-}
-
-func TestPlatformFirewall(t *testing.T) {
-	p := newPlatform(t)
-	v, rule := p.AdmitFlow(edgeos.Flow{Iface: network.LTE, Protocol: "ssh", Source: "internet:evil"})
-	if v != edgeos.Deny || rule != "default-deny" {
-		t.Fatalf("remote ssh = %v via %s", v, rule)
-	}
-	v, _ = p.AdmitFlow(edgeos.Flow{Iface: network.DSRC, Protocol: "bsm", Source: "pseudonym:x"})
-	if v != edgeos.Allow {
-		t.Fatalf("DSRC beacon = %v", v)
-	}
-	if got := p.Metrics().Counter("firewall.deny"); got != 1 {
-		t.Fatalf("deny counter = %v", got)
-	}
-	if !strings.Contains(p.Report(), "firewall") {
-		t.Fatal("report missing firewall section")
 	}
 }
 

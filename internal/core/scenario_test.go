@@ -12,8 +12,8 @@ import (
 
 // TestScenarioDayInTheLife drives the full platform through a realistic
 // sequence: boot, install the paper's four service types, collect data
-// while invoking services across changing speeds, suffer and recover from
-// a compromise, and end with cloud migration. Every module is exercised
+// while invoking services across changing speeds, and end with cloud
+// migration. Every module is exercised
 // against the same virtual timeline.
 func TestScenarioDayInTheLife(t *testing.T) {
 	p := newPlatform(t)
@@ -60,20 +60,6 @@ func TestScenarioDayInTheLife(t *testing.T) {
 		t.Fatalf("completed %d invocations, want >= 60", invocations)
 	}
 
-	// Compromise and recovery mid-drive.
-	if err := p.Security().MarkCompromised("infotainment"); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := p.InvokeService("infotainment"); err == nil {
-		t.Fatal("compromised service invoked")
-	}
-	if err := p.Security().Reinstall("infotainment"); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := p.InvokeService("infotainment"); err != nil {
-		t.Fatalf("reinstalled service failed: %v", err)
-	}
-
 	// Data kept flowing the whole time.
 	count := p.DDI().Store().Count()
 	if count < 4*60*4 { // 4+ records/second for 4+ minutes
@@ -101,10 +87,9 @@ func TestScenarioDayInTheLife(t *testing.T) {
 	}
 }
 
-// TestScenarioPhoneJoinsAndLeaves exercises 2ndHEP dynamics end to end:
-// a passenger phone joins the mHEP, absorbs work, then leaves mid-
-// operation without breaking subsequent scheduling.
-func TestScenarioPhoneJoinsAndLeaves(t *testing.T) {
+// TestScenarioPhoneJoins exercises the 2ndHEP end to end: a passenger
+// phone joins the mHEP of a running platform and scheduling carries on.
+func TestScenarioPhoneJoins(t *testing.T) {
 	p := newPlatform(t)
 	svc := &edgeos.Service{
 		Name: "kidnapper-search", Priority: edgeos.PriorityInteractive,
@@ -129,18 +114,11 @@ func TestScenarioPhoneJoinsAndLeaves(t *testing.T) {
 	if _, err := p.InvokeService("kidnapper-search"); err != nil {
 		t.Fatalf("invoke with phone attached: %v", err)
 	}
-	// Passenger leaves.
-	if err := p.MHEP().RemoveDevice(hardware.DevicePhone); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := p.InvokeService("kidnapper-search"); err != nil {
-		t.Fatalf("invoke after phone left: %v", err)
-	}
 }
 
 // TestScenarioHangUpRecovery: a service with a deadline only the edge can
-// meet hangs up when every VCU device that could serve it goes offline and
-// no pipeline fits, then resumes when hardware returns.
+// meet hangs up when a backlog on every VCU device leaves no pipeline that
+// fits, then resumes once the backlog drains.
 func TestScenarioHangUpRecovery(t *testing.T) {
 	p := newPlatform(t)
 	svc := &edgeos.Service{
@@ -164,9 +142,10 @@ func TestScenarioHangUpRecovery(t *testing.T) {
 	if res.HungUp {
 		t.Fatalf("healthy platform hung up the safety service")
 	}
-	// The DNN accelerators fail: only the (slow at DNN) CPU remains.
-	for _, dev := range []string{hardware.DeviceVCUASIC, hardware.DeviceVCUFPGA, hardware.DeviceTX2MaxP} {
-		if err := p.MHEP().SetOnline(dev, false); err != nil {
+	// A burst of detector work queues up on every VCU device.
+	now := p.Engine().Now()
+	for i := 0; i < 200; i++ {
+		if _, err := p.DSF().Run(tasks.PedestrianAlert(), now); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -175,51 +154,24 @@ func TestScenarioHangUpRecovery(t *testing.T) {
 		t.Fatal(err)
 	}
 	if !res.HungUp {
-		t.Fatalf("service met an 80 ms deadline on the CPU alone (latency %v)", res.Latency)
+		t.Fatalf("service met an 80 ms deadline behind the backlog (latency %v)", res.Latency)
 	}
 	sAfter, _ := p.Elastic().Service("pedestrian-alert")
 	if sAfter.State() != edgeos.HungUp {
 		t.Fatalf("state = %v, want hung-up", sAfter.State())
 	}
-	// Hardware recovers; the service resumes automatically.
-	for _, dev := range []string{hardware.DeviceVCUASIC, hardware.DeviceVCUFPGA, hardware.DeviceTX2MaxP} {
-		if err := p.MHEP().SetOnline(dev, true); err != nil {
-			t.Fatal(err)
-		}
+	// The backlog drains; the service resumes automatically.
+	if err := p.AdvanceTo(now + time.Minute); err != nil {
+		t.Fatal(err)
 	}
 	res, err = p.InvokeService("pedestrian-alert")
 	if err != nil {
 		t.Fatal(err)
 	}
 	if res.HungUp {
-		t.Fatal("service did not resume after hardware recovery")
+		t.Fatal("service did not resume after the backlog drained")
 	}
 	if sAfter.State() != edgeos.Running {
 		t.Fatalf("state = %v after recovery", sAfter.State())
-	}
-}
-
-// TestScenarioDSRCPrivacyChain: records leaving the vehicle carry rotating
-// pseudonyms and generalized locations; the platform's own privacy module
-// recognizes its past pseudonyms while a second vehicle's does not.
-func TestScenarioDSRCPrivacyChain(t *testing.T) {
-	p := newPlatform(t)
-	cfgB := DefaultConfig(t.TempDir())
-	cfgB.Secret = []byte("other-vehicle-secret-0123456789!")
-	other, err := New(cfgB)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer other.Close()
-
-	rec := p.Privacy().Scrub(p.Engine().Now(), 1234.5, 17.2, "detection", []byte("3 cars"))
-	if rec.X == 1234.5 && rec.Y == 17.2 {
-		t.Fatal("location not generalized")
-	}
-	if !p.Privacy().IsMine(rec.Pseudonym, p.Engine().Now(), time.Hour) {
-		t.Fatal("own pseudonym unrecognized")
-	}
-	if other.Privacy().IsMine(rec.Pseudonym, other.Engine().Now(), time.Hour) {
-		t.Fatal("foreign vehicle claimed our pseudonym")
 	}
 }

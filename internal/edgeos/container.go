@@ -1,9 +1,6 @@
 package edgeos
 
-import (
-	"fmt"
-	"sort"
-)
+import "fmt"
 
 // IsolationKind is how a service is sandboxed.
 type IsolationKind int
@@ -30,30 +27,21 @@ func (k IsolationKind) String() string {
 	}
 }
 
-// Container is one service sandbox with resource limits enforced by the
-// runtime (CPU shares steer DSF placement weight; the memory limit is a
-// hard admission bound).
+// Container is one service sandbox and the limits it was launched with.
 type Container struct {
 	Service   string
 	Isolation IsolationKind
 	// CPUShares is the relative CPU weight (like cgroup cpu.shares).
 	CPUShares int
-	// MemoryLimitMB caps the service's peak task working set.
+	// MemoryLimitMB is the sandbox's memory cap.
 	MemoryLimitMB float64
 	// Measurement is the attestation fingerprint of the installed image.
 	Measurement string
-	// Generation counts reinstalls (Security-module reliability actions).
-	Generation int
-
-	running bool
-	usedMB  float64
 }
 
 // ContainerRuntime manages all sandboxes on the vehicle.
 type ContainerRuntime struct {
 	containers map[string]*Container
-	// totalShares tracks the denominator for relative CPU weights.
-	totalShares int
 }
 
 // NewContainerRuntime returns an empty runtime.
@@ -81,10 +69,8 @@ func (r *ContainerRuntime) Launch(service string, isolation IsolationKind, cpuSh
 		CPUShares:     cpuShares,
 		MemoryLimitMB: memoryLimitMB,
 		Measurement:   measurement,
-		running:       true,
 	}
 	r.containers[service] = c
-	r.totalShares += cpuShares
 	return c, nil
 }
 
@@ -97,73 +83,11 @@ func (r *ContainerRuntime) Get(service string) (*Container, error) {
 	return c, nil
 }
 
-// Containers lists sandboxes sorted by service name.
-func (r *ContainerRuntime) Containers() []*Container {
-	out := make([]*Container, 0, len(r.containers))
-	for _, c := range r.containers {
-		out = append(out, c)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Service < out[j].Service })
-	return out
-}
-
-// Remove destroys a sandbox (releases its shares).
+// Remove destroys a sandbox.
 func (r *ContainerRuntime) Remove(service string) error {
-	c, ok := r.containers[service]
-	if !ok {
+	if _, ok := r.containers[service]; !ok {
 		return fmt.Errorf("edgeos: no container for %q", service)
 	}
-	r.totalShares -= c.CPUShares
 	delete(r.containers, service)
 	return nil
-}
-
-// CPUFraction returns the container's relative CPU entitlement in (0, 1].
-func (r *ContainerRuntime) CPUFraction(service string) (float64, error) {
-	c, err := r.Get(service)
-	if err != nil {
-		return 0, err
-	}
-	if r.totalShares == 0 {
-		return 0, fmt.Errorf("edgeos: no shares allocated")
-	}
-	return float64(c.CPUShares) / float64(r.totalShares), nil
-}
-
-// Running reports whether the sandbox is live.
-func (c *Container) Running() bool { return c.running }
-
-// UsedMB returns currently charged memory.
-func (c *Container) UsedMB() float64 { return c.usedMB }
-
-// ChargeMemory admits a working set against the limit; it fails when the
-// limit would be exceeded (the isolation guarantee: one service cannot
-// starve others of memory).
-func (c *Container) ChargeMemory(mb float64) error {
-	if mb < 0 {
-		return fmt.Errorf("edgeos: negative memory charge %v", mb)
-	}
-	if !c.running {
-		return fmt.Errorf("edgeos: container %s is not running", c.Service)
-	}
-	if c.usedMB+mb > c.MemoryLimitMB {
-		return fmt.Errorf("edgeos: container %s memory limit %v MB exceeded (used %v, requested %v)",
-			c.Service, c.MemoryLimitMB, c.usedMB, mb)
-	}
-	c.usedMB += mb
-	return nil
-}
-
-// ReleaseMemory returns a working set to the pool.
-func (c *Container) ReleaseMemory(mb float64) {
-	c.usedMB -= mb
-	if c.usedMB < 0 {
-		c.usedMB = 0
-	}
-}
-
-// Stop halts the sandbox (memory is released).
-func (c *Container) Stop() {
-	c.running = false
-	c.usedMB = 0
 }

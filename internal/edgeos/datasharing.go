@@ -1,6 +1,9 @@
 package edgeos
 
 import (
+	"crypto/hmac"
+	"crypto/sha256"
+	"encoding/hex"
 	"fmt"
 	"sort"
 	"time"
@@ -24,6 +27,9 @@ type Message struct {
 // read foreign data.
 type DataSharing struct {
 	sealer *vdapcrypto.Sealer
+	// tokenKey keys the HMAC that mints service tokens, so a token cannot
+	// be computed from the service name alone.
+	tokenKey []byte
 	// tokens authenticate services: service -> secret token.
 	tokens map[string]string
 	// acl[topic][service] grants: "pub", "sub", or "pubsub".
@@ -55,6 +61,7 @@ func NewDataSharing(secret []byte, retain int) (*DataSharing, error) {
 	}
 	return &DataSharing{
 		sealer:    sealer,
+		tokenKey:  append([]byte(nil), secret...),
 		tokens:    make(map[string]string),
 		acl:       make(map[string]map[string]string),
 		retained:  make(map[string][]sealedMessage),
@@ -71,7 +78,9 @@ func (d *DataSharing) Enroll(service string) (string, error) {
 	if _, dup := d.tokens[service]; dup {
 		return "", fmt.Errorf("edgeos: service %q already enrolled", service)
 	}
-	token := vdapcrypto.Fingerprint([]byte("token:" + service))
+	mac := hmac.New(sha256.New, d.tokenKey)
+	mac.Write([]byte("token:" + service))
+	token := hex.EncodeToString(mac.Sum(nil)[:16])
 	d.tokens[service] = token
 	return token, nil
 }
@@ -104,7 +113,7 @@ func (d *DataSharing) Revoke(topic, service string) {
 // authenticate verifies the (service, token) pair.
 func (d *DataSharing) authenticate(service, token string) error {
 	want, ok := d.tokens[service]
-	if !ok || want != token {
+	if !ok || !hmac.Equal([]byte(want), []byte(token)) {
 		return fmt.Errorf("edgeos: authentication failed for %q", service)
 	}
 	return nil

@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"testing"
 	"time"
+
+	"repro/internal/vdapcrypto"
 )
 
 var sharingSecret = []byte("vehicle-data-sharing-master-key!")
@@ -42,6 +44,40 @@ func TestEnroll(t *testing.T) {
 	if _, err := d.Enroll(""); err == nil {
 		t.Fatal("empty name accepted")
 	}
+}
+
+// TestTokensAreKeyedBySecret: a token is an HMAC under the module's
+// secret, so knowing a service's name is not enough to act as it, and two
+// vehicles with different secrets mint different tokens for one name.
+func TestTokensAreKeyedBySecret(t *testing.T) {
+	d := newSharing(t)
+	tok, err := d.Enroll("camera")
+	if err != nil {
+		t.Fatal(err)
+	}
+	must(t, d.Grant("frames", "camera", "pubsub"))
+	forged := vdapcrypto.Fingerprint([]byte("token:camera"))
+	if err := d.Publish("camera", forged, "frames", time.Second, []byte("x")); err == nil {
+		t.Fatal("unkeyed fingerprint of the service name accepted as its token")
+	}
+	if _, err := d.Fetch("camera", forged, "frames", 0); err == nil {
+		t.Fatal("unkeyed fingerprint of the service name accepted for fetch")
+	}
+	other, err := NewDataSharing([]byte("another-vehicle-sharing-secret!!"), 16)
+	if err != nil {
+		t.Fatal(err)
+	}
+	otherTok, err := other.Enroll("camera")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if otherTok == tok {
+		t.Fatal("different secrets minted the same token")
+	}
+	if err := d.Publish("camera", otherTok, "frames", time.Second, []byte("x")); err == nil {
+		t.Fatal("another vehicle's token accepted")
+	}
+	must(t, d.Publish("camera", tok, "frames", time.Second, []byte("x")))
 }
 
 // TestShareCameraBetweenServices reproduces the paper's example: the

@@ -194,7 +194,7 @@ func (m *ElasticManager) Choose(name string, now time.Duration) (Choice, []Choic
 		span.SetAttr(trace.String("error", err.Error()))
 		return Choice{}, nil, false, err
 	}
-	if s.state == Stopped || s.state == Compromised {
+	if s.state == Stopped {
 		return Choice{}, nil, false, fmt.Errorf("edgeos: service %s is %v", name, s.state)
 	}
 	pipelines := s.EffectivePipelines()

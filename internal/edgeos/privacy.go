@@ -1,73 +1,27 @@
 package edgeos
 
 import (
-	"fmt"
-	"math"
 	"time"
 
 	"repro/internal/vdapcrypto"
 )
 
-// PrivacyModule provides identity and location protection for data leaving
-// the vehicle (paper §IV-C): rotating pseudonyms for vehicle identity, and
-// location generalization so GPS traces shared externally cannot pinpoint
-// sensitive places (home, hospital).
+// PrivacyModule protects the vehicle's identity in data leaving it (paper
+// §IV-C): what it ships is tagged with a pseudonym that rotates every
+// epoch instead of a stable vehicle ID.
 type PrivacyModule struct {
 	scheme *vdapcrypto.PseudonymScheme
-	// cellM is the location-generalization grid size in meters.
-	cellM float64
 }
 
-// NewPrivacyModule builds the module from the vehicle's long-term secret.
-// rotation is the pseudonym lifetime; cellM the location grid (min 10 m).
-func NewPrivacyModule(secret []byte, rotation time.Duration, cellM float64) (*PrivacyModule, error) {
+// NewPrivacyModule builds the module from the vehicle's long-term secret;
+// rotation is the pseudonym lifetime.
+func NewPrivacyModule(secret []byte, rotation time.Duration) (*PrivacyModule, error) {
 	scheme, err := vdapcrypto.NewPseudonymScheme(secret, rotation)
 	if err != nil {
 		return nil, err
 	}
-	if cellM < 10 {
-		return nil, fmt.Errorf("edgeos: location cell %v m too fine (min 10)", cellM)
-	}
-	return &PrivacyModule{scheme: scheme, cellM: cellM}, nil
+	return &PrivacyModule{scheme: scheme}, nil
 }
 
 // Pseudonym returns the identity to present externally at virtual time t.
 func (p *PrivacyModule) Pseudonym(t time.Duration) string { return p.scheme.At(t) }
-
-// IsMine reports whether a pseudonym was issued by this vehicle within the
-// lookback window — how the vehicle recognizes replies addressed to its
-// past identities.
-func (p *PrivacyModule) IsMine(pseudonym string, t, lookback time.Duration) bool {
-	return p.scheme.Mine(pseudonym, t, lookback)
-}
-
-// GeneralizeLocation snaps a coordinate to the privacy grid's cell center.
-func (p *PrivacyModule) GeneralizeLocation(x, y float64) (gx, gy float64) {
-	gx = (math.Floor(x/p.cellM) + 0.5) * p.cellM
-	gy = (math.Floor(y/p.cellM) + 0.5) * p.cellM
-	return gx, gy
-}
-
-// SharedRecord is a privacy-scrubbed datum ready to leave the vehicle.
-type SharedRecord struct {
-	Pseudonym string        `json:"pseudonym"`
-	At        time.Duration `json:"at"`
-	X         float64       `json:"x"`
-	Y         float64       `json:"y"`
-	Kind      string        `json:"kind"`
-	Payload   []byte        `json:"payload"`
-}
-
-// Scrub produces the external form of a record: vehicle identity replaced
-// by the current pseudonym and location generalized to the grid.
-func (p *PrivacyModule) Scrub(t time.Duration, x, y float64, kind string, payload []byte) SharedRecord {
-	gx, gy := p.GeneralizeLocation(x, y)
-	return SharedRecord{
-		Pseudonym: p.Pseudonym(t),
-		At:        t,
-		X:         gx,
-		Y:         gy,
-		Kind:      kind,
-		Payload:   payload,
-	}
-}

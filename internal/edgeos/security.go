@@ -6,19 +6,13 @@ import (
 	"repro/internal/vdapcrypto"
 )
 
-// SecurityModule monitors services, attests their images, seals TEE
-// memory, and — implementing the Reliability property — removes and
-// reinstalls services it finds compromised (paper §IV-C: "this module will
-// remove the compromised one and re-install an initialized one").
+// SecurityModule installs services into their sandboxes (a TEE when the
+// service asks for one) and attests their images against the measurement
+// recorded at install time (paper §IV-C).
 type SecurityModule struct {
 	runtime  *ContainerRuntime
 	manager  *ElasticManager
 	expected map[string]string // service -> expected measurement
-	sealers  map[string]*vdapcrypto.Sealer
-	// trusted whitelists image measurements accepted via migration.
-	trusted map[string]bool
-	// reinstalls tallies reliability actions per service.
-	reinstalls map[string]int
 }
 
 // NewSecurityModule builds the module over the container runtime and the
@@ -28,12 +22,9 @@ func NewSecurityModule(runtime *ContainerRuntime, manager *ElasticManager) (*Sec
 		return nil, fmt.Errorf("edgeos: security module needs runtime and manager")
 	}
 	return &SecurityModule{
-		runtime:    runtime,
-		manager:    manager,
-		expected:   make(map[string]string),
-		sealers:    make(map[string]*vdapcrypto.Sealer),
-		trusted:    make(map[string]bool),
-		reinstalls: make(map[string]int),
+		runtime:  runtime,
+		manager:  manager,
+		expected: make(map[string]string),
 	}, nil
 }
 
@@ -54,11 +45,6 @@ func (sm *SecurityModule) Install(s *Service, cpuShares int, memoryLimitMB float
 	isolation := ContainerIsolation
 	if s.TEE {
 		isolation = TEEIsolation
-		sealer, err := vdapcrypto.NewSealer([]byte("tee-seal:" + s.Name + ":" + measurement))
-		if err != nil {
-			return fmt.Errorf("tee sealer for %s: %w", s.Name, err)
-		}
-		sm.sealers[s.Name] = sealer
 	}
 	if _, err := sm.runtime.Launch(s.Name, isolation, cpuShares, memoryLimitMB, measurement); err != nil {
 		return err
@@ -89,75 +75,3 @@ func (sm *SecurityModule) Attest(service string) error {
 	}
 	return nil
 }
-
-// Seal encrypts data inside a TEE service's sealed memory.
-func (sm *SecurityModule) Seal(service string, plaintext []byte) ([]byte, error) {
-	sealer, ok := sm.sealers[service]
-	if !ok {
-		return nil, fmt.Errorf("edgeos: service %s has no TEE", service)
-	}
-	return sealer.Seal(plaintext, []byte("tee:"+service))
-}
-
-// Unseal decrypts TEE-sealed data for its owning service.
-func (sm *SecurityModule) Unseal(service string, envelope []byte) ([]byte, error) {
-	sealer, ok := sm.sealers[service]
-	if !ok {
-		return nil, fmt.Errorf("edgeos: service %s has no TEE", service)
-	}
-	return sealer.Open(envelope, []byte("tee:"+service))
-}
-
-// MarkCompromised is the monitor's verdict: the service is flagged and its
-// sandbox stopped.
-func (sm *SecurityModule) MarkCompromised(service string) error {
-	s, err := sm.manager.Service(service)
-	if err != nil {
-		return err
-	}
-	c, err := sm.runtime.Get(service)
-	if err != nil {
-		return err
-	}
-	s.state = Compromised
-	c.Stop()
-	return nil
-}
-
-// Reinstall implements the reliability action: the compromised sandbox is
-// destroyed and a fresh one launched from the original image; the service
-// returns to Running.
-func (sm *SecurityModule) Reinstall(service string) error {
-	s, err := sm.manager.Service(service)
-	if err != nil {
-		return err
-	}
-	old, err := sm.runtime.Get(service)
-	if err != nil {
-		return err
-	}
-	want, ok := sm.expected[service]
-	if !ok {
-		return fmt.Errorf("edgeos: no recorded measurement for %q", service)
-	}
-	// Verify the pristine image still matches before trusting it.
-	if got := vdapcrypto.Fingerprint(s.Image); got != want {
-		return fmt.Errorf("edgeos: pristine image of %s no longer matches measurement", service)
-	}
-	gen := old.Generation
-	shares, limit, isolation := old.CPUShares, old.MemoryLimitMB, old.Isolation
-	if err := sm.runtime.Remove(service); err != nil {
-		return err
-	}
-	fresh, err := sm.runtime.Launch(service, isolation, shares, limit, want)
-	if err != nil {
-		return err
-	}
-	fresh.Generation = gen + 1
-	s.state = Running
-	sm.reinstalls[service]++
-	return nil
-}
-
-// Reinstalls returns how many times a service was reinstalled.
-func (sm *SecurityModule) Reinstalls(service string) int { return sm.reinstalls[service] }

@@ -1,9 +1,7 @@
 package edgeos
 
 import (
-	"bytes"
 	"testing"
-	"time"
 
 	"repro/internal/tasks"
 )
@@ -84,106 +82,9 @@ func TestInstallRollsBackOnDuplicateRegistration(t *testing.T) {
 	}
 }
 
-func TestTEESealUnseal(t *testing.T) {
-	sm, _, _ := newSecured(t)
-	if err := sm.Install(teeService(), 100, 512); err != nil {
-		t.Fatal(err)
-	}
-	secret := []byte("model weights checkpoint")
-	env, err := sm.Seal("pedestrian-alert", secret)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := sm.Unseal("pedestrian-alert", env)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(got, secret) {
-		t.Fatal("TEE round trip mismatch")
-	}
-	if _, err := sm.Seal("ghost", secret); err == nil {
-		t.Fatal("sealing for unknown TEE succeeded")
-	}
-	// Non-TEE services have no sealer.
-	plain := &Service{Name: "plain", Priority: PriorityBackground, DAG: tasks.Diagnostics(), Image: []byte("p")}
-	if err := sm.Install(plain, 100, 256); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := sm.Seal("plain", secret); err == nil {
-		t.Fatal("sealing for non-TEE service succeeded")
-	}
-}
-
-func TestCompromiseAndReinstall(t *testing.T) {
-	sm, rt, mgr := newSecured(t)
-	svc := teeService()
-	if err := sm.Install(svc, 100, 512); err != nil {
-		t.Fatal(err)
-	}
-	if err := sm.MarkCompromised("pedestrian-alert"); err != nil {
-		t.Fatal(err)
-	}
-	if svc.State() != Compromised {
-		t.Fatalf("state = %v", svc.State())
-	}
-	// Compromised services cannot be invoked.
-	if _, err := mgr.Invoke("pedestrian-alert", 0); err == nil {
-		t.Fatal("compromised service invoked")
-	}
-	old, _ := rt.Get("pedestrian-alert")
-	if old.Running() {
-		t.Fatal("compromised container still running")
-	}
-	if err := sm.Reinstall("pedestrian-alert"); err != nil {
-		t.Fatal(err)
-	}
-	if svc.State() != Running {
-		t.Fatalf("state after reinstall = %v", svc.State())
-	}
-	fresh, _ := rt.Get("pedestrian-alert")
-	if !fresh.Running() {
-		t.Fatal("reinstalled container not running")
-	}
-	if fresh.Generation != 1 {
-		t.Fatalf("generation = %d, want 1", fresh.Generation)
-	}
-	if sm.Reinstalls("pedestrian-alert") != 1 {
-		t.Fatal("reinstall not counted")
-	}
-	// And it works again.
-	if _, err := mgr.Invoke("pedestrian-alert", time.Second); err != nil {
-		t.Fatalf("invoke after reinstall: %v", err)
-	}
-}
-
-func TestReinstallRefusesTamperedImage(t *testing.T) {
-	sm, _, _ := newSecured(t)
-	svc := teeService()
-	if err := sm.Install(svc, 100, 512); err != nil {
-		t.Fatal(err)
-	}
-	if err := sm.MarkCompromised(svc.Name); err != nil {
-		t.Fatal(err)
-	}
-	svc.Image = []byte("evil replacement")
-	if err := sm.Reinstall(svc.Name); err == nil {
-		t.Fatal("reinstall from tampered image succeeded")
-	}
-}
-
 func TestAttestUnknownService(t *testing.T) {
 	sm, _, _ := newSecured(t)
 	if err := sm.Attest("ghost"); err == nil {
 		t.Fatal("attested unknown service")
-	}
-}
-
-func TestMarkCompromisedUnknown(t *testing.T) {
-	sm, _, _ := newSecured(t)
-	if err := sm.MarkCompromised("ghost"); err == nil {
-		t.Fatal("marked unknown service")
-	}
-	if err := sm.Reinstall("ghost"); err == nil {
-		t.Fatal("reinstalled unknown service")
 	}
 }

@@ -2,10 +2,8 @@
 // (paper §IV-C): polymorphic services with multiple execution pipelines,
 // the Elastic Management module that picks a pipeline per invocation (or
 // hangs the service up when none meets its deadline), container/TEE-based
-// isolation, a compromise-monitoring Security module that reinstalls bad
-// services, an authenticated Data Sharing module, and a pseudonym-based
-// Privacy module. Together these realize the DEIR properties
-// (Differentiation, Extensibility, Isolation, Reliability).
+// isolation, a Security module that attests installed images, an
+// authenticated Data Sharing module, and a pseudonym-based Privacy module.
 package edgeos
 
 import (
@@ -25,14 +23,12 @@ const (
 	// pipeline met its deadline (paper: "the service will be hung up
 	// until meeting requirements again").
 	HungUp
-	// Compromised means the Security module flagged the service.
-	Compromised
 	// Stopped means the service was shut down administratively.
 	Stopped
 )
 
 var serviceStateNames = map[ServiceState]string{
-	Running: "running", HungUp: "hung-up", Compromised: "compromised", Stopped: "stopped",
+	Running: "running", HungUp: "hung-up", Stopped: "stopped",
 }
 
 // String returns the lower-case state name.
@@ -83,8 +79,8 @@ type Service struct {
 	Pipelines []Pipeline
 	// TEE requests trusted-execution isolation (Security module).
 	TEE bool
-	// Image is the service binary content, used for attestation
-	// measurements and reinstallation.
+	// Image is the service binary content; its fingerprint is the
+	// attestation measurement.
 	Image []byte
 
 	state ServiceState

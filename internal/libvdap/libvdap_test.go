@@ -236,7 +236,7 @@ func TestResourcesEndpoint(t *testing.T) {
 		t.Fatalf("resources = %d devices", len(profs))
 	}
 	for _, p := range profs {
-		if p.Name == "" || !p.Online {
+		if p.Name == "" {
 			t.Fatalf("bad profile %+v", p)
 		}
 	}
@@ -279,6 +279,35 @@ func TestDataEndpoints(t *testing.T) {
 	// Bad column rejected.
 	if _, err := client.QueryWindow("user", "bogus", 0, 100); err == nil {
 		t.Fatal("bogus column accepted")
+	}
+}
+
+// TestOversizedBodyIs413: a POST body past the 1 MiB bound is refused with
+// 413 and the usual JSON error, and an oversized upload stores nothing.
+func TestOversizedBodyIs413(t *testing.T) {
+	ts, client, _ := newTestServer(t)
+	big := `{"source":"user","x":1,"y":2,"payload":"` + strings.Repeat("A", 2<<20) + `"}`
+	for _, path := range []string{"/api/v1/data/upload", "/api/v1/models/cbeam/predict", "/api/v1/sharing/publish"} {
+		resp, err := http.Post(ts.URL+path, "application/json", strings.NewReader(big))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var body apiError
+		derr := json.NewDecoder(resp.Body).Decode(&body)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusRequestEntityTooLarge {
+			t.Fatalf("POST %s with a 2 MiB body = %d, want 413", path, resp.StatusCode)
+		}
+		if derr != nil || body.Error == "" {
+			t.Fatalf("POST %s: 413 without a JSON error (%v)", path, derr)
+		}
+	}
+	recs, _, err := client.QueryData("user", 0, 100, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(recs) != 0 {
+		t.Fatalf("oversized upload stored %d records", len(recs))
 	}
 }
 

@@ -2,6 +2,7 @@ package libvdap
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"net/http"
 	"strconv"
@@ -751,6 +752,26 @@ func (s *Server) writeErrRes(w http.ResponseWriter, status int, err error) {
 	s.writeJSON(w, status, apiError{Error: err.Error()})
 }
 
+// maxBodyBytes bounds a POST body; a larger one is answered 413.
+const maxBodyBytes = 1 << 20
+
+// decodeBody decodes the JSON request body into v, reading at most
+// maxBodyBytes. On failure it writes the error response (413 when the body
+// is too large, 400 otherwise) and returns false.
+func (s *Server) decodeBody(w http.ResponseWriter, r *http.Request, v any) bool {
+	err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes)).Decode(v)
+	if err == nil {
+		return true
+	}
+	status := http.StatusBadRequest
+	var tooLarge *http.MaxBytesError
+	if errors.As(err, &tooLarge) {
+		status = http.StatusRequestEntityTooLarge
+	}
+	s.writeErrRes(w, status, fmt.Errorf("decode request: %w", err))
+	return false
+}
+
 func (s *Server) handleStatus(w http.ResponseWriter, r *http.Request) {
 	s.cached(w, r, s.statusCache, func() (any, error) {
 		return map[string]any{
@@ -804,8 +825,7 @@ func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req PredictRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		s.writeErrRes(w, http.StatusBadRequest, fmt.Errorf("decode request: %w", err))
+	if !s.decodeBody(w, r, &req) {
 		return
 	}
 	probs, class, err := s.registry.Predict(r.PathValue("name"), req.Features)
@@ -848,8 +868,7 @@ func (s *Server) handleUpload(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req UploadRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		s.writeErrRes(w, http.StatusBadRequest, fmt.Errorf("decode request: %w", err))
+	if !s.decodeBody(w, r, &req) {
 		return
 	}
 	rec, err := s.store.Upload(s.clock(), ddi.Source(req.Source), req.X, req.Y, req.Payload)
@@ -992,8 +1011,7 @@ func (s *Server) handlePublish(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req PublishRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		s.writeErrRes(w, http.StatusBadRequest, fmt.Errorf("decode request: %w", err))
+	if !s.decodeBody(w, r, &req) {
 		return
 	}
 	token := r.Header.Get("X-VDAP-Token")

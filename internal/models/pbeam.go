@@ -61,12 +61,21 @@ func BuildPBEAM(driver DriverProfile, rng *sim.RNG) (*PBEAMResult, error) {
 		return nil, fmt.Errorf("cBEAM training: %w", err)
 	}
 
-	// Compression stage: shrink for the edge.
+	// Compression stage: shrink for the edge, then ship it in the wire
+	// format (Figure 9's download arrow) and unpack it on the vehicle.
 	compressed, err := Compress(cbeam, CompressOptions{PruneFraction: 0.6, CodebookBits: 5})
 	if err != nil {
 		return nil, fmt.Errorf("compress cBEAM: %w", err)
 	}
-	shipped, err := compressed.Decompress()
+	wire, err := compressed.Marshal()
+	if err != nil {
+		return nil, fmt.Errorf("ship cBEAM: %w", err)
+	}
+	received, err := UnmarshalCompressed(wire)
+	if err != nil {
+		return nil, fmt.Errorf("receive cBEAM: %w", err)
+	}
+	shipped, err := received.Decompress()
 	if err != nil {
 		return nil, fmt.Errorf("decompress cBEAM: %w", err)
 	}

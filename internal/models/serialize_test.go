@@ -2,10 +2,12 @@ package models
 
 import (
 	"bytes"
+	"math"
 	"runtime"
 	"testing"
 
 	"repro/internal/huffman"
+	"repro/internal/sim"
 )
 
 func TestCompressedMarshalRoundTrip(t *testing.T) {
@@ -66,6 +68,54 @@ func TestUnmarshalCompressedErrors(t *testing.T) {
 	empty := &Compressed{}
 	if _, err := empty.Marshal(); err == nil {
 		t.Fatal("layerless model marshaled")
+	}
+}
+
+// TestPBEAMShipsThroughWireFormat pins the path BuildPBEAM takes from cloud
+// to vehicle: the shipped stream decodes and re-marshals to the same bytes,
+// and the model the vehicle unpacks has weights bit-equal to decompressing
+// the cloud's in-memory form.
+func TestPBEAMShipsThroughWireFormat(t *testing.T) {
+	res, err := BuildPBEAM(SyntheticDriver("driver-7", 7), sim.NewRNG(100))
+	if err != nil {
+		t.Fatal(err)
+	}
+	wire, err := res.CompressedCBEAM.Marshal()
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := UnmarshalCompressed(wire)
+	if err != nil {
+		t.Fatal(err)
+	}
+	again, err := got.Marshal()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(again, wire) {
+		t.Fatal("re-marshaled stream differs from the shipped one")
+	}
+	want, err := res.CompressedCBEAM.Decompress()
+	if err != nil {
+		t.Fatal(err)
+	}
+	shipped, err := got.Decompress()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for l := range want.W {
+		for o := range want.W[l] {
+			for i, w := range want.W[l][o] {
+				if math.Float64bits(shipped.W[l][o][i]) != math.Float64bits(w) {
+					t.Fatalf("weight [%d][%d][%d] = %v after shipping, want %v", l, o, i, shipped.W[l][o][i], w)
+				}
+			}
+		}
+		for o, b := range want.B[l] {
+			if math.Float64bits(shipped.B[l][o]) != math.Float64bits(b) {
+				t.Fatalf("bias [%d][%d] = %v after shipping, want %v", l, o, shipped.B[l][o], b)
+			}
+		}
 	}
 }
 

@@ -1,7 +1,7 @@
 // Package offload implements OpenVDAP's dynamic offloading and scheduling
 // strategy: for each application (task DAG) it enumerates the feasible
-// destinations — on-board VCU, neighboring vehicles, XEdge servers, the
-// remote cloud — estimates end-to-end latency and vehicle-side energy for
+// destinations — on-board VCU, XEdge servers, the remote cloud —
+// estimates end-to-end latency and vehicle-side energy for
 // each (including mobility-degraded network transfer), and picks the
 // destination that finishes the service "at the right time with limited
 // bandwidth consumption" (paper §I, §IV).

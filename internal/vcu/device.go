@@ -1,8 +1,8 @@
 // Package vcu implements OpenVDAP's Heterogeneous Vehicle Computing Unit
 // (paper §IV-B): the multi-level heterogeneous computing platform (mHEP)
 // that manages on-board and opportunistic processors, and the Dynamic
-// Scheduling Framework (DSF) that partitions applications into task DAGs
-// and places them on the best-fit devices.
+// Scheduling Framework (DSF) that places applications' task DAGs on the
+// best-fit devices.
 package vcu
 
 import (
@@ -19,7 +19,7 @@ const (
 	// FirstLevel (1stHEP) is the permanently installed VCU hardware.
 	FirstLevel Tier = iota + 1
 	// SecondLevel (2ndHEP) is opportunistic hardware: passenger phones,
-	// the legacy on-board controller — devices that join and leave.
+	// the legacy on-board controller.
 	SecondLevel
 )
 
@@ -52,10 +52,9 @@ func WiFiIO() IO { return IO{MBps: 15, Latency: 3 * time.Millisecond} }
 
 // Device is one managed processor inside the mHEP.
 type Device struct {
-	exec   *hardware.Executor
-	tier   Tier
-	io     IO
-	online bool
+	exec *hardware.Executor
+	tier Tier
+	io   IO
 }
 
 // NewDevice wraps a processor for mHEP management.
@@ -67,7 +66,7 @@ func NewDevice(p *hardware.Processor, tier Tier, io IO) (*Device, error) {
 	if io.MBps <= 0 {
 		return nil, fmt.Errorf("vcu: device %s needs positive IO bandwidth", p.Name)
 	}
-	return &Device{exec: exec, tier: tier, io: io, online: true}, nil
+	return &Device{exec: exec, tier: tier, io: io}, nil
 }
 
 // Name returns the device name.
@@ -75,9 +74,6 @@ func (d *Device) Name() string { return d.exec.Processor().Name }
 
 // Tier returns the mHEP level.
 func (d *Device) Tier() Tier { return d.tier }
-
-// Online reports whether the device is currently usable.
-func (d *Device) Online() bool { return d.online }
 
 // Processor exposes the underlying hardware description.
 func (d *Device) Processor() *hardware.Processor { return d.exec.Processor() }
@@ -106,7 +102,6 @@ type ResourceProfile struct {
 	Name          string             `json:"name"`
 	Tier          string             `json:"tier"`
 	Kind          string             `json:"kind"`
-	Online        bool               `json:"online"`
 	Slots         int                `json:"slots"`
 	EarliestStart time.Duration      `json:"earliestStart"`
 	Utilization   float64            `json:"utilization"`
@@ -125,7 +120,6 @@ func (d *Device) Profile(now, horizon time.Duration) ResourceProfile {
 		Name:          p.Name,
 		Tier:          d.tier.String(),
 		Kind:          p.Kind.String(),
-		Online:        d.online,
 		Slots:         p.Slots,
 		EarliestStart: d.exec.EarliestStart(now),
 		Utilization:   d.exec.Utilization(horizon),

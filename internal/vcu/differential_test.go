@@ -92,7 +92,7 @@ func TestPoliciesMatchNaiveReference(t *testing.T) {
 		}
 		for i, d := range dags {
 			now := time.Duration(i) * 3 * time.Millisecond
-			devices := m.OnlineDevices()
+			devices := m.Devices()
 			what := fmt.Sprintf("%s on %s", pp.policy.Name(), d.Name)
 			want, wantErr := pp.naive(d, devices, now)
 			got, gotErr := pp.policy.Plan(d, devices, now)
@@ -123,9 +123,9 @@ func TestPlanErrorOrderMatchesNaiveReference(t *testing.T) {
 			devices []*Device
 		}{
 			{nil, nil},
-			{nil, m.OnlineDevices()},
+			{nil, m.Devices()},
 			{cyclic, nil},
-			{cyclic, m.OnlineDevices()},
+			{cyclic, m.Devices()},
 			{tasks.ALPR(), nil},
 		} {
 			want, wantErr := pp.naive(in.dag, in.devices, 0)

@@ -11,15 +11,12 @@ import (
 )
 
 // DSF is the Dynamic Scheduling Framework (paper §IV-B2): it keeps resource
-// and application profiles, partitions applications into task DAGs (the
-// DAGs arrive pre-partitioned from package tasks), plans placements with a
-// pluggable policy, and commits plans onto the real device executors.
+// and application profiles, plans placements of task DAGs (which arrive
+// pre-partitioned from package tasks) with a pluggable policy, and commits
+// plans onto the real device executors.
 type DSF struct {
 	mhep   *MHEP
 	policy Policy
-	// restrict, when non-empty for an app, is the DSF control knob that
-	// limits which devices the app may touch (resource isolation).
-	restrict map[string]map[string]bool
 	// scratch is the planner every built-in policy plans on (see
 	// scratchPolicy); a DSF is single-goroutine, so one suffices.
 	scratch planner
@@ -82,7 +79,7 @@ func NewDSF(m *MHEP, policy Policy) (*DSF, error) {
 	if policy == nil {
 		return nil, fmt.Errorf("vcu: nil policy")
 	}
-	return &DSF{mhep: m, policy: policy, restrict: make(map[string]map[string]bool)}, nil
+	return &DSF{mhep: m, policy: policy}, nil
 }
 
 // SetPolicy swaps the scheduling policy at runtime.
@@ -100,47 +97,15 @@ func (s *DSF) Policy() Policy { return s.policy }
 // MHEP returns the managed platform.
 func (s *DSF) MHEP() *MHEP { return s.mhep }
 
-// RestrictApp limits the named application to the given devices — the
-// control-knob isolation the paper describes ("resources accessed by
-// applications are tightly controlled by DSF"). An empty device list
-// removes the restriction.
-func (s *DSF) RestrictApp(app string, deviceNames []string) {
-	if len(deviceNames) == 0 {
-		delete(s.restrict, app)
-		return
-	}
-	set := make(map[string]bool, len(deviceNames))
-	for _, n := range deviceNames {
-		set[n] = true
-	}
-	s.restrict[app] = set
-}
-
-// allowedDevices applies the app restriction to the online device set.
-func (s *DSF) allowedDevices(app string) []*Device {
-	online := s.mhep.OnlineDevices()
-	allowed, restricted := s.restrict[app]
-	if !restricted {
-		return online
-	}
-	var out []*Device
-	for _, d := range online {
-		if allowed[d.Name()] {
-			out = append(out, d)
-		}
-	}
-	return out
-}
-
 // Plan produces a tentative placement for the DAG at virtual time now
 // without touching device queues.
 func (s *DSF) Plan(dag *tasks.DAG, now time.Duration) (*Plan, error) {
 	if dag == nil {
 		return nil, fmt.Errorf("vcu: nil DAG")
 	}
-	devices := s.allowedDevices(dag.Name)
+	devices := s.mhep.Devices()
 	if len(devices) == 0 {
-		return nil, fmt.Errorf("vcu: no online devices available to app %s", dag.Name)
+		return nil, fmt.Errorf("vcu: no devices available to app %s", dag.Name)
 	}
 	var plan *Plan
 	var err error

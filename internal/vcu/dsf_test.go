@@ -208,70 +208,6 @@ func TestUnplaceableTask(t *testing.T) {
 	}
 }
 
-func TestOfflineDeviceNotScheduled(t *testing.T) {
-	s := newDSF(t, GreedyEFT{})
-	// The ASIC is the best DNN device; take it offline and ensure the
-	// plan avoids it.
-	if err := s.MHEP().SetOnline(hardware.DeviceVCUASIC, false); err != nil {
-		t.Fatal(err)
-	}
-	plan, err := s.Plan(tasks.PedestrianAlert(), 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, a := range plan.Assignments {
-		if a.Device == hardware.DeviceVCUASIC {
-			t.Fatal("offline device scheduled")
-		}
-	}
-}
-
-func TestRestrictApp(t *testing.T) {
-	s := newDSF(t, GreedyEFT{})
-	s.RestrictApp("alpr", []string{hardware.DeviceI76700})
-	plan, err := s.Plan(tasks.ALPR(), 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, a := range plan.Assignments {
-		if a.Device != hardware.DeviceI76700 {
-			t.Fatalf("restricted app escaped to %s", a.Device)
-		}
-	}
-	// Unrestricted app unaffected.
-	plan2, err := s.Plan(tasks.PedestrianAlert(), 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	seen := map[string]bool{}
-	for _, a := range plan2.Assignments {
-		seen[a.Device] = true
-	}
-	// Clearing the restriction restores full platform access.
-	s.RestrictApp("alpr", nil)
-	plan3, err := s.Plan(tasks.ALPR(), 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	free := false
-	for _, a := range plan3.Assignments {
-		if a.Device != hardware.DeviceI76700 {
-			free = true
-		}
-	}
-	if !free {
-		t.Log("note: unrestricted plan still chose the CPU for all stages (allowed)")
-	}
-}
-
-func TestRestrictAppToNothingFails(t *testing.T) {
-	s := newDSF(t, GreedyEFT{})
-	s.RestrictApp("alpr", []string{"ghost-device"})
-	if _, err := s.Plan(tasks.ALPR(), 0); err == nil {
-		t.Fatal("plan with empty allowed set succeeded")
-	}
-}
-
 func TestSecondLevelDeviceRelievesLoad(t *testing.T) {
 	// With the GPU/ASIC saturated, adding a phone should absorb some DNN
 	// work or at least not slow things down.

@@ -10,8 +10,8 @@ import (
 
 // MHEP is the multi-level heterogeneous computing platform: the registry
 // of devices DSF schedules onto. 1stHEP devices are installed at build
-// time; 2ndHEP devices join and leave dynamically (plug-and-play phones,
-// the legacy controller).
+// time; 2ndHEP devices (phones, the legacy controller) are added with
+// AddDevice.
 type MHEP struct {
 	devices map[string]*Device
 	storage *hardware.Storage
@@ -63,31 +63,6 @@ func (m *MHEP) AddDevice(p *hardware.Processor, tier Tier, io IO) error {
 	return nil
 }
 
-// RemoveDevice unplugs a 2ndHEP device. 1stHEP devices are installed
-// hardware and cannot be removed.
-func (m *MHEP) RemoveDevice(name string) error {
-	d, ok := m.devices[name]
-	if !ok {
-		return fmt.Errorf("vcu: unknown device %q", name)
-	}
-	if d.tier == FirstLevel {
-		return fmt.Errorf("vcu: device %q is 1stHEP hardware and cannot be removed", name)
-	}
-	delete(m.devices, name)
-	return nil
-}
-
-// SetOnline marks a device reachable or unreachable (e.g. a phone whose
-// owner started a call; a device in a fault state).
-func (m *MHEP) SetOnline(name string, online bool) error {
-	d, ok := m.devices[name]
-	if !ok {
-		return fmt.Errorf("vcu: unknown device %q", name)
-	}
-	d.online = online
-	return nil
-}
-
 // Device returns the named device.
 func (m *MHEP) Device(name string) (*Device, error) {
 	d, ok := m.devices[name]
@@ -105,17 +80,6 @@ func (m *MHEP) Devices() []*Device {
 		out = append(out, d)
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].Name() < out[j].Name() })
-	return out
-}
-
-// OnlineDevices returns the devices currently available for scheduling.
-func (m *MHEP) OnlineDevices() []*Device {
-	var out []*Device
-	for _, d := range m.Devices() {
-		if d.online {
-			out = append(out, d)
-		}
-	}
 	return out
 }
 

@@ -105,9 +105,6 @@ func (p *planner) begin(dag *tasks.DAG, devices []*Device, now time.Duration) ([
 
 // capable reports whether dev can run t at all.
 func capable(dev *Device, t *tasks.Task) bool {
-	if !dev.Online() {
-		return false
-	}
 	if t.Pinned != "" && t.Pinned != dev.Name() {
 		return false
 	}

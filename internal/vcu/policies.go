@@ -202,7 +202,7 @@ func (pa PowerAware) plan(p *planner, dag *tasks.DAG, devices []*Device, now tim
 	return finishPlan(dag.Name, pa.Name(), now, assignments), nil
 }
 
-// UnplaceableError reports a task no online device can run.
+// UnplaceableError reports a task no device can run.
 type UnplaceableError struct {
 	DAG  string
 	Task string

@@ -10,7 +10,7 @@ import (
 )
 
 // Property tests: every policy, on randomized DAGs, must produce plans
-// that (a) place every task exactly once on a capable online device,
+// that (a) place every task exactly once on a capable device,
 // (b) respect dependency ordering in time, (c) never overlap two tasks in
 // the same device slot beyond its concurrency, and (d) commit to the same
 // dependency-safe ordering.

@@ -1,8 +1,7 @@
 // Package vdapcrypto provides the cryptographic mechanisms EdgeOSv's
 // security and privacy modules rely on: rotating HMAC-derived pseudonyms
 // for privacy-preserving data sharing between vehicles and XEdge (paper
-// §IV-C), and AES-GCM sealed envelopes standing in for TEE-sealed memory
-// and encrypted inter-service data sharing.
+// §IV-C), and the AES-GCM sealed envelopes of inter-service data sharing.
 package vdapcrypto
 
 import (
@@ -22,8 +21,7 @@ var ErrDecrypt = errors.New("vdapcrypto: decryption failed")
 
 // PseudonymScheme derives short-lived vehicle pseudonyms from a long-term
 // secret. Observers (RSUs, other vehicles) see unlinkable identifiers that
-// rotate every Period, while the issuing vehicle can always recognize its
-// own pseudonyms.
+// rotate every Period.
 type PseudonymScheme struct {
 	secret []byte
 	period time.Duration
@@ -57,26 +55,8 @@ func (s *PseudonymScheme) At(t time.Duration) string {
 	return hex.EncodeToString(mac.Sum(nil)[:16])
 }
 
-// Mine reports whether pseudonym p was issued by this scheme at a time
-// within the epochs [t-lookback, t].
-func (s *PseudonymScheme) Mine(p string, t, lookback time.Duration) bool {
-	if lookback < 0 {
-		lookback = 0
-	}
-	start := time.Duration(0)
-	if t > lookback {
-		start = t - lookback
-	}
-	for e := s.Epoch(start); e <= s.Epoch(t); e++ {
-		if hmac.Equal([]byte(p), []byte(s.At(time.Duration(e)*s.period))) {
-			return true
-		}
-	}
-	return false
-}
-
-// Sealer encrypts and authenticates byte payloads with AES-256-GCM. It
-// models both TEE memory sealing and the Data Sharing module's envelopes.
+// Sealer encrypts and authenticates byte payloads with AES-256-GCM: the
+// Data Sharing module's envelopes.
 type Sealer struct {
 	aead cipher.AEAD
 	// nonceCounter produces unique nonces; GCM nonce reuse is fatal, so

@@ -46,28 +46,6 @@ func TestPseudonymUnlinkabilityAcrossVehicles(t *testing.T) {
 	}
 }
 
-func TestPseudonymMine(t *testing.T) {
-	s, _ := NewPseudonymScheme(testSecret, time.Minute)
-	now := 30 * time.Minute
-	if !s.Mine(s.At(now), now, 0) {
-		t.Fatal("current pseudonym not recognized")
-	}
-	old := s.At(now - 5*time.Minute)
-	if s.Mine(old, now, 0) {
-		t.Fatal("expired pseudonym recognized without lookback")
-	}
-	if !s.Mine(old, now, 10*time.Minute) {
-		t.Fatal("recent pseudonym not recognized within lookback")
-	}
-	other, _ := NewPseudonymScheme([]byte("fedcba9876543210fedcba9876543210"), time.Minute)
-	if s.Mine(other.At(now), now, time.Hour) {
-		t.Fatal("foreign pseudonym recognized")
-	}
-	if s.Mine(s.At(2*time.Minute), time.Minute, 5*time.Minute) {
-		t.Fatal("future-epoch lookup with negative start recognized wrongly")
-	}
-}
-
 func TestSealerRoundTrip(t *testing.T) {
 	s, err := NewSealer(testSecret)
 	if err != nil {

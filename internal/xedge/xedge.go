@@ -1,6 +1,6 @@
 // Package xedge models the external computing entities OpenVDAP offloads
 // to (paper §IV): XEdge servers running on RSUs, base stations, and traffic
-// signals, plus neighboring vehicles reachable over DSRC. Each site owns
+// signals, and the remote cloud. Each site owns
 // real executors (multi-tenant queueing included) and an access network
 // path; reachability follows the vehicle's position.
 package xedge
@@ -22,15 +22,12 @@ const (
 	RSU SiteKind = iota + 1
 	// BaseStationEdge is an XEdge server co-located with a cellular tower.
 	BaseStationEdge
-	// NeighborVehicle is another CAV sharing compute over DSRC.
-	NeighborVehicle
 	// CloudSite is the remote datacenter behind the WAN.
 	CloudSite
 )
 
 var siteKindNames = map[SiteKind]string{
-	RSU: "rsu", BaseStationEdge: "base-station-edge",
-	NeighborVehicle: "neighbor-vehicle", CloudSite: "cloud",
+	RSU: "rsu", BaseStationEdge: "base-station-edge", CloudSite: "cloud",
 }
 
 // String returns the lower-case kind name.
@@ -143,22 +140,6 @@ func NewRSU(station geo.Station) (*Site, error) {
 	}
 	path := network.Path{Name: "vehicle-rsu", Links: []network.LinkSpec{dsrc}}
 	return New(station.ID, RSU, station, path, xeon, gpu)
-}
-
-// NewNeighborVehicle builds a peer CAV's shareable compute (one TX2-class
-// GPU) reached over DSRC. The neighbor is modeled as staying in convoy
-// range (position-independent reachability).
-func NewNeighborVehicle(name string) (*Site, error) {
-	gpu, err := hardware.Lookup(hardware.DeviceTX2MaxP)
-	if err != nil {
-		return nil, err
-	}
-	dsrc, err := network.LookupLink("dsrc")
-	if err != nil {
-		return nil, err
-	}
-	path := network.Path{Name: "vehicle-neighbor", Links: []network.LinkSpec{dsrc}}
-	return New(name, NeighborVehicle, geo.Station{}, path, gpu)
 }
 
 // NewCloud builds the remote-cloud site: a large node behind LTE + WAN.

@@ -57,10 +57,6 @@ func TestReachability(t *testing.T) {
 	if !c.Reachable(geo.Point{X: 1e9}) {
 		t.Fatal("cloud should be position-independent")
 	}
-	n, _ := NewNeighborVehicle("buddy")
-	if !n.Reachable(geo.Point{X: 123}) {
-		t.Fatal("neighbor should be reachable in convoy")
-	}
 }
 
 func TestSubmitAndEstimateAgree(t *testing.T) {
@@ -92,9 +88,7 @@ func TestSubmitPicksFasterDevice(t *testing.T) {
 }
 
 func TestSubmitUnsupportedClass(t *testing.T) {
-	n, _ := NewNeighborVehicle("buddy")
-	// The TX2 has no Crypto entry but has General fallback, so use an
-	// impossible class via a site with only an ASIC.
+	// A site with only an ASIC cannot run Crypto work.
 	asic, _ := hardware.Lookup(hardware.DeviceVCUASIC)
 	dsrc, _ := network.LookupLink("dsrc")
 	s, err := New("asic-site", RSU, geo.Station{}, network.Path{Name: "p", Links: []network.LinkSpec{dsrc}}, asic)
@@ -104,7 +98,6 @@ func TestSubmitUnsupportedClass(t *testing.T) {
 	if _, _, err := s.Submit(0, hardware.Crypto, 1); err == nil {
 		t.Fatal("unsupported class accepted")
 	}
-	_ = n
 }
 
 func TestPreloadRaisesQueueing(t *testing.T) {
