@@ -24,12 +24,12 @@ verify:
 
 # determinism runs the E13 fleet sweep (stdout and -trace file) and the
 # E14 chaos sweep twice with the same seed at different worker-pool
-# sizes, the E16 scaling sweep at two shard counts, the E17 observability run across both axes, and the E19
-# network-chaos plan and E20 DDI query digest at two worker counts,
+# sizes, the E16 scaling sweep at two shard counts, the E17 observability
+# run across both axes, and the E20 DDI query digest at two worker counts,
 # requiring byte-identical reports every time: neither the sharded
 # replication runner nor the epoch-barrier fleet executor may leak
 # scheduling order into results, telemetry, fault plans, sampled series,
-# or flight-recorder logs. It is also CI's end-to-end run of those six
+# or flight-recorder logs. It is also CI's end-to-end run of those five
 # experiments.
 determinism:
 	$(GO) build -o /tmp/vdapbench ./cmd/vdapbench
@@ -55,10 +55,6 @@ determinism:
 	diff -u /tmp/obs-p1.txt /tmp/obs-s4.txt
 	diff -u /tmp/obs-p1.json /tmp/obs-s4.json
 	@echo "determinism: obs series + events byte-identical across -shards levels"
-	/tmp/vdapbench -exp netchaos -seed 7 -parallel 1 > /tmp/netchaos-p1.txt
-	/tmp/vdapbench -exp netchaos -seed 7 -parallel 4 > /tmp/netchaos-p4.txt
-	diff -u /tmp/netchaos-p1.txt /tmp/netchaos-p4.txt
-	@echo "determinism: E19 chaos plan byte-identical across -parallel levels"
 	/tmp/vdapbench -exp ddi -seed 7 -records 200000 -parallel 1 > /tmp/ddi-p1.txt
 	/tmp/vdapbench -exp ddi -seed 7 -records 200000 -parallel 4 > /tmp/ddi-p4.txt
 	diff -u /tmp/ddi-p1.txt /tmp/ddi-p4.txt

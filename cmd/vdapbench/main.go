@@ -121,7 +121,7 @@ type experiment struct {
 	desc  string
 	// all marks experiments included in -exp all. The determinism digests
 	// sized by fleet or corpus (scale, ddi: minutes at their defaults),
-	// file-writing runs (obs) and the netchaos plan dump stay out.
+	// and file-writing runs (obs) stay out.
 	all bool
 	run func(o *options) error
 }
@@ -177,7 +177,6 @@ var experimentList = []experiment{
 	}},
 	{"scale", "E16", "fleet scaling digest, byte-identical at any -shards", false, runScale},
 	{"obs", "E17", "flight-recorder fleet run -> RUN_REPORT.json", false, runObs},
-	{"netchaos", "E19", "compiled network-chaos plan, byte-identical at any -parallel", false, runNetChaos},
 	{"ddi", "E20", "columnar DDI store query digest, byte-identical at any -parallel", false, runDDIStore},
 }
 
@@ -195,7 +194,7 @@ func expNames() string {
 func expUsage() string {
 	var b strings.Builder
 	b.WriteString("experiments:\n")
-	fmt.Fprintf(&b, "  %-10s %-4s %s\n", "all", "", "every paper experiment below (the determinism digests scale, obs, netchaos and ddi run by name only)")
+	fmt.Fprintf(&b, "  %-10s %-4s %s\n", "all", "", "every paper experiment below (the determinism digests scale, obs and ddi run by name only)")
 	for _, e := range experimentList {
 		fmt.Fprintf(&b, "  %-10s %-4s %s\n", e.name, e.label, e.desc)
 	}
@@ -363,19 +362,6 @@ func runObs(o *options) error {
 		return nil
 	}
 	return writeReport(o.runReport, experiments.RunReportSchema, experiments.BuildRunReport(res).Marshal)
-}
-
-// runNetChaos is E19's deterministic half: the compiled network-chaos
-// plan, byte-identical at every -parallel level — `make determinism` diffs
-// this output across worker counts. The traffic half is a test
-// (core.TestChaosPairResilienceBeatsRaw).
-func runNetChaos(o *options) error {
-	plan, err := experiments.CompileChaosPlan(o.seed, o.parallel)
-	if err != nil {
-		return err
-	}
-	fmt.Print(plan.Describe())
-	return nil
 }
 
 // runDDIStore is E20: the columnar store digest `make determinism` diffs

@@ -303,9 +303,10 @@ func TestRunArchTraced(t *testing.T) {
 }
 
 // TestRunUnknownExperiment: an unknown -exp fails with the full listing —
-// and the retired -exp perf, serve and chaosserve are now exactly that.
+// and the retired -exp perf, serve, chaosserve and netchaos are now exactly
+// that.
 func TestRunUnknownExperiment(t *testing.T) {
-	for _, exp := range []string{"warp-drive", "perf", "serve", "chaosserve", ""} {
+	for _, exp := range []string{"warp-drive", "perf", "serve", "chaosserve", "netchaos", ""} {
 		err := run(options{exp: exp, seed: 1})
 		if err == nil || !strings.Contains(err.Error(), "unknown experiment") {
 			t.Fatalf("run(%q) = %v, want unknown-experiment error", exp, err)
@@ -320,26 +321,9 @@ func TestRunUnknownExperiment(t *testing.T) {
 // generator are unknown flags now (exit 2, like any other), not ignored.
 func TestRemovedFlagsRejected(t *testing.T) {
 	for _, name := range []string{"clients", "servedur", "mix", "serveout", "chaosout"} {
-		if code := mainExit([]string{"-exp", "netchaos", "-" + name, "1"}); code != 2 {
+		if code := mainExit([]string{"-exp", "table1", "-" + name, "1"}); code != 2 {
 			t.Errorf("-%s: exit code %d, want 2", name, code)
 		}
-	}
-}
-
-// TestRunNetChaosDeterministicAcrossParallel: the compiled E19 plan on
-// stdout must be byte-identical no matter how many workers compiled it.
-func TestRunNetChaosDeterministicAcrossParallel(t *testing.T) {
-	at := func(parallel int) []byte {
-		return captureStdout(t, func() error {
-			return run(options{exp: "netchaos", seed: 7, parallel: parallel})
-		})
-	}
-	serial := at(1)
-	if !bytes.HasPrefix(serial, []byte("netchaos seed=7 conns=")) {
-		t.Fatalf("netchaos did not print the plan:\n%.200s", serial)
-	}
-	if got := at(4); !bytes.Equal(serial, got) {
-		t.Fatal("-parallel 4 plan differs from -parallel 1")
 	}
 }
 

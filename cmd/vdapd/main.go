@@ -143,7 +143,10 @@ func run(listen, dataDir string, speedMPH float64, seed int64, tick time.Duratio
 		select {
 		case <-ticker.C:
 			// AdvanceTo holds the API server's run lock for the step, so
-			// in-flight handlers never observe a half-advanced platform.
+			// the handlers that take that lock never observe a
+			// half-advanced platform. The observability routes (status,
+			// metrics, series, events, stream) run without it and may read
+			// the clock mid-step.
 			if err := p.AdvanceTo(p.Engine().Now() + time.Second); err != nil {
 				srv.Close()
 				return err

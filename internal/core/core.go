@@ -39,10 +39,6 @@ type Config struct {
 	DataDir string
 	// Secret is the vehicle's long-term secret (>= 16 bytes).
 	Secret []byte
-	// Resilience, when non-nil, installs the offload resilience policy
-	// (per-site circuit breakers, bounded retry, degradation ladder) on the
-	// offloading engine.
-	Resilience *offload.Policy
 	// Faults, when non-nil, compiles a deterministic fault plan over the
 	// platform's sites from the kernel's RNG, attaches its injector to every
 	// site, schedules outage transitions on the simulation kernel, and routes
@@ -201,10 +197,6 @@ func New(cfg Config) (*Platform, error) {
 		return nil, err
 	}
 
-	if cfg.Resilience != nil {
-		pol := *cfg.Resilience
-		eng.SetResilience(&pol)
-	}
 	var injector *faults.Injector
 	if cfg.Faults != nil {
 		plan, err := faults.NewPlan(*cfg.Faults, engine.RNG().Fork(), sites)

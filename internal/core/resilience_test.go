@@ -14,8 +14,6 @@ import (
 func chaosConfig(t *testing.T) Config {
 	cfg := DefaultConfig(t.TempDir())
 	cfg.Seed = 42
-	pol := offload.DefaultPolicy()
-	cfg.Resilience = &pol
 	cfg.Faults = &faults.PlanConfig{
 		Horizon:             30 * time.Second,
 		MeanTimeToOutage:    3 * time.Second,
@@ -26,10 +24,11 @@ func chaosConfig(t *testing.T) Config {
 	return cfg
 }
 
-// TestPlatformFaultWiring: a platform built with a fault plan and a
-// resilience policy survives a faulted run end to end — outages fire on
-// the simulation kernel, the faults.* telemetry appears next to the
-// offload metrics, and no invocation errors escape the resilience ladder.
+// TestPlatformFaultWiring: a platform built with a fault plan and given the
+// offload resilience policy survives a faulted run end to end — outages
+// fire on the simulation kernel, the faults.* telemetry appears next to
+// the offload metrics, and no invocation errors escape the resilience
+// ladder.
 func TestPlatformFaultWiring(t *testing.T) {
 	p, err := New(chaosConfig(t))
 	if err != nil {
@@ -43,9 +42,8 @@ func TestPlatformFaultWiring(t *testing.T) {
 	if p.Faults().Plan().EventCount() == 0 {
 		t.Fatal("fault plan is empty under a dense config")
 	}
-	if p.Offload().Resilience() == nil {
-		t.Fatal("resilience policy not installed")
-	}
+	pol := offload.DefaultPolicy()
+	p.Offload().SetResilience(&pol)
 
 	svc := &edgeos.Service{
 		Name:     "kidnapper-search",

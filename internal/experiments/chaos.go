@@ -3,7 +3,6 @@ package experiments
 import (
 	"fmt"
 
-	"repro/internal/faults"
 	"repro/internal/fleet"
 	"repro/internal/obs"
 	"repro/internal/runner"
@@ -92,22 +91,4 @@ func ChaosTable(res *runner.Report[ChaosRow]) *Table {
 				fmt.Sprintf("%d", r.Degraded), fmt.Sprintf("%d", r.FaultEvents),
 			}
 		})
-}
-
-// CompileChaosPlan compiles E19's network fault plan, the one `-exp
-// netchaos` prints and the paired resilience test runs both of its modes
-// under: 45% of connections carry an RST byte budget and 45% a clean
-// truncation budget (independently, so ~70% carry at least one), budgets
-// small enough that such a connection dies within a handful of responses;
-// latency on a fifth, and occasional accept stalls. The plan is
-// byte-identical at any parallel level — `make determinism` diffs it.
-func CompileChaosPlan(seed int64, parallel int) (*faults.NetPlan, error) {
-	return faults.CompileNetPlan(faults.NetChaosConfig{
-		Seed:             seed,
-		Conns:            4096,
-		ResetMinBytes:    1 << 9,
-		ResetMaxBytes:    8 << 10,
-		TruncateMinBytes: 1 << 9,
-		TruncateMaxBytes: 6 << 10,
-	}, parallel)
 }

@@ -77,22 +77,3 @@ func TestChaosDeterministicAcrossParallelism(t *testing.T) {
 		t.Fatalf("span counts diverge: %d vs %d", par.Obs.Tracer.SpanCount(), seq.Obs.Tracer.SpanCount())
 	}
 }
-
-// TestCompileChaosPlanDeterministic pins the `make determinism` contract:
-// the compiled E19 plan must be byte-identical at any -parallel level.
-func TestCompileChaosPlanDeterministic(t *testing.T) {
-	p1, err := CompileChaosPlan(7, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	p4, err := CompileChaosPlan(7, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if p1.Describe() != p4.Describe() {
-		t.Fatal("chaos plan text diverged across -parallel levels")
-	}
-	if p1.Digest() != p4.Digest() {
-		t.Fatalf("chaos plan digest diverged: %s vs %s", p1.Digest(), p4.Digest())
-	}
-}

@@ -18,16 +18,11 @@ import (
 
 // Client is the Go binding for the RESTful API — what third-party
 // developers link against (paper: "developers can access all software and
-// hardware resources by calling the API"). By default every call is a
-// single attempt; SetRetryPolicy turns on retries, hedging, per-request
-// timeouts, a circuit breaker, and stream auto-reconnect.
+// hardware resources by calling the API"). Every call is one request.
 type Client struct {
 	base  string
 	http  *http.Client
 	token string
-
-	retry    *retryState
-	counters clientCounters
 }
 
 // NewClient targets an API server at base (e.g. "http://127.0.0.1:8947").
@@ -44,31 +39,63 @@ func NewClient(base string, hc *http.Client) (*Client, error) {
 // SetToken attaches a Data Sharing authentication token to future calls.
 func (c *Client) SetToken(token string) { c.token = token }
 
-func (c *Client) do(method, path string, body, out any) error {
-	return c.call(method, path, body, out, nil)
+// send issues one request with an optional JSON payload. A transport
+// failure or an HTTP error status comes back as an error, carrying the
+// server's message when it sent one; otherwise the caller reads and closes
+// the response body.
+func (c *Client) send(method, path string, payload []byte) (*http.Response, error) {
+	var body io.Reader
+	if payload != nil {
+		body = bytes.NewReader(payload)
+	}
+	req, err := http.NewRequest(method, c.base+path, body)
+	if err != nil {
+		return nil, fmt.Errorf("build request: %w", err)
+	}
+	if payload != nil {
+		req.Header.Set("Content-Type", "application/json")
+	}
+	if c.token != "" {
+		req.Header.Set("X-VDAP-Token", c.token)
+	}
+	resp, err := c.http.Do(req)
+	if err != nil {
+		return nil, fmt.Errorf("%s %s: %w", method, path, err)
+	}
+	if resp.StatusCode < 400 {
+		return resp, nil
+	}
+	defer resp.Body.Close()
+	var apiErr apiError
+	if json.NewDecoder(resp.Body).Decode(&apiErr) == nil && apiErr.Error != "" {
+		return nil, fmt.Errorf("%s %s: %s (HTTP %d)", method, path, apiErr.Error, resp.StatusCode)
+	}
+	return nil, fmt.Errorf("%s %s: HTTP %d", method, path, resp.StatusCode)
 }
 
-func marshalBody(body any) ([]byte, error) { return json.Marshal(body) }
-
-func newByteReader(b []byte) io.Reader { return bytes.NewReader(b) }
-
-// finishCall turns the winning attempt of a call into the caller-visible
-// result, preserving the single-attempt client's error formats.
-func finishCall(method, path string, res attemptResult, out any) error {
-	if res.err != nil {
-		return res.err
-	}
-	if res.status >= 400 {
-		var apiErr apiError
-		if decodeErr := json.Unmarshal(res.body, &apiErr); decodeErr == nil && apiErr.Error != "" {
-			return fmt.Errorf("%s %s: %s (HTTP %d)", method, path, apiErr.Error, res.status)
+// do is one JSON round trip: marshal body (if any), send, and decode the
+// response into out (if non-nil).
+func (c *Client) do(method, path string, body, out any) error {
+	var payload []byte
+	if body != nil {
+		var err error
+		if payload, err = json.Marshal(body); err != nil {
+			return fmt.Errorf("marshal request: %w", err)
 		}
-		return fmt.Errorf("%s %s: HTTP %d", method, path, res.status)
+	}
+	resp, err := c.send(method, path, payload)
+	if err != nil {
+		return err
+	}
+	defer resp.Body.Close()
+	raw, err := io.ReadAll(resp.Body)
+	if err != nil {
+		return fmt.Errorf("%s %s: read body: %w", method, path, err)
 	}
 	if out == nil {
 		return nil
 	}
-	if err := json.Unmarshal(res.body, out); err != nil {
+	if err := json.Unmarshal(raw, out); err != nil {
 		return fmt.Errorf("decode response: %w", err)
 	}
 	return nil
@@ -222,105 +249,42 @@ func (c *Client) Events(since time.Duration, component string, minSev obs.Severi
 	return out.Events, nil
 }
 
-// StreamFrames reads up to n incremental frames from /api/v1/stream starting at
-// the given watermark. With a RetryPolicy installed, a dropped stream is
-// re-dialed automatically, resuming from the last seen watermark so no
-// frame is re-read; it stops early on a drain-marked final frame.
+// StreamFrames reads n incremental frames from /api/v1/stream over one
+// connection, starting after the given watermark (negative: everything).
+// A drain-marked final frame ends the stream early; a stream that closes
+// before either is an error, returned with the frames it did deliver.
+// Resume from the last frame's WatermarkNs.
 func (c *Client) StreamFrames(since time.Duration, n int) ([]obs.Frame, error) {
-	return c.streamFrames(since, n, nil)
-}
-
-// streamOnce is one stream connection: dial, decode frames until the
-// requested count, EOF, a transport/decode error, or a Final drain frame.
-func (c *Client) streamOnce(since time.Duration, n int) (frames []obs.Frame, final bool, err error) {
+	if n < 1 {
+		return nil, fmt.Errorf("libvdap: StreamFrames needs n >= 1, got %d", n)
+	}
 	v := url.Values{}
 	if since >= 0 {
 		v.Set("since", strconv.FormatFloat(since.Seconds(), 'f', -1, 64))
 	}
 	v.Set("frames", strconv.Itoa(n))
 	v.Set("poll", "0.01")
-	req, err := http.NewRequest(http.MethodGet, c.base+"/api/v1/stream?"+v.Encode(), nil)
+	resp, err := c.send(http.MethodGet, "/api/v1/stream?"+v.Encode(), nil)
 	if err != nil {
-		return nil, false, fmt.Errorf("build request: %w", err)
-	}
-	if c.token != "" {
-		req.Header.Set("X-VDAP-Token", c.token)
-	}
-	resp, err := c.http.Do(req)
-	if err != nil {
-		return nil, false, fmt.Errorf("GET /api/v1/stream: %w", err)
+		return nil, err
 	}
 	defer resp.Body.Close()
-	if resp.StatusCode >= 400 {
-		var apiErr apiError
-		if decodeErr := json.NewDecoder(resp.Body).Decode(&apiErr); decodeErr == nil && apiErr.Error != "" {
-			return nil, false, fmt.Errorf("GET /api/v1/stream: %s (HTTP %d)", apiErr.Error, resp.StatusCode)
-		}
-		return nil, false, fmt.Errorf("GET /api/v1/stream: HTTP %d", resp.StatusCode)
-	}
 	dec := json.NewDecoder(resp.Body)
-	for {
+	var frames []obs.Frame
+	for len(frames) < n {
 		var f obs.Frame
 		if err := dec.Decode(&f); err != nil {
 			if err == io.EOF {
-				return frames, false, nil
+				return frames, fmt.Errorf("GET /api/v1/stream: stream closed after %d/%d frames", len(frames), n)
 			}
-			return frames, false, fmt.Errorf("decode frame: %w", err)
+			return frames, fmt.Errorf("decode frame: %w", err)
 		}
 		frames = append(frames, f)
 		if f.Final {
-			return frames, true, nil
+			break
 		}
 	}
-}
-
-func (c *Client) streamFrames(since time.Duration, n int, cs *CallStats) ([]obs.Frame, error) {
-	rs := c.retry
-	if rs == nil {
-		frames, _, err := c.streamOnce(since, n)
-		if cs != nil {
-			cs.Attempts = 1
-		}
-		return frames, err
-	}
-	var frames []obs.Frame
-	cursor := since
-	// budget bounds CONSECUTIVE no-progress reconnects; any frame received
-	// refreshes it, so a long-lived stream survives any number of drops as
-	// long as the server keeps making progress between them.
-	budget := rs.policy.MaxAttempts
-	prevSleep := rs.policy.BaseBackoff
-	for dial := 0; ; dial++ {
-		if dial > 0 {
-			c.counters.reconnects.Add(1)
-			if cs != nil {
-				cs.Reconnects++
-			}
-			sleep := rs.backoff(prevSleep, 0)
-			prevSleep = sleep
-			time.Sleep(sleep)
-		}
-		if cs != nil {
-			cs.Attempts++
-		}
-		got, final, err := c.streamOnce(cursor, n-len(frames))
-		if len(got) > 0 {
-			frames = append(frames, got...)
-			cursor = time.Duration(frames[len(frames)-1].WatermarkNs)
-			budget = rs.policy.MaxAttempts
-			prevSleep = rs.policy.BaseBackoff
-		}
-		if final || len(frames) >= n {
-			return frames, nil
-		}
-		budget--
-		if budget <= 0 {
-			if err == nil {
-				err = fmt.Errorf("GET /api/v1/stream: stream closed after %d/%d frames", len(frames), n)
-			}
-			return frames, err
-		}
-	}
+	return frames, nil
 }
 
 // FetchMessages reads a topic as the given service.

@@ -2,10 +2,12 @@ package libvdap
 
 import (
 	"encoding/json"
+	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -164,6 +166,91 @@ func TestNewServerValidation(t *testing.T) {
 func TestNewClientValidation(t *testing.T) {
 	if _, err := NewClient("", nil); err == nil {
 		t.Fatal("empty base accepted")
+	}
+}
+
+// newStubClient points a Client at a bare handler standing in for the API.
+func newStubClient(t *testing.T, h http.HandlerFunc) *Client {
+	t.Helper()
+	srv := httptest.NewServer(h)
+	t.Cleanup(srv.Close)
+	c, err := NewClient(srv.URL, srv.Client())
+	if err != nil {
+		t.Fatal(err)
+	}
+	return c
+}
+
+func TestClientPreserves4xxErrorFormat(t *testing.T) {
+	c := newStubClient(t, func(w http.ResponseWriter, r *http.Request) {
+		w.WriteHeader(http.StatusNotFound)
+		json.NewEncoder(w).Encode(apiError{Error: "no such model"})
+	})
+	_, err := c.Model("ghost")
+	if err == nil {
+		t.Fatal("want 404 error")
+	}
+	want := `GET /api/v1/models/ghost: no such model (HTTP 404)`
+	if err.Error() != want {
+		t.Fatalf("error format changed:\n got: %s\nwant: %s", err, want)
+	}
+}
+
+// TestClientDoesNotRetryNonIdempotent: a shed (503) is the caller's to
+// handle — the client sends each call once, a POST included.
+func TestClientDoesNotRetryNonIdempotent(t *testing.T) {
+	var hits atomic.Int64
+	c := newStubClient(t, func(w http.ResponseWriter, r *http.Request) {
+		hits.Add(1)
+		w.WriteHeader(http.StatusServiceUnavailable)
+		json.NewEncoder(w).Encode(apiError{Error: "overloaded"})
+	})
+	err := c.Publish("svc", "topic", []byte("x"))
+	if want := "POST /api/v1/sharing/publish: overloaded (HTTP 503)"; err == nil || err.Error() != want {
+		t.Fatalf("err = %v, want %s", err, want)
+	}
+	if n := hits.Load(); n != 1 {
+		t.Fatalf("POST was attempted %d times, want 1", n)
+	}
+}
+
+func TestStreamFramesStopsOnFinalFrame(t *testing.T) {
+	c := newStubClient(t, func(w http.ResponseWriter, r *http.Request) {
+		enc := json.NewEncoder(w)
+		enc.Encode(obs.Frame{WatermarkNs: 1})
+		enc.Encode(obs.Frame{WatermarkNs: 2, Final: true})
+	})
+	frames, err := c.StreamFrames(-1, 10)
+	if err != nil {
+		t.Fatalf("stream failed: %v", err)
+	}
+	if len(frames) != 2 || !frames[1].Final {
+		t.Fatalf("got %d frames (final=%v), want 2 ending in a final frame", len(frames), frames[len(frames)-1].Final)
+	}
+}
+
+// TestStreamFramesBoundedWithoutProgress: a stream that closes before the
+// requested frame count, with no final frame, is an error that still hands
+// back what did arrive — never a silent short read.
+func TestStreamFramesBoundedWithoutProgress(t *testing.T) {
+	for _, sent := range []int{0, 1} {
+		c := newStubClient(t, func(w http.ResponseWriter, r *http.Request) {
+			for i := 0; i < sent; i++ {
+				json.NewEncoder(w).Encode(obs.Frame{WatermarkNs: int64(i + 1)})
+			}
+		})
+		frames, err := c.StreamFrames(-1, 3)
+		want := fmt.Sprintf("GET /api/v1/stream: stream closed after %d/3 frames", sent)
+		if err == nil || err.Error() != want {
+			t.Fatalf("sent %d: err = %v, want %s", sent, err, want)
+		}
+		if len(frames) != sent {
+			t.Fatalf("sent %d: got %d frames", sent, len(frames))
+		}
+	}
+	c := newStubClient(t, func(http.ResponseWriter, *http.Request) {})
+	if _, err := c.StreamFrames(-1, 0); err == nil {
+		t.Fatal("StreamFrames(-1, 0) accepted")
 	}
 }
 

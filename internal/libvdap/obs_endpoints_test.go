@@ -153,8 +153,40 @@ func TestStreamIncrementalFrames(t *testing.T) {
 	if frames[1].Series.Series[0].Points != 1 || frames[1].Series.Series[0].V[0] != 2 {
 		t.Fatalf("frame 1 series = %+v", frames[1].Series.Series[0])
 	}
-	if frames[1].WatermarkNs != int64(3*time.Second) {
+	// The watermark, the resume cursor, stops just short of the clock.
+	if frames[1].WatermarkNs != int64(3*time.Second-1) {
 		t.Fatalf("frame 1 watermark = %d", frames[1].WatermarkNs)
+	}
+}
+
+// TestStreamShipsRecordsAtTheClockInstant: the stream reads the clock
+// without the run lock, so records can still land at the current instant
+// after a frame is built. The next frame must carry them.
+func TestStreamShipsRecordsAtTheClockInstant(t *testing.T) {
+	ts, _, store, rec, now := newObsServer(t) // clock at 1 s
+	resp, err := http.Get(ts.URL + "/api/v1/stream?frames=2&poll=0.005")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	dec := json.NewDecoder(resp.Body)
+	var first obs.Frame
+	if err := dec.Decode(&first); err != nil {
+		t.Fatalf("frame 0: %v", err)
+	}
+	rec.Emit(time.Second, "fleet", obs.SevInfo, "late")
+	store.RecordGauge("g", time.Second, 7)
+	now.Store(int64(2 * time.Second))
+
+	var second obs.Frame
+	if err := dec.Decode(&second); err != nil {
+		t.Fatalf("frame 1: %v", err)
+	}
+	if len(second.Events) != 1 || second.Events[0].Name != "late" {
+		t.Fatalf("frame 1 events = %+v, want the event recorded at 1 s", second.Events)
+	}
+	if second.Series == nil || len(second.Series.Series) != 1 || second.Series.Series[0].V[0] != 7 {
+		t.Fatalf("frame 1 series = %+v, want the point recorded at 1 s", second.Series)
 	}
 }
 

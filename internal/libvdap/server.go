@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"math"
 	"net/http"
 	"strconv"
 	"strings"
@@ -569,17 +570,21 @@ func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
 		<-timer.C
 	}
 	defer timer.Stop()
-	// writeFrame ships everything past the current watermark. A final
-	// frame additionally carries the drain marker so resilient clients
-	// stop reconnecting.
-	writeFrame := func(now time.Duration, final bool) bool {
-		frame := obs.Frame{WatermarkNs: int64(now), Final: final}
+	// writeFrame ships the points and events in (watermark, until] in a
+	// frame stamped with watermark mark. A final frame additionally
+	// carries the drain marker so clients know the stream ended on purpose.
+	writeFrame := func(mark, until time.Duration, final bool) bool {
+		frame := obs.Frame{WatermarkNs: int64(mark), Final: final}
 		if s.scope.Series != nil {
-			p := s.scope.Series.Payload(watermark)
+			p := s.scope.Series.PayloadUntil(watermark, until)
 			frame.Series = &p
 		}
 		if s.scope.Events != nil {
-			frame.Events = s.scope.Events.EventsSince(watermark, "", obs.SevDebug)
+			evs := s.scope.Events.EventsSince(watermark, "", obs.SevDebug)
+			for len(evs) > 0 && evs[len(evs)-1].At > until {
+				evs = evs[:len(evs)-1] // ordered by At: trim the tail
+			}
+			frame.Events = evs
 		}
 		rc.SetWriteDeadline(time.Now().Add(DefaultStreamWriteDeadline))
 		if err := enc.Encode(frame); err != nil {
@@ -602,20 +607,27 @@ func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
 		}
 		select {
 		case <-drained:
-			// The server is draining: flush the remaining backlog as one
-			// final frame and end the stream cleanly.
-			writeFrame(s.clock(), true)
+			// The server is draining: flush the whole remaining backlog as
+			// one final frame and end the stream cleanly.
+			writeFrame(s.clock(), math.MaxInt64, true)
 			return
 		default:
 		}
-		now := s.clock()
+		// A frame ships only what is final: everything before the clock
+		// reading. The clock is read without the run lock, so a kernel
+		// event or a mutating handler may still record at the current
+		// instant after this frame is built; shipping that instant would
+		// move the watermark past it and lose those records for good. The
+		// frame's watermark, the resume cursor, is therefore now - 1ns
+		// (never below the watermark already shipped or asked for).
+		cut := max(s.clock()-1, watermark)
 		// The first frame ships the backlog immediately; later frames wait
-		// for the watermark to advance.
-		if sent == 0 || now > watermark {
-			if !writeFrame(now, false) {
+		// for the clock to advance.
+		if sent == 0 || cut > watermark {
+			if !writeFrame(cut, cut, false) {
 				return
 			}
-			watermark = now
+			watermark = cut
 			sent++
 		}
 		if frames > 0 && sent >= frames {
@@ -632,7 +644,7 @@ func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
 			if !timer.Stop() {
 				<-timer.C
 			}
-			writeFrame(s.clock(), true)
+			writeFrame(s.clock(), math.MaxInt64, true)
 			return
 		case <-timer.C:
 		}

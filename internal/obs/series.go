@@ -2,6 +2,7 @@ package obs
 
 import (
 	"fmt"
+	"math"
 	"sort"
 	"strings"
 	"sync"
@@ -351,11 +352,17 @@ type Frame struct {
 // rates use each point's true predecessor even when it falls before the
 // window.
 func (s *SeriesStore) Payload(since time.Duration) Payload {
+	return s.PayloadUntil(since, math.MaxInt64)
+}
+
+// PayloadUntil is Payload cut off at until: only points in (since, until],
+// with the watermark capped at until.
+func (s *SeriesStore) PayloadUntil(since, until time.Duration) Payload {
 	p := Payload{Series: []SeriesPayload{}}
 	if s == nil {
 		return p
 	}
-	p.WatermarkNs = int64(s.Watermark())
+	p.WatermarkNs = int64(min(s.Watermark(), until))
 	s.mu.Lock()
 	names := make([]string, 0, len(s.m))
 	for n := range s.m {
@@ -370,21 +377,24 @@ func (s *SeriesStore) Payload(since time.Duration) Payload {
 
 	for i, name := range names {
 		sp := snaps[i]
-		lo := 0
-		for lo < len(sp.t) && since >= 0 && time.Duration(sp.t[lo]) <= since {
+		lo, hi := 0, len(sp.t)
+		for lo < hi && since >= 0 && time.Duration(sp.t[lo]) <= since {
 			lo++
 		}
-		if lo == len(sp.t) {
+		for hi > lo && time.Duration(sp.t[hi-1]) > until {
+			hi--
+		}
+		if lo == hi {
 			continue
 		}
 		out := SeriesPayload{
 			Name:    name,
 			Kind:    sp.kind.String(),
-			Points:  len(sp.t) - lo,
+			Points:  hi - lo,
 			BaseNs:  sp.t[lo],
 			Dropped: sp.dropped,
 		}
-		for k := lo; k < len(sp.t); k++ {
+		for k := lo; k < hi; k++ {
 			if k > lo {
 				out.DtNs = append(out.DtNs, sp.t[k]-sp.t[k-1])
 			}

@@ -252,7 +252,7 @@ func origin(obj types.Object) types.Object {
 // call goes through the interface, so no identifier names the method).
 // What is left under internal/ is listed in testdata/test_only_decls.golden.
 // A new line there is a declaration nothing runs: call it from a program,
-// delete it, or — for one of the three reasons DESIGN.md §2.1 gives —
+// delete it, or — for one of the two reasons DESIGN.md §2.1 gives —
 // accept it with
 //
 //	go test -run TestTestOnlyDeclarationsGolden -update .
