@@ -1,8 +1,11 @@
 package ddi
 
 import (
+	"fmt"
 	"testing"
 	"time"
+
+	"repro/internal/sim"
 )
 
 func BenchmarkCachePutGet(b *testing.B) {
@@ -69,6 +72,96 @@ func BenchmarkStoreSelectWindow(b *testing.B) {
 				if len(got) != 601 {
 					b.Fatalf("got %d", len(got))
 				}
+			}
+		})
+	}
+}
+
+// BenchmarkStoreQueryShapes times the read path one query shape at a time
+// over an in-order corpus of 200 000 records 4 ms apart: five sealed
+// segments over three partitions plus 30 000 memtable rows. Sources are
+// drawn from five and x, y uniformly from [-1000, 1000], so the source and
+// spatial predicates run per row. Shapes and widths follow benchmark/'s
+// ddi_query, except that wide_limit spans half the 800 s corpus. Each shape
+// cycles through 64 seeded queries whose windows start anywhere in it.
+func BenchmarkStoreQueryShapes(b *testing.B) {
+	const n, unsealed, spacing = 200_000, 30_000, 4 * time.Millisecond
+	s, err := OpenDiskStore(b.TempDir())
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer s.Close()
+	sources := []Source{SourceOBD, SourceGPS, SourceCamera, SourceLiDAR, SourceWeather}
+	rng := sim.NewStream(42, 1)
+	for i := 0; i < n; i++ {
+		if i == n-unsealed {
+			if err := s.Seal(); err != nil {
+				b.Fatal(err)
+			}
+		}
+		r := Record{
+			Source:  sources[rng.Intn(len(sources))],
+			At:      time.Duration(i) * spacing,
+			X:       rng.Uniform(-1000, 1000),
+			Y:       rng.Uniform(-1000, 1000),
+			Payload: fmt.Appendf(nil, `{"v":%d,"s":%d}`, rng.Intn(10000), rng.Intn(100)),
+		}
+		if _, err := s.Put(r); err != nil {
+			b.Fatal(err)
+		}
+	}
+	span := time.Duration(n) * spacing
+	window := func(width time.Duration) Query {
+		from := time.Duration(rng.Float64() * float64(span-width))
+		return Query{From: from, To: from + width}
+	}
+	scan := func(q Query) {
+		it := s.Scan(q)
+		for it.Next() {
+		}
+		if err := it.Err(); err != nil {
+			b.Fatal(err)
+		}
+	}
+	for _, shape := range []struct {
+		name string
+		q    func() Query
+		run  func(Query)
+	}{
+		{"narrow_src", func() Query {
+			q := window(30 * time.Second)
+			q.Source = sources[rng.Intn(len(sources))]
+			return q
+		}, scan},
+		{"narrow_all", func() Query { return window(30 * time.Second) }, scan},
+		{"geo_box", func() Query {
+			q := window(5 * time.Minute)
+			q.X, q.Y, q.Radius = rng.Uniform(-800, 800), rng.Uniform(-800, 800), 150
+			return q
+		}, scan},
+		{"wide_limit", func() Query {
+			q := window(span / 2)
+			q.Limit = 100
+			return q
+		}, scan},
+		{"agg_partial", func() Query { return window(7 * time.Minute) }, func(q Query) {
+			if _, _, err := s.Aggregate(q, ColY); err != nil {
+				b.Fatal(err)
+			}
+		}},
+		{"select", func() Query { return window(10 * time.Second) }, func(q Query) { s.Select(q) }},
+	} {
+		qs := make([]Query, 64)
+		for i := range qs {
+			qs[i] = shape.q()
+		}
+		for _, q := range qs { // decode every segment before timing
+			shape.run(q)
+		}
+		b.Run(shape.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				shape.run(qs[i%len(qs)])
 			}
 		})
 	}

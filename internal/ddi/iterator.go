@@ -104,6 +104,24 @@ func (it *Iterator) Next() bool {
 	return true
 }
 
+// exactLen reports how many more records Next will yield when no cursor
+// carries a residual predicate: Σ(hi − idx), capped by the limit. It
+// reports false when only running the predicates would tell.
+func (it *Iterator) exactLen() (int, bool) {
+	n := 0
+	for i := range it.curs {
+		c := &it.curs[i]
+		if !c.whole() {
+			return 0, false
+		}
+		n += c.hi - c.idx
+	}
+	if it.limit > 0 && n > it.limit-it.sent {
+		n = it.limit - it.sent
+	}
+	return n, true
+}
+
 // Record returns the current record. The pointer and its payload remain
 // valid only until the next Next call; copy to retain.
 func (it *Iterator) Record() *Record { return &it.rec }

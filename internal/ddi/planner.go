@@ -110,25 +110,42 @@ type planCursor struct {
 // whole reports that no per-row predicate applies inside [idx, hi).
 func (c *planCursor) whole() bool { return !c.srcNeeded && !c.geoNeeded }
 
-// matches applies the residual predicates to row i.
-func (c *planCursor) matches(i int) bool {
-	if c.srcNeeded && c.cols.src[i] != c.srcIdx {
-		return false
-	}
-	if c.geoNeeded {
-		dx, dy := c.cols.x[i]-c.gx, c.cols.y[i]-c.gy
-		if dx*dx+dy*dy > c.r2 {
-			return false
+// seek advances idx to the next row in [idx, hi) that passes the residual
+// predicates, or to hi. It is the only place a residual predicate is
+// evaluated: each predicate shape has its own loop over column slices cut
+// to hi, with the query constants in locals. The spatial test is written
+// !(d > r2) so that a NaN distance matches, as in Query.Matches.
+func (c *planCursor) seek() {
+	i, hi := c.idx, c.hi
+	switch {
+	case c.srcNeeded && c.geoNeeded:
+		src, xs, ys := c.cols.src[:hi], c.cols.x[:hi], c.cols.y[:hi]
+		want, gx, gy, r2 := c.srcIdx, c.gx, c.gy, c.r2
+		for ; i < len(src); i++ {
+			if src[i] != want {
+				continue
+			}
+			dx, dy := xs[i]-gx, ys[i]-gy
+			if !(dx*dx+dy*dy > r2) {
+				break
+			}
+		}
+	case c.srcNeeded:
+		src, want := c.cols.src[:hi], c.srcIdx
+		for i < len(src) && src[i] != want {
+			i++
+		}
+	case c.geoNeeded:
+		xs, ys := c.cols.x[:hi], c.cols.y[:hi]
+		gx, gy, r2 := c.gx, c.gy, c.r2
+		for ; i < len(xs); i++ {
+			dx, dy := xs[i]-gx, ys[i]-gy
+			if !(dx*dx+dy*dy > r2) {
+				break
+			}
 		}
 	}
-	return true
-}
-
-// seek advances idx to the next matching row (or hi).
-func (c *planCursor) seek() {
-	for c.idx < c.hi && !c.matches(c.idx) {
-		c.idx++
-	}
+	c.idx = i
 }
 
 // plan is a compiled query: the surviving cursors plus bookkeeping.
@@ -249,30 +266,101 @@ func zoneAgg(a *Agg, zm *ZoneMap, col Column) {
 	a.Count += zm.Count
 }
 
-// aggregate folds the plan into a windowed aggregate over col. A sealed
-// cursor whose row range covers the whole segment with no residual
-// predicates contributes straight from its zone map.
+// fold adds one value to the aggregate.
+func (a *Agg) fold(v float64) {
+	if a.Count == 0 || v < a.Min {
+		a.Min = v
+	}
+	if a.Count == 0 || v > a.Max {
+		a.Max = v
+	}
+	a.Sum += v
+	a.Count++
+}
+
+// foldColumn folds rows [lo, hi) of col into a, one tight loop per column
+// over its slice. Rows are taken in order and summed one after another, so
+// the result is bit for bit what fold would give row by row.
+func foldColumn(a *Agg, cols *segCols, col Column, lo, hi int) {
+	if lo >= hi {
+		return
+	}
+	switch col {
+	case ColAt:
+		foldValues(a, cols.at[lo:hi])
+	case ColX:
+		foldValues(a, cols.x[lo:hi])
+	case ColY:
+		foldValues(a, cols.y[lo:hi])
+	default:
+		foldPayloadSizes(a, cols.payOff[lo:hi+1])
+	}
+}
+
+// foldValues folds a non-empty column slice into a.
+func foldValues[T int64 | float64](a *Agg, vs []T) {
+	mn, mx, sum := a.Min, a.Max, a.Sum
+	if a.Count == 0 {
+		mn, mx = float64(vs[0]), float64(vs[0])
+	}
+	for _, t := range vs {
+		v := float64(t)
+		if v < mn {
+			mn = v
+		}
+		if v > mx {
+			mx = v
+		}
+		sum += v
+	}
+	a.Min, a.Max, a.Sum = mn, mx, sum
+	a.Count += len(vs)
+}
+
+// foldPayloadSizes folds the payload sizes that the offsets off (one more
+// than the rows, at least two) delimit into a.
+func foldPayloadSizes(a *Agg, off []uint32) {
+	mn, mx, sum := a.Min, a.Max, a.Sum
+	if a.Count == 0 {
+		mn = float64(off[1] - off[0])
+		mx = mn
+	}
+	prev := off[0]
+	for _, o := range off[1:] {
+		v := float64(o - prev)
+		prev = o
+		if v < mn {
+			mn = v
+		}
+		if v > mx {
+			mx = v
+		}
+		sum += v
+	}
+	a.Min, a.Max, a.Sum = mn, mx, sum
+	a.Count += len(off) - 1
+}
+
+// aggregate folds the plan into a windowed aggregate over col, consuming
+// its cursors. A sealed cursor whose row range covers the whole segment
+// with no residual predicates contributes straight from its zone map; any
+// other predicate-free cursor folds its column slice; a predicated cursor
+// folds the rows seek stops on.
 func (p *plan) aggregate(col Column) Agg {
 	var a Agg
 	for i := range p.curs {
 		c := &p.curs[i]
-		if c.zm != nil && c.whole() && c.idx == 0 && c.hi == c.cols.rows() {
+		switch {
+		case c.zm != nil && c.whole() && c.idx == 0 && c.hi == c.cols.rows():
 			zoneAgg(&a, c.zm, col)
-			continue
-		}
-		for j := c.idx; j < c.hi; j++ {
-			if !c.matches(j) {
-				continue
+		case c.whole():
+			foldColumn(&a, c.cols, col, c.idx, c.hi)
+		default:
+			for c.idx < c.hi {
+				a.fold(colValue(c.cols, col, c.idx))
+				c.idx++
+				c.seek()
 			}
-			v := colValue(c.cols, col, j)
-			if a.Count == 0 || v < a.Min {
-				a.Min = v
-			}
-			if a.Count == 0 || v > a.Max {
-				a.Max = v
-			}
-			a.Sum += v
-			a.Count++
 		}
 	}
 	if a.Count > 0 {

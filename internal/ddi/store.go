@@ -6,6 +6,7 @@ import (
 	"math"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 	"sync"
 	"time"
@@ -449,10 +450,14 @@ func (s *DiskStore) Scan(q Query) *Iterator {
 }
 
 // Select returns matching records in time order. Records stream out of
-// the plan's cursors; only survivors are copied into the result.
+// the plan's cursors; only survivors are copied into the result. When the
+// plan knows the exact count, the result is allocated once at that size.
 func (s *DiskStore) Select(q Query) []Record {
 	it := s.Scan(q)
 	var out []Record
+	if n, ok := it.exactLen(); ok && n > 0 {
+		out = make([]Record, 0, n)
+	}
 	for it.Next() {
 		out = append(out, *it.Record())
 	}
@@ -593,7 +598,9 @@ func (s *DiskStore) rewriteWALLocked() error {
 
 // Compact merges partitions that have accumulated multiple small
 // segments (repeated seals, DeleteBefore rewrites) into one segment per
-// partition, and reports how many segments were merged away.
+// partition, and reports how many segments were merged away. Partitions
+// are merged in ascending order, so the same history always hands out the
+// same segment sequence numbers.
 func (s *DiskStore) Compact() (int, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -601,13 +608,19 @@ func (s *DiskStore) Compact() (int, error) {
 		return 0, fmt.Errorf("ddi: store is closed")
 	}
 	groups := make(map[int64][]*segment)
+	var parts []int64
 	for _, sg := range s.segs {
 		part := int64(sg.zm.MinAt) / int64(s.partDur)
+		if _, ok := groups[part]; !ok {
+			parts = append(parts, part)
+		}
 		groups[part] = append(groups[part], sg)
 	}
+	slices.Sort(parts)
 	mergedAway := 0
 	replaced := make(map[*segment]*segment) // old -> new (nil = dropped)
-	for _, group := range groups {
+	for _, part := range parts {
+		group := groups[part]
 		if len(group) < 2 {
 			continue
 		}

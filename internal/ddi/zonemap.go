@@ -1,6 +1,9 @@
 package ddi
 
-import "time"
+import (
+	"math"
+	"time"
+)
 
 // ZoneMap summarizes one sealed segment: per-column min/max bounds, the
 // set of sources present, and pre-aggregated sums. The query planner reads
@@ -61,7 +64,14 @@ func (z *ZoneMap) HasSource(s Source) bool {
 
 // IntersectsCircle reports whether the circle at (x, y) with radius r can
 // touch the segment's bounding box — the standard closest-point test.
+// Query.Matches keeps a row whose distance is NaN, which a NaN coordinate
+// or an infinite centre can produce and a box cannot bound, so a
+// non-finite centre, or a segment holding a NaN coordinate (its sums are
+// then NaN), is never pruned.
 func (z *ZoneMap) IntersectsCircle(x, y, r float64) bool {
+	if !finite(x) || !finite(y) || math.IsNaN(z.SumX) || math.IsNaN(z.SumY) {
+		return true
+	}
 	cx := clampF(x, z.MinX, z.MaxX)
 	cy := clampF(y, z.MinY, z.MaxY)
 	dx, dy := x-cx, y-cy
@@ -76,6 +86,8 @@ func (z *ZoneMap) ContainsCircle(x, y, r float64) bool {
 	fy := maxF(absF(y-z.MinY), absF(y-z.MaxY))
 	return fx*fx+fy*fy <= r*r
 }
+
+func finite(v float64) bool { return !math.IsNaN(v) && !math.IsInf(v, 0) }
 
 func clampF(v, lo, hi float64) float64 {
 	if v < lo {
