@@ -52,6 +52,11 @@ func (r *Record) Validate() error {
 	if len(r.Payload) == 0 {
 		return fmt.Errorf("ddi: record has empty payload")
 	}
+	// A segment's trailer is JSON, which has no NaN or infinity: a stored
+	// non-finite coordinate would make every later seal fail.
+	if !finite(r.X) || !finite(r.Y) {
+		return fmt.Errorf("ddi: record has non-finite coordinates (%v, %v)", r.X, r.Y)
+	}
 	return nil
 }
 

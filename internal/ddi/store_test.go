@@ -64,6 +64,28 @@ func TestPutValidates(t *testing.T) {
 	}
 }
 
+// TestNonFiniteCoordinateDoesNotWedgeSeal puts a record with a NaN or
+// infinite coordinate, then fills the memtable to the seal threshold: the
+// bad record must be refused, and the Put that seals must succeed.
+func TestNonFiniteCoordinateDoesNotWedgeSeal(t *testing.T) {
+	for _, bad := range []Record{
+		{Source: SourceGPS, At: time.Second, X: math.NaN(), Payload: []byte("x")},
+		{Source: SourceGPS, At: time.Second, Y: math.Inf(1), Payload: []byte("x")},
+		{Source: SourceGPS, At: time.Second, X: math.Inf(-1), Payload: []byte("x")},
+	} {
+		s := openStore(t)
+		s.SetSealPolicy(2, time.Minute)
+		if _, err := s.Put(bad); err == nil {
+			t.Errorf("record at (%v, %v) accepted", bad.X, bad.Y)
+		}
+		for i := 1; i <= 2; i++ {
+			if _, err := s.Put(rec(SourceOBD, time.Duration(i)*time.Second, float64(i))); err != nil {
+				t.Fatalf("put %d after a (%v, %v) record: %v", i, bad.X, bad.Y, err)
+			}
+		}
+	}
+}
+
 func TestGetAndSelect(t *testing.T) {
 	s := openStore(t)
 	id, _ := s.Put(rec(SourceOBD, 10*time.Second, 100))
@@ -376,10 +398,11 @@ func frameBodies(data []byte) []byte {
 // by the log's length (a length field cannot make it reserve what the
 // file does not hold), and once open must stream exactly the frames a
 // bare replay decodes, in (At, ID) order — whatever order, IDs and
-// duplicates the log carried. The seed corpus (testdata/fuzz) is
-// writeLogFixture's log — clean, torn, mangled mid-file, reordered with a
-// late and a duplicate frame, and as bare bodies for frameBodies — plus
-// bodies whose length fields wrap int.
+// duplicates the log carried — and must then seal them. The seed corpus
+// (testdata/fuzz) is writeLogFixture's log — clean, torn, mangled mid-file,
+// reordered with a late and a duplicate frame, and as bare bodies for
+// frameBodies — plus bodies whose length fields wrap int and a body with a
+// NaN coordinate.
 func FuzzReplayWAL(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		checkReplay(t, data)
@@ -435,6 +458,9 @@ func checkReplay(t *testing.T, log []byte) {
 	}
 	if n != len(want) {
 		t.Fatalf("scan streamed %d of the %d replayed rows", n, len(want))
+	}
+	if err := s.Seal(); err != nil {
+		t.Fatalf("a store that opened cannot seal what it replayed: %v", err)
 	}
 }
 

@@ -1,12 +1,15 @@
 package edgeos
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"sort"
 	"time"
 
 	"repro/internal/obs"
 	"repro/internal/offload"
+	"repro/internal/telemetry"
 	"repro/internal/trace"
 )
 
@@ -81,17 +84,42 @@ type ElasticManager struct {
 	stats     map[string]*ElasticStats
 
 	scope obs.Scope
+	m     invocationMetrics
 
-	// prep is the manager's single in-flight invocation, reused across
-	// rounds so the steady-state invoke path allocates nothing for the
-	// decision/commit split (see PrepareInvoke).
-	prep PreparedInvocation
+	// prep is the manager's single in-flight invocation and choices the
+	// pipelines Choose evaluated, both reused across rounds so the
+	// steady-state decision step allocates nothing (see PrepareInvoke and
+	// TestPrepareInvokeAllocs in package fleet).
+	prep    PreparedInvocation
+	choices []Choice
+}
+
+// invocationMetrics holds emitInvocationMetrics' handles. Each is interned
+// in reg on first use, so the registry gains a metric exactly when emitting
+// it by name would have created it; Instrument resets them for the new
+// scope.
+type invocationMetrics struct {
+	reg *telemetry.Registry
+
+	invocations, hangups, fallbacks, degraded, deadlineHits *telemetry.Counter
+	invokeMS, energyJ                                       *telemetry.HistogramHandle
+
+	// Keyed by service name (edgeos.service.<name>.invocations) and by
+	// pipeline name (edgeos.pipeline.<name>).
+	service, pipeline map[string]*telemetry.Counter
 }
 
 // Instrument attaches the manager's observability scope: invocations then
 // emit `edgeos` spans wrapping the offload engine's own spans, plus
 // `edgeos.*` metrics.
-func (m *ElasticManager) Instrument(sc obs.Scope) { m.scope = sc }
+func (m *ElasticManager) Instrument(sc obs.Scope) {
+	m.scope = sc
+	m.m = invocationMetrics{
+		reg:      sc.Metrics,
+		service:  make(map[string]*telemetry.Counter),
+		pipeline: make(map[string]*telemetry.Counter),
+	}
+}
 
 // NewElasticManager builds the module over an offload engine.
 func NewElasticManager(engine *offload.Engine, objective Objective) (*ElasticManager, error) {
@@ -121,6 +149,7 @@ func (m *ElasticManager) Register(s *Service) error {
 		return fmt.Errorf("edgeos: service %q already registered", s.Name)
 	}
 	s.state = Running
+	s.pipelines = s.EffectivePipelines()
 	m.services[s.Name] = s
 	m.stats[s.Name] = &ElasticStats{PipelineUse: make(map[string]int)}
 	return nil
@@ -184,10 +213,14 @@ func (m *ElasticManager) evaluate(s *Service, p Pipeline, now time.Duration) Cho
 // Choose evaluates all pipelines of a service and returns them sorted best
 // first under the current objective, considering only deadline-meeting,
 // feasible options as candidates. The boolean reports whether any
-// candidate exists.
+// candidate exists. The returned slice is the manager's scratch, valid
+// until this manager's next Choose or PrepareInvoke.
 func (m *ElasticManager) Choose(name string, now time.Duration) (Choice, []Choice, bool, error) {
-	span := m.scope.Tracer.StartSpanAt("edgeos", "edgeos.choose", now,
-		trace.String("service", name))
+	var span *trace.Span
+	if m.scope.Tracer.Enabled() {
+		span = m.scope.Tracer.StartSpanAt("edgeos", "edgeos.choose", now,
+			trace.String("service", name))
+	}
 	defer span.FinishAt(now)
 	s, err := m.Service(name)
 	if err != nil {
@@ -197,36 +230,44 @@ func (m *ElasticManager) Choose(name string, now time.Duration) (Choice, []Choic
 	if s.state == Stopped {
 		return Choice{}, nil, false, fmt.Errorf("edgeos: service %s is %v", name, s.state)
 	}
-	pipelines := s.EffectivePipelines()
-	choices := make([]Choice, 0, len(pipelines))
-	for _, p := range pipelines {
-		choices = append(choices, m.evaluate(s, p, now))
+	m.choices = m.choices[:0]
+	for _, p := range s.pipelines {
+		m.choices = append(m.choices, m.evaluate(s, p, now))
 	}
-	sort.SliceStable(choices, func(i, j int) bool {
-		ci, cj := choices[i], choices[j]
+	minEnergy := m.objective == MinEnergy
+	slices.SortStableFunc(m.choices, func(ci, cj Choice) int {
 		if ci.MeetsDeadline != cj.MeetsDeadline {
-			return ci.MeetsDeadline
+			return trueFirst(ci.MeetsDeadline)
 		}
 		if ci.Estimate.Feasible != cj.Estimate.Feasible {
-			return ci.Estimate.Feasible
+			return trueFirst(ci.Estimate.Feasible)
 		}
-		if m.objective == MinEnergy && ci.MeetsDeadline && cj.MeetsDeadline {
+		if minEnergy && ci.MeetsDeadline && cj.MeetsDeadline {
 			if ci.Estimate.VehicleEnergyJ != cj.Estimate.VehicleEnergyJ {
-				return ci.Estimate.VehicleEnergyJ < cj.Estimate.VehicleEnergyJ
+				return trueFirst(ci.Estimate.VehicleEnergyJ < cj.Estimate.VehicleEnergyJ)
 			}
 		}
-		return ci.Estimate.Total < cj.Estimate.Total
+		return cmp.Compare(ci.Estimate.Total, cj.Estimate.Total)
 	})
-	best := choices[0]
-	span.SetAttr(trace.Int("pipelines", len(pipelines)))
+	best := m.choices[0]
+	span.SetAttr(trace.Int("pipelines", len(m.choices)))
 	if !best.Estimate.Feasible || !best.MeetsDeadline {
 		span.SetAttr(trace.Bool("viable", false))
-		return best, choices, false, nil
+		return best, m.choices, false, nil
 	}
 	span.SetAttr(trace.Bool("viable", true),
 		trace.String("pipeline", best.Pipeline.Name),
 		trace.String("dest", best.Estimate.Dest))
-	return best, choices, true, nil
+	return best, m.choices, true, nil
+}
+
+// trueFirst orders two choices that differ in one property: the one that
+// has it (a is true) sorts first.
+func trueFirst(a bool) int {
+	if a {
+		return -1
+	}
+	return 1
 }
 
 // PreparedInvocation is the product of the decision step of an
@@ -284,8 +325,10 @@ func (p *PreparedInvocation) Err() error { return p.err }
 func (m *ElasticManager) PrepareInvoke(name string, now time.Duration) *PreparedInvocation {
 	p := &m.prep
 	*p = PreparedInvocation{m: m, name: name, now: now}
-	p.span = m.scope.Tracer.StartSpanAt("edgeos", "edgeos.invoke", now,
-		trace.String("service", name))
+	if m.scope.Tracer.Enabled() {
+		p.span = m.scope.Tracer.StartSpanAt("edgeos", "edgeos.invoke", now,
+			trace.String("service", name))
+	}
 	s, err := m.Service(name)
 	if err != nil {
 		p.failPrepare(err)
@@ -388,28 +431,54 @@ func (m *ElasticManager) CommitInvoke(p *PreparedInvocation) (InvocationResult, 
 // emitInvocationMetrics records the per-invocation metric set (shared by
 // the hang-up and completed paths; errors emit nothing, as ever).
 func (m *ElasticManager) emitInvocationMetrics(res InvocationResult) {
-	reg := m.scope.Metrics
-	if reg == nil {
+	im := &m.m
+	if im.reg == nil {
 		return
 	}
-	reg.Add("edgeos.invocations", 1)
-	reg.Add("edgeos.service."+res.Service+".invocations", 1)
+	im.counter(&im.invocations, "edgeos.invocations").Inc()
+	im.keyed(im.service, "edgeos.service.", res.Service, ".invocations").Inc()
 	if res.HungUp {
-		reg.Add("edgeos.hangups", 1)
+		im.counter(&im.hangups, "edgeos.hangups").Inc()
 		return
 	}
-	reg.ObserveDuration("edgeos.invoke_ms", res.Latency)
-	reg.Add("edgeos.pipeline."+res.Pipeline, 1)
-	reg.Observe("edgeos.energy_j", res.EnergyJ)
+	im.histogram(&im.invokeMS, "edgeos.invoke_ms").ObserveDuration(res.Latency)
+	im.keyed(im.pipeline, "edgeos.pipeline.", res.Pipeline, "").Inc()
+	im.histogram(&im.energyJ, "edgeos.energy_j").Observe(res.EnergyJ)
 	if res.FellBackTo != "" {
-		reg.Add("edgeos.fallbacks", 1)
+		im.counter(&im.fallbacks, "edgeos.fallbacks").Inc()
 	}
 	if res.Degraded {
-		reg.Add("edgeos.degraded", 1)
+		im.counter(&im.degraded, "edgeos.degraded").Inc()
 	}
 	if res.DeadlineMet {
-		reg.Add("edgeos.deadline_hits", 1)
+		im.counter(&im.deadlineHits, "edgeos.deadline_hits").Inc()
 	}
+}
+
+// counter returns *h, interning name on first use.
+func (im *invocationMetrics) counter(h **telemetry.Counter, name string) *telemetry.Counter {
+	if *h == nil {
+		*h = im.reg.CounterHandle(name)
+	}
+	return *h
+}
+
+// histogram returns *h, interning name on first use.
+func (im *invocationMetrics) histogram(h **telemetry.HistogramHandle, name string) *telemetry.HistogramHandle {
+	if *h == nil {
+		*h = im.reg.HistogramHandle(name)
+	}
+	return *h
+}
+
+// keyed returns handles[key], interning prefix+key+suffix on first use.
+func (im *invocationMetrics) keyed(handles map[string]*telemetry.Counter, prefix, key, suffix string) *telemetry.Counter {
+	c, ok := handles[key]
+	if !ok {
+		c = im.reg.CounterHandle(prefix + key + suffix)
+		handles[key] = c
+	}
+	return c
 }
 
 // Invoke runs one service invocation end to end: choose a pipeline,

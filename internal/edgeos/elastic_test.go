@@ -5,8 +5,10 @@ import (
 	"time"
 
 	"repro/internal/geo"
+	"repro/internal/obs"
 	"repro/internal/offload"
 	"repro/internal/tasks"
+	"repro/internal/telemetry"
 	"repro/internal/vcu"
 	"repro/internal/xedge"
 )
@@ -173,6 +175,43 @@ func TestInvokeRecordsStats(t *testing.T) {
 	}
 	if st.PipelineUse[res.Pipeline] != 1 {
 		t.Fatalf("pipeline use not recorded: %+v", st.PipelineUse)
+	}
+}
+
+// TestReinstrumentMovesInvocationMetrics instruments a manager with
+// registry A, invokes, re-instruments it with B and invokes again: the
+// second invocation's per-service and per-pipeline counts must land in B,
+// with A left at one of each.
+func TestReinstrumentMovesInvocationMetrics(t *testing.T) {
+	mgr := newManager(t, 0, MinLatency)
+	if err := mgr.Register(kidnapperService()); err != nil {
+		t.Fatal(err)
+	}
+	a, b := telemetry.NewRegistry(), telemetry.NewRegistry()
+	mgr.Instrument(obs.Scope{Metrics: a})
+	first, err := mgr.Invoke("kidnapper-search", 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	mgr.Instrument(obs.Scope{Metrics: b})
+	second, err := mgr.Invoke("kidnapper-search", 10*time.Second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if first.Pipeline != second.Pipeline {
+		t.Fatalf("pipelines %q then %q: the test needs the same one twice", first.Pipeline, second.Pipeline)
+	}
+	for _, name := range []string{
+		"edgeos.invocations",
+		"edgeos.service.kidnapper-search.invocations",
+		"edgeos.pipeline." + first.Pipeline,
+	} {
+		if got := a.Counter(name); got != 1 {
+			t.Errorf("registry A %s = %v, want 1", name, got)
+		}
+		if got := b.Counter(name); got != 1 {
+			t.Errorf("registry B %s = %v, want 1", name, got)
+		}
 	}
 }
 

@@ -75,7 +75,7 @@ type Service struct {
 	// DAG is the service's computation, pre-partitioned by DSF.
 	DAG *tasks.DAG
 	// Pipelines are the allowed execution shapes. Empty means
-	// DefaultPipelines(DAG).
+	// DefaultPipelines(DAG), computed when the service is registered.
 	Pipelines []Pipeline
 	// TEE requests trusted-execution isolation (Security module).
 	TEE bool
@@ -84,6 +84,9 @@ type Service struct {
 	Image []byte
 
 	state ServiceState
+	// pipelines is EffectivePipelines as of registration: what Elastic
+	// Management evaluates on every invocation.
+	pipelines []Pipeline
 }
 
 // Validate reports configuration errors.

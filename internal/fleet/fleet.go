@@ -61,8 +61,8 @@ type Fleet struct {
 	lanes []obs.Scope
 
 	// Per-round working buffers, preallocated at vehicle count and reused
-	// by every shardedInvokeAll round so the steady-state invocation loop
-	// allocates nothing per round.
+	// by every shardedInvokeAll round, so a round allocates no per-vehicle
+	// buffers (TestRoundAllocsPerVehicle bounds what it does allocate).
 	prepBuf []*edgeos.PreparedInvocation
 	resBuf  []edgeos.InvocationResult
 	errBuf  []error

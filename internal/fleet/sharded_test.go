@@ -433,10 +433,11 @@ func BenchmarkPrepareInvoke(b *testing.B) {
 }
 
 // TestPrepareInvokeAllocs pins the steady-state allocation count of the
-// decision step on the benchmark topology. It was 780 when every estimate
-// and plan re-validated and re-sorted the DAG into fresh string-keyed maps;
-// the 47 that remain are the estimates' and plans' own results (device
-// lists, assignments, choices, error reasons).
+// decision step on the benchmark topology at zero. It was 780 when every
+// estimate and plan re-validated and re-sorted the DAG into fresh
+// string-keyed maps, and 33 while plans, device lists and choices were
+// built afresh; now every estimate, plan and choice is built on scratch the
+// vehicle's manager, engine and DSF own.
 func TestPrepareInvokeAllocs(t *testing.T) {
 	f, err := New(benchTopology(1, 1))
 	if err != nil {
@@ -452,8 +453,35 @@ func TestPrepareInvokeAllocs(t *testing.T) {
 		}
 	}
 	prepare() // compile the DAG and its prefixes, size the scratch
-	if n := testing.AllocsPerRun(50, prepare); n > 60 {
-		t.Errorf("steady-state PrepareInvoke: %v allocs, want at most 60", n)
+	if n := testing.AllocsPerRun(50, prepare); n != 0 {
+		t.Errorf("steady-state PrepareInvoke: %v allocs, want 0", n)
+	}
+}
+
+// TestRoundAllocsPerVehicle bounds a whole serial round on the benchmark
+// topology — decision, commit, metrics and aggregation — at 8 allocations
+// per vehicle. None of what remains is the decision's: it is the committed
+// plan and its assignments, the closure the shard lane schedules per
+// vehicle, and histogram sample growth.
+func TestRoundAllocsPerVehicle(t *testing.T) {
+	const vehicles = 50
+	f, err := New(benchTopology(vehicles, 1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	f.InstrumentSharded(false)
+	now := time.Duration(0)
+	round := func() {
+		now += 250 * time.Millisecond
+		if _, err := f.ShardedInvokeAll("kidnapper-search", now); err != nil {
+			t.Fatal(err)
+		}
+	}
+	round() // intern the metrics, compile the DAGs, size the scratch
+	n := testing.AllocsPerRun(20, round) / vehicles
+	t.Logf("steady-state round: %.2f allocs per vehicle", n)
+	if n > 8 {
+		t.Errorf("steady-state round: %.2f allocs per vehicle, want at most 8", n)
 	}
 }
 

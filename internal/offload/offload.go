@@ -161,8 +161,12 @@ type engineMetrics struct {
 	xedgeLane siteLane
 	cloudLane siteLane
 
-	dynamic map[string]*telemetry.Counter // full-name → handle, interned lazily
+	dynamic map[dynKey]*telemetry.Counter // interned lazily
 }
+
+// dynKey names a dynamically-named counter by its two halves, so a lookup
+// does not build the full name.
+type dynKey struct{ prefix, key string }
 
 // siteLane is the per-trace-component (xedge / cloud) execution metric set.
 type siteLane struct {
@@ -208,7 +212,7 @@ func (e *Engine) Instrument(sc obs.Scope) {
 		degraded:           reg.CounterHandle("offload.degraded"),
 		xedgeLane:          lane("xedge"),
 		cloudLane:          lane("cloud"),
-		dynamic:            make(map[string]*telemetry.Counter),
+		dynamic:            make(map[dynKey]*telemetry.Counter),
 	}
 }
 
@@ -218,11 +222,11 @@ func (e *Engine) dynCounter(prefix, key string) *telemetry.Counter {
 	if e.scope.Metrics == nil {
 		return nil
 	}
-	name := prefix + key
-	c, ok := e.m.dynamic[name]
+	k := dynKey{prefix, key}
+	c, ok := e.m.dynamic[k]
 	if !ok {
-		c = e.scope.Metrics.CounterHandle(name)
-		e.m.dynamic[name] = c
+		c = e.scope.Metrics.CounterHandle(prefix + key)
+		e.m.dynamic[k] = c
 	}
 	return c
 }
@@ -352,7 +356,7 @@ func (e *Engine) EstimateOnboard(dag *tasks.DAG, now time.Duration) Estimate {
 		span = e.scope.Tracer.StartSpanAt("offload", "offload.estimate", now,
 			trace.String("dag", dag.Name), trace.String("dest", OnboardName))
 	}
-	plan, err := e.dsf.Plan(dag, now)
+	makespan, energyJ, err := e.dsf.Estimate(dag, now)
 	if err != nil {
 		if span != nil {
 			span.SetAttr(trace.Bool("feasible", false), trace.String("reason", err.Error()))
@@ -362,14 +366,14 @@ func (e *Engine) EstimateOnboard(dag *tasks.DAG, now time.Duration) Estimate {
 			Feasible: false, Reason: err.Error()}
 	}
 	if span != nil {
-		span.SetAttr(trace.Bool("feasible", true), trace.Dur("total", plan.Makespan))
-		span.FinishAt(now + plan.Makespan)
+		span.SetAttr(trace.Bool("feasible", true), trace.Dur("total", makespan))
+		span.FinishAt(now + makespan)
 	}
 	return Estimate{
 		Dest: OnboardName, Kind: OnboardName, SplitAfter: len(dag.Tasks),
-		Compute:        plan.Makespan,
-		Total:          plan.Makespan,
-		VehicleEnergyJ: plan.EnergyJ,
+		Compute:        makespan,
+		Total:          makespan,
+		VehicleEnergyJ: energyJ,
 		Feasible:       true,
 	}
 }
@@ -378,13 +382,16 @@ func (e *Engine) EstimateOnboard(dag *tasks.DAG, now time.Duration) Estimate {
 // with the first splitAfter topo-order tasks executed on-board first.
 // splitAfter 0 offloads everything.
 func (e *Engine) EstimateSite(dag *tasks.DAG, site *xedge.Site, splitAfter int, now time.Duration) Estimate {
-	return e.estimateSite(dag, dag.Compiled(), site, splitAfter, now)
+	var est Estimate
+	e.estimateSite(&est, dag, dag.Compiled(), site, splitAfter, now)
+	return est
 }
 
-// estimateSite is EstimateSite given the DAG's compiled form, so a caller
-// estimating many sites checks the DAG's content once.
-func (e *Engine) estimateSite(dag *tasks.DAG, c *tasks.Compiled, site *xedge.Site, splitAfter int, now time.Duration) Estimate {
-	est := Estimate{Dest: site.Name(), Kind: site.Kind().String(), SplitAfter: splitAfter}
+// estimateSite is EstimateSite into *est given the DAG's compiled form, so a
+// caller estimating many sites checks the DAG's content once and keeps the
+// estimates where it wants them.
+func (e *Engine) estimateSite(est *Estimate, dag *tasks.DAG, c *tasks.Compiled, site *xedge.Site, splitAfter int, now time.Duration) {
+	*est = Estimate{Dest: site.Name(), Kind: site.Kind().String(), SplitAfter: splitAfter}
 	var span *trace.Span
 	if e.scope.Tracer.Enabled() {
 		span = e.scope.Tracer.StartSpanAt("offload", "offload.estimate", now,
@@ -401,15 +408,15 @@ func (e *Engine) estimateSite(dag *tasks.DAG, c *tasks.Compiled, site *xedge.Sit
 	order, err := c.Order()
 	if err != nil {
 		est.Reason = err.Error()
-		return est
+		return
 	}
 	if splitAfter < 0 || splitAfter >= len(order) {
 		est.Reason = fmt.Sprintf("split %d outside [0, %d)", splitAfter, len(order))
-		return est
+		return
 	}
 	if !site.Reachable(e.mob.PositionAt(now)) {
 		est.Reason = "out of coverage"
-		return est
+		return
 	}
 
 	remote := order[splitAfter:]
@@ -417,14 +424,14 @@ func (e *Engine) estimateSite(dag *tasks.DAG, c *tasks.Compiled, site *xedge.Sit
 
 	// Local prefix runs through the DSF.
 	if splitAfter > 0 {
-		plan, err := e.dsf.Plan(c.Prefix(splitAfter), now)
+		makespan, energyJ, err := e.dsf.Estimate(c.Prefix(splitAfter), now)
 		if err != nil {
 			est.Reason = err.Error()
-			return est
+			return
 		}
-		cursor = now + plan.Makespan
-		est.VehicleEnergyJ += plan.EnergyJ
-		est.Compute += plan.Makespan
+		cursor = now + makespan
+		est.VehicleEnergyJ += energyJ
+		est.Compute += makespan
 	}
 
 	// Uplink: ship the remote portion's external input — root inputs of
@@ -434,7 +441,7 @@ func (e *Engine) estimateSite(dag *tasks.DAG, c *tasks.Compiled, site *xedge.Sit
 	up, err := path.TransferTime(upBytes, network.Uplink)
 	if err != nil {
 		est.Reason = err.Error()
-		return est
+		return
 	}
 	est.Uplink = up
 	est.BytesSent = upBytes
@@ -461,7 +468,7 @@ func (e *Engine) estimateSite(dag *tasks.DAG, c *tasks.Compiled, site *xedge.Sit
 		finish[i], err = site.EstimateExec(ready, t.Class, t.GFLOP)
 		if err != nil {
 			est.Reason = err.Error()
-			return est
+			return
 		}
 		if finish[i] > remoteDone {
 			remoteDone = finish[i]
@@ -484,7 +491,7 @@ func (e *Engine) estimateSite(dag *tasks.DAG, c *tasks.Compiled, site *xedge.Sit
 	down, err := path.TransferTime(downBytes, network.Downlink)
 	if err != nil {
 		est.Reason = err.Error()
-		return est
+		return
 	}
 	est.Downlink = down
 	est.Total = (remoteDone - now) + down
@@ -496,10 +503,9 @@ func (e *Engine) estimateSite(dag *tasks.DAG, c *tasks.Compiled, site *xedge.Sit
 		remaining, _ := e.BandwidthRemaining()
 		est.Reason = fmt.Sprintf("bandwidth budget exhausted (%.0f B needed, %.0f B left)",
 			est.BytesSent, remaining)
-		return est
+		return
 	}
 	est.Feasible = true
-	return est
 }
 
 // EstimateBestSite evaluates the split at every registered site and returns
@@ -507,21 +513,25 @@ func (e *Engine) estimateSite(dag *tasks.DAG, c *tasks.Compiled, site *xedge.Sit
 // registered site wins ties). When no site is feasible it returns the first
 // site's infeasible estimate, or Reason "no sites" without any site.
 func (e *Engine) EstimateBestSite(dag *tasks.DAG, splitAfter int, now time.Duration) Estimate {
-	best := Estimate{Feasible: false, Reason: "no sites"}
+	// Two slots: each site is estimated into cand, and a better candidate
+	// swaps slots with best instead of being copied.
+	var slots [2]Estimate
+	best, cand := &slots[0], &slots[1]
+	best.Reason = "no sites"
 	c := dag.Compiled()
 	for _, site := range e.sites {
-		cand := e.estimateSite(dag, c, site, splitAfter, now)
-		if !cand.Feasible {
-			if !best.Feasible && best.Reason == "no sites" {
-				best = cand
-			}
-			continue
+		e.estimateSite(cand, dag, c, site, splitAfter, now)
+		var better bool
+		if cand.Feasible {
+			better = !best.Feasible || cand.Total < best.Total
+		} else {
+			better = !best.Feasible && best.Reason == "no sites"
 		}
-		if !best.Feasible || cand.Total < best.Total {
-			best = cand
+		if better {
+			best, cand = cand, best
 		}
 	}
-	return best
+	return *best
 }
 
 // crossingBytes sums the data that must move from vehicle to site when the
@@ -604,10 +614,13 @@ func (e *Engine) Decide(dag *tasks.DAG, now time.Duration) (Estimate, []Estimate
 // remote destinations reserve site executors. It returns the realized
 // completion time.
 func (e *Engine) Execute(dag *tasks.DAG, est Estimate, now time.Duration) (time.Duration, error) {
-	span := e.scope.Tracer.StartSpanAt("offload", "offload.execute", now,
-		trace.String("dest", est.Dest), trace.String("kind", est.Kind))
-	if dag != nil {
-		span.SetAttr(trace.String("dag", dag.Name))
+	var span *trace.Span
+	if e.scope.Tracer.Enabled() {
+		span = e.scope.Tracer.StartSpanAt("offload", "offload.execute", now,
+			trace.String("dest", est.Dest), trace.String("kind", est.Kind))
+		if dag != nil {
+			span.SetAttr(trace.String("dag", dag.Name))
+		}
 	}
 	done, err := e.execute(dag, est, now)
 	if err != nil {

@@ -2,6 +2,7 @@ package vcu
 
 import (
 	"fmt"
+	"math"
 	"reflect"
 	"sort"
 	"testing"
@@ -45,7 +46,8 @@ func samePlan(t *testing.T, what string, got *Plan, gotErr error, want *Plan, wa
 // random DAGs with every policy three ways — the policy's own Plan (fresh
 // planner), a DSF's Plan (one planner reused across all of them, so stale
 // scratch would show), and the naive reference — on a VCU whose queues are
-// loaded by committing every tenth plan, and requires identical plans.
+// loaded by committing every tenth plan, and requires identical plans. A
+// DSF's Estimate must return the plan's makespan and energy bit for bit.
 func TestPoliciesMatchNaiveReference(t *testing.T) {
 	rng := sim.NewStream(20260930, 16)
 	var dags []*tasks.DAG
@@ -99,6 +101,13 @@ func TestPoliciesMatchNaiveReference(t *testing.T) {
 			samePlan(t, what, got, gotErr, want, wantErr)
 			got, gotErr = dsf.Plan(d, now)
 			samePlan(t, what+" via DSF", got, gotErr, want, wantErr)
+			makespan, energy, estErr := dsf.Estimate(d, now)
+			if fmt.Sprint(estErr) != fmt.Sprint(wantErr) {
+				t.Fatalf("%s: Estimate error %v, reference %v", what, estErr, wantErr)
+			}
+			if wantErr == nil && (makespan != want.Makespan || math.Float64bits(energy) != math.Float64bits(want.EnergyJ)) {
+				t.Fatalf("%s: Estimate (%v, %v), Plan (%v, %v)", what, makespan, energy, want.Makespan, want.EnergyJ)
+			}
 			if wantErr == nil && i%10 == 0 {
 				if _, err := dsf.Commit(d, got); err != nil {
 					t.Fatal(err)

@@ -2,6 +2,7 @@ package vcu
 
 import (
 	"fmt"
+	"slices"
 	"time"
 
 	"repro/internal/obs"
@@ -98,12 +99,34 @@ func (s *DSF) Policy() Policy { return s.policy }
 func (s *DSF) MHEP() *MHEP { return s.mhep }
 
 // Plan produces a tentative placement for the DAG at virtual time now
-// without touching device queues.
+// without touching device queues. The plan is the caller's to keep.
 func (s *DSF) Plan(dag *tasks.DAG, now time.Duration) (*Plan, error) {
+	plan, err := s.plan(dag, now)
+	if err != nil {
+		return nil, err
+	}
+	out := *plan
+	out.Assignments = slices.Clone(plan.Assignments)
+	return &out, nil
+}
+
+// Estimate is Plan for callers that need only the plan's makespan and
+// energy: it builds nothing the caller would have to keep.
+func (s *DSF) Estimate(dag *tasks.DAG, now time.Duration) (makespan time.Duration, energyJ float64, err error) {
+	plan, err := s.plan(dag, now)
+	if err != nil {
+		return 0, 0, err
+	}
+	return plan.Makespan, plan.EnergyJ, nil
+}
+
+// plan is Plan on the DSF's scratch: a built-in policy's plan is valid
+// until the DSF's next plan.
+func (s *DSF) plan(dag *tasks.DAG, now time.Duration) (*Plan, error) {
 	if dag == nil {
 		return nil, fmt.Errorf("vcu: nil DAG")
 	}
-	devices := s.mhep.Devices()
+	devices := s.mhep.ordered
 	if len(devices) == 0 {
 		return nil, fmt.Errorf("vcu: no devices available to app %s", dag.Name)
 	}
@@ -112,7 +135,7 @@ func (s *DSF) Plan(dag *tasks.DAG, now time.Duration) (*Plan, error) {
 	if sp, ok := s.policy.(scratchPolicy); ok {
 		plan, err = sp.plan(&s.scratch, dag, devices, now)
 	} else {
-		plan, err = s.policy.Plan(dag, devices, now)
+		plan, err = s.policy.Plan(dag, s.mhep.Devices(), now)
 	}
 	if err != nil {
 		return nil, err
@@ -146,8 +169,11 @@ func (s *DSF) Commit(dag *tasks.DAG, plan *Plan) (*Plan, error) {
 			}
 		}
 	}
-	span := s.scope.Tracer.StartSpanAt("vcu", "vcu.commit", commitStart,
-		trace.String("dag", plan.DAG), trace.String("policy", plan.Policy))
+	var span *trace.Span
+	if s.scope.Tracer.Enabled() {
+		span = s.scope.Tracer.StartSpanAt("vcu", "vcu.commit", commitStart,
+			trace.String("dag", plan.DAG), trace.String("policy", plan.Policy))
+	}
 	committedOK := false
 	defer func() {
 		span.SetAttr(trace.Bool("ok", committedOK))
@@ -226,7 +252,7 @@ func (s *DSF) Commit(dag *tasks.DAG, plan *Plan) (*Plan, error) {
 
 // Run plans and immediately commits a DAG; the common path.
 func (s *DSF) Run(dag *tasks.DAG, now time.Duration) (*Plan, error) {
-	plan, err := s.Plan(dag, now)
+	plan, err := s.plan(dag, now)
 	if err != nil {
 		return nil, err
 	}

@@ -2,6 +2,7 @@ package vcu
 
 import (
 	"errors"
+	"reflect"
 	"testing"
 	"time"
 
@@ -281,5 +282,103 @@ func TestSensorFusionRunsBranchesInParallel(t *testing.T) {
 	fuse, _ := plan.Assignment("fuse")
 	if fuse.Start < cam.Finish || fuse.Start < lid.Finish {
 		t.Fatal("fusion started before both branches finished")
+	}
+}
+
+// TestPlansSurviveLaterPlans keeps a plan from DSF.Plan and one from
+// Policy.Plan, then plans and estimates other DAGs on the same DSF (which
+// reuses one planner's scratch): both kept plans must be unchanged.
+func TestPlansSurviveLaterPlans(t *testing.T) {
+	for _, policy := range Policies() {
+		s := newDSF(t, policy)
+		viaDSF, err := s.Plan(tasks.ALPR(), 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		viaPolicy, err := policy.Plan(tasks.ALPR(), s.MHEP().Devices(), 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		clone := func(p *Plan) *Plan {
+			c := *p
+			c.Assignments = append([]Assignment(nil), p.Assignments...)
+			return &c
+		}
+		wantDSF, wantPolicy := clone(viaDSF), clone(viaPolicy)
+		for _, d := range []*tasks.DAG{tasks.SensorFusion(), tasks.PedestrianAlert(), tasks.ALPR()} {
+			if _, err := s.Plan(d, time.Second); err != nil {
+				t.Fatal(err)
+			}
+			if _, _, err := s.Estimate(d, 2*time.Second); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := policy.Plan(d, s.MHEP().Devices(), 3*time.Second); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if !reflect.DeepEqual(viaDSF, wantDSF) {
+			t.Fatalf("%s: DSF.Plan result changed by later plans:\n got %+v\nwant %+v", policy.Name(), viaDSF, wantDSF)
+		}
+		if !reflect.DeepEqual(viaPolicy, wantPolicy) {
+			t.Fatalf("%s: Policy.Plan result changed by later plans:\n got %+v\nwant %+v", policy.Name(), viaPolicy, wantPolicy)
+		}
+	}
+}
+
+// TestAddDeviceAfterPlans adds a device to a platform a DSF has already
+// planned on: the next plan must see it. Scrambling the slice Devices()
+// returned must change neither the platform's device order nor a plan.
+func TestAddDeviceAfterPlans(t *testing.T) {
+	s := newDSF(t, GreedyEFT{})
+	m := s.MHEP()
+	dag := tasks.ALPR()
+	dag.Tasks[0].Pinned = hardware.DevicePhone
+	if _, err := s.Plan(dag, 0); err == nil {
+		t.Fatal("planned a task pinned to a device not yet added")
+	}
+	phone, err := hardware.Lookup(hardware.DevicePhone)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := m.AddDevice(phone, SecondLevel, WiFiIO()); err != nil {
+		t.Fatal(err)
+	}
+	plan, err := s.Plan(dag, 0)
+	if err != nil {
+		t.Fatalf("the device added after planning is not planned on: %v", err)
+	}
+	if a, _ := plan.Assignment(dag.Tasks[0].ID); a.Device != hardware.DevicePhone {
+		t.Fatalf("pinned task placed on %s, want %s", a.Device, hardware.DevicePhone)
+	}
+
+	devs := m.Devices()
+	want := make([]string, len(devs))
+	for i, d := range devs {
+		want[i] = d.Name()
+	}
+	for i := range devs {
+		if i > 0 && want[i-1] >= want[i] {
+			t.Fatalf("Devices() not in name order: %v", want)
+		}
+	}
+	ref, err := s.Plan(tasks.ALPR(), 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, j := 0, len(devs)-1; i < j; i, j = i+1, j-1 {
+		devs[i], devs[j] = devs[j], devs[i]
+	}
+	devs[0] = nil
+	for i, d := range m.Devices() {
+		if d == nil || d.Name() != want[i] {
+			t.Fatalf("scrambling the Devices() slice reordered the platform: device %d is %v, want %s", i, d, want[i])
+		}
+	}
+	got, err := s.Plan(tasks.ALPR(), 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got, ref) {
+		t.Fatalf("scrambling the Devices() slice changed a plan:\n got %+v\nwant %+v", got, ref)
 	}
 }

@@ -2,7 +2,8 @@ package vcu
 
 import (
 	"fmt"
-	"sort"
+	"slices"
+	"strings"
 	"time"
 
 	"repro/internal/hardware"
@@ -14,6 +15,10 @@ import (
 // AddDevice.
 type MHEP struct {
 	devices map[string]*Device
+	// ordered holds the same devices sorted by name (stable iteration keeps
+	// scheduling deterministic); AddDevice keeps it sorted, so planning
+	// reads it without rebuilding it.
+	ordered []*Device
 	storage *hardware.Storage
 }
 
@@ -60,6 +65,10 @@ func (m *MHEP) AddDevice(p *hardware.Processor, tier Tier, io IO) error {
 		return err
 	}
 	m.devices[p.Name] = d
+	at, _ := slices.BinarySearchFunc(m.ordered, p.Name, func(d *Device, name string) int {
+		return strings.Compare(d.Name(), name)
+	})
+	m.ordered = slices.Insert(m.ordered, at, d)
 	return nil
 }
 
@@ -72,22 +81,18 @@ func (m *MHEP) Device(name string) (*Device, error) {
 	return d, nil
 }
 
-// Devices returns all registered devices sorted by name (stable iteration
-// keeps scheduling deterministic).
+// Devices returns all registered devices sorted by name, in a slice the
+// caller owns.
 func (m *MHEP) Devices() []*Device {
-	out := make([]*Device, 0, len(m.devices))
-	for _, d := range m.devices {
-		out = append(out, d)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Name() < out[j].Name() })
+	out := make([]*Device, len(m.ordered))
+	copy(out, m.ordered)
 	return out
 }
 
 // Profiles snapshots every device (DSF's periodic resource collection).
 func (m *MHEP) Profiles(now, horizon time.Duration) []ResourceProfile {
-	devs := m.Devices()
-	out := make([]ResourceProfile, 0, len(devs))
-	for _, d := range devs {
+	out := make([]ResourceProfile, 0, len(m.ordered))
+	for _, d := range m.ordered {
 		out = append(out, d.Profile(now, horizon))
 	}
 	return out

@@ -137,7 +137,7 @@ func naiveRoundRobin(dag *tasks.DAG, devices []*Device, now time.Duration) (*Pla
 		}
 		assignments = append(assignments, a)
 	}
-	return finishPlan(dag.Name, RoundRobin{}.Name(), now, assignments), nil
+	return naiveFinishPlan(dag.Name, RoundRobin{}.Name(), now, assignments), nil
 }
 
 func naiveGreedyEFT(dag *tasks.DAG, devices []*Device, now time.Duration) (*Plan, error) {
@@ -158,7 +158,7 @@ func naiveGreedyEFT(dag *tasks.DAG, devices []*Device, now time.Duration) (*Plan
 		}
 		assignments = append(assignments, a)
 	}
-	return finishPlan(dag.Name, GreedyEFT{}.Name(), now, assignments), nil
+	return naiveFinishPlan(dag.Name, GreedyEFT{}.Name(), now, assignments), nil
 }
 
 func naiveHEFT(dag *tasks.DAG, devices []*Device, now time.Duration) (*Plan, error) {
@@ -195,7 +195,7 @@ func naiveHEFT(dag *tasks.DAG, devices []*Device, now time.Duration) (*Plan, err
 		}
 		assignments = append(assignments, a)
 	}
-	return finishPlan(dag.Name, HEFT{}.Name(), now, assignments), nil
+	return naiveFinishPlan(dag.Name, HEFT{}.Name(), now, assignments), nil
 }
 
 func naivePowerAware(pa PowerAware, dag *tasks.DAG, devices []*Device, now time.Duration) (*Plan, error) {
@@ -259,7 +259,23 @@ func naivePowerAware(pa PowerAware, dag *tasks.DAG, devices []*Device, now time.
 		}
 		assignments = append(assignments, a)
 	}
-	return finishPlan(dag.Name, pa.Name(), now, assignments), nil
+	return naiveFinishPlan(dag.Name, pa.Name(), now, assignments), nil
+}
+
+// naiveFinishPlan assembles plan-level statistics.
+func naiveFinishPlan(dagName, policy string, now time.Duration, assignments []Assignment) *Plan {
+	plan := &Plan{DAG: dagName, Policy: policy, Assignments: assignments}
+	var last time.Duration
+	for _, a := range assignments {
+		if a.Finish > last {
+			last = a.Finish
+		}
+		plan.EnergyJ += a.EnergyJ
+	}
+	if last > now {
+		plan.Makespan = last - now
+	}
+	return plan
 }
 
 func naiveValidatePlanInput(dag *tasks.DAG, devices []*Device) ([]*tasks.Task, error) {

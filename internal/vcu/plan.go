@@ -65,6 +65,11 @@ type planner struct {
 	cands []int     // candidates' result
 	ranks []float64 // HEFT upward ranks
 	order []int     // HEFT placement order
+
+	// assign collects the plan's assignments in placement order and out is
+	// the plan finish fills; both are overwritten by the next plan.
+	assign []Assignment
+	out    Plan
 }
 
 // begin validates the plan input (DAG, then devices — the order callers see
@@ -99,6 +104,7 @@ func (p *planner) begin(dag *tasks.DAG, devices []*Device, now time.Duration) ([
 	for i := range p.placed {
 		p.placed[i] = false
 	}
+	p.assign = p.assign[:0]
 	order, _ := c.Order() // a valid DAG has one
 	return order, nil
 }
@@ -158,23 +164,25 @@ func (p *planner) tryPlace(ti, dk int) (start, finish, transferWait time.Duratio
 	return start, start + exec, transferWait, slot, nil
 }
 
-// place commits task ti to device dk inside the tentative plan.
-func (p *planner) place(ti, dk int) (Assignment, error) {
+// place commits task ti to device dk inside the tentative plan and appends
+// its assignment.
+func (p *planner) place(ti, dk int) error {
 	start, finish, wait, slot, err := p.tryPlace(ti, dk)
 	if err != nil {
-		return Assignment{}, err
+		return err
 	}
 	dev := p.devices[dk]
 	p.slotFree[p.slotOff[dk]+slot] = finish
 	p.placed[ti], p.devOf[ti], p.finish[ti] = true, dk, finish
-	return Assignment{
+	p.assign = append(p.assign, Assignment{
 		TaskID:       p.dag.Tasks[ti].ID,
 		Device:       dev.Name(),
 		Start:        start,
 		Finish:       finish,
 		TransferWait: wait,
 		EnergyJ:      dev.Processor().EnergyJ(finish - start),
-	}, nil
+	})
+	return nil
 }
 
 func earliestSlot(free []time.Duration) int {
@@ -194,18 +202,18 @@ func maxDuration(a, b time.Duration) time.Duration {
 	return b
 }
 
-// finishPlan assembles plan-level statistics.
-func finishPlan(dagName, policy string, now time.Duration, assignments []Assignment) *Plan {
-	plan := &Plan{DAG: dagName, Policy: policy, Assignments: assignments}
+// finishPlan fills the planner's plan from its assignments and returns it.
+func (p *planner) finishPlan(policy string) *Plan {
+	p.out = Plan{DAG: p.dag.Name, Policy: policy, Assignments: p.assign}
 	var last time.Duration
-	for _, a := range assignments {
+	for _, a := range p.assign {
 		if a.Finish > last {
 			last = a.Finish
 		}
-		plan.EnergyJ += a.EnergyJ
+		p.out.EnergyJ += a.EnergyJ
 	}
-	if last > now {
-		plan.Makespan = last - now
+	if last > p.now {
+		p.out.Makespan = last - p.now
 	}
-	return plan
+	return &p.out
 }

@@ -18,7 +18,8 @@ type Policy interface {
 
 // scratchPolicy is implemented by the built-in policies: plan is Plan
 // building on a caller-owned planner, so a DSF reuses one planner's arrays
-// across every plan it makes.
+// across every plan it makes. The returned plan is the planner's scratch,
+// valid until the planner's next plan.
 type scratchPolicy interface {
 	plan(p *planner, dag *tasks.DAG, devices []*Device, now time.Duration) (*Plan, error)
 }
@@ -44,19 +45,16 @@ func (RoundRobin) plan(p *planner, dag *tasks.DAG, devices []*Device, now time.D
 	if err != nil {
 		return nil, err
 	}
-	assignments := make([]Assignment, 0, len(order))
 	for next, ti := range order {
 		cands := p.candidates(ti)
 		if len(cands) == 0 {
 			return nil, p.unplaceable(ti)
 		}
-		a, err := p.place(ti, cands[next%len(cands)])
-		if err != nil {
+		if err := p.place(ti, cands[next%len(cands)]); err != nil {
 			return nil, err
 		}
-		assignments = append(assignments, a)
 	}
-	return finishPlan(dag.Name, RoundRobin{}.Name(), now, assignments), nil
+	return p.finishPlan(RoundRobin{}.Name()), nil
 }
 
 // GreedyEFT places each ready task on the device with the earliest finish
@@ -76,11 +74,10 @@ func (GreedyEFT) plan(p *planner, dag *tasks.DAG, devices []*Device, now time.Du
 	if err != nil {
 		return nil, err
 	}
-	assignments, err := p.placeEFT(order)
-	if err != nil {
+	if err := p.placeEFT(order); err != nil {
 		return nil, err
 	}
-	return finishPlan(dag.Name, GreedyEFT{}.Name(), now, assignments), nil
+	return p.finishPlan(GreedyEFT{}.Name()), nil
 }
 
 // HEFT is Heterogeneous Earliest Finish Time: tasks ranked by upward rank
@@ -116,11 +113,10 @@ func (HEFT) plan(p *planner, dag *tasks.DAG, devices []*Device, now time.Duratio
 		}
 		p.order[at] = ti
 	}
-	assignments, err := p.placeEFT(p.order)
-	if err != nil {
+	if err := p.placeEFT(p.order); err != nil {
 		return nil, err
 	}
-	return finishPlan(dag.Name, HEFT{}.Name(), now, assignments), nil
+	return p.finishPlan(HEFT{}.Name()), nil
 }
 
 // PowerAware minimizes task energy subject to not stretching the task's
@@ -151,7 +147,6 @@ func (pa PowerAware) plan(p *planner, dag *tasks.DAG, devices []*Device, now tim
 	if err != nil {
 		return nil, err
 	}
-	assignments := make([]Assignment, 0, len(order))
 	for _, ti := range order {
 		cands := p.candidates(ti)
 		if len(cands) == 0 {
@@ -193,13 +188,11 @@ func (pa PowerAware) plan(p *planner, dag *tasks.DAG, devices []*Device, now tim
 		if chosen < 0 {
 			return nil, p.unplaceable(ti)
 		}
-		a, err := p.place(ti, chosen)
-		if err != nil {
+		if err := p.place(ti, chosen); err != nil {
 			return nil, err
 		}
-		assignments = append(assignments, a)
 	}
-	return finishPlan(dag.Name, pa.Name(), now, assignments), nil
+	return p.finishPlan(pa.Name()), nil
 }
 
 // UnplaceableError reports a task no device can run.
@@ -219,20 +212,17 @@ func (p *planner) unplaceable(ti int) *UnplaceableError {
 
 // placeEFT places the tasks in the given order, each on its earliest-finish
 // device.
-func (p *planner) placeEFT(order []int) ([]Assignment, error) {
-	assignments := make([]Assignment, 0, len(order))
+func (p *planner) placeEFT(order []int) error {
 	for _, ti := range order {
 		dk, err := p.bestEFT(ti)
 		if err != nil {
-			return nil, err
+			return err
 		}
-		a, err := p.place(ti, dk)
-		if err != nil {
-			return nil, err
+		if err := p.place(ti, dk); err != nil {
+			return err
 		}
-		assignments = append(assignments, a)
 	}
-	return assignments, nil
+	return nil
 }
 
 // bestEFT returns the capable device with the earliest finish for task ti.
