@@ -22,8 +22,7 @@ type MemCache struct {
 	hits   int
 	misses int
 
-	scope obs.Scope
-	m     cacheMetrics
+	m cacheMetrics
 }
 
 // cacheMetrics holds the cache's interned counter handles, resolved once
@@ -37,12 +36,9 @@ type cacheMetrics struct {
 	expirations *telemetry.Counter
 }
 
-// instrument mirrors hit/miss/eviction outcomes into the scope's registry
-// under `ddi.cache.*` counters, and emits a structured event into its
-// recorder for every capacity eviction, stamped at the insertion that
-// forced it.
+// instrument mirrors hit/miss/eviction/expiration outcomes into the
+// scope's registry under `ddi.cache.*` counters.
 func (c *MemCache) instrument(sc obs.Scope) {
-	c.scope = sc
 	reg := sc.Metrics
 	c.m = cacheMetrics{
 		hits:        reg.CounterHandle("ddi.cache.hits"),
@@ -87,13 +83,13 @@ func (c *MemCache) Put(rec Record, now time.Duration) {
 		return
 	}
 	for c.lru.Len() >= c.capacity {
-		c.evictOldest(now)
+		c.evictOldest()
 	}
 	el := c.lru.PushFront(&cacheEntry{rec: rec, expiresAt: now + c.ttl})
 	c.entries[rec.ID] = el
 }
 
-func (c *MemCache) evictOldest(now time.Duration) {
+func (c *MemCache) evictOldest() {
 	back := c.lru.Back()
 	if back == nil {
 		return
@@ -102,10 +98,6 @@ func (c *MemCache) evictOldest(now time.Duration) {
 	c.lru.Remove(back)
 	if ok {
 		delete(c.entries, entry.rec.ID)
-		if c.scope.Events.Enabled() {
-			c.scope.Events.Emit(now, "ddi", obs.SevDebug, "cache.evict",
-				obs.Int("id", int(entry.rec.ID)), obs.Int("resident", c.lru.Len()))
-		}
 	}
 	c.m.evictions.Inc()
 }

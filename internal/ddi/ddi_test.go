@@ -297,17 +297,24 @@ func TestInstrumentWiresCacheCountersIntoRegistry(t *testing.T) {
 	}
 }
 
+// TestCacheEvictionCounter: evictions are counted, not logged — a full
+// cache must not flood the flight recorder with one event per insertion.
 func TestCacheEvictionCounter(t *testing.T) {
 	reg := telemetry.NewRegistry()
+	rec := obs.NewRecorder(2)
+	rec.Emit(0, "test", obs.SevInfo, "marker")
 	c, err := NewMemCache(2, time.Hour)
 	if err != nil {
 		t.Fatal(err)
 	}
-	c.instrument(obs.Scope{Metrics: reg})
+	c.instrument(obs.Scope{Metrics: reg, Events: rec})
 	for id := uint64(1); id <= 4; id++ {
 		c.Put(Record{ID: id, Source: SourceUser, At: 1, Payload: []byte("x")}, 0)
 	}
 	if got := reg.Counter("ddi.cache.evictions"); got != 2 {
 		t.Fatalf("ddi.cache.evictions = %v, want 2", got)
+	}
+	if evs := rec.Events(); len(evs) != 1 || evs[0].Name != "marker" {
+		t.Fatalf("recorder holds %+v after the puts, want only the marker event", evs)
 	}
 }

@@ -3,8 +3,6 @@ package ddi
 import (
 	"testing"
 	"time"
-
-	"repro/internal/sim"
 )
 
 // pruningFixture seals one segment per minute over an hour of records.
@@ -224,52 +222,5 @@ func TestScanStableUnderConcurrentMutation(t *testing.T) {
 				t.Fatal(err)
 			}
 		})
-	}
-}
-
-// TestStartCompaction: the virtual-clock schedule seals idle memtables
-// and merges partition fragments; stop() cancels the schedule.
-func TestStartCompaction(t *testing.T) {
-	s := openStore(t)
-	s.SetSealPolicy(100, time.Minute)
-	for i := 0; i < 450; i++ {
-		if _, err := s.Put(rec(SourceOBD, time.Duration(i)*time.Second, float64(i))); err != nil {
-			t.Fatal(err)
-		}
-	}
-	// 450 rows in 1-minute partitions with 100-row seals: several
-	// fragments per partition plus a 50-row memtable remainder.
-	if got := len(s.Segments()); got < 5 {
-		t.Fatalf("fixture sealed %d segments, want several", got)
-	}
-	eng := sim.NewEngine(1)
-	stop, err := s.StartCompaction(eng, 10*time.Minute)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := eng.RunUntil(10 * time.Minute); err != nil {
-		t.Fatal(err)
-	}
-	// One segment per touched 1-minute partition, memtable sealed too.
-	if got, want := len(s.Segments()), 8; got != want {
-		t.Fatalf("segments after compaction = %d, want %d", got, want)
-	}
-	if got := s.Count(); got != 450 {
-		t.Fatalf("count after compaction = %d, want 450", got)
-	}
-	stop()
-	before := len(s.Segments())
-	for i := 0; i < 250; i++ {
-		if _, err := s.Put(rec(SourceGPS, time.Hour+time.Duration(i)*time.Second, 0)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := eng.RunUntil(time.Hour); err != nil {
-		t.Fatal(err)
-	}
-	// The schedule is cancelled: only Put-triggered seals may add
-	// segments; nothing merges them back down.
-	if got := len(s.Segments()); got < before {
-		t.Fatalf("stopped schedule still compacting: %d -> %d segments", before, got)
 	}
 }

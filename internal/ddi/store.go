@@ -10,8 +10,6 @@ import (
 	"sort"
 	"sync"
 	"time"
-
-	"repro/internal/sim"
 )
 
 // DiskStore is the persistent tier: an append-only, virtual-time-
@@ -670,20 +668,6 @@ func (s *DiskStore) Compact() (int, error) {
 		s.segs = keep
 	}
 	return mergedAway, nil
-}
-
-// StartCompaction schedules Compact on the engine's virtual clock every
-// `every` (seal first, so long-idle memtables reach disk). The returned
-// stop function cancels the schedule.
-func (s *DiskStore) StartCompaction(eng *sim.Engine, every time.Duration) (func(), error) {
-	return eng.Every(every, func() {
-		s.mu.Lock()
-		if s.w != nil {
-			_ = s.sealLocked()
-		}
-		s.mu.Unlock()
-		_, _ = s.Compact()
-	})
 }
 
 // Count returns the number of stored records.

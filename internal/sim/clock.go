@@ -15,9 +15,9 @@ import (
 // Clock is a virtual clock. The zero value starts at time zero.
 //
 // Clock has a single-writer contract: only the simulation loop may call
-// Advance or Set, but Now is safe to call from any goroutine (the REST
-// tier reads virtual time concurrently with a live run). The stored time
-// is an atomic cell, so readers never observe a torn value.
+// Set, but Now is safe to call from any goroutine (the REST tier reads
+// virtual time concurrently with a live run). The stored time is an atomic
+// cell, so readers never observe a torn value.
 type Clock struct {
 	now atomic.Int64 // time.Duration bits
 }
@@ -25,14 +25,6 @@ type Clock struct {
 // Now returns the current virtual time as an offset from simulation start.
 // Safe for concurrent use.
 func (c *Clock) Now() time.Duration { return time.Duration(c.now.Load()) }
-
-// Advance moves the clock forward by d. Negative d is ignored: virtual time
-// is monotonic. Single writer only.
-func (c *Clock) Advance(d time.Duration) {
-	if d > 0 {
-		c.now.Store(c.now.Load() + int64(d))
-	}
-}
 
 // Set jumps the clock to t if t is later than the current time. Single
 // writer only.

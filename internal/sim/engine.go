@@ -1,34 +1,29 @@
 package sim
 
 import (
-	"errors"
 	"fmt"
 	"time"
 )
 
-// ErrStopped is returned by Run variants when the engine was stopped
-// explicitly before reaching its goal.
-var ErrStopped = errors.New("sim: engine stopped")
+// eventBudget caps the number of events one RunUntil call processes, as a
+// runaway guard.
+const eventBudget = 50_000_000
 
 // Engine drives a discrete-event simulation: it repeatedly pops the earliest
 // event, advances the virtual clock to it, and runs its callback.
 //
 // Engine is single-threaded; callbacks run on the caller's goroutine.
 type Engine struct {
-	clock   Clock
-	queue   Queue
-	rng     *RNG
-	stopped bool
-
-	// EventBudget caps the number of events processed by a single Run call
-	// as a runaway guard. Zero means the default of 50 million.
-	EventBudget int
+	clock  Clock
+	queue  queue
+	rng    *RNG
+	budget int // eventBudget; tests lower it
 }
 
 // NewEngine returns an engine whose random source is seeded with seed.
 // The same seed always yields the same simulation trajectory.
 func NewEngine(seed int64) *Engine {
-	return &Engine{rng: NewRNG(seed)}
+	return &Engine{rng: NewRNG(seed), budget: eventBudget}
 }
 
 // Now returns the current virtual time.
@@ -37,120 +32,54 @@ func (e *Engine) Now() time.Duration { return e.clock.Now() }
 // RNG returns the engine's deterministic random source.
 func (e *Engine) RNG() *RNG { return e.rng }
 
-// Pending returns the number of scheduled events not yet fired.
-func (e *Engine) Pending() int { return e.queue.Len() }
-
 // At schedules fn at absolute virtual time t. Times in the past fire
 // immediately at the current time (the clock never rewinds).
-func (e *Engine) At(t time.Duration, fn func()) Handle {
-	if t < e.clock.Now() {
-		t = e.clock.Now()
-	}
-	return e.queue.Schedule(t, fn)
+func (e *Engine) At(t time.Duration, fn func()) {
+	e.queue.push(max(t, e.clock.Now()), fn)
 }
 
 // After schedules fn to run d after the current virtual time.
-func (e *Engine) After(d time.Duration, fn func()) Handle {
-	if d < 0 {
-		d = 0
-	}
-	return e.queue.Schedule(e.clock.Now()+d, fn)
+func (e *Engine) After(d time.Duration, fn func()) {
+	e.queue.push(e.clock.Now()+max(d, 0), fn)
 }
 
 // Every schedules fn to run now+d, then every d thereafter, until the
-// returned stop function is called. d must be positive.
+// returned stop function is called. d must be positive. The tick already
+// queued when stop is called still fires, as a no-op that schedules
+// nothing, so every later event keeps its place in the order.
 func (e *Engine) Every(d time.Duration, fn func()) (stop func(), err error) {
 	if d <= 0 {
 		return nil, fmt.Errorf("sim: Every period must be positive, got %v", d)
 	}
-	var (
-		h       Handle
-		halted  bool
-		arrange func()
-	)
-	arrange = func() {
-		h = e.After(d, func() {
-			if halted {
-				return
-			}
-			fn()
-			if !halted {
-				arrange()
-			}
-		})
+	halted := false
+	var tick func()
+	tick = func() {
+		if halted {
+			return
+		}
+		fn()
+		if !halted {
+			e.After(d, tick)
+		}
 	}
-	arrange()
-	return func() {
-		halted = true
-		e.queue.Cancel(h)
-	}, nil
+	e.After(d, tick)
+	return func() { halted = true }, nil
 }
-
-// Cancel removes a scheduled event.
-func (e *Engine) Cancel(h Handle) { e.queue.Cancel(h) }
-
-// Stop makes the current Run call return after the in-flight event.
-func (e *Engine) Stop() { e.stopped = true }
 
 // RunUntil processes events in time order until the queue is empty or the
 // next event would fire after deadline. The clock ends at deadline when the
 // queue drains early, so successive RunUntil calls see consistent time.
 func (e *Engine) RunUntil(deadline time.Duration) error {
-	budget := e.EventBudget
-	if budget <= 0 {
-		budget = 50_000_000
-	}
-	e.stopped = false
 	for processed := 0; ; processed++ {
-		if processed >= budget {
-			return fmt.Errorf("sim: event budget %d exhausted at t=%v", budget, e.clock.Now())
+		if processed >= e.budget {
+			return fmt.Errorf("sim: event budget %d exhausted at t=%v", e.budget, e.clock.Now())
 		}
-		at, ok := e.queue.PeekTime()
-		if !ok || at > deadline {
+		if at, ok := e.queue.peek(); !ok || at > deadline {
 			e.clock.Set(deadline)
 			return nil
 		}
-		ev, ok := e.queue.Pop()
-		if !ok {
-			e.clock.Set(deadline)
-			return nil
-		}
-		e.clock.Set(ev.At)
-		fn := ev.Fn
-		e.queue.Release(ev)
-		if fn != nil {
-			fn()
-		}
-		if e.stopped {
-			return ErrStopped
-		}
-	}
-}
-
-// Drain processes events until the queue is empty. Use with care: periodic
-// processes must be stopped first or Drain will hit the event budget.
-func (e *Engine) Drain() error {
-	budget := e.EventBudget
-	if budget <= 0 {
-		budget = 50_000_000
-	}
-	e.stopped = false
-	for processed := 0; ; processed++ {
-		if processed >= budget {
-			return fmt.Errorf("sim: event budget %d exhausted at t=%v", budget, e.clock.Now())
-		}
-		ev, ok := e.queue.Pop()
-		if !ok {
-			return nil
-		}
-		e.clock.Set(ev.At)
-		fn := ev.Fn
-		e.queue.Release(ev)
-		if fn != nil {
-			fn()
-		}
-		if e.stopped {
-			return ErrStopped
-		}
+		ev := e.queue.pop()
+		e.clock.Set(ev.at)
+		ev.fn()
 	}
 }

@@ -1,7 +1,7 @@
 package sim
 
 import (
-	"errors"
+	"slices"
 	"testing"
 	"time"
 )
@@ -22,8 +22,11 @@ func TestEngineRunUntil(t *testing.T) {
 	if e.Now() != 5*time.Second {
 		t.Fatalf("clock = %v after RunUntil(5s), want 5s", e.Now())
 	}
-	if e.Pending() != 1 {
-		t.Fatalf("pending = %d, want 1", e.Pending())
+	if err := e.RunUntil(20 * time.Second); err != nil {
+		t.Fatalf("RunUntil: %v", err)
+	}
+	if len(fired) != 3 || fired[2] != 10*time.Second {
+		t.Fatalf("fired at %v, want the third event at 10s", fired)
 	}
 }
 
@@ -31,8 +34,8 @@ func TestEngineClockAdvancesWithEvents(t *testing.T) {
 	e := NewEngine(1)
 	var at time.Duration
 	e.After(7*time.Second, func() { at = e.Now() })
-	if err := e.Drain(); err != nil {
-		t.Fatalf("Drain: %v", err)
+	if err := e.RunUntil(time.Minute); err != nil {
+		t.Fatalf("RunUntil: %v", err)
 	}
 	if at != 7*time.Second {
 		t.Fatalf("callback saw t=%v, want 7s", at)
@@ -41,23 +44,21 @@ func TestEngineClockAdvancesWithEvents(t *testing.T) {
 
 func TestEngineEventsScheduleEvents(t *testing.T) {
 	e := NewEngine(1)
-	depth := 0
+	var depths []time.Duration
 	var grow func()
 	grow = func() {
-		depth++
-		if depth < 5 {
+		depths = append(depths, e.Now())
+		if len(depths) < 5 {
 			e.After(time.Second, grow)
 		}
 	}
 	e.After(time.Second, grow)
-	if err := e.Drain(); err != nil {
-		t.Fatalf("Drain: %v", err)
+	if err := e.RunUntil(time.Minute); err != nil {
+		t.Fatalf("RunUntil: %v", err)
 	}
-	if depth != 5 {
-		t.Fatalf("depth = %d, want 5", depth)
-	}
-	if e.Now() != 5*time.Second {
-		t.Fatalf("clock = %v, want 5s", e.Now())
+	want := []time.Duration{time.Second, 2 * time.Second, 3 * time.Second, 4 * time.Second, 5 * time.Second}
+	if !slices.Equal(depths, want) {
+		t.Fatalf("chained events fired at %v, want %v", depths, want)
 	}
 }
 
@@ -83,6 +84,85 @@ func TestEngineEvery(t *testing.T) {
 	}
 }
 
+// TestEngineEveryStop: stopping a periodic process, from inside its own
+// callback or from outside it, ends its ticks, and every other event fires
+// in the same order and at the same times as on an engine where no tick was
+// ever queued.
+func TestEngineEveryStop(t *testing.T) {
+	type firing struct {
+		id int
+		at time.Duration
+	}
+	// others schedules events at tick instants and between them, each of
+	// which chains a follow-up a second later.
+	others := func(e *Engine, log *[]firing) {
+		for id, at := range []time.Duration{3 * time.Second, 2500 * time.Millisecond, 3 * time.Second, 7 * time.Second, 4 * time.Second} {
+			e.At(at, func() {
+				*log = append(*log, firing{id, e.Now()})
+				e.After(time.Second, func() { *log = append(*log, firing{100 + id, e.Now()}) })
+			})
+		}
+	}
+	const deadline = 20 * time.Second
+	var want []firing
+	ref := NewEngine(1)
+	others(ref, &want)
+	if err := ref.RunUntil(deadline); err != nil {
+		t.Fatal(err)
+	}
+
+	for _, tc := range []struct {
+		name   string
+		inside bool // the third tick stops its own process
+		run    func(e *Engine, stop func()) error
+	}{
+		{"from its own callback", true, func(e *Engine, stop func()) error { return e.RunUntil(deadline) }},
+		{"from another event", false, func(e *Engine, stop func()) error {
+			e.At(3500*time.Millisecond, stop)
+			return e.RunUntil(deadline)
+		}},
+		{"between runs", false, func(e *Engine, stop func()) error {
+			if err := e.RunUntil(3500 * time.Millisecond); err != nil {
+				return err
+			}
+			stop()
+			return e.RunUntil(deadline)
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			e := NewEngine(1)
+			ticks := 0
+			var stop func()
+			stop, err := e.Every(time.Second, func() {
+				ticks++
+				if ticks == 3 && tc.inside {
+					stop()
+				}
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			var got []firing
+			others(e, &got)
+			if err := tc.run(e, stop); err != nil {
+				t.Fatal(err)
+			}
+			if ticks != 3 {
+				t.Fatalf("ticks = %d, want 3", ticks)
+			}
+			if e.Now() != deadline {
+				t.Fatalf("clock = %v, want the deadline %v", e.Now(), deadline)
+			}
+			if len(e.queue.events) != 0 {
+				t.Fatalf("%d events left queued, want none", len(e.queue.events))
+			}
+			if !slices.Equal(got, want) {
+				t.Fatalf("other events fired as %v, want %v", got, want)
+			}
+		})
+	}
+}
+
 func TestEngineEveryRejectsNonPositive(t *testing.T) {
 	e := NewEngine(1)
 	if _, err := e.Every(0, func() {}); err == nil {
@@ -93,41 +173,57 @@ func TestEngineEveryRejectsNonPositive(t *testing.T) {
 	}
 }
 
-func TestEngineStop(t *testing.T) {
-	e := NewEngine(1)
-	ran := 0
-	e.After(time.Second, func() { ran++; e.Stop() })
-	e.After(2*time.Second, func() { ran++ })
-	err := e.RunUntil(time.Minute)
-	if !errors.Is(err, ErrStopped) {
-		t.Fatalf("err = %v, want ErrStopped", err)
-	}
-	if ran != 1 {
-		t.Fatalf("ran = %d, want 1", ran)
-	}
-}
-
 func TestEngineEventBudget(t *testing.T) {
 	e := NewEngine(1)
-	e.EventBudget = 10
+	e.budget = 10
 	var loop func()
 	loop = func() { e.After(time.Second, loop) }
 	e.After(time.Second, loop)
-	if err := e.Drain(); err == nil {
-		t.Fatal("Drain with infinite event loop succeeded, want budget error")
+	if err := e.RunUntil(time.Hour); err == nil {
+		t.Fatal("RunUntil through 3600 events under a budget of 10 succeeded, want budget error")
 	}
 }
 
 func TestEnginePastScheduleFiresNow(t *testing.T) {
 	e := NewEngine(1)
+	var at time.Duration
 	e.After(5*time.Second, func() {
-		e.At(time.Second, func() {}) // in the past relative to t=5s
+		e.At(time.Second, func() { at = e.Now() }) // in the past relative to t=5s
 	})
-	if err := e.Drain(); err != nil {
-		t.Fatalf("Drain: %v", err)
+	if err := e.RunUntil(5 * time.Second); err != nil {
+		t.Fatalf("RunUntil: %v", err)
 	}
-	if e.Now() != 5*time.Second {
-		t.Fatalf("clock = %v, want 5s (past event clamps to now)", e.Now())
+	if at != 5*time.Second {
+		t.Fatalf("past event fired at %v, want 5s (clamped to now)", at)
+	}
+}
+
+// TestEngineSteadyStateAllocs pins the kernel's hot path at zero
+// allocations: once the heap's backing array has grown, scheduling with
+// After, firing through RunUntil and a periodic tick allocate nothing.
+func TestEngineSteadyStateAllocs(t *testing.T) {
+	e := NewEngine(1)
+	fn := func() {}
+	ticks := 0
+	if _, err := e.Every(time.Millisecond, func() { ticks++ }); err != nil {
+		t.Fatal(err)
+	}
+	batch := func() {
+		for i := 0; i < 256; i++ {
+			e.After(time.Duration((i*2654435761)%4096)*time.Microsecond, fn)
+		}
+		if err := e.RunUntil(e.Now() + 5*time.Millisecond); err != nil {
+			t.Fatal(err)
+		}
+	}
+	batch() // grow the heap
+	if n := testing.AllocsPerRun(100, batch); n != 0 {
+		t.Fatalf("steady-state After + RunUntil: %v allocs per batch, want 0", n)
+	}
+	// Five ticks in each of 102 batches: the growth batch, AllocsPerRun's
+	// warm-up run and its 100 measured runs.
+	if ticks != 5*102 {
+		t.Fatalf("ticks = %d, want %d", ticks, 5*102)
 	}
 }
 

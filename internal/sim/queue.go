@@ -1,231 +1,88 @@
 package sim
 
-import (
-	"time"
-)
+import "time"
 
-// Event is a scheduled callback in virtual time.
-//
-// Event structs are pooled: once an event has fired or been canceled the
-// queue may hand the same struct to a later Schedule call. Holders must
-// therefore keep the Handle returned by Schedule — never a raw *Event —
-// when they intend to cancel later; the Handle's generation stamp detects
-// reuse. The *Event returned by Pop is valid until passed to Release.
-type Event struct {
-	// At is the virtual time at which the event fires.
-	At time.Duration
-	// Fn is invoked when the event fires. It may schedule further events.
-	// The queue nils it out once the event is canceled or released, so a
-	// dead event never pins its callback's captures.
-	Fn func()
-
-	seq   uint64 // tie-breaker: FIFO among events at the same instant
-	index int32  // heap index; negative when not queued (see below)
-	gen   uint64 // bumped on every cancel/release; Handle validity stamp
-	owner *Queue // queue the event belongs to; guards cross-queue Cancel
+// event is a callback scheduled at a virtual time.
+type event struct {
+	at  time.Duration
+	seq uint64 // tie-breaker: FIFO among events at the same instant
+	fn  func()
 }
 
-// index sentinels for events not currently in the heap.
-const (
-	indexPopped = -1 // handed out by Pop, not yet released
-	indexPooled = -2 // resting in the free list
-)
-
-// Handle identifies one scheduled event. The zero Handle is inert: Cancel
-// ignores it and Canceled reports true. Handles stay safe after the event
-// fires, is canceled, or its struct is recycled — the generation stamp
-// rejects stale handles, and the owner pointer rejects handles from other
-// queues.
-type Handle struct {
-	ev  *Event
-	gen uint64
-}
-
-// Canceled reports whether the handle no longer refers to a pending event
-// (it fired, was canceled, or never existed).
-func (h Handle) Canceled() bool {
-	return h.ev == nil || h.ev.gen != h.gen || h.ev.index < 0
-}
-
-// Queue is a priority queue of events keyed by virtual time, implemented
-// as a specialized 4-ary heap over *Event (no interface boxing, inlined
-// sifts) with a free list so Schedule/Pop amortize to zero allocations.
-// Ordering is (At, seq): earlier time first, FIFO among equal times —
-// identical to the previous container/heap implementation, so seeded
-// simulations produce byte-identical trajectories.
-//
-// The zero value is ready to use.
-type Queue struct {
-	events []*Event
-	seq    uint64
-	free   []*Event
-}
-
-// Len returns the number of pending events.
-func (q *Queue) Len() int { return len(q.events) }
-
-// less orders the heap by firing time, then insertion sequence.
-func eventLess(a, b *Event) bool {
-	if a.At != b.At {
-		return a.At < b.At
+// before orders events by firing time, then insertion sequence.
+func (a *event) before(b *event) bool {
+	if a.at != b.at {
+		return a.at < b.at
 	}
 	return a.seq < b.seq
 }
 
-// Schedule enqueues fn to run at virtual time at and returns a handle that
-// can be passed to Cancel.
-func (q *Queue) Schedule(at time.Duration, fn func()) Handle {
+// queue is a 4-ary min-heap of events ordered by (at, seq): earlier time
+// first, FIFO among equal times — the order seeded simulations rely on for
+// byte-identical trajectories. Events are stored by value, so once the
+// backing array has grown push and pop allocate nothing.
+//
+// The zero value is ready to use.
+type queue struct {
+	events []event
+	seq    uint64
+}
+
+// push schedules fn at virtual time at.
+func (q *queue) push(at time.Duration, fn func()) {
 	q.seq++
-	var ev *Event
-	if n := len(q.free); n > 0 {
-		ev = q.free[n-1]
-		q.free[n-1] = nil
-		q.free = q.free[:n-1]
-	} else {
-		ev = &Event{owner: q}
-	}
-	ev.At = at
-	ev.Fn = fn
-	ev.seq = q.seq
-	ev.index = int32(len(q.events))
+	ev := event{at: at, seq: q.seq, fn: fn}
 	q.events = append(q.events, ev)
-	q.siftUp(len(q.events) - 1)
-	return Handle{ev: ev, gen: ev.gen}
-}
-
-// Cancel removes the handle's event from the queue. Canceling a zero
-// handle, an event that already fired or was already canceled, or a handle
-// minted by a different queue is a no-op: the owner pointer and generation
-// stamp identify exactly one pending event, so a stale handle can never
-// remove a recycled struct's new occupant (or another queue's event whose
-// index happens to be valid here).
-func (q *Queue) Cancel(h Handle) {
-	ev := h.ev
-	if ev == nil || ev.owner != q || ev.gen != h.gen || ev.index < 0 {
-		return
-	}
-	i := int(ev.index)
-	if i >= len(q.events) || q.events[i] != ev {
-		return // defensive: a corrupted handle must not evict a stranger
-	}
-	q.removeAt(i)
-	q.release(ev)
-}
-
-// PeekTime returns the firing time of the earliest event. ok is false when
-// the queue is empty.
-func (q *Queue) PeekTime() (at time.Duration, ok bool) {
-	if len(q.events) == 0 {
-		return 0, false
-	}
-	return q.events[0].At, true
-}
-
-// Pop removes and returns the earliest event. ok is false when the queue
-// is empty. The caller reads At/Fn, then hands the struct back with
-// Release once the callback has been invoked (or drops it — unreleased
-// events are simply garbage-collected instead of pooled).
-func (q *Queue) Pop() (ev *Event, ok bool) {
-	n := len(q.events)
-	if n == 0 {
-		return nil, false
-	}
-	root := q.events[0]
-	last := q.events[n-1]
-	q.events[n-1] = nil
-	q.events = q.events[:n-1]
-	if n > 1 {
-		q.events[0] = last
-		last.index = 0
-		q.siftDown(0)
-	}
-	root.index = indexPopped
-	return root, true
-}
-
-// Release returns a popped event to the queue's free list, dropping its
-// callback so fired events never pin their captures. Only events popped
-// from this queue and not yet released are accepted; anything else is a
-// no-op, so double releases cannot hand the same struct out twice.
-func (q *Queue) Release(ev *Event) {
-	if ev == nil || ev.owner != q || ev.index != indexPopped {
-		return
-	}
-	q.release(ev)
-}
-
-// release recycles an event that is no longer in the heap.
-func (q *Queue) release(ev *Event) {
-	ev.Fn = nil
-	ev.gen++
-	ev.index = indexPooled
-	q.free = append(q.free, ev)
-}
-
-// removeAt deletes the event at heap position i, preserving heap order.
-func (q *Queue) removeAt(i int) {
-	n := len(q.events)
-	ev := q.events[i]
-	last := q.events[n-1]
-	q.events[n-1] = nil
-	q.events = q.events[:n-1]
-	if i < n-1 {
-		q.events[i] = last
-		last.index = int32(i)
-		if !q.siftDown(i) {
-			q.siftUp(i)
-		}
-	}
-	ev.index = indexPopped
-}
-
-// siftUp restores heap order from position i toward the root.
-func (q *Queue) siftUp(i int) {
-	ev := q.events[i]
+	i := len(q.events) - 1
 	for i > 0 {
 		parent := (i - 1) / 4
-		p := q.events[parent]
-		if !eventLess(ev, p) {
+		if !ev.before(&q.events[parent]) {
 			break
 		}
-		q.events[i] = p
-		p.index = int32(i)
+		q.events[i] = q.events[parent]
 		i = parent
 	}
 	q.events[i] = ev
-	ev.index = int32(i)
 }
 
-// siftDown restores heap order from position i toward the leaves. It
-// reports whether the event moved.
-func (q *Queue) siftDown(i int) bool {
-	ev := q.events[i]
-	n := len(q.events)
-	start := i
+// peek returns the firing time of the earliest event. ok is false when the
+// queue is empty.
+func (q *queue) peek() (at time.Duration, ok bool) {
+	if len(q.events) == 0 {
+		return 0, false
+	}
+	return q.events[0].at, true
+}
+
+// pop removes and returns the earliest event; the queue must not be empty.
+// The vacated slot is zeroed, so a fired event never pins its callback.
+func (q *queue) pop() event {
+	root := q.events[0]
+	n := len(q.events) - 1
+	last := q.events[n]
+	q.events[n] = event{}
+	q.events = q.events[:n]
+	if n == 0 {
+		return root
+	}
+	i := 0
 	for {
 		first := 4*i + 1
 		if first >= n {
 			break
 		}
-		best := first
-		bestEv := q.events[first]
-		end := first + 4
-		if end > n {
-			end = n
-		}
+		best, end := first, min(first+4, n)
 		for c := first + 1; c < end; c++ {
-			if cev := q.events[c]; eventLess(cev, bestEv) {
-				best, bestEv = c, cev
+			if q.events[c].before(&q.events[best]) {
+				best = c
 			}
 		}
-		if !eventLess(bestEv, ev) {
+		if !q.events[best].before(&last) {
 			break
 		}
-		q.events[i] = bestEv
-		bestEv.index = int32(i)
+		q.events[i] = q.events[best]
 		i = best
 	}
-	q.events[i] = ev
-	ev.index = int32(i)
-	return i != start
+	q.events[i] = last
+	return root
 }

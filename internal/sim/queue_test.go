@@ -9,18 +9,14 @@ import (
 )
 
 func TestQueueOrdersByTime(t *testing.T) {
-	var q Queue
+	var q queue
 	var got []int
-	q.Schedule(3*time.Second, func() { got = append(got, 3) })
-	q.Schedule(1*time.Second, func() { got = append(got, 1) })
-	q.Schedule(2*time.Second, func() { got = append(got, 2) })
+	q.push(3*time.Second, func() { got = append(got, 3) })
+	q.push(1*time.Second, func() { got = append(got, 1) })
+	q.push(2*time.Second, func() { got = append(got, 2) })
 
-	for q.Len() > 0 {
-		ev, ok := q.Pop()
-		if !ok {
-			t.Fatal("Pop returned !ok with non-empty queue")
-		}
-		ev.Fn()
+	for len(q.events) > 0 {
+		q.pop().fn()
 	}
 	want := []int{1, 2, 3}
 	for i := range want {
@@ -31,15 +27,13 @@ func TestQueueOrdersByTime(t *testing.T) {
 }
 
 func TestQueueFIFOAtSameInstant(t *testing.T) {
-	var q Queue
+	var q queue
 	var got []int
 	for i := 0; i < 10; i++ {
-		i := i
-		q.Schedule(time.Second, func() { got = append(got, i) })
+		q.push(time.Second, func() { got = append(got, i) })
 	}
-	for q.Len() > 0 {
-		ev, _ := q.Pop()
-		ev.Fn()
+	for len(q.events) > 0 {
+		q.pop().fn()
 	}
 	for i := 0; i < 10; i++ {
 		if got[i] != i {
@@ -48,180 +42,70 @@ func TestQueueFIFOAtSameInstant(t *testing.T) {
 	}
 }
 
-func TestQueueCancel(t *testing.T) {
-	var q Queue
-	fired := false
-	h := q.Schedule(time.Second, func() { fired = true })
-	q.Cancel(h)
-	if q.Len() != 0 {
-		t.Fatalf("Len = %d after cancel, want 0", q.Len())
-	}
-	if !h.Canceled() {
-		t.Fatal("Canceled() = false after cancel")
-	}
-	// Double-cancel and zero-handle cancel must be no-ops.
-	q.Cancel(h)
-	q.Cancel(Handle{})
-	if fired {
-		t.Fatal("canceled event fired")
-	}
-}
-
-func TestQueueCancelMiddle(t *testing.T) {
-	var q Queue
-	var got []int
-	q.Schedule(1*time.Second, func() { got = append(got, 1) })
-	mid := q.Schedule(2*time.Second, func() { got = append(got, 2) })
-	q.Schedule(3*time.Second, func() { got = append(got, 3) })
-	q.Cancel(mid)
-	for q.Len() > 0 {
-		ev, _ := q.Pop()
-		ev.Fn()
-	}
-	if len(got) != 2 || got[0] != 1 || got[1] != 3 {
-		t.Fatalf("got %v, want [1 3]", got)
-	}
-}
-
 func TestQueuePeekTime(t *testing.T) {
-	var q Queue
-	if _, ok := q.PeekTime(); ok {
-		t.Fatal("PeekTime ok on empty queue")
+	var q queue
+	if _, ok := q.peek(); ok {
+		t.Fatal("peek ok on empty queue")
 	}
-	q.Schedule(5*time.Second, func() {})
-	q.Schedule(2*time.Second, func() {})
-	at, ok := q.PeekTime()
+	q.push(5*time.Second, func() {})
+	q.push(2*time.Second, func() {})
+	at, ok := q.peek()
 	if !ok || at != 2*time.Second {
-		t.Fatalf("PeekTime = %v, %v; want 2s, true", at, ok)
+		t.Fatalf("peek = %v, %v; want 2s, true", at, ok)
 	}
 }
 
-// TestQueueCancelCrossQueue locks in that a handle minted by one queue can
-// never remove an event from another, even when the foreign event's heap
-// index happens to be a valid slot here.
-func TestQueueCancelCrossQueue(t *testing.T) {
-	var q1, q2 Queue
-	var fired []int
-	for i := 0; i < 4; i++ {
-		i := i
-		q1.Schedule(time.Duration(i)*time.Second, func() { fired = append(fired, i) })
+// TestFiredEventReleasesCallback: pop zeroes the slot a fired event
+// vacates, so a long-lived engine never pins a dead closure or anything
+// it captures.
+func TestFiredEventReleasesCallback(t *testing.T) {
+	e := NewEngine(1)
+	ran := false
+	collected := scheduleWithPayload(e, &ran)
+	if err := e.RunUntil(time.Minute); err != nil {
+		t.Fatal(err)
 	}
-	// h2's event sits at q2 index 0 — a valid index in q1 too.
-	h2 := q2.Schedule(time.Second, func() {})
-	q1.Cancel(h2)
-	if q1.Len() != 4 {
-		t.Fatalf("q1.Len = %d after cross-queue cancel, want 4 (nothing removed)", q1.Len())
+	if !ran {
+		t.Fatal("event did not fire")
 	}
-	if q2.Len() != 1 || h2.Canceled() {
-		t.Fatal("cross-queue cancel disturbed the handle's own queue")
-	}
-	for q1.Len() > 0 {
-		ev, _ := q1.Pop()
-		ev.Fn()
-	}
-	for i := 0; i < 4; i++ {
-		if fired[i] != i {
-			t.Fatalf("q1 fired %v, want [0 1 2 3]", fired)
+	for _, ev := range e.queue.events[:cap(e.queue.events)] {
+		if ev.fn != nil {
+			t.Fatal("a vacated heap slot still holds its callback")
 		}
-	}
-}
-
-// TestQueueStaleHandleAfterReuse locks in that canceling a handle whose
-// event struct has been recycled for a newer schedule is a no-op: the
-// generation stamp must reject the stale handle.
-func TestQueueStaleHandleAfterReuse(t *testing.T) {
-	var q Queue
-	stale := q.Schedule(time.Second, func() {})
-	q.Cancel(stale) // struct goes to the free list
-	fresh := q.Schedule(2*time.Second, func() {})
-	if fresh.ev != stale.ev {
-		t.Skip("free list did not recycle the struct (allocator change?)")
-	}
-	q.Cancel(stale) // must NOT remove fresh's event
-	if q.Len() != 1 {
-		t.Fatalf("stale handle canceled a recycled event: Len = %d, want 1", q.Len())
-	}
-	if fresh.Canceled() {
-		t.Fatal("fresh handle reports canceled after stale cancel")
-	}
-	if !stale.Canceled() {
-		t.Fatal("stale handle reports pending")
-	}
-}
-
-// TestQueueReleaseRejectsForeignAndDouble locks in Release's guards: only
-// events popped from this queue, exactly once.
-func TestQueueReleaseRejectsForeignAndDouble(t *testing.T) {
-	var q1, q2 Queue
-	q1.Schedule(time.Second, func() {})
-	ev, _ := q1.Pop()
-	q2.Release(ev) // foreign queue: no-op
-	if len(q2.free) != 0 {
-		t.Fatal("foreign Release pooled the event")
-	}
-	q1.Release(ev)
-	q1.Release(ev) // double release: no-op
-	if len(q1.free) != 1 {
-		t.Fatalf("free list holds %d events after double release, want 1", len(q1.free))
-	}
-}
-
-// TestCanceledEventReleasesPayload is the regression test for the Fn
-// retention leak: once canceled (or fired), an event must not keep its
-// callback — and everything the closure captures — reachable.
-func TestCanceledEventReleasesPayload(t *testing.T) {
-	var q Queue
-	collected := make(chan struct{})
-	payload := make([]byte, 1<<20)
-	runtime.SetFinalizer(&payload[0], func(*byte) { close(collected) })
-	h := q.Schedule(time.Second, func() { _ = payload[0] })
-	payload = nil
-	q.Cancel(h)
-	if h.ev.Fn != nil {
-		t.Fatal("canceled event still holds its callback")
 	}
 	deadline := time.After(5 * time.Second)
 	for {
 		runtime.GC()
 		select {
 		case <-collected:
+			runtime.KeepAlive(e)
 			return
 		case <-deadline:
-			t.Fatal("canceled event's payload was never collected")
+			t.Fatal("fired event's payload was never collected")
 		case <-time.After(10 * time.Millisecond):
 		}
 	}
 }
 
-// TestFiredEventReleasesCallback: the engine's release path must drop Fn
-// after firing, so long-lived engines don't pin dead closures.
-func TestFiredEventReleasesCallback(t *testing.T) {
-	e := NewEngine(1)
-	ran := false
-	e.After(time.Second, func() { ran = true })
-	if err := e.Drain(); err != nil {
-		t.Fatal(err)
-	}
-	if !ran {
-		t.Fatal("event did not fire")
-	}
-	for _, ev := range e.queue.free {
-		if ev.Fn != nil {
-			t.Fatal("fired event still holds its callback in the free list")
-		}
-	}
+// scheduleWithPayload schedules an event at 1s whose closure alone holds a
+// 1 MiB payload. The returned channel closes once the payload is garbage.
+func scheduleWithPayload(e *Engine, ran *bool) <-chan struct{} {
+	collected := make(chan struct{})
+	payload := make([]byte, 1<<20)
+	runtime.SetFinalizer(&payload[0], func(*byte) { close(collected) })
+	e.After(time.Second, func() { *ran = payload[0] == 0 })
+	return collected
 }
 
-// --- differential reference: the old container/heap implementation ---
+// --- differential reference: a container/heap implementation ---
 
 type refEvent struct {
-	at    time.Duration
-	seq   uint64
-	id    int
-	index int
+	at  time.Duration
+	seq uint64
+	id  int
 }
 
-type refHeap []*refEvent
+type refHeap []refEvent
 
 func (h refHeap) Len() int { return len(h) }
 func (h refHeap) Less(i, j int) bool {
@@ -230,108 +114,49 @@ func (h refHeap) Less(i, j int) bool {
 	}
 	return h[i].seq < h[j].seq
 }
-func (h refHeap) Swap(i, j int) {
-	h[i], h[j] = h[j], h[i]
-	h[i].index = i
-	h[j].index = j
-}
-func (h *refHeap) Push(x any) {
-	ev := x.(*refEvent)
-	ev.index = len(*h)
-	*h = append(*h, ev)
-}
+func (h refHeap) Swap(i, j int) { h[i], h[j] = h[j], h[i] }
+func (h *refHeap) Push(x any)   { *h = append(*h, x.(refEvent)) }
 func (h *refHeap) Pop() any {
 	old := *h
-	n := len(old)
-	ev := old[n-1]
-	old[n-1] = nil
-	ev.index = -1
-	*h = old[:n-1]
+	ev := old[len(old)-1]
+	*h = old[:len(old)-1]
 	return ev
 }
 
-// TestQueueDifferentialAgainstContainerHeap drives the specialized 4-ary
-// heap and a container/heap reference through 10k random schedule/cancel
-// interleavings and requires the exact same pop order — the property that
-// keeps every seeded experiment byte-identical across the kernel swap.
+// TestQueueDifferentialAgainstContainerHeap drives the 4-ary heap and a
+// container/heap reference through 10k random push/pop interleavings and
+// requires the exact same pop order — the property that keeps every seeded
+// experiment byte-identical across kernel rewrites.
 func TestQueueDifferentialAgainstContainerHeap(t *testing.T) {
 	rng := rand.New(rand.NewSource(20260806))
-	var q Queue
+	var q queue
 	var ref refHeap
 	var refSeq uint64
-
-	type pending struct {
-		h  Handle
-		re *refEvent
-	}
-	var live []pending
 	var gotOrder, wantOrder []int
 
 	popBoth := func() {
-		ev, ok := q.Pop()
-		if !ok != (ref.Len() == 0) {
-			t.Fatalf("emptiness diverged: queue ok=%v, ref len=%d", ok, ref.Len())
-		}
-		if !ok {
-			return
-		}
-		q.Release(ev)
-		re := heap.Pop(&ref).(*refEvent)
-		if ev.At != re.at {
-			t.Fatalf("pop time diverged: %v vs %v", ev.At, re.at)
-		}
+		q.pop().fn()
+		wantOrder = append(wantOrder, heap.Pop(&ref).(refEvent).id)
 	}
-
-	id := 0
-	for op := 0; op < 10_000; op++ {
-		switch r := rng.Intn(10); {
-		case r < 6: // schedule
+	for op, id := 0, 0; op < 10_000; op++ {
+		if rng.Intn(10) < 6 || len(q.events) == 0 {
 			// Coarse buckets force plenty of same-instant ties.
 			at := time.Duration(rng.Intn(50)) * time.Millisecond
 			myID := id
 			id++
-			h := q.Schedule(at, func() { gotOrder = append(gotOrder, myID) })
+			q.push(at, func() { gotOrder = append(gotOrder, myID) })
 			refSeq++
-			re := &refEvent{at: at, seq: refSeq, id: myID}
-			heap.Push(&ref, re)
-			live = append(live, pending{h: h, re: re})
-		case r < 8: // cancel a random pending event
-			if len(live) == 0 {
-				continue
-			}
-			i := rng.Intn(len(live))
-			p := live[i]
-			live = append(live[:i], live[i+1:]...)
-			q.Cancel(p.h)
-			if p.re.index >= 0 {
-				heap.Remove(&ref, p.re.index)
-			}
-		default: // pop one from each, comparing
-			if q.Len() == 0 {
-				continue
-			}
-			ev, _ := q.Pop()
-			ev.Fn()
-			q.Release(ev)
-			re := heap.Pop(&ref).(*refEvent)
-			wantOrder = append(wantOrder, re.id)
-			// Drop from live so cancels don't target fired events.
-			for i := range live {
-				if live[i].re == re {
-					live = append(live[:i], live[i+1:]...)
-					break
-				}
-			}
+			heap.Push(&ref, refEvent{at: at, seq: refSeq, id: myID})
+		} else {
+			popBoth()
+		}
+		if len(q.events) != ref.Len() {
+			t.Fatalf("op %d: queue holds %d events, reference %d", op, len(q.events), ref.Len())
 		}
 	}
-	for q.Len() > 0 {
-		ev, _ := q.Pop()
-		ev.Fn()
-		q.Release(ev)
-		re := heap.Pop(&ref).(*refEvent)
-		wantOrder = append(wantOrder, re.id)
+	for len(q.events) > 0 {
+		popBoth()
 	}
-	popBoth() // both must agree they are empty
 
 	if len(gotOrder) != len(wantOrder) {
 		t.Fatalf("popped %d events, reference popped %d", len(gotOrder), len(wantOrder))
@@ -346,11 +171,7 @@ func TestQueueDifferentialAgainstContainerHeap(t *testing.T) {
 
 func TestClockMonotonic(t *testing.T) {
 	var c Clock
-	c.Advance(5 * time.Second)
-	c.Advance(-10 * time.Second)
-	if c.Now() != 5*time.Second {
-		t.Fatalf("Now = %v, want 5s (negative advance ignored)", c.Now())
-	}
+	c.Set(5 * time.Second)
 	c.Set(3 * time.Second) // earlier: ignored
 	if c.Now() != 5*time.Second {
 		t.Fatalf("Now = %v after backward Set, want 5s", c.Now())
