@@ -222,21 +222,22 @@ func (f *Fleet) shardedInvokeAll(service string, now time.Duration, tolerant boo
 		wg.Add(1)
 		go func(si int, sh *Shard) {
 			defer wg.Done()
-			for i := sh.Lo; i < sh.Hi; i++ {
-				i := i
-				v := f.vehicles[i]
-				sh.Engine.At(now, func() {
-					p := v.Manager.PrepareInvoke(service, now)
+			// One event walks the shard's vehicles in index order, as one
+			// event per vehicle scheduled in that order would.
+			sh.Engine.At(now, func() {
+				for i := sh.Lo; i < sh.Hi; i++ {
+					m := f.vehicles[i].Manager
+					p := m.PrepareInvoke(service, now)
 					if p.Local() {
 						// On-board decisions (and hang-ups and decision
 						// errors) touch only vehicle-local state: finish
 						// them here, inside the parallel phase.
-						f.resBuf[i], f.errBuf[i] = v.Manager.CommitInvoke(p)
-						return
+						f.resBuf[i], f.errBuf[i] = m.CommitInvoke(p)
+						continue
 					}
 					f.prepBuf[i] = p
-				})
-			}
+				}
+			})
 			laneErrs[si] = sh.Engine.RunUntil(now)
 		}(si, sh)
 	}

@@ -373,20 +373,14 @@ func TestShardedRaceUnderRunner(t *testing.T) {
 	}
 }
 
-// benchFleet builds the benchmark fleet once per benchmark.
-func benchFleet(b *testing.B, vehicles, shards int) *Fleet {
-	b.Helper()
-	f, err := New(Config{Vehicles: vehicles, Shards: shards, RNG: sim.NewStream(1, 0)})
+// BenchmarkShardedInvokeAllRound measures one round of the epoch-barrier
+// executor (decision fan-out + barrier + canonical commit) over 50 vehicles
+// of the benchmark topology at 4 shards.
+func BenchmarkShardedInvokeAllRound(b *testing.B) {
+	f, err := New(benchTopology(50, 4))
 	if err != nil {
 		b.Fatal(err)
 	}
-	return f
-}
-
-// BenchmarkShardedInvokeAllRound measures the epoch-barrier executor at 4
-// shards (decision fan-out + barrier + canonical commit).
-func BenchmarkShardedInvokeAllRound(b *testing.B) {
-	f := benchFleet(b, 50, 4)
 	if _, err := f.ShardedInvokeAll("kidnapper-search", 0); err != nil {
 		b.Fatal(err)
 	}
@@ -415,7 +409,9 @@ func benchTopology(vehicles, shards int) Config {
 
 // BenchmarkPrepareInvoke measures the decision step by itself — one
 // vehicle choosing among its four pipelines over the benchmark topology's
-// 17 sites — which is ~95 % of a fleet round.
+// 17 sites. In benchmark/'s traced fleet_clean pass (seed 42, 2-core Xeon)
+// the decision phase is 0.54–0.55 of a round's busy time
+// (fleet.decision_share) and the commit phase nearly all the rest.
 func BenchmarkPrepareInvoke(b *testing.B) {
 	f, err := New(benchTopology(1, 1))
 	if err != nil {
@@ -459,10 +455,10 @@ func TestPrepareInvokeAllocs(t *testing.T) {
 }
 
 // TestRoundAllocsPerVehicle bounds a whole serial round on the benchmark
-// topology — decision, commit, metrics and aggregation — at 8 allocations
-// per vehicle. None of what remains is the decision's: it is the committed
-// plan and its assignments, the closure the shard lane schedules per
-// vehicle, and histogram sample growth.
+// topology — decision, commit, metrics and aggregation — at 5 allocations
+// per vehicle (4.02 measured). None of what remains is the decision's: it
+// is the committed plan and its assignments, and histogram sample growth;
+// the shard lane schedules one event per round, not one per vehicle.
 func TestRoundAllocsPerVehicle(t *testing.T) {
 	const vehicles = 50
 	f, err := New(benchTopology(vehicles, 1))
@@ -480,8 +476,8 @@ func TestRoundAllocsPerVehicle(t *testing.T) {
 	round() // intern the metrics, compile the DAGs, size the scratch
 	n := testing.AllocsPerRun(20, round) / vehicles
 	t.Logf("steady-state round: %.2f allocs per vehicle", n)
-	if n > 8 {
-		t.Errorf("steady-state round: %.2f allocs per vehicle, want at most 8", n)
+	if n > 5 {
+		t.Errorf("steady-state round: %.2f allocs per vehicle, want at most 5", n)
 	}
 }
 

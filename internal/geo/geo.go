@@ -66,8 +66,18 @@ type Station struct {
 	Radius float64 // coverage radius in meters
 }
 
-// Covers reports whether p falls within the station's coverage disk.
-func (s Station) Covers(p Point) bool { return s.Pos.Dist(p) <= s.Radius }
+// Covers reports whether p falls within the station's coverage disk:
+// s.Pos.Dist(p) <= s.Radius. A point outside the disk's bounding box is
+// refused before the square root, which gives the same answer because
+// math.Hypot(dx, dy) is never below max(|dx|, |dy|); FuzzCoversMatchesHypot
+// holds the two to the same result for every input, NaN and ±Inf included.
+func (s Station) Covers(p Point) bool {
+	dx, dy := s.Pos.X-p.X, s.Pos.Y-p.Y
+	if math.Abs(dx) > s.Radius || math.Abs(dy) > s.Radius {
+		return false
+	}
+	return math.Hypot(dx, dy) <= s.Radius
+}
 
 // Road is a straight corridor of the given length with stations placed
 // along it. The paper's Detroit drive test is modeled as such a corridor.

@@ -174,3 +174,41 @@ func TestCoveringStationsIntoAllocFree(t *testing.T) {
 		t.Fatalf("CoveringStationsInto allocated %.1f per run with a reused buffer", n)
 	}
 }
+
+// FuzzCoversMatchesHypot holds Covers' bounding-box shortcut to the plain
+// disk test it replaced, math.Hypot(dx, dy) <= r, for arbitrary float bits:
+// NaN, ±Inf, −0, subnormals and negative radii included.
+func FuzzCoversMatchesHypot(f *testing.F) {
+	inf, nan := math.Inf(1), math.NaN()
+	negZero := math.Copysign(0, -1)
+	for _, c := range [][5]float64{
+		{0, 0, 3, 4, 5},
+		{0, 0, 3, 4, math.Nextafter(5, 0)},
+		{100, 0, 700, 0, 600},
+		{100, 0, 700.0000001, 0, 600},
+		{0, 0, nan, 0, 1},
+		{0, 0, nan, inf, inf},
+		{0, 0, inf, nan, inf},
+		{0, 0, inf, 0, inf},
+		{inf, 0, inf, 0, 1},
+		{0, 0, 0, 0, nan},
+		{negZero, negZero, 0, 0, 0},
+		{0, 0, 0, 0, -1},
+		{0, 0, 5e-324, 5e-324, 5e-324},
+		{1e308, 0, -1e308, 0, inf},
+	} {
+		f.Add(math.Float64bits(c[0]), math.Float64bits(c[1]), math.Float64bits(c[2]),
+			math.Float64bits(c[3]), math.Float64bits(c[4]))
+	}
+	f.Fuzz(func(t *testing.T, sx, sy, px, py, r uint64) {
+		s := Station{
+			Pos:    Point{math.Float64frombits(sx), math.Float64frombits(sy)},
+			Radius: math.Float64frombits(r),
+		}
+		p := Point{math.Float64frombits(px), math.Float64frombits(py)}
+		want := math.Hypot(s.Pos.X-p.X, s.Pos.Y-p.Y) <= s.Radius
+		if got := s.Covers(p); got != want {
+			t.Fatalf("Covers(%v) of %+v = %v, math.Hypot says %v", p, s, got, want)
+		}
+	})
+}

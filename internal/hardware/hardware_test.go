@@ -93,10 +93,10 @@ func TestExecTimeErrors(t *testing.T) {
 	if _, err := asic.ExecTime(General, 1); err == nil {
 		t.Fatal("ASIC ran a General task")
 	}
-	if !asic.CanRun(DNNInference) {
+	if asic.EffectiveGFLOPS(DNNInference) <= 0 {
 		t.Fatal("ASIC cannot run DNN inference")
 	}
-	if asic.CanRun(Codec) {
+	if asic.EffectiveGFLOPS(Codec) > 0 {
 		t.Fatal("ASIC claims to run Codec")
 	}
 	cpu, _ := Lookup(DeviceI76700)
@@ -104,7 +104,7 @@ func TestExecTimeErrors(t *testing.T) {
 		t.Fatal("negative work accepted")
 	}
 	// Unknown classes fall back to General on a CPU.
-	if !cpu.CanRun(Class(99)) {
+	if cpu.EffectiveGFLOPS(Class(99)) <= 0 {
 		t.Fatal("CPU refused unknown class despite General fallback")
 	}
 }

@@ -51,8 +51,8 @@ func (c Class) String() string {
 }
 
 // Classes returns every defined task class in declaration order. Callers
-// that precompute per-class tables (xedge service rates) iterate this so
-// their caches cover the whole enum up front.
+// that precompute per-class tables (xedge service rates, vcu device rates)
+// iterate this so their caches cover the whole enum up front.
 func Classes() []Class {
 	return []Class{General, Vision, DNNInference, DNNTraining, Codec, Crypto}
 }
@@ -133,9 +133,6 @@ func (p *Processor) EffectiveGFLOPS(c Class) float64 {
 	}
 	return p.Throughput[General]
 }
-
-// CanRun reports whether the device supports the task class.
-func (p *Processor) CanRun(c Class) bool { return p.EffectiveGFLOPS(c) > 0 }
 
 // ExecTime returns how long gflop units of class-c work take on this device.
 // It returns (0, error) if the device cannot run the class.

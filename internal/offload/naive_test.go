@@ -47,7 +47,7 @@ func (e *Engine) naiveEstimateSite(dag *tasks.DAG, site *xedge.Site, splitAfter 
 	}
 
 	upBytes := naiveCrossingBytes(dag, local, remote)
-	path := e.adjustedPath(site, now)
+	path := e.naivePath(site, now)
 	up, err := path.TransferTime(upBytes, network.Uplink)
 	if err != nil {
 		est.Reason = err.Error()
@@ -103,6 +103,15 @@ func (e *Engine) naiveEstimateSite(dag *tasks.DAG, site *xedge.Site, splitAfter 
 	}
 	est.Feasible = true
 	return est
+}
+
+// naivePath is adjustedPath without the per-site cache.
+func (e *Engine) naivePath(site *xedge.Site, now time.Duration) network.Path {
+	p := e.mobilityAdjustedPath(site.Access())
+	if e.pathAdjust != nil {
+		p = e.pathAdjust(site.Name(), p, now)
+	}
+	return p
 }
 
 func naiveCrossingBytes(dag *tasks.DAG, local, remote []*tasks.Task) float64 {
@@ -199,4 +208,18 @@ func (e *Engine) naiveExecute(dag *tasks.DAG, est Estimate, now time.Duration) (
 	}
 	e.spentBytes += est.BytesSent
 	return last + est.Downlink, nil
+}
+
+// naiveEstimateBestSite is EstimateBestSite as its contract reads: every
+// registered site estimated by naiveEstimateSite, the first of the smallest
+// feasible totals, else the first site's estimate, else "no sites".
+func (e *Engine) naiveEstimateBestSite(dag *tasks.DAG, splitAfter int, now time.Duration) Estimate {
+	best := Estimate{Reason: "no sites"}
+	for i, site := range e.sites {
+		est := e.naiveEstimateSite(dag, site, splitAfter, now)
+		if i == 0 || est.Feasible && (!best.Feasible || est.Total < best.Total) {
+			best = est
+		}
+	}
+	return best
 }

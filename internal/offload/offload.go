@@ -9,6 +9,7 @@ package offload
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"time"
 
@@ -86,7 +87,10 @@ func (est Estimate) Local() bool { return est.Dest == OnboardName }
 type Engine struct {
 	dsf   *vcu.DSF
 	sites []*xedge.Site
-	mob   geo.Mobility
+	// siteAt maps a site's name to its position in sites; NewEngine refuses
+	// duplicate names, so a destination names exactly one site.
+	siteAt map[string]int
+	mob    geo.Mobility
 
 	// Bandwidth budget (the paper's "limited bandwidth consumption"):
 	// when budgetBytes > 0, offloads whose uplink payload exceeds the
@@ -103,12 +107,13 @@ type Engine struct {
 	// mobility adjustment. See SetPathAdjuster.
 	pathAdjust PathAdjuster
 
-	// pathCache memoizes the mobility-adjusted base path per site. The
-	// base depends only on (site access path, vehicle speed): site access
-	// paths are immutable, and SetMobility / SetPathAdjuster drop the
-	// cache. The time-varying fault adjuster is layered on top per call,
-	// never cached, so injected fault windows always see live conditions.
-	pathCache map[string]network.Path
+	// pathCache memoizes the mobility-adjusted base path per site, indexed
+	// like sites (an entry without links is not filled yet). The base
+	// depends only on (site access path, vehicle speed): site access paths
+	// are immutable, and SetMobility / SetPathAdjuster drop the cache. The
+	// time-varying fault adjuster is layered on top per call, never
+	// cached, so injected fault windows always see live conditions.
+	pathCache []network.Path
 
 	// policy, when non-nil, enables the resilient execution path:
 	// per-site circuit breakers, retry with backoff, and fallback. See
@@ -284,12 +289,27 @@ func (e *Engine) withinBudget(bytes float64) bool {
 }
 
 // NewEngine builds an engine over the vehicle's DSF, its mobility, and the
-// candidate remote sites.
+// candidate remote sites. Site names are destination names, so they must
+// be unique and must not be OnboardName.
 func NewEngine(dsf *vcu.DSF, mob geo.Mobility, sites []*xedge.Site) (*Engine, error) {
 	if dsf == nil {
 		return nil, fmt.Errorf("offload: nil DSF")
 	}
-	return &Engine{dsf: dsf, sites: sites, mob: mob}, nil
+	siteAt := make(map[string]int, len(sites))
+	for i, s := range sites {
+		if s == nil {
+			return nil, fmt.Errorf("offload: nil site at position %d", i)
+		}
+		name := s.Name()
+		if name == OnboardName {
+			return nil, fmt.Errorf("offload: site name %q is reserved for on-board execution", name)
+		}
+		if _, dup := siteAt[name]; dup {
+			return nil, fmt.Errorf("offload: two sites named %q", name)
+		}
+		siteAt[name] = i
+	}
+	return &Engine{dsf: dsf, sites: slices.Clone(sites), siteAt: siteAt, mob: mob}, nil
 }
 
 // Sites returns the registered destinations.
@@ -329,22 +349,27 @@ func (e *Engine) mobilityAdjustedPath(p network.Path) network.Path {
 
 // adjustedPath is the access path toward site as the vehicle experiences
 // it at virtual time now: mobility-degraded cellular loss plus any
-// externally-injected link conditions. The mobility-adjusted base is
-// memoized per site (see pathCache); only the fault adjuster runs per
-// call. Callers treat the returned path as read-only, as PathAdjuster
-// implementations already must.
-func (e *Engine) adjustedPath(site *xedge.Site, now time.Duration) network.Path {
-	name := site.Name()
-	p, ok := e.pathCache[name]
-	if !ok {
+// externally-injected link conditions. si is the site's position in
+// e.sites, whose mobility-adjusted base is memoized (see pathCache); a
+// site the engine was not built with (si < 0) gets it afresh. Only the
+// fault adjuster runs per call. Callers treat the returned path as
+// read-only, as PathAdjuster implementations already must.
+func (e *Engine) adjustedPath(si int, site *xedge.Site, now time.Duration) network.Path {
+	var p network.Path
+	if si < 0 {
 		p = e.mobilityAdjustedPath(site.Access())
+	} else {
 		if e.pathCache == nil {
-			e.pathCache = make(map[string]network.Path)
+			e.pathCache = make([]network.Path, len(e.sites))
 		}
-		e.pathCache[name] = p
+		p = e.pathCache[si]
+		if p.Links == nil {
+			p = e.mobilityAdjustedPath(site.Access())
+			e.pathCache[si] = p
+		}
 	}
 	if e.pathAdjust != nil {
-		p = e.pathAdjust(name, p, now)
+		p = e.pathAdjust(site.Name(), p, now)
 	}
 	return p
 }
@@ -383,14 +408,71 @@ func (e *Engine) EstimateOnboard(dag *tasks.DAG, now time.Duration) Estimate {
 // splitAfter 0 offloads everything.
 func (e *Engine) EstimateSite(dag *tasks.DAG, site *xedge.Site, splitAfter int, now time.Duration) Estimate {
 	var est Estimate
-	e.estimateSite(&est, dag, dag.Compiled(), site, splitAfter, now)
+	call := e.newSplitCall(dag, splitAfter, now)
+	e.estimateSite(&est, &call, slices.Index(e.sites, site), site)
 	return est
 }
 
-// estimateSite is EstimateSite into *est given the DAG's compiled form, so a
-// caller estimating many sites checks the DAG's content once and keeps the
-// estimates where it wants them.
-func (e *Engine) estimateSite(est *Estimate, dag *tasks.DAG, c *tasks.Compiled, site *xedge.Site, splitAfter int, now time.Duration) {
+// splitCall is what estimating one split of a DAG needs that is the same at
+// every site: the DAG's compiled form and order, the split's range check,
+// the vehicle's position, and — made at the first reachable site, because
+// an unreachable site needs neither — the bytes crossing the cut and the
+// on-board plan of the prefix. EstimateSite fills one for one site;
+// EstimateBestSite shares one among all of them.
+type splitCall struct {
+	dag   *tasks.DAG
+	c     *tasks.Compiled
+	order []int
+	split int
+	now   time.Duration
+	pos   geo.Point
+	// reason, when set, makes every site infeasible: the DAG has no
+	// topological order, or the split is outside it.
+	reason string
+
+	prepared       bool
+	upBytes        float64
+	prefixMakespan time.Duration
+	prefixEnergyJ  float64
+	prefixErr      error
+}
+
+// newSplitCall checks the DAG's order and the split's range and, when both
+// hold, places the vehicle at now.
+func (e *Engine) newSplitCall(dag *tasks.DAG, splitAfter int, now time.Duration) splitCall {
+	call := splitCall{dag: dag, c: dag.Compiled(), split: splitAfter, now: now}
+	order, err := call.c.Order()
+	switch {
+	case err != nil:
+		call.reason = err.Error()
+	case splitAfter < 0 || splitAfter >= len(order):
+		call.reason = fmt.Sprintf("split %d outside [0, %d)", splitAfter, len(order))
+	default:
+		call.order = order
+		call.pos = e.mob.PositionAt(now)
+	}
+	return call
+}
+
+// prepare does the call's site-independent work that only reachable sites
+// need, once.
+func (call *splitCall) prepare(dsf *vcu.DSF) {
+	if call.prepared {
+		return
+	}
+	call.prepared = true
+	call.upBytes = crossingBytes(call.dag, call.c, call.split)
+	if call.split > 0 {
+		call.prefixMakespan, call.prefixEnergyJ, call.prefixErr =
+			dsf.Estimate(call.c.Prefix(call.split), call.now)
+	}
+}
+
+// estimateSite is the one per-site estimate body: the call's split at site,
+// found at position si of e.sites (-1 when the engine was not built with
+// it), into *est.
+func (e *Engine) estimateSite(est *Estimate, call *splitCall, si int, site *xedge.Site) {
+	dag, c, splitAfter, now := call.dag, call.c, call.split, call.now
 	*est = Estimate{Dest: site.Name(), Kind: site.Kind().String(), SplitAfter: splitAfter}
 	var span *trace.Span
 	if e.scope.Tracer.Enabled() {
@@ -405,39 +487,34 @@ func (e *Engine) estimateSite(est *Estimate, dag *tasks.DAG, c *tasks.Compiled, 
 			span.FinishAt(now + est.Total)
 		}()
 	}
-	order, err := c.Order()
-	if err != nil {
-		est.Reason = err.Error()
+	if call.reason != "" {
+		est.Reason = call.reason
 		return
 	}
-	if splitAfter < 0 || splitAfter >= len(order) {
-		est.Reason = fmt.Sprintf("split %d outside [0, %d)", splitAfter, len(order))
-		return
-	}
-	if !site.Reachable(e.mob.PositionAt(now)) {
+	if !site.Reachable(call.pos) {
 		est.Reason = "out of coverage"
 		return
 	}
+	call.prepare(e.dsf)
 
-	remote := order[splitAfter:]
+	remote := call.order[splitAfter:]
 	cursor := now
 
 	// Local prefix runs through the DSF.
 	if splitAfter > 0 {
-		makespan, energyJ, err := e.dsf.Estimate(c.Prefix(splitAfter), now)
-		if err != nil {
-			est.Reason = err.Error()
+		if call.prefixErr != nil {
+			est.Reason = call.prefixErr.Error()
 			return
 		}
-		cursor = now + makespan
-		est.VehicleEnergyJ += energyJ
-		est.Compute += makespan
+		cursor = now + call.prefixMakespan
+		est.VehicleEnergyJ += call.prefixEnergyJ
+		est.Compute += call.prefixMakespan
 	}
 
 	// Uplink: ship the remote portion's external input — root inputs of
 	// remote tasks plus intermediate outputs crossing the cut.
-	upBytes := crossingBytes(dag, c, splitAfter)
-	path := e.adjustedPath(site, now)
+	upBytes := call.upBytes
+	path := e.adjustedPath(si, site, now)
 	up, err := path.TransferTime(upBytes, network.Uplink)
 	if err != nil {
 		est.Reason = err.Error()
@@ -455,7 +532,7 @@ func (e *Engine) estimateSite(est *Estimate, dag *tasks.DAG, c *tasks.Compiled, 
 
 	// Remote compute: topo-order submission estimate on site executors.
 	computeStart := cursor
-	finish := e.finishScratch(len(order))
+	finish := e.finishScratch(len(call.order))
 	var remoteDone time.Duration
 	for _, i := range remote {
 		t := dag.Tasks[i]
@@ -512,15 +589,25 @@ func (e *Engine) estimateSite(est *Estimate, dag *tasks.DAG, c *tasks.Compiled, 
 // the feasible estimate with the smallest total latency (the earliest
 // registered site wins ties). When no site is feasible it returns the first
 // site's infeasible estimate, or Reason "no sites" without any site.
+//
+// The site-independent work is done once for all sites (see splitCall).
+// Only a feasible estimate or the first site's can be the answer, so
+// without a tracer a site after the first that the call rules out, or that
+// does not cover the vehicle, is skipped unestimated; with one, every site
+// is estimated, for its span.
 func (e *Engine) EstimateBestSite(dag *tasks.DAG, splitAfter int, now time.Duration) Estimate {
 	// Two slots: each site is estimated into cand, and a better candidate
 	// swaps slots with best instead of being copied.
 	var slots [2]Estimate
 	best, cand := &slots[0], &slots[1]
 	best.Reason = "no sites"
-	c := dag.Compiled()
-	for _, site := range e.sites {
-		e.estimateSite(cand, dag, c, site, splitAfter, now)
+	call := e.newSplitCall(dag, splitAfter, now)
+	traced := e.scope.Tracer.Enabled()
+	for si, site := range e.sites {
+		if si > 0 && !traced && (call.reason != "" || !site.Reachable(call.pos)) {
+			continue
+		}
+		e.estimateSite(cand, &call, si, site)
 		var better bool
 		if cand.Feasible {
 			better = !best.Feasible || cand.Total < best.Total
@@ -662,16 +749,11 @@ func (e *Engine) execute(dag *tasks.DAG, est Estimate, now time.Duration) (time.
 	if !e.withinBudget(est.BytesSent) {
 		return 0, fmt.Errorf("offload: bandwidth budget exhausted for %s", est.Dest)
 	}
-	var site *xedge.Site
-	for _, s := range e.sites {
-		if s.Name() == est.Dest {
-			site = s
-			break
-		}
-	}
-	if site == nil {
+	si, ok := e.siteAt[est.Dest]
+	if !ok {
 		return 0, fmt.Errorf("offload: unknown destination %q", est.Dest)
 	}
+	site := e.sites[si]
 	c := dag.Compiled()
 	order, err := c.Order()
 	if err != nil {
@@ -684,7 +766,7 @@ func (e *Engine) execute(dag *tasks.DAG, est Estimate, now time.Duration) (time.
 		}
 		now += plan.Makespan
 	}
-	path := e.adjustedPath(site, now)
+	path := e.adjustedPath(si, site, now)
 	if e.scope.Tracer.Enabled() {
 		e.scope.Tracer.SpanAt("network", "network.uplink", now, now+est.Uplink,
 			trace.String("path", path.Name), trace.F64("bytes", est.BytesSent),

@@ -52,6 +52,43 @@ func TestNewEngineValidation(t *testing.T) {
 	}
 }
 
+// TestNewEngineRefusesAmbiguousSites: a destination is named by its site's
+// name, so two sites of one name would share one cached access path and
+// one execution target, and a site named OnboardName would run on the DSF
+// and commit as vehicle-local. NewEngine refuses both, and a nil site.
+func TestNewEngineRefusesAmbiguousSites(t *testing.T) {
+	eng, rsu, cl := testWorld(t, 15)
+	near, err := xedge.NewRSU(geo.Station{ID: "dup", Kind: geo.RSU, Pos: geo.Point{X: 100}, Radius: 50000})
+	if err != nil {
+		t.Fatal(err)
+	}
+	node, err := hardware.Lookup(hardware.DeviceCloudNode)
+	if err != nil {
+		t.Fatal(err)
+	}
+	far, err := xedge.New("dup", xedge.CloudSite, geo.Station{}, cl.Access(), node)
+	if err != nil {
+		t.Fatal(err)
+	}
+	onboard, err := xedge.NewRSU(geo.Station{ID: OnboardName, Kind: geo.RSU, Pos: geo.Point{X: 100}, Radius: 50000})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		name  string
+		sites []*xedge.Site
+		want  string
+	}{
+		{"duplicate name", []*xedge.Site{near, cl, far}, `two sites named "dup"`},
+		{"onboard name", []*xedge.Site{rsu, onboard}, `site name "onboard" is reserved`},
+		{"nil site", []*xedge.Site{rsu, nil}, "nil site at position 1"},
+	} {
+		if _, err := NewEngine(eng.dsf, eng.mob, c.sites); err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("%s: NewEngine error %v, want one containing %q", c.name, err, c.want)
+		}
+	}
+}
+
 func TestEstimatesCoverAllDestinations(t *testing.T) {
 	eng, _, _ := testWorld(t, 0)
 	ests, err := eng.Estimates(tasks.ALPR(), 0)

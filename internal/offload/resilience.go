@@ -152,10 +152,8 @@ func DegradedDAG(dag *tasks.DAG, factor float64) *tasks.DAG {
 
 // siteByName resolves a destination to its registered site.
 func (e *Engine) siteByName(name string) *xedge.Site {
-	for _, s := range e.sites {
-		if s.Name() == name {
-			return s
-		}
+	if si, ok := e.siteAt[name]; ok {
+		return e.sites[si]
 	}
 	return nil
 }

@@ -7,6 +7,7 @@ package vcu
 
 import (
 	"fmt"
+	"slices"
 	"time"
 
 	"repro/internal/hardware"
@@ -55,6 +56,12 @@ type Device struct {
 	exec *hardware.Executor
 	tier Tier
 	io   IO
+
+	// rates[c] is the processor's EffectiveGFLOPS(c) for every class from
+	// 0 to the hardware enum's largest, read once in NewDevice: processors
+	// do not change once managed, and the planner asks for a rate per task
+	// per device.
+	rates []float64
 }
 
 // NewDevice wraps a processor for mHEP management.
@@ -66,7 +73,32 @@ func NewDevice(p *hardware.Processor, tier Tier, io IO) (*Device, error) {
 	if io.MBps <= 0 {
 		return nil, fmt.Errorf("vcu: device %s needs positive IO bandwidth", p.Name)
 	}
-	return &Device{exec: exec, tier: tier, io: io}, nil
+	d := &Device{exec: exec, tier: tier, io: io}
+	d.rates = make([]float64, slices.Max(hardware.Classes())+1)
+	for c := range d.rates {
+		d.rates[c] = p.EffectiveGFLOPS(hardware.Class(c))
+	}
+	return d, nil
+}
+
+// rate is the processor's EffectiveGFLOPS(c), from the device's table when
+// c is in the hardware enum.
+func (d *Device) rate(c hardware.Class) float64 {
+	if c >= 0 && int(c) < len(d.rates) {
+		return d.rates[c]
+	}
+	return d.Processor().EffectiveGFLOPS(c)
+}
+
+// execTime is the processor's ExecTime(c, gflop) computed from the rate
+// table with the same arithmetic; the processor itself reports the
+// refusals, so their errors are its own.
+func (d *Device) execTime(c hardware.Class, gflop float64) (time.Duration, error) {
+	rate := d.rate(c)
+	if gflop < 0 || rate <= 0 {
+		return d.Processor().ExecTime(c, gflop)
+	}
+	return time.Duration(gflop / rate * float64(time.Second)), nil
 }
 
 // Name returns the device name.

@@ -1,6 +1,7 @@
 package vcu
 
 import (
+	"fmt"
 	"testing"
 	"time"
 
@@ -109,5 +110,31 @@ func TestTierString(t *testing.T) {
 	}
 	if Tier(9).String() != "tier(9)" {
 		t.Fatal("unknown tier name wrong")
+	}
+}
+
+// TestDeviceRateTableMatchesProcessor holds the planner's per-device rate
+// table to the processor it was read from: the same capability, the same
+// execution time to the nanosecond and the same refusal, for every catalog
+// processor, every class of the enum and classes outside it.
+func TestDeviceRateTableMatchesProcessor(t *testing.T) {
+	classes := append(hardware.Classes(), 0, -1, hardware.Class(len(hardware.Classes())+1), 99)
+	for name, p := range hardware.Catalog() {
+		d, err := NewDevice(p, FirstLevel, PCIeIO())
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, c := range classes {
+			if got, want := d.rate(c) > 0, p.EffectiveGFLOPS(c) > 0; got != want {
+				t.Errorf("%s %v: capable %v, processor says %v", name, c, got, want)
+			}
+			for _, gflop := range []float64{0, 1e-9, 0.37, 3, 1234.5, -1} {
+				got, gotErr := d.execTime(c, gflop)
+				want, wantErr := p.ExecTime(c, gflop)
+				if got != want || fmt.Sprint(gotErr) != fmt.Sprint(wantErr) {
+					t.Errorf("%s %v %v GFLOP: %v (%v), processor %v (%v)", name, c, gflop, got, gotErr, want, wantErr)
+				}
+			}
+		}
 	}
 }

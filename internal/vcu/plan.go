@@ -114,11 +114,10 @@ func capable(dev *Device, t *tasks.Task) bool {
 	if t.Pinned != "" && t.Pinned != dev.Name() {
 		return false
 	}
-	proc := dev.Processor()
-	if !proc.CanRun(t.Class) {
+	if dev.rate(t.Class) <= 0 {
 		return false
 	}
-	return proc.MemoryMB >= t.MemoryMB
+	return dev.Processor().MemoryMB >= t.MemoryMB
 }
 
 // candidates returns the indices of the devices that can run task ti. The
@@ -138,7 +137,7 @@ func (p *planner) candidates(ti int) []int {
 // device's slots it would take.
 func (p *planner) tryPlace(ti, dk int) (start, finish, transferWait time.Duration, slot int, err error) {
 	t, dev := p.dag.Tasks[ti], p.devices[dk]
-	exec, err := dev.Processor().ExecTime(t.Class, t.GFLOP)
+	exec, err := dev.execTime(t.Class, t.GFLOP)
 	if err != nil {
 		return 0, 0, 0, 0, err
 	}

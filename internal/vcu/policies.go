@@ -263,7 +263,7 @@ func (p *planner) upwardRanks(topo []int) error {
 			if !capable(d, t) {
 				continue
 			}
-			et, err := d.Processor().ExecTime(t.Class, t.GFLOP)
+			et, err := d.execTime(t.Class, t.GFLOP)
 			if err != nil {
 				continue
 			}

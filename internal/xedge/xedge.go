@@ -26,16 +26,18 @@ const (
 	CloudSite
 )
 
-var siteKindNames = map[SiteKind]string{
-	RSU: "rsu", BaseStationEdge: "base-station-edge", CloudSite: "cloud",
-}
-
 // String returns the lower-case kind name.
 func (k SiteKind) String() string {
-	if s, ok := siteKindNames[k]; ok {
-		return s
+	switch k {
+	case RSU:
+		return "rsu"
+	case BaseStationEdge:
+		return "base-station-edge"
+	case CloudSite:
+		return "cloud"
+	default:
+		return fmt.Sprintf("site-kind(%d)", int(k))
 	}
-	return fmt.Sprintf("site-kind(%d)", int(k))
 }
 
 // Site is one offload destination: compute executors behind a network path.

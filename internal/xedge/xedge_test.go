@@ -133,7 +133,8 @@ func TestPlaceAlongRoad(t *testing.T) {
 }
 
 func TestSiteKindString(t *testing.T) {
-	if RSU.String() != "rsu" || CloudSite.String() != "cloud" || SiteKind(42).String() != "site-kind(42)" {
+	if RSU.String() != "rsu" || BaseStationEdge.String() != "base-station-edge" ||
+		CloudSite.String() != "cloud" || SiteKind(42).String() != "site-kind(42)" {
 		t.Fatal("kind names wrong")
 	}
 }
