@@ -2,6 +2,7 @@ package offload
 
 import (
 	"fmt"
+	"reflect"
 	"sort"
 	"strings"
 	"testing"
@@ -317,4 +318,286 @@ func TestEstimateBestSiteMatchesNaiveReference(t *testing.T) {
 	if feasible < 1000 {
 		t.Errorf("only %d feasible answers compared", feasible)
 	}
+}
+
+// adjusterCall is one call of a path adjuster: which destination, when.
+type adjusterCall struct {
+	dest string
+	now  time.Duration
+}
+
+// loggedAdjuster returns a path adjuster that appends each call to *log
+// (when log is not nil) and, when degrade is set, degrades links by the
+// virtual second: every link is invalid in the seconds divisible by 5,
+// and the site named "wide" loses 90 % of its packets in odd ones.
+func loggedAdjuster(log *[]adjusterCall, degrade bool) PathAdjuster {
+	return func(dest string, p network.Path, now time.Duration) network.Path {
+		if *log != nil {
+			*log = append(*log, adjusterCall{dest, now})
+		}
+		if !degrade {
+			return p
+		}
+		loss := 0.0
+		switch sec := int(now / time.Second); {
+		case sec%5 == 0:
+			loss = 1
+		case dest == "wide" && sec%2 == 1:
+			loss = 0.9
+		default:
+			return p
+		}
+		adj := network.Path{Name: p.Name, Links: append([]network.LinkSpec(nil), p.Links...)}
+		for i := range adj.Links {
+			adj.Links[i].BaseLoss = loss
+		}
+		return adj
+	}
+}
+
+// TestNextRemoteMatchesReference holds the resilient ladder's next-site
+// search to the reference it replaced (naiveNextRemote: every destination
+// estimated, a stable sort, the first feasible untried remote site), field
+// for field, with every subset of sites already tried, on traced and
+// untraced engines; a traced search renders the spans of Estimates. The
+// worlds reach no site, one and several as the vehicle drives; hold tied
+// twins; take a site down; fit some offloads in a budget and none in an
+// exhausted one; and degrade links by the second. A path adjuster logs its
+// calls: the search must make the reference's, in its order, because a
+// fault injector counts every path it degrades.
+func TestNextRemoteMatchesReference(t *testing.T) {
+	m, err := vcu.DefaultVCU()
+	if err != nil {
+		t.Fatal(err)
+	}
+	dsf, err := vcu.NewDSF(m, vcu.GreedyEFT{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	road, err := geo.NewRoad(10000)
+	if err != nil {
+		t.Fatal(err)
+	}
+	mob := geo.Mobility{Road: road, SpeedMS: 15}
+	rsu := func(id string, x, radius float64) *xedge.Site {
+		s, err := xedge.NewRSU(geo.Station{ID: id, Kind: geo.RSU, Pos: geo.Point{X: x, Y: 20}, Radius: radius})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return s
+	}
+	cloud := func() *xedge.Site {
+		s, err := xedge.NewCloud()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return s
+	}
+	down := func(s *xedge.Site) *xedge.Site { s.SetAvailable(false); return s }
+	// The vehicle drives x = 0 .. ~1 700 m: the 600 m disks at 500 and
+	// 1 800 m come and go, the 50 km ones always cover it.
+	worlds := []struct {
+		name    string
+		sites   []*xedge.Site
+		budget  float64
+		degrade bool
+	}{
+		{name: "no sites"},
+		{name: "one", sites: []*xedge.Site{rsu("a", 500, 600)}},
+		{name: "several", sites: []*xedge.Site{rsu("a", 500, 600), rsu("b", 1800, 600), rsu("wide", 0, 50000), cloud()}},
+		{name: "ties", sites: []*xedge.Site{rsu("a", 500, 600), rsu("wide", 0, 50000), rsu("a-twin", 500, 600), rsu("wide-twin", 0, 50000)}},
+		{name: "down", sites: []*xedge.Site{rsu("a", 500, 600), down(rsu("wide", 0, 50000)), cloud(), rsu("b", 1800, 600)}},
+		{name: "budget", sites: []*xedge.Site{rsu("wide", 0, 50000), cloud(), rsu("a", 500, 600)}, budget: 3e5},
+		{name: "exhausted budget", sites: []*xedge.Site{rsu("wide", 0, 50000), cloud()}, budget: 1},
+		{name: "degraded", sites: []*xedge.Site{cloud(), rsu("a", 500, 600), rsu("wide", 0, 50000), rsu("b", 1800, 600)}, degrade: true},
+	}
+	dags := differentialDAGs(t)[:60]
+	cyclic := tasks.ALPR()
+	cyclic.Name = "alpr-cycle"
+	cyclic.Tasks[0].Deps = []string{cyclic.Tasks[2].ID}
+	dags = append(dags, cyclic)
+
+	var log []adjusterCall
+	// untried counts searches by how many sites were feasible and untried
+	// (2 meaning two or more); tied counts those where two of them tied.
+	untried := map[int]int{}
+	tied, calls := 0, 0
+	for _, w := range worlds {
+		eng, err := NewEngine(dsf, mob, w.sites)
+		if err != nil {
+			t.Fatal(err)
+		}
+		eng.SetBandwidthBudget(w.budget)
+		eng.SetPathAdjuster(loggedAdjuster(&log, w.degrade))
+		for i, d := range dags {
+			now := time.Duration(i) * 1900 * time.Millisecond
+			totals := make([]time.Duration, len(w.sites))
+			feasible := make([]bool, len(w.sites))
+			for si, s := range w.sites {
+				est := eng.naiveEstimateSite(d, s, 0, now)
+				totals[si], feasible[si] = est.Total, est.Feasible
+			}
+			for mask := 0; mask < 1<<len(w.sites); mask++ {
+				tried := make([]bool, len(w.sites))
+				byName := map[string]bool{}
+				n, tie := 0, false
+				for si, s := range w.sites {
+					tried[si] = mask&(1<<si) != 0
+					byName[s.Name()] = tried[si]
+					if feasible[si] && !tried[si] {
+						for sj := 0; sj < si; sj++ {
+							tie = tie || feasible[sj] && !tried[sj] && totals[sj] == totals[si]
+						}
+						n++
+					}
+				}
+				for _, traced := range []bool{false, true} {
+					if traced && i%10 != 0 {
+						continue
+					}
+					var sc obs.Scope
+					if traced {
+						sc.Tracer = trace.New()
+					}
+					eng.Instrument(sc)
+					log = []adjusterCall{}
+					got, gotOK := eng.nextRemote(d, now, tried)
+					gotLog, gotSpans := log, sc.Tracer.RenderTree()
+					log = []adjusterCall{}
+					want, wantOK := eng.naiveNextRemote(d, now, byName)
+					wantLog := log
+					log = nil
+					what := fmt.Sprintf("%s: %s at %v, tried %b, traced %v", w.name, d.Name, now, mask, traced)
+					if got != want || gotOK != wantOK {
+						t.Fatalf("%s:\n got %+v, %v\nwant %+v, %v", what, got, gotOK, want, wantOK)
+					}
+					if !reflect.DeepEqual(gotLog, wantLog) {
+						t.Fatalf("%s: adjuster calls\n got %v\nwant %v", what, gotLog, wantLog)
+					}
+					calls += len(gotLog)
+					if traced {
+						// The search it replaced was Estimates, spans and all.
+						each := trace.New()
+						eng.Instrument(obs.Scope{Tracer: each})
+						eng.Estimates(d, now)
+						if want := each.RenderTree(); gotSpans != want {
+							t.Fatalf("%s: spans\n got %s\nwant %s", what, gotSpans, want)
+						}
+					}
+				}
+				untried[min(n, 2)]++
+				if tie {
+					tied++
+				}
+			}
+		}
+	}
+	t.Logf("searches by feasible untried sites %v, %d with a tie, %d adjuster calls", untried, tied, calls)
+	for _, k := range []int{0, 1, 2} {
+		if untried[k] == 0 {
+			t.Errorf("no search with %d feasible untried sites (of %v)", k, untried)
+		}
+	}
+	if tied == 0 || calls == 0 {
+		t.Errorf("%d searches with a tie and %d adjuster calls compared", tied, calls)
+	}
+}
+
+// FuzzNextRemoteMatchesReference holds the next-site search to
+// naiveNextRemote, adjuster calls included, on fuzzed worlds: four RSUs
+// whose positions (40 m steps) and radii (10 m steps, 0 covering the whole
+// road) are the bytes of coverage, then the cloud; the vehicle at posM
+// metres; per-site outage (down) and degrade bits, bit 7 of degrade making
+// every link invalid; the tried mask; a budget in bytes (0: none); the
+// library DAG dag picks; and a tracer or none.
+func FuzzNextRemoteMatchesReference(f *testing.F) {
+	f.Add(uint64(0x3c32_2814_1e0a_3c05), uint16(500), uint8(0), uint8(0), uint8(0), uint32(0), uint8(0), false)
+	f.Add(uint64(0x3c32_3c32_1e0a_1e0a), uint16(420), uint8(0), uint8(0b1), uint8(0b100), uint32(0), uint8(1), false)
+	f.Add(uint64(0x0000_3c32_1e0a_3c05), uint16(9000), uint8(0b10010), uint8(0b10), uint8(0b11), uint32(300000), uint8(2), true)
+	f.Add(uint64(0xffff_ffff_ffff_ffff), uint16(0), uint8(0), uint8(0x80), uint8(0), uint32(1), uint8(3), false)
+	f.Add(uint64(0), uint16(65535), uint8(0b1111), uint8(0b11111), uint8(0b10000), uint32(0), uint8(4), true)
+	var dags []*tasks.DAG
+	for _, d := range tasks.Library() {
+		dags = append(dags, d)
+	}
+	sort.Slice(dags, func(i, j int) bool { return dags[i].Name < dags[j].Name })
+	road, err := geo.NewRoad(10000)
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Fuzz(func(t *testing.T, coverage uint64, posM uint16, down, degrade, tried uint8, budget uint32, dag uint8, traced bool) {
+		m, err := vcu.DefaultVCU()
+		if err != nil {
+			t.Fatal(err)
+		}
+		dsf, err := vcu.NewDSF(m, vcu.GreedyEFT{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		sites := make([]*xedge.Site, 0, 5)
+		for i := 0; i < 4; i++ {
+			c := coverage >> (16 * i)
+			s, err := xedge.NewRSU(geo.Station{ID: fmt.Sprintf("r%d", i), Kind: geo.RSU,
+				Pos: geo.Point{X: float64(c&0xff) * 40, Y: 20}, Radius: float64(c>>8&0xff) * 10})
+			if err != nil {
+				t.Fatal(err)
+			}
+			sites = append(sites, s)
+		}
+		cl, err := xedge.NewCloud()
+		if err != nil {
+			t.Fatal(err)
+		}
+		sites = append(sites, cl)
+		triedSlice := make([]bool, len(sites))
+		byName := map[string]bool{}
+		for i, s := range sites {
+			s.SetAvailable(down&(1<<i) == 0)
+			triedSlice[i] = tried&(1<<i) != 0
+			byName[s.Name()] = triedSlice[i]
+		}
+		// The vehicle drives at 20 m/s, so it is at posM metres at posM/20 s.
+		mob := geo.Mobility{Road: road, SpeedMS: 20}
+		now := time.Duration(posM) * time.Second / 20
+		eng, err := NewEngine(dsf, mob, sites)
+		if err != nil {
+			t.Fatal(err)
+		}
+		eng.SetBandwidthBudget(float64(budget))
+		var log []adjusterCall
+		eng.SetPathAdjuster(func(dest string, p network.Path, at time.Duration) network.Path {
+			log = append(log, adjusterCall{dest, at})
+			loss := -1.0
+			if degrade&0x80 != 0 {
+				loss = 1
+			}
+			for i, s := range sites {
+				if s.Name() == dest && degrade&(1<<i) != 0 && loss < 0 {
+					loss = 0.6
+				}
+			}
+			if loss < 0 {
+				return p
+			}
+			adj := network.Path{Name: p.Name, Links: append([]network.LinkSpec(nil), p.Links...)}
+			for i := range adj.Links {
+				adj.Links[i].BaseLoss = loss
+			}
+			return adj
+		})
+		if traced {
+			eng.Instrument(obs.Scope{Tracer: trace.New()})
+		}
+		d := dags[int(dag)%len(dags)]
+		got, gotOK := eng.nextRemote(d, now, triedSlice)
+		gotLog := log
+		log = nil
+		want, wantOK := eng.naiveNextRemote(d, now, byName)
+		if got != want || gotOK != wantOK {
+			t.Fatalf("got %+v, %v\nwant %+v, %v", got, gotOK, want, wantOK)
+		}
+		if !reflect.DeepEqual(gotLog, log) {
+			t.Fatalf("adjuster calls\n got %v\nwant %v", gotLog, log)
+		}
+	})
 }

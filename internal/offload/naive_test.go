@@ -2,6 +2,7 @@ package offload
 
 import (
 	"fmt"
+	"sort"
 	"time"
 
 	"repro/internal/network"
@@ -222,4 +223,32 @@ func (e *Engine) naiveEstimateBestSite(dag *tasks.DAG, splitAfter int, now time.
 		}
 	}
 	return best
+}
+
+// naiveNextRemote is the resilient ladder's next-site search as it was:
+// Estimates — on-board execution plus a full offload to every registered
+// site, each estimated on its own (naiveEstimateSite here) and stably
+// sorted feasible first by total — then the first feasible remote
+// destination tried does not name.
+func (e *Engine) naiveNextRemote(dag *tasks.DAG, t time.Duration, tried map[string]bool) (Estimate, bool) {
+	if dag == nil || dag.Validate() != nil {
+		return Estimate{}, false
+	}
+	ests := []Estimate{e.EstimateOnboard(dag, t)}
+	for _, s := range e.sites {
+		ests = append(ests, e.naiveEstimateSite(dag, s, 0, t))
+	}
+	sort.SliceStable(ests, func(i, j int) bool {
+		if ests[i].Feasible != ests[j].Feasible {
+			return ests[i].Feasible
+		}
+		return ests[i].Total < ests[j].Total
+	})
+	for _, cand := range ests {
+		if !cand.Feasible || cand.Dest == OnboardName || tried[cand.Dest] {
+			continue
+		}
+		return cand, true
+	}
+	return Estimate{}, false
 }

@@ -8,9 +8,9 @@
 package offload
 
 import (
+	"cmp"
 	"fmt"
 	"slices"
-	"sort"
 	"time"
 
 	"repro/internal/geo"
@@ -120,6 +120,8 @@ type Engine struct {
 	// SetResilience and ExecuteResilient in resilience.go.
 	policy   *Policy
 	breakers map[string]*Breaker
+	// tried is the resilient ladder's per-site scratch (see remoteLadder).
+	tried []bool
 
 	// finish is per-task scratch of EstimateSite and execute, indexed like
 	// DAG.Tasks and reused across calls (see finishScratch).
@@ -596,18 +598,31 @@ func (e *Engine) estimateSite(est *Estimate, call *splitCall, si int, site *xedg
 // does not cover the vehicle, is skipped unestimated; with one, every site
 // is estimated, for its span.
 func (e *Engine) EstimateBestSite(dag *tasks.DAG, splitAfter int, now time.Duration) Estimate {
+	call := e.newSplitCall(dag, splitAfter, now)
+	return e.bestSite(&call, nil)
+}
+
+// bestSite is the one best-site loop, shared by EstimateBestSite and the
+// resilient fallback (nextRemote): the first strict minimum of Total among
+// the feasible estimates of sites that tried (indexed like e.sites; nil
+// marks none) does not mark, else the first estimated site's estimate,
+// else Reason "no sites". A marked site is still estimated, so that a path
+// adjuster sees every covered site whichever of them the caller has tried.
+func (e *Engine) bestSite(call *splitCall, tried []bool) Estimate {
 	// Two slots: each site is estimated into cand, and a better candidate
 	// swaps slots with best instead of being copied.
 	var slots [2]Estimate
 	best, cand := &slots[0], &slots[1]
 	best.Reason = "no sites"
-	call := e.newSplitCall(dag, splitAfter, now)
 	traced := e.scope.Tracer.Enabled()
 	for si, site := range e.sites {
 		if si > 0 && !traced && (call.reason != "" || !site.Reachable(call.pos)) {
 			continue
 		}
-		e.estimateSite(cand, &call, si, site)
+		e.estimateSite(cand, call, si, site)
+		if tried != nil && tried[si] {
+			continue
+		}
 		var better bool
 		if cand.Feasible {
 			better = !best.Feasible || cand.Total < best.Total
@@ -654,7 +669,8 @@ func (e *Engine) finishScratch(n int) []time.Duration {
 }
 
 // Estimates evaluates on-board execution plus a full offload to every
-// registered site, sorted by total latency (infeasible entries last).
+// registered site, sorted by total latency (infeasible entries last). The
+// sites share one splitCall, as EstimateBestSite's do.
 func (e *Engine) Estimates(dag *tasks.DAG, now time.Duration) ([]Estimate, error) {
 	if dag == nil {
 		return nil, fmt.Errorf("offload: nil DAG")
@@ -662,11 +678,21 @@ func (e *Engine) Estimates(dag *tasks.DAG, now time.Duration) ([]Estimate, error
 	if err := dag.Validate(); err != nil {
 		return nil, err
 	}
-	out := []Estimate{e.EstimateOnboard(dag, now)}
-	for _, s := range e.sites {
-		out = append(out, e.EstimateSite(dag, s, 0, now))
+	out := make([]Estimate, 1+len(e.sites))
+	out[0] = e.EstimateOnboard(dag, now)
+	call := e.newSplitCall(dag, 0, now)
+	for si, site := range e.sites {
+		e.estimateSite(&out[1+si], &call, si, site)
 	}
-	sortEstimates(out)
+	slices.SortStableFunc(out, func(a, b Estimate) int {
+		if a.Feasible != b.Feasible {
+			if a.Feasible {
+				return -1
+			}
+			return 1
+		}
+		return cmp.Compare(a.Total, b.Total)
+	})
 	return out, nil
 }
 
@@ -738,6 +764,9 @@ func (e *Engine) Execute(dag *tasks.DAG, est Estimate, now time.Duration) (time.
 func (e *Engine) execute(dag *tasks.DAG, est Estimate, now time.Duration) (time.Duration, error) {
 	if !est.Feasible {
 		return 0, fmt.Errorf("offload: cannot execute infeasible estimate for %s", est.Dest)
+	}
+	if dag == nil {
+		return 0, fmt.Errorf("offload: nil DAG")
 	}
 	if est.Dest == OnboardName {
 		plan, err := e.dsf.Run(dag, now)
@@ -816,13 +845,4 @@ func (e *Engine) execute(dag *tasks.DAG, est Estimate, now time.Duration) (time.
 	// failed prefix plan or site submission must not burn bandwidth.
 	e.spentBytes += est.BytesSent
 	return last + est.Downlink, nil
-}
-
-func sortEstimates(ests []Estimate) {
-	sort.SliceStable(ests, func(i, j int) bool {
-		if ests[i].Feasible != ests[j].Feasible {
-			return ests[i].Feasible
-		}
-		return ests[i].Total < ests[j].Total
-	})
 }

@@ -150,14 +150,6 @@ func DegradedDAG(dag *tasks.DAG, factor float64) *tasks.DAG {
 	return out
 }
 
-// siteByName resolves a destination to its registered site.
-func (e *Engine) siteByName(name string) *xedge.Site {
-	if si, ok := e.siteAt[name]; ok {
-		return e.sites[si]
-	}
-	return nil
-}
-
 // ExecuteResilient commits the chosen estimate under the engine's
 // resilience policy: failed remote executions are retried with
 // deterministic exponential backoff (charged against the absolute
@@ -188,27 +180,19 @@ func (e *Engine) ExecuteResilient(dag *tasks.DAG, est Estimate, now, deadline ti
 		}
 		return done, out, err
 	}
-	pol := *e.policy
-	span := e.scope.Tracer.StartSpanAt("offload", "offload.resilient", now,
-		trace.String("chosen", est.Dest))
-	if dag != nil {
-		span.SetAttr(trace.String("dag", dag.Name))
+	if dag == nil {
+		return 0, Outcome{}, fmt.Errorf("offload: nil DAG")
 	}
-	if deadline > 0 {
-		span.SetAttr(trace.Dur("deadline", deadline-now))
+	pol := *e.policy
+	var span *trace.Span
+	if e.scope.Tracer.Enabled() {
+		span = e.scope.Tracer.StartSpanAt("offload", "offload.resilient", now,
+			trace.String("chosen", est.Dest), trace.String("dag", dag.Name))
+		if deadline > 0 {
+			span.SetAttr(trace.Dur("deadline", deadline-now))
+		}
 	}
 	out := Outcome{}
-	finishSpan := func(end time.Duration, err error) {
-		span.SetAttr(trace.Int("attempts", out.Attempts),
-			trace.Int("fallbacks", out.Fallbacks),
-			trace.Int("breaker_skips", out.BreakerSkips),
-			trace.Bool("degraded", out.Degraded),
-			trace.String("dest", out.Dest))
-		if err != nil {
-			span.SetAttr(trace.String("error", err.Error()))
-		}
-		span.FinishAt(end)
-	}
 
 	t := now
 	if done, dest, ok := e.remoteLadder(dag, est, &t, deadline, &out, pol); ok {
@@ -223,7 +207,7 @@ func (e *Engine) ExecuteResilient(dag *tasks.DAG, est Estimate, now, deadline ti
 		}
 		out.DeadlineMet = deadline <= 0 || done <= deadline
 		e.recordResilient(out, true)
-		finishSpan(done, nil)
+		finishResilientSpan(span, out, done, nil)
 		return done, out, nil
 	}
 	if done, ok := e.onboardRung(dag, t, deadline, &out); ok {
@@ -239,7 +223,7 @@ func (e *Engine) ExecuteResilient(dag *tasks.DAG, est Estimate, now, deadline ti
 		}
 		out.DeadlineMet = deadline <= 0 || done <= deadline
 		e.recordResilient(out, true)
-		finishSpan(done, nil)
+		finishResilientSpan(span, out, done, nil)
 		return done, out, nil
 	}
 	err := fmt.Errorf("offload: resilient execution exhausted for %s after %d attempts",
@@ -249,8 +233,25 @@ func (e *Engine) ExecuteResilient(dag *tasks.DAG, est Estimate, now, deadline ti
 			obs.String("dag", dag.Name), obs.Int("attempts", out.Attempts))
 	}
 	e.recordResilient(out, false)
-	finishSpan(t, err)
+	finishResilientSpan(span, out, t, err)
 	return 0, out, err
+}
+
+// finishResilientSpan closes ExecuteResilient's span (nil when the engine
+// does not trace) with the outcome.
+func finishResilientSpan(span *trace.Span, out Outcome, end time.Duration, err error) {
+	if span == nil {
+		return
+	}
+	span.SetAttr(trace.Int("attempts", out.Attempts),
+		trace.Int("fallbacks", out.Fallbacks),
+		trace.Int("breaker_skips", out.BreakerSkips),
+		trace.Bool("degraded", out.Degraded),
+		trace.String("dest", out.Dest))
+	if err != nil {
+		span.SetAttr(trace.String("error", err.Error()))
+	}
+	span.FinishAt(end)
 }
 
 // remoteLadder walks the remote rungs of the degradation ladder — the
@@ -259,13 +260,21 @@ func (e *Engine) ExecuteResilient(dag *tasks.DAG, est Estimate, now, deadline ti
 // sites (Submit, budget charges) and therefore belongs to the commit
 // phase. A decision that chose on-board execution skips it entirely.
 func (e *Engine) remoteLadder(dag *tasks.DAG, est Estimate, t *time.Duration, deadline time.Duration, out *Outcome, pol Policy) (time.Duration, string, bool) {
-	tried := map[string]bool{}
+	// tried marks the sites already walked, indexed like e.sites; it is the
+	// engine's scratch, cleared per ladder.
+	if cap(e.tried) < len(e.sites) {
+		e.tried = make([]bool, len(e.sites))
+	}
+	tried := e.tried[:len(e.sites)]
+	clear(tried)
 	cand := est
 	for hop := 0; hop <= len(e.sites) && cand.Dest != OnboardName; hop++ {
-		tried[cand.Dest] = true
-		done, ok := e.tryRemote(dag, cand, t, deadline, out, pol)
+		si, ok := e.siteAt[cand.Dest]
 		if ok {
-			return done, cand.Dest, true
+			tried[si] = true
+			if done, ok := e.tryRemote(dag, e.sites[si], cand, t, deadline, out, pol); ok {
+				return done, cand.Dest, true
+			}
 		}
 		next, found := e.nextRemote(dag, *t, tried)
 		if !found {
@@ -308,15 +317,11 @@ func (e *Engine) onboardRung(dag *tasks.DAG, t, deadline time.Duration, out *Out
 	return done, true
 }
 
-// tryRemote runs the bounded retry loop for one remote candidate,
+// tryRemote runs the bounded retry loop for one remote candidate at site,
 // advancing *t by each backoff. It reports success with the completion
 // time; on false the candidate is exhausted (failures, breaker, deadline,
 // or lost feasibility).
-func (e *Engine) tryRemote(dag *tasks.DAG, cand Estimate, t *time.Duration, deadline time.Duration, out *Outcome, pol Policy) (time.Duration, bool) {
-	site := e.siteByName(cand.Dest)
-	if site == nil {
-		return 0, false
-	}
+func (e *Engine) tryRemote(dag *tasks.DAG, site *xedge.Site, cand Estimate, t *time.Duration, deadline time.Duration, out *Outcome, pol Policy) (time.Duration, bool) {
 	br := e.breakerFor(cand.Dest)
 	for attempt := 1; attempt <= pol.MaxAttempts; attempt++ {
 		if !br.Allow(*t) {
@@ -359,17 +364,24 @@ func (e *Engine) tryRemote(dag *tasks.DAG, cand Estimate, t *time.Duration, dead
 	return 0, false
 }
 
-// nextRemote picks the best feasible remote destination not yet tried.
-func (e *Engine) nextRemote(dag *tasks.DAG, t time.Duration, tried map[string]bool) (Estimate, bool) {
-	ests, err := e.Estimates(dag, t)
-	if err != nil {
+// nextRemote picks the best feasible remote destination that tried does
+// not mark, at t: a full offload's first strict minimum of Total, as a
+// stable sort of every destination would rank it. The search is
+// EstimateBestSite's (bestSite), so when nothing traces, sites that do not
+// cover the vehicle are skipped unestimated and on-board execution is not
+// estimated at all (the ladder's on-board rung estimates it afresh). A
+// traced search estimates every destination, on board first, so it renders
+// the spans Estimates would.
+func (e *Engine) nextRemote(dag *tasks.DAG, t time.Duration, tried []bool) (Estimate, bool) {
+	call := e.newSplitCall(dag, 0, t)
+	if call.c.Err() != nil {
 		return Estimate{}, false
 	}
-	for _, cand := range ests {
-		if !cand.Feasible || cand.Dest == OnboardName || tried[cand.Dest] {
-			continue
-		}
-		return cand, true
+	if e.scope.Tracer.Enabled() {
+		e.EstimateOnboard(dag, t)
+	}
+	if best := e.bestSite(&call, tried); best.Feasible {
+		return best, true
 	}
 	return Estimate{}, false
 }

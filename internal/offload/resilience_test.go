@@ -187,6 +187,31 @@ func TestResilientFallsBackOnboard(t *testing.T) {
 	}
 }
 
+// TestResilientLadderWalksEachSiteOnce: with both remote destinations
+// failing permanently and no tracer, the ladder spends its attempts on the
+// chosen site, falls back to the other once — the failed one is not picked
+// again — and ends on board.
+func TestResilientLadderWalksEachSiteOnce(t *testing.T) {
+	eng, rsu, cl := testWorld(t, 0)
+	pol := DefaultPolicy()
+	eng.SetResilience(&pol)
+	var rsuCalls, clCalls int
+	rsu.SetFaultInjector(alwaysFail(&rsuCalls))
+	cl.SetFaultInjector(alwaysFail(&clCalls))
+	dag := tasks.ALPR()
+	est := eng.EstimateSite(dag, rsu, 0, 0)
+	_, out, err := eng.ExecuteResilient(dag, est, 0, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rsuCalls != pol.MaxAttempts || clCalls != pol.MaxAttempts {
+		t.Errorf("site attempts rsu %d, cloud %d; want %d each", rsuCalls, clCalls, pol.MaxAttempts)
+	}
+	if out.Dest != OnboardName || out.Fallbacks != 2 || out.Attempts != 2*pol.MaxAttempts+1 || out.BreakerSkips != 0 {
+		t.Errorf("outcome %+v", out)
+	}
+}
+
 // TestDegradedVariantMeetsDeadline: when even on-board execution would
 // miss the deadline, the engine runs the compressed model variant and
 // completes in time, reporting Degraded.
@@ -281,5 +306,33 @@ func TestPathAdjusterAppliesToEstimates(t *testing.T) {
 	restored := eng.EstimateSite(dag, rsu, 0, 0)
 	if restored.Uplink != base.Uplink {
 		t.Fatal("removing adjuster did not restore baseline")
+	}
+}
+
+// TestExecuteNilDAG: Execute and ExecuteResilient, with and without a
+// policy, refuse a nil DAG with the error Estimates gives it, toward a site
+// and on board alike, and spend no bandwidth and no site time.
+func TestExecuteNilDAG(t *testing.T) {
+	eng, rsu, _ := testWorld(t, 15)
+	remote := eng.EstimateSite(tasks.ALPR(), rsu, 0, 0)
+	onboard := eng.EstimateOnboard(tasks.ALPR(), 0)
+	if !remote.Feasible || !onboard.Feasible {
+		t.Fatalf("estimates infeasible: %+v, %+v", remote, onboard)
+	}
+	_, want := eng.Estimates(nil, 0)
+	pol := DefaultPolicy()
+	for _, p := range []*Policy{nil, &pol} {
+		eng.SetResilience(p)
+		for _, est := range []Estimate{remote, onboard} {
+			if _, err := eng.Execute(nil, est, 0); err == nil || err.Error() != want.Error() {
+				t.Errorf("policy %v, %s: Execute error %v, want %v", p != nil, est.Dest, err, want)
+			}
+			if _, _, err := eng.ExecuteResilient(nil, est, 0, time.Second); err == nil || err.Error() != want.Error() {
+				t.Errorf("policy %v, %s: ExecuteResilient error %v, want %v", p != nil, est.Dest, err, want)
+			}
+		}
+	}
+	if eng.BytesSpent() != 0 || rsu.PendingWork(0) != 0 {
+		t.Errorf("a nil DAG spent %v bytes and queued %v of work at the site", eng.BytesSpent(), rsu.PendingWork(0))
 	}
 }

@@ -21,6 +21,8 @@ type DSF struct {
 	// scratch is the planner every built-in policy plans on (see
 	// scratchPolicy); a DSF is single-goroutine, so one suffices.
 	scratch planner
+	// run is the commit's scratch (see commitAt).
+	run committer
 
 	scope obs.Scope
 	m     dsfMetrics
@@ -152,14 +154,81 @@ func (s *DSF) plan(dag *tasks.DAG, now time.Duration) (*Plan, error) {
 	return plan, nil
 }
 
-// Commit applies a plan to the real executors, reserving device time. The
-// returned plan carries the actually committed times, which can be later
-// than planned if other work landed on the devices since planning.
-func (s *DSF) Commit(dag *tasks.DAG, plan *Plan) (*Plan, error) {
+// committer is the DSF's commit scratch: per-task state indexed like
+// DAG.Tasks, the resolved form of a named plan, and the committed plan Run
+// returns. Every commit overwrites it.
+type committer struct {
+	// devOf is the device of each task's first committed assignment, nil
+	// until one is; finish is when its latest one finished.
+	devOf  []*Device
+	finish []time.Duration
+	at     []placement
+	assign []Assignment
+	out    Plan
+}
+
+// size makes the per-task arrays n long, with devOf cleared.
+func (cm *committer) size(n int) {
+	if cap(cm.devOf) < n {
+		cm.devOf, cm.finish = make([]*Device, n), make([]time.Duration, n)
+	}
+	cm.devOf, cm.finish = cm.devOf[:n], cm.finish[:n]
+	clear(cm.devOf)
+}
+
+// commit applies a plan that names its tasks and devices to the real
+// executors, reserving device time. It resolves the names to indices, then
+// runs commitAt. A plan naming an unknown device or task, or committing a
+// task before one of its dependencies, is refused before any device time
+// is reserved.
+func (s *DSF) commit(dag *tasks.DAG, plan *Plan) (*Plan, error) {
 	if plan == nil {
 		return nil, fmt.Errorf("vcu: nil plan")
 	}
-	committed := &Plan{DAG: plan.DAG, Policy: plan.Policy}
+	if dag == nil {
+		return nil, fmt.Errorf("vcu: nil DAG")
+	}
+	c := dag.Compiled()
+	cm := &s.run
+	cm.size(len(dag.Tasks)) // devOf marks the tasks placed so far
+	cm.at = cm.at[:0]
+	for _, a := range plan.Assignments {
+		dev, err := s.mhep.Device(a.Device)
+		if err != nil {
+			return nil, err
+		}
+		ti := slices.IndexFunc(dag.Tasks, func(t *tasks.Task) bool { return t.ID == a.TaskID })
+		if ti < 0 {
+			return nil, fmt.Errorf("vcu: plan task %s not in DAG %s", a.TaskID, dag.Name)
+		}
+		t := dag.Tasks[ti]
+		for j, di := range c.Deps(ti) {
+			if di < 0 || cm.devOf[di] == nil {
+				return nil, fmt.Errorf("vcu: plan for %s commits %s before its dependency %s", dag.Name, t.ID, t.Deps[j])
+			}
+		}
+		if cm.devOf[ti] == nil {
+			cm.devOf[ti] = dev
+		}
+		cm.at = append(cm.at, placement{ti, dev})
+	}
+	return s.commitAt(dag, c, plan, cm.at)
+}
+
+// commitAt is the one commit body: it submits plan's assignments in order,
+// the k-th running task at[k].task on device at[k].dev, ready at its planned
+// start once its dependencies' outputs arrive, and returns the plan of the
+// actually committed times, which can be later than planned if other work
+// landed on the devices since planning. c is dag's compiled form, and every
+// dependency of at[k].task is placed by an earlier entry: the planner
+// places in topological order, and commit checks. The committed plan is the
+// DSF's scratch, valid until the DSF's next plan.
+func (s *DSF) commitAt(dag *tasks.DAG, c *tasks.Compiled, plan *Plan, at []placement) (*Plan, error) {
+	cm := &s.run
+	cm.size(len(dag.Tasks))
+	cm.assign = cm.assign[:0]
+	cm.out = Plan{DAG: plan.DAG, Policy: plan.Policy}
+	committed := &cm.out
 	var commitStart time.Duration
 	if len(plan.Assignments) > 0 {
 		commitStart = plan.Assignments[0].Start
@@ -179,29 +248,12 @@ func (s *DSF) Commit(dag *tasks.DAG, plan *Plan) (*Plan, error) {
 		span.SetAttr(trace.Bool("ok", committedOK))
 		span.FinishAt(commitStart + committed.Makespan)
 	}()
-	finishOf := make(map[string]time.Duration, len(plan.Assignments))
-	for _, a := range plan.Assignments {
-		dev, err := s.mhep.Device(a.Device)
-		if err != nil {
-			return nil, err
-		}
-		t, ok := dag.Get(a.TaskID)
-		if !ok {
-			return nil, fmt.Errorf("vcu: plan task %s not in DAG %s", a.TaskID, dag.Name)
-		}
+	for k, a := range plan.Assignments {
+		ti, dev := at[k].task, at[k].dev
+		t := dag.Tasks[ti]
 		ready := a.Start
-		for _, depID := range t.Deps {
-			depFinish, ok := finishOf[depID]
-			if !ok {
-				return nil, fmt.Errorf("vcu: plan for %s commits %s before its dependency %s", dag.Name, t.ID, depID)
-			}
-			depAssign, _ := plan.Assignment(depID)
-			depDev, err := s.mhep.Device(depAssign.Device)
-			if err != nil {
-				return nil, err
-			}
-			depTask, _ := dag.Get(depID)
-			if arrive := depFinish + TransferTime(depDev, dev, depTask.OutputBytes); arrive > ready {
+		for _, di := range c.Deps(ti) {
+			if arrive := cm.finish[di] + TransferTime(cm.devOf[di], dev, dag.Tasks[di].OutputBytes); arrive > ready {
 				ready = arrive
 			}
 		}
@@ -209,7 +261,10 @@ func (s *DSF) Commit(dag *tasks.DAG, plan *Plan) (*Plan, error) {
 		if err != nil {
 			return nil, fmt.Errorf("commit %s on %s: %w", t.ID, dev.Name(), err)
 		}
-		finishOf[t.ID] = finish
+		if cm.devOf[ti] == nil {
+			cm.devOf[ti] = dev
+		}
+		cm.finish[ti] = finish
 		if s.scope.Tracer.Enabled() {
 			s.scope.Tracer.SpanAt("vcu", "vcu.task", start, finish,
 				trace.String("task", t.ID),
@@ -220,7 +275,7 @@ func (s *DSF) Commit(dag *tasks.DAG, plan *Plan) (*Plan, error) {
 		s.m.queueWait.ObserveDuration(start - ready)
 		s.m.taskExec.ObserveDuration(finish - start)
 		s.deviceTaskCounter(dev.Name()).Inc()
-		committed.Assignments = append(committed.Assignments, Assignment{
+		cm.assign = append(cm.assign, Assignment{
 			TaskID:  t.ID,
 			Device:  dev.Name(),
 			Start:   start,
@@ -228,10 +283,11 @@ func (s *DSF) Commit(dag *tasks.DAG, plan *Plan) (*Plan, error) {
 			EnergyJ: dev.Processor().EnergyJ(finish - start),
 		})
 	}
-	if len(committed.Assignments) > 0 {
-		base := committed.Assignments[0].Start
+	if len(cm.assign) > 0 {
+		committed.Assignments = cm.assign
+		base := cm.assign[0].Start
 		var last time.Duration
-		for _, a := range committed.Assignments {
+		for _, a := range cm.assign {
 			if a.Start < base {
 				base = a.Start
 			}
@@ -250,11 +306,17 @@ func (s *DSF) Commit(dag *tasks.DAG, plan *Plan) (*Plan, error) {
 	return committed, nil
 }
 
-// Run plans and immediately commits a DAG; the common path.
+// Run plans and immediately commits a DAG; the common path. A built-in
+// policy's plan commits straight from the planner's task and device
+// indices. The committed plan is the DSF's scratch, valid until the DSF's
+// next plan.
 func (s *DSF) Run(dag *tasks.DAG, now time.Duration) (*Plan, error) {
 	plan, err := s.plan(dag, now)
 	if err != nil {
 		return nil, err
 	}
-	return s.Commit(dag, plan)
+	if plan == &s.scratch.out {
+		return s.commitAt(dag, s.scratch.c, plan, s.scratch.at)
+	}
+	return s.commit(dag, plan)
 }

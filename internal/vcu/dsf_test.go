@@ -57,9 +57,9 @@ func TestAllPoliciesPlanALPR(t *testing.T) {
 			t.Fatalf("%s: non-positive energy %v", policy.Name(), plan.EnergyJ)
 		}
 		// Dependencies must be respected in time.
-		md, _ := plan.Assignment("motion-detect")
-		pd, _ := plan.Assignment("plate-detect")
-		pr, _ := plan.Assignment("plate-recognize")
+		md, _ := assignmentOf(plan, "motion-detect")
+		pd, _ := assignmentOf(plan, "plate-detect")
+		pr, _ := assignmentOf(plan, "plate-recognize")
 		if pd.Start < md.Finish || pr.Start < pd.Finish {
 			t.Fatalf("%s: dependency times violated: %+v", policy.Name(), plan.Assignments)
 		}
@@ -105,12 +105,13 @@ func TestBackToBackRunsQueue(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	// The committed plan is the DSF's scratch: read it before the next run.
+	a1, _ := assignmentOf(p1, "ped-detect")
 	p2, err := s.Run(tasks.PedestrianAlert(), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	a1, _ := p1.Assignment("ped-detect")
-	a2, _ := p2.Assignment("ped-detect")
+	a2, _ := assignmentOf(p2, "ped-detect")
 	if a1.Device == a2.Device && a2.Start < a1.Finish {
 		t.Fatalf("second run overlapped first on %s", a1.Device)
 	}
@@ -191,7 +192,7 @@ func TestPinnedTaskHonored(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	a, _ := plan.Assignment("motion-detect")
+	a, _ := assignmentOf(plan, "motion-detect")
 	if a.Device != hardware.DeviceVCUFPGA {
 		t.Fatalf("pinned task ran on %s", a.Device)
 	}
@@ -242,17 +243,17 @@ func TestSecondLevelDeviceRelievesLoad(t *testing.T) {
 
 func TestCommitValidation(t *testing.T) {
 	s := newDSF(t, GreedyEFT{})
-	if _, err := s.Commit(tasks.ALPR(), nil); err == nil {
+	if _, err := s.commit(tasks.ALPR(), nil); err == nil {
 		t.Fatal("nil plan accepted")
 	}
 	// Plan referencing a task not in the DAG.
 	bad := &Plan{DAG: "alpr", Assignments: []Assignment{{TaskID: "ghost", Device: hardware.DeviceI76700}}}
-	if _, err := s.Commit(tasks.ALPR(), bad); err == nil {
+	if _, err := s.commit(tasks.ALPR(), bad); err == nil {
 		t.Fatal("plan with unknown task accepted")
 	}
 	// Plan referencing an unknown device.
 	bad2 := &Plan{DAG: "alpr", Assignments: []Assignment{{TaskID: "motion-detect", Device: "ghost"}}}
-	if _, err := s.Commit(tasks.ALPR(), bad2); err == nil {
+	if _, err := s.commit(tasks.ALPR(), bad2); err == nil {
 		t.Fatal("plan with unknown device accepted")
 	}
 }
@@ -272,14 +273,14 @@ func TestSensorFusionRunsBranchesInParallel(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cam, _ := plan.Assignment("camera-detect")
-	lid, _ := plan.Assignment("lidar-cluster")
+	cam, _ := assignmentOf(plan, "camera-detect")
+	lid, _ := assignmentOf(plan, "lidar-cluster")
 	overlap := cam.Start < lid.Finish && lid.Start < cam.Finish
 	if !overlap {
 		t.Fatalf("branches serialized: camera [%v,%v] lidar [%v,%v]",
 			cam.Start, cam.Finish, lid.Start, lid.Finish)
 	}
-	fuse, _ := plan.Assignment("fuse")
+	fuse, _ := assignmentOf(plan, "fuse")
 	if fuse.Start < cam.Finish || fuse.Start < lid.Finish {
 		t.Fatal("fusion started before both branches finished")
 	}
@@ -347,7 +348,7 @@ func TestAddDeviceAfterPlans(t *testing.T) {
 	if err != nil {
 		t.Fatalf("the device added after planning is not planned on: %v", err)
 	}
-	if a, _ := plan.Assignment(dag.Tasks[0].ID); a.Device != hardware.DevicePhone {
+	if a, _ := assignmentOf(plan, dag.Tasks[0].ID); a.Device != hardware.DevicePhone {
 		t.Fatalf("pinned task placed on %s, want %s", a.Device, hardware.DevicePhone)
 	}
 
@@ -381,4 +382,14 @@ func TestAddDeviceAfterPlans(t *testing.T) {
 	if !reflect.DeepEqual(got, ref) {
 		t.Fatalf("scrambling the Devices() slice changed a plan:\n got %+v\nwant %+v", got, ref)
 	}
+}
+
+// assignmentOf returns the first assignment of taskID in p.
+func assignmentOf(p *Plan, taskID string) (Assignment, bool) {
+	for _, a := range p.Assignments {
+		if a.TaskID == taskID {
+			return a, true
+		}
+	}
+	return Assignment{}, false
 }

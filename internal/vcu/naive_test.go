@@ -376,3 +376,69 @@ func naiveUpwardRanks(dag *tasks.DAG, devices []*Device) (map[string]float64, er
 	}
 	return ranks, nil
 }
+
+// naiveCommit is the DSF's commit as it was before it committed from
+// indices, minus its spans and metrics: every assignment resolves its device
+// through MHEP.Device and its task through DAG.Get, every dependency through
+// a string-keyed finish map, Plan.Assignment and MHEP.Device again, and the
+// committed plan is built afresh.
+func naiveCommit(m *MHEP, dag *tasks.DAG, plan *Plan) (*Plan, error) {
+	if plan == nil {
+		return nil, fmt.Errorf("vcu: nil plan")
+	}
+	committed := &Plan{DAG: plan.DAG, Policy: plan.Policy}
+	finishOf := make(map[string]time.Duration, len(plan.Assignments))
+	for _, a := range plan.Assignments {
+		dev, err := m.Device(a.Device)
+		if err != nil {
+			return nil, err
+		}
+		t, ok := dag.Get(a.TaskID)
+		if !ok {
+			return nil, fmt.Errorf("vcu: plan task %s not in DAG %s", a.TaskID, dag.Name)
+		}
+		ready := a.Start
+		for _, depID := range t.Deps {
+			depFinish, ok := finishOf[depID]
+			if !ok {
+				return nil, fmt.Errorf("vcu: plan for %s commits %s before its dependency %s", dag.Name, t.ID, depID)
+			}
+			depAssign, _ := assignmentOf(plan, depID)
+			depDev, err := m.Device(depAssign.Device)
+			if err != nil {
+				return nil, err
+			}
+			depTask, _ := dag.Get(depID)
+			if arrive := depFinish + TransferTime(depDev, dev, depTask.OutputBytes); arrive > ready {
+				ready = arrive
+			}
+		}
+		start, finish, err := dev.Executor().Submit(ready, t.Class, t.GFLOP)
+		if err != nil {
+			return nil, fmt.Errorf("commit %s on %s: %w", t.ID, dev.Name(), err)
+		}
+		finishOf[t.ID] = finish
+		committed.Assignments = append(committed.Assignments, Assignment{
+			TaskID:  t.ID,
+			Device:  dev.Name(),
+			Start:   start,
+			Finish:  finish,
+			EnergyJ: dev.Processor().EnergyJ(finish - start),
+		})
+	}
+	if len(committed.Assignments) > 0 {
+		base := committed.Assignments[0].Start
+		var last time.Duration
+		for _, a := range committed.Assignments {
+			if a.Start < base {
+				base = a.Start
+			}
+			if a.Finish > last {
+				last = a.Finish
+			}
+			committed.EnergyJ += a.EnergyJ
+		}
+		committed.Makespan = last - base
+	}
+	return committed, nil
+}

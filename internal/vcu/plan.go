@@ -31,18 +31,8 @@ type Plan struct {
 	EnergyJ float64
 }
 
-// Assignment returns the placement for a task ID.
-func (p *Plan) Assignment(taskID string) (Assignment, bool) {
-	for _, a := range p.Assignments {
-		if a.TaskID == taskID {
-			return a, true
-		}
-	}
-	return Assignment{}, false
-}
-
 // planner tracks tentative device occupancy while a policy builds a plan,
-// leaving the real executors untouched until Commit. Its state is
+// leaving the real executors untouched until the DSF commits. Its state is
 // index-addressed — tasks by their position in DAG.Tasks (the compiled
 // DAG's index space), devices by their position in the device list — and
 // the backing arrays are reused from plan to plan: a DSF owns one planner.
@@ -66,10 +56,19 @@ type planner struct {
 	ranks []float64 // HEFT upward ranks
 	order []int     // HEFT placement order
 
-	// assign collects the plan's assignments in placement order and out is
-	// the plan finish fills; both are overwritten by the next plan.
+	// assign collects the plan's assignments in placement order, at names
+	// each one's task and device by index for the DSF's commit, and out is
+	// the plan finish fills; all three are overwritten by the next plan.
 	assign []Assignment
+	at     []placement
 	out    Plan
+}
+
+// placement is one assignment in index form: the task's position in
+// DAG.Tasks and the device it runs on.
+type placement struct {
+	task int
+	dev  *Device
 }
 
 // begin validates the plan input (DAG, then devices — the order callers see
@@ -104,7 +103,7 @@ func (p *planner) begin(dag *tasks.DAG, devices []*Device, now time.Duration) ([
 	for i := range p.placed {
 		p.placed[i] = false
 	}
-	p.assign = p.assign[:0]
+	p.assign, p.at = p.assign[:0], p.at[:0]
 	order, _ := c.Order() // a valid DAG has one
 	return order, nil
 }
@@ -181,6 +180,7 @@ func (p *planner) place(ti, dk int) error {
 		TransferWait: wait,
 		EnergyJ:      dev.Processor().EnergyJ(finish - start),
 	})
+	p.at = append(p.at, placement{ti, dev})
 	return nil
 }
 

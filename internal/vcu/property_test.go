@@ -121,7 +121,7 @@ func TestCommitRespectsDepsOnRandomDAGs(t *testing.T) {
 			finish[a.TaskID] = a.Finish
 		}
 		for _, task := range dag.Tasks {
-			a, ok := committed.Assignment(task.ID)
+			a, ok := assignmentOf(committed, task.ID)
 			if !ok {
 				t.Fatalf("trial %d: task %s missing from committed plan", trial, task.ID)
 			}
