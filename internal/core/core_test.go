@@ -466,4 +466,22 @@ func TestObservabilityWiring(t *testing.T) {
 	if err := p.StartSampling(time.Second); err != nil {
 		t.Fatalf("restart after stop: %v", err)
 	}
+	// A restarted sampler resumes every series the first one fed.
+	appended := func() map[string]int {
+		m := make(map[string]int)
+		for _, s := range p.Series().Payload(-1).Series {
+			m[s.Name] = s.Points + s.Dropped
+		}
+		return m
+	}
+	before := appended()
+	if err := p.Engine().RunUntil(p.Engine().Now() + 3*time.Second); err != nil {
+		t.Fatal(err)
+	}
+	after := appended()
+	for name, n := range before {
+		if after[name] <= n {
+			t.Errorf("series %s stalled after restart: %d points, %d before", name, after[name], n)
+		}
+	}
 }

@@ -3,6 +3,7 @@ package obs
 import (
 	"encoding/json"
 	"reflect"
+	"runtime"
 	"strconv"
 	"testing"
 	"time"
@@ -287,6 +288,104 @@ func TestSamplerSamplePathZeroAlloc(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Fatalf("sample path allocates %.1f per tick", allocs)
+	}
+}
+
+// TestSamplerSeesMergedHistograms: a histogram (or counter) that a Merge
+// creates in a watched registry is logged like an interned one, so the
+// next tick samples it.
+func TestSamplerSeesMergedHistograms(t *testing.T) {
+	dst := telemetry.NewRegistry()
+	dst.Add("fleet.rounds", 1)
+	store := NewSeriesStore(8)
+	sp := NewSampler(store, 100*time.Millisecond)
+	sp.Watch(dst)
+	sp.SampleAt(0)
+
+	src := telemetry.NewRegistry()
+	src.Observe("offload.total_ms", 3)
+	src.Observe("offload.total_ms", 5)
+	src.Add("offload.fallbacks", 2)
+	dst.Merge(src)
+	sp.SampleAt(100 * time.Millisecond)
+
+	p := store.Payload(-1)
+	if len(p.Series) != 3 {
+		t.Fatalf("series after merge: %+v", p.Series)
+	}
+	fb, h := p.Series[1], p.Series[2]
+	if fb.Name != "offload.fallbacks" || fb.Kind != "counter" || !reflect.DeepEqual(fb.V, []float64{2}) {
+		t.Fatalf("merged counter: %+v", fb)
+	}
+	if h.Name != "offload.total_ms" || h.Kind != "histogram" || h.V[0] != 2 || h.Sum[0] != 8 {
+		t.Fatalf("merged histogram: %+v", h)
+	}
+}
+
+// TestSamplerRestartResumesSeries: a second sampler on the same store (a
+// platform that stops and restarts sampling) keeps appending to the series
+// the first one created.
+func TestSamplerRestartResumesSeries(t *testing.T) {
+	reg := telemetry.NewRegistry()
+	reg.Add("fleet.rounds", 1)
+	reg.Observe("offload.total_ms", 4)
+	store := NewSeriesStore(8)
+	first := NewSampler(store, time.Second)
+	first.Watch(reg)
+	first.SampleAt(0)
+	first.SampleAt(time.Second)
+
+	second := NewSampler(store, time.Second)
+	second.Watch(reg)
+	reg.Add("fleet.rounds", 1)
+	second.SampleAt(2 * time.Second)
+
+	p := store.Payload(-1)
+	if len(p.Series) != 2 {
+		t.Fatalf("series: %+v", p.Series)
+	}
+	for _, s := range p.Series {
+		if s.Points != 3 {
+			t.Fatalf("%s has %d points after the restart, want 3", s.Name, s.Points)
+		}
+	}
+	if got := p.Series[0].V; !reflect.DeepEqual(got, []float64{1, 1, 2}) {
+		t.Fatalf("fleet.rounds = %v", got)
+	}
+}
+
+// TestResyncIsIncremental: a tick after a lane of n metrics interned k new
+// ones reads only those k from the registry's log. Over many such ticks
+// the sampler allocates at most one regrowth of the lane's handle list
+// plus a constant per new metric, where rebuilding the lane from a sorted
+// list of its names would allocate O(n) on every such tick.
+func TestResyncIsIncremental(t *testing.T) {
+	const n, k, steps = 4096, 4, 64
+	reg := telemetry.NewRegistry()
+	for i := 0; i < n; i++ {
+		reg.CounterHandle("c." + strconv.Itoa(i)).Inc()
+	}
+	sp := NewSampler(NewSeriesStore(4), time.Second)
+	sp.Watch(reg)
+	sp.SampleAt(0)
+
+	var allocated uint64
+	var before, after runtime.MemStats
+	for s := 1; s <= steps; s++ {
+		for j := 0; j < k; j++ {
+			reg.CounterHandle("new." + strconv.Itoa(s*k+j)) // pre-resolved, never bumped
+		}
+		runtime.ReadMemStats(&before)
+		sp.SampleAt(time.Duration(s) * time.Second)
+		runtime.ReadMemStats(&after)
+		allocated += after.TotalAlloc - before.TotalAlloc
+	}
+	if bound := uint64(2*n*48 + steps*k*64); allocated > bound {
+		t.Fatalf("%d ticks after interning %d metrics each on a lane of %d allocated %d B (bound %d)",
+			steps, k, n, allocated, bound)
+	}
+	if got := sp.Store().Len(); got != n {
+		t.Fatalf("%d series, want %d (new metrics were never bumped)", got, n)
 	}
 }
 

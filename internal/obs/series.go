@@ -137,10 +137,6 @@ func (s *SeriesStore) ensureLocked(name string, kind SeriesKind) *Series {
 	return se
 }
 
-// lookupLocked returns the series or nil without creating it. Callers hold
-// s.mu.
-func (s *SeriesStore) lookupLocked(name string) *Series { return s.m[name] }
-
 // RecordGauge appends an instantaneous reading to the named gauge series.
 // Unlike counters and histograms — which the Sampler snapshots on its tick —
 // gauge series are fed explicitly by whoever computes the reading.
@@ -455,7 +451,7 @@ func (s *SeriesStore) Render() string {
 	return b.String()
 }
 
-// laneCounter caches one registry counter the sampler polls each tick. The
+// laneCounter is one registry counter the sampler polls each tick. The
 // series pointer stays nil until the counter is first touched, mirroring
 // snapshot visibility (pre-resolved but never-bumped handles produce no
 // series).
@@ -465,20 +461,32 @@ type laneCounter struct {
 	s    *Series
 }
 
-// laneHist caches one registry histogram likewise.
+// laneHist is one registry histogram likewise, visible from its first
+// sample.
 type laneHist struct {
 	name string
 	h    *telemetry.HistogramHandle
 	s    *Series
 }
 
-// samplerLane is one watched registry with its cached handle lists,
-// resynced when the registry's generation moves.
+// samplerLane is one watched registry with its handles in interning order.
+// Together the two lists hold a prefix of the registry's interning log.
 type samplerLane struct {
 	reg      *telemetry.Registry
-	gen      uint64
 	counters []laneCounter
 	hists    []laneHist
+}
+
+// resync appends the handles the registry interned since the lane last
+// looked. Bound series stay bound: nothing is rebuilt or sorted.
+func (ln *samplerLane) resync() {
+	for _, m := range ln.reg.InternedSince(len(ln.counters) + len(ln.hists)) {
+		if m.C != nil {
+			ln.counters = append(ln.counters, laneCounter{name: m.Name, c: m.C})
+		} else {
+			ln.hists = append(ln.hists, laneHist{name: m.Name, h: m.H})
+		}
+	}
 }
 
 // Sampler snapshots every watched registry's counters and histograms into a
@@ -487,9 +495,12 @@ type samplerLane struct {
 // single fleet-level point per metric per tick, so the recorded series are
 // identical for any shard or worker count.
 //
-// The steady-state sample path is allocation-free: handle lists are cached
-// per lane and resynced only when a registry's generation moves, and a
-// metric's series is created once, the first time it becomes visible.
+// A tick costs one read per interned metric per lane and one append per
+// visible series, with no map lookup. A lane whose registry interned k
+// new metrics since the last tick takes the registry lock once and appends
+// those k handles; a series is created once, the first time its metric
+// becomes visible. Ticks that intern nothing and make nothing newly
+// visible allocate nothing.
 //
 // Sampler is not safe for concurrent use with itself; schedule SampleAt
 // from a single simulation kernel (Start). The store it writes to may be
@@ -532,32 +543,10 @@ func (sp *Sampler) Watch(reg *telemetry.Registry) {
 	sp.lanes = append(sp.lanes, &samplerLane{reg: reg})
 }
 
-// resync rebuilds a lane's cached handle lists after its registry interned
-// new metrics, preserving already-bound series pointers via store lookup.
-func (sp *Sampler) resync(ln *samplerLane, gen uint64) {
-	ln.counters = ln.counters[:0]
-	ln.hists = ln.hists[:0]
-	ln.reg.EachMetric(
-		func(name string, c *telemetry.Counter) {
-			ln.counters = append(ln.counters, laneCounter{name: name, c: c})
-		},
-		func(name string, h *telemetry.HistogramHandle) {
-			ln.hists = append(ln.hists, laneHist{name: name, h: h})
-		},
-	)
-	sp.store.mu.Lock()
-	for i := range ln.counters {
-		ln.counters[i].s = sp.store.lookupLocked(ln.counters[i].name)
-	}
-	for i := range ln.hists {
-		ln.hists[i].s = sp.store.lookupLocked(ln.hists[i].name)
-	}
-	sp.store.mu.Unlock()
-	ln.gen = gen
-}
-
 // activateLocked interns a metric's series and registers it for per-tick
-// appends (once). Callers hold the store lock.
+// appends (once per sampler, so a restarted sampler on the same store
+// resumes every series). It runs when a lane first sees a metric visible,
+// never on a steady tick. Callers hold the store lock.
 func (sp *Sampler) activateLocked(name string, kind SeriesKind) *Series {
 	se := sp.store.ensureLocked(name, kind)
 	if !sp.isActive[se] {
@@ -568,11 +557,12 @@ func (sp *Sampler) activateLocked(name string, kind SeriesKind) *Series {
 }
 
 // SampleAt takes one sample at virtual time now: every visible counter and
-// histogram across all lanes becomes one appended point per metric.
+// histogram across all lanes becomes one appended point per metric. Each
+// series sums its lanes' values in lane order.
 func (sp *Sampler) SampleAt(now time.Duration) {
 	for _, ln := range sp.lanes {
-		if g := ln.reg.Generation(); g != ln.gen {
-			sp.resync(ln, g)
+		if ln.reg.Generation() != uint64(len(ln.counters)+len(ln.hists)) {
+			ln.resync()
 		}
 	}
 	sp.store.mu.Lock()
@@ -584,9 +574,6 @@ func (sp *Sampler) SampleAt(now time.Duration) {
 					continue
 				}
 				lc.s = sp.activateLocked(lc.name, KindCounter)
-			} else if !sp.isActive[lc.s] {
-				// Bound by an earlier resync before any lane touched it.
-				sp.activateLocked(lc.name, lc.s.kind)
 			}
 			lc.s.stage += lc.c.Value()
 		}
@@ -598,8 +585,6 @@ func (sp *Sampler) SampleAt(now time.Duration) {
 					continue
 				}
 				lh.s = sp.activateLocked(lh.name, KindHistogram)
-			} else if !sp.isActive[lh.s] {
-				sp.activateLocked(lh.name, lh.s.kind)
 			}
 			lh.s.stage += float64(count)
 			lh.s.stageAux += sum

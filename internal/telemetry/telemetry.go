@@ -122,19 +122,47 @@ type Registry struct {
 	gauges     map[string]float64
 	histograms map[string]*HistogramHandle
 
-	// gen increments whenever a counter or histogram is interned, letting
-	// samplers detect (cheaply, without the registry lock) that their cached
-	// handle lists went stale.
+	// log lists every interned counter and histogram in interning order.
+	// It is append-only, and gen == len(log) outside the lock, so a
+	// sampler can tell (without the lock) that entries were added and
+	// read only those.
+	log []Interned
 	gen atomic.Uint64
 }
 
-// Generation returns a monotonically increasing value bumped every time a
-// new counter or histogram is interned. Zero for a nil registry.
+// Interned is one entry of a registry's interning log: a counter (C) or a
+// histogram (H), never both.
+type Interned struct {
+	Name string
+	C    *Counter
+	H    *HistogramHandle
+}
+
+// Generation returns how many counters and histograms the registry has
+// interned: the length of its interning log. Zero for a nil registry.
 func (r *Registry) Generation() uint64 {
 	if r == nil {
 		return 0
 	}
 	return r.gen.Load()
+}
+
+// InternedSince returns the interning log from position from on. Logged
+// entries never change, so the caller may read the slice without the
+// registry lock; it must not write to it.
+func (r *Registry) InternedSince(from int) []Interned {
+	if r == nil {
+		return nil
+	}
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	return r.log[from:len(r.log):len(r.log)]
+}
+
+// logLocked appends an interned metric to the log. Callers hold r.mu.
+func (r *Registry) logLocked(m Interned) {
+	r.log = append(r.log, m)
+	r.gen.Add(1)
 }
 
 // NewRegistry returns an empty registry.
@@ -164,7 +192,7 @@ func (r *Registry) counterLocked(name string) *Counter {
 	if !ok {
 		c = &Counter{}
 		r.counters[name] = c
-		r.gen.Add(1)
+		r.logLocked(Interned{Name: name, C: c})
 	}
 	return c
 }
@@ -187,7 +215,7 @@ func (r *Registry) histogramLocked(name string) *HistogramHandle {
 	if !ok {
 		hh = &HistogramHandle{h: &Histogram{}}
 		r.histograms[name] = hh
-		r.gen.Add(1)
+		r.logLocked(Interned{Name: name, H: hh})
 	}
 	return hh
 }
@@ -275,42 +303,9 @@ func (r *Registry) Merge(src *Registry) {
 			cur.h.merge(h)
 			cur.mu.Unlock()
 		} else {
-			r.histograms[n] = &HistogramHandle{h: h}
-			r.gen.Add(1)
-		}
-	}
-}
-
-// EachMetric calls counterFn for every interned counter and histFn for every
-// interned histogram, each in name-sorted order, under the registry lock.
-// Untouched counters and never-observed histograms are included — callers
-// that mirror report visibility filter with Counter.Touched / CountSum.
-// Callbacks must not call back into the registry. Either callback may be
-// nil to skip that metric class.
-func (r *Registry) EachMetric(counterFn func(name string, c *Counter), histFn func(name string, h *HistogramHandle)) {
-	if r == nil {
-		return
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if counterFn != nil {
-		names := make([]string, 0, len(r.counters))
-		for n := range r.counters {
-			names = append(names, n)
-		}
-		sort.Strings(names)
-		for _, n := range names {
-			counterFn(n, r.counters[n])
-		}
-	}
-	if histFn != nil {
-		names := make([]string, 0, len(r.histograms))
-		for n := range r.histograms {
-			names = append(names, n)
-		}
-		sort.Strings(names)
-		for _, n := range names {
-			histFn(n, r.histograms[n])
+			hh := &HistogramHandle{h: h}
+			r.histograms[n] = hh
+			r.logLocked(Interned{Name: n, H: hh})
 		}
 	}
 }
@@ -373,6 +368,14 @@ func (h *Histogram) merge(src *Histogram) {
 	}
 	h.count += src.count
 	h.sum += src.sum
+	if need := len(h.samples) + len(src.samples); need > cap(h.samples) {
+		// Double, or grow to the exact size: a fleet merges a thousand
+		// lanes into one histogram, and append's quarter steps would
+		// allocate about five times the result on the way.
+		grown := make([]float64, len(h.samples), max(2*cap(h.samples), need))
+		copy(grown, h.samples)
+		h.samples = grown
+	}
 	h.samples = append(h.samples, src.samples...)
 }
 

@@ -3,6 +3,7 @@ package telemetry
 import (
 	"encoding/json"
 	"math"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -364,7 +365,8 @@ func TestPreResolvedHandlesInvisibleUntilUsed(t *testing.T) {
 }
 
 // TestGenerationTracksInterning: samplers rely on Generation moving exactly
-// when a counter or histogram is interned.
+// when a counter or histogram is interned, by interning or by Merge, and on
+// the log holding those metrics in interning order.
 func TestGenerationTracksInterning(t *testing.T) {
 	r := NewRegistry()
 	g0 := r.Generation()
@@ -377,7 +379,7 @@ func TestGenerationTracksInterning(t *testing.T) {
 	if r.Generation() != g0+1 {
 		t.Fatal("generation moved without interning")
 	}
-	r.HistogramHandle("h")
+	h := r.HistogramHandle("h")
 	r.Set("gauge", 1) // gauges are not sampled: no bump
 	if r.Generation() != g0+2 {
 		t.Fatalf("generation after histogram intern = %d", r.Generation())
@@ -385,36 +387,33 @@ func TestGenerationTracksInterning(t *testing.T) {
 
 	src := NewRegistry()
 	src.Observe("h2", 1)
+	src.Observe("h", 2) // exists in r: merged into, not logged again
 	r.Merge(src)
 	if r.Generation() != g0+3 {
 		t.Fatalf("generation after merge with new histogram = %d", r.Generation())
 	}
-	var nilReg *Registry
-	if nilReg.Generation() != 0 {
-		t.Fatal("nil registry generation")
-	}
-}
 
-// TestEachMetricSortedAndComplete: EachMetric enumerates interned handles
-// (touched or not) in name order.
-func TestEachMetricSortedAndComplete(t *testing.T) {
-	r := NewRegistry()
-	r.CounterHandle("z.count")
-	r.Add("a.count", 1)
-	r.HistogramHandle("m.lat_ms")
-	var counters, hists []string
-	r.EachMetric(
-		func(name string, c *Counter) { counters = append(counters, name) },
-		func(name string, h *HistogramHandle) { hists = append(hists, name) },
-	)
-	if len(counters) != 2 || counters[0] != "a.count" || counters[1] != "z.count" {
-		t.Fatalf("counters = %v", counters)
+	log := r.InternedSince(0)
+	if uint64(len(log)) != r.Generation() {
+		t.Fatalf("log holds %d entries at generation %d", len(log), r.Generation())
 	}
-	if len(hists) != 1 || hists[0] != "m.lat_ms" {
-		t.Fatalf("hists = %v", hists)
+	if log[0] != (Interned{Name: "a", C: c}) || log[1] != (Interned{Name: "h", H: h}) {
+		t.Fatalf("log out of interning order: %+v", log)
 	}
+	if m := log[2]; m.Name != "h2" || m.C != nil || m.H == nil {
+		t.Fatalf("merged histogram logged as %+v", m)
+	}
+	if tail := r.InternedSince(2); len(tail) != 1 || tail[0] != log[2] {
+		t.Fatalf("InternedSince(2) = %+v", tail)
+	}
+	if len(r.InternedSince(3)) != 0 {
+		t.Fatal("InternedSince at the end is not empty")
+	}
+
 	var nilReg *Registry
-	nilReg.EachMetric(nil, nil) // must not panic
+	if nilReg.Generation() != 0 || nilReg.InternedSince(0) != nil {
+		t.Fatal("nil registry generation or log")
+	}
 }
 
 // TestCountSum: the sampler's allocation-free histogram read.
@@ -456,6 +455,41 @@ func TestHistogramSampleSlackBounded(t *testing.T) {
 	}
 	for i, v := range h.samples {
 		if v != float64(i%977)+0.5 {
+			t.Fatalf("sample %d = %v", i, v)
+		}
+	}
+}
+
+// TestMergeAllocatesASmallMultipleOfTheResult: merging L lanes into one
+// histogram grows the sample slice geometrically, so the bytes allocated on
+// the way stay a small multiple of the merged samples (append's quarter
+// steps would allocate about five times), and the samples keep lane order.
+func TestMergeAllocatesASmallMultipleOfTheResult(t *testing.T) {
+	const lanes, perLane = 1000, 24
+	srcs := make([]*Histogram, lanes)
+	for i := range srcs {
+		srcs[i] = &Histogram{}
+		for k := 0; k < perLane; k++ {
+			srcs[i].Observe(float64(i*perLane + k))
+		}
+	}
+	dst := &Histogram{}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for _, src := range srcs {
+		dst.merge(src)
+	}
+	runtime.ReadMemStats(&after)
+
+	result := uint64(lanes * perLane * 8)
+	if got := after.TotalAlloc - before.TotalAlloc; got > 3*result {
+		t.Fatalf("merging %d lanes allocated %d B for a %d B result", lanes, got, result)
+	}
+	if dst.Count() != lanes*perLane || len(dst.samples) != lanes*perLane {
+		t.Fatalf("merged %d samples (count %d)", len(dst.samples), dst.Count())
+	}
+	for i, v := range dst.samples {
+		if v != float64(i) {
 			t.Fatalf("sample %d = %v", i, v)
 		}
 	}
