@@ -22,6 +22,27 @@ func BenchmarkCachePutGet(b *testing.B) {
 	}
 }
 
+// BenchmarkCachePutEvict puts IDs that run past capacity into a full
+// cache, so every Put evicts the least recently used entry: the shape of
+// DDI.Upload's write-through and of a preload far larger than the cache.
+func BenchmarkCachePutEvict(b *testing.B) {
+	c, err := NewMemCache(cacheCapacity, time.Minute)
+	if err != nil {
+		b.Fatal(err)
+	}
+	r := Record{Source: SourceOBD, Payload: []byte(`{"rpm":2000}`)}
+	for i := 0; i < cacheCapacity; i++ {
+		r.ID = uint64(i + 1)
+		c.Put(r, 0)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		r.ID = uint64(cacheCapacity + i + 1)
+		c.Put(r, time.Duration(i))
+	}
+}
+
 func BenchmarkStorePut(b *testing.B) {
 	s, err := OpenDiskStore(b.TempDir())
 	if err != nil {

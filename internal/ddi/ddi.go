@@ -55,8 +55,8 @@ type ddiMetrics struct {
 
 // Instrument attaches the DDI's observability scope and hands it to the
 // cache tier. Service-layer calls then emit `ddi` spans and `ddi.*`
-// metrics; the cache mirrors its hit/miss/eviction outcomes as
-// `ddi.cache.*` counters and emits a `ddi` event per capacity eviction.
+// metrics; the cache mirrors its hit/miss/eviction/expiration outcomes
+// as `ddi.cache.*` counters.
 func (d *DDI) Instrument(sc obs.Scope) {
 	d.scope = sc
 	d.cache.instrument(sc)
