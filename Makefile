@@ -23,14 +23,16 @@ verify:
 	$(GO) test -race ./...
 
 # determinism runs the E13 fleet sweep (stdout and -trace file) and the
-# E14 chaos sweep twice with the same seed at different worker-pool
-# sizes, the E16 scaling sweep at two shard counts, the E17 observability
-# run across both axes, and the E20 DDI query digest at two worker counts,
-# requiring byte-identical reports every time: neither the sharded
-# replication runner nor the epoch-barrier fleet executor may leak
-# scheduling order into results, telemetry, fault plans, sampled series,
-# or flight-recorder logs. It is also CI's end-to-end run of those five
-# experiments.
+# E14 chaos sweep (stdout untraced, then stdout and -trace file traced)
+# twice with the same seed at different worker-pool sizes, the E16 scaling
+# sweep at two shard counts, the E17 observability run across both axes,
+# and the E20 DDI query digest at two worker counts, requiring
+# byte-identical reports every time: neither the sharded replication
+# runner nor the epoch-barrier fleet executor may leak scheduling order
+# into results, telemetry, fault plans, sampled series, spans, or
+# flight-recorder logs. The traced chaos report must also equal the
+# untraced one: a tracer observes, it does not steer. It is also CI's
+# end-to-end run of those five experiments.
 determinism:
 	$(GO) build -o /tmp/vdapbench ./cmd/vdapbench
 	/tmp/vdapbench -exp sweep -seed 7 -reps 4 -parallel 1 -trace /tmp/sweep-p1.json 2>/dev/null > /tmp/sweep-p1.txt
@@ -42,6 +44,12 @@ determinism:
 	/tmp/vdapbench -exp chaos -seed 7 -reps 4 -parallel 4 > /tmp/chaos-p4.txt
 	diff -u /tmp/chaos-p1.txt /tmp/chaos-p4.txt
 	@echo "determinism: chaos reports byte-identical across -parallel levels"
+	/tmp/vdapbench -exp chaos -seed 7 -reps 4 -parallel 1 -trace /tmp/chaos-p1.json 2>/dev/null > /tmp/chaos-t1.txt
+	/tmp/vdapbench -exp chaos -seed 7 -reps 4 -parallel 4 -trace /tmp/chaos-p4.json 2>/dev/null > /tmp/chaos-t4.txt
+	diff -u /tmp/chaos-p1.txt /tmp/chaos-t1.txt
+	diff -u /tmp/chaos-t1.txt /tmp/chaos-t4.txt
+	cmp /tmp/chaos-p1.json /tmp/chaos-p4.json
+	@echo "determinism: traced chaos report equals the untraced one; trace byte-identical across -parallel levels"
 	/tmp/vdapbench -exp scale -seed 7 -vehicles 60,120 -shards 1 > /tmp/scale-s1.txt
 	/tmp/vdapbench -exp scale -seed 7 -vehicles 60,120 -shards 4 > /tmp/scale-s4.txt
 	diff -u /tmp/scale-s1.txt /tmp/scale-s4.txt

@@ -14,6 +14,7 @@ import (
 	"repro/internal/obs"
 	"repro/internal/sim"
 	"repro/internal/tasks"
+	"repro/internal/telemetry"
 	"repro/internal/trace"
 	"repro/internal/vcu"
 	"repro/internal/xedge"
@@ -179,17 +180,12 @@ func TestEstimateBestSite(t *testing.T) {
 // unreachable site first; take a site down; exhaust a bandwidth budget; and
 // degrade links through a path adjuster, one of them past validity. Every
 // DAG is estimated at every split and just outside the range; one DAG has
-// a cycle and one a task no device can run, so every prefix plan fails. With a tracer attached, a call renders the same spans as
-// EstimateSite at each site in turn.
+// a cycle and one a task no device can run, so every prefix plan fails.
+// With a tracer attached, a call renders exactly the EstimateSite spans of
+// the sites the untraced search estimates (estimatedSites), in site order:
+// the skipped sites get none.
 func TestEstimateBestSiteMatchesNaiveReference(t *testing.T) {
-	m, err := vcu.DefaultVCU()
-	if err != nil {
-		t.Fatal(err)
-	}
-	dsf, err := vcu.NewDSF(m, vcu.GreedyEFT{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	dsf := newDSF(t)
 	road, err := geo.NewRoad(10000)
 	if err != nil {
 		t.Fatal(err)
@@ -255,7 +251,7 @@ func TestEstimateBestSiteMatchesNaiveReference(t *testing.T) {
 
 	reachable := map[string]int{}
 	reasons := map[string]int{}
-	feasible := 0
+	feasible, skipped := 0, 0
 	for _, w := range worlds {
 		eng, err := NewEngine(dsf, mob, w.sites)
 		if err != nil {
@@ -292,18 +288,20 @@ func TestEstimateBestSiteMatchesNaiveReference(t *testing.T) {
 				eng.Instrument(obs.Scope{Tracer: best})
 				eng.EstimateBestSite(d, split, now)
 				eng.Instrument(obs.Scope{Tracer: each})
-				for _, s := range w.sites {
+				estimated := estimatedSites(eng, d, split, now)
+				for _, s := range estimated {
 					eng.EstimateSite(d, s, split, now)
 				}
+				skipped += len(w.sites) - len(estimated)
 			}
 			eng.Instrument(obs.Scope{})
 			if got, want := best.RenderTree(), each.RenderTree(); got != want {
 				t.Fatalf("%s: %s traced:\n got %s\nwant %s", w.name, d.Name, got, want)
 			}
-			if best.SpanCount() < len(w.sites) {
-				t.Fatalf("%s: %s traced only %d spans", w.name, d.Name, best.SpanCount())
-			}
 		}
+	}
+	if skipped == 0 {
+		t.Error("no traced call skipped a site")
 	}
 	for _, k := range []string{"0", "1", "2"} {
 		if reachable[k] == 0 {
@@ -318,6 +316,21 @@ func TestEstimateBestSiteMatchesNaiveReference(t *testing.T) {
 	if feasible < 1000 {
 		t.Errorf("only %d feasible answers compared", feasible)
 	}
+}
+
+// estimatedSites restates the best-site search's skip rule: the first site
+// is always estimated, a later one only when the split is valid and the
+// site covers the vehicle at now.
+func estimatedSites(eng *Engine, d *tasks.DAG, split int, now time.Duration) []*xedge.Site {
+	valid := d.Validate() == nil && split >= 0 && split < len(d.Tasks)
+	pos := eng.mob.PositionAt(now)
+	var out []*xedge.Site
+	for si, s := range eng.sites {
+		if si == 0 || valid && s.Reachable(pos) {
+			out = append(out, s)
+		}
+	}
+	return out
 }
 
 // adjusterCall is one call of a path adjuster: which destination, when.
@@ -355,30 +368,27 @@ func loggedAdjuster(log *[]adjusterCall, degrade bool) PathAdjuster {
 	}
 }
 
-// TestNextRemoteMatchesReference holds the resilient ladder's next-site
-// search to the reference it replaced (naiveNextRemote: every destination
-// estimated, a stable sort, the first feasible untried remote site), field
-// for field, with every subset of sites already tried, on traced and
-// untraced engines; a traced search renders the spans of Estimates. The
-// worlds reach no site, one and several as the vehicle drives; hold tied
-// twins; take a site down; fit some offloads in a budget and none in an
-// exhausted one; and degrade links by the second. A path adjuster logs its
-// calls: the search must make the reference's, in its order, because a
-// fault injector counts every path it degrades.
-func TestNextRemoteMatchesReference(t *testing.T) {
-	m, err := vcu.DefaultVCU()
-	if err != nil {
-		t.Fatal(err)
-	}
-	dsf, err := vcu.NewDSF(m, vcu.GreedyEFT{})
-	if err != nil {
-		t.Fatal(err)
-	}
+// remoteWorld is one of the next-site search's differential worlds.
+type remoteWorld struct {
+	name    string
+	sites   []*xedge.Site
+	budget  float64
+	degrade bool
+}
+
+// remoteWorlds builds the next-site search's differential worlds afresh —
+// each call makes new sites, so two calls give twin worlds — and the
+// mobility they share. The vehicle drives x = 0 .. ~1 700 m: the 600 m
+// disks at 500 and 1 800 m come and go, the 50 km ones always cover it.
+// The worlds reach no site, one and several as the vehicle drives; hold
+// tied twins; take a site down; fit some offloads in a budget and none in
+// an exhausted one; and degrade links by the second.
+func remoteWorlds(t *testing.T) (geo.Mobility, []remoteWorld) {
+	t.Helper()
 	road, err := geo.NewRoad(10000)
 	if err != nil {
 		t.Fatal(err)
 	}
-	mob := geo.Mobility{Road: road, SpeedMS: 15}
 	rsu := func(id string, x, radius float64) *xedge.Site {
 		s, err := xedge.NewRSU(geo.Station{ID: id, Kind: geo.RSU, Pos: geo.Point{X: x, Y: 20}, Radius: radius})
 		if err != nil {
@@ -394,14 +404,7 @@ func TestNextRemoteMatchesReference(t *testing.T) {
 		return s
 	}
 	down := func(s *xedge.Site) *xedge.Site { s.SetAvailable(false); return s }
-	// The vehicle drives x = 0 .. ~1 700 m: the 600 m disks at 500 and
-	// 1 800 m come and go, the 50 km ones always cover it.
-	worlds := []struct {
-		name    string
-		sites   []*xedge.Site
-		budget  float64
-		degrade bool
-	}{
+	return geo.Mobility{Road: road, SpeedMS: 15}, []remoteWorld{
 		{name: "no sites"},
 		{name: "one", sites: []*xedge.Site{rsu("a", 500, 600)}},
 		{name: "several", sites: []*xedge.Site{rsu("a", 500, 600), rsu("b", 1800, 600), rsu("wide", 0, 50000), cloud()}},
@@ -411,17 +414,50 @@ func TestNextRemoteMatchesReference(t *testing.T) {
 		{name: "exhausted budget", sites: []*xedge.Site{rsu("wide", 0, 50000), cloud()}, budget: 1},
 		{name: "degraded", sites: []*xedge.Site{cloud(), rsu("a", 500, 600), rsu("wide", 0, 50000), rsu("b", 1800, 600)}, degrade: true},
 	}
-	dags := differentialDAGs(t)[:60]
+}
+
+// newDSF returns a GreedyEFT scheduler over a fresh default VCU.
+func newDSF(t *testing.T) *vcu.DSF {
+	t.Helper()
+	m, err := vcu.DefaultVCU()
+	if err != nil {
+		t.Fatal(err)
+	}
+	dsf, err := vcu.NewDSF(m, vcu.GreedyEFT{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return dsf
+}
+
+// remoteDAGs is the first 60 differential DAGs plus ALPR with a cycle.
+func remoteDAGs(t *testing.T) []*tasks.DAG {
 	cyclic := tasks.ALPR()
 	cyclic.Name = "alpr-cycle"
 	cyclic.Tasks[0].Deps = []string{cyclic.Tasks[2].ID}
-	dags = append(dags, cyclic)
+	return append(differentialDAGs(t)[:60], cyclic)
+}
+
+// TestNextRemoteMatchesReference holds the resilient ladder's next-site
+// search to the reference it replaced (naiveNextRemote: every destination
+// estimated, a stable sort, the first feasible untried remote site), field
+// for field, with every subset of sites already tried, on remoteWorlds. A
+// path adjuster logs its calls: the search must make the reference's, in
+// its order, because a fault injector counts every path it degrades. Every
+// tenth DAG is also searched with a tracer attached, which must render
+// exactly the EstimateSite spans of the sites the untraced search estimates
+// (estimatedSites at split 0; none for a DAG without an order): no
+// on-board estimate, and nothing for a site the search skips.
+func TestNextRemoteMatchesReference(t *testing.T) {
+	dsf := newDSF(t)
+	mob, worlds := remoteWorlds(t)
+	dags := remoteDAGs(t)
 
 	var log []adjusterCall
 	// untried counts searches by how many sites were feasible and untried
 	// (2 meaning two or more); tied counts those where two of them tied.
 	untried := map[int]int{}
-	tied, calls := 0, 0
+	tied, calls, skipped := 0, 0, 0
 	for _, w := range worlds {
 		eng, err := NewEngine(dsf, mob, w.sites)
 		if err != nil {
@@ -476,10 +512,15 @@ func TestNextRemoteMatchesReference(t *testing.T) {
 					}
 					calls += len(gotLog)
 					if traced {
-						// The search it replaced was Estimates, spans and all.
 						each := trace.New()
 						eng.Instrument(obs.Scope{Tracer: each})
-						eng.Estimates(d, now)
+						if d.Validate() == nil {
+							estimated := estimatedSites(eng, d, 0, now)
+							for _, s := range estimated {
+								eng.EstimateSite(d, s, 0, now)
+							}
+							skipped += len(w.sites) - len(estimated)
+						}
 						if want := each.RenderTree(); gotSpans != want {
 							t.Fatalf("%s: spans\n got %s\nwant %s", what, gotSpans, want)
 						}
@@ -492,15 +533,136 @@ func TestNextRemoteMatchesReference(t *testing.T) {
 			}
 		}
 	}
-	t.Logf("searches by feasible untried sites %v, %d with a tie, %d adjuster calls", untried, tied, calls)
+	t.Logf("searches by feasible untried sites %v, %d with a tie, %d adjuster calls, %d traced skips", untried, tied, calls, skipped)
 	for _, k := range []int{0, 1, 2} {
 		if untried[k] == 0 {
 			t.Errorf("no search with %d feasible untried sites (of %v)", k, untried)
 		}
 	}
-	if tied == 0 || calls == 0 {
-		t.Errorf("%d searches with a tie and %d adjuster calls compared", tied, calls)
+	if tied == 0 || calls == 0 || skipped == 0 {
+		t.Errorf("%d searches with a tie, %d adjuster calls and %d traced skips compared", tied, calls, skipped)
 	}
+}
+
+// TestTracingDoesNotSteer runs the same calls on twin worlds (remoteWorlds,
+// built twice) whose engine and DSF report into one registry each, and of
+// which only one has a tracer: EstimateBestSite at every split, nextRemote
+// with every tried mask, then ExecuteResilient of the best full offload (or
+// of on-board execution when no site is feasible) under the default
+// policy, with each site failing its submissions one virtual second in
+// three so that the ladder retries and falls back. The estimates, the
+// outcomes, the path adjuster calls (in order) and the rendered registries
+// must be equal: a tracer observes the search, it does not change it.
+func TestTracingDoesNotSteer(t *testing.T) {
+	type twin struct {
+		eng *Engine
+		reg *telemetry.Registry
+		log []adjusterCall
+	}
+	mob, plainWorlds := remoteWorlds(t)
+	_, tracedWorlds := remoteWorlds(t)
+	dags := remoteDAGs(t)
+	pol := DefaultPolicy()
+	newTwin := func(w remoteWorld, tr *trace.Tracer) *twin {
+		tw := &twin{reg: telemetry.NewRegistry(), log: []adjusterCall{}}
+		sc := obs.Scope{Metrics: tw.reg, Tracer: tr}
+		dsf := newDSF(t)
+		dsf.Instrument(sc)
+		eng, err := NewEngine(dsf, mob, w.sites)
+		if err != nil {
+			t.Fatal(err)
+		}
+		eng.Instrument(sc)
+		eng.SetBandwidthBudget(w.budget)
+		eng.SetPathAdjuster(loggedAdjuster(&tw.log, w.degrade))
+		eng.SetResilience(&pol)
+		for si, s := range w.sites {
+			s.SetFaultInjector(func(now time.Duration) error {
+				if (int(now/time.Second)+si)%3 == 0 {
+					return fmt.Errorf("injected fault at %v", now)
+				}
+				return nil
+			})
+		}
+		tw.eng = eng
+		return tw
+	}
+	fallbacks, spans := 0, 0
+	for wi, w := range plainWorlds {
+		tr := trace.New()
+		plain, traced := newTwin(w, nil), newTwin(tracedWorlds[wi], tr)
+		tried := make([]bool, len(w.sites))
+		for i, d := range dags {
+			now := time.Duration(i) * 1900 * time.Millisecond
+			what := fmt.Sprintf("%s: %s at %v", w.name, d.Name, now)
+			for split := -1; split <= len(d.Tasks); split++ {
+				got, want := traced.eng.EstimateBestSite(d, split, now), plain.eng.EstimateBestSite(d, split, now)
+				if got != want {
+					t.Fatalf("%s, split %d: traced\n %+v\nuntraced\n %+v", what, split, got, want)
+				}
+			}
+			for mask := 0; mask < 1<<len(w.sites); mask++ {
+				for si := range tried {
+					tried[si] = mask&(1<<si) != 0
+				}
+				got, gotOK := traced.eng.nextRemote(d, now, tried)
+				want, wantOK := plain.eng.nextRemote(d, now, tried)
+				if got != want || gotOK != wantOK {
+					t.Fatalf("%s, tried %b: traced\n %+v, %v\nuntraced\n %+v, %v", what, mask, got, gotOK, want, wantOK)
+				}
+			}
+			chosen := func(e *Engine) Estimate {
+				if est := e.EstimateBestSite(d, 0, now); est.Feasible {
+					return est
+				}
+				return e.EstimateOnboard(d, now)
+			}
+			gotEst, wantEst := chosen(traced.eng), chosen(plain.eng)
+			if gotEst != wantEst {
+				t.Fatalf("%s: chosen traced\n %+v\nuntraced\n %+v", what, gotEst, wantEst)
+			}
+			deadline := now + 2*time.Second
+			gotDone, gotOut, gotErr := traced.eng.ExecuteResilient(d, gotEst, now, deadline)
+			wantDone, wantOut, wantErr := plain.eng.ExecuteResilient(d, wantEst, now, deadline)
+			if gotDone != wantDone || gotOut != wantOut || fmt.Sprint(gotErr) != fmt.Sprint(wantErr) {
+				t.Fatalf("%s: resilient traced\n %v, %+v, %v\nuntraced\n %v, %+v, %v",
+					what, gotDone, gotOut, gotErr, wantDone, wantOut, wantErr)
+			}
+			fallbacks += wantOut.Fallbacks
+			if !reflect.DeepEqual(traced.log, plain.log) {
+				t.Fatalf("%s: adjuster calls traced\n %v\nuntraced\n %v", what, traced.log, plain.log)
+			}
+			traced.log, plain.log = traced.log[:0], plain.log[:0]
+			if got, want := traced.reg.Render(), plain.reg.Render(); got != want {
+				t.Fatalf("%s: registries differ\n%s", what, lineDiff(got, want))
+			}
+		}
+		spans += tr.SpanCount()
+	}
+	t.Logf("%d fallbacks, %d spans", fallbacks, spans)
+	if fallbacks == 0 || spans == 0 {
+		t.Errorf("%d fallbacks and %d spans across the traced worlds", fallbacks, spans)
+	}
+}
+
+// lineDiff lists the lines of got and want that differ, position by
+// position, as "-want" / "+got" pairs.
+func lineDiff(got, want string) string {
+	g, w := strings.Split(got, "\n"), strings.Split(want, "\n")
+	var b strings.Builder
+	for i := 0; i < max(len(g), len(w)); i++ {
+		var gl, wl string
+		if i < len(g) {
+			gl = g[i]
+		}
+		if i < len(w) {
+			wl = w[i]
+		}
+		if gl != wl {
+			fmt.Fprintf(&b, "-%s\n+%s\n", wl, gl)
+		}
+	}
+	return b.String()
 }
 
 // FuzzNextRemoteMatchesReference holds the next-site search to
@@ -509,7 +671,10 @@ func TestNextRemoteMatchesReference(t *testing.T) {
 // road) are the bytes of coverage, then the cloud; the vehicle at posM
 // metres; per-site outage (down) and degrade bits, bit 7 of degrade making
 // every link invalid; the tried mask; a budget in bytes (0: none); the
-// library DAG dag picks; and a tracer or none.
+// library DAG dag picks; and a tracer or none. A traced search must also
+// match the same search on an untraced twin world, answer and adjuster
+// calls alike, and render exactly the EstimateSite spans of the sites that
+// search estimates (estimatedSites at split 0).
 func FuzzNextRemoteMatchesReference(f *testing.F) {
 	f.Add(uint64(0x3c32_2814_1e0a_3c05), uint16(500), uint8(0), uint8(0), uint8(0), uint32(0), uint8(0), false)
 	f.Add(uint64(0x3c32_3c32_1e0a_1e0a), uint16(420), uint8(0), uint8(0b1), uint8(0b100), uint32(0), uint8(1), false)
@@ -526,72 +691,90 @@ func FuzzNextRemoteMatchesReference(f *testing.F) {
 		f.Fatal(err)
 	}
 	f.Fuzz(func(t *testing.T, coverage uint64, posM uint16, down, degrade, tried uint8, budget uint32, dag uint8, traced bool) {
-		m, err := vcu.DefaultVCU()
-		if err != nil {
-			t.Fatal(err)
-		}
-		dsf, err := vcu.NewDSF(m, vcu.GreedyEFT{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		sites := make([]*xedge.Site, 0, 5)
-		for i := 0; i < 4; i++ {
-			c := coverage >> (16 * i)
-			s, err := xedge.NewRSU(geo.Station{ID: fmt.Sprintf("r%d", i), Kind: geo.RSU,
-				Pos: geo.Point{X: float64(c&0xff) * 40, Y: 20}, Radius: float64(c>>8&0xff) * 10})
-			if err != nil {
-				t.Fatal(err)
-			}
-			sites = append(sites, s)
-		}
-		cl, err := xedge.NewCloud()
-		if err != nil {
-			t.Fatal(err)
-		}
-		sites = append(sites, cl)
-		triedSlice := make([]bool, len(sites))
-		byName := map[string]bool{}
-		for i, s := range sites {
-			s.SetAvailable(down&(1<<i) == 0)
-			triedSlice[i] = tried&(1<<i) != 0
-			byName[s.Name()] = triedSlice[i]
-		}
 		// The vehicle drives at 20 m/s, so it is at posM metres at posM/20 s.
 		mob := geo.Mobility{Road: road, SpeedMS: 20}
 		now := time.Duration(posM) * time.Second / 20
-		eng, err := NewEngine(dsf, mob, sites)
-		if err != nil {
-			t.Fatal(err)
-		}
-		eng.SetBandwidthBudget(float64(budget))
-		var log []adjusterCall
-		eng.SetPathAdjuster(func(dest string, p network.Path, at time.Duration) network.Path {
-			log = append(log, adjusterCall{dest, at})
-			loss := -1.0
-			if degrade&0x80 != 0 {
-				loss = 1
-			}
-			for i, s := range sites {
-				if s.Name() == dest && degrade&(1<<i) != 0 && loss < 0 {
-					loss = 0.6
+		// build makes the fuzzed world afresh, so two calls give twins; its
+		// path adjuster appends each call to *log.
+		build := func(log *[]adjusterCall) *Engine {
+			sites := make([]*xedge.Site, 0, 5)
+			for i := 0; i < 4; i++ {
+				c := coverage >> (16 * i)
+				s, err := xedge.NewRSU(geo.Station{ID: fmt.Sprintf("r%d", i), Kind: geo.RSU,
+					Pos: geo.Point{X: float64(c&0xff) * 40, Y: 20}, Radius: float64(c>>8&0xff) * 10})
+				if err != nil {
+					t.Fatal(err)
 				}
+				sites = append(sites, s)
 			}
-			if loss < 0 {
-				return p
+			cl, err := xedge.NewCloud()
+			if err != nil {
+				t.Fatal(err)
 			}
-			adj := network.Path{Name: p.Name, Links: append([]network.LinkSpec(nil), p.Links...)}
-			for i := range adj.Links {
-				adj.Links[i].BaseLoss = loss
+			sites = append(sites, cl)
+			for i, s := range sites {
+				s.SetAvailable(down&(1<<i) == 0)
 			}
-			return adj
-		})
+			eng, err := NewEngine(newDSF(t), mob, sites)
+			if err != nil {
+				t.Fatal(err)
+			}
+			eng.SetBandwidthBudget(float64(budget))
+			eng.SetPathAdjuster(func(dest string, p network.Path, at time.Duration) network.Path {
+				*log = append(*log, adjusterCall{dest, at})
+				loss := -1.0
+				if degrade&0x80 != 0 {
+					loss = 1
+				}
+				for i, s := range sites {
+					if s.Name() == dest && degrade&(1<<i) != 0 && loss < 0 {
+						loss = 0.6
+					}
+				}
+				if loss < 0 {
+					return p
+				}
+				adj := network.Path{Name: p.Name, Links: append([]network.LinkSpec(nil), p.Links...)}
+				for i := range adj.Links {
+					adj.Links[i].BaseLoss = loss
+				}
+				return adj
+			})
+			return eng
+		}
+		var log []adjusterCall
+		eng := build(&log)
+		triedSlice := make([]bool, len(eng.sites))
+		byName := map[string]bool{}
+		for i, s := range eng.sites {
+			triedSlice[i] = tried&(1<<i) != 0
+			byName[s.Name()] = triedSlice[i]
+		}
+		tr := trace.New()
 		if traced {
-			eng.Instrument(obs.Scope{Tracer: trace.New()})
+			eng.Instrument(obs.Scope{Tracer: tr})
 		}
 		d := dags[int(dag)%len(dags)]
 		got, gotOK := eng.nextRemote(d, now, triedSlice)
 		gotLog := log
 		log = nil
+		if traced {
+			var twinLog []adjusterCall
+			twin := build(&twinLog)
+			plain, plainOK := twin.nextRemote(d, now, triedSlice)
+			if got != plain || gotOK != plainOK || !reflect.DeepEqual(gotLog, twinLog) {
+				t.Fatalf("traced %+v, %v, adjuster calls %v\nuntraced %+v, %v, adjuster calls %v",
+					got, gotOK, gotLog, plain, plainOK, twinLog)
+			}
+			each := trace.New()
+			twin.Instrument(obs.Scope{Tracer: each})
+			for _, s := range estimatedSites(twin, d, 0, now) {
+				twin.EstimateSite(d, s, 0, now)
+			}
+			if got, want := tr.RenderTree(), each.RenderTree(); got != want {
+				t.Fatalf("spans\n got %s\nwant %s", got, want)
+			}
+		}
 		want, wantOK := eng.naiveNextRemote(d, now, byName)
 		if got != want || gotOK != wantOK {
 			t.Fatalf("got %+v, %v\nwant %+v, %v", got, gotOK, want, wantOK)

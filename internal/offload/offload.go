@@ -593,10 +593,10 @@ func (e *Engine) estimateSite(est *Estimate, call *splitCall, si int, site *xedg
 // site's infeasible estimate, or Reason "no sites" without any site.
 //
 // The site-independent work is done once for all sites (see splitCall).
-// Only a feasible estimate or the first site's can be the answer, so
-// without a tracer a site after the first that the call rules out, or that
-// does not cover the vehicle, is skipped unestimated; with one, every site
-// is estimated, for its span.
+// Only a feasible estimate or the first site's can be the answer, so a site
+// after the first that the call rules out, or that does not cover the
+// vehicle, is skipped unestimated, and a tracer sees a span only for each
+// site that is estimated.
 func (e *Engine) EstimateBestSite(dag *tasks.DAG, splitAfter int, now time.Duration) Estimate {
 	call := e.newSplitCall(dag, splitAfter, now)
 	return e.bestSite(&call, nil)
@@ -606,17 +606,18 @@ func (e *Engine) EstimateBestSite(dag *tasks.DAG, splitAfter int, now time.Durat
 // resilient fallback (nextRemote): the first strict minimum of Total among
 // the feasible estimates of sites that tried (indexed like e.sites; nil
 // marks none) does not mark, else the first estimated site's estimate,
-// else Reason "no sites". A marked site is still estimated, so that a path
-// adjuster sees every covered site whichever of them the caller has tried.
+// else Reason "no sites". A site after the first is estimated only when
+// the split is valid and the site covers the vehicle, traced or not; a
+// marked one is still estimated, so that a path adjuster sees every
+// covered site whichever of them the caller has tried.
 func (e *Engine) bestSite(call *splitCall, tried []bool) Estimate {
 	// Two slots: each site is estimated into cand, and a better candidate
 	// swaps slots with best instead of being copied.
 	var slots [2]Estimate
 	best, cand := &slots[0], &slots[1]
 	best.Reason = "no sites"
-	traced := e.scope.Tracer.Enabled()
 	for si, site := range e.sites {
-		if si > 0 && !traced && (call.reason != "" || !site.Reachable(call.pos)) {
+		if si > 0 && (call.reason != "" || !site.Reachable(call.pos)) {
 			continue
 		}
 		e.estimateSite(cand, call, si, site)

@@ -367,18 +367,13 @@ func (e *Engine) tryRemote(dag *tasks.DAG, site *xedge.Site, cand Estimate, t *t
 // nextRemote picks the best feasible remote destination that tried does
 // not mark, at t: a full offload's first strict minimum of Total, as a
 // stable sort of every destination would rank it. The search is
-// EstimateBestSite's (bestSite), so when nothing traces, sites that do not
-// cover the vehicle are skipped unestimated and on-board execution is not
-// estimated at all (the ladder's on-board rung estimates it afresh). A
-// traced search estimates every destination, on board first, so it renders
-// the spans Estimates would.
+// EstimateBestSite's (bestSite), traced or not: sites after the first that
+// do not cover the vehicle are skipped unestimated, and on-board execution
+// is not estimated at all (the ladder's on-board rung estimates it afresh).
 func (e *Engine) nextRemote(dag *tasks.DAG, t time.Duration, tried []bool) (Estimate, bool) {
 	call := e.newSplitCall(dag, 0, t)
 	if call.c.Err() != nil {
 		return Estimate{}, false
-	}
-	if e.scope.Tracer.Enabled() {
-		e.EstimateOnboard(dag, t)
 	}
 	if best := e.bestSite(&call, tried); best.Feasible {
 		return best, true
