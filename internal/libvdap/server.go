@@ -261,16 +261,19 @@ func (s *Server) routes() {
 
 // admit takes one admission slot, or sheds the request with 503 +
 // Retry-After when the run-lock backlog is full (the simulation is lagging
-// behind offered load). The caller must release() on true.
-func (s *Server) admit(w http.ResponseWriter) (release func(), ok bool) {
+// behind offered load). The caller must call release on true.
+func (s *Server) admit(w http.ResponseWriter) bool {
 	select {
 	case s.simGate <- struct{}{}:
-		return func() { <-s.simGate }, true
+		return true
 	default:
 		s.shed(w)
-		return nil, false
+		return false
 	}
 }
+
+// release frees the admission slot a successful admit took.
+func (s *Server) release() { <-s.simGate }
 
 // shed rejects a request the serving tier cannot absorb right now.
 func (s *Server) shed(w http.ResponseWriter) {
@@ -284,11 +287,10 @@ func (s *Server) shed(w http.ResponseWriter) {
 // admission, then the exclusive run lock.
 func (s *Server) locked(h http.HandlerFunc) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
-		release, ok := s.admit(w)
-		if !ok {
+		if !s.admit(w) {
 			return
 		}
-		defer release()
+		defer s.release()
 		s.simMu.Lock()
 		defer s.simMu.Unlock()
 		h(w, r)
@@ -300,11 +302,10 @@ func (s *Server) locked(h http.HandlerFunc) http.HandlerFunc {
 // readers, exclusive against Advance and mutating handlers).
 func (s *Server) lockedRead(h http.HandlerFunc) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
-		release, ok := s.admit(w)
-		if !ok {
+		if !s.admit(w) {
 			return
 		}
-		defer release()
+		defer s.release()
 		s.simMu.RLock()
 		defer s.simMu.RUnlock()
 		h(w, r)

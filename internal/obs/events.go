@@ -71,9 +71,10 @@ func (s *Severity) UnmarshalJSON(b []byte) error {
 	return nil
 }
 
-// Field is one key-value annotation on an event. Values are pre-rendered to
-// strings so emission is allocation-light and export deterministic (same
-// scheme as trace.Attr).
+// Field is one key-value annotation on an event. Values are rendered to
+// strings when the field is built, so an event is stored and exported as
+// it was emitted. (A trace.Attr keeps its raw value instead and is
+// rendered at export.)
 type Field struct {
 	Key   string `json:"k"`
 	Value string `json:"v"`

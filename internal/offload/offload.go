@@ -246,13 +246,15 @@ func (e *Engine) lane(kind xedge.SiteKind) *siteLane {
 	return &e.m.xedgeLane
 }
 
-// siteComponent maps a destination kind to its trace component lane:
-// `cloud` for the remote tier, `xedge` for every edge-side site.
-func siteComponent(kind xedge.SiteKind) string {
+// siteComponent maps a destination kind to its trace component lane and
+// that lane's execution and per-task span names: `cloud` for the remote
+// tier, `xedge` for every edge-side site. The names are constants, so a
+// traced estimate or submit concatenates nothing.
+func siteComponent(kind xedge.SiteKind) (comp, exec, task string) {
 	if kind == xedge.CloudSite {
-		return "cloud"
+		return "cloud", "cloud.exec", "cloud.task"
 	}
-	return "xedge"
+	return "xedge", "xedge.exec", "xedge.task"
 }
 
 // SetBandwidthBudget caps total uplink bytes Execute may spend. Zero or
@@ -555,8 +557,8 @@ func (e *Engine) estimateSite(est *Estimate, call *splitCall, si int, site *xedg
 	}
 	est.Compute += remoteDone - computeStart
 	if e.scope.Tracer.Enabled() {
-		comp := siteComponent(site.Kind())
-		e.scope.Tracer.SpanAt(comp, comp+".exec", computeStart, remoteDone,
+		comp, exec, _ := siteComponent(site.Kind())
+		e.scope.Tracer.SpanAt(comp, exec, computeStart, remoteDone,
 			trace.String("site", site.Name()), trace.Int("tasks", len(remote)))
 	}
 
@@ -804,7 +806,7 @@ func (e *Engine) execute(dag *tasks.DAG, est Estimate, now time.Duration) (time.
 	}
 	e.meter.RecordTransfer(path, est.BytesSent, network.Uplink, est.Uplink)
 	now += est.Uplink
-	comp := siteComponent(site.Kind())
+	comp, _, task := siteComponent(site.Kind())
 	ln := e.lane(site.Kind())
 	finish := e.finishScratch(len(order))
 	var last time.Duration = now
@@ -829,7 +831,7 @@ func (e *Engine) execute(dag *tasks.DAG, est Estimate, now time.Duration) (time.
 			downBytes += t.OutputBytes
 		}
 		if e.scope.Tracer.Enabled() {
-			e.scope.Tracer.SpanAt(comp, comp+".task", start, done,
+			e.scope.Tracer.SpanAt(comp, task, start, done,
 				trace.String("task", t.ID), trace.String("site", site.Name()),
 				trace.Dur("queue_wait", start-ready))
 		}

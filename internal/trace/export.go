@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"sort"
+	"strconv"
 	"strings"
 	"time"
 )
@@ -21,21 +22,14 @@ func (t *Tracer) RenderTree() string {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	var b strings.Builder
-	var walk func(s *Span, depth int)
-	walk = func(s *Span, depth int) {
+	t.walkLocked(func(s *Span, depth int) {
 		b.WriteString(strings.Repeat("  ", depth))
 		fmt.Fprintf(&b, "[%s] %s %v..%v (+%v)", s.Component, s.Name, s.Start, s.End, s.End-s.Start)
-		for _, a := range s.Attrs {
-			fmt.Fprintf(&b, " %s=%s", a.Key, a.Value)
+		for _, a := range s.Attrs() {
+			fmt.Fprintf(&b, " %s=%s", a.Key, a.Value())
 		}
 		b.WriteByte('\n')
-		for _, c := range s.Children {
-			walk(c, depth+1)
-		}
-	}
-	for _, r := range t.roots {
-		walk(r, 0)
-	}
+	})
 	if t.dropped > 0 {
 		fmt.Fprintf(&b, "(%d spans dropped at cap)\n", t.dropped)
 	}
@@ -78,16 +72,7 @@ func (t *Tracer) ChromeTrace() ([]byte, error) {
 	defer t.mu.Unlock()
 
 	lanes := map[string]int{}
-	var collect func(s *Span)
-	collect = func(s *Span) {
-		lanes[s.Component] = 0
-		for _, c := range s.Children {
-			collect(c)
-		}
-	}
-	for _, r := range t.roots {
-		collect(r)
-	}
+	t.walkLocked(func(s *Span, _ int) { lanes[s.Component] = 0 })
 	for i, name := range sortedKeys(lanes) {
 		lanes[name] = i + 1
 	}
@@ -106,8 +91,7 @@ func (t *Tracer) ChromeTrace() ([]byte, error) {
 		})
 	}
 
-	var emit func(s *Span)
-	emit = func(s *Span) {
+	t.walkLocked(func(s *Span, _ int) {
 		dur := micros(s.End - s.Start)
 		ev := chromeEvent{
 			Name: s.Name,
@@ -117,22 +101,16 @@ func (t *Tracer) ChromeTrace() ([]byte, error) {
 			Dur:  &dur,
 			PID:  1,
 			TID:  lanes[s.Component],
-			Args: map[string]string{"span": fmt.Sprintf("%d", s.id)},
+			Args: map[string]string{"span": strconv.Itoa(s.ID())},
 		}
-		if s.Parent != nil {
-			ev.Args["parent"] = fmt.Sprintf("%d", s.Parent.id)
+		if p := s.Parent(); p != nil {
+			ev.Args["parent"] = strconv.Itoa(p.ID())
 		}
-		for _, a := range s.Attrs {
-			ev.Args[a.Key] = a.Value
+		for _, a := range s.Attrs() {
+			ev.Args[a.Key] = a.Value()
 		}
 		file.TraceEvents = append(file.TraceEvents, ev)
-		for _, c := range s.Children {
-			emit(c)
-		}
-	}
-	for _, r := range t.roots {
-		emit(r)
-	}
+	})
 	return json.MarshalIndent(file, "", " ")
 }
 

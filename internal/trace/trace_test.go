@@ -19,6 +19,15 @@ func buildSample() *Tracer {
 	return tr
 }
 
+// children lists a span's children in creation order.
+func children(s *Span) []*Span {
+	var out []*Span
+	for c := s.FirstChild(); c != nil; c = c.NextSibling() {
+		out = append(out, c)
+	}
+	return out
+}
+
 func TestSpanTreeStructure(t *testing.T) {
 	tr := buildSample()
 
@@ -27,20 +36,20 @@ func TestSpanTreeStructure(t *testing.T) {
 		t.Fatalf("roots = %d, want 1", len(roots))
 	}
 	root := roots[0]
-	if root.Name != "edgeos.invoke" || root.Parent != nil {
+	if root.Name != "edgeos.invoke" || root.Parent() != nil {
 		t.Fatalf("bad root: %+v", root)
 	}
-	if len(root.Children) != 1 {
-		t.Fatalf("root children = %d, want 1", len(root.Children))
+	if len(children(root)) != 1 {
+		t.Fatalf("root children = %d, want 1", len(children(root)))
 	}
-	exec := root.Children[0]
-	if exec.Name != "offload.execute" || exec.Parent != root {
+	exec := children(root)[0]
+	if exec.Name != "offload.execute" || exec.Parent() != root {
 		t.Fatalf("bad child: %+v", exec)
 	}
-	if len(exec.Children) != 2 {
-		t.Fatalf("execute children = %d, want 2", len(exec.Children))
+	if len(children(exec)) != 2 {
+		t.Fatalf("execute children = %d, want 2", len(children(exec)))
 	}
-	up, xe := exec.Children[0], exec.Children[1]
+	up, xe := children(exec)[0], children(exec)[1]
 	if up.Name != "network.uplink" || xe.Name != "xedge.exec" {
 		t.Fatalf("leaf order: %s, %s", up.Name, xe.Name)
 	}
@@ -155,8 +164,8 @@ func TestOutOfOrderFinishUnwindsStack(t *testing.T) {
 	a.FinishAt(time.Second) // finishes before b: b must not become a's sibling's child
 	b.FinishAt(2 * time.Second)
 	leaf := tr.SpanAt("c", "later", 0, 0)
-	if leaf.Parent != nil {
-		t.Fatalf("later span should be a root after stack unwound, got parent %v", leaf.Parent.Name)
+	if leaf.Parent() != nil {
+		t.Fatalf("later span should be a root after stack unwound, got parent %v", leaf.Parent().Name)
 	}
 }
 
@@ -207,10 +216,10 @@ func TestTracerMerge(t *testing.T) {
 	if len(roots) != 3 {
 		t.Fatalf("merged roots = %d, want 3", len(roots))
 	}
-	if roots[1].Attrs[0].Value != "a" || roots[2].Attrs[0].Value != "b" {
+	if roots[1].Attrs()[0].Value() != "a" || roots[2].Attrs()[0].Value() != "b" {
 		t.Fatal("merge did not preserve index order")
 	}
-	if roots[1].Children[0].Name != "decide" {
+	if roots[1].FirstChild().Name != "decide" {
 		t.Fatal("merge dropped child spans")
 	}
 	// IDs renumbered in walk order.
@@ -254,5 +263,43 @@ func TestTracerMergeRespectsCap(t *testing.T) {
 	}
 	if got := dst.Dropped(); got != 13 {
 		t.Fatalf("dropped = %d, want 13", got)
+	}
+}
+
+// TestSpanRecordingAllocs pins recording at zero allocations: a recorded
+// span carrying all five attribute kinds, averaged over four slabs (the
+// slab and arena-chunk allocations amortise to nothing per span), a span
+// dropped at the cap, and a call on a nil tracer.
+func TestSpanRecordingAllocs(t *testing.T) {
+	i := 0
+	record := func(tr *Tracer) func() {
+		return func() {
+			at := time.Duration(i)
+			s := tr.StartSpanAt("offload", "offload.estimate", at,
+				String("dest", "xedge-1"), Int("split", i), F64("bytes", 1024.5),
+				Dur("queue_wait", at), Bool("feasible", i%2 == 0))
+			tr.SpanAt("network", "network.uplink", at, at+1, F64("loss", 0.25))
+			s.SetAttr(Int("tasks", 3))
+			s.FinishAt(at + 2)
+			i++
+		}
+	}
+	tr := New()
+	if got := testing.AllocsPerRun(2*slabSize, record(tr)); got != 0 {
+		t.Errorf("recorded span: %.0f allocs, want 0", got)
+	}
+	if n := tr.SpanCount(); n <= 3*slabSize {
+		t.Fatalf("recorded %d spans, want them to fill more than three slabs", n)
+	}
+	full := New()
+	full.SetSpanLimit(1)
+	if got := testing.AllocsPerRun(100, record(full)); got != 0 {
+		t.Errorf("span dropped at the cap: %.0f allocs, want 0", got)
+	}
+	if full.Dropped() == 0 {
+		t.Fatal("no span was dropped")
+	}
+	if got := testing.AllocsPerRun(100, record(nil)); got != 0 {
+		t.Errorf("nil tracer: %.0f allocs, want 0", got)
 	}
 }
