@@ -216,10 +216,8 @@ func (d *DDI) Upload(now time.Duration, source Source, x, y float64, payload []b
 	rec.ID = id
 	d.cache.Put(rec, now)
 	d.uploads++
-	if d.scope.Tracer.Enabled() {
-		d.scope.Tracer.SpanAt("ddi", "ddi.upload", now, now,
-			trace.String("source", string(source)), trace.Int("bytes", rec.SizeBytes()))
-	}
+	d.scope.Tracer.SpanAt("ddi", "ddi.upload", now, now,
+		trace.String("source", string(source)), trace.Int("bytes", rec.SizeBytes()))
 	d.m.uploads.Inc()
 	d.m.bytesStored.Add(float64(rec.SizeBytes()))
 	return rec, nil
@@ -232,10 +230,8 @@ func (d *DDI) DownloadByID(now time.Duration, id uint64) (Record, time.Duration,
 	d.downloads++
 	d.m.downloads.Inc()
 	if rec, ok := d.cache.Get(id, now); ok {
-		if d.scope.Tracer.Enabled() {
-			d.scope.Tracer.SpanAt("ddi", "ddi.get", now, now+memHitLatency,
-				trace.String("tier", "mem"))
-		}
+		d.scope.Tracer.SpanAt("ddi", "ddi.get", now, now+memHitLatency,
+			trace.String("tier", "mem"))
 		d.m.readMS.ObserveDuration(memHitLatency)
 		return rec, memHitLatency, nil
 	}
@@ -248,10 +244,8 @@ func (d *DDI) DownloadByID(now time.Duration, id uint64) (Record, time.Duration,
 		return Record{}, 0, err
 	}
 	d.cache.Put(rec, now) // promote
-	if d.scope.Tracer.Enabled() {
-		d.scope.Tracer.SpanAt("ddi", "ddi.get", now, now+memHitLatency+readTime,
-			trace.String("tier", "disk"), trace.Int("bytes", rec.SizeBytes()))
-	}
+	d.scope.Tracer.SpanAt("ddi", "ddi.get", now, now+memHitLatency+readTime,
+		trace.String("tier", "disk"), trace.Int("bytes", rec.SizeBytes()))
 	d.m.diskReads.Inc()
 	d.m.readMS.ObserveDuration(memHitLatency + readTime)
 	d.m.diskReadMS.ObserveDuration(readTime)
@@ -281,10 +275,8 @@ func (d *DDI) Download(now time.Duration, q Query) ([]Record, time.Duration, err
 	if err != nil {
 		return nil, 0, err
 	}
-	if d.scope.Tracer.Enabled() {
-		d.scope.Tracer.SpanAt("ddi", "ddi.query", now, now+latency,
-			trace.Int("records", len(recs)), trace.F64("bytes", bytes))
-	}
+	d.scope.Tracer.SpanAt("ddi", "ddi.query", now, now+latency,
+		trace.Int("records", len(recs)), trace.F64("bytes", bytes))
 	d.m.downloads.Inc()
 	d.m.diskReads.Inc()
 	d.m.readMS.ObserveDuration(latency)
@@ -309,11 +301,9 @@ func (d *DDI) Aggregate(now time.Duration, q Query, col Column) (Agg, PlanStats,
 	if err != nil {
 		return Agg{}, PlanStats{}, 0, err
 	}
-	if d.scope.Tracer.Enabled() {
-		d.scope.Tracer.SpanAt("ddi", "ddi.aggregate", now, now+latency,
-			trace.String("column", col.String()), trace.Int("count", agg.Count),
-			trace.Int("pruned", stats.Pruned), trace.Int("rows_scanned", stats.RowsScanned))
-	}
+	d.scope.Tracer.SpanAt("ddi", "ddi.aggregate", now, now+latency,
+		trace.String("column", col.String()), trace.Int("count", agg.Count),
+		trace.Int("pruned", stats.Pruned), trace.Int("rows_scanned", stats.RowsScanned))
 	d.m.aggregates.Inc()
 	d.m.readMS.ObserveDuration(latency)
 	return agg, stats, latency, nil

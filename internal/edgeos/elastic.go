@@ -216,11 +216,8 @@ func (m *ElasticManager) evaluate(s *Service, p Pipeline, now time.Duration) Cho
 // candidate exists. The returned slice is the manager's scratch, valid
 // until this manager's next Choose or PrepareInvoke.
 func (m *ElasticManager) Choose(name string, now time.Duration) (Choice, []Choice, bool, error) {
-	var span *trace.Span
-	if m.scope.Tracer.Enabled() {
-		span = m.scope.Tracer.StartSpanAt("edgeos", "edgeos.choose", now,
-			trace.String("service", name))
-	}
+	span := m.scope.Tracer.StartSpanAt("edgeos", "edgeos.choose", now,
+		trace.String("service", name))
 	defer span.FinishAt(now)
 	s, err := m.Service(name)
 	if err != nil {
@@ -325,10 +322,8 @@ func (p *PreparedInvocation) Err() error { return p.err }
 func (m *ElasticManager) PrepareInvoke(name string, now time.Duration) *PreparedInvocation {
 	p := &m.prep
 	*p = PreparedInvocation{m: m, name: name, now: now}
-	if m.scope.Tracer.Enabled() {
-		p.span = m.scope.Tracer.StartSpanAt("edgeos", "edgeos.invoke", now,
-			trace.String("service", name))
-	}
+	p.span = m.scope.Tracer.StartSpanAt("edgeos", "edgeos.invoke", now,
+		trace.String("service", name))
 	s, err := m.Service(name)
 	if err != nil {
 		p.failPrepare(err)

@@ -426,23 +426,17 @@ func (in *Injector) siteDown(s *xedge.Site, w Window) {
 	if sc := in.siteCounters(s.Name()); sc != nil {
 		sc.outage.Inc()
 	}
-	if in.scope.Tracer.Enabled() {
-		in.scope.Tracer.SpanAt("faults", "faults.outage", w.From, w.To,
-			trace.String("site", s.Name()), trace.Dur("length", w.To-w.From))
-	}
-	if in.scope.Events.Enabled() {
-		in.scope.Events.Emit(w.From, "faults", obs.SevWarn, "outage.begin",
-			obs.String("site", s.Name()), obs.Dur("length", w.To-w.From))
-	}
+	in.scope.Tracer.SpanAt("faults", "faults.outage", w.From, w.To,
+		trace.String("site", s.Name()), trace.Dur("length", w.To-w.From))
+	in.scope.Events.Emit(w.From, "faults", obs.SevWarn, "outage.begin",
+		trace.String("site", s.Name()), trace.Dur("length", w.To-w.From))
 }
 
 func (in *Injector) siteUp(s *xedge.Site, at time.Duration) {
 	s.SetAvailable(true)
 	in.m.siteUp.Inc()
-	if in.scope.Events.Enabled() {
-		in.scope.Events.Emit(at, "faults", obs.SevInfo, "outage.end",
-			obs.String("site", s.Name()))
-	}
+	in.scope.Events.Emit(at, "faults", obs.SevInfo, "outage.end",
+		trace.String("site", s.Name()))
 }
 
 // AdjustPath implements offload.PathAdjuster: inside a degradation

@@ -261,10 +261,8 @@ func (f *Fleet) shardedInvokeAll(service string, now time.Duration, tolerant boo
 			offloads++
 		}
 	}
-	if rec := f.lanes[0].Events; rec.Enabled() {
-		rec.Emit(now, "fleet", obs.SevDebug, "commit.begin",
-			obs.Int("offloads", offloads))
-	}
+	f.lanes[0].Events.Emit(now, "fleet", obs.SevDebug, "commit.begin",
+		trace.Int("offloads", offloads))
 	for i, p := range f.prepBuf {
 		if p == nil {
 			continue
@@ -272,10 +270,8 @@ func (f *Fleet) shardedInvokeAll(service string, now time.Duration, tolerant boo
 		f.prepBuf[i] = nil
 		f.resBuf[i], f.errBuf[i] = f.vehicles[i].Manager.CommitInvoke(p)
 	}
-	if rec := f.lanes[0].Events; rec.Enabled() {
-		rec.Emit(now, "fleet", obs.SevDebug, "commit.end",
-			obs.Int("committed", offloads))
-	}
+	f.lanes[0].Events.Emit(now, "fleet", obs.SevDebug, "commit.end",
+		trace.Int("committed", offloads))
 
 	if !tolerant {
 		for i, v := range f.vehicles {

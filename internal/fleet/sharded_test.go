@@ -710,7 +710,11 @@ func TestLateFlightRecorderLogsBreakerTransitions(t *testing.T) {
 		var out []string
 		for _, ev := range f.MergedFlightRecorder().Events() {
 			if strings.HasPrefix(ev.Name, "breaker.") {
-				out = append(out, fmt.Sprint(ev.At, ev.Name, ev.Fields))
+				line := fmt.Sprint(ev.At, " ", ev.Name)
+				for _, f := range ev.Fields {
+					line += " " + f.Key + "=" + f.Value()
+				}
+				out = append(out, line)
 			}
 		}
 		return out

@@ -8,6 +8,7 @@ import (
 	"sync"
 
 	"repro/internal/obs"
+	"repro/internal/trace"
 )
 
 // lifecycle is the server's drain state: a draining flag guarded by an
@@ -119,14 +120,12 @@ func (s *Server) recoverPanic(w http.ResponseWriter, r *http.Request) {
 	}
 	s.panicsTotal.Add(1)
 	s.panicsCtr.Inc()
-	if s.scope.Events != nil {
-		s.scope.Events.Emit(s.clock(), "libvdap", obs.SevError, "handler panic",
-			obs.String("method", r.Method),
-			obs.String("path", r.URL.Path),
-			obs.String("panic", fmt.Sprint(rec)),
-			obs.String("stack", string(debug.Stack())),
-		)
-	}
+	s.scope.Events.Emit(s.clock(), "libvdap", obs.SevError, "handler panic",
+		trace.String("method", r.Method),
+		trace.String("path", r.URL.Path),
+		trace.String("panic", fmt.Sprint(rec)),
+		trace.String("stack", string(debug.Stack())),
+	)
 	// Best effort: if the handler already wrote headers this writes into
 	// the body, but the common case (panic before any write) gets a clean
 	// JSON 500.

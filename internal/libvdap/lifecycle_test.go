@@ -195,7 +195,7 @@ func TestPanicRecoveryMiddleware(t *testing.T) {
 		if ev.Name == "handler panic" {
 			found = true
 			for _, f := range ev.Fields {
-				if f.Key == "stack" && f.Value == "" {
+				if f.Key == "stack" && f.Value() == "" {
 					t.Error("panic event has an empty stack field")
 				}
 			}

@@ -67,7 +67,7 @@ func TestSeriesEndpoint(t *testing.T) {
 func TestEventsEndpointFilters(t *testing.T) {
 	_, client, _, rec, _ := newObsServer(t)
 	rec.Emit(10*time.Millisecond, "offload", obs.SevInfo, "breaker.closed")
-	rec.Emit(20*time.Millisecond, "faults", obs.SevWarn, "outage.begin", obs.String("site", "edge-0"))
+	rec.Emit(20*time.Millisecond, "faults", obs.SevWarn, "outage.begin", trace.String("site", "edge-0"))
 	rec.Emit(30*time.Millisecond, "offload", obs.SevError, "resilient.exhausted")
 
 	all, err := client.Events(-1, "", obs.SevDebug)
@@ -101,7 +101,7 @@ func TestEventsEndpointFilters(t *testing.T) {
 
 func TestEventsTableFormat(t *testing.T) {
 	ts, _, _, rec, _ := newObsServer(t)
-	rec.Emit(10*time.Millisecond, "fleet", obs.SevDebug, "commit.begin", obs.Int("offloads", 2))
+	rec.Emit(10*time.Millisecond, "fleet", obs.SevDebug, "commit.begin", trace.Int("offloads", 2))
 	resp, err := http.Get(ts.URL + "/api/v1/events?format=table")
 	if err != nil {
 		t.Fatal(err)

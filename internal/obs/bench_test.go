@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"repro/internal/telemetry"
+	"repro/internal/trace"
 )
 
 // vehicleCounters and vehicleHists are the metrics one vehicle lane of a
@@ -78,5 +79,21 @@ func BenchmarkSamplerTick(b *testing.B) {
 	for i := 1; i <= b.N; i++ {
 		lanes[i%len(lanes)].CounterHandle("offload.breaker.skip.site-" + strconv.Itoa(i))
 		sp.SampleAt(time.Duration(i) * sp.Interval())
+	}
+}
+
+// offRecorder is a nil recorder the compiler cannot see is nil, as a
+// component's scope field is; a local nil would let it delete the call.
+var offRecorder *Recorder
+
+// BenchmarkDisabledEventWithAttrs measures an unguarded emission site on a
+// nil recorder (a zero Scope) with attributes of several kinds, the event
+// twin of trace's BenchmarkDisabledSpanWithAttrs.
+func BenchmarkDisabledEventWithAttrs(b *testing.B) {
+	rec := offRecorder
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		rec.Emit(time.Duration(i), "offload", SevWarn, "resilient.degraded",
+			trace.String("dag", "alpr"), trace.Int("attempts", i%4), trace.F64("factor", 0.55))
 	}
 }

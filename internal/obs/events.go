@@ -19,6 +19,8 @@ import (
 	"strings"
 	"sync"
 	"time"
+
+	"repro/internal/trace"
 )
 
 // Severity classifies flight-recorder events.
@@ -71,40 +73,15 @@ func (s *Severity) UnmarshalJSON(b []byte) error {
 	return nil
 }
 
-// Field is one key-value annotation on an event. Values are rendered to
-// strings when the field is built, so an event is stored and exported as
-// it was emitted. (A trace.Attr keeps its raw value instead and is
-// rendered at export.)
-type Field struct {
-	Key   string `json:"k"`
-	Value string `json:"v"`
-}
-
-// String builds a string field.
-func String(key, value string) Field { return Field{Key: key, Value: value} }
-
-// Int builds an integer field.
-func Int(key string, v int) Field { return Field{Key: key, Value: strconv.Itoa(v)} }
-
-// F64 builds a float field with stable two-decimal rendering.
-func F64(key string, v float64) Field {
-	return Field{Key: key, Value: strconv.FormatFloat(v, 'f', 2, 64)}
-}
-
-// Dur builds a duration field.
-func Dur(key string, d time.Duration) Field { return Field{Key: key, Value: d.String()} }
-
-// Bool builds a boolean field.
-func Bool(key string, v bool) Field { return Field{Key: key, Value: strconv.FormatBool(v)} }
-
 // Event is one flight-recorder entry: a named state transition stamped at a
-// virtual time.
+// virtual time. Its fields are the span attribute type, kept raw and
+// rendered when the event is exported.
 type Event struct {
 	At        time.Duration `json:"atNs"`
 	Component string        `json:"component"`
 	Severity  Severity      `json:"severity"`
 	Name      string        `json:"name"`
-	Fields    []Field       `json:"fields,omitempty"`
+	Fields    []trace.Attr  `json:"fields,omitempty"`
 
 	seq uint64 // emission order; breaks same-timestamp ties deterministically
 }
@@ -133,18 +110,29 @@ func NewRecorder(capacity int) *Recorder {
 	return &Recorder{buf: make([]Event, capacity)}
 }
 
-// Enabled reports whether events are being recorded; emitters guard field
-// construction with it so a nil recorder costs nothing.
-func (r *Recorder) Enabled() bool { return r != nil }
-
-// Emit appends an event at virtual time at.
-func (r *Recorder) Emit(at time.Duration, component string, sev Severity, name string, fields ...Field) {
-	if r == nil {
-		return
+// Emit appends an event at virtual time at. The recorder keeps a copy of
+// fields, so a caller's variadic attributes stay on its stack, and a nil
+// recorder copies nothing.
+func (r *Recorder) Emit(at time.Duration, component string, sev Severity, name string, fields ...trace.Attr) {
+	if r != nil {
+		r.emit(at, component, sev, name, fields)
 	}
+}
+
+func (r *Recorder) emit(at time.Duration, component string, sev Severity, name string, fields []trace.Attr) {
+	ev := Event{At: at, Component: component, Severity: sev, Name: name,
+		Fields: append([]trace.Attr(nil), fields...)}
 	r.mu.Lock()
+	r.pushLocked(ev)
+	r.mu.Unlock()
+}
+
+// pushLocked appends ev, sequenced after every event already recorded,
+// overwriting the oldest when the ring is full. The recorder keeps
+// ev.Fields as they are. Callers hold r.mu.
+func (r *Recorder) pushLocked(ev Event) {
 	r.seq++
-	ev := Event{At: at, Component: component, Severity: sev, Name: name, Fields: fields, seq: r.seq}
+	ev.seq = r.seq
 	if r.n == len(r.buf) {
 		r.buf[r.start] = ev
 		r.start = (r.start + 1) % len(r.buf)
@@ -153,7 +141,6 @@ func (r *Recorder) Emit(at time.Duration, component string, sev Severity, name s
 		r.buf[(r.start+r.n)%len(r.buf)] = ev
 		r.n++
 	}
-	r.mu.Unlock()
 }
 
 // Len returns how many events are currently retained.
@@ -178,7 +165,8 @@ func (r *Recorder) Dropped() int {
 }
 
 // Events returns the retained events ordered by (virtual time, emission
-// sequence). The slice is a copy; mutating it cannot touch the recorder.
+// sequence). The slice is a copy, but each event's Fields are the
+// recorder's own: read them, do not write them.
 func (r *Recorder) Events() []Event {
 	if r == nil {
 		return nil
@@ -235,10 +223,10 @@ func (r *Recorder) Merge(src *Recorder) {
 	}
 	dropped := src.dropped
 	src.mu.Unlock()
-	for _, ev := range events {
-		r.Emit(ev.At, ev.Component, ev.Severity, ev.Name, ev.Fields...)
-	}
 	r.mu.Lock()
+	for _, ev := range events {
+		r.pushLocked(ev) // src never writes its events' fields, so r may share them
+	}
 	r.dropped += dropped
 	r.mu.Unlock()
 }
@@ -252,7 +240,7 @@ func (r *Recorder) RenderTable() string {
 	for _, ev := range events {
 		fields := make([]string, 0, len(ev.Fields))
 		for _, f := range ev.Fields {
-			fields = append(fields, f.Key+"="+f.Value)
+			fields = append(fields, f.Key+"="+f.Value())
 		}
 		fmt.Fprintf(&b, "%-12s %-10s %-6s %-28s %s\n",
 			fmtDuration(ev.At), ev.Component, ev.Severity.String(), ev.Name, strings.Join(fields, " "))

@@ -10,11 +10,12 @@ import (
 
 	"repro/internal/sim"
 	"repro/internal/telemetry"
+	"repro/internal/trace"
 )
 
 func TestRecorderOrderAndFilters(t *testing.T) {
 	r := NewRecorder(16)
-	r.Emit(20*time.Millisecond, "offload", SevWarn, "breaker.open", String("dest", "rsu-1"))
+	r.Emit(20*time.Millisecond, "offload", SevWarn, "breaker.open", trace.String("dest", "rsu-1"))
 	r.Emit(10*time.Millisecond, "faults", SevInfo, "outage.begin")
 	r.Emit(20*time.Millisecond, "fleet", SevDebug, "commit.begin")
 
@@ -81,6 +82,61 @@ func TestRecorderMergeCanonicalOrder(t *testing.T) {
 	if e1[0].Component != "laneA" || e2[0].Component != "laneA" {
 		t.Fatalf("canonical merge order not respected: %v / %v", e1[0].Component, e2[0].Component)
 	}
+}
+
+// TestRecorderOwnsItsFields: Emit keeps a copy of its fields, so a caller
+// that reuses its slice after emitting cannot rewrite a recorded event.
+func TestRecorderOwnsItsFields(t *testing.T) {
+	r := NewRecorder(4)
+	fields := []trace.Attr{trace.String("dest", "rsu-0"), trace.Int("attempts", 2)}
+	r.Emit(time.Second, "offload", SevWarn, "breaker.open", fields...)
+	fields[0], fields[1] = trace.String("dest", "cloud"), trace.Int("attempts", 9)
+	got := r.Events()[0].Fields
+	if len(got) != 2 || got[0].Value() != "rsu-0" || got[1].Value() != "2" {
+		t.Fatalf("recorded fields follow the caller's slice: %s=%s %s=%s",
+			got[0].Key, got[0].Value(), got[1].Key, got[1].Value())
+	}
+}
+
+// FuzzEventJSON: an event decoded from arbitrary bytes (libvdap's client
+// decodes /api/v1/events this way) never panics, and once decoded,
+// encoding and decoding again gives the same bytes.
+func FuzzEventJSON(f *testing.F) {
+	r := NewRecorder(4)
+	r.Emit(1500*time.Millisecond, "offload", SevWarn, "resilient.degraded",
+		trace.String("dag", "alpr"), trace.F64("factor", 0.55), trace.Int("attempts", 3),
+		trace.Dur("length", time.Second), trace.Bool("degraded", true), trace.String("reason", ""))
+	r.Emit(0, "fleet", SevDebug, "commit.begin")
+	for _, ev := range r.Events() {
+		b, err := json.Marshal(ev)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(b)
+	}
+	f.Add([]byte("{\"fields\":[null,{\"k\":\"\\u003c\xff\"}],\"severity\":\"error\"}"))
+	f.Add([]byte(`{"atNs":-1,"fields":[{"v":7}]}`))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		var ev Event
+		if json.Unmarshal(data, &ev) != nil {
+			return
+		}
+		once, err := json.Marshal(ev)
+		if err != nil {
+			t.Fatalf("decoded event does not encode: %v", err)
+		}
+		var again Event
+		if err := json.Unmarshal(once, &again); err != nil {
+			t.Fatalf("encoded event %s does not decode: %v", once, err)
+		}
+		twice, err := json.Marshal(again)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if string(once) != string(twice) {
+			t.Fatalf("encode is not stable under decode:\n%s\n%s", once, twice)
+		}
+	})
 }
 
 func TestSeverityJSONRoundTrip(t *testing.T) {
@@ -436,9 +492,9 @@ func TestMergePreservesAtSeqOrderAcrossRecorders(t *testing.T) {
 		// arbitrary shard scheduling during the parallel decision phase.
 		for _, i := range []int{2, 0, 1} {
 			recs[i].Emit(0, "offload", SevWarn, "breaker.open",
-				Int("vehicle", i), String("site", "rsu-"+strconv.Itoa(i)), Int("failures", i+1))
+				trace.Int("vehicle", i), trace.String("site", "rsu-"+strconv.Itoa(i)), trace.Int("failures", i+1))
 			recs[i].Emit(epoch, "offload", SevInfo, "resilient.fallback",
-				Int("vehicle", i), String("from", "rsu-"+strconv.Itoa(i)), String("to", "cloud"))
+				trace.Int("vehicle", i), trace.String("from", "rsu-"+strconv.Itoa(i)), trace.String("to", "cloud"))
 		}
 		return recs
 	}
@@ -465,7 +521,7 @@ func TestMergePreservesAtSeqOrderAcrossRecorders(t *testing.T) {
 		if ev.At != wantAt {
 			t.Fatalf("event %d at %v, want %v (At must dominate)", i, ev.At, wantAt)
 		}
-		if got := ev.Fields[0].Value; got != strconv.Itoa(wantRec) {
+		if got := ev.Fields[0].Value(); got != strconv.Itoa(wantRec) {
 			t.Fatalf("event %d vehicle = %s, want %d (same-At ties must follow canonical merge order)", i, got, wantRec)
 		}
 		if i > 0 && events[i-1].At == ev.At && events[i-1].seq >= ev.seq {

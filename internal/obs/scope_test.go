@@ -35,11 +35,11 @@ func randomLane(rng *sim.RNG) Scope {
 		at := time.Duration(rng.Intn(4)) * time.Millisecond
 		lane.Metrics.Add("offload.executions", rng.Float64())
 		lane.Metrics.Observe("offload.total_ms", rng.Float64()*100)
-		lane.Metrics.Set("fleet.last", rng.Float64())
+		lane.Metrics.Add("fleet.busy_s", rng.Float64())
 		root := lane.Tracer.StartSpanAt("edgeos", "edgeos.invoke", at, trace.Int("i", i))
 		lane.Tracer.SpanAt("network", "network.uplink", at, at+time.Millisecond)
 		root.FinishAt(at + 2*time.Millisecond)
-		lane.Events.Emit(at, "offload", SevInfo, "breaker.open", Int("i", rng.Intn(100)))
+		lane.Events.Emit(at, "offload", SevInfo, "breaker.open", trace.Int("i", rng.Intn(100)))
 		lane.Series.RecordGauge("fleet.queue_depth_s", at, rng.Float64())
 	}
 	sp := NewSampler(lane.Series, 0)
@@ -92,7 +92,8 @@ func TestScopeMergeIsTheFourStoreMerges(t *testing.T) {
 
 // TestZeroScopeRecordsNothingAndAllocatesNothing: a component instrumented
 // with the zero Scope resolves nil handles, and emitting through every one
-// of them — counter, histogram, span, event, gauge point — is free.
+// of them, unguarded and with attributes of every kind — counter,
+// histogram, span, event, gauge point — is free.
 func TestZeroScopeRecordsNothingAndAllocatesNothing(t *testing.T) {
 	var sc Scope
 	counter := sc.Metrics.CounterHandle("offload.executions")
@@ -102,14 +103,13 @@ func TestZeroScopeRecordsNothingAndAllocatesNothing(t *testing.T) {
 		counter.Add(2.5)
 		hist.Observe(12)
 		hist.ObserveDuration(time.Millisecond)
-		span := sc.Tracer.StartSpanAt("offload", "offload.execute", time.Second)
-		if sc.Tracer.Enabled() {
-			sc.Tracer.SpanAt("network", "network.uplink", 0, 1, trace.F64("bytes", 2048))
-		}
+		span := sc.Tracer.StartSpanAt("offload", "offload.execute", time.Second, trace.String("dag", "alpr"))
+		sc.Tracer.SpanAt("network", "network.uplink", 0, 1, trace.F64("bytes", 2048))
+		span.SetAttr(trace.Bool("feasible", true), trace.Dur("total", time.Second))
 		span.FinishAt(2 * time.Second)
-		if sc.Events.Enabled() {
-			sc.Events.Emit(time.Second, "offload", SevWarn, "breaker.open", String("dest", "rsu-0"))
-		}
+		sc.Events.Emit(time.Second, "offload", SevWarn, "resilient.degraded",
+			trace.Int("attempts", 3), trace.F64("factor", 0.55), trace.Dur("length", time.Second),
+			trace.Bool("degraded", true), trace.String("dest", "rsu-0"), trace.String("reason", ""))
 		sc.Events.Emit(time.Second, "fleet", SevDebug, "commit.begin")
 		sc.Series.RecordGauge("fleet.queue_depth_s", time.Second, 1)
 	})

@@ -115,9 +115,6 @@ func NewSeriesStore(capacity int) *SeriesStore {
 	return &SeriesStore{cap: capacity, m: make(map[string]*Series)}
 }
 
-// Enabled reports whether the store records anything (nil-safe guard).
-func (s *SeriesStore) Enabled() bool { return s != nil }
-
 // ensureLocked interns a series. Callers hold s.mu.
 func (s *SeriesStore) ensureLocked(name string, kind SeriesKind) *Series {
 	se, ok := s.m[name]

@@ -18,18 +18,21 @@ const (
 	BreakerHalfOpen
 )
 
+// breakerEvents is the flight-recorder event of a transition into each
+// state; the state's own name follows the "breaker." prefix, so neither
+// name is built per transition.
+var breakerEvents = [...]string{
+	BreakerClosed:   "breaker.closed",
+	BreakerOpen:     "breaker.open",
+	BreakerHalfOpen: "breaker.half-open",
+}
+
 // String returns the lower-case state name.
 func (s BreakerState) String() string {
-	switch s {
-	case BreakerClosed:
-		return "closed"
-	case BreakerOpen:
-		return "open"
-	case BreakerHalfOpen:
-		return "half-open"
-	default:
+	if s < 0 || int(s) >= len(breakerEvents) {
 		return fmt.Sprintf("breaker-state(%d)", int(s))
 	}
+	return breakerEvents[s][len("breaker."):]
 }
 
 // Breaker is a per-destination circuit breaker timed on the virtual

@@ -182,3 +182,20 @@ func TestBreakerOpensCounter(t *testing.T) {
 		t.Fatalf("opens = %d, want 2", b.Opens())
 	}
 }
+
+// TestBreakerStateNames: each state's name is the tail of its
+// flight-recorder event, and a value outside the three states names
+// itself instead of indexing past the table.
+func TestBreakerStateNames(t *testing.T) {
+	for s, want := range map[BreakerState]string{
+		BreakerClosed: "closed", BreakerOpen: "open", BreakerHalfOpen: "half-open",
+		3: "breaker-state(3)", -1: "breaker-state(-1)",
+	} {
+		if got := s.String(); got != want {
+			t.Errorf("BreakerState(%d).String() = %q, want %q", int(s), got, want)
+		}
+		if s >= 0 && int(s) < len(breakerEvents) && breakerEvents[s] != "breaker."+want {
+			t.Errorf("event for %s is %q", want, breakerEvents[s])
+		}
+	}
+}

@@ -380,24 +380,18 @@ func (e *Engine) adjustedPath(si int, site *xedge.Site, now time.Duration) netwo
 
 // EstimateOnboard predicts full local execution via the DSF plan.
 func (e *Engine) EstimateOnboard(dag *tasks.DAG, now time.Duration) Estimate {
-	var span *trace.Span
-	if e.scope.Tracer.Enabled() {
-		span = e.scope.Tracer.StartSpanAt("offload", "offload.estimate", now,
-			trace.String("dag", dag.Name), trace.String("dest", OnboardName))
-	}
+	span := e.scope.Tracer.StartSpanAt("offload", "offload.estimate", now,
+		trace.String("dag", dag.Name), trace.String("dest", OnboardName))
 	makespan, energyJ, err := e.dsf.Estimate(dag, now)
 	if err != nil {
-		if span != nil {
-			span.SetAttr(trace.Bool("feasible", false), trace.String("reason", err.Error()))
-		}
+		reason := err.Error()
+		span.SetAttr(trace.Bool("feasible", false), trace.String("reason", reason))
 		span.FinishAt(now)
 		return Estimate{Dest: OnboardName, Kind: OnboardName, SplitAfter: len(dag.Tasks),
-			Feasible: false, Reason: err.Error()}
+			Feasible: false, Reason: reason}
 	}
-	if span != nil {
-		span.SetAttr(trace.Bool("feasible", true), trace.Dur("total", makespan))
-		span.FinishAt(now + makespan)
-	}
+	span.SetAttr(trace.Bool("feasible", true), trace.Dur("total", makespan))
+	span.FinishAt(now + makespan)
 	return Estimate{
 		Dest: OnboardName, Kind: OnboardName, SplitAfter: len(dag.Tasks),
 		Compute:        makespan,
@@ -472,25 +466,25 @@ func (call *splitCall) prepare(dsf *vcu.DSF) {
 	}
 }
 
-// estimateSite is the one per-site estimate body: the call's split at site,
+// estimateSite is the one per-site estimate: the call's split at site,
 // found at position si of e.sites (-1 when the engine was not built with
-// it), into *est.
+// it), into *est, under an offload.estimate span.
 func (e *Engine) estimateSite(est *Estimate, call *splitCall, si int, site *xedge.Site) {
-	dag, c, splitAfter, now := call.dag, call.c, call.split, call.now
-	*est = Estimate{Dest: site.Name(), Kind: site.Kind().String(), SplitAfter: splitAfter}
-	var span *trace.Span
-	if e.scope.Tracer.Enabled() {
-		span = e.scope.Tracer.StartSpanAt("offload", "offload.estimate", now,
-			trace.String("dag", dag.Name), trace.String("dest", site.Name()),
-			trace.String("kind", est.Kind), trace.Int("split", splitAfter))
-		defer func() {
-			span.SetAttr(trace.Bool("feasible", est.Feasible))
-			if est.Reason != "" {
-				span.SetAttr(trace.String("reason", est.Reason))
-			}
-			span.FinishAt(now + est.Total)
-		}()
+	*est = Estimate{Dest: site.Name(), Kind: site.Kind().String(), SplitAfter: call.split}
+	span := e.scope.Tracer.StartSpanAt("offload", "offload.estimate", call.now,
+		trace.String("dag", call.dag.Name), trace.String("dest", est.Dest),
+		trace.String("kind", est.Kind), trace.Int("split", call.split))
+	e.estimateAt(est, call, si, site)
+	span.SetAttr(trace.Bool("feasible", est.Feasible))
+	if est.Reason != "" {
+		span.SetAttr(trace.String("reason", est.Reason))
 	}
+	span.FinishAt(call.now + est.Total)
+}
+
+// estimateAt is estimateSite's body, the estimate without its span.
+func (e *Engine) estimateAt(est *Estimate, call *splitCall, si int, site *xedge.Site) {
+	dag, c, splitAfter, now := call.dag, call.c, call.split, call.now
 	if call.reason != "" {
 		est.Reason = call.reason
 		return
@@ -527,11 +521,9 @@ func (e *Engine) estimateSite(est *Estimate, call *splitCall, si int, site *xedg
 	est.Uplink = up
 	est.BytesSent = upBytes
 	est.VehicleEnergyJ += RadioPowerW * up.Seconds()
-	if e.scope.Tracer.Enabled() {
-		e.scope.Tracer.SpanAt("network", "network.uplink", cursor, cursor+up,
-			trace.String("path", path.Name), trace.F64("bytes", upBytes),
-			trace.F64("loss", network.WorstLoss(path)))
-	}
+	e.scope.Tracer.SpanAt("network", "network.uplink", cursor, cursor+up,
+		trace.String("path", path.Name), trace.F64("bytes", upBytes),
+		trace.F64("loss", network.WorstLoss(path)))
 	cursor += up
 
 	// Remote compute: topo-order submission estimate on site executors.
@@ -556,11 +548,9 @@ func (e *Engine) estimateSite(est *Estimate, call *splitCall, si int, site *xedg
 		}
 	}
 	est.Compute += remoteDone - computeStart
-	if e.scope.Tracer.Enabled() {
-		comp, exec, _ := siteComponent(site.Kind())
-		e.scope.Tracer.SpanAt(comp, exec, computeStart, remoteDone,
-			trace.String("site", site.Name()), trace.Int("tasks", len(remote)))
-	}
+	comp, exec, _ := siteComponent(site.Kind())
+	e.scope.Tracer.SpanAt(comp, exec, computeStart, remoteDone,
+		trace.String("site", site.Name()), trace.Int("tasks", len(remote)))
 
 	// Downlink: results of sink tasks return to the vehicle.
 	var downBytes float64
@@ -576,10 +566,8 @@ func (e *Engine) estimateSite(est *Estimate, call *splitCall, si int, site *xedg
 	}
 	est.Downlink = down
 	est.Total = (remoteDone - now) + down
-	if e.scope.Tracer.Enabled() {
-		e.scope.Tracer.SpanAt("network", "network.downlink", remoteDone, remoteDone+down,
-			trace.String("path", path.Name), trace.F64("bytes", downBytes))
-	}
+	e.scope.Tracer.SpanAt("network", "network.downlink", remoteDone, remoteDone+down,
+		trace.String("path", path.Name), trace.F64("bytes", downBytes))
 	if !e.withinBudget(est.BytesSent) {
 		remaining, _ := e.BandwidthRemaining()
 		est.Reason = fmt.Sprintf("bandwidth budget exhausted (%.0f B needed, %.0f B left)",
@@ -730,13 +718,10 @@ func (e *Engine) Decide(dag *tasks.DAG, now time.Duration) (Estimate, []Estimate
 // remote destinations reserve site executors. It returns the realized
 // completion time.
 func (e *Engine) Execute(dag *tasks.DAG, est Estimate, now time.Duration) (time.Duration, error) {
-	var span *trace.Span
-	if e.scope.Tracer.Enabled() {
-		span = e.scope.Tracer.StartSpanAt("offload", "offload.execute", now,
-			trace.String("dest", est.Dest), trace.String("kind", est.Kind))
-		if dag != nil {
-			span.SetAttr(trace.String("dag", dag.Name))
-		}
+	span := e.scope.Tracer.StartSpanAt("offload", "offload.execute", now,
+		trace.String("dest", est.Dest), trace.String("kind", est.Kind))
+	if dag != nil {
+		span.SetAttr(trace.String("dag", dag.Name))
 	}
 	done, err := e.execute(dag, est, now)
 	if err != nil {
@@ -799,11 +784,9 @@ func (e *Engine) execute(dag *tasks.DAG, est Estimate, now time.Duration) (time.
 		now += plan.Makespan
 	}
 	path := e.adjustedPath(si, site, now)
-	if e.scope.Tracer.Enabled() {
-		e.scope.Tracer.SpanAt("network", "network.uplink", now, now+est.Uplink,
-			trace.String("path", path.Name), trace.F64("bytes", est.BytesSent),
-			trace.F64("loss", network.WorstLoss(path)))
-	}
+	e.scope.Tracer.SpanAt("network", "network.uplink", now, now+est.Uplink,
+		trace.String("path", path.Name), trace.F64("bytes", est.BytesSent),
+		trace.F64("loss", network.WorstLoss(path)))
 	e.meter.RecordTransfer(path, est.BytesSent, network.Uplink, est.Uplink)
 	now += est.Uplink
 	comp, _, task := siteComponent(site.Kind())
@@ -830,19 +813,15 @@ func (e *Engine) execute(dag *tasks.DAG, est Estimate, now time.Duration) (time.
 		if len(c.Succs(i)) == 0 {
 			downBytes += t.OutputBytes
 		}
-		if e.scope.Tracer.Enabled() {
-			e.scope.Tracer.SpanAt(comp, task, start, done,
-				trace.String("task", t.ID), trace.String("site", site.Name()),
-				trace.Dur("queue_wait", start-ready))
-		}
+		e.scope.Tracer.SpanAt(comp, task, start, done,
+			trace.String("task", t.ID), trace.String("site", site.Name()),
+			trace.Dur("queue_wait", start-ready))
 		ln.submits.Inc()
 		ln.execMS.ObserveDuration(done - start)
 		ln.queueWaitMS.ObserveDuration(start - ready)
 	}
-	if e.scope.Tracer.Enabled() {
-		e.scope.Tracer.SpanAt("network", "network.downlink", last, last+est.Downlink,
-			trace.String("path", path.Name), trace.F64("bytes", downBytes))
-	}
+	e.scope.Tracer.SpanAt("network", "network.downlink", last, last+est.Downlink,
+		trace.String("path", path.Name), trace.F64("bytes", downBytes))
 	e.meter.RecordTransfer(path, downBytes, network.Downlink, est.Downlink)
 	// Charge the budget only once the execution has fully succeeded: a
 	// failed prefix plan or site submission must not burn bandwidth.

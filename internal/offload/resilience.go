@@ -118,16 +118,12 @@ func (e *Engine) breakerFor(dest string) *Breaker {
 	if !ok {
 		b = NewBreaker(e.policy.BreakerThreshold, e.policy.BreakerCooldown)
 		b.OnChange(func(from, to BreakerState, now time.Duration) {
-			rec := e.scope.Events
-			if !rec.Enabled() {
-				return
-			}
 			sev := obs.SevInfo
 			if to == BreakerOpen {
 				sev = obs.SevWarn
 			}
-			rec.Emit(now, "offload", sev, "breaker."+to.String(),
-				obs.String("dest", dest), obs.String("from", from.String()))
+			e.scope.Events.Emit(now, "offload", sev, breakerEvents[to],
+				trace.String("dest", dest), trace.String("from", from.String()))
 		})
 		e.breakers[dest] = b
 	}
@@ -184,13 +180,10 @@ func (e *Engine) ExecuteResilient(dag *tasks.DAG, est Estimate, now, deadline ti
 		return 0, Outcome{}, fmt.Errorf("offload: nil DAG")
 	}
 	pol := *e.policy
-	var span *trace.Span
-	if e.scope.Tracer.Enabled() {
-		span = e.scope.Tracer.StartSpanAt("offload", "offload.resilient", now,
-			trace.String("chosen", est.Dest), trace.String("dag", dag.Name))
-		if deadline > 0 {
-			span.SetAttr(trace.Dur("deadline", deadline-now))
-		}
+	span := e.scope.Tracer.StartSpanAt("offload", "offload.resilient", now,
+		trace.String("chosen", est.Dest), trace.String("dag", dag.Name))
+	if deadline > 0 {
+		span.SetAttr(trace.Dur("deadline", deadline-now))
 	}
 	out := Outcome{}
 
@@ -199,11 +192,9 @@ func (e *Engine) ExecuteResilient(dag *tasks.DAG, est Estimate, now, deadline ti
 		out.Dest = dest
 		if dest != est.Dest {
 			out.FellBackTo = dest
-			if e.scope.Events.Enabled() {
-				e.scope.Events.Emit(t, "offload", obs.SevInfo, "resilient.fallback",
-					obs.String("dag", dag.Name), obs.String("from", est.Dest),
-					obs.String("to", dest))
-			}
+			e.scope.Events.Emit(t, "offload", obs.SevInfo, "resilient.fallback",
+				trace.String("dag", dag.Name), trace.String("from", est.Dest),
+				trace.String("to", dest))
 		}
 		out.DeadlineMet = deadline <= 0 || done <= deadline
 		e.recordResilient(out, true)
@@ -215,11 +206,9 @@ func (e *Engine) ExecuteResilient(dag *tasks.DAG, est Estimate, now, deadline ti
 		if est.Dest != OnboardName {
 			out.FellBackTo = OnboardName
 			out.Fallbacks++
-			if e.scope.Events.Enabled() {
-				e.scope.Events.Emit(t, "offload", obs.SevWarn, "resilient.onboard",
-					obs.String("dag", dag.Name), obs.String("from", est.Dest),
-					obs.Bool("degraded", out.Degraded))
-			}
+			e.scope.Events.Emit(t, "offload", obs.SevWarn, "resilient.onboard",
+				trace.String("dag", dag.Name), trace.String("from", est.Dest),
+				trace.Bool("degraded", out.Degraded))
 		}
 		out.DeadlineMet = deadline <= 0 || done <= deadline
 		e.recordResilient(out, true)
@@ -228,21 +217,15 @@ func (e *Engine) ExecuteResilient(dag *tasks.DAG, est Estimate, now, deadline ti
 	}
 	err := fmt.Errorf("offload: resilient execution exhausted for %s after %d attempts",
 		dag.Name, out.Attempts)
-	if e.scope.Events.Enabled() {
-		e.scope.Events.Emit(t, "offload", obs.SevError, "resilient.exhausted",
-			obs.String("dag", dag.Name), obs.Int("attempts", out.Attempts))
-	}
+	e.scope.Events.Emit(t, "offload", obs.SevError, "resilient.exhausted",
+		trace.String("dag", dag.Name), trace.Int("attempts", out.Attempts))
 	e.recordResilient(out, false)
 	finishResilientSpan(span, out, t, err)
 	return 0, out, err
 }
 
-// finishResilientSpan closes ExecuteResilient's span (nil when the engine
-// does not trace) with the outcome.
+// finishResilientSpan closes ExecuteResilient's span with the outcome.
 func finishResilientSpan(span *trace.Span, out Outcome, end time.Duration, err error) {
-	if span == nil {
-		return
-	}
 	span.SetAttr(trace.Int("attempts", out.Attempts),
 		trace.Int("fallbacks", out.Fallbacks),
 		trace.Int("breaker_skips", out.BreakerSkips),
@@ -300,10 +283,8 @@ func (e *Engine) onboardRung(dag *tasks.DAG, t, deadline time.Duration, out *Out
 			runDag, ob = dd, alt
 			out.Degraded = true
 			e.m.degraded.Inc()
-			if e.scope.Events.Enabled() {
-				e.scope.Events.Emit(t, "offload", obs.SevWarn, "resilient.degraded",
-					obs.String("dag", dag.Name), obs.F64("factor", degradeFactor))
-			}
+			e.scope.Events.Emit(t, "offload", obs.SevWarn, "resilient.degraded",
+				trace.String("dag", dag.Name), trace.F64("factor", degradeFactor))
 		}
 	}
 	if !ob.Feasible {

@@ -18,7 +18,7 @@ func sweepOnce(t *testing.T, parallel int) *Report[float64] {
 			v := sh.RNG.Float64()
 			sh.Obs.Metrics.Add("job.runs", 1)
 			sh.Obs.Metrics.Add(fmt.Sprintf("job.shard.%d", sh.Index), 1)
-			sh.Obs.Metrics.Set("job.last_index", float64(sh.Index))
+			sh.Obs.Metrics.Add("job.index_sum", float64(sh.Index))
 			sh.Obs.Metrics.Observe("job.value", v)
 			span := sh.Obs.Tracer.StartSpanAt("runner", "job", 0)
 			sh.Obs.Tracer.SpanAt("runner", "draw", 0, time.Duration(sh.Index))
@@ -52,14 +52,15 @@ func TestRunDeterministicAcrossParallelLevels(t *testing.T) {
 	}
 }
 
-// TestRunMergesInIndexOrder: gauges are last-index-wins and counters sum.
+// TestRunMergesInIndexOrder: counters sum and shard traces append in index
+// order.
 func TestRunMergesInIndexOrder(t *testing.T) {
 	rep := sweepOnce(t, 4)
 	if got := rep.Obs.Metrics.Counter("job.runs"); got != 8 {
 		t.Fatalf("job.runs = %v, want 8", got)
 	}
-	if got, ok := rep.Obs.Metrics.Gauge("job.last_index"); !ok || got != 7 {
-		t.Fatalf("job.last_index = %v (%v), want 7 (highest index wins)", got, ok)
+	if got := rep.Obs.Metrics.Counter("job.index_sum"); got != 28 {
+		t.Fatalf("job.index_sum = %v, want 28 (0+1+...+7)", got)
 	}
 	if h := rep.Obs.Metrics.Histogram("job.value"); h == nil || h.Count() != 8 {
 		t.Fatal("merged histogram missing samples")

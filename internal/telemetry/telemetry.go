@@ -1,5 +1,5 @@
 // Package telemetry is a small virtual-time metrics library used by the
-// platform's reporting: counters, gauges, and quantile histograms keyed by
+// platform's reporting: counters and quantile histograms keyed by
 // name, with deterministic text rendering and a JSON-marshalable snapshot.
 // It exists so experiments and long-running scenarios can summarize
 // behavior without each component hand-rolling aggregation.
@@ -119,7 +119,6 @@ func (hh *HistogramHandle) CountSum() (int, float64) {
 type Registry struct {
 	mu         sync.Mutex
 	counters   map[string]*Counter
-	gauges     map[string]float64
 	histograms map[string]*HistogramHandle
 
 	// log lists every interned counter and histogram in interning order.
@@ -169,7 +168,6 @@ func (r *Registry) logLocked(m Interned) {
 func NewRegistry() *Registry {
 	return &Registry{
 		counters:   make(map[string]*Counter),
-		gauges:     make(map[string]float64),
 		histograms: make(map[string]*HistogramHandle),
 	}
 }
@@ -234,32 +232,15 @@ func (r *Registry) Counter(name string) float64 {
 	return c.Value()
 }
 
-// Set records a gauge's current value.
-func (r *Registry) Set(name string, value float64) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	r.gauges[name] = value
-}
-
-// Gauge returns a gauge's value and whether it was ever set.
-func (r *Registry) Gauge(name string) (float64, bool) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	v, ok := r.gauges[name]
-	return v, ok
-}
-
 // Observe records a sample into a histogram by name (hot emitters should
 // hold a HistogramHandle instead).
 func (r *Registry) Observe(name string, value float64) {
 	r.HistogramHandle(name).Observe(value)
 }
 
-// Merge folds src's metrics into r: counters add, gauges take src's value
-// (so merging shards in replication-index order deterministically keeps the
-// highest index's reading), and histograms take the union of both sides'
-// samples. src is only read, never mutated, and may keep collecting
-// afterwards. Merging a registry into itself is a no-op.
+// Merge folds src's metrics into r: counters add, and histograms take the
+// union of both sides' samples. src is only read, never mutated, and may
+// keep collecting afterwards. Merging a registry into itself is a no-op.
 func (r *Registry) Merge(src *Registry) {
 	if r == nil || src == nil || r == src {
 		return
@@ -275,10 +256,6 @@ func (r *Registry) Merge(src *Registry) {
 		}
 		counters[n] = c.Value()
 	}
-	gauges := make(map[string]float64, len(src.gauges))
-	for n, v := range src.gauges {
-		gauges[n] = v
-	}
 	hists := make(map[string]*Histogram, len(src.histograms))
 	for n, hh := range src.histograms {
 		hh.mu.Lock()
@@ -293,9 +270,6 @@ func (r *Registry) Merge(src *Registry) {
 	defer r.mu.Unlock()
 	for n, v := range counters {
 		r.counterLocked(n).Add(v)
-	}
-	for n, v := range gauges {
-		r.gauges[n] = v
 	}
 	for n, h := range hists {
 		if cur, ok := r.histograms[n]; ok {
@@ -505,7 +479,6 @@ func (h *Histogram) Summary() HistogramSummary {
 // `/api/v1/metrics` payload).
 type Snapshot struct {
 	Counters   map[string]float64          `json:"counters"`
-	Gauges     map[string]float64          `json:"gauges"`
 	Histograms map[string]HistogramSummary `json:"histograms"`
 }
 
@@ -517,7 +490,6 @@ func (r *Registry) Snapshot() Snapshot {
 	defer r.mu.Unlock()
 	snap := Snapshot{
 		Counters:   make(map[string]float64, len(r.counters)),
-		Gauges:     make(map[string]float64, len(r.gauges)),
 		Histograms: make(map[string]HistogramSummary, len(r.histograms)),
 	}
 	for n, c := range r.counters {
@@ -525,9 +497,6 @@ func (r *Registry) Snapshot() Snapshot {
 			continue
 		}
 		snap.Counters[n] = c.Value()
-	}
-	for n, v := range r.gauges {
-		snap.Gauges[n] = v
 	}
 	for n, hh := range r.histograms {
 		hh.mu.Lock()
@@ -554,14 +523,6 @@ func (r *Registry) Render() string {
 	sort.Strings(names)
 	for _, n := range names {
 		fmt.Fprintf(&b, "counter %-40s %.2f\n", n, r.counters[n].Value())
-	}
-	names = names[:0]
-	for n := range r.gauges {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	for _, n := range names {
-		fmt.Fprintf(&b, "gauge   %-40s %.2f\n", n, r.gauges[n])
 	}
 	names = names[:0]
 	for n, hh := range r.histograms {

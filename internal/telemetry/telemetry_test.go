@@ -23,19 +23,6 @@ func TestCounters(t *testing.T) {
 	}
 }
 
-func TestGauges(t *testing.T) {
-	r := NewRegistry()
-	if _, ok := r.Gauge("speed"); ok {
-		t.Fatal("unset gauge reported set")
-	}
-	r.Set("speed", 35)
-	r.Set("speed", 70)
-	v, ok := r.Gauge("speed")
-	if !ok || v != 70 {
-		t.Fatalf("gauge = %v, %v", v, ok)
-	}
-}
-
 func TestHistogramQuantiles(t *testing.T) {
 	h := &Histogram{}
 	if !math.IsNaN(h.Quantile(0.5)) {
@@ -116,7 +103,7 @@ func TestRenderDeterministic(t *testing.T) {
 	r := NewRegistry()
 	r.Add("b-counter", 2)
 	r.Add("a-counter", 1)
-	r.Set("z-gauge", 9)
+	r.Add("z-counter", 9)
 	r.Observe("m-hist", 5)
 	r.Observe("m-hist", 15)
 	out1 := r.Render()
@@ -124,7 +111,7 @@ func TestRenderDeterministic(t *testing.T) {
 	if out1 != out2 {
 		t.Fatal("render not deterministic")
 	}
-	for _, want := range []string{"a-counter", "b-counter", "z-gauge", "m-hist", "p95"} {
+	for _, want := range []string{"a-counter", "b-counter", "z-counter", "m-hist", "p95"} {
 		if !strings.Contains(out1, want) {
 			t.Fatalf("render missing %q:\n%s", want, out1)
 		}
@@ -143,7 +130,6 @@ func TestRegistryConcurrency(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < 500; i++ {
 				r.Add("c", 1)
-				r.Set("g", float64(i))
 				r.Observe("h", float64(i))
 			}
 		}()
@@ -208,7 +194,7 @@ func TestObserveRenderRace(t *testing.T) {
 func TestSnapshotGolden(t *testing.T) {
 	r := NewRegistry()
 	r.Add("ddi.cache.hits", 3)
-	r.Set("vcu.devices_online", 4)
+	r.Add("vcu.devices_online", 4)
 	for _, v := range []float64{10, 20, 30, 40} {
 		r.Observe("offload.total_ms", v)
 	}
@@ -216,8 +202,7 @@ func TestSnapshotGolden(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	const golden = `{"counters":{"ddi.cache.hits":3},` +
-		`"gauges":{"vcu.devices_online":4},` +
+	const golden = `{"counters":{"ddi.cache.hits":3,"vcu.devices_online":4},` +
 		`"histograms":{"offload.total_ms":{"count":4,"retained":4,"sum":100,"mean":25,"min":10,"p50":20,"p90":40,"p95":40,"p99":40,"max":40}}}`
 	if string(got) != golden {
 		t.Fatalf("snapshot JSON drifted:\n got: %s\nwant: %s", got, golden)
@@ -227,7 +212,7 @@ func TestSnapshotGolden(t *testing.T) {
 func TestSnapshotEmptyAndIsolated(t *testing.T) {
 	r := NewRegistry()
 	snap := r.Snapshot()
-	if len(snap.Counters) != 0 || len(snap.Gauges) != 0 || len(snap.Histograms) != 0 {
+	if len(snap.Counters) != 0 || len(snap.Histograms) != 0 {
 		t.Fatalf("empty registry snapshot not empty: %+v", snap)
 	}
 	if _, err := json.Marshal(snap); err != nil {
@@ -241,15 +226,13 @@ func TestSnapshotEmptyAndIsolated(t *testing.T) {
 	}
 }
 
-// TestRegistryMerge: counters add, gauges take the source's value, and
-// histogram Count/Sum/Min/Max stay exact across a merge.
+// TestRegistryMerge: counters add, and histogram Count/Sum/Min/Max stay
+// exact across a merge.
 func TestRegistryMerge(t *testing.T) {
 	a, b := NewRegistry(), NewRegistry()
 	a.Add("hits", 2)
 	b.Add("hits", 3)
 	b.Add("only.b", 1)
-	a.Set("depth", 4)
-	b.Set("depth", 9)
 	for _, v := range []float64{1, 2, 3} {
 		a.Observe("lat_ms", v)
 	}
@@ -264,9 +247,6 @@ func TestRegistryMerge(t *testing.T) {
 	}
 	if got := a.Counter("only.b"); got != 1 {
 		t.Fatalf("source-only counter = %v, want 1", got)
-	}
-	if got, _ := a.Gauge("depth"); got != 9 {
-		t.Fatalf("merged gauge = %v, want source value 9", got)
 	}
 	h := a.Histogram("lat_ms")
 	if h.Count() != 5 || h.Sum() != 16.5 || h.Min() != 0.5 || h.Max() != 10 {
@@ -296,7 +276,7 @@ func TestRegistryMergeOrderDeterminism(t *testing.T) {
 		for i := range shards {
 			shards[i] = NewRegistry()
 			shards[i].Add("n", float64(i))
-			shards[i].Set("g", float64(i))
+			shards[i].Add("g", float64(i)/3)
 			shards[i].Observe("h_ms", float64(i*i))
 		}
 		return shards
@@ -380,7 +360,6 @@ func TestGenerationTracksInterning(t *testing.T) {
 		t.Fatal("generation moved without interning")
 	}
 	h := r.HistogramHandle("h")
-	r.Set("gauge", 1) // gauges are not sampled: no bump
 	if r.Generation() != g0+2 {
 		t.Fatalf("generation after histogram intern = %d", r.Generation())
 	}

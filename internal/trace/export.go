@@ -7,6 +7,7 @@ import (
 	"strconv"
 	"strings"
 	"time"
+	"unicode/utf8"
 )
 
 // RenderTree renders the trace as an indented tree, one span per line:
@@ -34,6 +35,46 @@ func (t *Tracer) RenderTree() string {
 		fmt.Fprintf(&b, "(%d spans dropped at cap)\n", t.dropped)
 	}
 	return b.String()
+}
+
+// attrJSON is an attribute's JSON form: its key and its rendered value.
+type attrJSON struct {
+	K string `json:"k"`
+	V string `json:"v"`
+}
+
+// MarshalJSON renders the attribute as {"k":Key,"v":Value()}, the bytes
+// json.Marshal writes for an attrJSON.
+func (a Attr) MarshalJSON() ([]byte, error) {
+	v := a.Value()
+	b := make([]byte, 0, len(a.Key)+len(v)+len(`{"k":"","v":""}`))
+	b = appendJSONString(append(b, `{"k":`...), a.Key)
+	b = appendJSONString(append(b, `,"v":`...), v)
+	return append(b, '}'), nil
+}
+
+// appendJSONString appends s as encoding/json quotes it: verbatim when
+// every byte is printable ASCII that json escapes in no way, else through
+// json.Marshal itself.
+func appendJSONString(b []byte, s string) []byte {
+	for i := 0; i < len(s); i++ {
+		if c := s[i]; c < ' ' || c >= utf8.RuneSelf || c == '"' || c == '\\' || c == '<' || c == '>' || c == '&' {
+			q, _ := json.Marshal(s)
+			return append(b, q...)
+		}
+	}
+	return append(append(append(b, '"'), s...), '"')
+}
+
+// UnmarshalJSON reads MarshalJSON's form back as a string attribute: the
+// JSON keeps the rendered value, not its kind, so Value round-trips.
+func (a *Attr) UnmarshalJSON(b []byte) error {
+	var j attrJSON
+	if err := json.Unmarshal(b, &j); err != nil {
+		return err
+	}
+	*a = String(j.K, j.V)
+	return nil
 }
 
 // chromeEvent is one Chrome trace_event entry. "X" events are complete

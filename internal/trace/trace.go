@@ -13,7 +13,10 @@
 // values and are formatted only when an exporter renders them.
 //
 // Every method is nil-safe on both *Tracer and *Span, so instrumented
-// components carry an optional tracer without guarding each call site.
+// components carry an optional tracer and call it unguarded: the recording
+// methods are nil checks the compiler inlines in front of their bodies, and
+// building attributes formats nothing, so a call on a nil tracer costs a
+// few nanoseconds and no allocation.
 // Because all timestamps come from the virtual clock and span identifiers
 // are assigned in creation order, two runs with the same seed export
 // byte-identical traces.
@@ -146,19 +149,6 @@ type Tracer struct {
 	dropped             int
 }
 
-// Enabled reports whether spans are being recorded. Hot call sites guard
-// attribute construction with it, so disabled tracing (a nil *Tracer)
-// evaluates no attribute arguments at all:
-//
-//	if tr.Enabled() {
-//		tr.SpanAt("network", "network.uplink", a, b, trace.F64("bytes", n))
-//	}
-//
-// An unguarded call costs no allocation either, and neither does one on a
-// tracer already full at its cap: attributes are built on the caller's
-// stack and the dropped span copies nothing.
-func (t *Tracer) Enabled() bool { return t != nil }
-
 // New returns an empty tracer. It reads no clock: every span is stamped by
 // its caller (StartSpanAt, SpanAt, FinishAt).
 func New() *Tracer { return &Tracer{limit: DefaultSpanLimit} }
@@ -184,13 +174,7 @@ func (t *Tracer) StartSpanAt(component, name string, start time.Duration, attrs 
 	if t == nil {
 		return nil
 	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	s := t.newSpanLocked(component, name, start, start, attrs)
-	if s != nil {
-		t.stack = append(t.stack, s)
-	}
-	return s
+	return t.record(component, name, start, start, attrs, true)
 }
 
 // SpanAt records an already-bounded leaf span (start..end) under the
@@ -199,14 +183,16 @@ func (t *Tracer) SpanAt(component, name string, start, end time.Duration, attrs 
 	if t == nil {
 		return nil
 	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.newSpanLocked(component, name, start, end, attrs)
+	return t.record(component, name, start, end, attrs, false)
 }
 
-// newSpanLocked records a span under the cap as the last child of the
-// current stack top (a root when the stack is empty). Callers hold t.mu.
-func (t *Tracer) newSpanLocked(component, name string, start, end time.Duration, attrs []Attr) *Span {
+// record records a span under the cap as the last child of the current
+// stack top (a root when the stack is empty) and, when open, pushes it.
+// The nil checks stay in the exported fronts, which the compiler inlines,
+// so a call on a nil tracer never makes a call.
+func (t *Tracer) record(component, name string, start, end time.Duration, attrs []Attr, open bool) *Span {
+	t.mu.Lock()
+	defer t.mu.Unlock()
 	if t.nextID >= t.limit {
 		t.dropped++
 		return nil
@@ -218,6 +204,9 @@ func (t *Tracer) newSpanLocked(component, name string, start, end time.Duration,
 	s := t.addLocked(parent)
 	s.Name, s.Component, s.Start, s.End = name, component, start, end
 	t.keepLocked(s, nil, attrs)
+	if open {
+		t.stack = append(t.stack, s)
+	}
 	return s
 }
 
@@ -273,9 +262,12 @@ func (t *Tracer) span(id int32) *Span {
 // FinishAt closes the span at an explicit virtual time and pops it from the
 // open-span stack (out-of-order finishes unwind through it).
 func (s *Span) FinishAt(end time.Duration) {
-	if s == nil {
-		return
+	if s != nil {
+		s.finish(end)
 	}
+}
+
+func (s *Span) finish(end time.Duration) {
 	t := s.tracer
 	t.mu.Lock()
 	defer t.mu.Unlock()
@@ -290,9 +282,12 @@ func (s *Span) FinishAt(end time.Duration) {
 
 // SetAttr appends attributes to an open or finished span.
 func (s *Span) SetAttr(attrs ...Attr) {
-	if s == nil || len(attrs) == 0 {
-		return
+	if s != nil && len(attrs) > 0 {
+		s.setAttr(attrs)
 	}
+}
+
+func (s *Span) setAttr(attrs []Attr) {
 	s.tracer.mu.Lock()
 	defer s.tracer.mu.Unlock()
 	s.tracer.keepLocked(s, s.Attrs(), attrs)

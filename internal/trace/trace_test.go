@@ -2,6 +2,7 @@ package trace
 
 import (
 	"encoding/json"
+	"math"
 	"strings"
 	"sync"
 	"testing"
@@ -301,5 +302,58 @@ func TestSpanRecordingAllocs(t *testing.T) {
 	}
 	if got := testing.AllocsPerRun(100, record(nil)); got != 0 {
 		t.Errorf("nil tracer: %.0f allocs, want 0", got)
+	}
+}
+
+// TestAttrJSONRoundTrip: every attribute kind encodes as {"k":…,"v":…} with
+// the value rendered (HTML-escaped the way encoding/json escapes a string
+// field), and decodes back to an attribute with the same key and Value.
+func TestAttrJSONRoundTrip(t *testing.T) {
+	for _, tc := range []struct {
+		attr Attr
+		want string
+	}{
+		{Int("n", -42), `{"k":"n","v":"-42"}`},
+		{F64("bytes", 2048.126), `{"k":"bytes","v":"2048.13"}`},
+		{F64("loss", math.NaN()), `{"k":"loss","v":"NaN"}`},
+		{Dur("total", 1500*time.Millisecond), `{"k":"total","v":"1.5s"}`},
+		{Bool("ok", true), `{"k":"ok","v":"true"}`},
+		{Bool("ok", false), `{"k":"ok","v":"false"}`},
+		{String("dest", "rsu-0"), `{"k":"dest","v":"rsu-0"}`},
+		{String("reason", ""), `{"k":"reason","v":""}`},
+		{String("q", "a<b&c>\"\n"), `{"k":"q","v":"a\u003cb\u0026c\u003e\"\n"}`},
+	} {
+		b, err := json.Marshal(tc.attr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if string(b) != tc.want {
+			t.Fatalf("%s=%s encodes as %s, want %s", tc.attr.Key, tc.attr.Value(), b, tc.want)
+		}
+		var got Attr
+		if err := json.Unmarshal(b, &got); err != nil {
+			t.Fatal(err)
+		}
+		if got.Key != tc.attr.Key || got.Value() != tc.attr.Value() {
+			t.Fatalf("%s decodes to %s=%s, want %s=%s", b, got.Key, got.Value(), tc.attr.Key, tc.attr.Value())
+		}
+	}
+	// Keys and values that take the escaping path write what json.Marshal
+	// writes for the plain struct, inside a slice as well.
+	for _, v := range []string{"plain", "a\x00b\x1fc\x7f", "\b\f\t\r", "q\"\\", "<&>", "µs",
+		"\u2028\u2029", "bad\xffutf8\xc3", "日本"} {
+		attrs := []Attr{String(v, v), String("k", v)}
+		got, err := json.Marshal(attrs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, _ := json.Marshal([]attrJSON{{v, v}, {"k", v}})
+		if string(got) != string(want) {
+			t.Fatalf("%q encodes as %s, json.Marshal writes %s", v, got, want)
+		}
+	}
+	var bad Attr
+	if err := json.Unmarshal([]byte(`{"k":1}`), &bad); err == nil {
+		t.Fatal("a non-string key decoded")
 	}
 }

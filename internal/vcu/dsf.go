@@ -144,13 +144,11 @@ func (s *DSF) plan(dag *tasks.DAG, now time.Duration) (*Plan, error) {
 	}
 	s.m.plans.Inc()
 	s.m.planMakespan.ObserveDuration(plan.Makespan)
-	if s.scope.Tracer.Enabled() {
-		s.scope.Tracer.SpanAt("vcu", "vcu.plan", now, now+plan.Makespan,
-			trace.String("dag", dag.Name),
-			trace.String("policy", s.policy.Name()),
-			trace.Int("tasks", len(plan.Assignments)),
-			trace.F64("energy_j", plan.EnergyJ))
-	}
+	s.scope.Tracer.SpanAt("vcu", "vcu.plan", now, now+plan.Makespan,
+		trace.String("dag", dag.Name),
+		trace.String("policy", s.policy.Name()),
+		trace.Int("tasks", len(plan.Assignments)),
+		trace.F64("energy_j", plan.EnergyJ))
 	return plan, nil
 }
 
@@ -238,11 +236,8 @@ func (s *DSF) commitAt(dag *tasks.DAG, c *tasks.Compiled, plan *Plan, at []place
 			}
 		}
 	}
-	var span *trace.Span
-	if s.scope.Tracer.Enabled() {
-		span = s.scope.Tracer.StartSpanAt("vcu", "vcu.commit", commitStart,
-			trace.String("dag", plan.DAG), trace.String("policy", plan.Policy))
-	}
+	span := s.scope.Tracer.StartSpanAt("vcu", "vcu.commit", commitStart,
+		trace.String("dag", plan.DAG), trace.String("policy", plan.Policy))
 	committedOK := false
 	defer func() {
 		span.SetAttr(trace.Bool("ok", committedOK))
@@ -265,12 +260,10 @@ func (s *DSF) commitAt(dag *tasks.DAG, c *tasks.Compiled, plan *Plan, at []place
 			cm.devOf[ti] = dev
 		}
 		cm.finish[ti] = finish
-		if s.scope.Tracer.Enabled() {
-			s.scope.Tracer.SpanAt("vcu", "vcu.task", start, finish,
-				trace.String("task", t.ID),
-				trace.String("device", dev.Name()),
-				trace.Dur("queue_wait", start-ready))
-		}
+		s.scope.Tracer.SpanAt("vcu", "vcu.task", start, finish,
+			trace.String("task", t.ID),
+			trace.String("device", dev.Name()),
+			trace.Dur("queue_wait", start-ready))
 		s.m.tasksCommitted.Inc()
 		s.m.queueWait.ObserveDuration(start - ready)
 		s.m.taskExec.ObserveDuration(finish - start)
