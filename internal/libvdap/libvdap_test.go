@@ -25,7 +25,7 @@ import (
 	"repro/internal/xedge"
 )
 
-func trainedBehaviorModel(t *testing.T) *models.MLP {
+func trainedBehaviorModel(t testing.TB) *models.MLP {
 	t.Helper()
 	rng := sim.NewRNG(1)
 	ds, err := models.GenerateDataset(800, models.PopulationDriver(), rng.Fork())
