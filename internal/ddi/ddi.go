@@ -256,32 +256,41 @@ func (d *DDI) DownloadByID(now time.Duration, id uint64) (Record, time.Duration,
 // the paper). Range queries always hit the disk tier's index; results are
 // promoted for subsequent point lookups.
 func (d *DDI) Download(now time.Duration, q Query) ([]Record, time.Duration, error) {
+	return d.DownloadAppend(nil, now, q)
+}
+
+// DownloadAppend is Download appending the results to dst, so a caller that
+// keeps a scratch slice grows none per query. On error it returns dst as
+// it came in.
+func (d *DDI) DownloadAppend(dst []Record, now time.Duration, q Query) ([]Record, time.Duration, error) {
 	d.downloads++
 	// One pass over the store cursor: byte count, cache promotion and the
 	// result slice together.
 	it := d.store.Scan(q)
-	var recs []Record
+	n := len(dst)
 	var bytes float64
 	for it.Next() {
 		rec := *it.Record()
 		bytes += float64(rec.SizeBytes())
 		d.cache.Put(rec, now)
-		recs = append(recs, rec)
+		dst = append(dst, rec)
 	}
-	if err := it.Err(); err != nil {
-		return nil, 0, err
+	err := it.Err()
+	var latency time.Duration
+	if err == nil {
+		latency, err = d.ssd.ReadTime(bytes / 1e6)
 	}
-	latency, err := d.ssd.ReadTime(bytes / 1e6)
 	if err != nil {
-		return nil, 0, err
+		clear(dst[n:]) // pin no payload past the caller's prefix
+		return dst[:n], 0, err
 	}
 	d.scope.Tracer.SpanAt("ddi", "ddi.query", now, now+latency,
-		trace.Int("records", len(recs)), trace.F64("bytes", bytes))
+		trace.Int("records", len(dst)-n), trace.F64("bytes", bytes))
 	d.m.downloads.Inc()
 	d.m.diskReads.Inc()
 	d.m.readMS.ObserveDuration(latency)
 	d.m.diskReadMS.ObserveDuration(latency)
-	return recs, latency, nil
+	return dst, latency, nil
 }
 
 // Aggregate is the service-layer windowed aggregate: count/min/max/mean

@@ -6,7 +6,10 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/obs"
 	"repro/internal/sim"
+	"repro/internal/telemetry"
+	"repro/internal/trace"
 )
 
 // buildCorpus fills s with n randomized records (seeded via sim.NewStream
@@ -213,5 +216,67 @@ func TestDifferentialDeleteBefore(t *testing.T) {
 		if !reflect.DeepEqual(got[i], want[i]) {
 			t.Fatalf("survivor %d: got %+v want %+v", i, got[i], want[i])
 		}
+	}
+}
+
+// TestDownloadAppendMatchesDownload runs the differential query matrix on
+// two identically filled DDIs, one through Download and one through
+// DownloadAppend behind a non-empty prefix: the prefix survives, the
+// appended records equal Download's, and the latency, the cache promotions
+// (LRU order and counters), the metrics and the spans match query by query.
+func TestDownloadAppendMatchesDownload(t *testing.T) {
+	type side struct {
+		d   *DDI
+		reg *telemetry.Registry
+		tr  *trace.Tracer
+	}
+	newSide := func() side {
+		s := side{d: newDDI(t), reg: telemetry.NewRegistry(), tr: trace.New()}
+		s.d.Instrument(obs.Scope{Metrics: s.reg, Tracer: s.tr})
+		buildCorpus(t, s.d.Store(), 3000, 17)
+		if err := s.d.Store().Seal(); err != nil {
+			t.Fatal(err)
+		}
+		buildCorpus(t, s.d.Store(), 500, 18) // a memtable beside the segments
+		return s
+	}
+	a, b := newSide(), newSide()
+	prefix := []Record{{ID: 1 << 40, Source: SourceUser, Payload: []byte("prefix")}}
+	for i, q := range differentialQueries() {
+		now := time.Duration(i) * time.Second
+		want, wantLat, err := a.d.Download(now, q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		dst := append(make([]Record, 0, 4), prefix...)
+		got, gotLat, err := b.d.DownloadAppend(dst, now, q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(got[:len(prefix)], prefix) {
+			t.Fatalf("query %d %+v: prefix became %+v", i, q, got[:len(prefix)])
+		}
+		if rest := got[len(prefix):]; !reflect.DeepEqual(rest, want) && (len(rest) != 0 || len(want) != 0) {
+			t.Fatalf("query %d %+v: DownloadAppend returned %d records, Download %d", i, q, len(rest), len(want))
+		}
+		if gotLat != wantLat {
+			t.Fatalf("query %d %+v: latency %v, Download %v", i, q, gotLat, wantLat)
+		}
+		ca, cb := a.d.Cache(), b.d.Cache()
+		if !reflect.DeepEqual(ca.nodes, cb.nodes) || !reflect.DeepEqual(ca.index, cb.index) ||
+			ca.head != cb.head || ca.tail != cb.tail || ca.free != cb.free || ca.hits != cb.hits || ca.misses != cb.misses {
+			t.Fatalf("query %d %+v: the record caches diverged", i, q)
+		}
+	}
+	if sa, sb := a.reg.Snapshot(), b.reg.Snapshot(); !reflect.DeepEqual(sa, sb) {
+		t.Fatalf("metrics diverged:\nDownload:       %+v\nDownloadAppend: %+v", sa, sb)
+	}
+	if ta, tb := a.tr.RenderTree(), b.tr.RenderTree(); ta != tb {
+		t.Fatalf("spans diverged:\nDownload:\n%s\nDownloadAppend:\n%s", ta, tb)
+	}
+	ua, da, _ := a.d.Stats()
+	ub, db, _ := b.d.Stats()
+	if ua != ub || da != db {
+		t.Fatalf("uploads/downloads %d/%d, DownloadAppend's %d/%d", ua, da, ub, db)
 	}
 }

@@ -7,6 +7,7 @@ package libvdap
 
 import (
 	"fmt"
+	"math"
 	"sort"
 	"sync"
 
@@ -131,7 +132,8 @@ func (r *Registry) Info(name string) (ModelInfo, error) {
 	return e.info, nil
 }
 
-// Predict runs an executable model on a feature vector.
+// Predict runs an executable model on a feature vector. It refuses features
+// the model answers with a non-finite probability.
 func (r *Registry) Predict(name string, features []float64) (probs []float64, class int, err error) {
 	r.mu.RLock()
 	e, ok := r.entries[name]
@@ -148,6 +150,11 @@ func (r *Registry) Predict(name string, features []float64) (probs []float64, cl
 	}
 	class = 0
 	for c, p := range probs {
+		// Finite but huge features overflow the network to NaN; such an
+		// answer is the input's fault and has no JSON encoding.
+		if math.IsNaN(p) || math.IsInf(p, 0) {
+			return nil, 0, fmt.Errorf("libvdap: model %q has no finite output for these features", name)
+		}
 		if p > probs[class] {
 			class = c
 		}

@@ -1,6 +1,7 @@
 package libvdap
 
 import (
+	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -11,6 +12,7 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
+	"unsafe"
 
 	"repro/internal/ddi"
 	"repro/internal/edgeos"
@@ -367,7 +369,8 @@ func (s *Server) writeNegotiated(w http.ResponseWriter, r *http.Request, content
 
 // jsonBody marshals v exactly as json.Encoder.Encode would (compact JSON
 // plus a trailing newline), so cached bodies and per-request encodes are
-// byte-identical.
+// byte-identical. Only a cache entry, which owns its bytes, needs it: every
+// other reply encodes through a pooled reply.
 func jsonBody(v any) ([]byte, error) {
 	out, err := json.Marshal(v)
 	if err != nil {
@@ -386,7 +389,9 @@ func (s *Server) cached(w http.ResponseWriter, r *http.Request, c *wmCache, buil
 			s.writeErrRes(w, http.StatusInternalServerError, err)
 			return
 		}
-		if body, ok := s.marshal(w, v); ok {
+		rb := getReply()
+		defer putReply(rb)
+		if body, ok := s.encode(w, rb, v); ok {
 			s.writeNegotiated(w, r, jsonContentType, body)
 		}
 		return
@@ -727,34 +732,86 @@ const jsonContentType = "application/json; charset=utf-8"
 // writeBody writes a fully-materialized response with an explicit
 // Content-Length (no chunked framing), counting write failures (client
 // hangups mid-body) in libvdap.write_errors so the serve sweep can report
-// them instead of hiding them.
-func (s *Server) writeBody(w http.ResponseWriter, status int, contentType string, body []byte) {
+// them instead of hiding them. It reports whether the write went through.
+func (s *Server) writeBody(w http.ResponseWriter, status int, contentType string, body []byte) bool {
 	w.Header().Set("Content-Type", contentType)
 	w.Header().Set("Content-Length", strconv.Itoa(len(body)))
 	w.WriteHeader(status)
 	if _, err := w.Write(body); err != nil {
-		s.writeErrors.Add(1)
-		s.writeErrs.Inc()
+		s.countWriteError()
+		return false
 	}
+	return true
 }
 
-// marshal encodes v up front — a marshal failure is reported as a clean 500
-// instead of a torn body, and counted with the write failures.
-func (s *Server) marshal(w http.ResponseWriter, v any) ([]byte, bool) {
-	body, err := jsonBody(v)
-	if err != nil {
-		s.writeErrors.Add(1)
-		s.writeErrs.Inc()
-		http.Error(w, `{"error":"encode response"}`, http.StatusInternalServerError)
+func (s *Server) countWriteError() {
+	s.writeErrors.Add(1)
+	s.writeErrs.Inc()
+}
+
+// maxPooledReply caps the buffer a pooled reply may keep: one that grew past
+// it (a large unlimited query) is dropped instead of pinned in the pool.
+const maxPooledReply = 64 << 10
+
+// reply is one reusable JSON encoder with the buffer it writes into and the
+// record scratch /data/query downloads into. Encoder.Encode writes compact
+// JSON plus a newline, so its bytes equal jsonBody's.
+type reply struct {
+	buf  bytes.Buffer
+	enc  *json.Encoder
+	recs []ddi.Record
+}
+
+var replyPool = sync.Pool{New: func() any {
+	rb := new(reply)
+	rb.enc = json.NewEncoder(&rb.buf)
+	return rb
+}}
+
+func getReply() *reply { return replyPool.Get().(*reply) }
+
+// putReply returns rb to the pool, once everything encoded into it has been
+// written, unless it grew past maxPooledReply. The record scratch is
+// cleared first, so the pool pins no record payload.
+func putReply(rb *reply) {
+	if rb.buf.Cap() > maxPooledReply || cap(rb.recs)*int(unsafe.Sizeof(ddi.Record{})) > maxPooledReply {
+		return
+	}
+	clear(rb.recs)
+	rb.recs = rb.recs[:0]
+	rb.buf.Reset()
+	replyPool.Put(rb)
+}
+
+// encodeFailed is the reply that replaces a body the server cannot encode.
+var encodeFailed = []byte(`{"error":"encode response"}` + "\n")
+
+// encode encodes v into rb's buffer up front and returns the bytes, valid
+// until rb goes back to the pool. A value that cannot be encoded is answered
+// with a clean JSON 500 instead of a torn body and counted with the write
+// failures, once per reply however the 500's own write goes.
+func (s *Server) encode(w http.ResponseWriter, rb *reply, v any) ([]byte, bool) {
+	rb.buf.Reset()
+	if err := rb.enc.Encode(v); err != nil {
+		if s.writeBody(w, http.StatusInternalServerError, jsonContentType, encodeFailed) {
+			s.countWriteError()
+		}
 		return nil, false
 	}
-	return body, true
+	return rb.buf.Bytes(), true
+}
+
+// writeJSONWith encodes v through rb and writes it with the given status.
+func (s *Server) writeJSONWith(w http.ResponseWriter, rb *reply, status int, v any) {
+	if body, ok := s.encode(w, rb, v); ok {
+		s.writeBody(w, status, jsonContentType, body)
+	}
 }
 
 func (s *Server) writeJSON(w http.ResponseWriter, status int, v any) {
-	if body, ok := s.marshal(w, v); ok {
-		s.writeBody(w, status, jsonContentType, body)
-	}
+	rb := getReply()
+	defer putReply(rb)
+	s.writeJSONWith(w, rb, status, v)
 }
 
 type apiError struct {
@@ -922,15 +979,19 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		}
 		q.Limit = n
 	}
-	recs, latency, err := s.store.Download(s.clock(), q)
+	rb := getReply()
+	defer putReply(rb)
+	recs, latency, err := s.store.DownloadAppend(rb.recs, s.clock(), q)
 	if err != nil {
 		s.writeErrRes(w, http.StatusInternalServerError, err)
 		return
 	}
-	s.writeJSON(w, http.StatusOK, QueryResponse{
-		Records:   recs,
-		LatencyMS: float64(latency) / float64(time.Millisecond),
-	})
+	rb.recs = recs
+	resp := QueryResponse{LatencyMS: float64(latency) / float64(time.Millisecond)}
+	if len(recs) > 0 { // an empty answer stays "records":null
+		resp.Records = recs
+	}
+	s.writeJSONWith(w, rb, http.StatusOK, resp)
 }
 
 // WindowResponse carries a windowed aggregate, the plan that produced it

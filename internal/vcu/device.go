@@ -6,6 +6,7 @@
 package vcu
 
 import (
+	"encoding/json"
 	"fmt"
 	"slices"
 	"time"
@@ -62,6 +63,9 @@ type Device struct {
 	// do not change once managed, and the planner asks for a rate per task
 	// per device.
 	rates []float64
+	// throughput is the processor's Throughput table as JSON, encoded once
+	// in NewDevice for the same reason: every Profile carries it.
+	throughput json.RawMessage
 }
 
 // NewDevice wraps a processor for mHEP management.
@@ -77,6 +81,13 @@ func NewDevice(p *hardware.Processor, tier Tier, io IO) (*Device, error) {
 	d.rates = make([]float64, slices.Max(hardware.Classes())+1)
 	for c := range d.rates {
 		d.rates[c] = p.EffectiveGFLOPS(hardware.Class(c))
+	}
+	tp := make(map[string]float64, len(p.Throughput))
+	for c, v := range p.Throughput {
+		tp[c.String()] = v
+	}
+	if d.throughput, err = json.Marshal(tp); err != nil {
+		return nil, fmt.Errorf("vcu: device %s throughput: %w", p.Name, err)
 	}
 	return d, nil
 }
@@ -131,23 +142,23 @@ func TransferTime(from, to *Device, sizeBytes float64) time.Duration {
 // ResourceProfile is the periodic status snapshot DSF keeps per device
 // (paper §IV-B2 "computing resources collection").
 type ResourceProfile struct {
-	Name          string             `json:"name"`
-	Tier          string             `json:"tier"`
-	Kind          string             `json:"kind"`
-	Slots         int                `json:"slots"`
-	EarliestStart time.Duration      `json:"earliestStart"`
-	Utilization   float64            `json:"utilization"`
-	Throughput    map[string]float64 `json:"throughputGflops"`
-	MaxPowerW     float64            `json:"maxPowerW"`
+	Name          string        `json:"name"`
+	Tier          string        `json:"tier"`
+	Kind          string        `json:"kind"`
+	Slots         int           `json:"slots"`
+	EarliestStart time.Duration `json:"earliestStart"`
+	Utilization   float64       `json:"utilization"`
+	// Throughput is the effective GFLOP/s per task class, a JSON object
+	// keyed by class name.
+	Throughput json.RawMessage `json:"throughputGflops"`
+	MaxPowerW  float64         `json:"maxPowerW"`
 }
 
 // Profile snapshots the device at virtual time now over the given horizon.
+// The throughput table is the device's own encoding, shared by every
+// profile: callers must not modify it.
 func (d *Device) Profile(now, horizon time.Duration) ResourceProfile {
 	p := d.exec.Processor()
-	tp := make(map[string]float64, len(p.Throughput))
-	for c, v := range p.Throughput {
-		tp[c.String()] = v
-	}
 	return ResourceProfile{
 		Name:          p.Name,
 		Tier:          d.tier.String(),
@@ -155,7 +166,7 @@ func (d *Device) Profile(now, horizon time.Duration) ResourceProfile {
 		Slots:         p.Slots,
 		EarliestStart: d.exec.EarliestStart(now),
 		Utilization:   d.exec.Utilization(horizon),
-		Throughput:    tp,
+		Throughput:    d.throughput,
 		MaxPowerW:     p.MaxPowerW,
 	}
 }

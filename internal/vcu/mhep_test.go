@@ -1,7 +1,9 @@
 package vcu
 
 import (
+	"encoding/json"
 	"fmt"
+	"math"
 	"testing"
 	"time"
 
@@ -50,6 +52,13 @@ func TestAddDeviceValidation(t *testing.T) {
 	if err := m.AddDevice(p, SecondLevel, IO{}); err == nil {
 		t.Fatal("zero IO accepted")
 	}
+	// A throughput with no JSON encoding is refused when the device is
+	// managed, not when its profile is first served.
+	nan := *p
+	nan.Throughput = map[hardware.Class]float64{hardware.General: math.NaN()}
+	if err := m.AddDevice(&nan, SecondLevel, WiFiIO()); err == nil {
+		t.Fatal("NaN throughput accepted")
+	}
 }
 
 func TestProfiles(t *testing.T) {
@@ -62,8 +71,18 @@ func TestProfiles(t *testing.T) {
 		if p.Name == "" || p.Kind == "" || p.Tier != "1stHEP" {
 			t.Fatalf("bad profile %+v", p)
 		}
-		if len(p.Throughput) == 0 {
-			t.Fatalf("profile %s has no throughput", p.Name)
+		var tp map[string]float64
+		if err := json.Unmarshal(p.Throughput, &tp); err != nil || len(tp) == 0 {
+			t.Fatalf("profile %s throughput %s: %v", p.Name, p.Throughput, err)
+		}
+		d, _ := m.Device(p.Name)
+		for c, v := range d.Processor().Throughput {
+			if tp[c.String()] != v {
+				t.Fatalf("profile %s: %v throughput %v, processor has %v", p.Name, c, tp[c.String()], v)
+			}
+		}
+		if len(tp) != len(d.Processor().Throughput) {
+			t.Fatalf("profile %s: %d throughput classes, processor has %d", p.Name, len(tp), len(d.Processor().Throughput))
 		}
 	}
 }
