@@ -12,6 +12,12 @@
 //     while estimates stay clean — the failure is a surprise the
 //     offloading layer must absorb.
 //
+// A submission that fails inside an outage or exec-fault window returns an
+// error that names the site and wraps ErrSiteDown or ErrExecFault, so
+// errors.Is tells the two apart through xedge.Site.Submit and
+// offload.Engine.Execute. The error is built once per site at Attach and
+// does not carry the instant: spans and flight-recorder events do.
+//
 // Because the whole schedule is a pure function of (config, RNG stream)
 // and every query is keyed by virtual time, injection is byte-identical
 // per seed and race-clean under the sharded replication runner: each
@@ -19,6 +25,7 @@
 package faults
 
 import (
+	"errors"
 	"fmt"
 	"sort"
 	"time"
@@ -61,6 +68,13 @@ type PlanConfig struct {
 	MeanTimeToExecFault time.Duration
 	MeanExecFault       time.Duration
 }
+
+// The two fault kinds a submission can fail with. Every injected error
+// wraps one of them.
+var (
+	ErrSiteDown  = errors.New("scheduled outage")
+	ErrExecFault = errors.New("transient execution fault")
+)
 
 // What a degradation window does to each link of a site's access path.
 const (
@@ -322,21 +336,31 @@ func (in *Injector) Plan() *Plan { return in.plan }
 // Attach installs the injector's submission-time fault hook on every
 // planned site. Call once after construction; pair with either
 // AdvanceTo (pull-based worlds: fleets invoked at explicit times) or
-// Schedule (push-based worlds: a sim.Engine kernel), not both.
+// Schedule (push-based worlds: a sim.Engine kernel), not both. Each site's
+// two fault errors are built here, once, so a failing submission costs no
+// allocation.
 func (in *Injector) Attach() {
 	for _, sp := range in.plan.sites {
-		sp := sp
 		if len(sp.outages) == 0 && len(sp.execFaults) == 0 {
 			continue
 		}
 		name := sp.site.Name()
+		down := fmt.Errorf("faults: site %s: %w", name, ErrSiteDown)
+		exec := fmt.Errorf("faults: site %s: %w", name, ErrExecFault)
 		sp.site.SetFaultInjector(func(now time.Duration) error {
-			return in.faultAt(name, now)
+			switch in.faultAt(name, now) {
+			case ErrSiteDown:
+				return down
+			case ErrExecFault:
+				return exec
+			}
+			return nil
 		})
 	}
 }
 
-// faultAt decides whether a submission to site fails at virtual time now.
+// faultAt decides whether a submission to site fails at virtual time now,
+// answering with the fault kind's sentinel (nil when it does not fail).
 // Queries at or past the epoch cursor scan from the per-family cursors; a
 // query behind the cursor (pull-based worlds probing the past) falls back
 // to the full scan.
@@ -354,14 +378,14 @@ func (in *Injector) faultAt(site string, now time.Duration) error {
 		if sc := in.siteCounters(site); sc != nil {
 			sc.outageRejects.Inc()
 		}
-		return fmt.Errorf("faults: site down at %v (scheduled outage)", now)
+		return ErrSiteDown
 	}
 	if inWindowsFrom(sp.execFaults, execCur, now) {
 		in.m.execFaults.Inc()
 		if sc := in.siteCounters(site); sc != nil {
 			sc.execFaults.Inc()
 		}
-		return fmt.Errorf("faults: transient execution fault at %v", now)
+		return ErrExecFault
 	}
 	return nil
 }
@@ -442,12 +466,14 @@ func (in *Injector) siteUp(s *xedge.Site, at time.Duration) {
 // AdjustPath implements offload.PathAdjuster: inside a degradation
 // window the destination's access links lose degradeLossDelta extra
 // packets (total loss capped at 0.95) and keep only degradeBandwidthFactor
-// of their bandwidth. Outside windows the path is returned untouched.
+// of their bandwidth. The degraded links are appended to dst[:0], so a dst
+// with room for p's links costs no allocation. Outside windows p itself is
+// returned, untouched.
 //
 // AdjustPath never mutates injector state (the degraded-path counter is
 // atomic), so concurrent calls from the parallel decision phase of a
 // sharded fleet are race-clean.
-func (in *Injector) AdjustPath(dest string, p network.Path, now time.Duration) network.Path {
+func (in *Injector) AdjustPath(dst []network.LinkSpec, dest string, p network.Path, now time.Duration) network.Path {
 	sp, ok := in.plan.byName[dest]
 	if !ok {
 		return p
@@ -459,8 +485,7 @@ func (in *Injector) AdjustPath(dest string, p network.Path, now time.Duration) n
 	if !inWindowsFrom(sp.degrades, degradeCur, now) {
 		return p
 	}
-	adj := network.Path{Name: p.Name, Links: make([]network.LinkSpec, len(p.Links))}
-	copy(adj.Links, p.Links)
+	adj := network.Path{Name: p.Name, Links: append(dst[:0], p.Links...)}
 	for i := range adj.Links {
 		adj.Links[i].UpMbps *= degradeBandwidthFactor
 		adj.Links[i].DownMbps *= degradeBandwidthFactor

@@ -1,11 +1,13 @@
 package faults
 
 import (
+	"reflect"
 	"testing"
 	"time"
 
 	"repro/internal/geo"
 	"repro/internal/hardware"
+	"repro/internal/network"
 	"repro/internal/obs"
 	"repro/internal/sim"
 	"repro/internal/telemetry"
@@ -211,7 +213,7 @@ func TestAdjustPathDegradesInsideWindow(t *testing.T) {
 	origUp := p.Links[0].UpMbps
 	w := wins[0]
 	mid := w.From + (w.To-w.From)/2
-	adj := inj.AdjustPath("rsu-0", p, mid)
+	adj := inj.AdjustPath(nil, "rsu-0", p, mid)
 	if adj.Links[0].UpMbps >= origUp {
 		t.Fatalf("bandwidth not reduced: %v -> %v", origUp, adj.Links[0].UpMbps)
 	}
@@ -221,11 +223,11 @@ func TestAdjustPathDegradesInsideWindow(t *testing.T) {
 	if p.Links[0].UpMbps != origUp {
 		t.Fatal("input path mutated")
 	}
-	clean := inj.AdjustPath("rsu-0", p, 0)
+	clean := inj.AdjustPath(nil, "rsu-0", p, 0)
 	if clean.Links[0].UpMbps != origUp {
 		t.Fatal("healthy-time path degraded")
 	}
-	if unknown := inj.AdjustPath("ghost", p, mid); unknown.Links[0].UpMbps != origUp {
+	if unknown := inj.AdjustPath(nil, "ghost", p, mid); unknown.Links[0].UpMbps != origUp {
 		t.Fatal("unknown destination degraded")
 	}
 }
@@ -311,12 +313,95 @@ func TestEpochCursorEquivalence(t *testing.T) {
 					t.Fatalf("faultAt(%s, %v) diverged after AdvanceTo(%v): cursored=%v fullscan=%v",
 						site, probe, epoch, gotErr, wantErr)
 				}
-				got := cursored.AdjustPath(site, access, probe)
-				want := fullScan.AdjustPath(site, access, probe)
+				got := cursored.AdjustPath(nil, site, access, probe)
+				want := fullScan.AdjustPath(nil, site, access, probe)
 				if got.Links[0].UpMbps != want.Links[0].UpMbps || got.Links[0].BaseLoss != want.Links[0].BaseLoss {
 					t.Fatalf("AdjustPath(%s, %v) diverged after AdvanceTo(%v)", site, probe, epoch)
 				}
 			}
 		}
 	}
+}
+
+// copyAdjustPath is AdjustPath as it was before it wrote into caller
+// scratch: every degraded path is a fresh copy. FuzzAdjustPathMatchesCopy
+// holds the scratch adjuster to it.
+func (in *Injector) copyAdjustPath(dest string, p network.Path, now time.Duration) network.Path {
+	sp, ok := in.plan.byName[dest]
+	if !ok || !inWindows(sp.degrades, now) {
+		return p
+	}
+	adj := network.Path{Name: p.Name, Links: make([]network.LinkSpec, len(p.Links))}
+	copy(adj.Links, p.Links)
+	for i := range adj.Links {
+		adj.Links[i].UpMbps *= degradeBandwidthFactor
+		adj.Links[i].DownMbps *= degradeBandwidthFactor
+		loss := adj.Links[i].BaseLoss + degradeLossDelta
+		if loss > 0.95 {
+			loss = 0.95
+		}
+		adj.Links[i].BaseLoss = loss
+	}
+	return adj
+}
+
+// FuzzAdjustPathMatchesCopy: over random fault plans, paths, probe times,
+// epoch cursors and dst capacities, the scratch adjuster returns what the
+// copying one does, leaves the input path alone, hands p back itself
+// outside a window, and writes a degraded path into dst whenever dst has
+// room for it.
+func FuzzAdjustPathMatchesCopy(f *testing.F) {
+	f.Add(int64(13), []byte{2, 0, 0, 0, 0, 0}, uint16(2500), uint16(0), uint8(2), uint8(0))
+	f.Add(int64(29), []byte{0x41, 9, 0xff, 3, 1, 7, 0x80, 200}, uint16(9000), uint16(4000), uint8(0), uint8(1))
+	f.Add(int64(3), []byte{7}, uint16(4100), uint16(6000), uint8(9), uint8(2))
+	f.Fuzz(func(t *testing.T, seed int64, links []byte, probeMS, epochMS uint16, dstCap, dest uint8) {
+		sites := testSites(t)
+		plan, err := NewPlan(densePlanConfig(), sim.NewStream(seed, 0), sites)
+		if err != nil {
+			t.Fatal(err)
+		}
+		inj, err := NewInjector(plan)
+		if err != nil {
+			t.Fatal(err)
+		}
+		inj.AdvanceTo(time.Duration(epochMS%12000) * time.Millisecond)
+		// Each byte of links is one link: bandwidth and loss from its bits.
+		p := network.Path{Name: "fuzzed"}
+		for i, b := range links[:min(len(links), 8)] {
+			p.Links = append(p.Links, network.LinkSpec{
+				Name:     string(rune('a' + i)),
+				UpMbps:   float64(b&0x0f+1) * 10,
+				DownMbps: float64(b>>4+1) * 10,
+				RTT:      time.Duration(b) * time.Millisecond,
+				BaseLoss: float64(b) / 255,
+			})
+		}
+		in := network.Path{Name: p.Name, Links: append([]network.LinkSpec(nil), p.Links...)}
+		name := []string{"rsu-0", "cloud", "ghost"}[dest%3]
+		now := time.Duration(probeMS%12000) * time.Millisecond
+		c := int(dstCap % 10)
+		dst := make([]network.LinkSpec, int(dstCap/10)%(c+1), c)
+		for i := range dst {
+			dst[i] = network.LinkSpec{Name: "stale", UpMbps: -1}
+		}
+
+		got := inj.AdjustPath(dst, name, p, now)
+		want := inj.copyAdjustPath(name, in, now)
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("AdjustPath(%s, %v)\n got %+v\nwant %+v", name, now, got, want)
+		}
+		if !reflect.DeepEqual(p, in) {
+			t.Fatalf("input path rewritten: %+v, was %+v", p, in)
+		}
+		if len(p.Links) == 0 {
+			return
+		}
+		degraded := plan.byName[name] != nil && inWindows(plan.byName[name].degrades, now)
+		switch {
+		case !degraded && &got.Links[0] != &p.Links[0]:
+			t.Fatalf("a clean path is not p itself")
+		case degraded && cap(dst) >= len(p.Links) && &got.Links[0] != &dst[:1][0]:
+			t.Fatalf("a degraded path did not go into dst (cap %d, %d links)", cap(dst), len(p.Links))
+		}
+	})
 }

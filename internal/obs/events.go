@@ -99,7 +99,19 @@ type Recorder struct {
 	n       int
 	seq     uint64
 	dropped int
+
+	// fields is the append-only slab that events' Fields are copied into.
+	// A full slab is replaced, never rewritten, so an event's fields stay
+	// as recorded for as long as anything holds the event.
+	fields []trace.Attr
 }
+
+// fieldSlab is how many attributes one slab of a recorder's event fields
+// holds: twenty-one three-attribute events, small because a fleet keeps a
+// recorder per vehicle lane. 63 attributes plus the allocation header the
+// runtime puts on a pointerful object over 512 bytes fill the 2 KiB size
+// class; 64 would take the 2 304-byte one.
+const fieldSlab = 63
 
 // NewRecorder returns a recorder retaining at most capacity events
 // (DefaultEventCapacity when non-positive).
@@ -111,8 +123,8 @@ func NewRecorder(capacity int) *Recorder {
 }
 
 // Emit appends an event at virtual time at. The recorder keeps a copy of
-// fields, so a caller's variadic attributes stay on its stack, and a nil
-// recorder copies nothing.
+// fields, in its field slab, so a caller's variadic attributes stay on its
+// stack, and a nil recorder copies nothing.
 func (r *Recorder) Emit(at time.Duration, component string, sev Severity, name string, fields ...trace.Attr) {
 	if r != nil {
 		r.emit(at, component, sev, name, fields)
@@ -120,11 +132,25 @@ func (r *Recorder) Emit(at time.Duration, component string, sev Severity, name s
 }
 
 func (r *Recorder) emit(at time.Duration, component string, sev Severity, name string, fields []trace.Attr) {
-	ev := Event{At: at, Component: component, Severity: sev, Name: name,
-		Fields: append([]trace.Attr(nil), fields...)}
 	r.mu.Lock()
-	r.pushLocked(ev)
+	r.pushLocked(Event{At: at, Component: component, Severity: sev, Name: name,
+		Fields: r.keepLocked(fields)})
 	r.mu.Unlock()
+}
+
+// keepLocked copies fields into the field slab, starting a new slab when
+// they do not fit, and returns the copy capped at its length, so an append
+// to one event's fields never reaches the next one's. Callers hold r.mu.
+func (r *Recorder) keepLocked(fields []trace.Attr) []trace.Attr {
+	if len(fields) == 0 {
+		return nil
+	}
+	if len(r.fields)+len(fields) > cap(r.fields) {
+		r.fields = make([]trace.Attr, 0, max(fieldSlab, len(fields)))
+	}
+	from := len(r.fields)
+	r.fields = append(r.fields, fields...)
+	return r.fields[from:len(r.fields):len(r.fields)]
 }
 
 // pushLocked appends ev, sequenced after every event already recorded,

@@ -98,6 +98,69 @@ func TestRecorderOwnsItsFields(t *testing.T) {
 	}
 }
 
+// TestRecorderExportsAreStable: a recorder copies event fields into slabs
+// it never rewrites, so what it handed out — Events, EventsSince and the
+// events a Merge destination shares with it — keeps its fields while the
+// source wraps its ring many times over and fills slab after slab.
+func TestRecorderExportsAreStable(t *testing.T) {
+	src := NewRecorder(4)
+	emit := func(i int) {
+		src.Emit(time.Duration(i)*time.Millisecond, "offload", SevWarn, "resilient.fallback",
+			trace.Int("vehicle", i), trace.String("from", "rsu-"+strconv.Itoa(i)), trace.F64("share", float64(i)/8))
+	}
+	render := func(evs []Event) string {
+		var b []byte
+		for _, ev := range evs {
+			if cap(ev.Fields) != len(ev.Fields) {
+				t.Fatalf("%s's fields have room for %d more: an append would write the next event's", ev.Name, cap(ev.Fields)-len(ev.Fields))
+			}
+			for _, f := range ev.Fields {
+				b = append(b, f.Key+"="+f.Value()+" "...)
+			}
+			b = append(b, '\n')
+		}
+		return string(b)
+	}
+	for i := 0; i < 4; i++ {
+		emit(i)
+	}
+	events, since := src.Events(), src.EventsSince(time.Millisecond, "", SevDebug)
+	merged := NewRecorder(8)
+	merged.Merge(src)
+	want := []string{render(events), render(since), merged.RenderTable()}
+	for i := 4; i < 4+10*fieldSlab; i++ {
+		emit(i)
+	}
+	got := []string{render(events), render(since), merged.RenderTable()}
+	for i, what := range []string{"Events", "EventsSince", "Merge destination"} {
+		if got[i] != want[i] {
+			t.Errorf("%s changed after the source wrapped:\n got %s\nwant %s", what, got[i], want[i])
+		}
+	}
+	if want[0] == "" || src.Dropped() != 10*fieldSlab {
+		t.Fatalf("nothing exported, or the ring did not wrap: %d dropped", src.Dropped())
+	}
+}
+
+// TestRecorderEmitAllocs: an Emit with three attributes allocates at most
+// once per twenty events, amortised — a new field slab, once the current
+// one is full.
+func TestRecorderEmitAllocs(t *testing.T) {
+	const perRun = 2100
+	r := NewRecorder(256)
+	site := "rsu-3"
+	n := testing.AllocsPerRun(20, func() {
+		for i := 0; i < perRun; i++ {
+			r.Emit(time.Duration(i), "faults", SevWarn, "outage.begin",
+				trace.String("site", site), trace.Dur("length", time.Second), trace.Int("attempt", i))
+		}
+	}) / perRun
+	t.Logf("%.4f allocations per Emit", n)
+	if n > 0.05 {
+		t.Errorf("%.4f allocations per Emit with 3 attributes, want at most 0.05", n)
+	}
+}
+
 // FuzzEventJSON: an event decoded from arbitrary bytes (libvdap's client
 // decodes /api/v1/events this way) never panics, and once decoded,
 // encoding and decoding again gives the same bytes.

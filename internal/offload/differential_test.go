@@ -223,7 +223,7 @@ func TestEstimateBestSiteMatchesNaiveReference(t *testing.T) {
 		{name: "unavailable", sites: []*xedge.Site{rsu("a", 500, 600), down(rsu("wide", 0, 50000)), cloud(true), rsu("b", 1800, 600)}},
 		{name: "budget", sites: []*xedge.Site{rsu("wide", 0, 50000), cloud(true), rsu("a", 500, 600)}, budget: 3e5},
 		{name: "adjuster", sites: []*xedge.Site{cloud(true), rsu("a", 500, 600), rsu("wide", 0, 50000)},
-			adjust: func(dest string, p network.Path, now time.Duration) network.Path {
+			adjust: func(dst []network.LinkSpec, dest string, p network.Path, now time.Duration) network.Path {
 				loss := 0.0
 				switch sec := int(now / time.Second); {
 				case sec%5 == 0:
@@ -233,7 +233,7 @@ func TestEstimateBestSiteMatchesNaiveReference(t *testing.T) {
 				default:
 					return p
 				}
-				adj := network.Path{Name: p.Name, Links: append([]network.LinkSpec(nil), p.Links...)}
+				adj := network.Path{Name: p.Name, Links: append(dst[:0], p.Links...)}
 				for i := range adj.Links {
 					adj.Links[i].BaseLoss = loss
 				}
@@ -344,7 +344,7 @@ type adjusterCall struct {
 // virtual second: every link is invalid in the seconds divisible by 5,
 // and the site named "wide" loses 90 % of its packets in odd ones.
 func loggedAdjuster(log *[]adjusterCall, degrade bool) PathAdjuster {
-	return func(dest string, p network.Path, now time.Duration) network.Path {
+	return func(dst []network.LinkSpec, dest string, p network.Path, now time.Duration) network.Path {
 		if *log != nil {
 			*log = append(*log, adjusterCall{dest, now})
 		}
@@ -360,7 +360,7 @@ func loggedAdjuster(log *[]adjusterCall, degrade bool) PathAdjuster {
 		default:
 			return p
 		}
-		adj := network.Path{Name: p.Name, Links: append([]network.LinkSpec(nil), p.Links...)}
+		adj := network.Path{Name: p.Name, Links: append(dst[:0], p.Links...)}
 		for i := range adj.Links {
 			adj.Links[i].BaseLoss = loss
 		}
@@ -720,7 +720,7 @@ func FuzzNextRemoteMatchesReference(f *testing.F) {
 				t.Fatal(err)
 			}
 			eng.SetBandwidthBudget(float64(budget))
-			eng.SetPathAdjuster(func(dest string, p network.Path, at time.Duration) network.Path {
+			eng.SetPathAdjuster(func(dst []network.LinkSpec, dest string, p network.Path, at time.Duration) network.Path {
 				*log = append(*log, adjusterCall{dest, at})
 				loss := -1.0
 				if degrade&0x80 != 0 {
@@ -734,7 +734,7 @@ func FuzzNextRemoteMatchesReference(f *testing.F) {
 				if loss < 0 {
 					return p
 				}
-				adj := network.Path{Name: p.Name, Links: append([]network.LinkSpec(nil), p.Links...)}
+				adj := network.Path{Name: p.Name, Links: append(dst[:0], p.Links...)}
 				for i := range adj.Links {
 					adj.Links[i].BaseLoss = loss
 				}

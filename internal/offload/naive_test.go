@@ -110,7 +110,7 @@ func (e *Engine) naiveEstimateSite(dag *tasks.DAG, site *xedge.Site, splitAfter 
 func (e *Engine) naivePath(site *xedge.Site, now time.Duration) network.Path {
 	p := e.mobilityAdjustedPath(site.Access())
 	if e.pathAdjust != nil {
-		p = e.pathAdjust(site.Name(), p, now)
+		p = e.pathAdjust(nil, site.Name(), p, now)
 	}
 	return p
 }

@@ -114,6 +114,10 @@ type Engine struct {
 	// time-varying fault adjuster is layered on top per call, never
 	// cached, so injected fault windows always see live conditions.
 	pathCache []network.Path
+	// pathScratch is the adjuster's dst: adjustedPath hands it over with
+	// room for the base path's links, so a degraded path is written into
+	// it instead of a fresh slice (see adjustedPath).
+	pathScratch []network.LinkSpec
 
 	// policy, when non-nil, enables the resilient execution path:
 	// per-site circuit breakers, retry with backoff, and fallback. See
@@ -130,8 +134,10 @@ type Engine struct {
 
 // PathAdjuster rewrites the access path toward a destination as of
 // virtual time now (e.g. a fault injector degrading a link during a
-// scheduled window). Implementations must not mutate the input path.
-type PathAdjuster func(dest string, p network.Path, now time.Duration) network.Path
+// scheduled window). An adjuster that changes the path appends its links
+// to dst[:0] and returns a path over them; one that leaves the path alone
+// returns p itself. Implementations must not mutate the input path.
+type PathAdjuster func(dst []network.LinkSpec, dest string, p network.Path, now time.Duration) network.Path
 
 // SetPathAdjuster installs adj as the engine's link-condition hook (nil
 // removes it). The adjuster runs on both the estimation and execution
@@ -356,8 +362,10 @@ func (e *Engine) mobilityAdjustedPath(p network.Path) network.Path {
 // externally-injected link conditions. si is the site's position in
 // e.sites, whose mobility-adjusted base is memoized (see pathCache); a
 // site the engine was not built with (si < 0) gets it afresh. Only the
-// fault adjuster runs per call. Callers treat the returned path as
-// read-only, as PathAdjuster implementations already must.
+// fault adjuster runs per call, writing into the engine's pathScratch, so
+// the returned path is valid until the engine's next adjustedPath call.
+// Callers treat it as read-only, as PathAdjuster implementations already
+// must.
 func (e *Engine) adjustedPath(si int, site *xedge.Site, now time.Duration) network.Path {
 	var p network.Path
 	if si < 0 {
@@ -373,7 +381,13 @@ func (e *Engine) adjustedPath(si int, site *xedge.Site, now time.Duration) netwo
 		}
 	}
 	if e.pathAdjust != nil {
-		p = e.pathAdjust(site.Name(), p, now)
+		// The scratch is sized here and never taken back from the result:
+		// an adjuster returns p itself outside its windows, and p may be a
+		// pathCache entry the scratch must not alias.
+		if cap(e.pathScratch) < len(p.Links) {
+			e.pathScratch = make([]network.LinkSpec, 0, len(p.Links))
+		}
+		p = e.pathAdjust(e.pathScratch[:0], site.Name(), p, now)
 	}
 	return p
 }

@@ -1,6 +1,7 @@
 package offload
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -526,11 +527,11 @@ func TestPathCacheKeepsFaultWindowsLive(t *testing.T) {
 	dag := tasks.ALPR()
 	before := findEst(t, eng, dag, "cloud") // warms the path cache
 	window := Window{From: 10 * time.Second, To: 20 * time.Second}
-	eng.SetPathAdjuster(func(dest string, p network.Path, now time.Duration) network.Path {
+	eng.SetPathAdjuster(func(dst []network.LinkSpec, dest string, p network.Path, now time.Duration) network.Path {
 		if dest != "cloud" || now < window.From || now >= window.To {
 			return p
 		}
-		adj := network.Path{Name: p.Name, Links: append([]network.LinkSpec(nil), p.Links...)}
+		adj := network.Path{Name: p.Name, Links: append(dst[:0], p.Links...)}
 		for i := range adj.Links {
 			adj.Links[i].UpMbps /= 10
 			adj.Links[i].DownMbps /= 10
@@ -558,3 +559,57 @@ func TestPathCacheKeepsFaultWindowsLive(t *testing.T) {
 
 // Window is a local [From, To) helper for the adjuster test.
 type Window struct{ From, To time.Duration }
+
+// TestAdjustedPathLeavesBaseCache: a path adjuster writes a degraded path
+// into the engine's scratch, never into the cached base path or the site's
+// access path, and the engine never takes the path an adjuster hands back
+// untouched (the cached base itself) for its scratch. Degraded, clean and
+// degraded again, the cache and the access path stay as they were, and a
+// clean call returns the base path.
+func TestAdjustedPathLeavesBaseCache(t *testing.T) {
+	eng, _, cl := testWorld(t, geo.MPH(40))
+	dag := tasks.ALPR()
+	clone := func(p network.Path) network.Path {
+		return network.Path{Name: p.Name, Links: append([]network.LinkSpec(nil), p.Links...)}
+	}
+	access := clone(cl.Access())
+	const degraded = 5 * time.Second
+	eng.SetPathAdjuster(func(dst []network.LinkSpec, dest string, p network.Path, now time.Duration) network.Path {
+		if now < degraded {
+			return p
+		}
+		adj := network.Path{Name: p.Name, Links: append(dst[:0], p.Links...)}
+		for i := range adj.Links {
+			adj.Links[i].UpMbps /= 4
+			adj.Links[i].BaseLoss += 0.2
+		}
+		return adj
+	})
+	si := eng.siteAt[cl.Name()]
+	healthy := eng.EstimateSite(dag, cl, 0, 0) // fills the cache
+	base := clone(eng.pathCache[si])
+	check := func(when string) {
+		t.Helper()
+		if !reflect.DeepEqual(eng.pathCache[si], base) {
+			t.Fatalf("%s: cached base path rewritten:\n got %+v\nwant %+v", when, eng.pathCache[si], base)
+		}
+		if !reflect.DeepEqual(cl.Access(), access) {
+			t.Fatalf("%s: site access path rewritten:\n got %+v\nwant %+v", when, cl.Access(), access)
+		}
+	}
+	for round := 0; round < 2; round++ {
+		est := eng.EstimateSite(dag, cl, 0, degraded)
+		if !est.Feasible || est.Uplink <= healthy.Uplink {
+			t.Fatalf("round %d: degraded estimate %+v not slower than healthy uplink %v", round, est, healthy.Uplink)
+		}
+		if _, err := eng.Execute(dag, est, degraded); err != nil {
+			t.Fatal(err)
+		}
+		check("after a degraded estimate and execute")
+		clean := eng.adjustedPath(si, cl, 0)
+		if !reflect.DeepEqual(clean, base) || &clean.Links[0] != &eng.pathCache[si].Links[0] {
+			t.Fatalf("round %d: clean call returned %+v, not the cached base path", round, clean)
+		}
+		check("after a clean call")
+	}
+}

@@ -291,8 +291,8 @@ func TestPathAdjusterAppliesToEstimates(t *testing.T) {
 	eng, rsu, _ := testWorld(t, 0)
 	dag := tasks.ALPR()
 	base := eng.EstimateSite(dag, rsu, 0, 0)
-	eng.SetPathAdjuster(func(dest string, p network.Path, now time.Duration) network.Path {
-		adj := network.Path{Name: p.Name, Links: append([]network.LinkSpec(nil), p.Links...)}
+	eng.SetPathAdjuster(func(dst []network.LinkSpec, dest string, p network.Path, now time.Duration) network.Path {
+		adj := network.Path{Name: p.Name, Links: append(dst[:0], p.Links...)}
 		for i := range adj.Links {
 			adj.Links[i].BaseLoss = 0.9
 		}

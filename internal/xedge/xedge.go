@@ -85,7 +85,9 @@ type Site struct {
 // FaultFunc inspects a submission at virtual time now and returns a
 // non-nil error to inject a failure (transient outage windows, chaos
 // schedules). Estimates are deliberately not consulted: an injected fault
-// is a surprise the offloading layer discovers at execution time.
+// is a surprise the offloading layer discovers at execution time. Submit
+// returns the hook's error as it is, so the error must name the site; a
+// hook that builds its errors once per site injects a fault for free.
 type FaultFunc func(now time.Duration) error
 
 // New assembles a site from processors and an access path.
@@ -299,7 +301,7 @@ func (s *Site) Submit(now time.Duration, class hardware.Class, gflop float64) (s
 	}
 	if s.faultFn != nil {
 		if err := s.faultFn(now); err != nil {
-			return 0, 0, fmt.Errorf("xedge: site %s: %w", s.name, err)
+			return 0, 0, err
 		}
 	}
 	return exec.Submit(now, class, gflop)
