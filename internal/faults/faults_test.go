@@ -309,7 +309,7 @@ func TestEpochCursorEquivalence(t *testing.T) {
 			for _, site := range []string{"rsu-0", "cloud"} {
 				gotErr := cursored.faultAt(site, probe)
 				wantErr := fullScan.faultAt(site, probe)
-				if (gotErr == nil) != (wantErr == nil) {
+				if gotErr != wantErr {
 					t.Fatalf("faultAt(%s, %v) diverged after AdvanceTo(%v): cursored=%v fullscan=%v",
 						site, probe, epoch, gotErr, wantErr)
 				}
