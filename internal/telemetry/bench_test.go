@@ -41,9 +41,9 @@ func BenchmarkCounterHandleAdd(b *testing.B) {
 }
 
 // benchSamples is how many samples a histogram benchmark puts into one
-// histogram before starting a fresh one: histograms keep every sample, so
-// b.N of them in one would measure the allocator, and a fleet run's
-// histograms hold a few thousand each.
+// histogram before starting a fresh one: a fleet run's histograms hold a
+// few thousand each, so each value's first sighting, which adds a bin,
+// stays part of the measurement.
 const benchSamples = 4096
 
 // BenchmarkHistogramHandleObserve measures the interned-handle histogram
@@ -80,5 +80,36 @@ func BenchmarkRegistryObserveDuration(b *testing.B) {
 			r = NewRegistry()
 		}
 		r.ObserveDuration("vcu.task_exec_ms", time.Duration(i%977)*time.Microsecond)
+	}
+}
+
+// BenchmarkRegistryMergeLanes measures a fleet's merged view after warm-up:
+// 1 000 lane registries, each with four histograms of 8 samples over a few
+// shared values and two counters, merged into a fresh registry and
+// rendered, as MergedTelemetry and Render do.
+func BenchmarkRegistryMergeLanes(b *testing.B) {
+	lanes := make([]*Registry, 1000)
+	for i := range lanes {
+		lanes[i] = NewRegistry()
+		for k := 0; k < 8; k++ {
+			for j, name := range [...]string{"a_ms", "b_ms", "c_ms", "d_ms"} {
+				lanes[i].Observe(name, float64((i+k*j)%(3+5*j)))
+			}
+		}
+		lanes[i].Add("calls", 8)
+		lanes[i].Add("errors", float64(i%2))
+	}
+	merge := func() string {
+		dst := NewRegistry()
+		for _, lane := range lanes {
+			dst.Merge(lane)
+		}
+		return dst.Render()
+	}
+	merge()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		merge()
 	}
 }

@@ -4,6 +4,12 @@
 // It exists so experiments and long-running scenarios can summarize
 // behavior without each component hand-rolling aggregation.
 //
+// A histogram keeps an exact multiset of its samples: one (value, count)
+// bin per distinct value, so a repeated value costs a binary search and no
+// memory, and every quantile is the exact nearest-rank one. Merging adds
+// bin counts. Memory grows with the distinct values a histogram has seen,
+// not with the samples.
+//
 // Metric names follow a `component.metric` scheme (for example
 // `ddi.cache.hits`, `offload.uplink_ms`); histogram names carry their unit
 // as a suffix.
@@ -16,8 +22,10 @@
 package telemetry
 
 import (
+	"cmp"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -99,8 +107,8 @@ func (hh *HistogramHandle) ObserveDuration(d time.Duration) {
 }
 
 // CountSum returns the histogram's sample count and total without copying
-// the samples — the allocation-free read samplers poll every
-// tick. A nil handle reads as empty.
+// its bins — the allocation-free read samplers poll every tick. A nil
+// handle reads as empty.
 func (hh *HistogramHandle) CountSum() (int, float64) {
 	if hh == nil {
 		return 0, 0
@@ -238,48 +246,80 @@ func (r *Registry) Observe(name string, value float64) {
 	r.HistogramHandle(name).Observe(value)
 }
 
-// Merge folds src's metrics into r: counters add, and histograms take the
-// union of both sides' samples. src is only read, never mutated, and may
-// keep collecting afterwards. Merging a registry into itself is a no-op.
+// mergeCopy is what Merge copies out of a source registry before it takes
+// the destination's lock. Merges reuse them through mergeCopies, so a fleet
+// merging a thousand lanes allocates only what the destination keeps.
+type mergeCopy struct {
+	counters []counterCopy
+	hists    []histCopy
+	bins     []bin
+}
+
+type counterCopy struct {
+	name string
+	v    float64
+}
+
+type histCopy struct {
+	name string
+	h    Histogram // h.bins is bins[end-h.sorted:end], set once bins stops growing
+	end  int
+}
+
+var mergeCopies = sync.Pool{New: func() any { return new(mergeCopy) }}
+
+// Merge folds src's metrics into r: counters add, and histograms add their
+// bins. src is only read, never mutated, and may keep collecting
+// afterwards. Merging a registry into itself is a no-op.
 func (r *Registry) Merge(src *Registry) {
 	if r == nil || src == nil || r == src {
 		return
 	}
-	// Deep-copy src under its own locks first so the two registries'
-	// mutexes are never held together (no ordering constraint between
-	// registries). Handle locks nest under their registry's mutex.
+	mc := mergeCopies.Get().(*mergeCopy)
+	defer func() {
+		mc.counters, mc.hists, mc.bins = mc.counters[:0], mc.hists[:0], mc.bins[:0]
+		mergeCopies.Put(mc)
+	}()
+	// Copy src under its own locks first so the two registries' mutexes
+	// are never held together (no ordering constraint between registries).
+	// Handle locks nest under their registry's mutex. Each histogram is
+	// compacted in place, so only its distinct values are copied.
 	src.mu.Lock()
-	counters := make(map[string]float64, len(src.counters))
-	for n, c := range src.counters {
-		if !c.touched.Load() {
+	for _, m := range src.log {
+		if m.C != nil {
+			if m.C.touched.Load() {
+				mc.counters = append(mc.counters, counterCopy{m.Name, m.C.Value()})
+			}
 			continue
 		}
-		counters[n] = c.Value()
-	}
-	hists := make(map[string]*Histogram, len(src.histograms))
-	for n, hh := range src.histograms {
-		hh.mu.Lock()
-		if hh.h.count > 0 {
-			hists[n] = hh.h.clone()
+		m.H.mu.Lock()
+		if m.H.h.count > 0 {
+			m.H.h.compact()
+			mc.bins = append(mc.bins, m.H.h.bins...)
+			mc.hists = append(mc.hists, histCopy{m.Name, *m.H.h, len(mc.bins)})
 		}
-		hh.mu.Unlock()
+		m.H.mu.Unlock()
 	}
 	src.mu.Unlock()
 
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	for n, v := range counters {
-		r.counterLocked(n).Add(v)
+	for _, c := range mc.counters {
+		r.counterLocked(c.name).Add(c.v)
 	}
-	for n, h := range hists {
-		if cur, ok := r.histograms[n]; ok {
+	for i := range mc.hists {
+		hc := &mc.hists[i]
+		hc.h.bins = mc.bins[hc.end-hc.h.sorted : hc.end]
+		if cur, ok := r.histograms[hc.name]; ok {
 			cur.mu.Lock()
-			cur.h.merge(h)
+			cur.h.merge(&hc.h)
 			cur.mu.Unlock()
 		} else {
-			hh := &HistogramHandle{h: h}
-			r.histograms[n] = hh
-			r.logLocked(Interned{Name: n, H: hh})
+			h := hc.h
+			h.bins = slices.Clone(h.bins)
+			hh := &HistogramHandle{h: &h}
+			r.histograms[hc.name] = hh
+			r.logLocked(Interned{Name: hc.name, H: hh})
 		}
 	}
 }
@@ -304,32 +344,50 @@ func (r *Registry) Histogram(name string) *Histogram {
 	if hh.h.count == 0 {
 		return nil
 	}
+	hh.h.compact()
 	return hh.h.clone()
 }
 
-// Histogram keeps every sample it is given and answers quantile queries
-// over them exactly.
+// Histogram keeps its samples as an exact multiset — one (value, count) bin
+// per distinct value — and answers quantile queries over them exactly: every
+// quantile is the one sorting every sample would give. Its memory grows with
+// the distinct values it has seen, not with the samples.
 //
 // The zero value is a valid empty histogram. Read methods never mutate
 // state, so concurrent readers of a shared *Histogram are safe as long as
 // no Observe runs concurrently (the Registry serializes its own).
 type Histogram struct {
-	samples []float64
-	count   int
-	sum     float64
-	min     float64
-	max     float64
+	// bins[:sorted] are distinct and ascending in cmp.Compare order (NaN
+	// first, −0 equal to +0, the order sort.Float64s gives); bins[sorted:]
+	// is a pending tail, unsorted and possibly repeating, that compact
+	// folds in.
+	bins   []bin
+	sorted int
+	count  int
+	sum    float64
+	min    float64
+	max    float64
 }
+
+// bin is one distinct sample value and how many times it was seen.
+type bin struct {
+	v float64
+	n int
+}
+
+// pendingFloor is the pending-tail length below which a histogram never
+// compacts, so one of a few distinct values is not re-sorted for each.
+const pendingFloor = 8
 
 // clone returns an independent deep copy.
 func (h *Histogram) clone() *Histogram {
 	cp := *h
-	cp.samples = append([]float64(nil), h.samples...)
+	cp.bins = slices.Clone(h.bins)
 	return &cp
 }
 
-// merge folds src into h, appending src's samples in order. src must not
-// be observed into concurrently.
+// merge folds src into h: bin counts add, and sum adds src's total. src
+// must not be observed into concurrently.
 func (h *Histogram) merge(src *Histogram) {
 	if src == nil || src.count == 0 {
 		return
@@ -342,20 +400,10 @@ func (h *Histogram) merge(src *Histogram) {
 	}
 	h.count += src.count
 	h.sum += src.sum
-	if need := len(h.samples) + len(src.samples); need > cap(h.samples) {
-		// Double, or grow to the exact size: a fleet merges a thousand
-		// lanes into one histogram, and append's quarter steps would
-		// allocate about five times the result on the way.
-		grown := make([]float64, len(h.samples), max(2*cap(h.samples), need))
-		copy(grown, h.samples)
-		h.samples = grown
+	for _, b := range src.bins {
+		h.add(b)
 	}
-	h.samples = append(h.samples, src.samples...)
 }
-
-// sampleSlackFrom is the sample count from which Observe grows the sample
-// slice itself rather than leaving it to append.
-const sampleSlackFrom = 256
 
 // Observe adds a sample.
 func (h *Histogram) Observe(v float64) {
@@ -367,16 +415,65 @@ func (h *Histogram) Observe(v float64) {
 	}
 	h.count++
 	h.sum += v
-	if n := len(h.samples); n == cap(h.samples) && n >= sampleSlackFrom {
-		// append would grow by a quarter and round up to a size class.
-		// A fleet keeps thousands of histograms (one set per vehicle)
-		// growing in step, so that slack is a fifth of the live heap;
-		// an eighth keeps appends amortised O(1) at half of it.
-		grown := make([]float64, n, n+n/8)
-		copy(grown, h.samples)
-		h.samples = grown
+	h.add(bin{v, 1})
+}
+
+// add counts b into the sorted bin of its value, or else appends it to the
+// pending tail and compacts once the tail is as long as the sorted bins:
+// amortised O(log d) for d distinct values.
+func (h *Histogram) add(b bin) {
+	// The first sorted bin at or above b.v: NaN bins sort first and are
+	// below every value, and a NaN b.v can only be the first bin.
+	lo, hi := 0, h.sorted
+	for lo < hi {
+		if m := int(uint(lo+hi) >> 1); h.bins[m].v >= b.v {
+			hi = m
+		} else {
+			lo = m + 1
+		}
 	}
-	h.samples = append(h.samples, v)
+	if b.v != b.v && h.sorted > 0 {
+		lo = 0
+	}
+	if lo < h.sorted && cmp.Compare(h.bins[lo].v, b.v) == 0 {
+		h.bins[lo].n += b.n
+		return
+	}
+	h.bins = append(h.bins, b)
+	if len(h.bins)-h.sorted >= max(h.sorted, pendingFloor) {
+		h.compact()
+	}
+}
+
+// compact sorts the pending tail into the bins, folding equal values into
+// one bin.
+func (h *Histogram) compact() {
+	if h.sorted == len(h.bins) {
+		return
+	}
+	slices.SortFunc(h.bins, func(a, b bin) int { return cmp.Compare(a.v, b.v) })
+	out := 0
+	for _, b := range h.bins {
+		if out > 0 && cmp.Compare(h.bins[out-1].v, b.v) == 0 {
+			h.bins[out-1].n += b.n
+			continue
+		}
+		h.bins[out] = b
+		out++
+	}
+	h.bins = h.bins[:out]
+	h.sorted = out
+}
+
+// compacted returns h when it has no pending tail, else a compacted copy,
+// so reading never reorders a histogram other holders may be reading.
+func (h *Histogram) compacted() *Histogram {
+	if h.sorted == len(h.bins) {
+		return h
+	}
+	cp := h.clone()
+	cp.compact()
+	return cp
 }
 
 // Count returns the number of observed samples.
@@ -394,30 +491,30 @@ func (h *Histogram) Mean() float64 {
 }
 
 // Quantile returns the q-quantile (0 <= q <= 1) by nearest-rank; NaN with
-// no samples. It sorts a private copy, leaving sample order untouched, so
-// holders of histogram copies never see their samples reordered.
+// no samples.
 func (h *Histogram) Quantile(q float64) float64 {
-	if len(h.samples) == 0 {
+	if h.count == 0 {
 		return math.NaN()
 	}
-	sorted := append([]float64(nil), h.samples...)
-	sort.Float64s(sorted)
-	return quantileOf(sorted, q)
+	return h.compacted().quantile(q)
 }
 
-// quantileOf answers a nearest-rank query over pre-sorted samples.
-func quantileOf(sorted []float64, q float64) float64 {
+// quantile answers a nearest-rank query over compacted, non-empty bins by
+// walking their cumulative counts.
+func (h *Histogram) quantile(q float64) float64 {
+	rank := h.count - 1
 	if q <= 0 {
-		return sorted[0]
+		rank = 0
+	} else if q < 1 {
+		rank = max(int(math.Ceil(q*float64(h.count)))-1, 0)
 	}
-	if q >= 1 {
-		return sorted[len(sorted)-1]
+	for _, b := range h.bins {
+		if rank < b.n {
+			return b.v
+		}
+		rank -= b.n
 	}
-	idx := int(math.Ceil(q*float64(len(sorted)))) - 1
-	if idx < 0 {
-		idx = 0
-	}
-	return sorted[idx]
+	return h.bins[len(h.bins)-1].v // a NaN q ranks past the end
 }
 
 // Min returns the smallest sample ever observed (NaN with none).
@@ -437,8 +534,7 @@ func (h *Histogram) Max() float64 {
 }
 
 // HistogramSummary is a JSON-marshalable digest of one histogram. Retained
-// is how many samples back the quantiles; it equals Count while histograms
-// keep every sample.
+// is how many samples back the quantiles: all of them, so it equals Count.
 type HistogramSummary struct {
 	Count    int     `json:"count"`
 	Retained int     `json:"retained"`
@@ -452,25 +548,23 @@ type HistogramSummary struct {
 	Max      float64 `json:"max"`
 }
 
-// Summary digests the histogram, sorting the samples once. An
-// empty histogram summarizes to all zeros (not NaN), keeping the result
-// JSON-marshalable.
+// Summary digests the histogram. An empty histogram summarizes to all
+// zeros (not NaN), keeping the result JSON-marshalable.
 func (h *Histogram) Summary() HistogramSummary {
 	if h.count == 0 {
 		return HistogramSummary{}
 	}
-	sorted := append([]float64(nil), h.samples...)
-	sort.Float64s(sorted)
+	c := h.compacted()
 	return HistogramSummary{
 		Count:    h.count,
-		Retained: len(h.samples),
+		Retained: h.count,
 		Sum:      h.sum,
 		Mean:     h.Mean(),
 		Min:      h.min,
-		P50:      quantileOf(sorted, 0.50),
-		P90:      quantileOf(sorted, 0.90),
-		P95:      quantileOf(sorted, 0.95),
-		P99:      quantileOf(sorted, 0.99),
+		P50:      c.quantile(0.50),
+		P90:      c.quantile(0.90),
+		P95:      c.quantile(0.95),
+		P99:      c.quantile(0.99),
 		Max:      h.max,
 	}
 }
@@ -501,6 +595,7 @@ func (r *Registry) Snapshot() Snapshot {
 	for n, hh := range r.histograms {
 		hh.mu.Lock()
 		if hh.h.count > 0 {
+			hh.h.compact()
 			snap.Histograms[n] = hh.h.Summary()
 		}
 		hh.mu.Unlock()
@@ -536,6 +631,7 @@ func (r *Registry) Render() string {
 	for _, n := range names {
 		hh := r.histograms[n]
 		hh.mu.Lock()
+		hh.h.compact()
 		s := hh.h.Summary()
 		hh.mu.Unlock()
 		fmt.Fprintf(&b, "hist    %-40s n=%d mean=%.2f p50=%.2f p95=%.2f max=%.2f\n",

@@ -4,11 +4,13 @@ import (
 	"encoding/json"
 	"math"
 	"runtime"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
 	"testing/quick"
 	"time"
+	"unsafe"
 )
 
 func TestCounters(t *testing.T) {
@@ -145,16 +147,21 @@ func TestRegistryConcurrency(t *testing.T) {
 
 func TestQuantileDoesNotMutateSampleOrder(t *testing.T) {
 	// Regression: Quantile used to sort.Float64s the live sample slice,
-	// reordering samples under every holder of the histogram.
+	// reordering samples under every holder of the histogram. Reading a
+	// histogram with a pending tail must leave the tail as it was.
 	h := &Histogram{}
 	for _, v := range []float64{5, 1, 4, 2, 3} {
 		h.Observe(v)
 	}
+	pending := slices.Clone(h.bins)
 	if got := h.Quantile(0.5); got != 3 {
 		t.Fatalf("p50 = %v, want 3", got)
 	}
-	if got := h.samples; got[0] != 5 || got[4] != 3 {
-		t.Fatalf("Quantile reordered samples: %v", got)
+	if got := h.Summary().P90; got != 5 {
+		t.Fatalf("p90 = %v, want 5", got)
+	}
+	if !slices.Equal(h.bins, pending) || h.sorted != 0 {
+		t.Fatalf("reading reordered the pending bins: %v (sorted %d), was %v", h.bins, h.sorted, pending)
 	}
 }
 
@@ -417,39 +424,61 @@ func TestCountSum(t *testing.T) {
 	}
 }
 
-// TestHistogramSampleSlackBounded pins the histogram's memory shape: every sample kept in order, and never more than an eighth of
-// spare capacity once past the small-histogram range. A fleet holds a set
-// of these per vehicle, all growing in step.
+// TestHistogramSampleSlackBounded pins the histogram's memory shape: it
+// grows with the distinct values it has seen, not with the samples. 20 000
+// observations of 977 values never hold more than 2×977 bins, pending tail
+// included, and end as 977 exact counts. A fleet holds a set of these per
+// vehicle, all growing in step.
 func TestHistogramSampleSlackBounded(t *testing.T) {
+	const samples, distinct = 20000, 977
 	h := &Histogram{}
-	for i := 0; i < 20000; i++ {
-		h.Observe(float64(i%977) + 0.5)
-		n := len(h.samples)
-		if n > 2*sampleSlackFrom && cap(h.samples) > n+n/8+64 {
-			t.Fatalf("%d samples in a slice of capacity %d", n, cap(h.samples))
+	for i := 0; i < samples; i++ {
+		h.Observe(float64(i%distinct) + 0.5)
+		if cap(h.bins) > 2*distinct {
+			t.Fatalf("%d samples of %d values in %d bins of capacity %d", i+1, distinct, len(h.bins), cap(h.bins))
 		}
 	}
-	if len(h.samples) != 20000 || h.Count() != 20000 {
-		t.Fatalf("kept %d samples of %d", len(h.samples), h.Count())
+	h.compact()
+	if len(h.bins) != distinct || h.Count() != samples {
+		t.Fatalf("%d bins for %d values, count %d of %d", len(h.bins), distinct, h.Count(), samples)
 	}
-	for i, v := range h.samples {
-		if v != float64(i%977)+0.5 {
-			t.Fatalf("sample %d = %v", i, v)
+	for i, b := range h.bins {
+		want := samples / distinct
+		if i < samples%distinct {
+			want++
+		}
+		if b.v != float64(i)+0.5 || b.n != want {
+			t.Fatalf("bin %d = %v×%d, want %v×%d", i, b.v, b.n, float64(i)+0.5, want)
+		}
+	}
+
+	// Once a value has a sorted bin, observing it again only counts: NaN
+	// and both zeros included.
+	h = &Histogram{}
+	vals := []float64{math.NaN(), math.Copysign(0, -1), 0, math.Inf(1), math.Inf(-1), 1}
+	for _, v := range vals {
+		h.Observe(v)
+	}
+	h.compact()
+	for i := 0; i < 1000; i++ {
+		h.Observe(vals[i%len(vals)])
+		if len(h.bins) != 5 {
+			t.Fatalf("observing %v again grew the bins to %v", vals[i%len(vals)], h.bins)
 		}
 	}
 }
 
-// TestMergeAllocatesASmallMultipleOfTheResult: merging L lanes into one
-// histogram grows the sample slice geometrically, so the bytes allocated on
-// the way stay a small multiple of the merged samples (append's quarter
-// steps would allocate about five times), and the samples keep lane order.
+// TestMergeAllocatesASmallMultipleOfTheResult: merging 1 000 lanes of 24
+// samples over 977 shared values into one histogram allocates a small
+// multiple of the 977 merged bins, not of the 24 000 samples, and every
+// value's count is exact.
 func TestMergeAllocatesASmallMultipleOfTheResult(t *testing.T) {
-	const lanes, perLane = 1000, 24
+	const lanes, perLane, distinct = 1000, 24, 977
 	srcs := make([]*Histogram, lanes)
 	for i := range srcs {
 		srcs[i] = &Histogram{}
 		for k := 0; k < perLane; k++ {
-			srcs[i].Observe(float64(i*perLane + k))
+			srcs[i].Observe(float64((i*perLane + k) % distinct))
 		}
 	}
 	dst := &Histogram{}
@@ -460,16 +489,21 @@ func TestMergeAllocatesASmallMultipleOfTheResult(t *testing.T) {
 	}
 	runtime.ReadMemStats(&after)
 
-	result := uint64(lanes * perLane * 8)
-	if got := after.TotalAlloc - before.TotalAlloc; got > 3*result {
-		t.Fatalf("merging %d lanes allocated %d B for a %d B result", lanes, got, result)
+	result := uint64(distinct * unsafe.Sizeof(bin{}))
+	if got := after.TotalAlloc - before.TotalAlloc; got > 4*result {
+		t.Fatalf("merging %d lanes allocated %d B for %d bins (%d B)", lanes, got, distinct, result)
 	}
-	if dst.Count() != lanes*perLane || len(dst.samples) != lanes*perLane {
-		t.Fatalf("merged %d samples (count %d)", len(dst.samples), dst.Count())
+	dst.compact()
+	if dst.Count() != lanes*perLane || len(dst.bins) != distinct {
+		t.Fatalf("merged %d samples into %d bins", dst.Count(), len(dst.bins))
 	}
-	for i, v := range dst.samples {
-		if v != float64(i) {
-			t.Fatalf("sample %d = %v", i, v)
+	for i, b := range dst.bins {
+		want := lanes * perLane / distinct
+		if i < lanes*perLane%distinct {
+			want++
+		}
+		if b.v != float64(i) || b.n != want {
+			t.Fatalf("bin %d = %v×%d, want %d×%d", i, b.v, b.n, i, want)
 		}
 	}
 }
