@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test vet race verify determinism bench bench-check bench-pair microbench clean
+.PHONY: build test vet race verify determinism fuzz-smoke bench bench-check bench-pair microbench clean
 
 build:
 	$(GO) build ./...
@@ -67,6 +67,47 @@ determinism:
 	/tmp/vdapbench -exp ddi -seed 7 -records 200000 -parallel 4 > /tmp/ddi-p4.txt
 	diff -u /tmp/ddi-p1.txt /tmp/ddi-p4.txt
 	@echo "determinism: E20 DDI query digest byte-identical across -parallel levels"
+
+# fuzz-smoke runs each fuzz target for ten seconds, starting from its
+# corpus under testdata/fuzz/. CI runs it after determinism; run it before
+# pushing a change to any code below.
+FUZZ = $(GO) test -run '^$$' -fuzztime=10s -fuzz
+fuzz-smoke:
+# Decoders and parsers of untrusted bytes.
+	$(FUZZ) '^FuzzAcceptsGzip$$' ./internal/libvdap
+	$(FUZZ) '^FuzzParseSeconds$$' ./internal/libvdap
+	$(FUZZ) '^FuzzAppendDecode$$' ./internal/huffman
+	$(FUZZ) '^FuzzReplayWAL$$' ./internal/ddi
+	$(FUZZ) '^FuzzDecodeSegment$$' ./internal/ddi
+# The DDI planner's column kernels against Query.Matches.
+	$(FUZZ) '^FuzzPlanKernels$$' ./internal/ddi
+# A decoder of untrusted bytes.
+	$(FUZZ) '^FuzzUnmarshalCompressed$$' ./internal/models
+# The coverage test's bounding-box shortcut against math.Hypot.
+	$(FUZZ) '^FuzzCoversMatchesHypot$$' ./internal/geo
+# The resilient ladder's next-site search against the sort-everything
+# search it replaced.
+	$(FUZZ) '^FuzzNextRemoteMatchesReference$$' ./internal/offload
+# The series sampler against a reference that rebuilds every lane each tick.
+	$(FUZZ) '^FuzzSamplerMatchesReference$$' ./internal/obs
+# The DDI's record cache against the container/list LRU it replaced.
+	$(FUZZ) '^FuzzMemCacheMatchesReference$$' ./internal/ddi
+# The slab span tracer against the pointer-tree tracer it replaced: same
+# renders, Chrome export bytes, counts, components and span IDs over random
+# start/leaf/finish/set/merge sequences and caps.
+	$(FUZZ) '^FuzzTracerMatchesReference$$' ./internal/trace
+# Flight-recorder event JSON as the libvdap client decodes it: no panic, and
+# encode is stable under decode.
+	$(FUZZ) '^FuzzEventJSON$$' ./internal/obs
+# Arbitrary predict and upload request bodies: never a 500, every reply
+# JSON-typed and decodable.
+	$(FUZZ) '^FuzzPredictBody$$' ./internal/libvdap
+# The fault injector's scratch path adjuster against the copying one it
+# replaced.
+	$(FUZZ) '^FuzzAdjustPathMatchesCopy$$' ./internal/faults
+# The telemetry histogram's (value, count) bins against the
+# keep-every-sample histogram they replaced.
+	$(FUZZ) '^FuzzHistogramMatchesSamples$$' ./internal/telemetry
 
 # bench runs the repository's one wall-clock ledger, benchmark/ (all six
 # workloads, each in a fresh child process; see benchmark/README.md), then

@@ -67,7 +67,7 @@ func run() error {
 		return err
 	}
 
-	camera, err := sensors.NewCamera(1280, 720, 30, 2.5, platform.Engine().RNG().Fork())
+	camera, err := sensors.NewCamera(1280, 720, 2.5, platform.Engine().RNG().Fork())
 	if err != nil {
 		return err
 	}

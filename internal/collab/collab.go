@@ -86,9 +86,6 @@ func NewCache(keyer Keyer, staleness time.Duration) (*Cache, error) {
 	return &Cache{keyer: keyer, staleness: staleness, entries: make(map[Key]Result)}, nil
 }
 
-// Keyer returns the cache's quantizer.
-func (c *Cache) Keyer() Keyer { return c.keyer }
-
 // Put stores a result, keeping the newer entry on conflict (last-writer-
 // wins by computation time; ties keep the incumbent — deterministic).
 func (c *Cache) Put(r Result) {
@@ -111,10 +108,6 @@ func (c *Cache) Get(key Key, now time.Duration) (Result, bool) {
 
 // Stats returns cumulative hits and misses.
 func (c *Cache) Stats() (hits, misses int) { return c.hits, c.misses }
-
-// Len returns the number of stored entries (including stale ones not yet
-// overwritten).
-func (c *Cache) Len() int { return len(c.entries) }
 
 // Vehicle is one convoy member: a mobility trace, a result cache, and a
 // pseudonym provider.

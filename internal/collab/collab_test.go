@@ -82,8 +82,8 @@ func TestCacheLastWriterWins(t *testing.T) {
 	if !ok || string(got.Value) != "new" {
 		t.Fatalf("got %q, want newer entry", got.Value)
 	}
-	if cache.Len() != 1 {
-		t.Fatalf("Len = %d", cache.Len())
+	if len(cache.entries) != 1 {
+		t.Fatalf("Len = %d", len(cache.entries))
 	}
 }
 
@@ -135,7 +135,7 @@ func TestConvoyValidation(t *testing.T) {
 
 func TestObtainComputesOnceSharesToConvoy(t *testing.T) {
 	convoy, vehicles := newConvoy(t, 4, 20) // 20 m spacing: all in range
-	keyer := vehicles[0].Cache.Keyer()
+	keyer := vehicles[0].Cache.keyer
 	now := time.Second
 	key := keyer.For("object-detect", vehicles[0].Mobility.PositionAt(now).X, now)
 	computes := 0
@@ -183,7 +183,7 @@ func TestObtainComputesOnceSharesToConvoy(t *testing.T) {
 
 func TestObtainBorrowsOverDSRCWhenNotPushed(t *testing.T) {
 	convoy, vehicles := newConvoy(t, 2, 20)
-	keyer := vehicles[0].Cache.Keyer()
+	keyer := vehicles[0].Cache.keyer
 	now := time.Second
 	key := keyer.For("object-detect", 10, now)
 	// Seed only vehicle 0's cache directly (no push).
@@ -209,7 +209,7 @@ func TestObtainBorrowsOverDSRCWhenNotPushed(t *testing.T) {
 
 func TestOutOfRangeVehiclesDoNotShare(t *testing.T) {
 	convoy, vehicles := newConvoy(t, 2, 5000) // 5 km apart: out of DSRC range
-	keyer := vehicles[0].Cache.Keyer()
+	keyer := vehicles[0].Cache.keyer
 	now := time.Second
 	key := keyer.For("object-detect", 10, now)
 	vehicles[0].Cache.Put(Result{Key: key, At: now, Bytes: 100, Value: []byte("x")})
@@ -228,7 +228,7 @@ func TestOutOfRangeVehiclesDoNotShare(t *testing.T) {
 
 func TestObtainStaleResultRecomputed(t *testing.T) {
 	convoy, vehicles := newConvoy(t, 2, 20)
-	keyer := vehicles[0].Cache.Keyer()
+	keyer := vehicles[0].Cache.keyer
 	key := keyer.For("object-detect", 10, time.Second)
 	vehicles[0].Cache.Put(Result{Key: key, At: time.Second, Bytes: 100})
 	computes := 0

@@ -237,24 +237,14 @@ func New(cfg Config) (*Platform, error) {
 	}, nil
 }
 
-// Faults returns the platform's fault injector, nil when no fault plan was
-// configured.
-func (p *Platform) Faults() *faults.Injector { return p.injector }
-
 // Engine returns the simulation kernel.
 func (p *Platform) Engine() *sim.Engine { return p.engine }
 
 // Road returns the world model.
 func (p *Platform) Road() *geo.Road { return p.road }
 
-// Mobility returns the vehicle's current mobility.
-func (p *Platform) Mobility() geo.Mobility { return p.mobility }
-
 // MHEP returns the VCU hardware platform.
 func (p *Platform) MHEP() *vcu.MHEP { return p.mhep }
-
-// DSF returns the scheduler.
-func (p *Platform) DSF() *vcu.DSF { return p.dsf }
 
 // Offload returns the offloading engine.
 func (p *Platform) Offload() *offload.Engine { return p.offload }
@@ -264,9 +254,6 @@ func (p *Platform) Elastic() *edgeos.ElasticManager { return p.elastic }
 
 // Security returns the EdgeOSv security module.
 func (p *Platform) Security() *edgeos.SecurityModule { return p.security }
-
-// Runtime returns the container runtime.
-func (p *Platform) Runtime() *edgeos.ContainerRuntime { return p.runtime }
 
 // Sharing returns the data-sharing module.
 func (p *Platform) Sharing() *edgeos.DataSharing { return p.sharing }

@@ -39,9 +39,9 @@ func TestNewValidation(t *testing.T) {
 
 func TestPlatformWiring(t *testing.T) {
 	p := newPlatform(t)
-	if p.Engine() == nil || p.Road() == nil || p.MHEP() == nil || p.DSF() == nil ||
+	if p.Engine() == nil || p.Road() == nil || p.MHEP() == nil || p.dsf == nil ||
 		p.Offload() == nil || p.Elastic() == nil || p.Security() == nil ||
-		p.Runtime() == nil || p.Sharing() == nil ||
+		p.runtime == nil || p.Sharing() == nil ||
 		p.DDI() == nil || p.Cloud() == nil || p.Registry() == nil || p.API() == nil {
 		t.Fatal("platform component missing")
 	}
@@ -149,11 +149,11 @@ func TestSetSpeedPropagates(t *testing.T) {
 	if err := p.InstallService(heavy); err != nil {
 		t.Fatal(err)
 	}
-	if p.Mobility().SpeedMS != geo.MPH(35) {
-		t.Fatalf("initial speed = %v", p.Mobility().SpeedMS)
+	if p.mobility.SpeedMS != geo.MPH(35) {
+		t.Fatalf("initial speed = %v", p.mobility.SpeedMS)
 	}
 	p.SetSpeedMPH(70)
-	if p.Mobility().SpeedMS != geo.MPH(70) {
+	if p.mobility.SpeedMS != geo.MPH(70) {
 		t.Fatal("speed not updated")
 	}
 }
@@ -466,7 +466,7 @@ func TestObservabilityWiring(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if p.Series().Len() == 0 {
+	if len(p.Series().Payload(-1).Series) == 0 {
 		t.Fatal("no series sampled")
 	}
 

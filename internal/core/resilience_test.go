@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 	"time"
@@ -36,10 +37,10 @@ func TestPlatformFaultWiring(t *testing.T) {
 	}
 	defer p.Close()
 
-	if p.Faults() == nil {
+	if p.injector == nil {
 		t.Fatal("fault injector not exposed")
 	}
-	if p.Faults().Plan().EventCount() == 0 {
+	if p.injector.Plan().EventCount() == 0 {
 		t.Fatal("fault plan is empty under a dense config")
 	}
 	pol := offload.DefaultPolicy()
@@ -83,30 +84,38 @@ func TestPlatformFaultWiring(t *testing.T) {
 	}
 }
 
-// TestPlatformFaultPlanDeterministic: equal seeds compile byte-identical
-// fault plans; different seeds diverge.
+// TestPlatformFaultPlanDeterministic: equal seeds compile the same fault
+// plan and different seeds diverge, as the platform lives it: which
+// offload sites are up, every 100 ms of the plan's horizon.
 func TestPlatformFaultPlanDeterministic(t *testing.T) {
-	a, err := New(chaosConfig(t))
-	if err != nil {
-		t.Fatal(err)
+	upTimeline := func(seed int64) string {
+		cfg := chaosConfig(t)
+		cfg.Seed = seed
+		p, err := New(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer p.Close()
+		var b strings.Builder
+		for at := time.Duration(0); at <= cfg.Faults.Horizon; at += 100 * time.Millisecond {
+			if err := p.Engine().RunUntil(at); err != nil {
+				t.Fatal(err)
+			}
+			for _, s := range p.Offload().Sites() {
+				fmt.Fprint(&b, s.Available(), " ")
+			}
+			b.WriteByte('\n')
+		}
+		return b.String()
 	}
-	defer a.Close()
-	b, err := New(chaosConfig(t))
-	if err != nil {
-		t.Fatal(err)
+	a := upTimeline(42)
+	if !strings.Contains(a, "false") {
+		t.Fatal("no site went down under a dense fault plan")
 	}
-	defer b.Close()
-	if a.Faults().Plan().Describe() != b.Faults().Plan().Describe() {
+	if a != upTimeline(42) {
 		t.Fatal("same seed produced different fault plans")
 	}
-	cfg := chaosConfig(t)
-	cfg.Seed = 43
-	c, err := New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
-	if a.Faults().Plan().Describe() == c.Faults().Plan().Describe() {
+	if a == upTimeline(43) {
 		t.Fatal("different seeds produced identical fault plans")
 	}
 }

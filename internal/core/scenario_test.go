@@ -145,7 +145,7 @@ func TestScenarioHangUpRecovery(t *testing.T) {
 	// A burst of detector work queues up on every VCU device.
 	now := p.Engine().Now()
 	for i := 0; i < 200; i++ {
-		if _, err := p.DSF().Run(tasks.PedestrianAlert(), now); err != nil {
+		if _, err := p.dsf.Run(tasks.PedestrianAlert(), now); err != nil {
 			t.Fatal(err)
 		}
 	}

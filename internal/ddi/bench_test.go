@@ -112,7 +112,7 @@ func BenchmarkStoreQueryShapes(b *testing.B) {
 		b.Fatal(err)
 	}
 	defer s.Close()
-	sources := []Source{SourceOBD, SourceGPS, SourceCamera, SourceLiDAR, SourceWeather}
+	sources := []Source{SourceOBD, SourceGPS, SourceTraffic, SourceSocial, SourceWeather}
 	rng := sim.NewStream(42, 1)
 	for i := 0; i < n; i++ {
 		if i == n-unsealed {

@@ -18,7 +18,7 @@ import (
 func buildCorpus(t *testing.T, s *DiskStore, n int, seed int64) []Record {
 	t.Helper()
 	rng := sim.NewStream(seed, 3)
-	sources := []Source{SourceOBD, SourceGPS, SourceCamera, SourceLiDAR, SourceWeather}
+	sources := []Source{SourceOBD, SourceGPS, SourceTraffic, SourceUser, SourceWeather}
 	shadow := make([]Record, 0, n)
 	for i := 0; i < n; i++ {
 		payload := make([]byte, 8+rng.Intn(40))
@@ -56,7 +56,7 @@ func differentialQueries() []Query {
 		{From: 20 * time.Minute, To: 10 * time.Minute},   // inverted: empty
 		{From: 2 * time.Hour},                            // past the data
 		{Source: SourceGPS},                              // source only
-		{Source: SourceLiDAR, From: 10 * time.Minute, To: 40 * time.Minute},
+		{Source: SourceUser, From: 10 * time.Minute, To: 40 * time.Minute},
 		{Source: SourceSocial},    // source never stored
 		{X: 0, Y: 0, Radius: 300}, // spatial only
 		{X: 250, Y: -250, Radius: 150, Source: SourceOBD, From: 5 * time.Minute, To: 45 * time.Minute},

@@ -68,8 +68,8 @@ type Agg struct {
 	Mean float64 `json:"mean"`
 }
 
-// PlanStats reports what a compiled plan decided, for Explain and the
-// pruning benchmarks.
+// PlanStats reports what a compiled plan decided, for Aggregate,
+// Iterator.Stats and the pruning benchmarks.
 type PlanStats struct {
 	// Segments is how many sealed segments existed at plan time.
 	Segments int `json:"segments"`

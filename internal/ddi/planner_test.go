@@ -32,7 +32,7 @@ func TestZoneMapPruning(t *testing.T) {
 	if got := len(s.Segments()); got != 60 {
 		t.Fatalf("sealed %d segments, want 60", got)
 	}
-	st, err := s.Explain(Query{From: 30 * time.Minute, To: 30*time.Minute + 59*time.Second})
+	_, st, err := s.Aggregate(Query{From: 30 * time.Minute, To: 30*time.Minute + 59*time.Second}, ColX)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -43,7 +43,7 @@ func TestZoneMapPruning(t *testing.T) {
 		t.Fatalf("skip ratio %.3f, want >= 0.9", ratio)
 	}
 	// Source pruning: a source no segment holds prunes everything.
-	st, err = s.Explain(Query{Source: SourceWeather})
+	_, st, err = s.Aggregate(Query{Source: SourceWeather}, ColX)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -51,7 +51,7 @@ func TestZoneMapPruning(t *testing.T) {
 		t.Fatalf("absent-source stats = %+v", st)
 	}
 	// Spatial pruning: X spans [0,99], so a far circle prunes everything.
-	st, err = s.Explain(Query{X: 10_000, Y: 10_000, Radius: 5})
+	_, st, err = s.Aggregate(Query{X: 10_000, Y: 10_000, Radius: 5}, ColX)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -17,8 +17,6 @@ type Source string
 const (
 	SourceOBD     Source = "obd"
 	SourceGPS     Source = "gps"
-	SourceCamera  Source = "camera"
-	SourceLiDAR   Source = "lidar"
 	SourceWeather Source = "weather"
 	SourceTraffic Source = "traffic"
 	SourceSocial  Source = "social"

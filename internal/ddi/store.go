@@ -476,17 +476,6 @@ func (s *DiskStore) Aggregate(q Query, col Column) (Agg, PlanStats, error) {
 	return p.aggregate(col), p.stats, nil
 }
 
-// Explain compiles q and reports what the plan would prune and scan.
-func (s *DiskStore) Explain(q Query) (PlanStats, error) {
-	s.mu.RLock()
-	p, err := compilePlan(q, s.segs, s.mem.window(q.From, q.To))
-	s.mu.RUnlock()
-	if err != nil {
-		return PlanStats{}, err
-	}
-	return p.stats, nil
-}
-
 // Segments returns the zone maps of the sealed segments, oldest first.
 func (s *DiskStore) Segments() []ZoneMap {
 	s.mu.RLock()

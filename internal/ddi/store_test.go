@@ -504,7 +504,7 @@ func TestSelectWindowSearchMatchesFullScan(t *testing.T) {
 	// Seal aggressively so queries cross sealed segments and the memtable.
 	s.SetSealPolicy(64, 2*time.Second)
 	rng := sim.NewStream(17, 0)
-	sources := []Source{SourceOBD, SourceGPS, SourceCamera, SourceLiDAR}
+	sources := []Source{SourceOBD, SourceGPS, SourceTraffic, SourceSocial}
 	var shadow []Record
 	for i := 0; i < 400; i++ {
 		// Coarse timestamps force long equal-At runs, exercising the
@@ -531,7 +531,7 @@ func TestSelectWindowSearchMatchesFullScan(t *testing.T) {
 		{From: time.Second, To: 4 * time.Second, Source: SourceGPS},
 		{From: time.Second, To: 4 * time.Second, X: 0, Y: 0, Radius: 200},
 		{From: time.Second, To: 4 * time.Second, Limit: 7},
-		{Source: SourceCamera, Limit: 3},
+		{Source: SourceTraffic, Limit: 3},
 	}
 	for qi, q := range queries {
 		got := s.Select(q)

@@ -38,8 +38,6 @@ type DataSharing struct {
 	retained map[string][]sealedMessage
 	// retain bounds per-topic history.
 	retain int
-	// delivered counts messages handed to each service.
-	delivered map[string]int
 }
 
 type sealedMessage struct {
@@ -60,13 +58,12 @@ func NewDataSharing(secret []byte, retain int) (*DataSharing, error) {
 		retain = 1
 	}
 	return &DataSharing{
-		sealer:    sealer,
-		tokenKey:  append([]byte(nil), secret...),
-		tokens:    make(map[string]string),
-		acl:       make(map[string]map[string]string),
-		retained:  make(map[string][]sealedMessage),
-		retain:    retain,
-		delivered: make(map[string]int),
+		sealer:   sealer,
+		tokenKey: append([]byte(nil), secret...),
+		tokens:   make(map[string]string),
+		acl:      make(map[string]map[string]string),
+		retained: make(map[string][]sealedMessage),
+		retain:   retain,
 	}, nil
 }
 
@@ -101,13 +98,6 @@ func (d *DataSharing) Grant(topic, service, mode string) error {
 	}
 	d.acl[topic][service] = mode
 	return nil
-}
-
-// Revoke removes a service's rights on a topic.
-func (d *DataSharing) Revoke(topic, service string) {
-	if m, ok := d.acl[topic]; ok {
-		delete(m, service)
-	}
 }
 
 // authenticate verifies the (service, token) pair.
@@ -168,12 +158,8 @@ func (d *DataSharing) Fetch(service, token, topic string, since time.Duration) (
 		out = append(out, Message{Topic: topic, From: sm.from, At: sm.at, Payload: payload})
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].At < out[j].At })
-	d.delivered[service] += len(out)
 	return out, nil
 }
-
-// Delivered returns how many messages a service has fetched.
-func (d *DataSharing) Delivered(service string) int { return d.delivered[service] }
 
 // Topics lists topics with any retained data, sorted.
 func (d *DataSharing) Topics() []string {

@@ -485,7 +485,3 @@ func (im *invocationMetrics) keyed(handles map[string]*telemetry.Counter, prefix
 func (m *ElasticManager) Invoke(name string, now time.Duration) (InvocationResult, error) {
 	return m.CommitInvoke(m.PrepareInvoke(name, now))
 }
-
-// Engine exposes the underlying offload engine (used by tests and the
-// platform facade to update mobility).
-func (m *ElasticManager) Engine() *offload.Engine { return m.engine }

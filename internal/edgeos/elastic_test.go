@@ -70,10 +70,10 @@ func TestNewElasticManagerValidation(t *testing.T) {
 		t.Fatal("nil engine accepted")
 	}
 	mgr := newManager(t, 0, MinLatency)
-	if _, err := NewElasticManager(mgr.Engine(), Objective(99)); err == nil {
+	if _, err := NewElasticManager(mgr.engine, Objective(99)); err == nil {
 		t.Fatal("bad objective accepted")
 	}
-	if _, err := NewElasticManager(mgr.Engine(), MinEnergy); err != nil {
+	if _, err := NewElasticManager(mgr.engine, MinEnergy); err != nil {
 		t.Fatal(err)
 	}
 }

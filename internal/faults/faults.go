@@ -27,7 +27,6 @@ package faults
 import (
 	"errors"
 	"fmt"
-	"sort"
 	"time"
 
 	"repro/internal/network"
@@ -104,13 +103,9 @@ type Window struct {
 // contains reports whether t falls inside the window.
 func (w Window) contains(t time.Duration) bool { return t >= w.From && t < w.To }
 
-// inWindows reports whether t falls inside any of the sorted windows.
-func inWindows(ws []Window, t time.Duration) bool {
-	return inWindowsFrom(ws, 0, t)
-}
-
-// inWindowsFrom is inWindows starting at index cur, for callers that know
-// every earlier window already ended (the epoch-cursor fast path).
+// inWindowsFrom reports whether t falls inside any of the sorted windows
+// from index cur on, for callers that know every earlier window already
+// ended (the epoch-cursor fast path; cur 0 scans them all).
 func inWindowsFrom(ws []Window, cur int, t time.Duration) bool {
 	for _, w := range ws[cur:] {
 		if w.From > t {
@@ -216,34 +211,6 @@ func drawWindows(rng *sim.RNG, horizon, meanGap, meanLen time.Duration) []Window
 		out = append(out, Window{From: t, To: end})
 		t = end
 	}
-}
-
-// Config returns the compiled configuration (defaults resolved).
-func (p *Plan) Config() PlanConfig { return p.cfg }
-
-// Outages returns a site's outage windows (nil for unknown sites).
-func (p *Plan) Outages(site string) []Window {
-	return p.windows(site, func(sp *sitePlan) []Window { return sp.outages })
-}
-
-// Degrades returns a site's link-degradation windows.
-func (p *Plan) Degrades(site string) []Window {
-	return p.windows(site, func(sp *sitePlan) []Window { return sp.degrades })
-}
-
-// ExecFaults returns a site's transient execution-fault windows.
-func (p *Plan) ExecFaults(site string) []Window {
-	return p.windows(site, func(sp *sitePlan) []Window { return sp.execFaults })
-}
-
-func (p *Plan) windows(site string, pick func(*sitePlan) []Window) []Window {
-	sp, ok := p.byName[site]
-	if !ok {
-		return nil
-	}
-	out := make([]Window, len(pick(sp)))
-	copy(out, pick(sp))
-	return out
 }
 
 // EventCount totals scheduled fault windows across all sites.
@@ -497,39 +464,4 @@ func (in *Injector) AdjustPath(dst []network.LinkSpec, dest string, p network.Pa
 	}
 	in.m.degradedPaths.Inc()
 	return adj
-}
-
-// Describe renders the schedule deterministically, one line per window,
-// sorted by site then time — the human-readable fault plan format.
-func (p *Plan) Describe() string {
-	type line struct {
-		site, kind string
-		w          Window
-	}
-	var lines []line
-	for _, sp := range p.sites {
-		for _, w := range sp.outages {
-			lines = append(lines, line{sp.site.Name(), "outage", w})
-		}
-		for _, w := range sp.degrades {
-			lines = append(lines, line{sp.site.Name(), "degrade", w})
-		}
-		for _, w := range sp.execFaults {
-			lines = append(lines, line{sp.site.Name(), "exec-fault", w})
-		}
-	}
-	sort.Slice(lines, func(i, j int) bool {
-		if lines[i].site != lines[j].site {
-			return lines[i].site < lines[j].site
-		}
-		if lines[i].w.From != lines[j].w.From {
-			return lines[i].w.From < lines[j].w.From
-		}
-		return lines[i].kind < lines[j].kind
-	})
-	out := ""
-	for _, l := range lines {
-		out += fmt.Sprintf("%-20s %-10s %12v -> %12v\n", l.site, l.kind, l.w.From, l.w.To)
-	}
-	return out
 }

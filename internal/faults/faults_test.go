@@ -40,6 +40,16 @@ func densePlanConfig() PlanConfig {
 	}
 }
 
+// windowsOf lists a plan's outage, degradation and exec-fault windows,
+// site by site in the plan's order.
+func windowsOf(p *Plan) [][]Window {
+	var out [][]Window
+	for _, sp := range p.sites {
+		out = append(out, sp.outages, sp.degrades, sp.execFaults)
+	}
+	return out
+}
+
 func TestNewPlanValidation(t *testing.T) {
 	sites := testSites(t)
 	rng := sim.NewStream(1, 0)
@@ -62,14 +72,14 @@ func TestPlanDeterminism(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if a.Describe() != b.Describe() {
+	if !reflect.DeepEqual(windowsOf(a), windowsOf(b)) {
 		t.Fatal("identical seeds produced different plans")
 	}
 	c, err := NewPlan(densePlanConfig(), sim.NewStream(7, 4), testSites(t))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if a.Describe() == c.Describe() {
+	if reflect.DeepEqual(windowsOf(a), windowsOf(c)) {
 		t.Fatal("different streams produced identical plans")
 	}
 	if a.EventCount() == 0 {
@@ -85,7 +95,7 @@ func TestWindowsWellFormed(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, site := range []string{"rsu-0", "cloud"} {
-		for _, ws := range [][]Window{plan.Outages(site), plan.Degrades(site), plan.ExecFaults(site)} {
+		for _, ws := range [][]Window{plan.byName[site].outages, plan.byName[site].degrades, plan.byName[site].execFaults} {
 			prevEnd := time.Duration(0)
 			for i, w := range ws {
 				if w.From <= 0 {
@@ -97,7 +107,7 @@ func TestWindowsWellFormed(t *testing.T) {
 				if w.From < prevEnd {
 					t.Fatalf("%s window %d overlaps previous: %+v", site, i, w)
 				}
-				if w.To > plan.Config().Horizon {
+				if w.To > plan.cfg.Horizon {
 					t.Fatalf("%s window %d exceeds horizon: %+v", site, i, w)
 				}
 				prevEnd = w.To
@@ -115,7 +125,7 @@ func TestAdvanceToTogglesAvailability(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	outages := plan.Outages("rsu-0")
+	outages := plan.byName["rsu-0"].outages
 	if len(outages) == 0 {
 		t.Skip("seed produced no rsu outages")
 	}
@@ -164,7 +174,7 @@ func TestSubmitFailsInsideFaultWindows(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	execWins := plan.ExecFaults("rsu-0")
+	execWins := plan.byName["rsu-0"].execFaults
 	if len(execWins) == 0 {
 		t.Skip("seed produced no exec-fault windows")
 	}
@@ -201,7 +211,7 @@ func TestAdjustPathDegradesInsideWindow(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	wins := plan.Degrades("rsu-0")
+	wins := plan.byName["rsu-0"].degrades
 	if len(wins) == 0 {
 		t.Skip("seed produced no degradation windows")
 	}
@@ -240,7 +250,7 @@ func TestScheduleDrivesSimClock(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	outages := plan.Outages("rsu-0")
+	outages := plan.byName["rsu-0"].outages
 	if len(outages) == 0 {
 		t.Skip("seed produced no rsu outages")
 	}
@@ -294,10 +304,10 @@ func TestEpochCursorEquivalence(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if planA.Describe() != planB.Describe() {
+	if !reflect.DeepEqual(windowsOf(planA), windowsOf(planB)) {
 		t.Fatal("twin plans diverged")
 	}
-	horizon := planA.Config().Horizon
+	horizon := planA.cfg.Horizon
 	access := sitesA[0].Access()
 	step := 50 * time.Millisecond
 	for epoch := time.Duration(0); epoch <= horizon; epoch += 200 * time.Millisecond {
@@ -328,7 +338,7 @@ func TestEpochCursorEquivalence(t *testing.T) {
 // holds the scratch adjuster to it.
 func (in *Injector) copyAdjustPath(dest string, p network.Path, now time.Duration) network.Path {
 	sp, ok := in.plan.byName[dest]
-	if !ok || !inWindows(sp.degrades, now) {
+	if !ok || !inWindowsFrom(sp.degrades, 0, now) {
 		return p
 	}
 	adj := network.Path{Name: p.Name, Links: make([]network.LinkSpec, len(p.Links))}
@@ -396,7 +406,7 @@ func FuzzAdjustPathMatchesCopy(f *testing.F) {
 		if len(p.Links) == 0 {
 			return
 		}
-		degraded := plan.byName[name] != nil && inWindows(plan.byName[name].degrades, now)
+		degraded := plan.byName[name] != nil && inWindowsFrom(plan.byName[name].degrades, 0, now)
 		switch {
 		case !degraded && &got.Links[0] != &p.Links[0]:
 			t.Fatalf("a clean path is not p itself")

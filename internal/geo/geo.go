@@ -134,15 +134,10 @@ func (r *Road) StationsOfKind(kind StationKind) []Station {
 	return out
 }
 
-// CoveringStations returns all stations whose coverage includes p.
-func (r *Road) CoveringStations(p Point) []Station {
-	return r.CoveringStationsInto(p, nil)
-}
-
 // CoveringStationsInto appends every station whose coverage includes p to
 // buf and returns the extended slice. Callers on per-round hot paths pass
 // a reused buffer (typically buf[:0]) so coverage queries allocate nothing
-// in steady state; CoveringStations is the allocating convenience form.
+// in steady state; a nil buf allocates.
 func (r *Road) CoveringStationsInto(p Point, buf []Station) []Station {
 	for _, s := range r.stations {
 		if s.Covers(p) {

@@ -69,12 +69,12 @@ func TestCoveringStations(t *testing.T) {
 	r, _ := NewRoad(10000)
 	r.PlaceStations(5, BaseStation, 1500, 0, "bs")
 	// At x=1000 (station 0 center), covered by station 0 and maybe 1 (at 3000, dist 2000 > 1500).
-	cov := r.CoveringStations(Point{X: 1000})
+	cov := r.CoveringStationsInto(Point{X: 1000}, nil)
 	if len(cov) != 1 || cov[0].ID != "bs-0" {
 		t.Fatalf("coverage at 1000 = %v, want [bs-0]", cov)
 	}
 	// At x=2000 midpoint, dist to both neighbors = 1000 < 1500: two covers.
-	cov = r.CoveringStations(Point{X: 2000})
+	cov = r.CoveringStationsInto(Point{X: 2000}, nil)
 	if len(cov) != 2 {
 		t.Fatalf("coverage at midpoint = %d stations, want 2", len(cov))
 	}
@@ -138,7 +138,7 @@ func TestCoveringStationsIntoMatchesAllocatingForm(t *testing.T) {
 	for x := 0.0; x <= 10000; x += 137 {
 		p := Point{X: x}
 		buf = r.CoveringStationsInto(p, buf[:0])
-		alloc := r.CoveringStations(p)
+		alloc := r.CoveringStationsInto(p, nil)
 		if len(buf) != len(alloc) {
 			t.Fatalf("x=%v: into=%d alloc=%d", x, len(buf), len(alloc))
 		}

@@ -43,15 +43,6 @@ func (t *Trip) Validate() error {
 	return nil
 }
 
-// Duration returns the total planned trip time.
-func (t *Trip) Duration() time.Duration {
-	var total time.Duration
-	for _, leg := range t.Legs {
-		total += leg.Duration
-	}
-	return total
-}
-
 // legAt returns the active leg and the time already spent in it.
 func (t *Trip) legAt(at time.Duration) (Leg, time.Duration) {
 	var elapsed time.Duration

@@ -11,7 +11,6 @@ import (
 type Executor struct {
 	proc      *Processor
 	slotFree  []time.Duration // earliest time each slot becomes free
-	busyJ     float64         // accumulated active-energy in joules
 	busyTime  time.Duration   // accumulated execution time across slots
 	completed int
 }
@@ -55,8 +54,7 @@ func (e *Executor) EstimateFinish(now time.Duration, c Class, gflop float64) (ti
 }
 
 // Submit reserves the earliest-free slot for the work and returns its start
-// and finish times. The executor's energy accounting is charged for the
-// active interval.
+// and finish times.
 func (e *Executor) Submit(now time.Duration, c Class, gflop float64) (start, finish time.Duration, err error) {
 	exec, err := e.proc.ExecTime(c, gflop)
 	if err != nil {
@@ -74,14 +72,10 @@ func (e *Executor) Submit(now time.Duration, c Class, gflop float64) (start, fin
 	}
 	finish = start + exec
 	e.slotFree[slot] = finish
-	e.busyJ += e.proc.EnergyJ(exec)
 	e.busyTime += exec
 	e.completed++
 	return start, finish, nil
 }
-
-// ActiveEnergyJ returns the total joules charged to submitted work.
-func (e *Executor) ActiveEnergyJ() float64 { return e.busyJ }
 
 // Completed returns the number of submissions accepted.
 func (e *Executor) Completed() int { return e.completed }

@@ -156,9 +156,6 @@ func TestExecutorSerialQueueing(t *testing.T) {
 	if e.Completed() != 3 {
 		t.Fatalf("Completed = %d, want 3", e.Completed())
 	}
-	if got := e.ActiveEnergyJ(); got != 60 {
-		t.Fatalf("energy = %v J, want 60 (6s at 10W)", got)
-	}
 }
 
 func TestExecutorParallelSlots(t *testing.T) {

@@ -103,9 +103,6 @@ func (s *Server) handleReadyz(w http.ResponseWriter, r *http.Request) {
 	s.writeJSON(w, http.StatusOK, map[string]any{"ready": true})
 }
 
-// Panics reports how many handler panics the recovery middleware caught.
-func (s *Server) Panics() int64 { return s.panicsTotal.Load() }
-
 // recoverPanic converts a handler panic into a JSON 500, counts it in
 // libvdap.panics, and files the stack into the flight recorder so a crash
 // loop is diagnosable from /api/v1/events. http.ErrAbortHandler passes
@@ -118,7 +115,6 @@ func (s *Server) recoverPanic(w http.ResponseWriter, r *http.Request) {
 	if rec == http.ErrAbortHandler {
 		panic(rec)
 	}
-	s.panicsTotal.Add(1)
 	s.panicsCtr.Inc()
 	s.scope.Events.Emit(s.clock(), "libvdap", obs.SevError, "handler panic",
 		trace.String("method", r.Method),

@@ -186,8 +186,8 @@ func TestPanicRecoveryMiddleware(t *testing.T) {
 	if !strings.Contains(apiErr.Error, "kaboom") {
 		t.Fatalf("panic response %q does not name the panic", apiErr.Error)
 	}
-	if srv.Panics() != 1 {
-		t.Fatalf("Panics() = %d, want 1", srv.Panics())
+	if got := srv.panicsCtr.Value(); got != 1 {
+		t.Fatalf("libvdap.panics = %v, want 1", got)
 	}
 	events := rec.EventsSince(-1, "libvdap", obs.SevError)
 	found := false

@@ -88,12 +88,8 @@ type Server struct {
 	seriesCache  *wmCache
 	eventsCache  *wmCache
 
-	streams atomic.Int64
-
-	// life is the graceful-drain state (see Shutdown); panicsTotal counts
-	// handler panics caught by the recovery middleware.
-	life        lifecycle
-	panicsTotal atomic.Int64
+	// life is the graceful-drain state (see Shutdown).
+	life lifecycle
 
 	// Telemetry mirrors of the internal stats (nil, and so inert, when the
 	// scope has no registry).
@@ -166,9 +162,6 @@ func (s *Server) Advance(step func() error) error {
 	defer s.simMu.Unlock()
 	return step()
 }
-
-// ActiveStreams reports how many /api/v1/stream handlers are currently live.
-func (s *Server) ActiveStreams() int64 { return s.streams.Load() }
 
 // ServerStats aggregates the server's self-counters.
 type ServerStats struct {
@@ -562,8 +555,6 @@ func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 	}
-	s.streams.Add(1)
-	defer s.streams.Add(-1)
 	w.Header().Set("Content-Type", "application/x-ndjson; charset=utf-8")
 	w.WriteHeader(http.StatusOK)
 	flusher, _ := w.(http.Flusher)

@@ -41,12 +41,6 @@ func (d *Dataset) Split(trainFrac float64) (train, test *Dataset, err error) {
 		&Dataset{X: d.X[n:], Y: d.Y[n:]}, nil
 }
 
-// Append merges other into d.
-func (d *Dataset) Append(other *Dataset) {
-	d.X = append(d.X, other.X...)
-	d.Y = append(d.Y, other.Y...)
-}
-
 // styleProfile is the class-conditional mean of each feature. Values are
 // roughly normalized telemetry (z-score-ish scales).
 var styleProfiles = [NumStyles][FeatureDim]float64{

@@ -29,15 +29,6 @@ func TestDatasetSplit(t *testing.T) {
 	}
 }
 
-func TestDatasetAppend(t *testing.T) {
-	a, _ := GenerateDataset(10, PopulationDriver(), sim.NewRNG(2))
-	b, _ := GenerateDataset(5, PopulationDriver(), sim.NewRNG(3))
-	a.Append(b)
-	if a.Len() != 15 {
-		t.Fatalf("Len after append = %d", a.Len())
-	}
-}
-
 func TestGenerateDatasetValidation(t *testing.T) {
 	if _, err := GenerateDataset(0, PopulationDriver(), sim.NewRNG(1)); err == nil {
 		t.Fatal("zero samples accepted")

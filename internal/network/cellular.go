@@ -102,9 +102,6 @@ type CellularChannel struct {
 	nextHandoffAt time.Duration
 	outageUntil   time.Duration
 	dwell         time.Duration
-
-	sent int
-	lost int
 }
 
 // NewCellularChannel builds a channel for a stream of the given bitrate
@@ -178,28 +175,11 @@ func (c *CellularChannel) InOutage(t time.Duration) bool {
 // SendPacket attempts to deliver one packet at virtual time t and returns
 // whether it arrived. Calls must have non-decreasing t.
 func (c *CellularChannel) SendPacket(t time.Duration) bool {
-	c.sent++
 	if c.InOutage(t) {
-		c.lost++
 		return false
 	}
 	pc := CongestionLoss(c.bitrateMbps)
 	pf := FadeLoss(c.mob.SpeedMS, c.bitrateMbps)
 	pInd := clampProb(1 - (1-pc)*(1-pf))
-	if c.rng.Bernoulli(pInd) {
-		c.lost++
-		return false
-	}
-	return true
-}
-
-// Stats returns packets sent and lost so far.
-func (c *CellularChannel) Stats() (sent, lost int) { return c.sent, c.lost }
-
-// LossRate returns the observed packet-loss rate (0 when nothing sent).
-func (c *CellularChannel) LossRate() float64 {
-	if c.sent == 0 {
-		return 0
-	}
-	return float64(c.lost) / float64(c.sent)
+	return !c.rng.Bernoulli(pInd)
 }

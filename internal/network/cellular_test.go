@@ -96,12 +96,16 @@ func TestChannelMatchesClosedForm(t *testing.T) {
 		payloadBits := 1316.0 * 8
 		interval := time.Duration(float64(time.Second) * payloadBits / 5.8e6)
 		now := time.Duration(0)
-		for i := 0; i < 551*300; i++ {
-			ch.SendPacket(now)
+		const sent = 551 * 300
+		lost := 0
+		for i := 0; i < sent; i++ {
+			if !ch.SendPacket(now) {
+				lost++
+			}
 			now += interval
 		}
 		want := ExpectedPacketLoss(speed, 5.8)
-		got := ch.LossRate()
+		got := float64(lost) / sent
 		if math.Abs(got-want) > 0.05 {
 			t.Errorf("speed %.1f: channel loss %.4f vs closed-form %.4f", speed, got, want)
 		}
@@ -130,7 +134,7 @@ func TestChannelLossIsBursty(t *testing.T) {
 	if losses == 0 {
 		t.Fatal("no losses at 70 MPH")
 	}
-	p := ch.LossRate()
+	p := float64(losses) / 100000
 	// Under independence, P(loss | prev loss) == p. Burstiness should make
 	// the conditional probability much larger.
 	conditional := float64(runs) / float64(losses)
@@ -158,23 +162,6 @@ func TestNewCellularChannelValidation(t *testing.T) {
 	}
 	if _, err := NewCellularChannel(Catalog()["lte"], mob, 3.8, nil); err == nil {
 		t.Fatal("nil RNG accepted")
-	}
-}
-
-func TestChannelStats(t *testing.T) {
-	ch := newTestChannel(t, 0, 3.8, 5)
-	if ch.LossRate() != 0 {
-		t.Fatal("loss rate nonzero before any packet")
-	}
-	for i := 0; i < 100; i++ {
-		ch.SendPacket(time.Duration(i) * time.Millisecond)
-	}
-	sent, lost := ch.Stats()
-	if sent != 100 {
-		t.Fatalf("sent = %d, want 100", sent)
-	}
-	if lost < 0 || lost > sent {
-		t.Fatalf("lost = %d out of range", lost)
 	}
 }
 
@@ -206,9 +193,5 @@ func TestZeroDwellChannelAtLargeTime(t *testing.T) {
 	}
 	if ch.InOutage(time.Duration(math.MaxInt64 - 1)) {
 		t.Fatal("parked vehicle reported a handoff outage")
-	}
-	sent, lost := ch.Stats()
-	if sent != 1 || lost != 0 {
-		t.Fatalf("stats = (%d, %d), want (1, 0)", sent, lost)
 	}
 }

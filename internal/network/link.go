@@ -93,9 +93,6 @@ func (l LinkSpec) TransferTime(sizeBytes float64, d Direction) (time.Duration, e
 	return l.RTT + time.Duration(sizeBytes/goodput*float64(time.Second)), nil
 }
 
-// OneWayLatency returns half the RTT.
-func (l LinkSpec) OneWayLatency() time.Duration { return l.RTT / 2 }
-
 // Catalog returns the default link catalog keyed by name.
 func Catalog() map[string]LinkSpec {
 	specs := []LinkSpec{

@@ -103,10 +103,3 @@ func TestTechString(t *testing.T) {
 		t.Fatal("tech names wrong")
 	}
 }
-
-func TestOneWayLatency(t *testing.T) {
-	l := LinkSpec{Name: "x", UpMbps: 1, DownMbps: 1, RTT: 20 * time.Millisecond}
-	if l.OneWayLatency() != 10*time.Millisecond {
-		t.Fatalf("one-way = %v, want 10ms", l.OneWayLatency())
-	}
-}

@@ -78,7 +78,7 @@ func BenchmarkSamplerTick(b *testing.B) {
 	b.ResetTimer()
 	for i := 1; i <= b.N; i++ {
 		lanes[i%len(lanes)].CounterHandle("offload.breaker.skip.site-" + strconv.Itoa(i))
-		sp.SampleAt(time.Duration(i) * sp.Interval())
+		sp.SampleAt(time.Duration(i) * sp.interval)
 	}
 }
 

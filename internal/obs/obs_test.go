@@ -503,7 +503,7 @@ func TestResyncIsIncremental(t *testing.T) {
 		t.Fatalf("%d ticks after interning %d metrics each on a lane of %d allocated %d B (bound %d)",
 			steps, k, n, allocated, bound)
 	}
-	if got := sp.Store().Len(); got != n {
+	if got := len(sp.store.m); got != n {
 		t.Fatalf("%d series, want %d (new metrics were never bumped)", got, n)
 	}
 }

@@ -78,7 +78,7 @@ func TestScopeMergeIsTheFourStoreMerges(t *testing.T) {
 		if merged != renderScope(want) {
 			t.Fatalf("seed %d: Scope.Merge diverged from the store merges:\n%s\nvs\n%s", seed, merged, renderScope(want))
 		}
-		if got.Tracer.SpanCount() == 0 || got.Events.Len() == 0 || got.Series.Len() == 0 {
+		if got.Tracer.SpanCount() == 0 || got.Events.Len() == 0 || len(got.Series.m) == 0 {
 			t.Fatalf("seed %d: lanes merged to nothing:\n%s", seed, merged)
 		}
 		got.Merge(Scope{})
@@ -116,7 +116,7 @@ func TestZeroScopeRecordsNothingAndAllocatesNothing(t *testing.T) {
 	if allocs != 0 {
 		t.Fatalf("emitting through a zero Scope allocated %v objects per run, want 0", allocs)
 	}
-	if counter.Value() != 0 || sc.Tracer.SpanCount() != 0 || sc.Events.Len() != 0 || sc.Series.Len() != 0 {
+	if counter.Value() != 0 || sc.Tracer.SpanCount() != 0 || sc.Events.Len() != 0 || len(sc.Series.Payload(-1).Series) != 0 {
 		t.Fatal("a zero Scope recorded something")
 	}
 	if c, _ := hist.CountSum(); c != 0 {

@@ -146,16 +146,6 @@ func (s *SeriesStore) RecordGauge(name string, at time.Duration, v float64) {
 	s.mu.Unlock()
 }
 
-// Len returns the number of distinct series.
-func (s *SeriesStore) Len() int {
-	if s == nil {
-		return 0
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return len(s.m)
-}
-
 // Watermark returns the largest point timestamp across all series (zero
 // when empty).
 func (s *SeriesStore) Watermark() time.Duration {
@@ -519,9 +509,6 @@ func NewSampler(store *SeriesStore, interval time.Duration) *Sampler {
 	}
 	return &Sampler{store: store, interval: interval, isActive: make(map[*Series]bool)}
 }
-
-// Interval returns the virtual-time tick period.
-func (sp *Sampler) Interval() time.Duration { return sp.interval }
 
 // Store returns the series store the sampler appends to.
 func (sp *Sampler) Store() *SeriesStore { return sp.store }

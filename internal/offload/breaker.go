@@ -94,12 +94,6 @@ func (b *Breaker) materialize(now time.Duration) {
 	}
 }
 
-// State reports the breaker's state as of virtual time now.
-func (b *Breaker) State(now time.Duration) BreakerState {
-	b.materialize(now)
-	return b.state
-}
-
 // Allow reports whether a request may proceed at now. While half-open it
 // admits exactly one probe; further requests are rejected until the probe
 // resolves through RecordSuccess or RecordFailure.

@@ -90,8 +90,8 @@ func TestBreakerStateMachine(t *testing.T) {
 				case failure:
 					b.RecordFailure(s.at)
 				}
-				if got := b.State(s.at); got != s.state {
-					t.Fatalf("step %d (%s@%v): state = %v, want %v", i, s.op, s.at, got, s.state)
+				if b.materialize(s.at); b.state != s.state {
+					t.Fatalf("step %d (%s@%v): state = %v, want %v", i, s.op, s.at, b.state, s.state)
 				}
 			}
 		})
@@ -101,10 +101,10 @@ func TestBreakerStateMachine(t *testing.T) {
 func TestBreakerConstructorClamps(t *testing.T) {
 	b := NewBreaker(0, 0)
 	b.RecordFailure(0) // threshold clamped to 1: one failure opens
-	if b.State(0) != BreakerOpen {
+	if b.materialize(0); b.state != BreakerOpen {
 		t.Fatal("threshold 0 not clamped to 1")
 	}
-	if b.State(time.Second) != BreakerHalfOpen {
+	if b.materialize(time.Second); b.state != BreakerHalfOpen {
 		t.Fatal("cooldown 0 not clamped to 1s")
 	}
 }
@@ -120,7 +120,8 @@ func breakerTrace(t *testing.T, rng *sim.RNG, b *Breaker, ops int) []string {
 	probesSinceResolve := 0
 	for i := 0; i < ops; i++ {
 		now += time.Duration(rng.Intn(700)) * time.Millisecond
-		pre := b.State(now)
+		b.materialize(now)
+		pre := b.state
 		switch rng.Intn(3) {
 		case 0:
 			admitted := b.Allow(now)
@@ -143,7 +144,8 @@ func breakerTrace(t *testing.T, rng *sim.RNG, b *Breaker, ops int) []string {
 			probesSinceResolve = 0
 			trail = append(trail, "failure")
 		}
-		trail = append(trail, b.State(now).String())
+		b.materialize(now)
+		trail = append(trail, b.state.String())
 	}
 	return trail
 }

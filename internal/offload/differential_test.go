@@ -77,8 +77,8 @@ func TestEstimateSiteMatchesNaiveReference(t *testing.T) {
 		if done != refDone || fmt.Sprint(err) != fmt.Sprint(refErr) {
 			t.Fatalf("%s: execute %+v finished at %v (%v), reference %v (%v)", d.Name, pick, done, err, refDone, refErr)
 		}
-		if eng.BytesSpent() != ref.BytesSpent() {
-			t.Fatalf("%s: spent %v bytes, reference %v", d.Name, eng.BytesSpent(), ref.BytesSpent())
+		if eng.spentBytes != ref.spentBytes {
+			t.Fatalf("%s: spent %v bytes, reference %v", d.Name, eng.spentBytes, ref.spentBytes)
 		}
 		if err == nil {
 			executed++

@@ -59,14 +59,6 @@ type Estimate struct {
 	Reason string `json:"reason,omitempty"`
 }
 
-// Local reports whether committing this estimate touches only
-// vehicle-local state: on-board DSF execution, no Site.Submit, no
-// bandwidth-budget charge. Local estimates may execute inside the
-// parallel decision phase of an epoch-barrier fleet round; remote ones
-// must wait for the single-threaded commit phase (see
-// fleet.ShardedInvokeAll and the phase contract on ExecuteResilient).
-func (est Estimate) Local() bool { return est.Dest == OnboardName }
-
 // Engine evaluates destinations for one vehicle.
 //
 // Concurrency: an Engine (with its DSF, sites, tracer, and registry) is
@@ -81,9 +73,11 @@ func (est Estimate) Local() bool { return est.Dest == OnboardName }
 // toward a remote destination, or the remote ladder of ExecuteResilient —
 // mutates shared sites (Site.Submit, queueing state) and charges the
 // engine's bandwidth budget, so it must run in the single-threaded commit
-// phase in canonical vehicle order. Estimates with Local() == true commit
-// entirely on vehicle-local state and are exempt; fleet.ShardedInvokeAll
-// is built on exactly this split.
+// phase in canonical vehicle order. Estimates whose Dest is OnboardName
+// commit entirely on vehicle-local state (on-board DSF execution, no
+// Site.Submit, no bandwidth-budget charge) and are exempt: they may run in
+// the parallel decision phase. fleet.ShardedInvokeAll is built on exactly
+// this split.
 type Engine struct {
 	dsf   *vcu.DSF
 	sites []*xedge.Site
@@ -286,9 +280,6 @@ func (e *Engine) BandwidthRemaining() (float64, bool) {
 	}
 	return remaining, true
 }
-
-// BytesSpent returns uplink bytes consumed by executed offloads.
-func (e *Engine) BytesSpent() float64 { return e.spentBytes }
 
 // withinBudget reports whether an estimate's uplink fits the budget.
 func (e *Engine) withinBudget(bytes float64) bool {

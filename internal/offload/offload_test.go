@@ -274,7 +274,7 @@ func TestExecuteOnboardAndRemote(t *testing.T) {
 	if done2 <= 0 {
 		t.Fatal("remote execute returned non-positive completion")
 	}
-	if rsu.Utilization(time.Second) == 0 {
+	if rsu.PendingWork(0) == 0 {
 		t.Fatal("remote execute did not reserve site time")
 	}
 }
@@ -391,8 +391,8 @@ func TestBandwidthBudgetAccounting(t *testing.T) {
 	if _, err := eng.Execute(dag, est, 0); err != nil {
 		t.Fatal(err)
 	}
-	if eng.BytesSpent() != est.BytesSent {
-		t.Fatalf("spent %v, want %v", eng.BytesSpent(), est.BytesSent)
+	if eng.spentBytes != est.BytesSent {
+		t.Fatalf("spent %v, want %v", eng.spentBytes, est.BytesSent)
 	}
 	remaining, ok := eng.BandwidthRemaining()
 	if !ok || remaining >= est.BytesSent {
@@ -428,7 +428,7 @@ func TestFailedExecuteDoesNotBurnBudget(t *testing.T) {
 	if _, err := eng.Execute(dag, bad, 0); err == nil {
 		t.Fatal("unknown destination executed")
 	}
-	if got := eng.BytesSpent(); got != 0 {
+	if got := eng.spentBytes; got != 0 {
 		t.Fatalf("failed execute burned %.0f budget bytes", got)
 	}
 	// The budget is still intact, so the real offload must succeed and
@@ -436,7 +436,7 @@ func TestFailedExecuteDoesNotBurnBudget(t *testing.T) {
 	if _, err := eng.Execute(dag, est, 0); err != nil {
 		t.Fatalf("execute after failed attempt: %v", err)
 	}
-	if got := eng.BytesSpent(); got != est.BytesSent {
+	if got := eng.spentBytes; got != est.BytesSent {
 		t.Fatalf("spent %.0f, want %.0f", got, est.BytesSent)
 	}
 }

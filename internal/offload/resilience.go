@@ -161,7 +161,7 @@ func DegradedDAG(dag *tasks.DAG, factor float64) *tasks.DAG {
 // ladder (remoteLadder) calls Site.Submit and charges the bandwidth
 // budget, so it belongs to the single-threaded commit phase of an
 // epoch-barrier fleet round. The one exception is a decision that chose
-// the vehicle itself: when est.Local() is true the remote ladder never
+// the vehicle itself: when est.Dest is OnboardName the remote ladder never
 // runs — the graceful-degradation ladder only ever walks *toward* the
 // vehicle (onboardRung) — so the whole call touches vehicle-local state
 // only and may run inside the parallel decision phase. The decision step

@@ -128,7 +128,11 @@ func TestBreakerStopsHammeringFailedSite(t *testing.T) {
 	if calls != 2 {
 		t.Fatalf("site probed %d times, want exactly BreakerThreshold=2 before the breaker opened", calls)
 	}
-	if b := eng.breakers[rsu.Name()]; b == nil || b.State(10*time.Millisecond) != BreakerOpen {
+	b := eng.breakers[rsu.Name()]
+	if b == nil {
+		t.Fatal("no breaker for the rsu")
+	}
+	if b.materialize(10 * time.Millisecond); b.state != BreakerOpen {
 		t.Fatalf("breaker %v is not open", b)
 	}
 	if out.FellBackTo == "" || out.Fallbacks == 0 {
@@ -332,7 +336,7 @@ func TestExecuteNilDAG(t *testing.T) {
 			}
 		}
 	}
-	if eng.BytesSpent() != 0 || rsu.PendingWork(0) != 0 {
-		t.Errorf("a nil DAG spent %v bytes and queued %v of work at the site", eng.BytesSpent(), rsu.PendingWork(0))
+	if eng.spentBytes != 0 || rsu.PendingWork(0) != 0 {
+		t.Errorf("a nil DAG spent %v bytes and queued %v of work at the site", eng.spentBytes, rsu.PendingWork(0))
 	}
 }

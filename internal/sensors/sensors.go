@@ -33,10 +33,9 @@ type OBDReading struct {
 type FaultKind int
 
 const (
-	// FaultNone injects nothing.
-	FaultNone FaultKind = iota
 	// FaultOverheat drives coolant temperature upward until a DTC fires.
-	FaultOverheat
+	// The zero FaultKind injects nothing.
+	FaultOverheat FaultKind = iota + 1
 	// FaultTireLeak bleeds pressure from tire 2.
 	FaultTireLeak
 	// FaultBatteryDrain sags battery voltage.
@@ -75,9 +74,6 @@ func NewOBD(rng *sim.RNG) (*OBD, error) {
 // InjectFault switches the generator into the given failure mode; the
 // affected signal degrades progressively on subsequent reads.
 func (o *OBD) InjectFault(k FaultKind) { o.fault = k }
-
-// ClearFault restores healthy behavior (does not undo accumulated damage).
-func (o *OBD) ClearFault() { o.fault = FaultNone }
 
 // Read samples the bus at virtual time t for a vehicle moving at speedKPH.
 func (o *OBD) Read(t time.Duration, speedKPH float64) OBDReading {
@@ -192,28 +188,24 @@ type Camera struct {
 	rng     *sim.RNG
 	width   int
 	height  int
-	fps     int
 	seq     int
 	density float64 // mean vehicles per frame
 }
 
 // NewCamera returns a dash camera. Density is the mean number of vehicles
 // visible per frame.
-func NewCamera(width, height, fps int, density float64, rng *sim.RNG) (*Camera, error) {
+func NewCamera(width, height int, density float64, rng *sim.RNG) (*Camera, error) {
 	if rng == nil {
 		return nil, fmt.Errorf("sensors: nil RNG")
 	}
-	if width <= 0 || height <= 0 || fps <= 0 {
-		return nil, fmt.Errorf("sensors: camera dimensions and fps must be positive")
+	if width <= 0 || height <= 0 {
+		return nil, fmt.Errorf("sensors: camera dimensions must be positive")
 	}
 	if density < 0 {
 		return nil, fmt.Errorf("sensors: negative scene density %v", density)
 	}
-	return &Camera{rng: rng, width: width, height: height, fps: fps, density: density}, nil
+	return &Camera{rng: rng, width: width, height: height, density: density}, nil
 }
-
-// FPS returns the camera frame rate.
-func (c *Camera) FPS() int { return c.fps }
 
 // Capture produces the next frame at virtual time t.
 func (c *Camera) Capture(t time.Duration) CameraFrame {

@@ -52,15 +52,6 @@ func VehicleDetectionDNN() *Task {
 	}
 }
 
-// InceptionV3 returns the Figure-3 image-recognition workload.
-func InceptionV3() *Task {
-	return &Task{
-		ID: "inception-v3", Name: "Inception v3",
-		Class: hardware.DNNInference, GFLOP: hardware.InceptionV3GFLOP,
-		InputBytes: frameBytes720p, OutputBytes: resultBytes, MemoryMB: 512,
-	}
-}
-
 // Table1Workloads returns the three Table-I workloads in the paper's order.
 func Table1Workloads() []*Task {
 	return []*Task{LaneDetection(), VehicleDetectionHaar(), VehicleDetectionDNN()}

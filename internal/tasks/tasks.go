@@ -80,17 +80,6 @@ func (d *DAG) Get(id string) (*Task, bool) {
 	return nil, false
 }
 
-// Roots returns tasks with no dependencies, in declaration order.
-func (d *DAG) Roots() []*Task {
-	var roots []*Task
-	for _, t := range d.Tasks {
-		if len(t.Deps) == 0 {
-			roots = append(roots, t)
-		}
-	}
-	return roots
-}
-
 // Successors returns the IDs of tasks that directly depend on id.
 func (d *DAG) Successors(id string) []string {
 	c := d.Compiled()
@@ -122,15 +111,6 @@ func (d *DAG) TopoOrder() ([]*Task, error) {
 		order[k] = d.Tasks[i]
 	}
 	return order, nil
-}
-
-// TotalGFLOP sums the work of every task.
-func (d *DAG) TotalGFLOP() float64 {
-	var total float64
-	for _, t := range d.Tasks {
-		total += t.GFLOP
-	}
-	return total
 }
 
 // CriticalPathGFLOP returns the largest cumulative work along any

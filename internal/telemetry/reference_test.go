@@ -140,20 +140,20 @@ func checkHistogram(t testing.TB, what string, h *Histogram, ref *sampleHistogra
 	if d := summaryDiff(h.Summary(), want); d != "" {
 		t.Fatalf("%s: summary %s", what, d)
 	}
-	if h.Count() != ref.count || !sameBits(h.Sum(), ref.sum) || !sameBits(h.Mean(), want.Mean) {
-		t.Fatalf("%s: count/sum/mean %d/%v/%v, want %d/%v/%v", what, h.Count(), h.Sum(), h.Mean(),
+	if h.Count() != ref.count || !sameBits(h.sum, ref.sum) || !sameBits(h.Mean(), want.Mean) {
+		t.Fatalf("%s: count/sum/mean %d/%v/%v, want %d/%v/%v", what, h.Count(), h.sum, h.Mean(),
 			ref.count, ref.sum, want.Mean)
 	}
 	if ref.count == 0 {
 		return
 	}
-	if !sameBits(h.Min(), ref.min) || !sameBits(h.Max(), ref.max) {
-		t.Fatalf("%s: min/max %v/%v, want %v/%v", what, h.Min(), h.Max(), ref.min, ref.max)
+	if !sameBits(h.min, ref.min) || !sameBits(h.max, ref.max) {
+		t.Fatalf("%s: min/max %v/%v, want %v/%v", what, h.min, h.max, ref.min, ref.max)
 	}
 	sorted := append([]float64(nil), ref.samples...)
 	sort.Float64s(sorted)
 	for _, q := range []float64{0, 0.01, 0.25, 0.5, 0.9, 0.95, 0.99, 1} {
-		if got, want := h.Quantile(q), sampleQuantileOf(sorted, q); !sameQuantile(got, want) {
+		if got, want := h.compacted().quantile(q), sampleQuantileOf(sorted, q); !sameQuantile(got, want) {
 			t.Fatalf("%s: quantile(%v) = %v, want %v", what, q, got, want)
 		}
 	}

@@ -479,24 +479,12 @@ func (h *Histogram) compacted() *Histogram {
 // Count returns the number of observed samples.
 func (h *Histogram) Count() int { return h.count }
 
-// Sum returns the exact sample total.
-func (h *Histogram) Sum() float64 { return h.sum }
-
 // Mean returns the average (0 with no samples).
 func (h *Histogram) Mean() float64 {
 	if h.count == 0 {
 		return 0
 	}
 	return h.sum / float64(h.count)
-}
-
-// Quantile returns the q-quantile (0 <= q <= 1) by nearest-rank; NaN with
-// no samples.
-func (h *Histogram) Quantile(q float64) float64 {
-	if h.count == 0 {
-		return math.NaN()
-	}
-	return h.compacted().quantile(q)
 }
 
 // quantile answers a nearest-rank query over compacted, non-empty bins by
@@ -515,22 +503,6 @@ func (h *Histogram) quantile(q float64) float64 {
 		rank -= b.n
 	}
 	return h.bins[len(h.bins)-1].v // a NaN q ranks past the end
-}
-
-// Min returns the smallest sample ever observed (NaN with none).
-func (h *Histogram) Min() float64 {
-	if h.count == 0 {
-		return math.NaN()
-	}
-	return h.min
-}
-
-// Max returns the largest sample ever observed (NaN with none).
-func (h *Histogram) Max() float64 {
-	if h.count == 0 {
-		return math.NaN()
-	}
-	return h.max
 }
 
 // HistogramSummary is a JSON-marshalable digest of one histogram. Retained

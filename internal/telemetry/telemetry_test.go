@@ -27,25 +27,25 @@ func TestCounters(t *testing.T) {
 
 func TestHistogramQuantiles(t *testing.T) {
 	h := &Histogram{}
-	if !math.IsNaN(h.Quantile(0.5)) {
-		t.Fatal("empty histogram quantile not NaN")
+	if h.Summary() != (HistogramSummary{}) {
+		t.Fatal("empty histogram does not summarize to zeros")
 	}
 	for i := 1; i <= 100; i++ {
 		h.Observe(float64(i))
 	}
-	if h.Count() != 100 || h.Sum() != 5050 || h.Mean() != 50.5 {
-		t.Fatalf("stats = %d/%v/%v", h.Count(), h.Sum(), h.Mean())
+	if h.Count() != 100 || h.sum != 5050 || h.Mean() != 50.5 {
+		t.Fatalf("stats = %d/%v/%v", h.Count(), h.sum, h.Mean())
 	}
-	if got := h.Quantile(0.5); got != 50 {
+	if got := h.compacted().quantile(0.5); got != 50 {
 		t.Fatalf("p50 = %v", got)
 	}
-	if got := h.Quantile(0.95); got != 95 {
+	if got := h.compacted().quantile(0.95); got != 95 {
 		t.Fatalf("p95 = %v", got)
 	}
-	if got := h.Quantile(0); got != 1 {
+	if got := h.compacted().quantile(0); got != 1 {
 		t.Fatalf("p0 = %v", got)
 	}
-	if got := h.Max(); got != 100 {
+	if got := h.max; got != 100 {
 		t.Fatalf("max = %v", got)
 	}
 }
@@ -62,9 +62,10 @@ func TestHistogramQuantileMonotoneProperty(t *testing.T) {
 		if h.Count() == 0 {
 			return true
 		}
-		prev := h.Quantile(0)
+		c := h.compacted()
+		prev := c.quantile(0)
 		for _, q := range []float64{0.25, 0.5, 0.75, 0.9, 1} {
-			cur := h.Quantile(q)
+			cur := c.quantile(q)
 			if cur < prev {
 				return false
 			}
@@ -154,7 +155,7 @@ func TestQuantileDoesNotMutateSampleOrder(t *testing.T) {
 		h.Observe(v)
 	}
 	pending := slices.Clone(h.bins)
-	if got := h.Quantile(0.5); got != 3 {
+	if got := h.compacted().quantile(0.5); got != 3 {
 		t.Fatalf("p50 = %v, want 3", got)
 	}
 	if got := h.Summary().P90; got != 5 {
@@ -186,7 +187,6 @@ func TestObserveRenderRace(t *testing.T) {
 				_ = r.Render()
 				_ = r.Snapshot()
 				if h := r.Histogram("h"); h != nil {
-					_ = h.Quantile(0.95)
 					_ = h.Summary()
 				}
 			}
@@ -256,9 +256,9 @@ func TestRegistryMerge(t *testing.T) {
 		t.Fatalf("source-only counter = %v, want 1", got)
 	}
 	h := a.Histogram("lat_ms")
-	if h.Count() != 5 || h.Sum() != 16.5 || h.Min() != 0.5 || h.Max() != 10 {
+	if h.Count() != 5 || h.sum != 16.5 || h.min != 0.5 || h.max != 10 {
 		t.Fatalf("merged histogram = count %d sum %v min %v max %v",
-			h.Count(), h.Sum(), h.Min(), h.Max())
+			h.Count(), h.sum, h.min, h.max)
 	}
 	if a.Histogram("only.b_ms") == nil {
 		t.Fatal("source-only histogram missing after merge")

@@ -115,9 +115,6 @@ func (d *Device) execTime(c hardware.Class, gflop float64) (time.Duration, error
 // Name returns the device name.
 func (d *Device) Name() string { return d.exec.Processor().Name }
 
-// Tier returns the mHEP level.
-func (d *Device) Tier() Tier { return d.tier }
-
 // Processor exposes the underlying hardware description.
 func (d *Device) Processor() *hardware.Processor { return d.exec.Processor() }
 

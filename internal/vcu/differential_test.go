@@ -178,13 +178,13 @@ func TestCommitRefusesBadPlansLikeNaiveReference(t *testing.T) {
 		s := newDSF(t, GreedyEFT{})
 		ref := newDSF(t, GreedyEFT{})
 		got, gotErr := s.commit(dag, p.plan)
-		want, wantErr := naiveCommit(ref.MHEP(), dag, p.plan)
+		want, wantErr := naiveCommit(ref.mhep, dag, p.plan)
 		samePlan(t, p.name, got, gotErr, want, wantErr)
 		if (gotErr == nil) != p.ok {
 			t.Fatalf("%s: error %v", p.name, gotErr)
 		}
 		if gotErr != nil {
-			for _, d := range s.MHEP().Devices() {
+			for _, d := range s.mhep.Devices() {
 				if n := d.Executor().Completed(); n != 0 {
 					t.Fatalf("%s: refused plan reserved %d tasks on %s", p.name, n, d.Name())
 				}

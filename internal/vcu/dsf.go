@@ -85,21 +85,6 @@ func NewDSF(m *MHEP, policy Policy) (*DSF, error) {
 	return &DSF{mhep: m, policy: policy}, nil
 }
 
-// SetPolicy swaps the scheduling policy at runtime.
-func (s *DSF) SetPolicy(p Policy) error {
-	if p == nil {
-		return fmt.Errorf("vcu: nil policy")
-	}
-	s.policy = p
-	return nil
-}
-
-// Policy returns the active policy.
-func (s *DSF) Policy() Policy { return s.policy }
-
-// MHEP returns the managed platform.
-func (s *DSF) MHEP() *MHEP { return s.mhep }
-
 // Plan produces a tentative placement for the DAG at virtual time now
 // without touching device queues. The plan is the caller's to keep.
 func (s *DSF) Plan(dag *tasks.DAG, now time.Duration) (*Plan, error) {

@@ -31,13 +31,6 @@ func TestNewDSFValidation(t *testing.T) {
 	if _, err := NewDSF(m, nil); err == nil {
 		t.Fatal("nil policy accepted")
 	}
-	s, _ := NewDSF(m, GreedyEFT{})
-	if err := s.SetPolicy(nil); err == nil {
-		t.Fatal("SetPolicy(nil) accepted")
-	}
-	if err := s.SetPolicy(HEFT{}); err != nil || s.Policy().Name() != "heft" {
-		t.Fatal("SetPolicy failed")
-	}
 }
 
 func TestAllPoliciesPlanALPR(t *testing.T) {
@@ -71,7 +64,7 @@ func TestPlanDoesNotTouchExecutors(t *testing.T) {
 	if _, err := s.Plan(tasks.ALPR(), 0); err != nil {
 		t.Fatal(err)
 	}
-	for _, d := range s.MHEP().Devices() {
+	for _, d := range s.mhep.Devices() {
 		if d.Executor().Completed() != 0 {
 			t.Fatalf("planning submitted work to %s", d.Name())
 		}
@@ -85,7 +78,7 @@ func TestCommitReservesDeviceTime(t *testing.T) {
 		t.Fatal(err)
 	}
 	total := 0
-	for _, d := range s.MHEP().Devices() {
+	for _, d := range s.mhep.Devices() {
 		total += d.Executor().Completed()
 	}
 	if total != 3 {
@@ -216,7 +209,7 @@ func TestSecondLevelDeviceRelievesLoad(t *testing.T) {
 	base := newDSF(t, GreedyEFT{})
 	with2nd := newDSF(t, GreedyEFT{})
 	phone, _ := hardware.Lookup(hardware.DevicePhone)
-	if err := with2nd.MHEP().AddDevice(phone, SecondLevel, WiFiIO()); err != nil {
+	if err := with2nd.mhep.AddDevice(phone, SecondLevel, WiFiIO()); err != nil {
 		t.Fatal(err)
 	}
 	runAll := func(s *DSF) time.Duration {
@@ -296,7 +289,7 @@ func TestPlansSurviveLaterPlans(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		viaPolicy, err := policy.Plan(tasks.ALPR(), s.MHEP().Devices(), 0)
+		viaPolicy, err := policy.Plan(tasks.ALPR(), s.mhep.Devices(), 0)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -313,7 +306,7 @@ func TestPlansSurviveLaterPlans(t *testing.T) {
 			if _, _, err := s.Estimate(d, 2*time.Second); err != nil {
 				t.Fatal(err)
 			}
-			if _, err := policy.Plan(d, s.MHEP().Devices(), 3*time.Second); err != nil {
+			if _, err := policy.Plan(d, s.mhep.Devices(), 3*time.Second); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -331,7 +324,7 @@ func TestPlansSurviveLaterPlans(t *testing.T) {
 // returned must change neither the platform's device order nor a plan.
 func TestAddDeviceAfterPlans(t *testing.T) {
 	s := newDSF(t, GreedyEFT{})
-	m := s.MHEP()
+	m := s.mhep
 	dag := tasks.ALPR()
 	dag.Tasks[0].Pinned = hardware.DevicePhone
 	if _, err := s.Plan(dag, 0); err == nil {

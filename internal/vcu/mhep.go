@@ -19,12 +19,11 @@ type MHEP struct {
 	// scheduling deterministic); AddDevice keeps it sorted, so planning
 	// reads it without rebuilding it.
 	ordered []*Device
-	storage *hardware.Storage
 }
 
-// NewMHEP returns an empty platform with the default VCU SSD attached.
+// NewMHEP returns an empty platform.
 func NewMHEP() *MHEP {
-	return &MHEP{devices: make(map[string]*Device), storage: hardware.DefaultSSD()}
+	return &MHEP{devices: make(map[string]*Device)}
 }
 
 // DefaultVCU builds the paper's reference on-board configuration: an i7
@@ -48,9 +47,6 @@ func DefaultVCU() (*MHEP, error) {
 	}
 	return m, nil
 }
-
-// Storage returns the VCU's SSD model.
-func (m *MHEP) Storage() *hardware.Storage { return m.storage }
 
 // AddDevice registers a processor. Names must be unique.
 func (m *MHEP) AddDevice(p *hardware.Processor, tier Tier, io IO) error {

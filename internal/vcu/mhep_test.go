@@ -20,12 +20,9 @@ func TestDefaultVCU(t *testing.T) {
 		t.Fatalf("default VCU has %d devices, want 4", len(devs))
 	}
 	for _, d := range devs {
-		if d.Tier() != FirstLevel {
-			t.Errorf("device %s tier = %v, want 1stHEP", d.Name(), d.Tier())
+		if d.tier != FirstLevel {
+			t.Errorf("device %s tier = %v, want 1stHEP", d.Name(), d.tier)
 		}
-	}
-	if m.Storage() == nil {
-		t.Fatal("no storage attached")
 	}
 }
 

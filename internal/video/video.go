@@ -128,16 +128,10 @@ func NewStream(p Profile, duration time.Duration) (*Stream, error) {
 	}, nil
 }
 
-// Profile returns the stream's encoding profile.
-func (s *Stream) Profile() Profile { return s.profile }
-
 // FrameCount returns the total number of frames in the stream.
 func (s *Stream) FrameCount() int {
 	return int(s.totalDuration.Seconds() * float64(s.profile.FPS))
 }
-
-// FramesPerGOP returns the GOP length in frames.
-func (s *Stream) FramesPerGOP() int { return s.framesPerGOP }
 
 // Frame returns the i-th frame of the stream.
 func (s *Stream) Frame(i int) (Frame, error) {

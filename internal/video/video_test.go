@@ -49,8 +49,8 @@ func TestStreamStructure(t *testing.T) {
 	if got := s.FrameCount(); got != 300 {
 		t.Fatalf("FrameCount = %d, want 300", got)
 	}
-	if got := s.FramesPerGOP(); got != 60 {
-		t.Fatalf("FramesPerGOP = %d, want 60", got)
+	if got := s.framesPerGOP; got != 60 {
+		t.Fatalf("framesPerGOP = %d, want 60", got)
 	}
 	f0, err := s.Frame(0)
 	if err != nil || !f0.Key || f0.GOP != 0 || f0.PTS != 0 {

@@ -173,9 +173,6 @@ func (s *Site) Kind() SiteKind { return s.kind }
 // Access returns the network path from the vehicle to this site.
 func (s *Site) Access() network.Path { return s.access }
 
-// Station returns the coverage anchor (zero for position-independent sites).
-func (s *Site) Station() geo.Station { return s.station }
-
 // SetAvailable marks the site up or down (maintenance, backhaul cut). An
 // unavailable site is unreachable from everywhere and rejects direct
 // submissions and estimates. The service-rate table is immutable after
@@ -197,9 +194,6 @@ func (s *Site) Freeze() { s.frozen = true }
 // Unfreeze ends the parallel decision phase; the (single-threaded) commit
 // phase may mutate the site again.
 func (s *Site) Unfreeze() { s.frozen = false }
-
-// Frozen reports whether the site is in a parallel decision phase.
-func (s *Site) Frozen() bool { return s.frozen }
 
 // assertUnfrozen panics when a mutation is attempted during a parallel
 // decision phase — an ownership-model violation, not a recoverable error.
@@ -317,18 +311,6 @@ func (s *Site) Preload(n int, class hardware.Class, gflop float64) error {
 		}
 	}
 	return nil
-}
-
-// Utilization aggregates executor utilization over the horizon.
-func (s *Site) Utilization(horizon time.Duration) float64 {
-	if len(s.execs) == 0 {
-		return 0
-	}
-	var sum float64
-	for _, e := range s.execs {
-		sum += e.Utilization(horizon)
-	}
-	return sum / float64(len(s.execs))
 }
 
 // PendingWork returns the total committed busy time still ahead of now

@@ -111,7 +111,7 @@ func TestPreloadRaisesQueueing(t *testing.T) {
 	if eb <= ef {
 		t.Fatalf("preloaded site not slower: %v vs %v", eb, ef)
 	}
-	if busy.Utilization(time.Second) <= fresh.Utilization(time.Second) {
+	if busy.PendingWork(0) <= fresh.PendingWork(0) {
 		t.Fatal("preload did not raise utilization")
 	}
 }
@@ -221,8 +221,8 @@ func TestFaultInjectorGatesSubmit(t *testing.T) {
 	if _, _, err := s.Submit(0, hardware.DNNInference, 10); err == nil {
 		t.Fatal("submit during fault window succeeded")
 	}
-	if u := s.Utilization(time.Second); u != 0 {
-		t.Fatalf("failed submit reserved executor time (util %v)", u)
+	if w := s.PendingWork(0); w != 0 {
+		t.Fatalf("failed submit reserved executor time (%v pending)", w)
 	}
 	if _, _, err := s.Submit(2*time.Second, hardware.DNNInference, 10); err != nil {
 		t.Fatalf("submit past fault window: %v", err)
@@ -315,14 +315,11 @@ func TestRateCacheSurvivesAvailabilityFlip(t *testing.T) {
 func TestFreezeAssertsCommitPhaseOwnership(t *testing.T) {
 	s, _ := NewRSU(rsuStation())
 	s.Freeze()
-	if !s.Frozen() {
-		t.Fatal("Frozen() false after Freeze")
-	}
 	// Reads stay legal during the decision phase.
 	if _, err := s.EstimateExec(0, hardware.DNNInference, 100); err != nil {
 		t.Fatal(err)
 	}
-	if !s.Reachable(s.Station().Pos) {
+	if !s.Reachable(s.station.Pos) {
 		t.Fatal("frozen site unreachable")
 	}
 	mustPanic := func(name string, fn func()) {

@@ -27,11 +27,11 @@ func isOptionStruct(name string) bool {
 // filling zeroes in), and a field only they set holds one value in every
 // run: make it a constant. The fields only a test moves, to reach a state
 // it cannot reach at the constant, are the reviewed lines of
-// testdata/unset_options.golden (DESIGN.md §2.3 gives each its reason);
+// testdata/unset_options.golden, each with its reason (DESIGN.md §2.3);
 //
 //	go test -run TestEveryOptionIsSetBySomethingThatRuns -update .
 //
-// rewrites it.
+// rewrites it, and a new line needs its reason written after " # ".
 func TestEveryOptionIsSetBySomethingThatRuns(t *testing.T) {
 	defer func(cgo bool) { build.Default.CgoEnabled = cgo }(build.Default.CgoEnabled)
 	build.Default.CgoEnabled = false

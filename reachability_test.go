@@ -2,6 +2,7 @@ package repro
 
 import (
 	"flag"
+	"fmt"
 	"go/ast"
 	"go/build"
 	"go/importer"
@@ -250,12 +251,14 @@ func origin(obj types.Object) types.Object {
 // and it is part of how that type satisfies an interface written in the
 // module or exported by a standard-library package the module imports (the
 // call goes through the interface, so no identifier names the method).
-// What is left under internal/ is listed in testdata/test_only_decls.golden.
-// A new line there is a declaration nothing runs: call it from a program,
-// delete it, or — for one of the two reasons DESIGN.md §2.1 gives —
-// accept it with
+// What is left under internal/ is listed in testdata/test_only_decls.golden,
+// each line with the reason it is kept. A new line there is a declaration
+// nothing runs: call it from a program, delete it, or — when DESIGN.md §2.1
+// allows it — accept it with
 //
 //	go test -run TestTestOnlyDeclarationsGolden -update .
+//
+// and write its reason after " # ".
 func TestTestOnlyDeclarationsGolden(t *testing.T) {
 	// The source importer reads build.Default. What reaches what does not
 	// depend on cgo, and without it checking net and os/user needs no C
@@ -390,37 +393,126 @@ func TestTestOnlyDeclarationsGolden(t *testing.T) {
 		"is reached by no program", "is gone or reached now")
 }
 
-// checkGoldenList compares sorted names with the reviewed file at path, one
-// name a line, and reports each name the file lacks (as "name <unlisted>
-// and is not in path") and each line it has too many ("… but <stale>");
-// -update rewrites the file instead.
+// checkGoldenList compares sorted names with the reviewed file at path and
+// reports what reviewGoldenList finds; -update rewrites the file instead.
 func checkGoldenList(t *testing.T, path string, names []string, unlisted, stale string) {
 	t.Helper()
-	got := strings.Join(names, "\n") + "\n"
+	text, err := os.ReadFile(path)
+	if err != nil && !(*update && os.IsNotExist(err)) {
+		t.Fatal(err)
+	}
+	problems, updated := reviewGoldenList(path, string(text), names, unlisted, stale)
 	if *update {
-		if err := os.WriteFile(path, []byte(got), 0o644); err != nil {
+		if err := os.WriteFile(path, []byte(updated), 0o644); err != nil {
 			t.Fatal(err)
 		}
 		return
 	}
-	want, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
+	for _, p := range problems {
+		t.Error(p)
 	}
-	if got == string(want) {
-		return
-	}
-	listed := map[string]bool{}
-	for _, name := range strings.Fields(string(want)) {
-		listed[name] = true
-	}
-	for _, name := range names {
-		if !listed[name] {
-			t.Errorf("%s %s and is not in %s", name, unlisted, path)
+}
+
+// reviewGoldenList compares sorted names with text, the reviewed list at
+// path: one name a line, then " # " and the reason the name is kept (only
+// the name is compared). It returns one problem for each name the list lacks
+// ("name <unlisted> and is not in path"), each line whose name is not among
+// names ("… but <stale>") and each line without a reason, and the text
+// -update writes: every name in order, with the reason its line had. A stale
+// line goes; a new name is written without a reason, so it fails until a
+// reviewer gives it one.
+func reviewGoldenList(path, text string, names []string, unlisted, stale string) (problems []string, updated string) {
+	reason := map[string]string{}
+	var listed []string
+	for _, line := range strings.Split(text, "\n") {
+		name, why, _ := strings.Cut(line, " # ")
+		if name = strings.TrimSpace(name); name != "" {
+			listed = append(listed, name)
+			reason[name] = strings.TrimSpace(why)
 		}
-		delete(listed, name)
 	}
-	for name := range listed {
-		t.Errorf("%s is in %s but %s; regenerate with -update", name, path, stale)
+	want := map[string]bool{}
+	var b strings.Builder
+	for _, name := range names {
+		want[name] = true
+		why, ok := reason[name]
+		switch {
+		case !ok:
+			problems = append(problems, fmt.Sprintf("%s %s and is not in %s", name, unlisted, path))
+		case why == "":
+			problems = append(problems, fmt.Sprintf("%s has no reason in %s; write one after \" # \"", name, path))
+		}
+		b.WriteString(name)
+		if why != "" {
+			b.WriteString(" # " + why)
+		}
+		b.WriteByte('\n')
+	}
+	for _, name := range listed {
+		if !want[name] {
+			problems = append(problems, fmt.Sprintf("%s is in %s but %s; regenerate with -update", name, path, stale))
+		}
+	}
+	return problems, b.String()
+}
+
+func TestCheckGoldenList(t *testing.T) {
+	tests := []struct {
+		name     string
+		golden   string
+		names    []string
+		problems []string // substrings, one per problem, in order
+		updated  string
+	}{
+		{
+			name:    "reviewed list matches",
+			golden:  "a.F # oracle of b's tests\nb.G # setter\n",
+			names:   []string{"a.F", "b.G"},
+			updated: "a.F # oracle of b's tests\nb.G # setter\n",
+		},
+		{
+			name:     "unlisted name",
+			golden:   "a.F # oracle\n",
+			names:    []string{"a.F", "c.H"},
+			problems: []string{"c.H is unreached and is not in list.golden"},
+			updated:  "a.F # oracle\nc.H\n",
+		},
+		{
+			name:     "stale line",
+			golden:   "a.F # oracle\nb.G # setter\n",
+			names:    []string{"a.F"},
+			problems: []string{"b.G is in list.golden but is stale"},
+			updated:  "a.F # oracle\n",
+		},
+		{
+			name:     "line without a reason",
+			golden:   "a.F # oracle\nb.G\nc.H # \n",
+			names:    []string{"a.F", "b.G", "c.H"},
+			problems: []string{"b.G has no reason", "c.H has no reason"},
+			updated:  "a.F # oracle\nb.G\nc.H\n",
+		},
+		{
+			name:     "update keeps reasons and drops stale lines",
+			golden:   "a.F # oracle # of two packages\nb.G # gone\nd.K # fixture\n",
+			names:    []string{"a.F", "c.H", "d.K"},
+			problems: []string{"c.H is unreached", "b.G is in list.golden but is stale"},
+			updated:  "a.F # oracle # of two packages\nc.H\nd.K # fixture\n",
+		},
+	}
+	for _, tt := range tests {
+		t.Run(tt.name, func(t *testing.T) {
+			problems, updated := reviewGoldenList("list.golden", tt.golden, tt.names, "is unreached", "is stale")
+			if len(problems) != len(tt.problems) {
+				t.Fatalf("problems = %q, want %d matching %q", problems, len(tt.problems), tt.problems)
+			}
+			for i, want := range tt.problems {
+				if !strings.Contains(problems[i], want) {
+					t.Errorf("problem %d = %q, want it to contain %q", i, problems[i], want)
+				}
+			}
+			if updated != tt.updated {
+				t.Errorf("-update writes %q, want %q", updated, tt.updated)
+			}
+		})
 	}
 }
