@@ -76,6 +76,8 @@ fuzz-smoke:
 # Decoders and parsers of untrusted bytes.
 	$(FUZZ) '^FuzzAcceptsGzip$$' ./internal/libvdap
 	$(FUZZ) '^FuzzParseSeconds$$' ./internal/libvdap
+# The raw query-string reader against url.ParseQuery(raw).Get(key).
+	$(FUZZ) '^FuzzQueryGet$$' ./internal/libvdap
 	$(FUZZ) '^FuzzAppendDecode$$' ./internal/huffman
 	$(FUZZ) '^FuzzReplayWAL$$' ./internal/ddi
 	$(FUZZ) '^FuzzDecodeSegment$$' ./internal/ddi
@@ -99,7 +101,8 @@ fuzz-smoke:
 # Flight-recorder event JSON as the libvdap client decodes it: no panic, and
 # encode is stable under decode.
 	$(FUZZ) '^FuzzEventJSON$$' ./internal/obs
-# Arbitrary predict and upload request bodies: never a 500, every reply
+# Arbitrary predict and upload request bodies: decoded as json.Decoder
+# decodes them (same error, status and value), never a 500, every reply
 # JSON-typed and decodable.
 	$(FUZZ) '^FuzzPredictBody$$' ./internal/libvdap
 # The fault injector's scratch path adjuster against the copying one it

@@ -364,9 +364,13 @@ func (d *discardWriter) WriteHeader(int)             {}
 func (d *discardWriter) Write(b []byte) (int, error) { d.n += len(b); return len(b), nil }
 
 // TestWarmGzipHitAllocs is the portable guard on the hit path: a warm gzip
-// hit through ServeHTTP performs a small fixed number of allocations (header
-// values, mostly) and a few hundred bytes of them — three orders of
-// magnitude below the ~800 KB of one flate compressor — and builds nothing.
+// hit through ServeHTTP performs a small fixed number of allocations (the
+// Content-Length value: its string, unless the length is below 100, and
+// its slice) and a few hundred bytes of them — three orders of magnitude
+// below the ~800 KB of one flate compressor — and builds nothing. Measured
+// on a 2-core x86-64 host, with and without -race: 1–2 per route (5–6
+// while every header value was Set per reply). The budget is the first
+// whole number above the -race figure plus 15 %.
 func TestWarmGzipHitAllocs(t *testing.T) {
 	_, srv, _, _ := newCachedServer(t)
 	for _, route := range cachedRoutes {
@@ -384,8 +388,10 @@ func TestWarmGzipHitAllocs(t *testing.T) {
 		}
 		before := srv.CacheStats()[route.name]
 
-		const budget, byteBudget = 12, 1024
-		if n := testing.AllocsPerRun(200, hit); n > budget {
+		const budget, byteBudget = 3, 1024
+		n := testing.AllocsPerRun(200, hit)
+		t.Logf("%s: %.0f allocations per warm gzip hit", route.path, n)
+		if n > budget {
 			t.Errorf("%s: %.0f allocations per warm gzip hit, budget %d", route.path, n, budget)
 		}
 		var m0, m1 runtime.MemStats

@@ -101,20 +101,20 @@ func TestRegistryPredict(t *testing.T) {
 		t.Fatal(err)
 	}
 	features := make([]float64, models.FeatureDim)
-	probs, class, err := r.Predict("cbeam", features)
+	probs, class, err := r.Predict("cbeam", features, new(models.Scratch))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(probs) != models.NumStyles || class < 0 || class >= models.NumStyles {
 		t.Fatalf("predict = %v, %d", probs, class)
 	}
-	if _, _, err := r.Predict("ghost", features); err == nil {
+	if _, _, err := r.Predict("ghost", features, new(models.Scratch)); err == nil {
 		t.Fatal("unknown model predicted")
 	}
 	if err := DefaultCommonLibrary(r); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := r.Predict("nlp-voice-command", features); err == nil {
+	if _, _, err := r.Predict("nlp-voice-command", features, new(models.Scratch)); err == nil {
 		t.Fatal("cost-only model predicted")
 	}
 }

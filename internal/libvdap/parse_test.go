@@ -3,9 +3,44 @@ package libvdap
 import (
 	"math"
 	"net/http"
+	"net/url"
 	"strconv"
 	"testing"
 )
+
+// FuzzQueryGet: queryGet reads a raw query string exactly as
+// url.ParseQuery(raw).Get(key) does, for the fuzzed key and for every key
+// ParseQuery finds: the first value wins, pairs holding ';' or a bad escape
+// are dropped, and %XX and '+' are unescaped in keys and values alike.
+func FuzzQueryGet(f *testing.F) {
+	for _, seed := range []struct{ raw, key string }{
+		{"source=user&from=0&to=100&limit=2", "limit"},
+		{"source=user;x=1&source=obd", "source"},
+		{"from=%zz&from=1.5", "from"},
+		{"from=1%", "from"},
+		{"col%75mn=a+b%2Bc", "column"},
+		{"", ""},
+		{"=x&a=1", ""},
+		{"to=1&to=2", "to"},
+		{"&&limit=&limit=5", "limit"},
+		{"a%3Db=c", "a=b"},
+		{"k+1=v&k%201=w", "k 1"},
+		{"source", "source"},
+	} {
+		f.Add(seed.raw, seed.key)
+	}
+	f.Fuzz(func(t *testing.T, raw, key string) {
+		want, _ := url.ParseQuery(raw)
+		if got := queryGet(raw, key); got != want.Get(key) {
+			t.Fatalf("queryGet(%q, %q) = %q, url.ParseQuery gives %q", raw, key, got, want.Get(key))
+		}
+		for k, vs := range want {
+			if got := queryGet(raw, k); got != vs[0] {
+				t.Fatalf("queryGet(%q, %q) = %q, url.ParseQuery gives %q", raw, k, got, vs[0])
+			}
+		}
+	})
+}
 
 // FuzzParseSeconds: whatever a client puts in ?since=, ?from=, ?to= or
 // ?poll=, parseSeconds either refuses it or returns a non-negative duration

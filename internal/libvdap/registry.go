@@ -132,9 +132,10 @@ func (r *Registry) Info(name string) (ModelInfo, error) {
 	return e.info, nil
 }
 
-// Predict runs an executable model on a feature vector. It refuses features
-// the model answers with a non-finite probability.
-func (r *Registry) Predict(name string, features []float64) (probs []float64, class int, err error) {
+// Predict runs an executable model on a feature vector, its activations and
+// the returned probabilities in scratch (valid until scratch's next use). It
+// refuses features the model answers with a non-finite probability.
+func (r *Registry) Predict(name string, features []float64, scratch *models.Scratch) (probs []float64, class int, err error) {
 	r.mu.RLock()
 	e, ok := r.entries[name]
 	r.mu.RUnlock()
@@ -144,7 +145,7 @@ func (r *Registry) Predict(name string, features []float64) (probs []float64, cl
 	if e.mlp == nil {
 		return nil, 0, fmt.Errorf("libvdap: model %q is not executable", name)
 	}
-	probs, err = e.mlp.Predict(features)
+	probs, err = e.mlp.PredictInto(features, scratch)
 	if err != nil {
 		return nil, 0, err
 	}

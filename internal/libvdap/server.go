@@ -16,6 +16,7 @@ import (
 
 	"repro/internal/ddi"
 	"repro/internal/edgeos"
+	"repro/internal/models"
 	"repro/internal/obs"
 	"repro/internal/telemetry"
 	"repro/internal/vcu"
@@ -29,6 +30,22 @@ type Clock func() time.Duration
 // DefaultMaxSimInflight bounds how many requests may hold or wait on the
 // simulation lock at once before further ones are shed with 503.
 const DefaultMaxSimInflight = 64
+
+// Errors the serve path answers with. Each is built once, so a refused or
+// detached request allocates no error.
+var (
+	errOverloaded      = errors.New("server overloaded, retry")
+	errNoTelemetry     = errors.New("telemetry not attached")
+	errNoTracer        = errors.New("tracer not attached")
+	errNoSeries        = errors.New("series store not attached")
+	errNoRecorder      = errors.New("flight recorder not attached")
+	errNoObservability = errors.New("observability not attached")
+	errNoEdgeOS        = errors.New("EdgeOSv not attached")
+	errNoModels        = errors.New("model library not attached")
+	errNoVCU           = errors.New("VCU not attached")
+	errNoDDI           = errors.New("DDI not attached")
+	errNoSharing       = errors.New("data sharing not attached")
+)
 
 // DefaultStreamWriteDeadline is how long one /api/v1/stream frame write may
 // stall on a slow client before the connection is abandoned.
@@ -274,8 +291,8 @@ func (s *Server) release() { <-s.simGate }
 func (s *Server) shed(w http.ResponseWriter) {
 	s.shedTotal.Add(1)
 	s.rejected.Inc()
-	w.Header().Set("Retry-After", "1")
-	s.writeErrRes(w, http.StatusServiceUnavailable, fmt.Errorf("server overloaded, retry"))
+	w.Header()["Retry-After"] = retryAfterOne
+	s.writeErrRes(w, http.StatusServiceUnavailable, errOverloaded)
 }
 
 // locked wraps a handler that mutates simulation-owned state: bounded
@@ -336,13 +353,14 @@ func acceptsGzip(lines []string) bool {
 	return star
 }
 
-// writeEncoded writes a 200 of a negotiating route: body is already in the
-// given content coding ("" for identity). Identity replies vary on the
-// request header too, or an intermediary would replay them to gzip clients.
-func (s *Server) writeEncoded(w http.ResponseWriter, contentType, coding string, body []byte) {
-	w.Header().Set("Vary", "Accept-Encoding")
-	if coding != "" {
-		w.Header().Set("Content-Encoding", coding)
+// writeEncoded writes a 200 of a negotiating route: body is already gzipped
+// or identity. Identity replies vary on the request header too, or an
+// intermediary would replay them to gzip clients.
+func (s *Server) writeEncoded(w http.ResponseWriter, contentType []string, gzipped bool, body []byte) {
+	h := w.Header()
+	h["Vary"] = varyAcceptEncoding
+	if gzipped {
+		h["Content-Encoding"] = gzipEncoding
 	}
 	s.writeBody(w, http.StatusOK, contentType, body)
 }
@@ -350,14 +368,14 @@ func (s *Server) writeEncoded(w http.ResponseWriter, contentType, coding string,
 // writeNegotiated writes the 200 of an uncached negotiating route,
 // compressing per request with a pooled compressor when the client accepts
 // gzip. Negotiating here, at write time, keeps every error reply identity.
-func (s *Server) writeNegotiated(w http.ResponseWriter, r *http.Request, contentType string, body []byte) {
+func (s *Server) writeNegotiated(w http.ResponseWriter, r *http.Request, contentType []string, body []byte) {
 	if !acceptsGzip(r.Header["Accept-Encoding"]) {
-		s.writeEncoded(w, contentType, "", body)
+		s.writeEncoded(w, contentType, false, body)
 		return
 	}
 	enc := gzipPool.Get().(*gzipEncoder)
 	defer gzipPool.Put(enc)
-	s.writeEncoded(w, contentType, "gzip", enc.encode(body))
+	s.writeEncoded(w, contentType, true, enc.encode(body))
 }
 
 // jsonBody marshals v exactly as json.Encoder.Encode would (compact JSON
@@ -385,7 +403,7 @@ func (s *Server) cached(w http.ResponseWriter, r *http.Request, c *wmCache, buil
 		rb := getReply()
 		defer putReply(rb)
 		if body, ok := s.encode(w, rb, v); ok {
-			s.writeNegotiated(w, r, jsonContentType, body)
+			s.writeNegotiated(w, r, jsonContentTypes, body)
 		}
 		return
 	}
@@ -409,26 +427,25 @@ func (s *Server) cached(w http.ResponseWriter, r *http.Request, c *wmCache, buil
 	} else {
 		s.cacheMisses.Inc()
 	}
-	body, coding := e.body, ""
-	if acceptsGzip(r.Header["Accept-Encoding"]) {
+	body, gzipped := e.body, acceptsGzip(r.Header["Accept-Encoding"])
+	if gzipped {
 		var built bool
 		if body, built = c.gzipped(e); built {
 			s.gzipBuilds.Inc()
 		}
-		coding = "gzip"
 	}
-	s.writeEncoded(w, jsonContentType, coding, body)
+	s.writeEncoded(w, jsonContentTypes, gzipped, body)
 }
 
 // handleMetrics serves the telemetry snapshot. The default is the JSON
 // Snapshot shape; ?format=text renders the sorted human-readable table.
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	if s.scope.Metrics == nil {
-		s.writeErrRes(w, http.StatusServiceUnavailable, fmt.Errorf("telemetry not attached"))
+		s.writeErrRes(w, http.StatusServiceUnavailable, errNoTelemetry)
 		return
 	}
-	if r.URL.Query().Get("format") == "text" {
-		s.writeNegotiated(w, r, "text/plain; charset=utf-8", []byte(s.scope.Metrics.Render()))
+	if queryGet(r.URL.RawQuery, "format") == "text" {
+		s.writeNegotiated(w, r, textContentTypes, []byte(s.scope.Metrics.Render()))
 		return
 	}
 	s.cached(w, r, s.metricsCache, func() (any, error) { return s.scope.Metrics.Snapshot(), nil })
@@ -439,11 +456,11 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 // renders the indented text tree.
 func (s *Server) handleTrace(w http.ResponseWriter, r *http.Request) {
 	if s.scope.Tracer == nil {
-		s.writeErrRes(w, http.StatusServiceUnavailable, fmt.Errorf("tracer not attached"))
+		s.writeErrRes(w, http.StatusServiceUnavailable, errNoTracer)
 		return
 	}
-	if r.URL.Query().Get("format") == "tree" {
-		s.writeNegotiated(w, r, "text/plain; charset=utf-8", []byte(s.scope.Tracer.RenderTree()))
+	if queryGet(r.URL.RawQuery, "format") == "tree" {
+		s.writeNegotiated(w, r, textContentTypes, []byte(s.scope.Tracer.RenderTree()))
 		return
 	}
 	out, err := s.scope.Tracer.ChromeTrace()
@@ -451,7 +468,7 @@ func (s *Server) handleTrace(w http.ResponseWriter, r *http.Request) {
 		s.writeErrRes(w, http.StatusInternalServerError, err)
 		return
 	}
-	s.writeNegotiated(w, r, jsonContentType, out)
+	s.writeNegotiated(w, r, jsonContentTypes, out)
 }
 
 // parseSince reads an optional virtual-time watermark in seconds; an empty
@@ -468,10 +485,10 @@ func parseSince(s string) (time.Duration, error) {
 // to points after ?since=<seconds of virtual time>.
 func (s *Server) handleSeries(w http.ResponseWriter, r *http.Request) {
 	if s.scope.Series == nil {
-		s.writeErrRes(w, http.StatusServiceUnavailable, fmt.Errorf("series store not attached"))
+		s.writeErrRes(w, http.StatusServiceUnavailable, errNoSeries)
 		return
 	}
-	since, err := parseSince(r.URL.Query().Get("since"))
+	since, err := parseSince(queryGet(r.URL.RawQuery, "since"))
 	if err != nil {
 		s.writeErrRes(w, http.StatusBadRequest, err)
 		return
@@ -490,27 +507,27 @@ type EventsResponse struct {
 // text table instead.
 func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 	if s.scope.Events == nil {
-		s.writeErrRes(w, http.StatusServiceUnavailable, fmt.Errorf("flight recorder not attached"))
+		s.writeErrRes(w, http.StatusServiceUnavailable, errNoRecorder)
 		return
 	}
-	qs := r.URL.Query()
-	if qs.Get("format") == "table" {
-		s.writeNegotiated(w, r, "text/plain; charset=utf-8", []byte(s.scope.Events.RenderTable()))
+	qs := r.URL.RawQuery
+	if queryGet(qs, "format") == "table" {
+		s.writeNegotiated(w, r, textContentTypes, []byte(s.scope.Events.RenderTable()))
 		return
 	}
-	since, err := parseSince(qs.Get("since"))
+	since, err := parseSince(queryGet(qs, "since"))
 	if err != nil {
 		s.writeErrRes(w, http.StatusBadRequest, err)
 		return
 	}
 	minSev := obs.SevDebug
-	if sev := qs.Get("severity"); sev != "" {
+	if sev := queryGet(qs, "severity"); sev != "" {
 		if minSev, err = obs.ParseSeverity(sev); err != nil {
 			s.writeErrRes(w, http.StatusBadRequest, err)
 			return
 		}
 	}
-	component := qs.Get("component")
+	component := queryGet(qs, "component")
 	s.cached(w, r, s.eventsCache, func() (any, error) {
 		return EventsResponse{
 			Events:  s.scope.Events.EventsSince(since, component, minSev),
@@ -532,24 +549,24 @@ func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 // stalled client cannot pin the handler forever.
 func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
 	if s.scope.Series == nil && s.scope.Events == nil {
-		s.writeErrRes(w, http.StatusServiceUnavailable, fmt.Errorf("observability not attached"))
+		s.writeErrRes(w, http.StatusServiceUnavailable, errNoObservability)
 		return
 	}
-	qs := r.URL.Query()
-	watermark, err := parseSince(qs.Get("since"))
+	qs := r.URL.RawQuery
+	watermark, err := parseSince(queryGet(qs, "since"))
 	if err != nil {
 		s.writeErrRes(w, http.StatusBadRequest, err)
 		return
 	}
 	frames := 0
-	if fs := qs.Get("frames"); fs != "" {
+	if fs := queryGet(qs, "frames"); fs != "" {
 		if frames, err = strconv.Atoi(fs); err != nil || frames < 0 {
 			s.writeErrRes(w, http.StatusBadRequest, fmt.Errorf("bad frames %q", fs))
 			return
 		}
 	}
 	poll := 100 * time.Millisecond
-	if ps := qs.Get("poll"); ps != "" {
+	if ps := queryGet(qs, "poll"); ps != "" {
 		if poll, err = parseSeconds(ps); err != nil || poll <= 0 {
 			s.writeErrRes(w, http.StatusBadRequest, fmt.Errorf("bad poll %q", ps))
 			return
@@ -662,7 +679,7 @@ type ServiceInfo struct {
 
 func (s *Server) handleListServices(w http.ResponseWriter, r *http.Request) {
 	if s.elastic == nil {
-		s.writeErrRes(w, http.StatusServiceUnavailable, fmt.Errorf("EdgeOSv not attached"))
+		s.writeErrRes(w, http.StatusServiceUnavailable, errNoEdgeOS)
 		return
 	}
 	services := s.elastic.Services()
@@ -700,7 +717,7 @@ type InvokeResponse struct {
 
 func (s *Server) handleInvokeService(w http.ResponseWriter, r *http.Request) {
 	if s.elastic == nil {
-		s.writeErrRes(w, http.StatusServiceUnavailable, fmt.Errorf("EdgeOSv not attached"))
+		s.writeErrRes(w, http.StatusServiceUnavailable, errNoEdgeOS)
 		return
 	}
 	name := r.PathValue("name")
@@ -720,13 +737,25 @@ func (s *Server) handleInvokeService(w http.ResponseWriter, r *http.Request) {
 
 const jsonContentType = "application/json; charset=utf-8"
 
+// Header values every reply of a kind shares, assigned to the header map
+// instead of Set so that no reply allocates them. Each has cap == len: an
+// Add to the same key appends into a fresh array and never writes here.
+var (
+	jsonContentTypes   = []string{jsonContentType}
+	textContentTypes   = []string{"text/plain; charset=utf-8"}
+	varyAcceptEncoding = []string{"Accept-Encoding"}
+	gzipEncoding       = []string{"gzip"}
+	retryAfterOne      = []string{"1"}
+)
+
 // writeBody writes a fully-materialized response with an explicit
 // Content-Length (no chunked framing), counting write failures (client
 // hangups mid-body) in libvdap.write_errors so the serve sweep can report
 // them instead of hiding them. It reports whether the write went through.
-func (s *Server) writeBody(w http.ResponseWriter, status int, contentType string, body []byte) bool {
-	w.Header().Set("Content-Type", contentType)
-	w.Header().Set("Content-Length", strconv.Itoa(len(body)))
+func (s *Server) writeBody(w http.ResponseWriter, status int, contentType []string, body []byte) bool {
+	h := w.Header()
+	h["Content-Type"] = contentType
+	h["Content-Length"] = []string{strconv.Itoa(len(body))}
 	w.WriteHeader(status)
 	if _, err := w.Write(body); err != nil {
 		s.countWriteError()
@@ -744,13 +773,17 @@ func (s *Server) countWriteError() {
 // it (a large unlimited query) is dropped instead of pinned in the pool.
 const maxPooledReply = 64 << 10
 
-// reply is one reusable JSON encoder with the buffer it writes into and the
-// record scratch /data/query downloads into. Encoder.Encode writes compact
-// JSON plus a newline, so its bytes equal jsonBody's.
+// reply is one request's reusable scratch: the buffer the request body is
+// read into and then the reply encoded into, the JSON encoder that writes
+// it, the record scratch /data/query downloads into, and the feature and
+// activation scratch of a predict. Encoder.Encode writes compact JSON plus a
+// newline, so its bytes equal jsonBody's.
 type reply struct {
-	buf  bytes.Buffer
-	enc  *json.Encoder
-	recs []ddi.Record
+	buf      bytes.Buffer
+	enc      *json.Encoder
+	recs     []ddi.Record
+	features []float64
+	model    models.Scratch
 }
 
 var replyPool = sync.Pool{New: func() any {
@@ -762,10 +795,11 @@ var replyPool = sync.Pool{New: func() any {
 func getReply() *reply { return replyPool.Get().(*reply) }
 
 // putReply returns rb to the pool, once everything encoded into it has been
-// written, unless it grew past maxPooledReply. The record scratch is
-// cleared first, so the pool pins no record payload.
+// written, unless its buffer or a scratch slice grew past maxPooledReply.
+// The record scratch is cleared first, so the pool pins no record payload.
 func putReply(rb *reply) {
-	if rb.buf.Cap() > maxPooledReply || cap(rb.recs)*int(unsafe.Sizeof(ddi.Record{})) > maxPooledReply {
+	if rb.buf.Cap() > maxPooledReply || cap(rb.recs)*int(unsafe.Sizeof(ddi.Record{})) > maxPooledReply ||
+		cap(rb.features)*8 > maxPooledReply {
 		return
 	}
 	clear(rb.recs)
@@ -784,7 +818,7 @@ var encodeFailed = []byte(`{"error":"encode response"}` + "\n")
 func (s *Server) encode(w http.ResponseWriter, rb *reply, v any) ([]byte, bool) {
 	rb.buf.Reset()
 	if err := rb.enc.Encode(v); err != nil {
-		if s.writeBody(w, http.StatusInternalServerError, jsonContentType, encodeFailed) {
+		if s.writeBody(w, http.StatusInternalServerError, jsonContentTypes, encodeFailed) {
 			s.countWriteError()
 		}
 		return nil, false
@@ -795,7 +829,7 @@ func (s *Server) encode(w http.ResponseWriter, rb *reply, v any) ([]byte, bool) 
 // writeJSONWith encodes v through rb and writes it with the given status.
 func (s *Server) writeJSONWith(w http.ResponseWriter, rb *reply, status int, v any) {
 	if body, ok := s.encode(w, rb, v); ok {
-		s.writeBody(w, status, jsonContentType, body)
+		s.writeBody(w, status, jsonContentTypes, body)
 	}
 }
 
@@ -811,26 +845,6 @@ type apiError struct {
 
 func (s *Server) writeErrRes(w http.ResponseWriter, status int, err error) {
 	s.writeJSON(w, status, apiError{Error: err.Error()})
-}
-
-// maxBodyBytes bounds a POST body; a larger one is answered 413.
-const maxBodyBytes = 1 << 20
-
-// decodeBody decodes the JSON request body into v, reading at most
-// maxBodyBytes. On failure it writes the error response (413 when the body
-// is too large, 400 otherwise) and returns false.
-func (s *Server) decodeBody(w http.ResponseWriter, r *http.Request, v any) bool {
-	err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes)).Decode(v)
-	if err == nil {
-		return true
-	}
-	status := http.StatusBadRequest
-	var tooLarge *http.MaxBytesError
-	if errors.As(err, &tooLarge) {
-		status = http.StatusRequestEntityTooLarge
-	}
-	s.writeErrRes(w, status, fmt.Errorf("decode request: %w", err))
-	return false
 }
 
 func (s *Server) handleStatus(w http.ResponseWriter, r *http.Request) {
@@ -850,7 +864,7 @@ func (s *Server) handleStatus(w http.ResponseWriter, r *http.Request) {
 
 func (s *Server) handleListModels(w http.ResponseWriter, r *http.Request) {
 	if s.registry == nil {
-		s.writeErrRes(w, http.StatusServiceUnavailable, fmt.Errorf("model library not attached"))
+		s.writeErrRes(w, http.StatusServiceUnavailable, errNoModels)
 		return
 	}
 	s.writeJSON(w, http.StatusOK, s.registry.List())
@@ -858,7 +872,7 @@ func (s *Server) handleListModels(w http.ResponseWriter, r *http.Request) {
 
 func (s *Server) handleModelInfo(w http.ResponseWriter, r *http.Request) {
 	if s.registry == nil {
-		s.writeErrRes(w, http.StatusServiceUnavailable, fmt.Errorf("model library not attached"))
+		s.writeErrRes(w, http.StatusServiceUnavailable, errNoModels)
 		return
 	}
 	info, err := s.registry.Info(r.PathValue("name"))
@@ -882,24 +896,31 @@ type PredictResponse struct {
 
 func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request) {
 	if s.registry == nil {
-		s.writeErrRes(w, http.StatusServiceUnavailable, fmt.Errorf("model library not attached"))
+		s.writeErrRes(w, http.StatusServiceUnavailable, errNoModels)
 		return
 	}
-	var req PredictRequest
-	if !s.decodeBody(w, r, &req) {
+	rb := getReply()
+	defer putReply(rb)
+	body, readErr := readBody(w, r, rb)
+	req, err := decodePredict(body, readErr, rb.features)
+	if err != nil {
+		s.writeErrRes(w, decodeStatus(err), err)
 		return
 	}
-	probs, class, err := s.registry.Predict(r.PathValue("name"), req.Features)
+	if cap(req.Features) > cap(rb.features) {
+		rb.features = req.Features[:0]
+	}
+	probs, class, err := s.registry.Predict(r.PathValue("name"), req.Features, &rb.model)
 	if err != nil {
 		s.writeErrRes(w, http.StatusBadRequest, err)
 		return
 	}
-	s.writeJSON(w, http.StatusOK, PredictResponse{Probabilities: probs, Class: class})
+	s.writeJSONWith(w, rb, http.StatusOK, PredictResponse{Probabilities: probs, Class: class})
 }
 
 func (s *Server) handleResources(w http.ResponseWriter, r *http.Request) {
 	if s.mhep == nil {
-		s.writeErrRes(w, http.StatusServiceUnavailable, fmt.Errorf("VCU not attached"))
+		s.writeErrRes(w, http.StatusServiceUnavailable, errNoVCU)
 		return
 	}
 	now := s.clock()
@@ -925,11 +946,15 @@ type UploadResponse struct {
 
 func (s *Server) handleUpload(w http.ResponseWriter, r *http.Request) {
 	if s.store == nil {
-		s.writeErrRes(w, http.StatusServiceUnavailable, fmt.Errorf("DDI not attached"))
+		s.writeErrRes(w, http.StatusServiceUnavailable, errNoDDI)
 		return
 	}
-	var req UploadRequest
-	if !s.decodeBody(w, r, &req) {
+	rb := getReply()
+	defer putReply(rb)
+	body, readErr := readBody(w, r, rb)
+	req, err := decodeUpload(body, readErr)
+	if err != nil {
+		s.writeErrRes(w, decodeStatus(err), err)
 		return
 	}
 	rec, err := s.store.Upload(s.clock(), ddi.Source(req.Source), req.X, req.Y, req.Payload)
@@ -937,7 +962,7 @@ func (s *Server) handleUpload(w http.ResponseWriter, r *http.Request) {
 		s.writeErrRes(w, http.StatusBadRequest, err)
 		return
 	}
-	s.writeJSON(w, http.StatusOK, UploadResponse{ID: rec.ID})
+	s.writeJSONWith(w, rb, http.StatusOK, UploadResponse{ID: rec.ID})
 }
 
 // QueryResponse carries a DDI range query's results and simulated latency.
@@ -948,21 +973,21 @@ type QueryResponse struct {
 
 func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	if s.store == nil {
-		s.writeErrRes(w, http.StatusServiceUnavailable, fmt.Errorf("DDI not attached"))
+		s.writeErrRes(w, http.StatusServiceUnavailable, errNoDDI)
 		return
 	}
-	qs := r.URL.Query()
-	q := ddi.Query{Source: ddi.Source(qs.Get("source"))}
+	qs := r.URL.RawQuery
+	q := ddi.Query{Source: ddi.Source(queryGet(qs, "source"))}
 	var err error
-	if q.From, err = parseSeconds(qs.Get("from")); err != nil {
+	if q.From, err = parseSeconds(queryGet(qs, "from")); err != nil {
 		s.writeErrRes(w, http.StatusBadRequest, err)
 		return
 	}
-	if q.To, err = parseSeconds(qs.Get("to")); err != nil {
+	if q.To, err = parseSeconds(queryGet(qs, "to")); err != nil {
 		s.writeErrRes(w, http.StatusBadRequest, err)
 		return
 	}
-	if limit := qs.Get("limit"); limit != "" {
+	if limit := queryGet(qs, "limit"); limit != "" {
 		n, err := strconv.Atoi(limit)
 		if err != nil || n < 0 {
 			s.writeErrRes(w, http.StatusBadRequest, fmt.Errorf("bad limit %q", limit))
@@ -1002,21 +1027,21 @@ type WindowResponse struct {
 // tier, unlike /data/query whose cache promotion mutates.
 func (s *Server) handleWindow(w http.ResponseWriter, r *http.Request) {
 	if s.store == nil {
-		s.writeErrRes(w, http.StatusServiceUnavailable, fmt.Errorf("DDI not attached"))
+		s.writeErrRes(w, http.StatusServiceUnavailable, errNoDDI)
 		return
 	}
-	qs := r.URL.Query()
-	q := ddi.Query{Source: ddi.Source(qs.Get("source"))}
+	qs := r.URL.RawQuery
+	q := ddi.Query{Source: ddi.Source(queryGet(qs, "source"))}
 	var err error
-	if q.From, err = parseSeconds(qs.Get("from")); err != nil {
+	if q.From, err = parseSeconds(queryGet(qs, "from")); err != nil {
 		s.writeErrRes(w, http.StatusBadRequest, err)
 		return
 	}
-	if q.To, err = parseSeconds(qs.Get("to")); err != nil {
+	if q.To, err = parseSeconds(queryGet(qs, "to")); err != nil {
 		s.writeErrRes(w, http.StatusBadRequest, err)
 		return
 	}
-	colName := qs.Get("column")
+	colName := queryGet(qs, "column")
 	if colName == "" {
 		colName = "at"
 	}
@@ -1056,7 +1081,7 @@ func parseSeconds(s string) (time.Duration, error) {
 
 func (s *Server) handleTopics(w http.ResponseWriter, r *http.Request) {
 	if s.sharing == nil {
-		s.writeErrRes(w, http.StatusServiceUnavailable, fmt.Errorf("data sharing not attached"))
+		s.writeErrRes(w, http.StatusServiceUnavailable, errNoSharing)
 		return
 	}
 	s.writeJSON(w, http.StatusOK, s.sharing.Topics())
@@ -1072,11 +1097,15 @@ type PublishRequest struct {
 
 func (s *Server) handlePublish(w http.ResponseWriter, r *http.Request) {
 	if s.sharing == nil {
-		s.writeErrRes(w, http.StatusServiceUnavailable, fmt.Errorf("data sharing not attached"))
+		s.writeErrRes(w, http.StatusServiceUnavailable, errNoSharing)
 		return
 	}
+	rb := getReply()
+	defer putReply(rb)
 	var req PublishRequest
-	if !s.decodeBody(w, r, &req) {
+	body, readErr := readBody(w, r, rb)
+	if err := decodeJSON(body, readErr, &req); err != nil {
+		s.writeErrRes(w, decodeStatus(err), err)
 		return
 	}
 	token := r.Header.Get("X-VDAP-Token")
@@ -1084,18 +1113,18 @@ func (s *Server) handlePublish(w http.ResponseWriter, r *http.Request) {
 		s.writeErrRes(w, http.StatusForbidden, err)
 		return
 	}
-	s.writeJSON(w, http.StatusOK, map[string]string{"status": "ok"})
+	s.writeJSONWith(w, rb, http.StatusOK, map[string]string{"status": "ok"})
 }
 
 func (s *Server) handleFetch(w http.ResponseWriter, r *http.Request) {
 	if s.sharing == nil {
-		s.writeErrRes(w, http.StatusServiceUnavailable, fmt.Errorf("data sharing not attached"))
+		s.writeErrRes(w, http.StatusServiceUnavailable, errNoSharing)
 		return
 	}
-	qs := r.URL.Query()
-	service := qs.Get("service")
-	topic := qs.Get("topic")
-	since, err := parseSeconds(qs.Get("since"))
+	qs := r.URL.RawQuery
+	service := queryGet(qs, "service")
+	topic := queryGet(qs, "topic")
+	since, err := parseSeconds(queryGet(qs, "since"))
 	if err != nil {
 		s.writeErrRes(w, http.StatusBadRequest, err)
 		return

@@ -91,14 +91,30 @@ func (m *MLP) Clone() *MLP {
 	return out
 }
 
+// Scratch holds one forward pass's activations, reused from call to call:
+// after the first pass it costs no allocation for a model no wider than the
+// widest it has run. The zero value is ready. A Scratch serves one caller at
+// a time; concurrent predicts each need their own.
+type Scratch struct {
+	acts [][]float64
+}
+
 // forward runs the network, returning every layer's post-activation values
-// (index 0 is the input itself).
-func (m *MLP) forward(x []float64) [][]float64 {
-	acts := make([][]float64, 0, len(m.W)+1)
-	acts = append(acts, x)
+// (index 0 is x itself, which is only read). The values live in s and are
+// valid until s's next pass.
+func (m *MLP) forward(x []float64, s *Scratch) [][]float64 {
+	acts := append(s.acts[:0], x)
 	cur := x
 	for l := range m.W {
-		next := make([]float64, len(m.W[l]))
+		var next []float64
+		if len(acts) < cap(acts) {
+			next = acts[:len(acts)+1][len(acts)] // the previous pass's buffer
+		}
+		if n := len(m.W[l]); cap(next) >= n {
+			next = next[:n]
+		} else {
+			next = make([]float64, n)
+		}
 		for o := range m.W[l] {
 			sum := m.B[l][o]
 			row := m.W[l][o]
@@ -117,6 +133,7 @@ func (m *MLP) forward(x []float64) [][]float64 {
 		acts = append(acts, next)
 		cur = next
 	}
+	s.acts = acts
 	// Softmax on the output layer, numerically stabilized.
 	out := acts[len(acts)-1]
 	maxV := out[0]
@@ -136,12 +153,18 @@ func (m *MLP) forward(x []float64) [][]float64 {
 	return acts
 }
 
-// Predict returns class probabilities for input x.
+// Predict returns class probabilities for input x in a fresh slice.
 func (m *MLP) Predict(x []float64) ([]float64, error) {
+	return m.PredictInto(x, new(Scratch))
+}
+
+// PredictInto is Predict with the activations and the returned
+// probabilities written into s: they are valid until s's next use.
+func (m *MLP) PredictInto(x []float64, s *Scratch) ([]float64, error) {
 	if len(x) != m.Sizes[0] {
 		return nil, fmt.Errorf("models: input size %d, model expects %d", len(x), m.Sizes[0])
 	}
-	acts := m.forward(append([]float64(nil), x...))
+	acts := m.forward(x, s)
 	return acts[len(acts)-1], nil
 }
 
@@ -198,20 +221,22 @@ func (m *MLP) Train(ds *Dataset, opts TrainOptions, rng *sim.RNG) (float64, erro
 		return 0, fmt.Errorf("models: dataset feature dim %d, model expects %d", len(ds.X[0]), m.Sizes[0])
 	}
 	var lastLoss float64
+	var s Scratch
 	for epoch := 0; epoch < opts.Epochs; epoch++ {
 		perm := rng.Perm(len(ds.X))
 		var lossSum float64
 		for _, idx := range perm {
-			lossSum += m.step(ds.X[idx], ds.Y[idx], opts)
+			lossSum += m.step(ds.X[idx], ds.Y[idx], opts, &s)
 		}
 		lastLoss = lossSum / float64(len(ds.X))
 	}
 	return lastLoss, nil
 }
 
-// step performs one SGD update and returns the sample loss.
-func (m *MLP) step(x []float64, label int, opts TrainOptions) float64 {
-	acts := m.forward(append([]float64(nil), x...))
+// step performs one SGD update, its forward pass in s, and returns the
+// sample loss.
+func (m *MLP) step(x []float64, label int, opts TrainOptions, s *Scratch) float64 {
+	acts := m.forward(x, s)
 	probs := acts[len(acts)-1]
 	loss := -math.Log(math.Max(probs[label], 1e-12))
 
