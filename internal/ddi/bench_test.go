@@ -105,6 +105,9 @@ func BenchmarkStoreSelectWindow(b *testing.B) {
 // spatial predicates run per row. Shapes and widths follow benchmark/'s
 // ddi_query, except that wide_limit spans half the 800 s corpus. Each shape
 // cycles through 64 seeded queries whose windows start anywhere in it.
+// Last come narrow_all and agg_partial over windows that overlap the
+// memtable: first as it is, then, after one Put behind its head, through
+// its order index (the late-row variants).
 func BenchmarkStoreQueryShapes(b *testing.B) {
 	const n, unsealed, spacing = 200_000, 30_000, 4 * time.Millisecond
 	s, err := OpenDiskStore(b.TempDir())
@@ -131,10 +134,15 @@ func BenchmarkStoreQueryShapes(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
-	span := time.Duration(n) * spacing
+	span, memFrom := time.Duration(n)*spacing, time.Duration(n-unsealed)*spacing
 	window := func(width time.Duration) Query {
 		from := time.Duration(rng.Float64() * float64(span-width))
 		return Query{From: from, To: from + width}
+	}
+	// memWindow ends inside the memtable's span.
+	memWindow := func(width time.Duration) Query {
+		to := memFrom + time.Duration(rng.Float64()*float64(span-memFrom))
+		return Query{From: to - width, To: to}
 	}
 	scan := func(q Query) {
 		it := s.Scan(q)
@@ -144,11 +152,36 @@ func BenchmarkStoreQueryShapes(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
-	for _, shape := range []struct {
+	aggregate := func(col Column) func(Query) {
+		return func(q Query) {
+			if _, _, err := s.Aggregate(q, col); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
+	type shape struct {
 		name string
 		q    func() Query
 		run  func(Query)
-	}{
+	}
+	bench := func(shapes []shape) {
+		for _, shape := range shapes {
+			qs := make([]Query, 64)
+			for i := range qs {
+				qs[i] = shape.q()
+			}
+			for _, q := range qs { // decode every segment before timing
+				shape.run(q)
+			}
+			b.Run(shape.name, func(b *testing.B) {
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					shape.run(qs[i%len(qs)])
+				}
+			})
+		}
+	}
+	bench([]shape{
 		{"narrow_src", func() Query {
 			q := window(30 * time.Second)
 			q.Source = sources[rng.Intn(len(sources))]
@@ -165,25 +198,29 @@ func BenchmarkStoreQueryShapes(b *testing.B) {
 			q.Limit = 100
 			return q
 		}, scan},
-		{"agg_partial", func() Query { return window(7 * time.Minute) }, func(q Query) {
-			if _, _, err := s.Aggregate(q, ColY); err != nil {
-				b.Fatal(err)
+		{"agg_covered", func() Query { // one whole partition
+			first := time.Duration(rng.Intn(int(span / DefaultPartition)))
+			return Query{From: first * DefaultPartition, To: (first+1)*DefaultPartition - time.Nanosecond}
+		}, aggregate(ColX)},
+		{"agg_partial", func() Query { return window(7 * time.Minute) }, aggregate(ColY)},
+		// point_get's record ID rides in Limit.
+		{"point_get", func() Query { return Query{Limit: 1 + rng.Intn(n)} }, func(q Query) {
+			if _, ok := s.Get(uint64(q.Limit)); !ok {
+				b.Fatalf("no record %d", q.Limit)
 			}
 		}},
 		{"select", func() Query { return window(10 * time.Second) }, func(q Query) { s.Select(q) }},
-	} {
-		qs := make([]Query, 64)
-		for i := range qs {
-			qs[i] = shape.q()
-		}
-		for _, q := range qs { // decode every segment before timing
-			shape.run(q)
-		}
-		b.Run(shape.name, func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				shape.run(qs[i%len(qs)])
-			}
-		})
+	})
+	memShapes := []shape{
+		{"narrow_all_mem", func() Query { return memWindow(30 * time.Second) }, scan},
+		{"agg_partial_mem", func() Query { return memWindow(7 * time.Minute) }, aggregate(ColY)},
 	}
+	bench(memShapes)
+	if _, err := s.Put(Record{Source: SourceOBD, At: span - time.Minute, Payload: []byte(`{"v":1}`)}); err != nil {
+		b.Fatal(err)
+	}
+	for i := range memShapes {
+		memShapes[i].name += "_late"
+	}
+	bench(memShapes)
 }

@@ -265,8 +265,10 @@ func (d *DDI) Download(now time.Duration, q Query) ([]Record, time.Duration, err
 func (d *DDI) DownloadAppend(dst []Record, now time.Duration, q Query) ([]Record, time.Duration, error) {
 	d.downloads++
 	// One pass over the store cursor: byte count, cache promotion and the
-	// result slice together.
-	it := d.store.Scan(q)
+	// result slice together. The iterator never leaves the call.
+	it := borrowIterator()
+	defer it.release()
+	d.store.scan(it, q)
 	n := len(dst)
 	var bytes float64
 	for it.Next() {

@@ -1,12 +1,18 @@
 package ddi
 
-import "time"
+import (
+	"sync"
+	"time"
+)
 
 // Iterator streams a compiled plan's matching records in (At, ID) order
 // without materialising a slice. The per-record hot path allocates
 // nothing: Record() returns a pointer into the iterator whose payload
 // aliases the decoded segment block (valid until the next Next call if
-// the caller does not copy; Select copies survivors).
+// the caller does not copy; Select copies survivors). The iterator holds
+// its whole plan — stats, cursors, merge heap, the memtable's columns — so
+// Scan allocates it and, over an out-of-order memtable, a copy of the
+// window's order, 4 B a row, and nothing else.
 //
 //	it := store.Scan(q)
 //	for it.Next() {
@@ -22,12 +28,35 @@ type Iterator struct {
 	sent  int
 	err   error
 	stats PlanStats
+
+	gx, gy, r2 float64  // the query circle, when there is one
+	mem        segCols  // the memtable's columns as the plan found them
+	ord        []uint32 // a copy of the memtable window's order, when taken
+	cursBuf    [8]planCursor
+	heapBuf    [8]int
 }
 
-// newIterator builds the k-way merge over the plan's cursors.
-func newIterator(p *plan, limit int) *Iterator {
-	it := &Iterator{curs: p.curs, limit: limit, stats: p.stats}
-	it.heap = make([]int, 0, len(it.curs))
+// iterPool holds the iterators of reads that never let theirs leave the
+// call: Aggregate, Select and DDI.DownloadAppend.
+var iterPool = sync.Pool{New: func() any { return new(Iterator) }}
+
+// borrowIterator takes a cleared iterator from the pool.
+func borrowIterator() *Iterator { return iterPool.Get().(*Iterator) }
+
+// release clears it, keeping only the capacity of its cursor, heap and
+// order buffers, and pools it: no column or record it read stays reachable.
+func (it *Iterator) release() {
+	clear(it.curs)
+	curs, heap, ord := it.curs[:0], it.heap[:0], it.ord[:0]
+	*it = Iterator{curs: curs, heap: heap, ord: ord}
+	iterPool.Put(it)
+}
+
+// initHeap builds the k-way merge over the cursors that hold a row.
+func (it *Iterator) initHeap() {
+	if it.heap == nil {
+		it.heap = it.heapBuf[:0]
+	}
 	for i := range it.curs {
 		if it.curs[i].idx < it.curs[i].hi {
 			it.heap = append(it.heap, i)
@@ -36,20 +65,16 @@ func newIterator(p *plan, limit int) *Iterator {
 	for i := len(it.heap)/2 - 1; i >= 0; i-- {
 		it.siftDown(i)
 	}
-	return it
 }
 
-// errIterator carries a plan-compilation failure.
-func errIterator(err error) *Iterator { return &Iterator{err: err} }
-
-// less orders cursor a's current row before cursor b's.
-func (it *Iterator) less(a, b int) bool {
-	ca, cb := &it.curs[a], &it.curs[b]
-	aa, ab := ca.cols.at[ca.idx], cb.cols.at[cb.idx]
+// less orders cursor ca's current row before cursor cb's.
+func less(ca, cb *planCursor) bool {
+	ra, rb := ca.row(), cb.row()
+	aa, ab := ca.cols.at[ra], cb.cols.at[rb]
 	if aa != ab {
 		return aa < ab
 	}
-	return ca.cols.id[ca.idx] < cb.cols.id[cb.idx]
+	return ca.cols.id[ra] < cb.cols.id[rb]
 }
 
 func (it *Iterator) siftDown(i int) {
@@ -57,10 +82,10 @@ func (it *Iterator) siftDown(i int) {
 	for {
 		l, r := 2*i+1, 2*i+2
 		small := i
-		if l < len(h) && it.less(h[l], h[small]) {
+		if l < len(h) && less(&it.curs[h[l]], &it.curs[h[small]]) {
 			small = l
 		}
-		if r < len(h) && it.less(h[r], h[small]) {
+		if r < len(h) && less(&it.curs[h[r]], &it.curs[h[small]]) {
 			small = r
 		}
 		if small == i {
@@ -71,15 +96,14 @@ func (it *Iterator) siftDown(i int) {
 	}
 }
 
-// fill materialises cursor c's current row into it.rec.
-func (it *Iterator) fill(c *planCursor) {
-	i := c.idx
-	it.rec.ID = c.cols.id[i]
-	it.rec.Source = c.cols.dict[c.cols.src[i]]
-	it.rec.At = time.Duration(c.cols.at[i])
-	it.rec.X = c.cols.x[i]
-	it.rec.Y = c.cols.y[i]
-	it.rec.Payload = c.cols.payload(i)
+// fill materialises row i of cols into it.rec.
+func (it *Iterator) fill(cols *segCols, i int) {
+	it.rec.ID = cols.id[i]
+	it.rec.Source = cols.dict[cols.src[i]]
+	it.rec.At = time.Duration(cols.at[i])
+	it.rec.X = cols.x[i]
+	it.rec.Y = cols.y[i]
+	it.rec.Payload = cols.payload(i)
 }
 
 // Next advances to the next matching record, reporting false at the end
@@ -89,10 +113,12 @@ func (it *Iterator) Next() bool {
 		return false
 	}
 	c := &it.curs[it.heap[0]]
-	it.fill(c)
+	it.fill(c.cols, c.row())
 	it.sent++
 	c.idx++
-	c.seek()
+	if !c.whole() {
+		it.seek(c)
+	}
 	if c.idx >= c.hi {
 		last := len(it.heap) - 1
 		it.heap[0] = it.heap[last]

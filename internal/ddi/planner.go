@@ -10,7 +10,8 @@ import (
 // never read), a binary search on each candidate's sorted At column
 // narrows to the exact row range, and per-row predicates (source,
 // spatial) are kept only when the zone map cannot prove them vacuous.
-// The same plan drives the streaming iterator and the aggregate path.
+// The plan lives in an Iterator, which drives both the streaming merge and
+// the aggregate path.
 
 // Column names a numeric column an aggregate can run over.
 type Column int
@@ -94,33 +95,60 @@ func (p PlanStats) SkipRatio() float64 {
 
 // planCursor scans one run (a sealed segment's row range, or the
 // memtable snapshot) with the residual per-row predicates the zone map
-// could not discharge.
+// could not discharge. Over a memtable with an order index, perm holds its
+// window's rows in (At, ID) order and idx and hi index perm; otherwise they
+// index the columns.
 type planCursor struct {
 	cols *segCols
 	zm   *ZoneMap // nil for the memtable cursor
-	idx  int      // current row
-	hi   int      // exclusive upper row
+	perm []uint32 // nil when the rows already sit in (At, ID) order
+	idx  int      // current position
+	hi   int      // exclusive upper position
 
-	srcNeeded  bool
-	srcIdx     uint8
-	geoNeeded  bool
-	gx, gy, r2 float64
+	srcNeeded bool
+	srcIdx    uint8
+	geoNeeded bool
 }
 
 // whole reports that no per-row predicate applies inside [idx, hi).
 func (c *planCursor) whole() bool { return !c.srcNeeded && !c.geoNeeded }
 
-// seek advances idx to the next row in [idx, hi) that passes the residual
-// predicates, or to hi. It is the only place a residual predicate is
-// evaluated: each predicate shape has its own loop over column slices cut
-// to hi, with the query constants in locals. The spatial test is written
-// !(d > r2) so that a NaN distance matches, as in Query.Matches.
-func (c *planCursor) seek() {
+// row is the column row at the cursor's position.
+func (c *planCursor) row() int {
+	if c.perm != nil {
+		return int(c.perm[c.idx])
+	}
+	return c.idx
+}
+
+// seek advances c.idx to the next position in [idx, hi) whose row passes
+// the residual predicates, or to hi; a whole cursor never moves. It is the
+// only place a residual predicate is evaluated: a cursor through perm tests
+// rows one by one, and each predicate shape of a cursor over its columns
+// in place has its own loop over column slices cut to hi, with the query
+// constants in locals. The spatial test is written !(d > r2) so that a NaN
+// distance matches, as in Query.Matches.
+func (it *Iterator) seek(c *planCursor) {
 	i, hi := c.idx, c.hi
 	switch {
+	case c.perm != nil:
+		perm, cols, gx, gy, r2 := c.perm[:hi], c.cols, it.gx, it.gy, it.r2
+		for ; i < len(perm); i++ {
+			r := perm[i]
+			if c.srcNeeded && cols.src[r] != c.srcIdx {
+				continue
+			}
+			if !c.geoNeeded {
+				break
+			}
+			dx, dy := cols.x[r]-gx, cols.y[r]-gy
+			if !(dx*dx+dy*dy > r2) {
+				break
+			}
+		}
 	case c.srcNeeded && c.geoNeeded:
 		src, xs, ys := c.cols.src[:hi], c.cols.x[:hi], c.cols.y[:hi]
-		want, gx, gy, r2 := c.srcIdx, c.gx, c.gy, c.r2
+		want, gx, gy, r2 := c.srcIdx, it.gx, it.gy, it.r2
 		for ; i < len(src); i++ {
 			if src[i] != want {
 				continue
@@ -137,7 +165,7 @@ func (c *planCursor) seek() {
 		}
 	case c.geoNeeded:
 		xs, ys := c.cols.x[:hi], c.cols.y[:hi]
-		gx, gy, r2 := c.gx, c.gy, c.r2
+		gx, gy, r2 := it.gx, it.gy, it.r2
 		for ; i < len(xs); i++ {
 			dx, dy := xs[i]-gx, ys[i]-gy
 			if !(dx*dx+dy*dy > r2) {
@@ -148,84 +176,108 @@ func (c *planCursor) seek() {
 	c.idx = i
 }
 
-// plan is a compiled query: the surviving cursors plus bookkeeping.
-type plan struct {
-	q     Query
-	curs  []planCursor
-	stats PlanStats
-}
-
-// atRange binary-searches the sorted At column for the query window
-// (to <= 0 unbounded above, matching Query.Matches).
-func atRange(at []int64, from, to time.Duration) (lo, hi int) {
-	lo = sort.Search(len(at), func(i int) bool { return at[i] >= int64(from) })
-	hi = len(at)
+// atRange binary-searches the At column, read through ord when it is
+// non-nil, for the query window (to <= 0 unbounded above, matching
+// Query.Matches). The range indexes ord when there is one.
+func atRange(at []int64, ord []uint32, from, to time.Duration) (lo, hi int) {
+	n := len(at)
+	if ord != nil {
+		n = len(ord)
+	}
+	key := func(i int) int64 {
+		if ord != nil {
+			return at[ord[i]]
+		}
+		return at[i]
+	}
+	lo = sort.Search(n, func(i int) bool { return key(i) >= int64(from) })
+	hi = n
 	if to > 0 {
-		hi = lo + sort.Search(len(at)-lo, func(i int) bool { return at[lo+i] > int64(to) })
+		hi = lo + sort.Search(n-lo, func(i int) bool { return key(lo+i) > int64(to) })
 	}
 	return lo, hi
 }
 
-// addCursor appends a cursor over cols (zone map zm when sealed) with the
-// residual predicates q needs, or drops it when the range is empty.
-func (p *plan) addCursor(cols *segCols, zm *ZoneMap) {
-	lo, hi := atRange(cols.at, p.q.From, p.q.To)
+// addCursor appends a cursor over cols (zone map zm when sealed; ord when
+// they are a memtable with an order index) with the residual predicates q
+// needs, and returns it; it returns nil, adding nothing, when the range is
+// empty.
+func (it *Iterator) addCursor(q Query, cols *segCols, zm *ZoneMap, ord []uint32) *planCursor {
+	lo, hi := atRange(cols.at, ord, q.From, q.To)
 	if lo >= hi {
-		return
+		return nil
 	}
 	c := planCursor{cols: cols, zm: zm, idx: lo, hi: hi}
-	if p.q.Source != "" {
+	if ord != nil {
+		c.perm, c.idx, c.hi = ord[lo:hi], 0, hi-lo
+	}
+	if q.Source != "" {
 		// The window rows all share the segment dictionary; a
 		// single-entry dictionary proves the predicate row-free.
 		found := false
 		for i, s := range cols.dict {
-			if s == p.q.Source {
+			if s == q.Source {
 				c.srcIdx = uint8(i)
 				found = true
 				break
 			}
 		}
 		if !found {
-			return // no row can match (memtable cursors lack zone-map pruning)
+			return nil // no row can match (memtable cursors lack zone-map pruning)
 		}
 		c.srcNeeded = len(cols.dict) > 1
 	}
-	if p.q.Radius > 0 {
-		c.gx, c.gy, c.r2 = p.q.X, p.q.Y, p.q.Radius*p.q.Radius
-		c.geoNeeded = zm == nil || !zm.ContainsCircle(p.q.X, p.q.Y, p.q.Radius)
+	if q.Radius > 0 {
+		c.geoNeeded = zm == nil || !zm.ContainsCircle(q.X, q.Y, q.Radius)
 	}
-	c.seek()
-	p.stats.RowsScanned += hi - lo
+	it.seek(&c)
+	it.stats.RowsScanned += hi - lo
 	if zm == nil {
-		p.stats.MemRows += hi - lo
+		it.stats.MemRows += hi - lo
 	}
-	p.curs = append(p.curs, c)
+	if it.curs == nil {
+		it.curs = it.cursBuf[:0]
+	}
+	it.curs = append(it.curs, c)
+	return &it.curs[len(it.curs)-1]
 }
 
-// compilePlan prunes segs through their zone maps, loads the candidates,
-// and builds cursors; mem is the memtable snapshot (nil when empty).
-func compilePlan(q Query, segs []*segment, mem *segCols) (*plan, error) {
-	p := &plan{q: q}
-	p.stats.Segments = len(segs)
+// compilePlan fills it, fresh or cleared, with q's plan under the store's
+// read lock: zone maps prune segs, the candidates load, and every run left
+// gets a cursor, the memtable m's last. When the caller reads the plan
+// only under that lock (locked), the memtable cursor reads m.ord in place;
+// otherwise it reads a copy of its window of ord, kept in it.ord.
+func compilePlan(it *Iterator, q Query, segs []*segment, m *memtable, locked bool) error {
+	it.limit = q.Limit
+	it.stats.Segments = len(segs)
+	if q.Radius > 0 {
+		it.gx, it.gy, it.r2 = q.X, q.Y, q.Radius*q.Radius
+	}
 	for _, sg := range segs {
 		zm := &sg.zm
 		if !zm.OverlapsWindow(q.From, q.To) ||
 			(q.Source != "" && !zm.HasSource(q.Source)) ||
 			(q.Radius > 0 && !zm.IntersectsCircle(q.X, q.Y, q.Radius)) {
-			p.stats.Pruned++
+			it.stats.Pruned++
 			continue
 		}
-		p.stats.Candidates++
+		it.stats.Candidates++
 		cols, err := sg.load()
 		if err != nil {
-			return nil, err
+			it.err = err
+			return err
 		}
-		p.addCursor(cols, zm)
+		it.addCursor(q, cols, zm, nil)
 	}
-	if mem != nil && mem.rows() > 0 {
-		p.addCursor(mem, nil)
+	if m != nil && m.cols.rows() > 0 {
+		it.mem = m.cols // a value copy pins the slice lengths
+		if c := it.addCursor(q, &it.mem, nil, m.ord); c != nil && c.perm != nil && !locked {
+			it.ord = append(it.ord[:0], c.perm...)
+			c.perm = it.ord
+		}
 	}
-	return p, nil
+	it.initHeap()
+	return nil
 }
 
 // colValue reads column col of row i.
@@ -344,22 +396,25 @@ func foldPayloadSizes(a *Agg, off []uint32) {
 // aggregate folds the plan into a windowed aggregate over col, consuming
 // its cursors. A sealed cursor whose row range covers the whole segment
 // with no residual predicates contributes straight from its zone map; any
-// other predicate-free cursor folds its column slice; a predicated cursor
-// folds the rows seek stops on.
-func (p *plan) aggregate(col Column) Agg {
+// other predicate-free cursor over its columns in place folds its column
+// slice; a cursor through perm, or with a predicate, folds the rows seek
+// stops on, one at a time.
+func (it *Iterator) aggregate(col Column) Agg {
 	var a Agg
-	for i := range p.curs {
-		c := &p.curs[i]
+	for i := range it.curs {
+		c := &it.curs[i]
 		switch {
 		case c.zm != nil && c.whole() && c.idx == 0 && c.hi == c.cols.rows():
 			zoneAgg(&a, c.zm, col)
-		case c.whole():
+		case c.whole() && c.perm == nil:
 			foldColumn(&a, c.cols, col, c.idx, c.hi)
 		default:
 			for c.idx < c.hi {
-				a.fold(colValue(c.cols, col, c.idx))
+				a.fold(colValue(c.cols, col, c.row()))
 				c.idx++
-				c.seek()
+				if !c.whole() {
+					it.seek(c)
+				}
 			}
 		}
 	}

@@ -1,6 +1,7 @@
 package ddi
 
 import (
+	"fmt"
 	"testing"
 	"time"
 )
@@ -140,7 +141,11 @@ func TestIteratorZeroAllocs(t *testing.T) {
 // cursors read only immutable columns. The out-of-order variant starts
 // from a memtable that already carries an order index and has the
 // concurrent Puts land late, so they insert into the index (and shift its
-// tail) while the stream reads its window copy.
+// tail) while the stream reads through its copy of the window's order.
+// Beside the stream, Aggregate runs over and over, reading the order index
+// in place under the read lock while the late Puts shift it: its answer
+// over rows no mutation touches (integer-valued, so any fold order sums
+// exactly) never changes.
 func TestScanStableUnderConcurrentMutation(t *testing.T) {
 	// Behind the head, spread across the whole open window.
 	lateAt := func(i int) time.Duration { return time.Duration(i*449/299)*time.Second + time.Millisecond }
@@ -177,6 +182,27 @@ func TestScanStableUnderConcurrentMutation(t *testing.T) {
 				}
 			}
 			it := s.Scan(Query{})
+			aq := Query{Source: SourceOBD, From: 200 * time.Second}
+			wantAgg, _, err := s.Aggregate(aq, ColX)
+			if err != nil || wantAgg.Count != 250 {
+				t.Fatalf("aggregate before the mutation: %+v, %v", wantAgg, err)
+			}
+			stop, aggDone := make(chan struct{}), make(chan error, 1)
+			go func() {
+				for runs := 1; ; runs++ {
+					got, _, err := s.Aggregate(aq, ColX)
+					if err != nil || got != wantAgg {
+						aggDone <- fmt.Errorf("aggregate %d under mutation: %+v, %v; want %+v", runs, got, err, wantAgg)
+						return
+					}
+					select {
+					case <-stop:
+						aggDone <- nil
+						return
+					default:
+					}
+				}
+			}()
 			// Mutate hard while the iterator is mid-stream.
 			mutate := func() error {
 				for i := 0; i < 150; i++ {
@@ -198,7 +224,11 @@ func TestScanStableUnderConcurrentMutation(t *testing.T) {
 				return nil
 			}
 			done := make(chan error, 1)
-			go func() { done <- mutate() }()
+			go func() {
+				err := mutate()
+				close(stop) // the aggregate loop ends with the mutation
+				done <- err
+			}()
 			n := 0
 			var prev Record
 			for it.Next() {
@@ -219,6 +249,9 @@ func TestScanStableUnderConcurrentMutation(t *testing.T) {
 				t.Fatalf("snapshot streamed %d records, want 450", n)
 			}
 			if err := <-done; err != nil {
+				t.Fatal(err)
+			}
+			if err := <-aggDone; err != nil {
 				t.Fatal(err)
 			}
 		})

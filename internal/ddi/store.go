@@ -3,7 +3,6 @@ package ddi
 import (
 	"bufio"
 	"fmt"
-	"math"
 	"os"
 	"path/filepath"
 	"slices"
@@ -53,8 +52,11 @@ const (
 // order (in-order ingest pays nothing and reads alias the live arrays),
 // built as the identity on the first late row, and from then on every
 // append binary-search-inserts its row index under the write lock Put
-// already holds. A read is then O(log M + rows in its window) and a seal
-// walks ord; nothing ever sorts the memtable. There is no cached sorted
+// already holds. A read is then O(log M + rows in its window): it reads
+// the columns through its window of ord, in place when it is done under
+// the lock (Aggregate) and otherwise through a 4-byte-a-row copy of that
+// window (Scan). Only a seal copies rows out through ord (permuteCols);
+// nothing ever sorts the memtable. There is no cached sorted
 // view on purpose: every Put would invalidate it, and readers holding
 // only the read lock could not fill it.
 type memtable struct {
@@ -125,31 +127,16 @@ func (m *memtable) get(id uint64) (Record, bool) {
 	return c.record(i), true
 }
 
-// window snapshots the rows whose At lies in [from, to] (to <= 0
-// unbounded above), ordered by (At, ID). In-order ingest aliases the live
-// arrays whole (appends only ever touch rows beyond the snapshot's
-// length) and leaves the narrowing to the plan; otherwise the window is
-// binary-searched in ord and only its rows are copied out (nil when it is
-// empty), so the caller may drop the store lock and keep reading.
-func (m *memtable) window(from, to time.Duration) *segCols {
+// sorted snapshots every row in (At, ID) order, for the seal: an alias of
+// the live arrays while append order is that order, else a copy through
+// ord.
+func (m *memtable) sorted() *segCols {
 	if m.ord == nil {
 		view := m.cols // value copy pins the slice lengths
 		return &view
 	}
-	at, ord := m.cols.at, m.ord
-	lo := sort.Search(len(ord), func(i int) bool { return at[ord[i]] >= int64(from) })
-	hi := len(ord)
-	if to > 0 {
-		hi = lo + sort.Search(len(ord)-lo, func(i int) bool { return at[ord[lo+i]] > int64(to) })
-	}
-	if lo >= hi {
-		return nil
-	}
-	return permuteCols(&m.cols, ord[lo:hi])
+	return permuteCols(&m.cols, m.ord)
 }
-
-// sorted snapshots every row in (At, ID) order.
-func (m *memtable) sorted() *segCols { return m.window(math.MinInt64, 0) }
 
 // permuteCols materialises rows perm of src, in that order, as standalone
 // columns. The dictionary is shared with src: it is append-only, so the
@@ -438,20 +425,26 @@ func (s *DiskStore) Get(id uint64) (Record, bool) {
 // seals, and deletes: it reads immutable columns only. Check Err after
 // the loop for plan-compilation failures.
 func (s *DiskStore) Scan(q Query) *Iterator {
+	it := new(Iterator)
+	s.scan(it, q)
+	return it
+}
+
+// scan compiles q into it for a read that goes on after the store lock is
+// dropped; a failure lands in it.Err.
+func (s *DiskStore) scan(it *Iterator, q Query) {
 	s.mu.RLock()
-	p, err := compilePlan(q, s.segs, s.mem.window(q.From, q.To))
+	compilePlan(it, q, s.segs, s.mem, false)
 	s.mu.RUnlock()
-	if err != nil {
-		return errIterator(err)
-	}
-	return newIterator(p, q.Limit)
 }
 
 // Select returns matching records in time order. Records stream out of
 // the plan's cursors; only survivors are copied into the result. When the
 // plan knows the exact count, the result is allocated once at that size.
 func (s *DiskStore) Select(q Query) []Record {
-	it := s.Scan(q)
+	it := borrowIterator()
+	defer it.release()
+	s.scan(it, q)
 	var out []Record
 	if n, ok := it.exactLen(); ok && n > 0 {
 		out = make([]Record, 0, n)
@@ -465,15 +458,17 @@ func (s *DiskStore) Select(q Query) []Record {
 // Aggregate computes count/min/max/sum/mean of col over the records
 // matching q (Limit is ignored), along with the plan stats that produced
 // it. Segments fully covered by the query answer straight from their
-// zone maps without touching columns.
+// zone maps without touching columns. The fold runs under the read lock,
+// so the memtable's order index is read in place.
 func (s *DiskStore) Aggregate(q Query, col Column) (Agg, PlanStats, error) {
+	it := borrowIterator()
+	defer it.release()
 	s.mu.RLock()
-	p, err := compilePlan(q, s.segs, s.mem.window(q.From, q.To))
-	s.mu.RUnlock()
-	if err != nil {
+	defer s.mu.RUnlock()
+	if err := compilePlan(it, q, s.segs, s.mem, true); err != nil {
 		return Agg{}, PlanStats{}, err
 	}
-	return p.aggregate(col), p.stats, nil
+	return it.aggregate(col), it.stats, nil
 }
 
 // Segments returns the zone maps of the sealed segments, oldest first.
@@ -611,15 +606,15 @@ func (s *DiskStore) Compact() (int, error) {
 		if len(group) < 2 {
 			continue
 		}
-		p := &plan{q: Query{}}
+		it := new(Iterator)
 		for _, sg := range group {
 			cols, err := sg.load()
 			if err != nil {
 				return mergedAway, err
 			}
-			p.addCursor(cols, &sg.zm)
+			it.addCursor(Query{}, cols, &sg.zm, nil)
 		}
-		it := newIterator(p, 0)
+		it.initHeap()
 		merged := newMemtable()
 		for it.Next() {
 			if err := merged.append(it.Record()); err != nil {

@@ -22,9 +22,10 @@ func benchModel(b *testing.B) (*MLP, *Dataset) {
 
 func BenchmarkPredict(b *testing.B) {
 	m, ds := benchModel(b)
+	var s Scratch
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := m.Predict(ds.X[i%ds.Len()]); err != nil {
+		if _, err := m.PredictInto(ds.X[i%ds.Len()], &s); err != nil {
 			b.Fatal(err)
 		}
 	}

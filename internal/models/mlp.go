@@ -97,6 +97,9 @@ func (m *MLP) Clone() *MLP {
 // a time; concurrent predicts each need their own.
 type Scratch struct {
 	acts [][]float64
+	// delta and spare are the backward pass's error terms, one layer's in
+	// each, swapped as the pass walks down (training only).
+	delta, spare []float64
 }
 
 // forward runs the network, returning every layer's post-activation values
@@ -153,34 +156,15 @@ func (m *MLP) forward(x []float64, s *Scratch) [][]float64 {
 	return acts
 }
 
-// Predict returns class probabilities for input x in a fresh slice.
-func (m *MLP) Predict(x []float64) ([]float64, error) {
-	return m.PredictInto(x, new(Scratch))
-}
-
-// PredictInto is Predict with the activations and the returned
-// probabilities written into s: they are valid until s's next use.
+// PredictInto returns class probabilities for input x, with the
+// activations and the returned probabilities written into s: they are
+// valid until s's next use.
 func (m *MLP) PredictInto(x []float64, s *Scratch) ([]float64, error) {
 	if len(x) != m.Sizes[0] {
 		return nil, fmt.Errorf("models: input size %d, model expects %d", len(x), m.Sizes[0])
 	}
 	acts := m.forward(x, s)
 	return acts[len(acts)-1], nil
-}
-
-// Classify returns the argmax class for input x.
-func (m *MLP) Classify(x []float64) (int, error) {
-	probs, err := m.Predict(x)
-	if err != nil {
-		return 0, err
-	}
-	best := 0
-	for c, p := range probs {
-		if p > probs[best] {
-			best = c
-		}
-	}
-	return best, nil
 }
 
 // TrainOptions controls SGD.
@@ -233,22 +217,22 @@ func (m *MLP) Train(ds *Dataset, opts TrainOptions, rng *sim.RNG) (float64, erro
 	return lastLoss, nil
 }
 
-// step performs one SGD update, its forward pass in s, and returns the
-// sample loss.
+// step performs one SGD update, its forward and backward passes in s, and
+// returns the sample loss.
 func (m *MLP) step(x []float64, label int, opts TrainOptions, s *Scratch) float64 {
 	acts := m.forward(x, s)
 	probs := acts[len(acts)-1]
 	loss := -math.Log(math.Max(probs[label], 1e-12))
 
 	// Output delta for softmax + cross-entropy: p - onehot.
-	delta := append([]float64(nil), probs...)
+	delta, spare := append(s.delta[:0], probs...), s.spare
 	delta[label]--
 
 	for l := len(m.W) - 1; l >= 0; l-- {
 		prev := acts[l]
 		var nextDelta []float64
 		if l > 0 {
-			nextDelta = make([]float64, len(prev))
+			nextDelta = append(spare[:0], make([]float64, len(prev))...)
 		}
 		for o := range m.W[l] {
 			row := m.W[l][o]
@@ -277,9 +261,10 @@ func (m *MLP) step(x []float64, label int, opts TrainOptions, s *Scratch) float6
 					nextDelta[i] = 0
 				}
 			}
-			delta = nextDelta
+			delta, spare = nextDelta, delta
 		}
 	}
+	s.delta, s.spare = delta, spare
 	return loss
 }
 
@@ -289,12 +274,19 @@ func (m *MLP) Accuracy(ds *Dataset) (float64, error) {
 		return 0, fmt.Errorf("models: empty dataset")
 	}
 	correct := 0
+	var s Scratch
 	for i := range ds.X {
-		c, err := m.Classify(ds.X[i])
+		probs, err := m.PredictInto(ds.X[i], &s)
 		if err != nil {
 			return 0, err
 		}
-		if c == ds.Y[i] {
+		best := 0 // the argmax class
+		for c, p := range probs {
+			if p > probs[best] {
+				best = c
+			}
+		}
+		if best == ds.Y[i] {
 			correct++
 		}
 	}

@@ -39,7 +39,7 @@ func TestMLPShapes(t *testing.T) {
 
 func TestPredictSoftmaxProperties(t *testing.T) {
 	m, _ := NewMLP([]int{4, 8, 3}, sim.NewRNG(3))
-	probs, err := m.Predict([]float64{0.5, -0.2, 0.1, 0.9})
+	probs, err := m.PredictInto([]float64{0.5, -0.2, 0.1, 0.9}, new(Scratch))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -53,7 +53,7 @@ func TestPredictSoftmaxProperties(t *testing.T) {
 	if math.Abs(sum-1) > 1e-9 {
 		t.Fatalf("probabilities sum to %v", sum)
 	}
-	if _, err := m.Predict([]float64{1, 2}); err == nil {
+	if _, err := m.PredictInto([]float64{1, 2}, new(Scratch)); err == nil {
 		t.Fatal("wrong input size accepted")
 	}
 }

@@ -34,11 +34,11 @@ func TestCompressedMarshalRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i < 50; i++ {
-		pa, err := a.Predict(ds.X[i])
+		pa, err := a.PredictInto(ds.X[i], new(Scratch))
 		if err != nil {
 			t.Fatal(err)
 		}
-		pb, err := b.Predict(ds.X[i])
+		pb, err := b.PredictInto(ds.X[i], new(Scratch))
 		if err != nil {
 			t.Fatal(err)
 		}
