@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test vet race verify determinism fuzz-smoke bench bench-check bench-pair microbench clean
+.PHONY: build test vet race verify determinism parity fuzz-smoke bench bench-check bench-pair microbench clean
 
 build:
 	$(GO) build ./...
@@ -67,6 +67,41 @@ determinism:
 	/tmp/vdapbench -exp ddi -seed 7 -records 200000 -parallel 4 > /tmp/ddi-p4.txt
 	diff -u /tmp/ddi-p1.txt /tmp/ddi-p4.txt
 	@echo "determinism: E20 DDI query digest byte-identical across -parallel levels"
+
+# parity checks that a change keeps behaviour: `make parity PARENT=HEAD~1`
+# extracts PARENT into a throw-away directory (as bench-pair does), builds
+# vdapbench there and from the working tree, makes on each side the runs
+# `-exp all -seed 42`, `-exp obs -runreport` and every run of `make
+# determinism` (stdout, run report and trace files), and diffs the two
+# sides; exit 1 on any difference. Not wired into CI: a change may alter
+# an output on purpose.
+PARITY = $(or $(TMPDIR),/tmp)/vdap-parity
+parity:
+	@test -n "$(PARENT)" || { echo "usage: make parity PARENT=<ref>"; exit 2; }
+	rm -rf "$(PARITY)" && mkdir -p "$(PARITY)/src" "$(PARITY)/parent" "$(PARITY)/change"
+	git archive "$(PARENT)" | tar -x -C "$(PARITY)/src"
+	cd "$(PARITY)/src" && $(GO) build -o "$(PARITY)/parent.bin" ./cmd/vdapbench
+	$(GO) build -o "$(PARITY)/change.bin" ./cmd/vdapbench
+	set -e; for side in parent change; do \
+		b="$(PARITY)/$$side.bin"; d="$(PARITY)/$$side"; \
+		$$b -exp all -seed 42 > $$d/all.txt; \
+		$$b -exp obs -runreport $$d/runreport.json 2>/dev/null > $$d/obs.txt; \
+		$$b -exp sweep -seed 7 -reps 4 -parallel 1 -trace $$d/sweep-p1.json 2>/dev/null > $$d/sweep-p1.txt; \
+		$$b -exp sweep -seed 7 -reps 4 -parallel 4 -trace $$d/sweep-p4.json 2>/dev/null > $$d/sweep-p4.txt; \
+		$$b -exp chaos -seed 7 -reps 4 -parallel 1 > $$d/chaos-p1.txt; \
+		$$b -exp chaos -seed 7 -reps 4 -parallel 4 > $$d/chaos-p4.txt; \
+		$$b -exp chaos -seed 7 -reps 4 -parallel 1 -trace $$d/chaos-p1.json 2>/dev/null > $$d/chaos-t1.txt; \
+		$$b -exp chaos -seed 7 -reps 4 -parallel 4 -trace $$d/chaos-p4.json 2>/dev/null > $$d/chaos-t4.txt; \
+		$$b -exp scale -seed 7 -vehicles 60,120 -shards 1 > $$d/scale-s1.txt; \
+		$$b -exp scale -seed 7 -vehicles 60,120 -shards 4 > $$d/scale-s4.txt; \
+		$$b -exp obs -seed 7 -reps 2 -parallel 1 -shards 1 -runreport $$d/obs-p1.json 2>/dev/null > $$d/obs-p1.txt; \
+		$$b -exp obs -seed 7 -reps 2 -parallel 4 -shards 1 -runreport $$d/obs-p4.json 2>/dev/null > $$d/obs-p4.txt; \
+		$$b -exp obs -seed 7 -reps 2 -parallel 2 -shards 4 -runreport $$d/obs-s4.json 2>/dev/null > $$d/obs-s4.txt; \
+		$$b -exp ddi -seed 7 -records 200000 -parallel 1 > $$d/ddi-p1.txt; \
+		$$b -exp ddi -seed 7 -records 200000 -parallel 4 > $$d/ddi-p4.txt; \
+	done
+	diff -r "$(PARITY)/parent" "$(PARITY)/change"
+	@echo "parity: every output byte-identical to $(PARENT)'s"
 
 # fuzz-smoke runs each fuzz target for ten seconds, starting from its
 # corpus under testdata/fuzz/. CI runs it after determinism; run it before

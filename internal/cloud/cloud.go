@@ -6,7 +6,6 @@ package cloud
 
 import (
 	"fmt"
-	"sort"
 	"sync"
 	"time"
 
@@ -35,67 +34,51 @@ func (c *Cloud) Site() *xedge.Site { return c.site }
 // Data returns the community data server.
 func (c *Cloud) Data() *DataServer { return c.data }
 
-// Record is one migrated vehicle-data item.
-type Record struct {
-	Vehicle  string        `json:"vehicle"` // pseudonym, not real identity
-	Source   string        `json:"source"`  // obd, gps, weather, ...
-	At       time.Duration `json:"at"`
-	Payload  []byte        `json:"payload"`
-	Uploaded time.Duration `json:"uploaded"`
-}
-
-// DataServer is the append-only community archive. It is safe for
-// concurrent use (the libvdap HTTP tier reaches it from server goroutines).
+// DataServer is the community data server's ledger: how many records and
+// payload bytes were migrated, and how many records came from each
+// vehicle pseudonym. It keeps no payloads, so its memory grows with the
+// pseudonyms, not the records; the open query API the paper describes for
+// the community is not reproduced. It is safe for concurrent use (the
+// libvdap HTTP tier reaches it from server goroutines).
 type DataServer struct {
-	mu      sync.RWMutex
-	records []Record
-	bytes   int64
+	mu        sync.Mutex
+	count     int
+	bytes     int64
+	byVehicle map[string]int
 }
 
 // NewDataServer returns an empty archive.
-func NewDataServer() *DataServer { return &DataServer{} }
+func NewDataServer() *DataServer { return &DataServer{byVehicle: make(map[string]int)} }
 
-// Ingest stores records arriving from a vehicle's DDI migration.
-func (d *DataServer) Ingest(recs ...Record) {
+// Ingest accounts one DDI migration: records records from vehicle (a
+// pseudonym, never a real identity) carrying payloadBytes of payload.
+func (d *DataServer) Ingest(vehicle string, records int, payloadBytes int64) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	for _, r := range recs {
-		d.records = append(d.records, r)
-		d.bytes += int64(len(r.Payload))
-	}
+	d.count += records
+	d.bytes += payloadBytes
+	d.byVehicle[vehicle] += records
 }
 
 // Count returns the number of archived records.
 func (d *DataServer) Count() int {
-	d.mu.RLock()
-	defer d.mu.RUnlock()
-	return len(d.records)
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	return d.count
 }
 
 // Bytes returns total archived payload bytes.
 func (d *DataServer) Bytes() int64 {
-	d.mu.RLock()
-	defer d.mu.RUnlock()
+	d.mu.Lock()
+	defer d.mu.Unlock()
 	return d.bytes
 }
 
-// Query returns records from the given source within [from, to], sorted by
-// time — the open-data API researchers consume.
-func (d *DataServer) Query(source string, from, to time.Duration) []Record {
-	d.mu.RLock()
-	defer d.mu.RUnlock()
-	var out []Record
-	for _, r := range d.records {
-		if source != "" && r.Source != source {
-			continue
-		}
-		if r.At < from || r.At > to {
-			continue
-		}
-		out = append(out, r)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].At < out[j].At })
-	return out
+// Records returns how many archived records came from vehicle.
+func (d *DataServer) Records(vehicle string) int {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	return d.byVehicle[vehicle]
 }
 
 // MigrationCost returns the transfer time for migrating sizeBytes from the

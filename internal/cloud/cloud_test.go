@@ -3,7 +3,6 @@ package cloud
 import (
 	"sync"
 	"testing"
-	"time"
 
 	"repro/internal/network"
 )
@@ -20,30 +19,19 @@ func TestNew(t *testing.T) {
 
 func TestDataServerIngestAndQuery(t *testing.T) {
 	d := NewDataServer()
-	d.Ingest(
-		Record{Vehicle: "p1", Source: "obd", At: 10 * time.Second, Payload: []byte("a")},
-		Record{Vehicle: "p1", Source: "gps", At: 20 * time.Second, Payload: []byte("bb")},
-		Record{Vehicle: "p2", Source: "obd", At: 30 * time.Second, Payload: []byte("ccc")},
-	)
+	d.Ingest("p1", 2, 3)
+	d.Ingest("p2", 1, 3)
+	d.Ingest("p1", 0, 0)
 	if d.Count() != 3 {
 		t.Fatalf("Count = %d", d.Count())
 	}
 	if d.Bytes() != 6 {
 		t.Fatalf("Bytes = %d", d.Bytes())
 	}
-	obd := d.Query("obd", 0, time.Minute)
-	if len(obd) != 2 {
-		t.Fatalf("obd query = %d records", len(obd))
-	}
-	if obd[0].At > obd[1].At {
-		t.Fatal("query results not time-sorted")
-	}
-	window := d.Query("", 15*time.Second, 25*time.Second)
-	if len(window) != 1 || window[0].Source != "gps" {
-		t.Fatalf("window query = %v", window)
-	}
-	if got := d.Query("lidar", 0, time.Hour); len(got) != 0 {
-		t.Fatalf("unknown source returned %d records", len(got))
+	for vehicle, want := range map[string]int{"p1": 2, "p2": 1, "p3": 0} {
+		if got := d.Records(vehicle); got != want {
+			t.Fatalf("Records(%q) = %d, want %d", vehicle, got, want)
+		}
 	}
 }
 
@@ -55,13 +43,13 @@ func TestDataServerConcurrentIngest(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for i := 0; i < 100; i++ {
-				d.Ingest(Record{Source: "obd", Payload: []byte{1, 2}})
+				d.Ingest("p", 1, 2)
 			}
 		}()
 	}
 	wg.Wait()
-	if d.Count() != 800 {
-		t.Fatalf("Count = %d after concurrent ingest, want 800", d.Count())
+	if d.Count() != 800 || d.Records("p") != 800 {
+		t.Fatalf("Count = %d, Records = %d after concurrent ingest, want 800", d.Count(), d.Records("p"))
 	}
 	if d.Bytes() != 1600 {
 		t.Fatalf("Bytes = %d, want 1600", d.Bytes())

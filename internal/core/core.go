@@ -302,20 +302,14 @@ func (p *Platform) InstallService(s *edgeos.Service) error {
 }
 
 // InvokeService runs one invocation of a service at the current virtual
-// time and advances the clock past its completion.
+// time and advances the clock past its completion (a hung-up invocation
+// completes at zero, so it advances nothing). The elastic manager accounts
+// the invocation: ElasticStats and the edgeos.* metrics.
 func (p *Platform) InvokeService(name string) (edgeos.InvocationResult, error) {
 	res, err := p.elastic.Invoke(name, p.engine.Now())
 	if err != nil {
 		return res, err
 	}
-	if res.HungUp {
-		p.scope.Metrics.Add("service."+name+".hangups", 1)
-		return res, nil
-	}
-	p.scope.Metrics.Add("service."+name+".invocations", 1)
-	p.scope.Metrics.ObserveDuration("service."+name+".latency_ms", res.Latency)
-	p.scope.Metrics.Add("service."+name+".energy_j", res.EnergyJ)
-	p.scope.Metrics.Add("dest."+res.Dest+".invocations", 1)
 	if res.Completed > p.engine.Now() {
 		if err := p.engine.RunUntil(res.Completed); err != nil {
 			return res, err
@@ -337,12 +331,13 @@ func (p *Platform) StartCollection(interval time.Duration) error {
 	if p.stopCollect != nil {
 		return fmt.Errorf("core: collection already running")
 	}
+	collectErrors := p.scope.Metrics.CounterHandle("ddi.collect_errors")
 	stop, err := p.engine.Every(interval, func() {
 		// Collect reports ddi.collections / ddi.records_collected itself.
 		if _, err := p.data.Collect(p.engine.Now()); err != nil {
 			// Collection failures should not kill the simulation; the
 			// store surfaces them on the next explicit access.
-			p.scope.Metrics.Add("ddi.collect_errors", 1)
+			collectErrors.Inc()
 		}
 	})
 	if err != nil {

@@ -331,25 +331,22 @@ func (d *DDI) MigrateToCloud(server *cloud.DataServer, pseudonym string, before 
 	if before <= 0 {
 		return 0, 0, nil
 	}
-	// Stream the expiring window off the store cursor: each record is
-	// converted in place, so the local []Record is never materialized.
+	// Stream the expiring window off the store cursor, counting it: the
+	// server keeps counts, so no record is copied.
 	it := d.store.Scan(Query{To: before - time.Nanosecond})
+	var n int
 	var bytes float64
-	var recs []cloud.Record
+	var payload int64
 	for it.Next() {
 		r := it.Record()
+		n++
 		bytes += float64(r.SizeBytes())
-		recs = append(recs, cloud.Record{
-			Vehicle: pseudonym,
-			Source:  string(r.Source),
-			At:      r.At,
-			Payload: append([]byte(nil), r.Payload...),
-		})
+		payload += int64(len(r.Payload))
 	}
 	if err := it.Err(); err != nil {
 		return 0, 0, err
 	}
-	if len(recs) == 0 {
+	if n == 0 {
 		return 0, 0, nil
 	}
 	var dur time.Duration
@@ -360,11 +357,11 @@ func (d *DDI) MigrateToCloud(server *cloud.DataServer, pseudonym string, before 
 			return 0, 0, err
 		}
 	}
-	server.Ingest(recs...)
+	server.Ingest(pseudonym, n, payload)
 	if _, err := d.store.DeleteBefore(before); err != nil {
 		return 0, 0, err
 	}
-	return len(recs), dur, nil
+	return n, dur, nil
 }
 
 // Stats summarizes service-layer activity.

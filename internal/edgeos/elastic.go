@@ -94,19 +94,15 @@ type ElasticManager struct {
 	choices []Choice
 }
 
-// invocationMetrics holds emitInvocationMetrics' handles. Each is interned
-// in reg on first use, so the registry gains a metric exactly when emitting
-// it by name would have created it; Instrument resets them for the new
-// scope.
+// invocationMetrics holds emitInvocationMetrics' handles, resolved in
+// Instrument. Every handle is nil-safe, so an uninstrumented manager emits
+// through them for free.
 type invocationMetrics struct {
-	reg *telemetry.Registry
-
 	invocations, hangups, fallbacks, degraded, deadlineHits *telemetry.Counter
 	invokeMS, energyJ                                       *telemetry.HistogramHandle
 
-	// Keyed by service name (edgeos.service.<name>.invocations) and by
-	// pipeline name (edgeos.pipeline.<name>).
-	service, pipeline map[string]*telemetry.Counter
+	// edgeos.service.<name>.invocations and edgeos.pipeline.<name>.
+	service, pipeline telemetry.Family
 }
 
 // Instrument attaches the manager's observability scope: invocations then
@@ -114,10 +110,17 @@ type invocationMetrics struct {
 // `edgeos.*` metrics.
 func (m *ElasticManager) Instrument(sc obs.Scope) {
 	m.scope = sc
+	reg := sc.Metrics
 	m.m = invocationMetrics{
-		reg:      sc.Metrics,
-		service:  make(map[string]*telemetry.Counter),
-		pipeline: make(map[string]*telemetry.Counter),
+		invocations:  reg.CounterHandle("edgeos.invocations"),
+		hangups:      reg.CounterHandle("edgeos.hangups"),
+		fallbacks:    reg.CounterHandle("edgeos.fallbacks"),
+		degraded:     reg.CounterHandle("edgeos.degraded"),
+		deadlineHits: reg.CounterHandle("edgeos.deadline_hits"),
+		invokeMS:     reg.HistogramHandle("edgeos.invoke_ms"),
+		energyJ:      reg.HistogramHandle("edgeos.energy_j"),
+		service:      reg.Family("edgeos.service.", ".invocations"),
+		pipeline:     reg.Family("edgeos.pipeline.", ""),
 	}
 }
 
@@ -427,53 +430,24 @@ func (m *ElasticManager) CommitInvoke(p *PreparedInvocation) (InvocationResult, 
 // the hang-up and completed paths; errors emit nothing, as ever).
 func (m *ElasticManager) emitInvocationMetrics(res InvocationResult) {
 	im := &m.m
-	if im.reg == nil {
-		return
-	}
-	im.counter(&im.invocations, "edgeos.invocations").Inc()
-	im.keyed(im.service, "edgeos.service.", res.Service, ".invocations").Inc()
+	im.invocations.Inc()
+	im.service.Get(res.Service).Inc()
 	if res.HungUp {
-		im.counter(&im.hangups, "edgeos.hangups").Inc()
+		im.hangups.Inc()
 		return
 	}
-	im.histogram(&im.invokeMS, "edgeos.invoke_ms").ObserveDuration(res.Latency)
-	im.keyed(im.pipeline, "edgeos.pipeline.", res.Pipeline, "").Inc()
-	im.histogram(&im.energyJ, "edgeos.energy_j").Observe(res.EnergyJ)
+	im.invokeMS.ObserveDuration(res.Latency)
+	im.pipeline.Get(res.Pipeline).Inc()
+	im.energyJ.Observe(res.EnergyJ)
 	if res.FellBackTo != "" {
-		im.counter(&im.fallbacks, "edgeos.fallbacks").Inc()
+		im.fallbacks.Inc()
 	}
 	if res.Degraded {
-		im.counter(&im.degraded, "edgeos.degraded").Inc()
+		im.degraded.Inc()
 	}
 	if res.DeadlineMet {
-		im.counter(&im.deadlineHits, "edgeos.deadline_hits").Inc()
+		im.deadlineHits.Inc()
 	}
-}
-
-// counter returns *h, interning name on first use.
-func (im *invocationMetrics) counter(h **telemetry.Counter, name string) *telemetry.Counter {
-	if *h == nil {
-		*h = im.reg.CounterHandle(name)
-	}
-	return *h
-}
-
-// histogram returns *h, interning name on first use.
-func (im *invocationMetrics) histogram(h **telemetry.HistogramHandle, name string) *telemetry.HistogramHandle {
-	if *h == nil {
-		*h = im.reg.HistogramHandle(name)
-	}
-	return *h
-}
-
-// keyed returns handles[key], interning prefix+key+suffix on first use.
-func (im *invocationMetrics) keyed(handles map[string]*telemetry.Counter, prefix, key, suffix string) *telemetry.Counter {
-	c, ok := handles[key]
-	if !ok {
-		c = im.reg.CounterHandle(prefix + key + suffix)
-		handles[key] = c
-	}
-	return c
 }
 
 // Invoke runs one service invocation end to end: choose a pipeline,

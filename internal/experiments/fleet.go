@@ -211,6 +211,7 @@ func RunFleetSweep(cfg runner.Config) (*runner.Report[FleetRow], error) {
 		if err != nil {
 			return FleetRow{}, err
 		}
+		background := sh.Obs.Metrics.CounterHandle("sweep.background_tasks")
 		for _, site := range f.Sites() {
 			if site.Kind() != xedge.RSU {
 				continue
@@ -219,7 +220,7 @@ func RunFleetSweep(cfg runner.Config) (*runner.Report[FleetRow], error) {
 			if err := site.Preload(n, hardware.DNNInference, 300); err != nil {
 				return FleetRow{}, err
 			}
-			sh.Obs.Metrics.Add("sweep.background_tasks", float64(n))
+			background.Add(float64(n))
 		}
 		sum, _, err := s.run(f, nil)
 		if err != nil {

@@ -23,7 +23,7 @@ func newCachedServer(t *testing.T) (*httptest.Server, *Server, *telemetry.Regist
 	now := new(atomic.Int64)
 	now.Store(int64(time.Second))
 	reg := telemetry.NewRegistry()
-	reg.Add("vcu.executions", 7)
+	reg.CounterHandle("vcu.executions").Add(7)
 	store := obs.NewSeriesStore(64)
 	store.RecordGauge("fleet.queue_depth", 100*time.Millisecond, 3)
 	rec := obs.NewRecorder(64)

@@ -517,8 +517,8 @@ func TestServiceEndpoints(t *testing.T) {
 
 func TestMetricsAndTraceEndpoints(t *testing.T) {
 	reg := telemetry.NewRegistry()
-	reg.Add("vcu.plans", 2)
-	reg.Observe("offload.total_ms", 120)
+	reg.CounterHandle("vcu.plans").Add(2)
+	reg.HistogramHandle("offload.total_ms").Observe(120)
 	tr := trace.New()
 	sp := tr.StartSpanAt("offload", "offload.decide", time.Second)
 	tr.SpanAt("network", "network.uplink", time.Second, 2*time.Second)

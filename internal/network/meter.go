@@ -10,23 +10,17 @@ import (
 // Meter records link-layer activity into a telemetry registry under
 // `network.*` metric names. A nil *Meter is inert, so callers on the
 // offload path can carry one unconditionally. The fixed-name metrics are
-// resolved to interned handles at construction; per-path counters are
-// interned on first use, so steady-state transfer accounting never touches
-// the registry lock or rebuilds metric names.
+// resolved to interned handles at construction and the per-path counters
+// are families, so steady-state transfer accounting never touches the
+// registry lock or rebuilds metric names.
 type Meter struct {
-	reg        *telemetry.Registry
 	transfers  *telemetry.Counter
 	bytesUp    *telemetry.Counter
 	bytesDown  *telemetry.Counter
 	transferMS *telemetry.HistogramHandle
 	loss       *telemetry.HistogramHandle
-	perPath    map[string]pathCounters
-}
-
-// pathCounters is one path's interned counter pair.
-type pathCounters struct {
-	transfers *telemetry.Counter
-	bytes     *telemetry.Counter
+	// network.path.<name>.transfers and network.path.<name>.bytes.
+	pathTransfers, pathBytes telemetry.Family
 }
 
 // NewMeter meters into the scope's registry (a scope without one yields an
@@ -37,13 +31,13 @@ func NewMeter(sc obs.Scope) *Meter {
 		return nil
 	}
 	return &Meter{
-		reg:        reg,
-		transfers:  reg.CounterHandle("network.transfers"),
-		bytesUp:    reg.CounterHandle("network.bytes_up"),
-		bytesDown:  reg.CounterHandle("network.bytes_down"),
-		transferMS: reg.HistogramHandle("network.transfer_ms"),
-		loss:       reg.HistogramHandle("network.loss"),
-		perPath:    make(map[string]pathCounters),
+		transfers:     reg.CounterHandle("network.transfers"),
+		bytesUp:       reg.CounterHandle("network.bytes_up"),
+		bytesDown:     reg.CounterHandle("network.bytes_down"),
+		transferMS:    reg.HistogramHandle("network.transfer_ms"),
+		loss:          reg.HistogramHandle("network.loss"),
+		pathTransfers: reg.Family("network.path.", ".transfers"),
+		pathBytes:     reg.Family("network.path.", ".bytes"),
 	}
 }
 
@@ -61,16 +55,8 @@ func (m *Meter) RecordTransfer(p Path, sizeBytes float64, d Direction, dur time.
 	}
 	m.transferMS.ObserveDuration(dur)
 	if p.Name != "" {
-		pc, ok := m.perPath[p.Name]
-		if !ok {
-			pc = pathCounters{
-				transfers: m.reg.CounterHandle("network.path." + p.Name + ".transfers"),
-				bytes:     m.reg.CounterHandle("network.path." + p.Name + ".bytes"),
-			}
-			m.perPath[p.Name] = pc
-		}
-		pc.transfers.Inc()
-		pc.bytes.Add(sizeBytes)
+		m.pathTransfers.Get(p.Name).Inc()
+		m.pathBytes.Get(p.Name).Add(sizeBytes)
 	}
 	m.loss.Observe(WorstLoss(p))
 }

@@ -46,7 +46,7 @@ func BenchmarkSamplerTick(b *testing.B) {
 	injector := telemetry.NewRegistry()
 	for s := 0; s < 16; s++ {
 		for _, m := range []string{"faults.outage.", "faults.outage_rejects.", "faults.exec_faults."} {
-			injector.Add(m+"rsu-"+strconv.Itoa(s), 1)
+			injector.CounterHandle(m + "rsu-" + strconv.Itoa(s)).Add(1)
 		}
 	}
 	sp := NewSampler(NewSeriesStore(0), 0)
@@ -60,7 +60,7 @@ func BenchmarkSamplerTick(b *testing.B) {
 				reg.CounterHandle(name[1:])
 				continue
 			}
-			reg.Add(name, float64(v+i))
+			reg.CounterHandle(name).Add(float64(v + i))
 		}
 		for i, name := range vehicleHists {
 			if name[0] == '-' {
@@ -68,7 +68,7 @@ func BenchmarkSamplerTick(b *testing.B) {
 				continue
 			}
 			for k := 0; k < 4; k++ {
-				reg.Observe(name, float64(v+i+k)/3)
+				reg.HistogramHandle(name).Observe(float64(v+i+k) / 3)
 			}
 		}
 		sp.Watch(reg)

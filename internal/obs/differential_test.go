@@ -112,12 +112,12 @@ func runSamplerSchedule(t *testing.T, prog []byte) scheduleCover {
 		gen := lane.Generation()
 		switch op % 8 {
 		case 0:
-			lane.Add(name, arg/7+0.1)
+			lane.CounterHandle(name).Add(arg/7 + 0.1)
 			emitted = true
 		case 1:
 			lane.CounterHandle(name)
 		case 2:
-			lane.Observe(name, arg/3-20)
+			lane.HistogramHandle(name).Observe(arg/3 - 20)
 			emitted = true
 		case 3:
 			lane.HistogramHandle(name)
@@ -126,8 +126,8 @@ func runSamplerSchedule(t *testing.T, prog []byte) scheduleCover {
 			cov.lateWatch = true
 		case 5:
 			src := telemetry.NewRegistry()
-			src.Add(name, arg/5+0.3)
-			src.Observe(samplerNames[int(op/8)%len(samplerNames)], arg/11)
+			src.CounterHandle(name).Add(arg/5 + 0.3)
+			src.HistogramHandle(samplerNames[int(op/8)%len(samplerNames)]).Observe(arg / 11)
 			lane.Merge(src)
 			cov.merged, emitted = true, true
 		default:

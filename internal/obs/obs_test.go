@@ -302,8 +302,8 @@ func TestSamplerMultiLaneSumsMatchSingleLane(t *testing.T) {
 	// Two lanes bumping the same metric must sample to the same fleet-level
 	// series as one lane bumping it twice as much.
 	regA, regB := telemetry.NewRegistry(), telemetry.NewRegistry()
-	regA.Add("fleet.invocations", 3)
-	regB.Add("fleet.invocations", 4)
+	regA.CounterHandle("fleet.invocations").Add(3)
+	regB.CounterHandle("fleet.invocations").Add(4)
 	split := NewSeriesStore(8)
 	spSplit := NewSampler(split, 100*time.Millisecond)
 	spSplit.Watch(regA)
@@ -311,7 +311,7 @@ func TestSamplerMultiLaneSumsMatchSingleLane(t *testing.T) {
 	spSplit.SampleAt(100 * time.Millisecond)
 
 	regOne := telemetry.NewRegistry()
-	regOne.Add("fleet.invocations", 7)
+	regOne.CounterHandle("fleet.invocations").Add(7)
 	one := NewSeriesStore(8)
 	spOne := NewSampler(one, 100*time.Millisecond)
 	spOne.Watch(regOne)
@@ -331,7 +331,7 @@ func TestSeriesStoreMergeUnionAndOrderIndependence(t *testing.T) {
 		sp.Watch(reg)
 		var total float64
 		for i, v := range vals {
-			reg.Add("x.count", v-total)
+			reg.CounterHandle("x.count").Add(v - total)
 			total = v
 			sp.SampleAt(times[i])
 		}
@@ -415,16 +415,16 @@ func TestSamplerSamplePathZeroAlloc(t *testing.T) {
 // next tick samples it.
 func TestSamplerSeesMergedHistograms(t *testing.T) {
 	dst := telemetry.NewRegistry()
-	dst.Add("fleet.rounds", 1)
+	dst.CounterHandle("fleet.rounds").Add(1)
 	store := NewSeriesStore(8)
 	sp := NewSampler(store, 100*time.Millisecond)
 	sp.Watch(dst)
 	sp.SampleAt(0)
 
 	src := telemetry.NewRegistry()
-	src.Observe("offload.total_ms", 3)
-	src.Observe("offload.total_ms", 5)
-	src.Add("offload.fallbacks", 2)
+	src.HistogramHandle("offload.total_ms").Observe(3)
+	src.HistogramHandle("offload.total_ms").Observe(5)
+	src.CounterHandle("offload.fallbacks").Add(2)
 	dst.Merge(src)
 	sp.SampleAt(100 * time.Millisecond)
 
@@ -446,8 +446,8 @@ func TestSamplerSeesMergedHistograms(t *testing.T) {
 // the first one created.
 func TestSamplerRestartResumesSeries(t *testing.T) {
 	reg := telemetry.NewRegistry()
-	reg.Add("fleet.rounds", 1)
-	reg.Observe("offload.total_ms", 4)
+	reg.CounterHandle("fleet.rounds").Add(1)
+	reg.HistogramHandle("offload.total_ms").Observe(4)
 	store := NewSeriesStore(8)
 	first := NewSampler(store, time.Second)
 	first.Watch(reg)
@@ -456,7 +456,7 @@ func TestSamplerRestartResumesSeries(t *testing.T) {
 
 	second := NewSampler(store, time.Second)
 	second.Watch(reg)
-	reg.Add("fleet.rounds", 1)
+	reg.CounterHandle("fleet.rounds").Add(1)
 	second.SampleAt(2 * time.Second)
 
 	p := store.Payload(-1)

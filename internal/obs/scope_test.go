@@ -33,9 +33,9 @@ func randomLane(rng *sim.RNG) Scope {
 	lane := fullScope()
 	for i, n := 0, 1+rng.Intn(6); i < n; i++ {
 		at := time.Duration(rng.Intn(4)) * time.Millisecond
-		lane.Metrics.Add("offload.executions", rng.Float64())
-		lane.Metrics.Observe("offload.total_ms", rng.Float64()*100)
-		lane.Metrics.Add("fleet.busy_s", rng.Float64())
+		lane.Metrics.CounterHandle("offload.executions").Add(rng.Float64())
+		lane.Metrics.HistogramHandle("offload.total_ms").Observe(rng.Float64() * 100)
+		lane.Metrics.CounterHandle("fleet.busy_s").Add(rng.Float64())
 		root := lane.Tracer.StartSpanAt("edgeos", "edgeos.invoke", at, trace.Int("i", i))
 		lane.Tracer.SpanAt("network", "network.uplink", at, at+time.Millisecond)
 		root.FinishAt(at + 2*time.Millisecond)

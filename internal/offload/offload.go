@@ -168,12 +168,11 @@ type engineMetrics struct {
 	xedgeLane siteLane
 	cloudLane siteLane
 
-	dynamic map[dynKey]*telemetry.Counter // interned lazily
+	// Keyed by estimate kind (decision, execution) and by destination
+	// (failure, breaker skip, breaker open).
+	decisionByKind, executionByKind                     telemetry.Family
+	failureByDest, breakerSkipByDest, breakerOpenByDest telemetry.Family
 }
-
-// dynKey names a dynamically-named counter by its two halves, so a lookup
-// does not build the full name.
-type dynKey struct{ prefix, key string }
 
 // siteLane is the per-trace-component (xedge / cloud) execution metric set.
 type siteLane struct {
@@ -219,23 +218,12 @@ func (e *Engine) Instrument(sc obs.Scope) {
 		degraded:           reg.CounterHandle("offload.degraded"),
 		xedgeLane:          lane("xedge"),
 		cloudLane:          lane("cloud"),
-		dynamic:            make(map[dynKey]*telemetry.Counter),
+		decisionByKind:     reg.Family("offload.decision.", ""),
+		executionByKind:    reg.Family("offload.execution.", ""),
+		failureByDest:      reg.Family("offload.failure.", ""),
+		breakerSkipByDest:  reg.Family("offload.breaker.skip.", ""),
+		breakerOpenByDest:  reg.Family("offload.breaker.open.", ""),
 	}
-}
-
-// dynCounter interns a dynamically-named counter (prefix + key) on first
-// use; subsequent bumps reuse the handle without rebuilding the name.
-func (e *Engine) dynCounter(prefix, key string) *telemetry.Counter {
-	if e.scope.Metrics == nil {
-		return nil
-	}
-	k := dynKey{prefix, key}
-	c, ok := e.m.dynamic[k]
-	if !ok {
-		c = e.scope.Metrics.CounterHandle(prefix + key)
-		e.m.dynamic[k] = c
-	}
-	return c
 }
 
 // lane returns the interned metric set for a site kind's trace component.
@@ -710,7 +698,7 @@ func (e *Engine) Decide(dag *tasks.DAG, now time.Duration) (Estimate, []Estimate
 	for _, est := range all {
 		if est.Feasible {
 			span.SetAttr(trace.String("chosen", est.Dest), trace.Dur("predicted", est.Total))
-			e.dynCounter("offload.decision.", est.Kind).Inc()
+			e.m.decisionByKind.Get(est.Kind).Inc()
 			return est, all, nil
 		}
 	}
@@ -737,13 +725,13 @@ func (e *Engine) Execute(dag *tasks.DAG, est Estimate, now time.Duration) (time.
 		// evaluation and the chaos experiments.
 		e.m.failures.Inc()
 		if est.Dest != "" {
-			e.dynCounter("offload.failure.", est.Dest).Inc()
+			e.m.failureByDest.Get(est.Dest).Inc()
 		}
 		return done, err
 	}
 	span.FinishAt(done)
 	e.m.executions.Inc()
-	e.dynCounter("offload.execution.", est.Kind).Inc()
+	e.m.executionByKind.Get(est.Kind).Inc()
 	e.m.totalMS.ObserveDuration(done - now)
 	if est.Dest != OnboardName {
 		e.m.bytesSent.Add(est.BytesSent)

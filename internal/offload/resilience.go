@@ -308,7 +308,7 @@ func (e *Engine) tryRemote(dag *tasks.DAG, site *xedge.Site, cand Estimate, t *t
 		if !br.Allow(*t) {
 			out.BreakerSkips++
 			e.m.breakerSkips.Inc()
-			e.dynCounter("offload.breaker.skip.", cand.Dest).Inc()
+			e.m.breakerSkipByDest.Get(cand.Dest).Inc()
 			return 0, false
 		}
 		out.Attempts++
@@ -321,7 +321,7 @@ func (e *Engine) tryRemote(dag *tasks.DAG, site *xedge.Site, cand Estimate, t *t
 		br.RecordFailure(*t)
 		if br.Opens() > opensBefore {
 			e.m.breakerOpened.Inc()
-			e.dynCounter("offload.breaker.open.", cand.Dest).Inc()
+			e.m.breakerOpenByDest.Get(cand.Dest).Inc()
 		}
 		if attempt == pol.MaxAttempts {
 			return 0, false

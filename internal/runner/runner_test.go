@@ -16,10 +16,10 @@ func sweepOnce(t *testing.T, parallel int) *Report[float64] {
 	rep, err := Run(Config{Replications: 8, Parallel: parallel, Seed: 42},
 		func(sh *Shard) (float64, error) {
 			v := sh.RNG.Float64()
-			sh.Obs.Metrics.Add("job.runs", 1)
-			sh.Obs.Metrics.Add(fmt.Sprintf("job.shard.%d", sh.Index), 1)
-			sh.Obs.Metrics.Add("job.index_sum", float64(sh.Index))
-			sh.Obs.Metrics.Observe("job.value", v)
+			sh.Obs.Metrics.CounterHandle("job.runs").Add(1)
+			sh.Obs.Metrics.CounterHandle(fmt.Sprintf("job.shard.%d", sh.Index)).Add(1)
+			sh.Obs.Metrics.CounterHandle("job.index_sum").Add(float64(sh.Index))
+			sh.Obs.Metrics.HistogramHandle("job.value").Observe(v)
 			span := sh.Obs.Tracer.StartSpanAt("runner", "job", 0)
 			sh.Obs.Tracer.SpanAt("runner", "draw", 0, time.Duration(sh.Index))
 			span.FinishAt(time.Duration(sh.Index + 1))

@@ -1,30 +1,18 @@
 package telemetry
 
-import (
-	"testing"
-	"time"
-)
+import "testing"
 
-// BenchmarkRegistryAdd measures the classic name-keyed counter bump — the
-// path every hot emitter used before interned handles existed.
-func BenchmarkRegistryAdd(b *testing.B) {
+// BenchmarkFamilyGet measures a bump of a counter keyed at run time (the
+// `offload.execution.<kind>` pattern) through a warm Family: one map
+// lookup and one CAS, no name built and no registry lock.
+func BenchmarkFamilyGet(b *testing.B) {
 	r := NewRegistry()
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		r.Add("offload.executions", 1)
-	}
-}
-
-// BenchmarkRegistryAddDynamicName measures a counter bump whose name is
-// assembled per call (the `offload.execution.<kind>` pattern).
-func BenchmarkRegistryAddDynamicName(b *testing.B) {
-	r := NewRegistry()
+	f := r.Family("offload.execution.", "")
 	kinds := [...]string{"rsu", "cloud", "neighbor-vehicle"}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		r.Add("offload.execution."+kinds[i%3], 1)
+		f.Get(kinds[i%3]).Inc()
 	}
 }
 
@@ -59,30 +47,6 @@ func BenchmarkHistogramHandleObserve(b *testing.B) {
 	}
 }
 
-// BenchmarkRegistryObserve measures a name-keyed histogram sample.
-func BenchmarkRegistryObserve(b *testing.B) {
-	var r *Registry
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		if i%benchSamples == 0 {
-			r = NewRegistry()
-		}
-		r.Observe("offload.total_ms", float64(i%97))
-	}
-}
-
-// BenchmarkRegistryObserveDuration measures the duration-sample wrapper.
-func BenchmarkRegistryObserveDuration(b *testing.B) {
-	var r *Registry
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		if i%benchSamples == 0 {
-			r = NewRegistry()
-		}
-		r.ObserveDuration("vcu.task_exec_ms", time.Duration(i%977)*time.Microsecond)
-	}
-}
-
 // BenchmarkRegistryMergeLanes measures a fleet's merged view after warm-up:
 // 1 000 lane registries, each with four histograms of 8 samples over a few
 // shared values and two counters, merged into a fresh registry and
@@ -93,11 +57,11 @@ func BenchmarkRegistryMergeLanes(b *testing.B) {
 		lanes[i] = NewRegistry()
 		for k := 0; k < 8; k++ {
 			for j, name := range [...]string{"a_ms", "b_ms", "c_ms", "d_ms"} {
-				lanes[i].Observe(name, float64((i+k*j)%(3+5*j)))
+				lanes[i].HistogramHandle(name).Observe(float64((i + k*j) % (3 + 5*j)))
 			}
 		}
-		lanes[i].Add("calls", 8)
-		lanes[i].Add("errors", float64(i%2))
+		lanes[i].CounterHandle("calls").Add(8)
+		lanes[i].CounterHandle("errors").Add(float64(i % 2))
 	}
 	merge := func() string {
 		dst := NewRegistry()

@@ -231,7 +231,7 @@ func runHistogramProgram(t testing.TB, prog []byte) {
 		case 1: // a run of one value: duplicates
 			v, k := value(), 1+int(next()%32)
 			for i := 0; i < k; i++ {
-				regs[r].Observe(name, v)
+				regs[r].HistogramHandle(name).Observe(v)
 				refs[r][name].Observe(v)
 			}
 		case 2: // merge the other registry in, then start it over (a lane
@@ -265,7 +265,7 @@ func runHistogramProgram(t testing.TB, prog []byte) {
 			checkHistogram(t, "loose merge", loose, looseRef)
 		default:
 			v := value()
-			regs[r].Observe(name, v)
+			regs[r].HistogramHandle(name).Observe(v)
 			refs[r][name].Observe(v)
 		}
 	}

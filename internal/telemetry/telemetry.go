@@ -14,11 +14,13 @@
 // `ddi.cache.hits`, `offload.uplink_ms`); histogram names carry their unit
 // as a suffix.
 //
-// Hot emitters should resolve interned handles once at construction time —
-// Registry.CounterHandle / Registry.HistogramHandle — and bump those:
-// a Counter.Add is a single lock-free CAS and a HistogramHandle.Observe
-// takes only that histogram's lock, so per-event emission never contends
-// on the registry mutex or re-hashes the metric name.
+// Metrics are emitted only through interned handles, resolved once at
+// construction time — Registry.CounterHandle / Registry.HistogramHandle,
+// or a Registry.Family for counters keyed by a name learned at run time —
+// and then bumped: a Counter.Add is a single lock-free CAS and a
+// HistogramHandle.Observe takes only that histogram's lock, so per-event
+// emission never contends on the registry mutex or re-hashes the metric
+// name. Reads by name (Counter, Histogram) are for reports and tests.
 package telemetry
 
 import (
@@ -175,10 +177,17 @@ func (r *Registry) logLocked(m Interned) {
 // NewRegistry returns an empty registry.
 func NewRegistry() *Registry {
 	return &Registry{
-		counters:   make(map[string]*Counter),
+		counters:   make(map[string]*Counter, counterRoom),
 		histograms: make(map[string]*HistogramHandle),
 	}
 }
+
+// counterRoom is the counter map's size hint. A fleet vehicle's lane
+// interns 22 counters in Instrument and up to 29 by the end of a long run,
+// as its families meet new pipelines and paths. Grown a name at a time, a
+// Go map holds 28 before its next growth, so an unsized lane map grows
+// (1.7 KB) mid-run; sized for 32 it does not.
+const counterRoom = 32
 
 // CounterHandle interns name and returns its counter handle. Resolve once
 // at component construction; the handle stays valid for the registry's
@@ -226,10 +235,39 @@ func (r *Registry) histogramLocked(name string) *HistogramHandle {
 	return hh
 }
 
-// Add increments a counter by name (the convenience path; hot emitters
-// should hold a CounterHandle instead).
-func (r *Registry) Add(name string, delta float64) {
-	r.CounterHandle(name).Add(delta)
+// Family is the counters named prefix+key+suffix for keys a component
+// learns only at run time (a service, a destination, a device). Get
+// interns a key's name the first time the key is used and returns the same
+// handle after that, so only a key's first use builds the name or takes
+// the registry lock. A family from a nil registry hands out nil (inert)
+// handles. Get is not safe for concurrent use: a family belongs to one
+// component, which emits from one goroutine.
+type Family struct {
+	reg            *Registry
+	prefix, suffix string
+	handles        map[string]*Counter
+}
+
+// Family returns the counter family prefix+key+suffix. It interns nothing
+// until Get is called.
+func (r *Registry) Family(prefix, suffix string) Family {
+	return Family{reg: r, prefix: prefix, suffix: suffix}
+}
+
+// Get returns the counter of key, interning its name on first use.
+func (f *Family) Get(key string) *Counter {
+	if f.reg == nil {
+		return nil
+	}
+	c, ok := f.handles[key]
+	if !ok {
+		if f.handles == nil {
+			f.handles = make(map[string]*Counter)
+		}
+		c = f.reg.CounterHandle(f.prefix + key + f.suffix)
+		f.handles[key] = c
+	}
+	return c
 }
 
 // Counter returns a counter's value.
@@ -238,12 +276,6 @@ func (r *Registry) Counter(name string) float64 {
 	c := r.counters[name]
 	r.mu.Unlock()
 	return c.Value()
-}
-
-// Observe records a sample into a histogram by name (hot emitters should
-// hold a HistogramHandle instead).
-func (r *Registry) Observe(name string, value float64) {
-	r.HistogramHandle(name).Observe(value)
 }
 
 // mergeCopy is what Merge copies out of a source registry before it takes
@@ -322,11 +354,6 @@ func (r *Registry) Merge(src *Registry) {
 			r.logLocked(Interned{Name: hc.name, H: hh})
 		}
 	}
-}
-
-// ObserveDuration records a duration sample in milliseconds.
-func (r *Registry) ObserveDuration(name string, d time.Duration) {
-	r.Observe(name, float64(d)/float64(time.Millisecond))
 }
 
 // Histogram returns an isolated copy of the named histogram (nil if absent

@@ -3,6 +3,7 @@ package telemetry
 import (
 	"encoding/json"
 	"math"
+	"reflect"
 	"runtime"
 	"slices"
 	"strings"
@@ -15,8 +16,8 @@ import (
 
 func TestCounters(t *testing.T) {
 	r := NewRegistry()
-	r.Add("invocations", 1)
-	r.Add("invocations", 2)
+	r.CounterHandle("invocations").Add(1)
+	r.CounterHandle("invocations").Add(2)
 	if got := r.Counter("invocations"); got != 3 {
 		t.Fatalf("counter = %v", got)
 	}
@@ -79,7 +80,7 @@ func TestHistogramQuantileMonotoneProperty(t *testing.T) {
 
 func TestObserveDuration(t *testing.T) {
 	r := NewRegistry()
-	r.ObserveDuration("latency", 250*time.Millisecond)
+	r.HistogramHandle("latency").ObserveDuration(250 * time.Millisecond)
 	h := r.Histogram("latency")
 	if h == nil || h.Count() != 1 {
 		t.Fatal("duration not recorded")
@@ -94,7 +95,7 @@ func TestObserveDuration(t *testing.T) {
 
 func TestHistogramSnapshotIsolated(t *testing.T) {
 	r := NewRegistry()
-	r.Observe("x", 1)
+	r.HistogramHandle("x").Observe(1)
 	snap := r.Histogram("x")
 	snap.Observe(999)
 	if got := r.Histogram("x").Count(); got != 1 {
@@ -104,11 +105,11 @@ func TestHistogramSnapshotIsolated(t *testing.T) {
 
 func TestRenderDeterministic(t *testing.T) {
 	r := NewRegistry()
-	r.Add("b-counter", 2)
-	r.Add("a-counter", 1)
-	r.Add("z-counter", 9)
-	r.Observe("m-hist", 5)
-	r.Observe("m-hist", 15)
+	r.CounterHandle("b-counter").Add(2)
+	r.CounterHandle("a-counter").Add(1)
+	r.CounterHandle("z-counter").Add(9)
+	r.HistogramHandle("m-hist").Observe(5)
+	r.HistogramHandle("m-hist").Observe(15)
 	out1 := r.Render()
 	out2 := r.Render()
 	if out1 != out2 {
@@ -132,8 +133,8 @@ func TestRegistryConcurrency(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for i := 0; i < 500; i++ {
-				r.Add("c", 1)
-				r.Observe("h", float64(i))
+				r.CounterHandle("c").Add(1)
+				r.HistogramHandle("h").Observe(float64(i))
 			}
 		}()
 	}
@@ -176,8 +177,8 @@ func TestObserveRenderRace(t *testing.T) {
 		go func(g int) {
 			defer wg.Done()
 			for i := 0; i < 300; i++ {
-				r.Observe("h", float64(g*1000+i))
-				r.Add("c", 1)
+				r.HistogramHandle("h").Observe(float64(g*1000 + i))
+				r.CounterHandle("c").Add(1)
 			}
 		}(g)
 		wg.Add(1)
@@ -200,10 +201,10 @@ func TestObserveRenderRace(t *testing.T) {
 
 func TestSnapshotGolden(t *testing.T) {
 	r := NewRegistry()
-	r.Add("ddi.cache.hits", 3)
-	r.Add("vcu.devices_online", 4)
+	r.CounterHandle("ddi.cache.hits").Add(3)
+	r.CounterHandle("vcu.devices_online").Add(4)
 	for _, v := range []float64{10, 20, 30, 40} {
-		r.Observe("offload.total_ms", v)
+		r.HistogramHandle("offload.total_ms").Observe(v)
 	}
 	got, err := json.Marshal(r.Snapshot())
 	if err != nil {
@@ -225,7 +226,7 @@ func TestSnapshotEmptyAndIsolated(t *testing.T) {
 	if _, err := json.Marshal(snap); err != nil {
 		t.Fatalf("empty snapshot not marshalable: %v", err)
 	}
-	r.Add("c", 1)
+	r.CounterHandle("c").Add(1)
 	snap = r.Snapshot()
 	snap.Counters["c"] = 99
 	if got := r.Counter("c"); got != 1 {
@@ -237,16 +238,16 @@ func TestSnapshotEmptyAndIsolated(t *testing.T) {
 // exact across a merge.
 func TestRegistryMerge(t *testing.T) {
 	a, b := NewRegistry(), NewRegistry()
-	a.Add("hits", 2)
-	b.Add("hits", 3)
-	b.Add("only.b", 1)
+	a.CounterHandle("hits").Add(2)
+	b.CounterHandle("hits").Add(3)
+	b.CounterHandle("only.b").Add(1)
 	for _, v := range []float64{1, 2, 3} {
-		a.Observe("lat_ms", v)
+		a.HistogramHandle("lat_ms").Observe(v)
 	}
 	for _, v := range []float64{10, 0.5} {
-		b.Observe("lat_ms", v)
+		b.HistogramHandle("lat_ms").Observe(v)
 	}
-	b.Observe("only.b_ms", 7)
+	b.HistogramHandle("only.b_ms").Observe(7)
 
 	a.Merge(b)
 	if got := a.Counter("hits"); got != 5 {
@@ -282,9 +283,9 @@ func TestRegistryMergeOrderDeterminism(t *testing.T) {
 		shards := make([]*Registry, 4)
 		for i := range shards {
 			shards[i] = NewRegistry()
-			shards[i].Add("n", float64(i))
-			shards[i].Add("g", float64(i)/3)
-			shards[i].Observe("h_ms", float64(i*i))
+			shards[i].CounterHandle("n").Add(float64(i))
+			shards[i].CounterHandle("g").Add(float64(i) / 3)
+			shards[i].HistogramHandle("h_ms").Observe(float64(i * i))
 		}
 		return shards
 	}
@@ -372,8 +373,8 @@ func TestGenerationTracksInterning(t *testing.T) {
 	}
 
 	src := NewRegistry()
-	src.Observe("h2", 1)
-	src.Observe("h", 2) // exists in r: merged into, not logged again
+	src.HistogramHandle("h2").Observe(1)
+	src.HistogramHandle("h").Observe(2) // exists in r: merged into, not logged again
 	r.Merge(src)
 	if r.Generation() != g0+3 {
 		t.Fatalf("generation after merge with new histogram = %d", r.Generation())
@@ -399,6 +400,76 @@ func TestGenerationTracksInterning(t *testing.T) {
 	var nilReg *Registry
 	if nilReg.Generation() != 0 || nilReg.InternedSince(0) != nil {
 		t.Fatal("nil registry generation or log")
+	}
+}
+
+// TestFamily pins the counter family components emit run-time keys
+// through: a nil registry hands out nil handles; a key's name is interned
+// at its first Get and only then, and a warm Get allocates nothing; a key
+// never asked for is never interned, so a family made but not used leaves
+// Render and Snapshot as they were.
+func TestFamily(t *testing.T) {
+	for _, tc := range []struct {
+		name           string
+		nilRegistry    bool
+		prefix, suffix string
+		keys           []string // each Get and bumped once, in order
+		want           map[string]float64
+	}{
+		{name: "nil registry", nilRegistry: true, prefix: "offload.execution.",
+			keys: []string{"rsu", "rsu"}},
+		{name: "prefix", prefix: "offload.execution.",
+			keys: []string{"rsu", "cloud", "rsu"},
+			want: map[string]float64{"offload.execution.rsu": 2, "offload.execution.cloud": 1}},
+		{name: "prefix and suffix", prefix: "edgeos.service.", suffix: ".invocations",
+			keys: []string{"alpr", "alpr", "alpr"},
+			want: map[string]float64{"edgeos.service.alpr.invocations": 3}},
+		{name: "unused", prefix: "vcu.device.", suffix: ".tasks"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			var r *Registry
+			if !tc.nilRegistry {
+				r = NewRegistry()
+				r.CounterHandle("other").Inc()
+			}
+			var render string
+			var snap Snapshot
+			if r != nil {
+				render, snap = r.Render(), r.Snapshot()
+			}
+			gen := r.Generation()
+			f := r.Family(tc.prefix, tc.suffix)
+			for _, k := range tc.keys {
+				c := f.Get(k)
+				if (c == nil) != tc.nilRegistry {
+					t.Fatalf("Get(%q) = %p on a nil registry: %v", k, c, tc.nilRegistry)
+				}
+				c.Inc()
+			}
+			if got := r.Generation() - gen; got != uint64(len(tc.want)) {
+				t.Fatalf("%d names interned for %d distinct keys", got, len(tc.want))
+			}
+			for name, v := range tc.want {
+				if got := r.Counter(name); got != v {
+					t.Fatalf("%s = %v, want %v", name, got, v)
+				}
+			}
+			for _, k := range tc.keys {
+				if f.Get(k) != r.CounterHandle(tc.prefix+k+tc.suffix) {
+					t.Fatalf("Get(%q) is not the registry's handle", k)
+				}
+			}
+			if len(tc.keys) > 0 {
+				if allocs := testing.AllocsPerRun(100, func() { f.Get(tc.keys[0]).Inc() }); allocs != 0 {
+					t.Fatalf("warm Get: %v allocs, want 0", allocs)
+				}
+			}
+			if r != nil && len(tc.keys) == 0 {
+				if r.Render() != render || !reflect.DeepEqual(r.Snapshot(), snap) {
+					t.Fatal("an unused family changed Render or Snapshot")
+				}
+			}
+		})
 	}
 }
 

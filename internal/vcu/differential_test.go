@@ -194,8 +194,8 @@ func TestCommitRefusesBadPlansLikeNaiveReference(t *testing.T) {
 }
 
 // TestPoliciesMatchNaiveReference plans the library DAGs and 500 seeded
-// random DAGs with every policy three ways — the policy's own Plan (fresh
-// planner), a DSF's Plan (one planner reused across all of them, so stale
+// random DAGs with every policy three ways — the policy's own plan on a fresh
+// planner, a DSF's Plan (one planner reused across all of them, so stale
 // scratch would show), and the naive reference — on a VCU whose queues are
 // loaded by committing every tenth plan, and requires identical plans. A
 // DSF's Estimate must return the plan's makespan and energy bit for bit.
@@ -212,7 +212,7 @@ func TestPoliciesMatchNaiveReference(t *testing.T) {
 			devices := m.Devices()
 			what := fmt.Sprintf("%s on %s", pp.policy.Name(), d.Name)
 			want, wantErr := pp.naive(d, devices, now)
-			got, gotErr := pp.policy.Plan(d, devices, now)
+			got, gotErr := pp.policy.plan(new(planner), d, devices, now)
 			samePlan(t, what, got, gotErr, want, wantErr)
 			got, gotErr = dsf.Plan(d, now)
 			samePlan(t, what+" via DSF", got, gotErr, want, wantErr)
@@ -253,7 +253,7 @@ func TestPlanErrorOrderMatchesNaiveReference(t *testing.T) {
 			{tasks.ALPR(), nil},
 		} {
 			want, wantErr := pp.naive(in.dag, in.devices, 0)
-			got, gotErr := pp.policy.Plan(in.dag, in.devices, 0)
+			got, gotErr := pp.policy.plan(new(planner), in.dag, in.devices, 0)
 			samePlan(t, pp.policy.Name(), got, gotErr, want, wantErr)
 			if gotErr == nil {
 				t.Fatalf("%s: no error for bad input", pp.policy.Name())
@@ -262,7 +262,7 @@ func TestPlanErrorOrderMatchesNaiveReference(t *testing.T) {
 	}
 	bad := PowerAware{Slack: 0.5}
 	_, wantErr := naivePowerAware(bad, nil, nil, 0)
-	_, gotErr := bad.Plan(nil, nil, 0)
+	_, gotErr := bad.plan(new(planner), nil, nil, 0)
 	if gotErr == nil || gotErr.Error() != wantErr.Error() {
 		t.Fatalf("slack error %v, reference %v", gotErr, wantErr)
 	}

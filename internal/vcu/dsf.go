@@ -13,13 +13,13 @@ import (
 
 // DSF is the Dynamic Scheduling Framework (paper §IV-B2): it keeps resource
 // and application profiles, plans placements of task DAGs (which arrive
-// pre-partitioned from package tasks) with a pluggable policy, and commits
+// pre-partitioned from package tasks) with one of its policies, and commits
 // plans onto the real device executors.
 type DSF struct {
 	mhep   *MHEP
 	policy Policy
-	// scratch is the planner every built-in policy plans on (see
-	// scratchPolicy); a DSF is single-goroutine, so one suffices.
+	// scratch is the planner every plan is made on; a DSF is
+	// single-goroutine, so one suffices.
 	scratch planner
 	// run is the commit's scratch (see commitAt).
 	run committer
@@ -40,7 +40,7 @@ type dsfMetrics struct {
 	commits        *telemetry.Counter
 	makespan       *telemetry.HistogramHandle
 	energy         *telemetry.Counter
-	deviceTasks    map[string]*telemetry.Counter // per-device, interned lazily
+	deviceTasks    telemetry.Family // vcu.device.<name>.tasks
 }
 
 // Instrument attaches the DSF's observability scope: planning and
@@ -57,21 +57,8 @@ func (s *DSF) Instrument(sc obs.Scope) {
 		commits:        reg.CounterHandle("vcu.commits"),
 		makespan:       reg.HistogramHandle("vcu.makespan_ms"),
 		energy:         reg.CounterHandle("vcu.energy_j"),
-		deviceTasks:    make(map[string]*telemetry.Counter),
+		deviceTasks:    reg.Family("vcu.device.", ".tasks"),
 	}
-}
-
-// deviceTaskCounter interns the per-device commit counter on first use.
-func (s *DSF) deviceTaskCounter(name string) *telemetry.Counter {
-	if s.scope.Metrics == nil {
-		return nil
-	}
-	c, ok := s.m.deviceTasks[name]
-	if !ok {
-		c = s.scope.Metrics.CounterHandle("vcu.device." + name + ".tasks")
-		s.m.deviceTasks[name] = c
-	}
-	return c
 }
 
 // NewDSF builds a scheduler over the platform with the given policy.
@@ -107,8 +94,8 @@ func (s *DSF) Estimate(dag *tasks.DAG, now time.Duration) (makespan time.Duratio
 	return plan.Makespan, plan.EnergyJ, nil
 }
 
-// plan is Plan on the DSF's scratch: a built-in policy's plan is valid
-// until the DSF's next plan.
+// plan is Plan on the DSF's scratch: the plan is valid until the DSF's
+// next plan.
 func (s *DSF) plan(dag *tasks.DAG, now time.Duration) (*Plan, error) {
 	if dag == nil {
 		return nil, fmt.Errorf("vcu: nil DAG")
@@ -117,13 +104,7 @@ func (s *DSF) plan(dag *tasks.DAG, now time.Duration) (*Plan, error) {
 	if len(devices) == 0 {
 		return nil, fmt.Errorf("vcu: no devices available to app %s", dag.Name)
 	}
-	var plan *Plan
-	var err error
-	if sp, ok := s.policy.(scratchPolicy); ok {
-		plan, err = sp.plan(&s.scratch, dag, devices, now)
-	} else {
-		plan, err = s.policy.Plan(dag, s.mhep.Devices(), now)
-	}
+	plan, err := s.policy.plan(&s.scratch, dag, devices, now)
 	if err != nil {
 		return nil, err
 	}
@@ -252,7 +233,7 @@ func (s *DSF) commitAt(dag *tasks.DAG, c *tasks.Compiled, plan *Plan, at []place
 		s.m.tasksCommitted.Inc()
 		s.m.queueWait.ObserveDuration(start - ready)
 		s.m.taskExec.ObserveDuration(finish - start)
-		s.deviceTaskCounter(dev.Name()).Inc()
+		s.m.deviceTasks.Get(dev.Name()).Inc()
 		cm.assign = append(cm.assign, Assignment{
 			TaskID:  t.ID,
 			Device:  dev.Name(),

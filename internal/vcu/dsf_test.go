@@ -279,9 +279,10 @@ func TestSensorFusionRunsBranchesInParallel(t *testing.T) {
 	}
 }
 
-// TestPlansSurviveLaterPlans keeps a plan from DSF.Plan and one from
-// Policy.Plan, then plans and estimates other DAGs on the same DSF (which
-// reuses one planner's scratch): both kept plans must be unchanged.
+// TestPlansSurviveLaterPlans keeps a plan from DSF.Plan and one a policy
+// made on a fresh planner, then plans and estimates other DAGs on the same
+// DSF (which reuses one planner's scratch): both kept plans must be
+// unchanged.
 func TestPlansSurviveLaterPlans(t *testing.T) {
 	for _, policy := range Policies() {
 		s := newDSF(t, policy)
@@ -289,7 +290,7 @@ func TestPlansSurviveLaterPlans(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		viaPolicy, err := policy.Plan(tasks.ALPR(), s.mhep.Devices(), 0)
+		viaPolicy, err := policy.plan(new(planner), tasks.ALPR(), s.mhep.Devices(), 0)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -306,7 +307,7 @@ func TestPlansSurviveLaterPlans(t *testing.T) {
 			if _, _, err := s.Estimate(d, 2*time.Second); err != nil {
 				t.Fatal(err)
 			}
-			if _, err := policy.Plan(d, s.mhep.Devices(), 3*time.Second); err != nil {
+			if _, err := policy.plan(new(planner), d, s.mhep.Devices(), 3*time.Second); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -314,7 +315,7 @@ func TestPlansSurviveLaterPlans(t *testing.T) {
 			t.Fatalf("%s: DSF.Plan result changed by later plans:\n got %+v\nwant %+v", policy.Name(), viaDSF, wantDSF)
 		}
 		if !reflect.DeepEqual(viaPolicy, wantPolicy) {
-			t.Fatalf("%s: Policy.Plan result changed by later plans:\n got %+v\nwant %+v", policy.Name(), viaPolicy, wantPolicy)
+			t.Fatalf("%s: policy plan changed by later plans:\n got %+v\nwant %+v", policy.Name(), viaPolicy, wantPolicy)
 		}
 	}
 }

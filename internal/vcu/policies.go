@@ -7,20 +7,16 @@ import (
 	"repro/internal/tasks"
 )
 
-// Policy chooses device placements for a DAG. Implementations must not
-// mutate executors — they plan against tentative state only.
+// Policy chooses device placements for a DAG: one of the four built-ins
+// Policies returns. A policy never mutates executors — it plans against
+// tentative state only.
 type Policy interface {
 	// Name identifies the policy in reports and benchmarks.
 	Name() string
-	// Plan places every task of the DAG onto the given devices.
-	Plan(dag *tasks.DAG, devices []*Device, now time.Duration) (*Plan, error)
-}
-
-// scratchPolicy is implemented by the built-in policies: plan is Plan
-// building on a caller-owned planner, so a DSF reuses one planner's arrays
-// across every plan it makes. The returned plan is the planner's scratch,
-// valid until the planner's next plan.
-type scratchPolicy interface {
+	// plan places every task of the DAG onto the given devices, building on
+	// a caller-owned planner, so a DSF reuses one planner's arrays across
+	// every plan it makes. The returned plan is the planner's scratch,
+	// valid until the planner's next plan.
 	plan(p *planner, dag *tasks.DAG, devices []*Device, now time.Duration) (*Plan, error)
 }
 
@@ -34,11 +30,6 @@ type RoundRobin struct{}
 
 // Name implements Policy.
 func (RoundRobin) Name() string { return "round-robin" }
-
-// Plan implements Policy.
-func (rr RoundRobin) Plan(dag *tasks.DAG, devices []*Device, now time.Duration) (*Plan, error) {
-	return rr.plan(new(planner), dag, devices, now)
-}
 
 func (RoundRobin) plan(p *planner, dag *tasks.DAG, devices []*Device, now time.Duration) (*Plan, error) {
 	order, err := p.begin(dag, devices, now)
@@ -64,11 +55,6 @@ type GreedyEFT struct{}
 // Name implements Policy.
 func (GreedyEFT) Name() string { return "greedy-eft" }
 
-// Plan implements Policy.
-func (g GreedyEFT) Plan(dag *tasks.DAG, devices []*Device, now time.Duration) (*Plan, error) {
-	return g.plan(new(planner), dag, devices, now)
-}
-
 func (GreedyEFT) plan(p *planner, dag *tasks.DAG, devices []*Device, now time.Duration) (*Plan, error) {
 	order, err := p.begin(dag, devices, now)
 	if err != nil {
@@ -87,11 +73,6 @@ type HEFT struct{}
 
 // Name implements Policy.
 func (HEFT) Name() string { return "heft" }
-
-// Plan implements Policy.
-func (h HEFT) Plan(dag *tasks.DAG, devices []*Device, now time.Duration) (*Plan, error) {
-	return h.plan(new(planner), dag, devices, now)
-}
 
 func (HEFT) plan(p *planner, dag *tasks.DAG, devices []*Device, now time.Duration) (*Plan, error) {
 	topo, err := p.begin(dag, devices, now)
@@ -129,11 +110,6 @@ type PowerAware struct {
 
 // Name implements Policy.
 func (PowerAware) Name() string { return "power-aware" }
-
-// Plan implements Policy.
-func (pa PowerAware) Plan(dag *tasks.DAG, devices []*Device, now time.Duration) (*Plan, error) {
-	return pa.plan(new(planner), dag, devices, now)
-}
 
 func (pa PowerAware) plan(p *planner, dag *tasks.DAG, devices []*Device, now time.Duration) (*Plan, error) {
 	slack := pa.Slack
