@@ -136,6 +136,10 @@ fuzz-smoke:
 # Flight-recorder event JSON as the libvdap client decodes it: no panic, and
 # encode is stable under decode.
 	$(FUZZ) '^FuzzEventJSON$$' ./internal/obs
+# The slot-ring flight recorder against a plain []Event recorder: same
+# events, filtered exports, dropped count, table and JSON bytes over random
+# emit/merge/wrap programs.
+	$(FUZZ) '^FuzzRecorderMatchesReference$$' ./internal/obs
 # Arbitrary predict and upload request bodies: decoded as json.Decoder
 # decodes them (same error, status and value), never a 500, every reply
 # JSON-typed and decodable.
@@ -169,11 +173,12 @@ bench-check:
 # `make bench-pair W=serve_snapshot PARENT=HEAD~1 [N=10]` extracts PARENT
 # into a throw-away directory, runs benchmark/run.sh for workload W at full
 # length on parent and working tree in N alternating pairs, and prints every
-# run, each side's median and quartiles per metric, and the pair win count.
-# Same-host only, like bench-check, and not wired into CI. About
-# N x 2 x 15 s plus two builds.
+# run, each side's median and quartiles per metric, and the pair win count;
+# OUT=BENCH_prNN.json also writes all of it, with each side's commit and
+# machine, as JSON. Same-host only, like bench-check, and not wired into CI.
+# About N x 2 x 15 s plus two builds.
 bench-pair:
-	$(GO) run ./cmd/benchpair -workload "$(W)" -parent "$(PARENT)" -pairs $(or $(N),10)
+	$(GO) run ./cmd/benchpair -workload "$(W)" -parent "$(PARENT)" -pairs $(or $(N),10) $(if $(OUT),-out "$(OUT)")
 
 microbench:
 	$(GO) test -bench=. -benchmem ./...

@@ -300,7 +300,7 @@ func TestInstrumentWiresCacheCountersIntoRegistry(t *testing.T) {
 func TestCacheEvictionCounter(t *testing.T) {
 	reg := telemetry.NewRegistry()
 	rec := obs.NewRecorder(2)
-	rec.Emit(0, "test", obs.SevInfo, "marker")
+	rec.Emit(0, &obs.EventKind{Component: "test", Severity: obs.SevInfo, Name: "marker"})
 	c, err := NewMemCache(2, time.Hour)
 	if err != nil {
 		t.Fatal(err)

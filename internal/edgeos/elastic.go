@@ -9,6 +9,7 @@ import (
 
 	"repro/internal/obs"
 	"repro/internal/offload"
+	"repro/internal/tasks"
 	"repro/internal/telemetry"
 	"repro/internal/trace"
 )
@@ -197,15 +198,10 @@ func (m *ElasticManager) Stats(name string) (ElasticStats, error) {
 	return cp, nil
 }
 
-// evaluate scores one pipeline of a service at virtual time now.
-func (m *ElasticManager) evaluate(s *Service, p Pipeline, now time.Duration) Choice {
-	var est offload.Estimate
-	n := len(s.DAG.Tasks)
-	if p.SplitAfter >= n {
-		est = m.engine.EstimateOnboard(s.DAG, now)
-	} else {
-		est = m.engine.EstimateBestSite(s.DAG, p.SplitAfter, now)
-	}
+// evaluate scores one pipeline of a service, whose DAG's compiled form is
+// dc, at virtual time now.
+func (m *ElasticManager) evaluate(s *Service, dc *tasks.Compiled, p Pipeline, now time.Duration) Choice {
+	est := m.engine.EstimatePipeline(s.DAG, dc, p.SplitAfter, now)
 	c := Choice{Pipeline: p, Estimate: est}
 	if est.Feasible {
 		c.MeetsDeadline = s.Deadline == 0 || est.Total <= s.Deadline
@@ -231,8 +227,9 @@ func (m *ElasticManager) Choose(name string, now time.Duration) (Choice, []Choic
 		return Choice{}, nil, false, fmt.Errorf("edgeos: service %s is %v", name, s.state)
 	}
 	m.choices = m.choices[:0]
+	dc := s.DAG.Compiled() // once for every pipeline
 	for _, p := range s.pipelines {
-		m.choices = append(m.choices, m.evaluate(s, p, now))
+		m.choices = append(m.choices, m.evaluate(s, dc, p, now))
 	}
 	minEnergy := m.objective == MinEnergy
 	slices.SortStableFunc(m.choices, func(ci, cj Choice) int {

@@ -411,6 +411,12 @@ func (in *Injector) Schedule(eng *sim.Engine) error {
 	return nil
 }
 
+// The flight-recorder events of an outage window's two ends.
+var (
+	evOutageBegin = &obs.EventKind{Component: "faults", Severity: obs.SevWarn, Name: "outage.begin"}
+	evOutageEnd   = &obs.EventKind{Component: "faults", Severity: obs.SevInfo, Name: "outage.end"}
+)
+
 func (in *Injector) siteDown(s *xedge.Site, w Window) {
 	s.SetAvailable(false)
 	in.m.siteDown.Inc()
@@ -419,14 +425,14 @@ func (in *Injector) siteDown(s *xedge.Site, w Window) {
 	}
 	in.scope.Tracer.SpanAt("faults", "faults.outage", w.From, w.To,
 		trace.String("site", s.Name()), trace.Dur("length", w.To-w.From))
-	in.scope.Events.Emit(w.From, "faults", obs.SevWarn, "outage.begin",
+	in.scope.Events.Emit(w.From, evOutageBegin,
 		trace.String("site", s.Name()), trace.Dur("length", w.To-w.From))
 }
 
 func (in *Injector) siteUp(s *xedge.Site, at time.Duration) {
 	s.SetAvailable(true)
 	in.m.siteUp.Inc()
-	in.scope.Events.Emit(at, "faults", obs.SevInfo, "outage.end",
+	in.scope.Events.Emit(at, evOutageEnd,
 		trace.String("site", s.Name()))
 }
 

@@ -200,6 +200,12 @@ func (f *Fleet) ShardedInvokeAllTolerant(service string, now time.Duration) (Rou
 	return f.shardedInvokeAll(service, now, true)
 }
 
+// The flight-recorder markers around a round's commit phase.
+var (
+	evCommitBegin = &obs.EventKind{Component: "fleet", Severity: obs.SevDebug, Name: "commit.begin"}
+	evCommitEnd   = &obs.EventKind{Component: "fleet", Severity: obs.SevDebug, Name: "commit.end"}
+)
+
 func (f *Fleet) shardedInvokeAll(service string, now time.Duration, tolerant bool) (RoundResult, error) {
 	shards := f.Shards()
 	// Epoch boundary: the only injector mutation of the round (outage
@@ -261,7 +267,7 @@ func (f *Fleet) shardedInvokeAll(service string, now time.Duration, tolerant boo
 			offloads++
 		}
 	}
-	f.lanes[0].Events.Emit(now, "fleet", obs.SevDebug, "commit.begin",
+	f.lanes[0].Events.Emit(now, evCommitBegin,
 		trace.Int("offloads", offloads))
 	for i, p := range f.prepBuf {
 		if p == nil {
@@ -270,7 +276,7 @@ func (f *Fleet) shardedInvokeAll(service string, now time.Duration, tolerant boo
 		f.prepBuf[i] = nil
 		f.resBuf[i], f.errBuf[i] = f.vehicles[i].Manager.CommitInvoke(p)
 	}
-	f.lanes[0].Events.Emit(now, "fleet", obs.SevDebug, "commit.end",
+	f.lanes[0].Events.Emit(now, evCommitEnd,
 		trace.Int("committed", offloads))
 
 	if !tolerant {

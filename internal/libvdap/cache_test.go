@@ -27,7 +27,7 @@ func newCachedServer(t *testing.T) (*httptest.Server, *Server, *telemetry.Regist
 	store := obs.NewSeriesStore(64)
 	store.RecordGauge("fleet.queue_depth", 100*time.Millisecond, 3)
 	rec := obs.NewRecorder(64)
-	rec.Emit(100*time.Millisecond, "fleet", obs.SevInfo, "boot")
+	rec.Emit(100*time.Millisecond, &obs.EventKind{Component: "fleet", Severity: obs.SevInfo, Name: "boot"})
 	sc := obs.Scope{Metrics: reg, Events: rec, Series: store}
 	srv, err := NewServer(nil, nil, nil, nil, nil, sc, func() time.Duration { return time.Duration(now.Load()) })
 	if err != nil {

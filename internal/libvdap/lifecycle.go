@@ -103,6 +103,9 @@ func (s *Server) handleReadyz(w http.ResponseWriter, r *http.Request) {
 	s.writeJSON(w, http.StatusOK, map[string]any{"ready": true})
 }
 
+// evHandlerPanic is the flight-recorder event recoverPanic files.
+var evHandlerPanic = &obs.EventKind{Component: "libvdap", Severity: obs.SevError, Name: "handler panic"}
+
 // recoverPanic converts a handler panic into a JSON 500, counts it in
 // libvdap.panics, and files the stack into the flight recorder so a crash
 // loop is diagnosable from /api/v1/events. http.ErrAbortHandler passes
@@ -116,7 +119,7 @@ func (s *Server) recoverPanic(w http.ResponseWriter, r *http.Request) {
 		panic(rec)
 	}
 	s.panicsCtr.Inc()
-	s.scope.Events.Emit(s.clock(), "libvdap", obs.SevError, "handler panic",
+	s.scope.Events.Emit(s.clock(), evHandlerPanic,
 		trace.String("method", r.Method),
 		trace.String("path", r.URL.Path),
 		trace.String("panic", fmt.Sprint(rec)),

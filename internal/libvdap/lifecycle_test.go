@@ -98,7 +98,7 @@ func TestShutdownShedsNewRequests(t *testing.T) {
 
 func TestShutdownSendsFinalStreamFrame(t *testing.T) {
 	srv, ts, rec, _ := newLifecycleServer(t)
-	rec.Emit(500*time.Millisecond, "test", obs.SevInfo, "pre-drain event")
+	rec.Emit(500*time.Millisecond, &obs.EventKind{Component: "test", Severity: obs.SevInfo, Name: "pre-drain event"})
 
 	// An unbounded stream (frames=0) only ends when the server drains.
 	resp, err := http.Get(ts.URL + "/api/v1/stream?poll=0.005")

@@ -66,9 +66,9 @@ func TestSeriesEndpoint(t *testing.T) {
 
 func TestEventsEndpointFilters(t *testing.T) {
 	_, client, _, rec, _ := newObsServer(t)
-	rec.Emit(10*time.Millisecond, "offload", obs.SevInfo, "breaker.closed")
-	rec.Emit(20*time.Millisecond, "faults", obs.SevWarn, "outage.begin", trace.String("site", "edge-0"))
-	rec.Emit(30*time.Millisecond, "offload", obs.SevError, "resilient.exhausted")
+	rec.Emit(10*time.Millisecond, &obs.EventKind{Component: "offload", Severity: obs.SevInfo, Name: "breaker.closed"})
+	rec.Emit(20*time.Millisecond, &obs.EventKind{Component: "faults", Severity: obs.SevWarn, Name: "outage.begin"}, trace.String("site", "edge-0"))
+	rec.Emit(30*time.Millisecond, &obs.EventKind{Component: "offload", Severity: obs.SevError, Name: "resilient.exhausted"})
 
 	all, err := client.Events(-1, "", obs.SevDebug)
 	if err != nil {
@@ -101,7 +101,7 @@ func TestEventsEndpointFilters(t *testing.T) {
 
 func TestEventsTableFormat(t *testing.T) {
 	ts, _, _, rec, _ := newObsServer(t)
-	rec.Emit(10*time.Millisecond, "fleet", obs.SevDebug, "commit.begin", trace.Int("offloads", 2))
+	rec.Emit(10*time.Millisecond, &obs.EventKind{Component: "fleet", Severity: obs.SevDebug, Name: "commit.begin"}, trace.Int("offloads", 2))
 	resp, err := http.Get(ts.URL + "/api/v1/events?format=table")
 	if err != nil {
 		t.Fatal(err)
@@ -119,7 +119,7 @@ func TestEventsTableFormat(t *testing.T) {
 func TestStreamIncrementalFrames(t *testing.T) {
 	_, client, store, rec, now := newObsServer(t)
 	store.RecordGauge("g", 100*time.Millisecond, 1)
-	rec.Emit(100*time.Millisecond, "fleet", obs.SevInfo, "first")
+	rec.Emit(100*time.Millisecond, &obs.EventKind{Component: "fleet", Severity: obs.SevInfo, Name: "first"})
 
 	// Feed a second batch past the server's clock so a second frame fires
 	// once the watermark advances.
@@ -128,7 +128,7 @@ func TestStreamIncrementalFrames(t *testing.T) {
 		defer close(done)
 		time.Sleep(50 * time.Millisecond)
 		store.RecordGauge("g", 2*time.Second, 2)
-		rec.Emit(2*time.Second, "fleet", obs.SevInfo, "second")
+		rec.Emit(2*time.Second, &obs.EventKind{Component: "fleet", Severity: obs.SevInfo, Name: "second"})
 		now.Store(int64(3 * time.Second))
 	}()
 
@@ -174,7 +174,7 @@ func TestStreamShipsRecordsAtTheClockInstant(t *testing.T) {
 	if err := dec.Decode(&first); err != nil {
 		t.Fatalf("frame 0: %v", err)
 	}
-	rec.Emit(time.Second, "fleet", obs.SevInfo, "late")
+	rec.Emit(time.Second, &obs.EventKind{Component: "fleet", Severity: obs.SevInfo, Name: "late"})
 	store.RecordGauge("g", time.Second, 7)
 	now.Store(int64(2 * time.Second))
 

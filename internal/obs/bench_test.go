@@ -93,7 +93,7 @@ func BenchmarkDisabledEventWithAttrs(b *testing.B) {
 	rec := offRecorder
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		rec.Emit(time.Duration(i), "offload", SevWarn, "resilient.degraded",
+		rec.Emit(time.Duration(i), kindDegraded,
 			trace.String("dag", "alpr"), trace.Int("attempts", i%4), trace.F64("factor", 0.55))
 	}
 }

@@ -12,13 +12,15 @@
 package obs
 
 import (
+	"cmp"
 	"encoding/json"
 	"fmt"
-	"sort"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
 	"time"
+	"unsafe"
 
 	"repro/internal/trace"
 )
@@ -75,7 +77,8 @@ func (s *Severity) UnmarshalJSON(b []byte) error {
 
 // Event is one flight-recorder entry: a named state transition stamped at a
 // virtual time. Its fields are the span attribute type, kept raw and
-// rendered when the event is exported.
+// rendered when the event is exported. A recorder does not keep Events: it
+// rebuilds them from its slots at export.
 type Event struct {
 	At        time.Duration `json:"atNs"`
 	Component string        `json:"component"`
@@ -86,6 +89,34 @@ type Event struct {
 	seq uint64 // emission order; breaks same-timestamp ties deterministically
 }
 
+// EventKind is what every event of one kind shares. An emitter declares
+// each kind once, as a package-level value, and hands Emit a pointer to
+// it, the way it resolves a metric handle once: a retained event then
+// holds one pointer where an Event holds two strings and a severity.
+type EventKind struct {
+	Component string
+	Severity  Severity
+	Name      string
+}
+
+// slot is one retained event in a recorder's ring, 40 bytes on a 64-bit
+// platform where an Event takes 80: fields points at the first of the
+// event's n attributes in a field slab (nil when it has none), and that
+// pointer keeps the slab alive.
+type slot struct {
+	at     time.Duration
+	seq    uint64
+	kind   *EventKind
+	fields *trace.Attr
+	n      int32
+}
+
+// event rebuilds the exported form of s.
+func (s *slot) event() Event {
+	return Event{At: s.at, Component: s.kind.Component, Severity: s.kind.Severity,
+		Name: s.kind.Name, Fields: unsafe.Slice(s.fields, s.n), seq: s.seq}
+}
+
 // DefaultEventCapacity bounds a Recorder when the caller passes no capacity.
 const DefaultEventCapacity = 4096
 
@@ -94,13 +125,13 @@ const DefaultEventCapacity = 4096
 // components carry an optional recorder without guarding each call site.
 type Recorder struct {
 	mu      sync.Mutex
-	buf     []Event
+	buf     []slot
 	start   int
 	n       int
 	seq     uint64
 	dropped int
 
-	// fields is the append-only slab that events' Fields are copied into.
+	// fields is the append-only slab that events' fields are copied into.
 	// A full slab is replaced, never rewritten, so an event's fields stay
 	// as recorded for as long as anything holds the event.
 	fields []trace.Attr
@@ -119,52 +150,54 @@ func NewRecorder(capacity int) *Recorder {
 	if capacity <= 0 {
 		capacity = DefaultEventCapacity
 	}
-	return &Recorder{buf: make([]Event, capacity)}
+	return &Recorder{buf: make([]slot, capacity)}
 }
 
-// Emit appends an event at virtual time at. The recorder keeps a copy of
+// Emit appends an event of the given kind at virtual time at. The recorder
+// keeps kind's pointer, so kind must not change afterwards, and a copy of
 // fields, in its field slab, so a caller's variadic attributes stay on its
-// stack, and a nil recorder copies nothing.
-func (r *Recorder) Emit(at time.Duration, component string, sev Severity, name string, fields ...trace.Attr) {
+// stack. A nil recorder copies nothing.
+func (r *Recorder) Emit(at time.Duration, kind *EventKind, fields ...trace.Attr) {
 	if r != nil {
-		r.emit(at, component, sev, name, fields)
+		r.emit(at, kind, fields)
 	}
 }
 
-func (r *Recorder) emit(at time.Duration, component string, sev Severity, name string, fields []trace.Attr) {
+func (r *Recorder) emit(at time.Duration, kind *EventKind, fields []trace.Attr) {
 	r.mu.Lock()
-	r.pushLocked(Event{At: at, Component: component, Severity: sev, Name: name,
-		Fields: r.keepLocked(fields)})
+	s := slot{at: at, kind: kind}
+	s.fields, s.n = r.keepLocked(fields)
+	r.pushLocked(s)
 	r.mu.Unlock()
 }
 
 // keepLocked copies fields into the field slab, starting a new slab when
-// they do not fit, and returns the copy capped at its length, so an append
-// to one event's fields never reaches the next one's. Callers hold r.mu.
-func (r *Recorder) keepLocked(fields []trace.Attr) []trace.Attr {
+// they do not fit, and returns where the copy starts and its length.
+// Callers hold r.mu.
+func (r *Recorder) keepLocked(fields []trace.Attr) (*trace.Attr, int32) {
 	if len(fields) == 0 {
-		return nil
+		return nil, 0
 	}
 	if len(r.fields)+len(fields) > cap(r.fields) {
 		r.fields = make([]trace.Attr, 0, max(fieldSlab, len(fields)))
 	}
 	from := len(r.fields)
 	r.fields = append(r.fields, fields...)
-	return r.fields[from:len(r.fields):len(r.fields)]
+	return &r.fields[from], int32(len(fields))
 }
 
-// pushLocked appends ev, sequenced after every event already recorded,
-// overwriting the oldest when the ring is full. The recorder keeps
-// ev.Fields as they are. Callers hold r.mu.
-func (r *Recorder) pushLocked(ev Event) {
+// pushLocked appends s, sequenced after every event already recorded,
+// overwriting the oldest when the ring is full. The recorder keeps s's
+// fields as they are. Callers hold r.mu.
+func (r *Recorder) pushLocked(s slot) {
 	r.seq++
-	ev.seq = r.seq
+	s.seq = r.seq
 	if r.n == len(r.buf) {
-		r.buf[r.start] = ev
+		r.buf[r.start] = s
 		r.start = (r.start + 1) % len(r.buf)
 		r.dropped++
 	} else {
-		r.buf[(r.start+r.n)%len(r.buf)] = ev
+		r.buf[(r.start+r.n)%len(r.buf)] = s
 		r.n++
 	}
 }
@@ -197,39 +230,47 @@ func (r *Recorder) Events() []Event {
 	if r == nil {
 		return nil
 	}
-	r.mu.Lock()
-	out := make([]Event, 0, r.n)
-	for i := 0; i < r.n; i++ {
-		out = append(out, r.buf[(r.start+i)%len(r.buf)])
-	}
-	r.mu.Unlock()
-	sort.SliceStable(out, func(i, j int) bool {
-		if out[i].At != out[j].At {
-			return out[i].At < out[j].At
-		}
-		return out[i].seq < out[j].seq
-	})
-	return out
+	return r.export(func(*slot) bool { return true })
 }
 
 // EventsSince filters the ordered events: only those strictly after since
 // (pass a negative since for all), matching component (empty matches all),
 // at or above minSev.
 func (r *Recorder) EventsSince(since time.Duration, component string, minSev Severity) []Event {
-	all := r.Events()
-	out := make([]Event, 0, len(all))
-	for _, ev := range all {
-		if ev.At <= since && since >= 0 {
-			continue
-		}
-		if component != "" && ev.Component != component {
-			continue
-		}
-		if ev.Severity < minSev {
-			continue
-		}
-		out = append(out, ev)
+	if r == nil {
+		return []Event{}
 	}
+	return r.export(func(s *slot) bool {
+		return (since < 0 || s.at > since) &&
+			(component == "" || s.kind.Component == component) &&
+			s.kind.Severity >= minSev
+	})
+}
+
+// export rebuilds the retained events keep accepts, ordered by (virtual
+// time, emission sequence); the sequence numbers are distinct, so the
+// order is total. Never nil.
+func (r *Recorder) export(keep func(*slot) bool) []Event {
+	r.mu.Lock()
+	n := 0
+	for i := 0; i < r.n; i++ {
+		if keep(&r.buf[(r.start+i)%len(r.buf)]) {
+			n++
+		}
+	}
+	out := make([]Event, 0, n)
+	for i := 0; i < r.n && len(out) < n; i++ {
+		if s := &r.buf[(r.start+i)%len(r.buf)]; keep(s) {
+			out = append(out, s.event())
+		}
+	}
+	r.mu.Unlock()
+	slices.SortFunc(out, func(a, b Event) int {
+		if c := cmp.Compare(a.At, b.At); c != 0 {
+			return c
+		}
+		return cmp.Compare(a.seq, b.seq)
+	})
 	return out
 }
 
@@ -238,23 +279,25 @@ func (r *Recorder) EventsSince(since time.Duration, component string, minSev Sev
 // count over. Merging lanes in a canonical order therefore deterministically
 // breaks same-timestamp ties no matter how many workers recorded them. src
 // is only read; merging a recorder into itself or merging nil is a no-op.
+// Merge copies nothing but the slots: it holds both recorders' locks, taken
+// in address order so two opposite merges cannot deadlock, and r shares
+// src's kinds and field slabs, which neither ever rewrites.
 func (r *Recorder) Merge(src *Recorder) {
 	if r == nil || src == nil || r == src {
 		return
 	}
-	src.mu.Lock()
-	events := make([]Event, 0, src.n)
+	first, second := r, src
+	if uintptr(unsafe.Pointer(src)) < uintptr(unsafe.Pointer(r)) {
+		first, second = src, r
+	}
+	first.mu.Lock()
+	second.mu.Lock()
 	for i := 0; i < src.n; i++ {
-		events = append(events, src.buf[(src.start+i)%len(src.buf)])
+		r.pushLocked(src.buf[(src.start+i)%len(src.buf)])
 	}
-	dropped := src.dropped
-	src.mu.Unlock()
-	r.mu.Lock()
-	for _, ev := range events {
-		r.pushLocked(ev) // src never writes its events' fields, so r may share them
-	}
-	r.dropped += dropped
-	r.mu.Unlock()
+	r.dropped += src.dropped
+	second.mu.Unlock()
+	first.mu.Unlock()
 }
 
 // RenderTable renders the ordered events as a fixed-width text table, one

@@ -15,9 +15,9 @@ import (
 
 func TestRecorderOrderAndFilters(t *testing.T) {
 	r := NewRecorder(16)
-	r.Emit(20*time.Millisecond, "offload", SevWarn, "breaker.open", trace.String("dest", "rsu-1"))
-	r.Emit(10*time.Millisecond, "faults", SevInfo, "outage.begin")
-	r.Emit(20*time.Millisecond, "fleet", SevDebug, "commit.begin")
+	r.Emit(20*time.Millisecond, &EventKind{"offload", SevWarn, "breaker.open"}, trace.String("dest", "rsu-1"))
+	r.Emit(10*time.Millisecond, &EventKind{"faults", SevInfo, "outage.begin"})
+	r.Emit(20*time.Millisecond, &EventKind{"fleet", SevDebug, "commit.begin"})
 
 	evs := r.Events()
 	if len(evs) != 3 {
@@ -45,7 +45,7 @@ func TestRecorderOrderAndFilters(t *testing.T) {
 func TestRecorderRingDropsOldest(t *testing.T) {
 	r := NewRecorder(3)
 	for i := 0; i < 5; i++ {
-		r.Emit(time.Duration(i)*time.Millisecond, "c", SevInfo, "ev")
+		r.Emit(time.Duration(i)*time.Millisecond, &EventKind{"c", SevInfo, "ev"})
 	}
 	if r.Len() != 3 {
 		t.Fatalf("Len = %d", r.Len())
@@ -62,8 +62,8 @@ func TestRecorderRingDropsOldest(t *testing.T) {
 func TestRecorderMergeCanonicalOrder(t *testing.T) {
 	mk := func() (*Recorder, *Recorder) {
 		a, b := NewRecorder(8), NewRecorder(8)
-		a.Emit(5*time.Millisecond, "laneA", SevInfo, "x")
-		b.Emit(5*time.Millisecond, "laneB", SevInfo, "y")
+		a.Emit(5*time.Millisecond, &EventKind{"laneA", SevInfo, "x"})
+		b.Emit(5*time.Millisecond, &EventKind{"laneB", SevInfo, "y"})
 		return a, b
 	}
 	a1, b1 := mk()
@@ -89,7 +89,7 @@ func TestRecorderMergeCanonicalOrder(t *testing.T) {
 func TestRecorderOwnsItsFields(t *testing.T) {
 	r := NewRecorder(4)
 	fields := []trace.Attr{trace.String("dest", "rsu-0"), trace.Int("attempts", 2)}
-	r.Emit(time.Second, "offload", SevWarn, "breaker.open", fields...)
+	r.Emit(time.Second, &EventKind{"offload", SevWarn, "breaker.open"}, fields...)
 	fields[0], fields[1] = trace.String("dest", "cloud"), trace.Int("attempts", 9)
 	got := r.Events()[0].Fields
 	if len(got) != 2 || got[0].Value() != "rsu-0" || got[1].Value() != "2" {
@@ -105,7 +105,7 @@ func TestRecorderOwnsItsFields(t *testing.T) {
 func TestRecorderExportsAreStable(t *testing.T) {
 	src := NewRecorder(4)
 	emit := func(i int) {
-		src.Emit(time.Duration(i)*time.Millisecond, "offload", SevWarn, "resilient.fallback",
+		src.Emit(time.Duration(i)*time.Millisecond, &EventKind{"offload", SevWarn, "resilient.fallback"},
 			trace.Int("vehicle", i), trace.String("from", "rsu-"+strconv.Itoa(i)), trace.F64("share", float64(i)/8))
 	}
 	render := func(evs []Event) string {
@@ -142,6 +142,14 @@ func TestRecorderExportsAreStable(t *testing.T) {
 	}
 }
 
+// Kinds declared once, as an emitter declares its own: a kind built at the
+// call site would be an allocation of its own per Emit.
+var (
+	kindOutageBegin = &EventKind{"faults", SevWarn, "outage.begin"}
+	kindDegraded    = &EventKind{"offload", SevWarn, "resilient.degraded"}
+	kindCommitBegin = &EventKind{"fleet", SevDebug, "commit.begin"}
+)
+
 // TestRecorderEmitAllocs: an Emit with three attributes allocates at most
 // once per twenty events, amortised — a new field slab, once the current
 // one is full.
@@ -151,7 +159,7 @@ func TestRecorderEmitAllocs(t *testing.T) {
 	site := "rsu-3"
 	n := testing.AllocsPerRun(20, func() {
 		for i := 0; i < perRun; i++ {
-			r.Emit(time.Duration(i), "faults", SevWarn, "outage.begin",
+			r.Emit(time.Duration(i), kindOutageBegin,
 				trace.String("site", site), trace.Dur("length", time.Second), trace.Int("attempt", i))
 		}
 	}) / perRun
@@ -166,10 +174,10 @@ func TestRecorderEmitAllocs(t *testing.T) {
 // encoding and decoding again gives the same bytes.
 func FuzzEventJSON(f *testing.F) {
 	r := NewRecorder(4)
-	r.Emit(1500*time.Millisecond, "offload", SevWarn, "resilient.degraded",
+	r.Emit(1500*time.Millisecond, &EventKind{"offload", SevWarn, "resilient.degraded"},
 		trace.String("dag", "alpr"), trace.F64("factor", 0.55), trace.Int("attempts", 3),
 		trace.Dur("length", time.Second), trace.Bool("degraded", true), trace.String("reason", ""))
-	r.Emit(0, "fleet", SevDebug, "commit.begin")
+	r.Emit(0, &EventKind{"fleet", SevDebug, "commit.begin"})
 	for _, ev := range r.Events() {
 		b, err := json.Marshal(ev)
 		if err != nil {
@@ -554,9 +562,9 @@ func TestMergePreservesAtSeqOrderAcrossRecorders(t *testing.T) {
 		// Deliberately emit in non-canonical order (2, 0, 1) to model
 		// arbitrary shard scheduling during the parallel decision phase.
 		for _, i := range []int{2, 0, 1} {
-			recs[i].Emit(0, "offload", SevWarn, "breaker.open",
+			recs[i].Emit(0, &EventKind{"offload", SevWarn, "breaker.open"},
 				trace.Int("vehicle", i), trace.String("site", "rsu-"+strconv.Itoa(i)), trace.Int("failures", i+1))
-			recs[i].Emit(epoch, "offload", SevInfo, "resilient.fallback",
+			recs[i].Emit(epoch, &EventKind{"offload", SevInfo, "resilient.fallback"},
 				trace.Int("vehicle", i), trace.String("from", "rsu-"+strconv.Itoa(i)), trace.String("to", "cloud"))
 		}
 		return recs

@@ -39,7 +39,7 @@ func randomLane(rng *sim.RNG) Scope {
 		root := lane.Tracer.StartSpanAt("edgeos", "edgeos.invoke", at, trace.Int("i", i))
 		lane.Tracer.SpanAt("network", "network.uplink", at, at+time.Millisecond)
 		root.FinishAt(at + 2*time.Millisecond)
-		lane.Events.Emit(at, "offload", SevInfo, "breaker.open", trace.Int("i", rng.Intn(100)))
+		lane.Events.Emit(at, &EventKind{"offload", SevInfo, "breaker.open"}, trace.Int("i", rng.Intn(100)))
 		lane.Series.RecordGauge("fleet.queue_depth_s", at, rng.Float64())
 	}
 	sp := NewSampler(lane.Series, 0)
@@ -107,10 +107,10 @@ func TestZeroScopeRecordsNothingAndAllocatesNothing(t *testing.T) {
 		sc.Tracer.SpanAt("network", "network.uplink", 0, 1, trace.F64("bytes", 2048))
 		span.SetAttr(trace.Bool("feasible", true), trace.Dur("total", time.Second))
 		span.FinishAt(2 * time.Second)
-		sc.Events.Emit(time.Second, "offload", SevWarn, "resilient.degraded",
+		sc.Events.Emit(time.Second, kindDegraded,
 			trace.Int("attempts", 3), trace.F64("factor", 0.55), trace.Dur("length", time.Second),
 			trace.Bool("degraded", true), trace.String("dest", "rsu-0"), trace.String("reason", ""))
-		sc.Events.Emit(time.Second, "fleet", SevDebug, "commit.begin")
+		sc.Events.Emit(time.Second, kindCommitBegin)
 		sc.Series.RecordGauge("fleet.queue_depth_s", time.Second, 1)
 	})
 	if allocs != 0 {

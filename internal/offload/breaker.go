@@ -3,6 +3,8 @@ package offload
 import (
 	"fmt"
 	"time"
+
+	"repro/internal/obs"
 )
 
 // BreakerState is a circuit breaker's position.
@@ -18,13 +20,13 @@ const (
 	BreakerHalfOpen
 )
 
-// breakerEvents is the flight-recorder event of a transition into each
-// state; the state's own name follows the "breaker." prefix, so neither
-// name is built per transition.
-var breakerEvents = [...]string{
-	BreakerClosed:   "breaker.closed",
-	BreakerOpen:     "breaker.open",
-	BreakerHalfOpen: "breaker.half-open",
+// breakerEvents is the flight-recorder event kind of a transition into
+// each state; the state's own name follows the "breaker." prefix, so
+// neither name is built per transition. Only an opening warns.
+var breakerEvents = [...]obs.EventKind{
+	BreakerClosed:   {Component: "offload", Severity: obs.SevInfo, Name: "breaker.closed"},
+	BreakerOpen:     {Component: "offload", Severity: obs.SevWarn, Name: "breaker.open"},
+	BreakerHalfOpen: {Component: "offload", Severity: obs.SevInfo, Name: "breaker.half-open"},
 }
 
 // String returns the lower-case state name.
@@ -32,7 +34,7 @@ func (s BreakerState) String() string {
 	if s < 0 || int(s) >= len(breakerEvents) {
 		return fmt.Sprintf("breaker-state(%d)", int(s))
 	}
-	return breakerEvents[s][len("breaker."):]
+	return breakerEvents[s].Name[len("breaker."):]
 }
 
 // Breaker is a per-destination circuit breaker timed on the virtual

@@ -196,8 +196,8 @@ func TestBreakerStateNames(t *testing.T) {
 		if got := s.String(); got != want {
 			t.Errorf("BreakerState(%d).String() = %q, want %q", int(s), got, want)
 		}
-		if s >= 0 && int(s) < len(breakerEvents) && breakerEvents[s] != "breaker."+want {
-			t.Errorf("event for %s is %q", want, breakerEvents[s])
+		if s >= 0 && int(s) < len(breakerEvents) && breakerEvents[s].Name != "breaker."+want {
+			t.Errorf("event for %s is %q", want, breakerEvents[s].Name)
 		}
 	}
 }

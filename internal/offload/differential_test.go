@@ -147,6 +147,9 @@ func TestEstimateSeesEditedDAG(t *testing.T) {
 	}
 }
 
+// TestEstimateBestSite: the best-site search keeps the better of the
+// per-site estimates, and EstimatePipeline is that search below the DAG's
+// length and EstimateOnboard at it.
 func TestEstimateBestSite(t *testing.T) {
 	eng, rsu, cl := testWorld(t, 15)
 	dag := tasks.ALPR()
@@ -155,24 +158,30 @@ func TestEstimateBestSite(t *testing.T) {
 		if c := eng.EstimateSite(dag, cl, split, 0); c.Feasible && c.Total < want.Total {
 			want = c
 		}
-		if got := eng.EstimateBestSite(dag, split, 0); got != want {
+		if got := eng.bestSiteAt(dag, split, 0); got != want {
 			t.Fatalf("split %d: best site %+v, want %+v", split, got, want)
 		}
+		if got := eng.EstimatePipeline(dag, dag.Compiled(), split, 0); got != want {
+			t.Fatalf("split %d: pipeline %+v, want %+v", split, got, want)
+		}
+	}
+	if got, want := eng.EstimatePipeline(dag, dag.Compiled(), len(dag.Tasks), 0), eng.EstimateOnboard(dag, 0); got != want {
+		t.Fatalf("on-board pipeline %+v, want %+v", got, want)
 	}
 	// Nothing feasible: the first site's reason is the one reported.
-	if got := eng.EstimateBestSite(dag, len(dag.Tasks), 0); got.Feasible || got.Dest != rsu.Name() {
+	if got := eng.bestSiteAt(dag, len(dag.Tasks), 0); got.Feasible || got.Dest != rsu.Name() {
 		t.Fatalf("out-of-range split: %+v", got)
 	}
 	bare, err := NewEngine(eng.dsf, eng.mob, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := bare.EstimateBestSite(dag, 0, 0); got.Feasible || got.Reason != "no sites" {
+	if got := bare.bestSiteAt(dag, 0, 0); got.Feasible || got.Reason != "no sites" {
 		t.Fatalf("no sites: %+v", got)
 	}
 }
 
-// TestEstimateBestSiteMatchesNaiveReference holds EstimateBestSite — which
+// TestEstimateBestSiteMatchesNaiveReference holds the best-site search — which
 // checks the DAG and split, places the vehicle and plans the on-board
 // prefix once per call and skips sites that cannot be the answer — to the
 // first minimum over naiveEstimateSite at every site, field for field. The
@@ -269,7 +278,7 @@ func TestEstimateBestSiteMatchesNaiveReference(t *testing.T) {
 			}
 			reachable[fmt.Sprint(min(n, 2))]++
 			for split := -1; split <= len(d.Tasks); split++ {
-				got := eng.EstimateBestSite(d, split, now)
+				got := eng.bestSiteAt(d, split, now)
 				want := eng.naiveEstimateBestSite(d, split, now)
 				if got != want {
 					t.Fatalf("%s: %s split %d at %v:\n got %+v\nwant %+v", w.name, d.Name, split, now, got, want)
@@ -286,7 +295,7 @@ func TestEstimateBestSiteMatchesNaiveReference(t *testing.T) {
 			best, each := trace.New(), trace.New()
 			for split := -1; split <= len(d.Tasks); split++ {
 				eng.Instrument(obs.Scope{Tracer: best})
-				eng.EstimateBestSite(d, split, now)
+				eng.bestSiteAt(d, split, now)
 				eng.Instrument(obs.Scope{Tracer: each})
 				estimated := estimatedSites(eng, d, split, now)
 				for _, s := range estimated {
@@ -546,7 +555,7 @@ func TestNextRemoteMatchesReference(t *testing.T) {
 
 // TestTracingDoesNotSteer runs the same calls on twin worlds (remoteWorlds,
 // built twice) whose engine and DSF report into one registry each, and of
-// which only one has a tracer: EstimateBestSite at every split, nextRemote
+// which only one has a tracer: the best-site search at every split, nextRemote
 // with every tried mask, then ExecuteResilient of the best full offload (or
 // of on-board execution when no site is feasible) under the default
 // policy, with each site failing its submissions one virtual second in
@@ -596,7 +605,7 @@ func TestTracingDoesNotSteer(t *testing.T) {
 			now := time.Duration(i) * 1900 * time.Millisecond
 			what := fmt.Sprintf("%s: %s at %v", w.name, d.Name, now)
 			for split := -1; split <= len(d.Tasks); split++ {
-				got, want := traced.eng.EstimateBestSite(d, split, now), plain.eng.EstimateBestSite(d, split, now)
+				got, want := traced.eng.bestSiteAt(d, split, now), plain.eng.bestSiteAt(d, split, now)
 				if got != want {
 					t.Fatalf("%s, split %d: traced\n %+v\nuntraced\n %+v", what, split, got, want)
 				}
@@ -612,7 +621,7 @@ func TestTracingDoesNotSteer(t *testing.T) {
 				}
 			}
 			chosen := func(e *Engine) Estimate {
-				if est := e.EstimateBestSite(d, 0, now); est.Feasible {
+				if est := e.bestSiteAt(d, 0, now); est.Feasible {
 					return est
 				}
 				return e.EstimateOnboard(d, now)

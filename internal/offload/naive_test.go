@@ -211,7 +211,14 @@ func (e *Engine) naiveExecute(dag *tasks.DAG, est Estimate, now time.Duration) (
 	return last + est.Downlink, nil
 }
 
-// naiveEstimateBestSite is EstimateBestSite as its contract reads: every
+// bestSiteAt is the best-site search EstimatePipeline runs for a split
+// pipeline, at any split, the split range check included.
+func (e *Engine) bestSiteAt(dag *tasks.DAG, splitAfter int, now time.Duration) Estimate {
+	call := e.newSplitCall(dag, dag.Compiled(), splitAfter, now)
+	return e.bestSite(&call, nil)
+}
+
+// naiveEstimateBestSite is the best-site search as its contract reads: every
 // registered site estimated by naiveEstimateSite, the first of the smallest
 // feasible totals, else the first site's estimate, else "no sites".
 func (e *Engine) naiveEstimateBestSite(dag *tasks.DAG, splitAfter int, now time.Duration) Estimate {

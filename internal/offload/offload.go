@@ -373,9 +373,15 @@ func (e *Engine) adjustedPath(si int, site *xedge.Site, now time.Duration) netwo
 
 // EstimateOnboard predicts full local execution via the DSF plan.
 func (e *Engine) EstimateOnboard(dag *tasks.DAG, now time.Duration) Estimate {
+	return e.estimateOnboard(dag, nil, now)
+}
+
+// estimateOnboard is EstimateOnboard with dag's compiled form, or nil for
+// the DSF to take it.
+func (e *Engine) estimateOnboard(dag *tasks.DAG, c *tasks.Compiled, now time.Duration) Estimate {
 	span := e.scope.Tracer.StartSpanAt("offload", "offload.estimate", now,
 		trace.String("dag", dag.Name), trace.String("dest", OnboardName))
-	makespan, energyJ, err := e.dsf.Estimate(dag, now)
+	makespan, energyJ, err := e.dsf.Estimate(dag, c, now)
 	if err != nil {
 		reason := err.Error()
 		span.SetAttr(trace.Bool("feasible", false), trace.String("reason", reason))
@@ -399,7 +405,7 @@ func (e *Engine) EstimateOnboard(dag *tasks.DAG, now time.Duration) Estimate {
 // splitAfter 0 offloads everything.
 func (e *Engine) EstimateSite(dag *tasks.DAG, site *xedge.Site, splitAfter int, now time.Duration) Estimate {
 	var est Estimate
-	call := e.newSplitCall(dag, splitAfter, now)
+	call := e.newSplitCall(dag, dag.Compiled(), splitAfter, now)
 	e.estimateSite(&est, &call, slices.Index(e.sites, site), site)
 	return est
 }
@@ -409,7 +415,7 @@ func (e *Engine) EstimateSite(dag *tasks.DAG, site *xedge.Site, splitAfter int, 
 // the vehicle's position, and — made at the first reachable site, because
 // an unreachable site needs neither — the bytes crossing the cut and the
 // on-board plan of the prefix. EstimateSite fills one for one site;
-// EstimateBestSite shares one among all of them.
+// EstimatePipeline shares one among all of them.
 type splitCall struct {
 	dag   *tasks.DAG
 	c     *tasks.Compiled
@@ -428,10 +434,10 @@ type splitCall struct {
 	prefixErr      error
 }
 
-// newSplitCall checks the DAG's order and the split's range and, when both
-// hold, places the vehicle at now.
-func (e *Engine) newSplitCall(dag *tasks.DAG, splitAfter int, now time.Duration) splitCall {
-	call := splitCall{dag: dag, c: dag.Compiled(), split: splitAfter, now: now}
+// newSplitCall checks the order of dag, whose compiled form is c, and the
+// split's range and, when both hold, places the vehicle at now.
+func (e *Engine) newSplitCall(dag *tasks.DAG, c *tasks.Compiled, splitAfter int, now time.Duration) splitCall {
+	call := splitCall{dag: dag, c: c, split: splitAfter, now: now}
 	order, err := call.c.Order()
 	switch {
 	case err != nil:
@@ -454,8 +460,9 @@ func (call *splitCall) prepare(dsf *vcu.DSF) {
 	call.prepared = true
 	call.upBytes = crossingBytes(call.dag, call.c, call.split)
 	if call.split > 0 {
+		pd, pc := call.c.Prefix(call.split)
 		call.prefixMakespan, call.prefixEnergyJ, call.prefixErr =
-			dsf.Estimate(call.c.Prefix(call.split), call.now)
+			dsf.Estimate(pd, pc, call.now)
 	}
 }
 
@@ -570,22 +577,29 @@ func (e *Engine) estimateAt(est *Estimate, call *splitCall, si int, site *xedge.
 	est.Feasible = true
 }
 
-// EstimateBestSite evaluates the split at every registered site and returns
-// the feasible estimate with the smallest total latency (the earliest
-// registered site wins ties). When no site is feasible it returns the first
-// site's infeasible estimate, or Reason "no sites" without any site.
+// EstimatePipeline estimates the pipeline that runs the first splitAfter
+// topo-order tasks on-board and the rest at a site. When splitAfter covers
+// the DAG that is EstimateOnboard. Otherwise it evaluates the split at
+// every registered site and returns the feasible estimate with the
+// smallest total latency (the earliest registered site wins ties); when no
+// site is feasible it returns the first site's infeasible estimate, or
+// Reason "no sites" without any site.
 //
-// The site-independent work is done once for all sites (see splitCall).
-// Only a feasible estimate or the first site's can be the answer, so a site
-// after the first that the call rules out, or that does not cover the
-// vehicle, is skipped unestimated, and a tracer sees a span only for each
-// site that is estimated.
-func (e *Engine) EstimateBestSite(dag *tasks.DAG, splitAfter int, now time.Duration) Estimate {
-	call := e.newSplitCall(dag, splitAfter, now)
+// c is dag's compiled form, taken once (dag.Compiled()) by a caller that
+// estimates every pipeline of one invocation. The site-independent work is
+// done once for all sites (see splitCall). Only a feasible estimate or the
+// first site's can be the answer, so a site after the first that the call
+// rules out, or that does not cover the vehicle, is skipped unestimated,
+// and a tracer sees a span only for each site that is estimated.
+func (e *Engine) EstimatePipeline(dag *tasks.DAG, c *tasks.Compiled, splitAfter int, now time.Duration) Estimate {
+	if splitAfter >= len(dag.Tasks) {
+		return e.estimateOnboard(dag, c, now)
+	}
+	call := e.newSplitCall(dag, c, splitAfter, now)
 	return e.bestSite(&call, nil)
 }
 
-// bestSite is the one best-site loop, shared by EstimateBestSite and the
+// bestSite is the one best-site loop, shared by EstimatePipeline and the
 // resilient fallback (nextRemote): the first strict minimum of Total among
 // the feasible estimates of sites that tried (indexed like e.sites; nil
 // marks none) does not mark, else the first estimated site's estimate,
@@ -654,17 +668,18 @@ func (e *Engine) finishScratch(n int) []time.Duration {
 
 // Estimates evaluates on-board execution plus a full offload to every
 // registered site, sorted by total latency (infeasible entries last). The
-// sites share one splitCall, as EstimateBestSite's do.
+// sites share one splitCall, as EstimatePipeline's do.
 func (e *Engine) Estimates(dag *tasks.DAG, now time.Duration) ([]Estimate, error) {
 	if dag == nil {
 		return nil, fmt.Errorf("offload: nil DAG")
 	}
-	if err := dag.Validate(); err != nil {
+	c := dag.Compiled()
+	if err := c.Err(); err != nil {
 		return nil, err
 	}
 	out := make([]Estimate, 1+len(e.sites))
-	out[0] = e.EstimateOnboard(dag, now)
-	call := e.newSplitCall(dag, 0, now)
+	out[0] = e.estimateOnboard(dag, c, now)
+	call := e.newSplitCall(dag, c, 0, now)
 	for si, site := range e.sites {
 		e.estimateSite(&out[1+si], &call, si, site)
 	}
@@ -749,8 +764,9 @@ func (e *Engine) execute(dag *tasks.DAG, est Estimate, now time.Duration) (time.
 	if dag == nil {
 		return 0, fmt.Errorf("offload: nil DAG")
 	}
+	c := dag.Compiled()
 	if est.Dest == OnboardName {
-		plan, err := e.dsf.Run(dag, now)
+		plan, err := e.dsf.RunCompiled(dag, c, now)
 		if err != nil {
 			return 0, err
 		}
@@ -764,13 +780,13 @@ func (e *Engine) execute(dag *tasks.DAG, est Estimate, now time.Duration) (time.
 		return 0, fmt.Errorf("offload: unknown destination %q", est.Dest)
 	}
 	site := e.sites[si]
-	c := dag.Compiled()
 	order, err := c.Order()
 	if err != nil {
 		return 0, err
 	}
 	if est.SplitAfter > 0 {
-		plan, err := e.dsf.Run(c.Prefix(est.SplitAfter), now)
+		pd, pc := c.Prefix(est.SplitAfter)
+		plan, err := e.dsf.RunCompiled(pd, pc, now)
 		if err != nil {
 			return 0, err
 		}

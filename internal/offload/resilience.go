@@ -118,11 +118,7 @@ func (e *Engine) breakerFor(dest string) *Breaker {
 	if !ok {
 		b = NewBreaker(e.policy.BreakerThreshold, e.policy.BreakerCooldown)
 		b.OnChange(func(from, to BreakerState, now time.Duration) {
-			sev := obs.SevInfo
-			if to == BreakerOpen {
-				sev = obs.SevWarn
-			}
-			e.scope.Events.Emit(now, "offload", sev, breakerEvents[to],
+			e.scope.Events.Emit(now, &breakerEvents[to],
 				trace.String("dest", dest), trace.String("from", from.String()))
 		})
 		e.breakers[dest] = b
@@ -145,6 +141,14 @@ func DegradedDAG(dag *tasks.DAG, factor float64) *tasks.DAG {
 	}
 	return out
 }
+
+// The flight-recorder events of the resilient ladder's rungs.
+var (
+	evFallback  = &obs.EventKind{Component: "offload", Severity: obs.SevInfo, Name: "resilient.fallback"}
+	evOnboard   = &obs.EventKind{Component: "offload", Severity: obs.SevWarn, Name: "resilient.onboard"}
+	evExhausted = &obs.EventKind{Component: "offload", Severity: obs.SevError, Name: "resilient.exhausted"}
+	evDegraded  = &obs.EventKind{Component: "offload", Severity: obs.SevWarn, Name: "resilient.degraded"}
+)
 
 // ExecuteResilient commits the chosen estimate under the engine's
 // resilience policy: failed remote executions are retried with
@@ -192,7 +196,7 @@ func (e *Engine) ExecuteResilient(dag *tasks.DAG, est Estimate, now, deadline ti
 		out.Dest = dest
 		if dest != est.Dest {
 			out.FellBackTo = dest
-			e.scope.Events.Emit(t, "offload", obs.SevInfo, "resilient.fallback",
+			e.scope.Events.Emit(t, evFallback,
 				trace.String("dag", dag.Name), trace.String("from", est.Dest),
 				trace.String("to", dest))
 		}
@@ -206,7 +210,7 @@ func (e *Engine) ExecuteResilient(dag *tasks.DAG, est Estimate, now, deadline ti
 		if est.Dest != OnboardName {
 			out.FellBackTo = OnboardName
 			out.Fallbacks++
-			e.scope.Events.Emit(t, "offload", obs.SevWarn, "resilient.onboard",
+			e.scope.Events.Emit(t, evOnboard,
 				trace.String("dag", dag.Name), trace.String("from", est.Dest),
 				trace.Bool("degraded", out.Degraded))
 		}
@@ -217,7 +221,7 @@ func (e *Engine) ExecuteResilient(dag *tasks.DAG, est Estimate, now, deadline ti
 	}
 	err := fmt.Errorf("offload: resilient execution exhausted for %s after %d attempts",
 		dag.Name, out.Attempts)
-	e.scope.Events.Emit(t, "offload", obs.SevError, "resilient.exhausted",
+	e.scope.Events.Emit(t, evExhausted,
 		trace.String("dag", dag.Name), trace.Int("attempts", out.Attempts))
 	e.recordResilient(out, false)
 	finishResilientSpan(span, out, t, err)
@@ -283,7 +287,7 @@ func (e *Engine) onboardRung(dag *tasks.DAG, t, deadline time.Duration, out *Out
 			runDag, ob = dd, alt
 			out.Degraded = true
 			e.m.degraded.Inc()
-			e.scope.Events.Emit(t, "offload", obs.SevWarn, "resilient.degraded",
+			e.scope.Events.Emit(t, evDegraded,
 				trace.String("dag", dag.Name), trace.F64("factor", degradeFactor))
 		}
 	}
@@ -348,11 +352,11 @@ func (e *Engine) tryRemote(dag *tasks.DAG, site *xedge.Site, cand Estimate, t *t
 // nextRemote picks the best feasible remote destination that tried does
 // not mark, at t: a full offload's first strict minimum of Total, as a
 // stable sort of every destination would rank it. The search is
-// EstimateBestSite's (bestSite), traced or not: sites after the first that
+// EstimatePipeline's (bestSite), traced or not: sites after the first that
 // do not cover the vehicle are skipped unestimated, and on-board execution
 // is not estimated at all (the ladder's on-board rung estimates it afresh).
 func (e *Engine) nextRemote(dag *tasks.DAG, t time.Duration, tried []bool) (Estimate, bool) {
-	call := e.newSplitCall(dag, 0, t)
+	call := e.newSplitCall(dag, dag.Compiled(), 0, t)
 	if call.c.Err() != nil {
 		return Estimate{}, false
 	}

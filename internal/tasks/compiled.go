@@ -37,7 +37,13 @@ type Compiled struct {
 	pos      []int // pos[i] is the position of task i in order
 	critical float64
 
-	prefixes []atomic.Pointer[DAG]
+	prefixes []atomic.Pointer[prefix]
+}
+
+// prefix is a prefix DAG and its compiled form, built together.
+type prefix struct {
+	dag *DAG
+	c   *Compiled
 }
 
 // Compiled returns the analysis of the DAG's current content, reusing the
@@ -118,7 +124,7 @@ func compile(d *DAG) *Compiled {
 	c.topo()
 	c.err = c.validate(index)
 	if c.topoErr == nil {
-		c.prefixes = make([]atomic.Pointer[DAG], n+1)
+		c.prefixes = make([]atomic.Pointer[prefix], n+1)
 		c.critical = c.criticalPath()
 	}
 	return c
@@ -229,13 +235,15 @@ func (c *Compiled) Succs(i int) []int { return c.succs[i] }
 
 // Prefix returns the DAG of the first k tasks of Order, 0 < k <= len(Tasks),
 // named "<name>-prefix": the on-board part of a pipeline that splits after
-// k tasks. Dependencies on tasks outside the prefix are dropped (they are
-// satisfied inputs). The tasks are private copies, built on first use and
-// then shared by every caller. Valid only when Order succeeds.
-func (c *Compiled) Prefix(k int) *DAG {
+// k tasks, and that DAG's compiled form. Dependencies on tasks outside the
+// prefix are dropped (they are satisfied inputs). The tasks are private
+// copies, built with their compiled form on first use and then shared by
+// every caller, which must not edit them: the form is handed out without
+// the check DAG.Compiled makes. Valid only when Order succeeds.
+func (c *Compiled) Prefix(k int) (*DAG, *Compiled) {
 	slot := &c.prefixes[k]
 	if p := slot.Load(); p != nil {
-		return p
+		return p.dag, p.c
 	}
 	p := &DAG{Name: c.name + "-prefix", Tasks: make([]*Task, k)}
 	for q, i := range c.order[:k] {
@@ -248,6 +256,7 @@ func (c *Compiled) Prefix(k int) *DAG {
 		}
 		p.Tasks[q] = &cp
 	}
-	slot.CompareAndSwap(nil, p)
-	return slot.Load()
+	slot.CompareAndSwap(nil, &prefix{dag: p, c: p.Compiled()})
+	built := slot.Load()
+	return built.dag, built.c
 }

@@ -287,9 +287,12 @@ func TestCompiledPrefix(t *testing.T) {
 	}
 	c := d.Compiled()
 	for k := 1; k <= len(order); k++ {
-		p := c.Prefix(k)
-		if p != c.Prefix(k) {
+		p, pc := c.Prefix(k)
+		if again, againC := c.Prefix(k); again != p || againC != pc {
 			t.Fatalf("Prefix(%d) built twice", k)
+		}
+		if pc != p.Compiled() {
+			t.Fatalf("Prefix(%d) handed out a compiled form its DAG does not keep", k)
 		}
 		if p.Name != d.Name+"-prefix" || len(p.Tasks) != k {
 			t.Fatalf("Prefix(%d) = %s with %d tasks", k, p.Name, len(p.Tasks))
@@ -320,7 +323,7 @@ func TestCompiledPrefix(t *testing.T) {
 	}
 	// Editing the DAG invalidates its prefixes with everything else.
 	d.Tasks[0].GFLOP *= 2
-	if p := d.Compiled().Prefix(1); p.Tasks[0].GFLOP != order[0].GFLOP {
+	if p, _ := d.Compiled().Prefix(1); p.Tasks[0].GFLOP != order[0].GFLOP {
 		t.Fatalf("prefix after an edit has GFLOP %v, DAG has %v", p.Tasks[0].GFLOP, order[0].GFLOP)
 	}
 }
@@ -371,7 +374,7 @@ func TestCompiledSharedAcrossGoroutines(t *testing.T) {
 					t.Errorf("TopoOrder = %d tasks, %v", len(got), err)
 					return
 				}
-				p := d.Compiled().Prefix(1 + i%len(want))
+				p, _ := d.Compiled().Prefix(1 + i%len(want))
 				if err := p.Validate(); err != nil {
 					t.Error(err)
 					return

@@ -75,7 +75,7 @@ func NewDSF(m *MHEP, policy Policy) (*DSF, error) {
 // Plan produces a tentative placement for the DAG at virtual time now
 // without touching device queues. The plan is the caller's to keep.
 func (s *DSF) Plan(dag *tasks.DAG, now time.Duration) (*Plan, error) {
-	plan, err := s.plan(dag, now)
+	plan, err := s.plan(dag, nil, now)
 	if err != nil {
 		return nil, err
 	}
@@ -85,9 +85,12 @@ func (s *DSF) Plan(dag *tasks.DAG, now time.Duration) (*Plan, error) {
 }
 
 // Estimate is Plan for callers that need only the plan's makespan and
-// energy: it builds nothing the caller would have to keep.
-func (s *DSF) Estimate(dag *tasks.DAG, now time.Duration) (makespan time.Duration, energyJ float64, err error) {
-	plan, err := s.plan(dag, now)
+// energy: it builds nothing the caller would have to keep. c is the
+// compiled form dag.Compiled() returned since dag's last edit, which the
+// planner then reads instead of checking dag against it again, or nil for
+// the planner to take it.
+func (s *DSF) Estimate(dag *tasks.DAG, c *tasks.Compiled, now time.Duration) (makespan time.Duration, energyJ float64, err error) {
+	plan, err := s.plan(dag, c, now)
 	if err != nil {
 		return 0, 0, err
 	}
@@ -95,8 +98,8 @@ func (s *DSF) Estimate(dag *tasks.DAG, now time.Duration) (makespan time.Duratio
 }
 
 // plan is Plan on the DSF's scratch: the plan is valid until the DSF's
-// next plan.
-func (s *DSF) plan(dag *tasks.DAG, now time.Duration) (*Plan, error) {
+// next plan. c is dag's compiled form, or nil to have the planner take it.
+func (s *DSF) plan(dag *tasks.DAG, c *tasks.Compiled, now time.Duration) (*Plan, error) {
 	if dag == nil {
 		return nil, fmt.Errorf("vcu: nil DAG")
 	}
@@ -104,7 +107,7 @@ func (s *DSF) plan(dag *tasks.DAG, now time.Duration) (*Plan, error) {
 	if len(devices) == 0 {
 		return nil, fmt.Errorf("vcu: no devices available to app %s", dag.Name)
 	}
-	plan, err := s.policy.plan(&s.scratch, dag, devices, now)
+	plan, err := s.policy.plan(&s.scratch, dag, c, devices, now)
 	if err != nil {
 		return nil, err
 	}
@@ -119,14 +122,12 @@ func (s *DSF) plan(dag *tasks.DAG, now time.Duration) (*Plan, error) {
 }
 
 // committer is the DSF's commit scratch: per-task state indexed like
-// DAG.Tasks, the resolved form of a named plan, and the committed plan Run
-// returns. Every commit overwrites it.
+// DAG.Tasks and the committed plan Run returns. Every commit overwrites it.
 type committer struct {
 	// devOf is the device of each task's first committed assignment, nil
 	// until one is; finish is when its latest one finished.
 	devOf  []*Device
 	finish []time.Duration
-	at     []placement
 	assign []Assignment
 	out    Plan
 }
@@ -140,53 +141,14 @@ func (cm *committer) size(n int) {
 	clear(cm.devOf)
 }
 
-// commit applies a plan that names its tasks and devices to the real
-// executors, reserving device time. It resolves the names to indices, then
-// runs commitAt. A plan naming an unknown device or task, or committing a
-// task before one of its dependencies, is refused before any device time
-// is reserved.
-func (s *DSF) commit(dag *tasks.DAG, plan *Plan) (*Plan, error) {
-	if plan == nil {
-		return nil, fmt.Errorf("vcu: nil plan")
-	}
-	if dag == nil {
-		return nil, fmt.Errorf("vcu: nil DAG")
-	}
-	c := dag.Compiled()
-	cm := &s.run
-	cm.size(len(dag.Tasks)) // devOf marks the tasks placed so far
-	cm.at = cm.at[:0]
-	for _, a := range plan.Assignments {
-		dev, err := s.mhep.Device(a.Device)
-		if err != nil {
-			return nil, err
-		}
-		ti := slices.IndexFunc(dag.Tasks, func(t *tasks.Task) bool { return t.ID == a.TaskID })
-		if ti < 0 {
-			return nil, fmt.Errorf("vcu: plan task %s not in DAG %s", a.TaskID, dag.Name)
-		}
-		t := dag.Tasks[ti]
-		for j, di := range c.Deps(ti) {
-			if di < 0 || cm.devOf[di] == nil {
-				return nil, fmt.Errorf("vcu: plan for %s commits %s before its dependency %s", dag.Name, t.ID, t.Deps[j])
-			}
-		}
-		if cm.devOf[ti] == nil {
-			cm.devOf[ti] = dev
-		}
-		cm.at = append(cm.at, placement{ti, dev})
-	}
-	return s.commitAt(dag, c, plan, cm.at)
-}
-
 // commitAt is the one commit body: it submits plan's assignments in order,
 // the k-th running task at[k].task on device at[k].dev, ready at its planned
 // start once its dependencies' outputs arrive, and returns the plan of the
 // actually committed times, which can be later than planned if other work
 // landed on the devices since planning. c is dag's compiled form, and every
 // dependency of at[k].task is placed by an earlier entry: the planner
-// places in topological order, and commit checks. The committed plan is the
-// DSF's scratch, valid until the DSF's next plan.
+// places in topological order. The committed plan is the DSF's scratch,
+// valid until the DSF's next plan.
 func (s *DSF) commitAt(dag *tasks.DAG, c *tasks.Compiled, plan *Plan, at []placement) (*Plan, error) {
 	cm := &s.run
 	cm.size(len(dag.Tasks))
@@ -265,17 +227,20 @@ func (s *DSF) commitAt(dag *tasks.DAG, c *tasks.Compiled, plan *Plan, at []place
 	return committed, nil
 }
 
-// Run plans and immediately commits a DAG; the common path. A built-in
-// policy's plan commits straight from the planner's task and device
-// indices. The committed plan is the DSF's scratch, valid until the DSF's
-// next plan.
+// Run plans and immediately commits a DAG; the common path. Every policy
+// plans on the DSF's scratch, so the plan commits straight from the
+// planner's task and device indices. The committed plan is the DSF's
+// scratch, valid until the DSF's next plan.
 func (s *DSF) Run(dag *tasks.DAG, now time.Duration) (*Plan, error) {
-	plan, err := s.plan(dag, now)
+	return s.RunCompiled(dag, nil, now)
+}
+
+// RunCompiled is Run for a caller that already holds c, dag's compiled
+// form, as Estimate takes it.
+func (s *DSF) RunCompiled(dag *tasks.DAG, c *tasks.Compiled, now time.Duration) (*Plan, error) {
+	plan, err := s.plan(dag, c, now)
 	if err != nil {
 		return nil, err
 	}
-	if plan == &s.scratch.out {
-		return s.commitAt(dag, s.scratch.c, plan, s.scratch.at)
-	}
-	return s.commit(dag, plan)
+	return s.commitAt(dag, s.scratch.c, plan, s.scratch.at)
 }

@@ -234,23 +234,6 @@ func TestSecondLevelDeviceRelievesLoad(t *testing.T) {
 	}
 }
 
-func TestCommitValidation(t *testing.T) {
-	s := newDSF(t, GreedyEFT{})
-	if _, err := s.commit(tasks.ALPR(), nil); err == nil {
-		t.Fatal("nil plan accepted")
-	}
-	// Plan referencing a task not in the DAG.
-	bad := &Plan{DAG: "alpr", Assignments: []Assignment{{TaskID: "ghost", Device: hardware.DeviceI76700}}}
-	if _, err := s.commit(tasks.ALPR(), bad); err == nil {
-		t.Fatal("plan with unknown task accepted")
-	}
-	// Plan referencing an unknown device.
-	bad2 := &Plan{DAG: "alpr", Assignments: []Assignment{{TaskID: "motion-detect", Device: "ghost"}}}
-	if _, err := s.commit(tasks.ALPR(), bad2); err == nil {
-		t.Fatal("plan with unknown device accepted")
-	}
-}
-
 func TestPlanNilDAG(t *testing.T) {
 	s := newDSF(t, GreedyEFT{})
 	if _, err := s.Plan(nil, 0); err == nil {
@@ -290,7 +273,7 @@ func TestPlansSurviveLaterPlans(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		viaPolicy, err := policy.plan(new(planner), tasks.ALPR(), s.mhep.Devices(), 0)
+		viaPolicy, err := policy.plan(new(planner), tasks.ALPR(), nil, s.mhep.Devices(), 0)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -304,10 +287,10 @@ func TestPlansSurviveLaterPlans(t *testing.T) {
 			if _, err := s.Plan(d, time.Second); err != nil {
 				t.Fatal(err)
 			}
-			if _, _, err := s.Estimate(d, 2*time.Second); err != nil {
+			if _, _, err := s.Estimate(d, nil, 2*time.Second); err != nil {
 				t.Fatal(err)
 			}
-			if _, err := policy.plan(new(planner), d, s.mhep.Devices(), 3*time.Second); err != nil {
+			if _, err := policy.plan(new(planner), d, nil, s.mhep.Devices(), 3*time.Second); err != nil {
 				t.Fatal(err)
 			}
 		}

@@ -14,8 +14,7 @@ import (
 // time; 2ndHEP devices (phones, the legacy controller) are added with
 // AddDevice.
 type MHEP struct {
-	devices map[string]*Device
-	// ordered holds the same devices sorted by name (stable iteration keeps
+	// ordered holds the devices sorted by name (stable iteration keeps
 	// scheduling deterministic); AddDevice keeps it sorted, so planning
 	// reads it without rebuilding it.
 	ordered []*Device
@@ -23,7 +22,7 @@ type MHEP struct {
 
 // NewMHEP returns an empty platform.
 func NewMHEP() *MHEP {
-	return &MHEP{devices: make(map[string]*Device)}
+	return &MHEP{}
 }
 
 // DefaultVCU builds the paper's reference on-board configuration: an i7
@@ -53,28 +52,18 @@ func (m *MHEP) AddDevice(p *hardware.Processor, tier Tier, io IO) error {
 	if p == nil {
 		return fmt.Errorf("vcu: nil processor")
 	}
-	if _, exists := m.devices[p.Name]; exists {
+	at, exists := slices.BinarySearchFunc(m.ordered, p.Name, func(d *Device, name string) int {
+		return strings.Compare(d.Name(), name)
+	})
+	if exists {
 		return fmt.Errorf("vcu: device %q already registered", p.Name)
 	}
 	d, err := NewDevice(p, tier, io)
 	if err != nil {
 		return err
 	}
-	m.devices[p.Name] = d
-	at, _ := slices.BinarySearchFunc(m.ordered, p.Name, func(d *Device, name string) int {
-		return strings.Compare(d.Name(), name)
-	})
 	m.ordered = slices.Insert(m.ordered, at, d)
 	return nil
-}
-
-// Device returns the named device.
-func (m *MHEP) Device(name string) (*Device, error) {
-	d, ok := m.devices[name]
-	if !ok {
-		return nil, fmt.Errorf("vcu: unknown device %q", name)
-	}
-	return d, nil
 }
 
 // Devices returns all registered devices sorted by name, in a slice the

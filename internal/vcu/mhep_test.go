@@ -72,7 +72,7 @@ func TestProfiles(t *testing.T) {
 		if err := json.Unmarshal(p.Throughput, &tp); err != nil || len(tp) == 0 {
 			t.Fatalf("profile %s throughput %s: %v", p.Name, p.Throughput, err)
 		}
-		d, _ := m.Device(p.Name)
+		d, _ := deviceNamed(m, p.Name)
 		for c, v := range d.Processor().Throughput {
 			if tp[c.String()] != v {
 				t.Fatalf("profile %s: %v throughput %v, processor has %v", p.Name, c, tp[c.String()], v)
@@ -86,8 +86,8 @@ func TestProfiles(t *testing.T) {
 
 func TestTransferTime(t *testing.T) {
 	m, _ := DefaultVCU()
-	cpu, _ := m.Device(hardware.DeviceI76700)
-	gpu, _ := m.Device(hardware.DeviceTX2MaxP)
+	cpu, _ := deviceNamed(m, hardware.DeviceI76700)
+	gpu, _ := deviceNamed(m, hardware.DeviceTX2MaxP)
 	if got := TransferTime(cpu, cpu, 1e6); got != 0 {
 		t.Fatalf("same-device transfer = %v, want 0", got)
 	}
@@ -110,9 +110,9 @@ func TestSecondLevelSlowerIO(t *testing.T) {
 	if err := m.AddDevice(phone, SecondLevel, WiFiIO()); err != nil {
 		t.Fatal(err)
 	}
-	cpu, _ := m.Device(hardware.DeviceI76700)
-	ph, _ := m.Device(hardware.DevicePhone)
-	gpu, _ := m.Device(hardware.DeviceTX2MaxP)
+	cpu, _ := deviceNamed(m, hardware.DeviceI76700)
+	ph, _ := deviceNamed(m, hardware.DevicePhone)
+	gpu, _ := deviceNamed(m, hardware.DeviceTX2MaxP)
 	onboard := TransferTime(cpu, gpu, 1e6)
 	wireless := TransferTime(cpu, ph, 1e6)
 	if wireless <= onboard {

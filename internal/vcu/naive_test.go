@@ -377,11 +377,21 @@ func naiveUpwardRanks(dag *tasks.DAG, devices []*Device) (map[string]float64, er
 	return ranks, nil
 }
 
+// deviceNamed finds a device by name among MHEP.Devices().
+func deviceNamed(m *MHEP, name string) (*Device, error) {
+	for _, d := range m.Devices() {
+		if d.Name() == name {
+			return d, nil
+		}
+	}
+	return nil, fmt.Errorf("vcu: unknown device %q", name)
+}
+
 // naiveCommit is the DSF's commit as it was before it committed from
 // indices, minus its spans and metrics: every assignment resolves its device
-// through MHEP.Device and its task through DAG.Get, every dependency through
-// a string-keyed finish map, Plan.Assignment and MHEP.Device again, and the
-// committed plan is built afresh.
+// by name and its task through DAG.Get, every dependency through a
+// string-keyed finish map, Plan.Assignment and the device's name again, and
+// the committed plan is built afresh.
 func naiveCommit(m *MHEP, dag *tasks.DAG, plan *Plan) (*Plan, error) {
 	if plan == nil {
 		return nil, fmt.Errorf("vcu: nil plan")
@@ -389,7 +399,7 @@ func naiveCommit(m *MHEP, dag *tasks.DAG, plan *Plan) (*Plan, error) {
 	committed := &Plan{DAG: plan.DAG, Policy: plan.Policy}
 	finishOf := make(map[string]time.Duration, len(plan.Assignments))
 	for _, a := range plan.Assignments {
-		dev, err := m.Device(a.Device)
+		dev, err := deviceNamed(m, a.Device)
 		if err != nil {
 			return nil, err
 		}
@@ -404,7 +414,7 @@ func naiveCommit(m *MHEP, dag *tasks.DAG, plan *Plan) (*Plan, error) {
 				return nil, fmt.Errorf("vcu: plan for %s commits %s before its dependency %s", dag.Name, t.ID, depID)
 			}
 			depAssign, _ := assignmentOf(plan, depID)
-			depDev, err := m.Device(depAssign.Device)
+			depDev, err := deviceNamed(m, depAssign.Device)
 			if err != nil {
 				return nil, err
 			}

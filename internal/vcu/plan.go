@@ -73,12 +73,14 @@ type placement struct {
 
 // begin validates the plan input (DAG, then devices — the order callers see
 // errors in), resets the planner for it and returns the DAG's topological
-// order as task indices.
-func (p *planner) begin(dag *tasks.DAG, devices []*Device, now time.Duration) ([]int, error) {
+// order as task indices. c is dag's compiled form, or nil to take it here.
+func (p *planner) begin(dag *tasks.DAG, c *tasks.Compiled, devices []*Device, now time.Duration) ([]int, error) {
 	if dag == nil {
 		return nil, fmt.Errorf("vcu: nil DAG")
 	}
-	c := dag.Compiled()
+	if c == nil {
+		c = dag.Compiled()
+	}
 	if err := c.Err(); err != nil {
 		return nil, err
 	}

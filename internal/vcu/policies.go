@@ -15,9 +15,10 @@ type Policy interface {
 	Name() string
 	// plan places every task of the DAG onto the given devices, building on
 	// a caller-owned planner, so a DSF reuses one planner's arrays across
-	// every plan it makes. The returned plan is the planner's scratch,
+	// every plan it makes. c is dag's compiled form, or nil for the
+	// planner to take it. The returned plan is the planner's scratch,
 	// valid until the planner's next plan.
-	plan(p *planner, dag *tasks.DAG, devices []*Device, now time.Duration) (*Plan, error)
+	plan(p *planner, dag *tasks.DAG, c *tasks.Compiled, devices []*Device, now time.Duration) (*Plan, error)
 }
 
 // Policies returns every built-in policy, in ablation order.
@@ -31,8 +32,8 @@ type RoundRobin struct{}
 // Name implements Policy.
 func (RoundRobin) Name() string { return "round-robin" }
 
-func (RoundRobin) plan(p *planner, dag *tasks.DAG, devices []*Device, now time.Duration) (*Plan, error) {
-	order, err := p.begin(dag, devices, now)
+func (RoundRobin) plan(p *planner, dag *tasks.DAG, c *tasks.Compiled, devices []*Device, now time.Duration) (*Plan, error) {
+	order, err := p.begin(dag, c, devices, now)
 	if err != nil {
 		return nil, err
 	}
@@ -55,8 +56,8 @@ type GreedyEFT struct{}
 // Name implements Policy.
 func (GreedyEFT) Name() string { return "greedy-eft" }
 
-func (GreedyEFT) plan(p *planner, dag *tasks.DAG, devices []*Device, now time.Duration) (*Plan, error) {
-	order, err := p.begin(dag, devices, now)
+func (GreedyEFT) plan(p *planner, dag *tasks.DAG, c *tasks.Compiled, devices []*Device, now time.Duration) (*Plan, error) {
+	order, err := p.begin(dag, c, devices, now)
 	if err != nil {
 		return nil, err
 	}
@@ -74,8 +75,8 @@ type HEFT struct{}
 // Name implements Policy.
 func (HEFT) Name() string { return "heft" }
 
-func (HEFT) plan(p *planner, dag *tasks.DAG, devices []*Device, now time.Duration) (*Plan, error) {
-	topo, err := p.begin(dag, devices, now)
+func (HEFT) plan(p *planner, dag *tasks.DAG, c *tasks.Compiled, devices []*Device, now time.Duration) (*Plan, error) {
+	topo, err := p.begin(dag, c, devices, now)
 	if err != nil {
 		return nil, err
 	}
@@ -111,7 +112,7 @@ type PowerAware struct {
 // Name implements Policy.
 func (PowerAware) Name() string { return "power-aware" }
 
-func (pa PowerAware) plan(p *planner, dag *tasks.DAG, devices []*Device, now time.Duration) (*Plan, error) {
+func (pa PowerAware) plan(p *planner, dag *tasks.DAG, c *tasks.Compiled, devices []*Device, now time.Duration) (*Plan, error) {
 	slack := pa.Slack
 	if slack == 0 {
 		slack = 2
@@ -119,7 +120,7 @@ func (pa PowerAware) plan(p *planner, dag *tasks.DAG, devices []*Device, now tim
 	if slack < 1 {
 		return nil, fmt.Errorf("vcu: power-aware slack %v must be >= 1", slack)
 	}
-	order, err := p.begin(dag, devices, now)
+	order, err := p.begin(dag, c, devices, now)
 	if err != nil {
 		return nil, err
 	}

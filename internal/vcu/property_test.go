@@ -30,7 +30,7 @@ func checkPlanInvariants(t *testing.T, dag *tasks.DAG, plan *Plan, m *MHEP) {
 		if !ok {
 			t.Fatalf("assignment for unknown task %s", a.TaskID)
 		}
-		dev, err := m.Device(a.Device)
+		dev, err := deviceNamed(m, a.Device)
 		if err != nil {
 			t.Fatalf("assignment to unknown device %s", a.Device)
 		}
@@ -58,7 +58,7 @@ func checkPlanInvariants(t *testing.T, dag *tasks.DAG, plan *Plan, m *MHEP) {
 		byDevice[a.Device] = append(byDevice[a.Device], a)
 	}
 	for devName, asgs := range byDevice {
-		dev, _ := m.Device(devName)
+		dev, _ := deviceNamed(m, devName)
 		slots := dev.Processor().Slots
 		for _, probe := range asgs {
 			overlapping := 0
